@@ -532,9 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="octolift",
         description="Exact and numeric verification pipelines for the "
                     "octonionic lift package.")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size (reserved; pipelines are "
-                        "deterministic either way)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help):

@@ -251,7 +251,6 @@ def ge_bracket(A: GEElement, B: GEElement) -> GEElement:
 
 # --- the isomorphism Phi ------------------------------------------------------
 
-_OCT_ORDER = ("eps1", "eps2", "e1", "e2", "e3", "e1*", "e2*", "e3*")
 _V8 = {name: gvec(to_vector8(o)) for name, o in BASIS.items()}
 
 
@@ -600,19 +599,6 @@ def s3_act_cube(p, wc: BhargavaCube) -> BhargavaCube:
     p = _perm_tuple(p)
     return BhargavaCube(wc.alpha, perm_apply(p, wc.beta),
                         perm_apply(p, wc.gamma), wc.delta)
-
-
-def cube_to_ge(wc: BhargavaCube) -> GEElement:
-    """The 'group side' element alpha E_12 + v_1 (x) beta + delta_3 (x) gamma
-    + delta E_23 whose phi-image is b1 ^ y1' + b2 ^ y2'."""
-    sl3 = [[F0] * 3 for _ in range(3)]
-    sl3[0][1] = Fraction(wc.alpha)
-    sl3[1][2] = Fraction(wc.delta)
-    vE = [[F0] * 3 for _ in range(3)]
-    vE[0] = [Fraction(b) for b in wc.beta]
-    dE = [[F0] * 3 for _ in range(3)]
-    dE[2] = [Fraction(g) for g in wc.gamma]
-    return GEElement.make(sl3=sl3, vE=vE, dE=dE)
 
 
 def cube_pairing(w1: BhargavaCube, w2: BhargavaCube) -> int:

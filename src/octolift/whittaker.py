@@ -5,7 +5,9 @@ floating-point layer: K-Bessel functions of integer and half-integer order,
 the beta functions attached to ordered pairs of vectors in the signature
 (2,2) block, the vector-valued Whittaker values, the Fourier-Jacobi
 archimedean integral with its closed form, the Poincare summand built from
-the su(2)-projection of a bivector, and a numeric positivity oracle.
+the su(2)-projection of a bivector.  It also holds an exact positivity
+test: an integer sign that picks which ordering of a pair the Whittaker
+expansion sees.
 
 Coordinates in the (2,2) block follow the storage order (b3, b4, b-4, b-3),
 so the pairing is the antidiagonal form (u, w) = sum_k u[k] w[3-k], matching
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, lgamma, pi, sqrt
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp
@@ -323,20 +325,6 @@ def _su2_numeric():
     return _SU2_MATS, _SU2_GRAM_INV
 
 
-def pr_k_numeric(M: np.ndarray) -> Tuple[complex, complex, complex]:
-    """Trace-form projection of a bivector action matrix onto the su(2)
-    span, in the (x^2, xy, y^2) coordinates (e+ = -x^2, h+ = 2xy, f+ = y^2)."""
-    mats, ginv = _su2_numeric()
-    rhs = np.array([np.trace(M @ b) for b in mats])
-    ce, ch, cf = ginv @ rhs
-    return (-ce, 2.0 * ch, cf)
-
-
-def sym2_norm(c_xx: complex, c_xy: complex, c_yy: complex) -> float:
-    """Invariant norm: |a|^2 + |b|^2/2 + |c|^2 under the unitary action."""
-    return sqrt(abs(c_xx) ** 2 + abs(c_xy) ** 2 / 2.0 + abs(c_yy) ** 2)
-
-
 _PRK_BILINEAR = None
 
 
@@ -448,86 +436,43 @@ def q_poincare(T: GramTriple, ell: int, g, radius: int
 
 # --- positivity oracle -------------------------------------------------------
 
-_N1 = np.array([1.0, 0.0, 0.0, -1.0]) / sqrt(2.0)   # (b3 - b-3)/sqrt2
-_N2 = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)   # (b4 - b-4)/sqrt2
-_P1 = Y0 / sqrt(2.0)
-_P2 = Y1 / sqrt(2.0)
-
-
-def _levi_from_params(p) -> LeviPoint:
-    """A 7-parameter chart of {det m = 1} x SO(2,2)^0: unipotent-diagonal-
-    rotation Iwasawa coordinates on SL_2 and four plane rotations/boosts."""
-    x, y, th, a, b, c, d = p
-    co, si = np.cos(th), np.sin(th)
-    m = (np.array([[1.0, x], [0.0, 1.0]])
-         @ np.diag([np.exp(y / 2.0), np.exp(-y / 2.0)])
-         @ np.array([[co, -si], [si, co]]))
-    h = (_plane_rotation(_P1, _P2, a, J4)
-         @ _plane_rotation(_N1, _N2, b, J4)
-         @ _plane_rotation(_P1, _N1, c, J4)
-         @ _plane_rotation(_P2, _N2, d, J4))
-    return LeviPoint(m, h)
-
-
-def _beta_infimum(T1, T2, starts) -> float:
-    """Numerically minimize |beta_{[T1,T2]}| over the normalized Levi."""
-    from scipy.optimize import minimize
-
-    target = (V1 + 1j * V2).astype(complex)
-    zt = J4 @ target
-
-    def f(p):
-        # beta without the LeviPoint validation overhead; the chart lands
-        # in the group by construction
-        x, y, th, a, b, c, d = p
-        co, si = np.cos(th), np.sin(th)
-        ey = np.exp(y / 2.0)
-        m00, m01 = ey * co + x * si / ey, -ey * si + x * co / ey
-        m10, m11 = si / ey, co / ey
-        h = (_plane_rotation(_P1, _P2, a, J4)
-             @ _plane_rotation(_N1, _N2, b, J4)
-             @ _plane_rotation(_P1, _N1, c, J4)
-             @ _plane_rotation(_P2, _N2, d, J4))
-        hinv = J4 @ h.T @ J4
-        s1, s2 = hinv @ T1, hinv @ T2
-        val = ((m00 * s1 + m10 * s2) @ zt
-               + 1j * ((m01 * s1 + m11 * s2) @ zt))
-        return abs(val) ** 2   # |beta|^2 up to the constant factor 2
-
-    best = float("inf")
-    for p0 in starts:
-        res = minimize(f, p0, method="Nelder-Mead",
-                       options={"maxiter": 500, "xatol": 1e-10,
-                                "fatol": 1e-20})
-        best = min(best, res.fun)
-        if best < 1e-18:
-            break
-    return sqrt(2.0 * max(best, 0.0))
-
-
-def _oracle_starts() -> List[np.ndarray]:
-    rng = np.random.RandomState(20210604)
-    starts = [np.zeros(7)]
-    for _ in range(5):
-        starts.append(rng.uniform(-1.5, 1.5, size=7))
-    return starts
-
-
-def positivity_oracle(lam: IndexPair, tol: float = 1e-8) -> str:
+def positivity_oracle(lam: IndexPair) -> str:
     """Which of the orderings [T1,T2], [T2,T1] keeps beta bounded away from
-    zero on the connected Levi: 'positive', 'swapped', 'degenerate' (gram
-    not positive definite), or 'inconclusive' (both minimized below
-    tolerance, or neither)."""
-    t = coset_gram(lam)
-    if not t.is_positive_definite():
+    zero on the connected Levi {det m = 1} x SO(2,2)^0: 'positive' (the
+    given order), 'swapped', or 'degenerate' (gram not positive definite).
+    The answer is the sign of the integer
+
+        s = tr T1 (T2[0][1] - T2[1][0]) - (T1[0][1] - T1[1][0]) tr T2,
+
+    the orientation of the pair's projection onto span(y0, y1): 'positive'
+    for s < 0, 'swapped' for s > 0.
+
+    Proof.  Put zeta(T) = (T, v1 + i v2).  Under mat2_to_vec22,
+    (T, y0) = tr T and (T, y1) = T[0][1] - T[1][0], so at r = 1
+    Im(conj(zeta(T1)) zeta(T2)) = s / 2.  For the pair (x1, x2) that
+    beta_fn forms from r, beta = sqrt2 i (zeta(x1) + i zeta(x2)), so
+
+        |beta|^2 = 2 |zeta1|^2 + 2 |zeta2|^2 - 4 Im(conj(zeta1) zeta2).
+
+    Im(conj(zeta1) zeta2) is the oriented area of the projection of
+    (x1, x2) onto the positive plane span(v1, v2).  A positive definite
+    gram makes span(T1, T2) a positive plane, which meets the negative
+    complement of span(v1, v2) only in 0, so the area never vanishes; h
+    runs over the connected SO(2,2)^0 and m scales the area by det m > 0,
+    so its sign is that of s at every r.
+    - s < 0: the cross term is >= 0, and |zeta(x)|^2 >= (x, x) for every x
+      (drop the negative part), so |beta|^2 >= 2 (x1, x1) + 2 (x2, x2)
+      = 4 tr(m^t G m) >= 8 sqrt(det G) = 4 sqrt(disc) by AM-GM on the
+      eigenvalues, with G = [[a, b/2], [b/2, c]] the gram and det m = 1.
+    - s > 0: SO(2,2)^0 is transitive on positive planes (Witt; the
+      stabiliser O(2) x O(2) meets every component of O(2,2)), so some h
+      carries span(T1, T2) onto span(y0, y1), keeping the sign of s, and
+      an m with det m = 1 then gives a positive multiple of (y0, y1),
+      where beta = 0.
+    Swapping the pair negates s, so exactly one ordering is positive."""
+    if not coset_gram(lam).is_positive_definite():
         return "degenerate"
-    T1 = mat2_to_vec22(lam[0])
-    T2 = mat2_to_vec22(lam[1])
-    starts = _oracle_starts()
-    min_fwd = _beta_infimum(T1, T2, starts)
-    min_rev = _beta_infimum(T2, T1, starts)
-    if min_fwd > tol >= min_rev:
-        return "positive"
-    if min_rev > tol >= min_fwd:
-        return "swapped"
-    return "inconclusive"
+    T1, T2 = lam
+    s = ((T1[0][0] + T1[1][1]) * (T2[0][1] - T2[1][0])
+         - (T1[0][1] - T1[1][0]) * (T2[0][0] + T2[1][1]))
+    return "positive" if s < 0 else "swapped"

@@ -1,22 +1,28 @@
 """Bessel evaluation, the beta pairing, Whittaker values, lattice sums,
 and the positivity oracle."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import exp, pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from octolift.coset import GramTriple, mat2
+from octolift.coset import GramTriple, gram, mat2
 from octolift.quadspace import gvec, pr_K, sym2_power, wedge
-from octolift.whittaker import (LeviPoint, Y0, Y1, alternating_binomial_sum,
+from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
+                                alternating_binomial_sum,
                                 archimedean_integral_check, bessel_k,
                                 bessel_k_row, beta_fn, boost_u, bvv,
                                 mat2_to_vec22, pairing22, positivity_oracle,
                                 q_poincare, s_v_sum, whittaker_eval,
-                                _vectors_by_norm)
+                                _plane_rotation, _vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -203,3 +209,118 @@ def test_positivity_oracle_reference_pairs():
 
 def test_positivity_oracle_degenerate():
     assert positivity_oracle((mat2(1, 0, 0, -1), Y0_MAT)) == "degenerate"
+
+
+OTHER = {"positive": "swapped", "swapped": "positive"}
+
+definite_pairs = st.tuples(
+    st.builds(mat2, *[st.integers(-3, 3)] * 4),
+    st.builds(mat2, *[st.integers(-3, 3)] * 4),
+).filter(lambda lam: gram(lam).is_positive_definite())
+
+
+def _definite_pair(rng: random.Random):
+    """A random pair with positive definite gram, drawn as criterion 13
+    draws it."""
+    while True:
+        lam = tuple(mat2(*(rng.randint(-3, 3) for _ in range(4)))
+                    for _ in range(2))
+        if gram(lam).is_positive_definite():
+            return lam
+
+
+def _orientation(lam) -> float:
+    """(T1, y0)(T2, y1) - (T1, y1)(T2, y0) through the (2,2) embedding:
+    twice the oriented area of the pair's projection onto span(v1, v2)."""
+    T1, T2 = (mat2_to_vec22(T) for T in lam)
+    return (pairing22(T1, Y0) * pairing22(T2, Y1)
+            - pairing22(T1, Y1) * pairing22(T2, Y0)).real
+
+
+@given(definite_pairs)
+def test_positivity_oracle_is_the_orientation_sign(lam):
+    s = _orientation(lam)
+    assert s != 0
+    answer = positivity_oracle(lam)
+    assert answer == ("positive" if s < 0 else "swapped")
+    assert positivity_oracle((lam[1], lam[0])) == OTHER[answer]
+
+
+def _random_levi(rng) -> LeviPoint:
+    """A random point of {det m = 1} x SO(2,2)^0: m = k(th) a(y) n(x) and
+    h = exp(J A) with A antisymmetric, so that h^t J h = J."""
+    x, y, th = rng.uniform(-1.5, 1.5, size=3)
+    c, s = np.cos(th), np.sin(th)
+    m = (np.array([[c, -s], [s, c]]) @ np.diag([np.exp(y), np.exp(-y)])
+         @ np.array([[1.0, x], [0.0, 1.0]]))
+    a = np.triu(rng.uniform(-1.5, 1.5, size=(4, 4)), 1)
+    return LeviPoint(m, scipy.linalg.expm(J4 @ (a - a.T)))
+
+
+def test_positive_ordering_beta_lower_bound():
+    """|beta| >= 2 disc^(1/4) on the normalized Levi for the ordering
+    called positive."""
+    rng = np.random.RandomState(4)
+    prng = random.Random(4)
+    for _ in range(40):
+        lam = _definite_pair(prng)
+        if positivity_oracle(lam) == "swapped":
+            lam = (lam[1], lam[0])
+        T1, T2 = (mat2_to_vec22(T) for T in lam)
+        bound = 2.0 * gram(lam).disc() ** 0.25
+        for _ in range(25):
+            assert abs(beta_fn(T1, T2, _random_levi(rng))) >= bound
+
+
+# numeric reference: the Nelder-Mead search the exact test replaced
+
+_N1 = np.array([1.0, 0.0, 0.0, -1.0]) / sqrt(2.0)   # (b3 - b-3)/sqrt2
+_N2 = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)   # (b4 - b-4)/sqrt2
+_P1 = Y0 / sqrt(2.0)
+_P2 = Y1 / sqrt(2.0)
+
+
+def _levi_from_params(p) -> LeviPoint:
+    """A 7-parameter chart of {det m = 1} x SO(2,2)^0: unipotent-diagonal-
+    rotation Iwasawa coordinates on SL_2 and four plane rotations/boosts."""
+    x, y, th, a, b, c, d = p
+    co, si = np.cos(th), np.sin(th)
+    m = (np.array([[1.0, x], [0.0, 1.0]])
+         @ np.diag([np.exp(y / 2.0), np.exp(-y / 2.0)])
+         @ np.array([[co, -si], [si, co]]))
+    h = (_plane_rotation(_P1, _P2, a, J4)
+         @ _plane_rotation(_N1, _N2, b, J4)
+         @ _plane_rotation(_P1, _N1, c, J4)
+         @ _plane_rotation(_P2, _N2, d, J4))
+    return LeviPoint(m, h)
+
+
+def _beta_infimum(lam) -> float:
+    """Numerically minimize |beta_{[T1,T2]}| over the normalized Levi."""
+    T1, T2 = (mat2_to_vec22(T) for T in lam)
+
+    def f(p):
+        return abs(beta_fn(T1, T2, _levi_from_params(p))) ** 2
+
+    rng = np.random.RandomState(20210604)
+    starts = [np.zeros(7)] + [rng.uniform(-1.5, 1.5, size=7)
+                              for _ in range(5)]
+    best = float("inf")
+    for p0 in starts:
+        res = minimize(f, p0, method="Nelder-Mead",
+                       options={"maxiter": 500, "xatol": 1e-10,
+                                "fatol": 1e-20})
+        best = min(best, res.fun)
+        if best < 1e-18:
+            break
+    return sqrt(best)
+
+
+def test_positivity_oracle_against_numeric_infimum():
+    """The numeric infimum of |beta| vanishes exactly for the ordering the
+    exact test calls swapped (about 1 s per pair)."""
+    rng = random.Random(13)
+    for lam in [(Y1_MAT, Y0_MAT)] + [_definite_pair(rng) for _ in range(3)]:
+        for order in (lam, (lam[1], lam[0])):
+            vanishes = _beta_infimum(order) < 1e-8
+            assert vanishes == (positivity_oracle(order) == "swapped")

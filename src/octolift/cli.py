@@ -310,9 +310,12 @@ def cmd_lift(args):
     F = classical_maass_lift(c, args.weight, args.bound)
     rep = classical_maass_check(F)
     write_table(F, args.out)
-    status = "pass" if rep.ok else "fail"
-    return status, [rep.detail, f"wrote {args.out} "
-                    f"({len(F.entries)} keys, weight {F.weight})"]
+    details = [rep.detail, f"wrote {args.out} "
+               f"({len(F.entries)} keys, weight {F.weight})"]
+    if c.weight != args.weight:
+        details.append(f"input table has weight {c.weight}; lifted at "
+                       f"--weight {args.weight}")
+    return ("pass" if rep.ok else "fail"), details
 
 
 def cmd_theta_star(args):
@@ -367,6 +370,13 @@ def cmd_dirichlet(args):
         extra = [pair_act(lam, g) for lam in lams
                  for n in range(1, args.bound + 1)
                  for g in hnf_right_cosets(n)]
+        # each extra pair's own gram is read through its identity coset
+        need = max(gram(mu).disc() for mu in extra)
+        have = max((t.disc() for t in table.entries), default=0)
+        if need > have:
+            raise TableError(f"dirichlet --bound {args.bound} reads a_F up "
+                             f"to discriminant {need}, but the table stops "
+                             f"at {have}: build it with --bound {need}")
         phi = theta_star_table(table, 1, extra_pairs=extra)
     elif isinstance(table, QuatTable):
         phi = table

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import List, Tuple
 
 Mat2Z = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -106,20 +106,20 @@ def gram(lam: IndexPair) -> GramTriple:
     return GramTriple(mat2_det(T1), pair_bilinear(T1, T2), mat2_det(T2))
 
 
+def divisors(n: int) -> List[int]:
+    """The positive divisors of |n|, in increasing order."""
+    n = abs(n)
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(low + [n // d for d in low]))
+
+
 def hnf_left_cosets(n: int) -> List[Mat2Z]:
     """Representatives [[a, b], [0, d]], ad = n, a,d > 0, 0 <= b < d of
     GL2(Z)\\{r in M2(Z): |det r| = n}.  (Negative determinants are absorbed
     by diag(1,-1) on the left.)"""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    out = []
-    for a in range(1, n + 1):
-        if n % a:
-            continue
-        d = n // a
-        for b in range(d):
-            out.append(mat2(a, b, 0, d))
-    return out
+    return [mat2(a, b, 0, n // a) for a in divisors(n) for b in range(n // a)]
 
 
 def hnf_right_cosets(n: int) -> List[Mat2Z]:
@@ -128,47 +128,49 @@ def hnf_right_cosets(n: int) -> List[Mat2Z]:
     return [mat2_transpose(m) for m in hnf_left_cosets(n)]
 
 
-def _smith_divisors_4x2(rows) -> Tuple[int, int]:
-    """Elementary divisors (d1, d1*d2 hidden) of a 4x2 integer matrix:
-    returns (d1, d2) with d1 | d2; d1 = gcd of entries, d1*d2 = gcd of all
-    2x2 minors."""
-    g1 = 0
-    for row in rows:
-        for e in row:
-            g1 = gcd(g1, e)
-    g2 = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            minor = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            g2 = gcd(g2, minor)
-    if g1 == 0:
-        return (0, 0)
-    if g2 == 0:
-        return (g1, 0)
-    return (g1, g2 // g1)
-
-
 def _stack(lam: IndexPair):
     """The 4x2 matrix whose columns are the vectorized T1 and T2.  The pair
     action lam . g corresponds to right multiplication of this matrix by g,
-    which is what makes its Smith divisors detect divisibility."""
+    which is what makes its row lattice detect divisibility."""
     T1, T2 = lam
     return tuple((T1[i][j], T2[i][j]) for i in range(2) for j in range(2))
 
 
+def row_hnf(lam: IndexPair) -> Tuple[int, int, int]:
+    """(p, q, t) such that the row lattice of the stack of lam is
+    Z(p, q) + Z(0, t): its row Hermite normal form, with p >= 0, t >= 0,
+    0 <= q < t when t > 0, and t = 0 when the rank is below 2."""
+    p = q = t = 0
+    for x, y in _stack(lam):
+        while x:   # Euclid on the first column, carrying the second
+            k = p // x
+            p, q, x, y = x, y, p - k * x, q - k * y
+        t = gcd(t, y)
+    if p < 0:
+        p, q = -p, -q
+    if p == 0:
+        return (0, t, 0)
+    return (p, q % t if t else q, t)
+
+
 def smith_divisors(lam: IndexPair) -> Tuple[int, int]:
     """Smith elementary divisors (d1, d2), d1 | d2, of the 4x2 matrix with
-    columns vec(T1), vec(T2) (d2 = 0 if rank < 2)."""
-    return _smith_divisors_4x2(_stack(lam))
+    columns vec(T1), vec(T2) (d2 = 0 if rank < 2).  The matrix is
+    row-equivalent to [[p, q], [0, t]], so d1 = gcd(p, q, t) and
+    d1*d2 = p*t."""
+    p, q, t = row_hnf(lam)
+    d1 = gcd(p, q, t)
+    return (d1, p * t // d1) if d1 else (0, 0)
 
 
 def is_strongly_primitive(lam: IndexPair) -> bool:
     """True iff the only r in GL2(Q) cap M2(Z) with lam r^{-1} still integral
     are units: equivalently both Smith divisors of the 4x2 matrix with
-    columns vec(T1), vec(T2) are 1."""
+    columns vec(T1), vec(T2) are 1, i.e. its row lattice is Z^2."""
     if lam[0] == MAT2_ZERO and lam[1] == MAT2_ZERO:
         raise ValueError("strong primitivity is undefined for the zero pair")
-    return smith_divisors(lam) == (1, 1)
+    p, _q, t = row_hnf(lam)
+    return (p, t) == (1, 1)
 
 
 def breve(t: GramTriple) -> IndexPair:
@@ -188,38 +190,44 @@ def pair_act(lam: IndexPair, g: Mat2Z) -> IndexPair:
             mat2_add(mat2_scale(g[0][1], T1), mat2_scale(g[1][1], T2)))
 
 
-def _apply_rinv(lam: IndexPair, r: Mat2Z):
-    """lam . r^{-1} if integral, else None."""
+def _apply_rinv(lam: IndexPair, r: Mat2Z) -> IndexPair:
+    """lam . r^{-1} for an r whose row lattice contains that of the stack of
+    lam, so the division by det r is exact."""
     n = mat2_det(r)
-    adj = mat2_adjugate(r)
-    out = pair_act(lam, adj)
-    if any(e % n for T in out for row in T for e in row):
-        return None
-    return tuple(tuple(tuple(e // n for e in row) for row in T) for T in out)
+    return tuple(tuple(tuple(e // n for e in row) for row in T)
+                 for T in pair_act(lam, mat2_adjugate(r)))
 
 
 def divisor_cosets(lam: IndexPair) -> List[Tuple[Mat2Z, IndexPair]]:
     """All pairs (r, lam.r^{-1}) where r runs over HNF representatives of the
     left GL2(Z)-cosets of {r in GL2(Q) cap M2(Z): lam r^{-1} integral}.
 
-    Every admissible r is integral with |det r| dividing d2^2, where d2 is
-    the larger Smith divisor of the vec-column matrix, so the enumeration
-    over HNF representatives of those determinants is complete."""
+    The pair action is right multiplication of the stack S of lam, so
+    lam r^{-1} is integral iff every row of S lies in the row lattice Z^2 r,
+    i.e. iff R = Z(p, q) + Z(0, t) (see row_hnf) lies in Z^2 r.  The coset
+    GL2(Z) r is the lattice Z^2 r, whose HNF has rows (a, b), (0, d) with
+    0 <= b < d, and R lies in it iff a | p, d | t and (p/a) b = q mod d.
+    With g = gcd(p/a, d), that congruence is solvable iff g | q, and its
+    solutions are b0 + k d/g for k = 0..g-1.  So exactly the admissible
+    cosets are built: the lattices between R and Z^2."""
     if lam[0] == MAT2_ZERO and lam[1] == MAT2_ZERO:
         raise ValueError("divisor cosets are undefined for the zero pair")
-    d1, d2 = smith_divisors(lam)
-    if d2 == 0:
+    p, q, t = row_hnf(lam)
+    if t == 0:
         # rank-1 stacked matrix: r can be scaled arbitrarily along the kernel
         # direction without losing integrality.
         raise ValueError("divisor cosets are infinite for rank-deficient "
                          "pairs")
-    bound = d2 * d2
     out = []
-    for n in range(1, bound + 1):
-        if bound % n:
-            continue
-        for r in hnf_left_cosets(n):
-            mu = _apply_rinv(lam, r)
-            if mu is not None:
-                out.append((r, mu))
+    for a in divisors(p):
+        m = p // a
+        for d in divisors(t):
+            g = gcd(m, d)
+            if q % g:
+                continue
+            step = d // g
+            b0 = q // g * pow(m // g, -1, step) % step
+            for b in range(b0, d, step):
+                r = mat2(a, b, 0, d)
+                out.append((r, _apply_rinv(lam, r)))
     return out

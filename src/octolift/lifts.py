@@ -10,13 +10,12 @@ formulas, so synthetic Gaussian-rational tables give full coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd
+from typing import Dict, Iterable, List
 
-from .coset import (GramTriple, IndexPair, Mat2Z, MAT2_ID, breve,
-                    divisor_cosets, gram, hnf_right_cosets,
-                    is_strongly_primitive, mat2_det, mat2_scale, pair_act,
-                    reduce_gram)
+from .coset import (GramTriple, IndexPair, breve, divisor_cosets, divisors,
+                    gram, hnf_right_cosets, is_strongly_primitive, mat2_det,
+                    mat2_scale, pair_act, reduce_gram)
 from .quadspace import GaussRational, GZERO, _coerce
 
 
@@ -33,12 +32,6 @@ class Report:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class DirichletPoly:
         out: Dict[int, GaussRational] = {}
         for n in range(1, bound + 1):
             s = GZERO
-            for d in _divisors(n):
+            for d in divisors(n):
                 s = s + self[d] * other[n // d]
             if s:
                 out[n] = s
@@ -158,7 +151,7 @@ def classical_maass_lift(c: HalfIntegralTable, ell: int,
     for t in reduced_triples(bound):
         g = gcd(gcd(t.a, t.b), t.c)
         val = GZERO
-        for d in _divisors(g):
+        for d in divisors(g):
             val = val + d ** (ell - 1) * c.c(t.disc() // (d * d))
         entries[t] = val
     return SiegelTable(ell, entries)
@@ -171,7 +164,7 @@ def classical_maass_check(F: SiegelTable) -> Report:
     for t in sorted(F.entries, key=lambda t: (t.disc(), t.a, t.b, t.c)):
         g = gcd(gcd(t.a, t.b), t.c)
         rhs = GZERO
-        for d in _divisors(g):
+        for d in divisors(g):
             rhs = rhs + d ** (ell - 1) * F.a(
                 GramTriple(t.a * t.c // (d * d), t.b // d, 1))
         if rhs != F.entries[t]:
@@ -230,12 +223,11 @@ def spezialschar_keys(detbound: int,
     discbound = 4 * detbound
     base = []
     for t in reduced_triples(discbound):
-        base.append(breve(t))
-        base.append((((t.a, 0), (t.b, 1)), ((0, -1), (t.c, 0))))
+        lam = breve(t)
+        base += [lam, fj_pair(t)]
         d = 2
         while d ** 4 * t.disc() <= discbound:   # gram(d*lam) = d^2 gram(lam)
-            base.append((mat2_scale(d, breve(t)[0]),
-                         mat2_scale(d, breve(t)[1])))
+            base.append((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])))
             d += 1
     base.extend(extra_pairs)
     return sorted(_closure_keys(base))
@@ -262,9 +254,7 @@ def maass_membership(phi: QuatTable) -> Report:
     """Check the two Spezialschar coefficient conditions on every table key:
     (i) strongly primitive keys with equal gram carry equal coefficients;
     (ii) a_phi(lambda) = sum over divisor cosets (r, mu) of
-         |det r|^(ell-1) a_phi^prim(mu).
-    Also cross-checks (ii) against the equivalent single combined condition
-    a_phi(lambda) = sum |det r|^(ell-1) a_phi(breve(S(mu)))."""
+         |det r|^(ell-1) a_phi^prim(mu)."""
     ell = phi.weight
     by_gram: Dict[GramTriple, List[IndexPair]] = {}
     for lam in phi.entries:
@@ -276,13 +266,8 @@ def maass_membership(phi: QuatTable) -> Report:
             return Report(False, f"condition (i) fails at gram {t}")
     for lam in phi.entries:
         rhs = GZERO
-        single = GZERO
         for r, mu in divisor_cosets(lam):
-            w = abs(mat2_det(r)) ** (ell - 1)
-            rhs = rhs + w * a_prim(phi, mu)
-            single = single + w * phi.a(breve(gram(mu)))
-        if rhs != single:
-            return Report(False, f"combined-condition mismatch at {lam}")
+            rhs = rhs + abs(mat2_det(r)) ** (ell - 1) * a_prim(phi, mu)
         if rhs != phi.entries[lam]:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
@@ -309,6 +294,23 @@ def _s_coprime(n: int, s_primes) -> bool:
     return all(n % p for p in s_primes)
 
 
+def _coset_series(a, lam: IndexPair, ell: int, bound: int,
+                  s_primes) -> DirichletPoly:
+    """The series truncated at n <= bound whose n^-s coefficient is
+    sum_{g right cosets, |det g| = n, n coprime to S}
+    a(lambda . g) / n^(ell-1)."""
+    coeffs: Dict[int, GaussRational] = {}
+    for n in range(1, bound + 1):
+        if not _s_coprime(n, s_primes):
+            continue
+        s = GZERO
+        for g in hnf_right_cosets(n):
+            s = s + a(pair_act(lam, g))
+        if s:
+            coeffs[n] = s / _coerce(n ** (ell - 1))
+    return DirichletPoly(coeffs, bound)
+
+
 def dirichlet_series(phi: QuatTable, lam: IndexPair, bound: int,
                      s_primes: Iterable[int] = ()) -> DirichletPoly:
     """D_phi(T1,T2) truncated at n <= bound: the n^-s coefficient is
@@ -316,18 +318,7 @@ def dirichlet_series(phi: QuatTable, lam: IndexPair, bound: int,
     a_phi(lambda . g) / n^(ell-1)."""
     if not is_strongly_primitive(lam):
         raise ValueError("dirichlet_series needs a strongly primitive pair")
-    s_primes = tuple(s_primes)
-    ell = phi.weight
-    coeffs: Dict[int, GaussRational] = {}
-    for n in range(1, bound + 1):
-        if not _s_coprime(n, s_primes):
-            continue
-        s = GZERO
-        for g in hnf_right_cosets(n):
-            s = s + phi.a(pair_act(lam, g))
-        if s:
-            coeffs[n] = s / _coerce(n ** (ell - 1))
-    return DirichletPoly(coeffs, bound)
+    return _coset_series(phi.a, lam, phi.weight, bound, tuple(s_primes))
 
 
 def _zeta_sigma_factor(bound: int, s_primes) -> DirichletPoly:
@@ -336,7 +327,7 @@ def _zeta_sigma_factor(bound: int, s_primes) -> DirichletPoly:
     coeffs = {}
     for n in range(1, bound + 1):
         if _s_coprime(n, s_primes):
-            coeffs[n] = _coerce(sum(_divisors(n)))
+            coeffs[n] = _coerce(sum(divisors(n)))
     return DirichletPoly(coeffs, bound)
 
 
@@ -345,18 +336,8 @@ def primitive_dirichlet_series(phi: QuatTable, lam: IndexPair, bound: int,
     """The primitive-coefficient factor:
     n^-s coefficient = sum_{g, |det g| = n coprime to S}
     a_phi^prim(lambda . g) / n^(ell-1)."""
-    s_primes = tuple(s_primes)
-    ell = phi.weight
-    coeffs: Dict[int, GaussRational] = {}
-    for n in range(1, bound + 1):
-        if not _s_coprime(n, s_primes):
-            continue
-        s = GZERO
-        for g in hnf_right_cosets(n):
-            s = s + a_prim(phi, pair_act(lam, g))
-        if s:
-            coeffs[n] = s / _coerce(n ** (ell - 1))
-    return DirichletPoly(coeffs, bound)
+    return _coset_series(lambda mu: a_prim(phi, mu), lam, phi.weight, bound,
+                         tuple(s_primes))
 
 
 def dirichlet_factor_check(phi: QuatTable, lam: IndexPair, bound: int,

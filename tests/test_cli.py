@@ -169,3 +169,37 @@ def test_whittaker_csv_output(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("v,")
     assert len(lines) == 1 + 4 * 5   # 2x2 grid, 2*ell+1 components each
+
+
+def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    F = tmp_path / "F.json"
+    code, _ = _run(capsys, ["synth", "--kind", "halfintegral", "--seed", "7",
+                            "--bound", "100", "--out", str(c)])
+    assert code == 0
+    code, _ = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                            "--bound", "100", "--out", str(F)])
+    assert code == 0
+    code, rep = _run(capsys, ["dirichlet", "--in", str(F), "--bound", "12",
+                              "--count", "5"])
+    assert code == 2 and rep["status"] == "error"
+    assert "1152" in rep["details"][0]
+
+
+def test_lift_reports_weight_mismatch(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    F = tmp_path / "F.json"
+    code, _ = _run(capsys, ["synth", "--kind", "halfintegral", "--seed", "1",
+                            "--bound", "40", "--weight", "10",
+                            "--out", str(c)])
+    assert code == 0
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "4",
+                              "--bound", "40", "--out", str(F)])
+    assert code == 0 and rep["status"] == "pass"
+    assert any("weight 10" in d and "--weight 4" in d
+               for d in rep["details"])
+    assert cli.load_table(str(F)).weight == 4
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                              "--bound", "40", "--out", str(F)])
+    assert code == 0
+    assert not any("--weight" in d for d in rep["details"])

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from octolift.coset import (GramTriple, MAT2_ZERO, breve, divisor_cosets,
                             gram, hnf_left_cosets, hnf_right_cosets,
                             is_strongly_primitive, mat2, mat2_det, mat2_mul,
-                            mat2_transpose, pair_act, pair_bilinear,
-                            reduce_gram, smith_divisors)
+                            mat2_scale, mat2_transpose, pair_act,
+                            pair_bilinear, reduce_gram, row_hnf,
+                            smith_divisors)
 
 ints = st.integers(-9, 9)
 mats = st.builds(mat2, ints, ints, ints, ints)
@@ -155,16 +156,8 @@ def test_smith_divisors_row_stack_is_the_wrong_matrix():
     # the vec-column convention matters: stacking rows of T1 over rows of T2
     # gives different divisors for this pair
     lam = (mat2(1, -3, 1, 2), mat2(-2, 0, 2, 0))
-    rows = [lam[0][0], lam[0][1], lam[1][0], lam[1][1]]
-    g1 = 0
-    for row in rows:
-        for e in row:
-            g1 = gcd(g1, e)
-    g2 = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g2 = gcd(g2, rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0])
-    row_stacked = (g1, g2 // g1)
+    row_stacked = _ref_smith_divisors(
+        [lam[0][0], lam[0][1], lam[1][0], lam[1][1]])
     assert smith_divisors(lam) != row_stacked
     # brute force agrees with the vec-column divisors, not the row stack
     want = _brute_strongly_primitive(lam, bound=9)
@@ -202,3 +195,126 @@ def test_divisor_cosets_rejects_degenerate():
         divisor_cosets((MAT2_ZERO, MAT2_ZERO))
     with pytest.raises(ValueError):
         divisor_cosets((mat2(1, 0, 0, 0), mat2(2, 0, 0, 0)))
+
+
+# --- reference oracles: the minors-gcd Smith divisors and the trial loop ------
+
+def _ref_smith_divisors(rows):
+    """(d1, d2) of a 4x2 integer matrix from its determinantal divisors:
+    d1 = gcd of the entries, d1*d2 = gcd of the six 2x2 minors."""
+    g1 = 0
+    for row in rows:
+        for e in row:
+            g1 = gcd(g1, e)
+    g2 = 0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            g2 = gcd(g2, rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0])
+    if g1 == 0:
+        return (0, 0)
+    return (g1, g2 // g1)
+
+
+def _vec_stack(lam):
+    T1, T2 = lam
+    return [(T1[i][j], T2[i][j]) for i in range(2) for j in range(2)]
+
+
+def _pair_from_stack(rows):
+    return (mat2(*(x for x, _ in rows)), mat2(*(y for _, y in rows)))
+
+
+def _ref_divisor_cosets(lam):
+    """Every HNF coset r of every determinant n | d2^2, kept when
+    lam . r^{-1} is integral."""
+    d2 = _ref_smith_divisors(_vec_stack(lam))[1]
+    out = []
+    for n in range(1, d2 * d2 + 1):
+        if (d2 * d2) % n:
+            continue
+        for r in hnf_left_cosets(n):
+            adj = ((r[1][1], -r[0][1]), (-r[1][0], r[0][0]))
+            mu = pair_act(lam, adj)
+            if all(e % n == 0 for T in mu for row in T for e in row):
+                out.append((r, tuple(tuple(tuple(e // n for e in row)
+                                           for row in T) for T in mu)))
+    return out
+
+
+def _random_pair(rng, size):
+    return tuple(mat2(*(rng.randint(-size, size) for _ in range(4)))
+                 for _ in range(2))
+
+
+def test_smith_divisors_match_minors_reference():
+    rng = random.Random(31)
+    zero = (MAT2_ZERO, MAT2_ZERO)
+    T = mat2(2, -4, 6, 0)
+    pairs = [zero, (MAT2_ZERO, T), (T, MAT2_ZERO), (T, mat2_scale(-3, T))]
+    for _ in range(3000):
+        lam = _random_pair(rng, rng.choice((1, 3, 9)))
+        k = rng.randint(-4, 4)
+        pairs += [lam, (lam[0], mat2_scale(k, lam[0])), (MAT2_ZERO, lam[1])]
+    for lam in pairs:
+        assert smith_divisors(lam) == _ref_smith_divisors(_vec_stack(lam))
+        if lam != zero:
+            assert is_strongly_primitive(lam) == (smith_divisors(lam)
+                                                  == (1, 1))
+    assert smith_divisors(zero) == (0, 0)
+    assert smith_divisors((T, mat2_scale(-3, T))) == (2, 0)
+
+
+def _pair_with_row_lattice(rng, p, q, t):
+    """A pair whose vec-column stack has row lattice Z(p, q) + Z(0, t),
+    then moved by a random unimodular g, which multiplies that lattice by g
+    and keeps its Smith divisors."""
+    rows = [(p, q), (0, t)]
+    for _ in range(2):
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append((x * p, x * q + y * t))
+    rng.shuffle(rows)
+    g = mat2(1, 0, 0, 1)
+    for _ in range(3):
+        g = mat2_mul(g, rng.choice((mat2(1, 1, 0, 1), mat2(1, 0, -1, 1),
+                                    mat2(0, 1, 1, 0))))
+    return pair_act(_pair_from_stack(rows), g)
+
+
+def test_row_hnf_is_canonical():
+    # row operations on the stack leave the row lattice, so its HNF, alone
+    rng = random.Random(41)
+    for _ in range(500):
+        lam = _random_pair(rng, 6)
+        p, q, t = row_hnf(lam)
+        assert p >= 0 and (0 <= q < t or t == 0)
+        rows = _vec_stack(lam)
+        rng.shuffle(rows)
+        k = rng.randint(-5, 5)
+        rows[0] = (rows[0][0] + k * rows[1][0], rows[0][1] + k * rows[1][1])
+        assert row_hnf(_pair_from_stack(rows)) == (p, q, t)
+
+
+def test_divisor_cosets_match_trial_reference():
+    rng = random.Random(37)
+    pairs = []
+    while len(pairs) < 300:   # random pairs and their multiples
+        lam = _random_pair(rng, rng.choice((2, 4, 8)))
+        k = rng.choice((1, 1, 2, 3))
+        lam = (mat2_scale(k, lam[0]), mat2_scale(k, lam[1]))
+        if 0 < smith_divisors(lam)[1] <= 12:
+            pairs.append(lam)
+    for p in range(1, 13):    # every row HNF with d2 <= 12
+        for t in range(1, 13):
+            for q in range(t):
+                if p * t <= 12 * gcd(p, q, t):
+                    pairs.append(_pair_with_row_lattice(rng, p, q, t))
+    seen = set()
+    for lam in pairs:
+        got = divisor_cosets(lam)
+        assert set(got) == set(_ref_divisor_cosets(lam))
+        assert len(set(got)) == len(got)
+        for r, mu in got:
+            assert r[1][0] == 0 and 0 <= r[0][1] < r[1][1]
+            assert pair_act(mu, r) == lam
+        seen.add(smith_divisors(lam))
+    assert {(1, d2) for d2 in range(1, 13)} <= seen

@@ -213,12 +213,6 @@ def test_positivity_oracle_degenerate():
 
 OTHER = {"positive": "swapped", "swapped": "positive"}
 
-definite_pairs = st.tuples(
-    st.builds(mat2, *[st.integers(-3, 3)] * 4),
-    st.builds(mat2, *[st.integers(-3, 3)] * 4),
-).filter(lambda lam: gram(lam).is_positive_definite())
-
-
 def _definite_pair(rng: random.Random):
     """A random pair with positive definite gram, drawn as criterion 13
     draws it."""
@@ -227,6 +221,12 @@ def _definite_pair(rng: random.Random):
                     for _ in range(2))
         if gram(lam).is_positive_definite():
             return lam
+
+
+# Rejection sampling inside the draw: most pairs are not definite, and a
+# hypothesis filter that rejects them trips its filter_too_much health check.
+definite_pairs = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: _definite_pair(random.Random(seed)))
 
 
 def _orientation(lam) -> float:

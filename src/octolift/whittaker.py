@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, lgamma, pi, sqrt
-from typing import List, Sequence, Tuple
+from math import comb, exp, factorial, pi, sqrt
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import mp
 from scipy import integrate
+from scipy.special import k0e, k1e, kve
 
 from .coset import GramTriple, IndexPair, gram as coset_gram
 from . import quadspace
@@ -51,52 +51,25 @@ def mat2_to_vec22(m) -> np.ndarray:
 
 # --- K-Bessel ----------------------------------------------------------------
 
-def _bessel_k_half(n: int, x: float) -> float:
-    """K_{n+1/2}(x) by the terminating series, n >= 0."""
-    s = 0.0
-    for k in range(n + 1):
-        # (n+k)! / (k! (n-k)! (2x)^k), via logs to dodge overflow
-        s += exp(lgamma(n + k + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-                 - k * np.log(2.0 * x))
-    return sqrt(pi / (2.0 * x)) * exp(-x) * s
-
-
-def _bessel_k_int_quad(nu: int, x: float) -> float:
-    """K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt by quadrature."""
-    nu = abs(nu)
-
-    def f(t):
-        return np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
-
-    # upper cutoff: integrand ~ exp(nu t - x e^t / 2) dies past the peak
-    hi = 5.0
-    while x * np.cosh(hi) - abs(nu) * hi < 750.0 and hi < 60.0:
-        hi += 5.0
-    val, _ = integrate.quad(f, 0.0, hi, epsabs=0.0, epsrel=1e-13, limit=400)
-    return val
-
-
 def bessel_k(nu, x: float) -> float:
-    """Modified K-Bessel function for integer or half-integer order."""
+    """Modified K-Bessel function for integer or half-integer order, from
+    the exponentially scaled library kernel (Amos, ACM TOMS 644)."""
     if x <= 0:
         raise ValueError("bessel_k requires x > 0")
     two_nu = 2 * Fraction(nu)
     if two_nu.denominator != 1:
         raise ValueError("order must be integer or half-integer")
-    t = two_nu.numerator
-    if t % 2 == 0:
-        return _bessel_k_int_quad(t // 2, x)
-    return _bessel_k_half((abs(t) - 1) // 2, x)
+    return float(kve(abs(two_nu.numerator) / 2, x)) * exp(-x)
 
 
 def bessel_k_row(nmax: int, x: float) -> List[float]:
-    """[K_0(x), ..., K_nmax(x)]: quadrature seeds K_0, K_1 and the upward
+    """[K_0(x), ..., K_nmax(x)]: library seeds K_0, K_1 and the upward
     recurrence K_{n+1} = K_{n-1} + (2n/x) K_n (stable in this direction)."""
     if x <= 0:
         raise ValueError("bessel_k_row requires x > 0")
-    row = [_bessel_k_int_quad(0, x)]
+    row = [float(k0e(x)) * exp(-x)]
     if nmax >= 1:
-        row.append(_bessel_k_int_quad(1, x))
+        row.append(float(k1e(x)) * exp(-x))
     for n in range(1, nmax):
         row.append(row[n - 1] + (2.0 * n / x) * row[n])
     return row[:nmax + 1]
@@ -150,9 +123,12 @@ def beta_fn(T1, T2, r: LeviPoint) -> complex:
 
 @dataclass(frozen=True)
 class WhittakerValue:
-    """Coefficients of x^{l+v} y^{l-v} / ((l+v)! (l-v)!), v = -l..l."""
+    """Coefficients of x^{l+v} y^{l-v} / ((l+v)! (l-v)!), v = -l..l, with
+    the quadrature's absolute error estimate (2-norm over the components)
+    when they come from one, else None."""
     ell: int
     components: Tuple[complex, ...]
+    err: Optional[float] = None
 
     def __post_init__(self):
         if len(self.components) != 2 * self.ell + 1:
@@ -181,37 +157,55 @@ def whittaker_eval(T1, T2, r: LeviPoint, ell: int) -> WhittakerValue:
 
 # --- the S_v sum and its combinatorial engine --------------------------------
 
-def _bessel_k_half_mp(n: int, x) -> "mp.mpf":
-    """K_{n+1/2}(x) by the terminating series in working precision, n >= 0."""
-    s = mp.mpf(0)
-    for k in range(n + 1):
-        s += (mp.factorial(n + k)
-              / (mp.factorial(k) * mp.factorial(n - k) * (2 * x) ** k))
-    return mp.sqrt(mp.pi / (2 * x)) * mp.e ** (-x) * s
+def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
+    """S_v(X) / (pi e^{-X}) at rational X > 0, exactly.
+
+    With K_{n+1/2}(X) = sqrt(pi/(2X)) e^{-X} sum_j (n+j)!/(j! (n-j)!)
+    (2X)^{-j}, the k-th term of S_v is pi e^{-X} times
+
+        C(|v|, 2k) (i sgn v)^{|v|-2k} (2k)!/(2^{k+1} k!) X^{-k}
+        sum_j (n+j)!/(j! (n-j)!) (2X)^{-j},    n = |v| - k - 1
+
+    (n = 0 at v = 0).  The terms are gathered as Gaussian-integer
+    coefficients of a polynomial in 1/X over the denominator 2^{|v|}, which
+    is then evaluated at X = p/q by Horner's rule in integers."""
+    av = abs(v)
+    sgn = 1 if v >= 0 else -1
+    top = max(av, 1)            # 2^top clears every 2^{-(j+1)}
+    re = [0] * top              # coefficients of X^{-m}, m = k + j < top
+    im = [0] * top
+    for k in range(av // 2 + 1):
+        n = max(av - k - 1, 0)
+        # C(|v|, 2k) (2k)! / (2^k k!), and (i sgn v)^{|v|-2k} as a unit
+        c = comb(av, 2 * k) * factorial(2 * k) // (factorial(k) << k)
+        ur, ui = ((1, 0), (0, sgn), (-1, 0), (0, -sgn))[(av - 2 * k) % 4]
+        a = 1                   # (n+j)! / (j! (n-j)!)
+        for j in range(n + 1):
+            t = (c * a) << (top - j - 1)
+            re[k + j] += ur * t
+            im[k + j] += ui * t
+            a = a * (n + j + 1) * (n - j) // (j + 1)
+    # sum_m coeff[m] (q/p)^m = (sum_m coeff[m] q^m p^{M-m}) / p^M
+    p, q = X.numerator, X.denominator
+    num_re, num_im, pw = re[-1], im[-1], 1
+    for m in range(top - 2, -1, -1):
+        pw *= p
+        num_re = num_re * q + re[m] * pw
+        num_im = num_im * q + im[m] * pw
+    den = pw << top
+    return quadspace.GaussRational(Fraction(num_re, den),
+                                   Fraction(num_im, den))
 
 
 def s_v_sum(v: int, X: float) -> complex:
     """S_v(X): the finite half-integer K-Bessel sum; equals pi e^{-X} i^v / 2.
 
     The individual terms grow like (2/X)^{|v|} while the total stays O(1),
-    so the cancellation is carried out in extended working precision."""
+    so the sum is carried out exactly at the float's rational value of X
+    (_s_v_exact), and only the common factor pi e^{-X} is a float."""
     if X <= 0:
         raise ValueError("s_v_sum requires X > 0")
-    av = abs(v)
-    sgn = (v > 0) - (v < 0)
-    with mp.workdps(40 + 4 * av):
-        x = mp.mpf(X)
-        total = mp.mpc(0)
-        for k in range(av // 2 + 1):
-            # (i sgn(v) X)^{|v|-2k}, with the convention 0^0 = 1 for v = 0
-            phase = (mp.mpc(0, sgn) * x) ** (av - 2 * k) if av else mp.mpf(1)
-            # half-integer order |v| - (2k+1)/2 = (|v| - k - 1) + 1/2
-            total += (comb(av, 2 * k) * phase
-                      * mp.mpf(2) ** (mp.mpf(2 * k - 1) / 2)
-                      * mp.gamma(mp.mpf(2 * k + 1) / 2)
-                      * x ** (-(mp.mpf(2 * av - 2 * k - 1) / 2))
-                      * _bessel_k_half_mp(av - k - 1 if av - k >= 1 else 0, x))
-        return complex(total)
+    return pi * exp(-X) * complex(_s_v_exact(v, Fraction(X)))
 
 
 def alternating_binomial_sum(poly: Sequence, m: int) -> Fraction:
@@ -258,7 +252,8 @@ def archimedean_integral_check(T, t: float, u, ell: int,
     """Numeric integral over s of the Whittaker value along
     r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]], for the ordered pair
     [y0, T] with T in the orthogonal complement of y0; versus the closed
-    form (pi t^ell e^{-(2-w)} / 2) i^v with w = t (T, u . y1)."""
+    form (pi t^ell e^{-(2-w)} / 2) i^v with w = t (T, u . y1).  The
+    numeric value carries quad_vec's error estimate in its err field."""
     T = np.asarray(T, dtype=float)
     u = np.asarray(u, dtype=float)
     if t <= 0:
@@ -283,9 +278,9 @@ def archimedean_integral_check(T, t: float, u, ell: int,
                - 1j * (2.0 - w)) < 1e-9 * (1 + abs(b0))
     # truncation: |beta| >= 2t|s|, so K_v decays like e^{-2t|s|}
     smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
-    res, _err = integrate.quad_vec(integrand, -smax, smax,
-                                   epsabs=1e-14, epsrel=epsrel)
-    numeric = WhittakerValue(ell, tuple(res))
+    res, err = integrate.quad_vec(integrand, -smax, smax,
+                                  epsabs=1e-14, epsrel=epsrel)
+    numeric = WhittakerValue(ell, tuple(res), float(err))
     scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
     closed = WhittakerValue(
         ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1)))

@@ -171,6 +171,42 @@ def test_whittaker_csv_output(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 5   # 2x2 grid, 2*ell+1 components each
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_whittaker_rejects_bad_tol(tol):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["whittaker", "--tol", tol])
+    assert e.value.code == 2
+
+
+def test_whittaker_infinite_tol_passes(capsys):
+    code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
+    assert code == 0 and rep["status"] == "pass"
+    assert "quadrature error estimate" in rep["details"][1]
+
+
+def test_whittaker_nan_error_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli.whittaker, "s_v_sum",
+                        lambda v, X: complex("nan"))
+    code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
+    assert code == 1 and rep["status"] == "fail"
+    assert "nan" in rep["details"][0]
+
+
+def test_whittaker_nan_integral_fails(capsys, monkeypatch):
+    check = cli.whittaker.archimedean_integral_check
+
+    def nan_numeric(*args):
+        num, closed = check(*args)
+        comps = (complex("nan"),) + num.components[1:]
+        return cli.whittaker.WhittakerValue(num.ell, comps, num.err), closed
+
+    monkeypatch.setattr(cli.whittaker, "archimedean_integral_check",
+                        nan_numeric)
+    code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
+    assert code == 1 and rep["status"] == "fail"
+    assert "nan" in rep["details"][0]
+
+
 def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
     c = tmp_path / "c.json"
     F = tmp_path / "F.json"

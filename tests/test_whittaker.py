@@ -4,36 +4,56 @@ and the positivity oracle."""
 import random
 from fractions import Fraction
 from itertools import product
-from math import exp, pi, sqrt
+from math import comb, exp, pi, sqrt
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.optimize import minimize
 
 from octolift.coset import GramTriple, gram, mat2
-from octolift.quadspace import gvec, pr_K, sym2_power, wedge
+from octolift.quadspace import GaussRational, gvec, pr_K, sym2_power, wedge
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 alternating_binomial_sum,
                                 archimedean_integral_check, bessel_k,
                                 bessel_k_row, beta_fn, boost_u, bvv,
                                 mat2_to_vec22, pairing22, positivity_oracle,
                                 q_poincare, s_v_sum, whittaker_eval,
-                                _plane_rotation, _vectors_by_norm)
+                                _plane_rotation, _s_v_exact,
+                                _vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
 
-def test_bessel_k_against_scipy():
-    for nu in (0, 1, 2, 5, 11, Fraction(1, 2), Fraction(7, 2),
-               -3, Fraction(-5, 2)):
-        for x in (0.1, 0.5, 1.0, 2.7, 10.0, 40.0):
-            want = float(scipy.special.kv(float(nu), x))
-            got = bessel_k(nu, x)
-            assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
+BESSEL_X = (0.05, 0.1, 0.5, 1.0, 2.7, 10.0, 40.0, 120.0, 300.0)
+
+
+def _besselk_mp(nu, x: float) -> float:
+    with mp.workdps(30):    # float(nu) is exact for half-integers
+        return float(mp.besselk(float(nu), x))
+
+
+def test_bessel_k_against_mpmath():
+    orders = (list(range(23)) + [-3, -22]
+              + [Fraction(2 * n + 1, 2) for n in range(22)]
+              + [Fraction(-5, 2), Fraction(-43, 2)])
+    for nu in orders:
+        for x in BESSEL_X:
+            want = _besselk_mp(nu, x)
+            assert abs(bessel_k(nu, x) - want) <= 1e-13 * want
+
+
+def test_bessel_k_row_against_mpmath():
+    for x in BESSEL_X:
+        row = bessel_k_row(22, x)
+        assert len(row) == 23
+        for n, got in enumerate(row):
+            want = _besselk_mp(n, x)
+            assert abs(got - want) <= 1e-13 * want
+    assert len(bessel_k_row(0, 1.0)) == 1
 
 
 def test_bessel_k_rejects_bad_input():
@@ -103,6 +123,54 @@ def test_s_v_sum_identity_small():
             assert abs(s_v_sum(v, X) - want) < 1e-12 * abs(want)
 
 
+def _s_v_sum_mp(v: int, X: float) -> complex:
+    """Reference S_v(X): the defining sum in 40 + 4|v| digits, with
+    K_{n+1/2} by its terminating series."""
+    def k_half(n, x):
+        s = mp.mpf(0)
+        for k in range(n + 1):
+            s += (mp.factorial(n + k)
+                  / (mp.factorial(k) * mp.factorial(n - k) * (2 * x) ** k))
+        return mp.sqrt(mp.pi / (2 * x)) * mp.e ** (-x) * s
+
+    av = abs(v)
+    sgn = (v > 0) - (v < 0)
+    with mp.workdps(40 + 4 * av):
+        x = mp.mpf(X)
+        total = mp.mpc(0)
+        for k in range(av // 2 + 1):
+            phase = (mp.mpc(0, sgn) * x) ** (av - 2 * k) if av else mp.mpf(1)
+            total += (comb(av, 2 * k) * phase
+                      * mp.mpf(2) ** (mp.mpf(2 * k - 1) / 2)
+                      * mp.gamma(mp.mpf(2 * k + 1) / 2)
+                      * x ** (-(mp.mpf(2 * av - 2 * k - 1) / 2))
+                      * k_half(av - k - 1 if av - k >= 1 else 0, x))
+        return complex(total)
+
+
+def test_s_v_sum_against_extended_precision():
+    for v in range(-22, 23):
+        for X in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+            want = _s_v_sum_mp(v, X)
+            assert abs(s_v_sum(v, X) - want) <= 1e-13 * abs(want)
+
+
+@given(st.integers(-22, 22), st.floats(0.05, 20.0))
+def test_s_v_sum_against_extended_precision_random(v, X):
+    want = _s_v_sum_mp(v, X)
+    assert abs(s_v_sum(v, X) - want) <= 1e-13 * abs(want)
+
+
+def test_s_v_exact_part_is_i_to_the_v_over_2():
+    half = Fraction(1, 2)
+    units = tuple(GaussRational.make(re, im) for re, im in
+                  ((half, 0), (0, half), (-half, 0), (0, -half)))   # i^v / 2
+    for X in (Fraction(1, 10), Fraction(1, 3), Fraction(22, 7), Fraction(5),
+              Fraction(123, 4)):
+        for v in range(-30, 31):
+            assert _s_v_exact(v, X) == units[v % 4]
+
+
 def test_alternating_binomial_sum():
     # degree < m annihilates; F(k) = k^m gives (-1)^m m!
     assert alternating_binomial_sum([1, 2, 3], 3) == 0
@@ -116,6 +184,10 @@ def test_archimedean_integral_matches_closed_form():
     for v in range(-4, 5):
         assert abs(num.component(v) - closed.component(v)) \
             < 1e-8 * abs(closed.component(v))
+    # the quadrature's own estimate is small and bounds the actual error
+    assert closed.err is None
+    diff = np.array(num.components) - np.array(closed.components)
+    assert np.linalg.norm(diff) <= num.err < 1e-8
 
 
 def test_archimedean_integral_preconditions():

@@ -509,15 +509,15 @@ def cmd_whittaker(args):
 
 
 def cmd_poincare(args):
-    import numpy as np
     a, b, c = args.key
-    t = GramTriple(a, b, c)
-    comps, tail = whittaker.q_poincare(t, args.weight, np.eye(8),
-                                       args.bound)
+    res = whittaker.q_poincare(GramTriple(a, b, c), args.weight, args.bound)
+    comps = res.components
     rows = [[v, comps[v + args.weight].real, comps[v + args.weight].imag]
             for v in range(-args.weight, args.weight + 1)]
     details = [f"Fourier coefficient at ({a},{b},{c}), weight {args.weight},"
-               f" radius {args.bound}; tail bound {_g17(tail)}"]
+               f" radius {args.bound}; tail bound {_g17(res.shell_sup[-1])}",
+               {"pairs": res.pairs, "groups": res.groups,
+                "shell_sup": list(res.shell_sup)}]
     if args.out:
         write_csv(args.out, ["v", "re", "im"], rows)
         details.append(f"wrote {args.out}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, pi, sqrt
+from math import comb, exp, factorial, pi, prod, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -291,67 +291,61 @@ def archimedean_integral_check(T, t: float, u, ell: int,
 
 J8 = np.array([[1.0 if i + j == 7 else 0.0 for j in range(8)]
                for i in range(8)])
+_SU2 = (quadspace.E_PLUS, quadspace.H_PLUS, quadspace.F_PLUS)
 
 
-def _biv_action(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Matrix of (v1 ^ v2) . x = (v1, x) v2 - (v2, x) v1."""
-    return np.outer(v2, J8 @ v1) - np.outer(v1, J8 @ v2)
+def _prk_int_matrices() -> np.ndarray:
+    """Re and Im of the Gaussian-integer matrices 2 C_k for b_k = e+, h+,
+    f+, stacked as six int64 8x8 matrices, where
+
+        2 tr(act(w1 ^ w2) b_k) = w1^t (2 C_k) w2,  C_k = J8 b_k - (J8 b_k)^t,
+
+    so the su(2)-projection is bilinear in the pair.  Built exactly from
+    quadspace's action matrices."""
+    mats = []
+    for b in _SU2:
+        m = quadspace.biv_matrix(b)
+        c2 = [2 * (m[7 - i][j] - m[7 - j][i])
+              for i in range(8) for j in range(8)]
+        for part in ([z.re for z in c2], [z.im for z in c2]):
+            if any(x.denominator != 1 for x in part):
+                raise ArithmeticError("2 C_k is not Gaussian-integral")
+            mats.append(np.array([int(x) for x in part],
+                                 dtype=np.int64).reshape(8, 8))
+    return np.stack(mats)
 
 
-_SU2_MATS = None
-_SU2_GRAM_INV = None
+def _su2_gram_inv() -> np.ndarray:
+    """Inverse of the trace form's Gram matrix on span{e+, h+, f+}, solved
+    exactly column by column."""
+    G = [[quadspace.trace_form(a, b) for b in _SU2] for a in _SU2]
+    cols = [quadspace._solve3(G, [quadspace.GaussRational.make(int(i == k))
+                                  for i in range(3)]) for k in range(3)]
+    return np.array([[complex(c) for c in col] for col in cols]).T
 
 
-def _su2_numeric():
-    """Complex 8x8 action matrices of e+, h+, f+ and the inverse Gram matrix
-    of the trace form on their span (mirrors quadspace exactly)."""
-    global _SU2_MATS, _SU2_GRAM_INV
-    if _SU2_MATS is None:
-        mats = []
-        for b in (quadspace.E_PLUS, quadspace.H_PLUS, quadspace.F_PLUS):
-            sp = quadspace.biv_sparse(b)
-            m = np.zeros((8, 8), dtype=complex)
-            for (i, j), c in sp.items():
-                m[i][j] = complex(c)
-            mats.append(m)
-        _SU2_MATS = mats
-        G = np.array([[np.trace(a @ b) for b in mats] for a in mats])
-        _SU2_GRAM_INV = np.linalg.inv(G)
-    return _SU2_MATS, _SU2_GRAM_INV
+_PRK2 = _prk_int_matrices()
+_SU2_GRAM_INV = _su2_gram_inv()
 
 
-_PRK_BILINEAR = None
-
-
-def _prk_bilinear():
-    """Three 8x8 complex matrices C_k with trace(act(w1 ^ w2) b_k) =
-    w1^t C_k w2, so the su(2)-projection is bilinear in the pair."""
-    global _PRK_BILINEAR
-    if _PRK_BILINEAR is None:
-        mats, ginv = _su2_numeric()
-        _PRK_BILINEAR = [J8 @ b - (J8 @ b).T for b in mats], ginv
-    return _PRK_BILINEAR
-
-
-def _prk_pairs(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
-    """(c_xx, c_xy, c_yy) rows for a batch of pairs (rows of W1, W2)."""
-    cs, ginv = _prk_bilinear()
-    rhs = np.stack([np.einsum("ij,jk,ik->i", W1, c, W2) for c in cs])
-    ce, ch, cf = ginv @ rhs
+def _prk_coeffs(rhs2: np.ndarray) -> np.ndarray:
+    """(c_xx, c_xy, c_yy) rows of pr_K from rows of the three values
+    2 tr(act(w1 ^ w2) b_k): solve against the trace form's Gram matrix on
+    span{e+, h+, f+}, then e+ = -x^2, h+ = 2xy, f+ = y^2."""
+    ce, ch, cf = _SU2_GRAM_INV @ (np.asarray(rhs2).T / 2.0)
     return np.stack([-ce, 2.0 * ch, cf], axis=1)
 
 
-def _bvv_batch(W1: np.ndarray, W2: np.ndarray, ell: int) -> np.ndarray:
-    """Batched bvv for pre-transformed pairs; rows with degenerate
-    projection raise."""
-    coeffs = _prk_pairs(W1, W2)
+def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
+    """Rows (c_xx x^2 + c_xy xy + c_yy y^2)^ell / ||.||^(2 ell + 1) for
+    rows (c_xx, c_xy, c_yy) of coeffs, as coefficients of x^{l+v} y^{l-v},
+    v ascending; a degenerate (zero) projection raises."""
     c_xx, c_xy, c_yy = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
     nrm = np.sqrt(np.abs(c_xx) ** 2 + np.abs(c_xy) ** 2 / 2.0
                   + np.abs(c_yy) ** 2)
     if np.any(nrm < 1e-12):
         raise ValueError("degenerate projection")
-    npairs = len(nrm)
-    poly = np.zeros((npairs, 2 * ell + 1), dtype=complex)
+    poly = np.zeros((len(nrm), 2 * ell + 1), dtype=complex)
     poly[:, 0], poly[:, 1], poly[:, 2] = c_yy, c_xy, c_xx
     deg = 2
     for _ in range(ell - 1):
@@ -371,7 +365,8 @@ def bvv(v1, v2, g, ell: int) -> Tuple[complex, ...]:
     g = np.asarray(g, dtype=float)
     ginv = J8 @ g.T @ J8
     w1, w2 = ginv @ np.asarray(v1, float), ginv @ np.asarray(v2, float)
-    return tuple(_bvv_batch(w1[None, :], w2[None, :], ell)[0])
+    rhs2 = np.einsum("i,kij,j->k", w1, _PRK2[0::2] + 1j * _PRK2[1::2], w2)
+    return tuple(_sym_power_batch(_prk_coeffs(rhs2[None, :]), ell)[0])
 
 
 def _vectors_by_norm(radius: int, values) -> dict:
@@ -392,41 +387,92 @@ def _vectors_by_norm(radius: int, values) -> dict:
     return out
 
 
-def q_poincare(T: GramTriple, ell: int, g, radius: int
-               ) -> Tuple[Tuple[complex, ...], float]:
-    """Sum of bvv over integral pairs with S(pair) = T and sup-norm <=
-    radius; returns (partial sum, sup-norm of the outermost shell's
-    contribution) as a convergence indicator."""
+def _key_bases(radius: int) -> List[int]:
+    """Mixed-radix bases 2 M_j + 1 packing the six integers w1^t M_j w2
+    (M_j the matrices of _PRK2) for sup-norms <= radius, with
+    M_j = radius^2 sum |entries of M_j| bounding |w1^t M_j w2|."""
+    return [2 * radius ** 2 * int(np.abs(m).sum()) + 1 for m in _PRK2]
+
+
+def _max_key_radius() -> int:
+    r = 1
+    while prod(_key_bases(r + 1)) <= 2 ** 63:
+        r += 1
+    return r
+
+
+@dataclass(frozen=True)
+class PoincareSum:
+    """A partial Poincare sum: its 2 ell + 1 components (v ascending);
+    shell_sup[s - 1], the sup-norm of the contribution of shell s (the
+    pairs whose larger sup-norm is s), the last one being the convergence
+    indicator; the number of lattice pairs summed and of the distinct
+    su(2) projections (groups) they fall into."""
+    components: Tuple[complex, ...]
+    shell_sup: Tuple[float, ...]
+    pairs: int
+    groups: int
+
+
+def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
+    """Sum of bvv(v1, v2, g = 1, ell) over the integral pairs with
+    S(v1, v2) = T and sup-norms <= radius, shell by shell.
+
+    The summand depends on the pair only through pr_K(v1 ^ v2), whose
+    three trace coefficients are, doubled, the Gaussian integers
+    v1^t (2 C_k) v2 (_prk_int_matrices).  So the pairs are grouped by these
+    six integers, computed exactly in int64 and packed in mixed radix into
+    one int64 key (_key_bases); each block of pairs is merged into the
+    sorted (key, pairs per shell) table, so memory grows with the number
+    of groups, not of pairs.  The symmetric power is then built once per
+    group and weighted by the group's pair counts.  A degenerate
+    projection raises: every pair lies in exactly one group, so checking
+    the groups checks the pairs."""
     if ell < 16 or ell % 2:
         raise ValueError("ell must be an even integer >= 16")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     if not T.is_positive_definite():
         raise ValueError("T must be positive definite")
-    g = np.asarray(g, dtype=float)
-    ginv = J8 @ g.T @ J8
+    bases = _key_bases(radius)
+    if prod(bases) > 2 ** 63:
+        raise ValueError(f"radius {radius} overflows the int64 projection "
+                         f"keys; the largest radius allowed is "
+                         f"{_max_key_radius()}")
+    offsets = np.array([(b - 1) // 2 for b in bases], dtype=np.int64)
+    strides = np.array([prod(bases[:j]) for j in range(len(bases))],
+                       dtype=np.int64)
     buckets = _vectors_by_norm(radius, {T.a, T.c})
     A = np.array(buckets[T.a], dtype=np.int64).reshape(-1, 8)
     B = np.array(buckets[T.c], dtype=np.int64).reshape(-1, 8)
-    total = np.zeros(2 * ell + 1, dtype=complex)
-    shell = np.zeros(2 * ell + 1, dtype=complex)
-    if len(A) == 0 or len(B) == 0:
-        return tuple(total), 0.0
     supA = np.max(np.abs(A), axis=1)
     supB = np.max(np.abs(B), axis=1)
     BJ = B[:, ::-1]               # pairing with the antidiagonal form
+    keys = np.zeros(0, dtype=np.int64)               # sorted, distinct
+    counts = np.zeros((0, radius), dtype=np.int64)   # pairs per key, shell
     block = 256
     for lo in range(0, len(A), block):
         Ab = A[lo:lo + block]
-        hits = np.argwhere(Ab @ BJ.T == T.b)
-        if len(hits) == 0:
-            continue
-        i1, i2 = hits[:, 0], hits[:, 1]
-        W1 = Ab[i1] @ ginv.T
-        W2 = B[i2] @ ginv.T
-        terms = _bvv_batch(W1, W2, ell)
-        total += terms.sum(axis=0)
-        on_shell = np.maximum(supA[lo:lo + block][i1], supB[i2]) == radius
-        shell += terms[on_shell].sum(axis=0)
-    return tuple(total), float(np.max(np.abs(shell)))
+        i1, i2 = np.nonzero(Ab @ BJ.T == T.b)
+        Bh = B[i2]
+        bkeys = np.zeros(len(i1), dtype=np.int64)
+        for m, off, stride in zip(_PRK2, offsets, strides):
+            bkeys += (np.einsum("ij,ij->i", (Ab @ m)[i1], Bh) + off) * stride
+        shell = np.maximum(supA[lo:lo + block][i1], supB[i2]) - 1
+        merged, inv = np.unique(np.concatenate([keys, bkeys]),
+                                return_inverse=True)
+        new = np.zeros((len(merged), radius), dtype=np.int64)
+        new[inv[:len(keys)]] = counts
+        new += np.bincount(inv[len(keys):] * radius + shell,
+                           minlength=new.size).reshape(new.shape)
+        keys, counts = merged, new
+    digits = keys[:, None] // strides % np.array(bases) - offsets
+    terms = _sym_power_batch(
+        _prk_coeffs(digits[:, 0::2] + 1j * digits[:, 1::2]), ell)
+    return PoincareSum(tuple(counts.sum(axis=1) @ terms),
+                       tuple(float(np.max(np.abs(s)))
+                             for s in counts.T @ terms),
+                       int(counts.sum()), len(keys))
 
 
 # --- positivity oracle -------------------------------------------------------

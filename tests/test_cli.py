@@ -1,8 +1,12 @@
 """The command-line front end: table round trips, exit codes, pipelines."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octolift import cli
 from octolift.coset import GramTriple
@@ -239,3 +243,38 @@ def test_lift_reports_weight_mismatch(tmp_path, capsys):
                               "--bound", "40", "--out", str(F)])
     assert code == 0
     assert not any("--weight" in d for d in rep["details"])
+
+
+def test_poincare_report(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code, rep = _run(capsys, ["poincare", "--key", "2,0,2", "--weight", "16",
+                              "--bound", "1", "--out", str(out)])
+    assert code == 0 and rep["status"] == "pass"
+    work = rep["details"][1]
+    assert (work["pairs"], work["groups"]) == (76560, 684)
+    assert len(work["shell_sup"]) == 1
+    assert f"tail bound {cli._g17(work['shell_sup'][0])}" in rep["details"][0]
+    assert out.read_text().splitlines()[0] == "v,re,im"
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_poincare_rejects_nonpositive_bound(capsys, bound):
+    code, rep = _run(capsys, ["poincare", "--key", "1,0,1",
+                              f"--bound={bound}"])
+    assert code == 2 and rep["status"] == "error"
+    assert "radius must be >= 1" in rep["details"][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.tuples(*[st.integers(-2, 2)] * 3),
+       weight=st.sampled_from([-1, 0, 15, 16, 17]),
+       bound=st.sampled_from([-1, 0, 1]))
+def test_poincare_fuzz_exit_codes(key, weight, bound):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["poincare", "--key=%d,%d,%d" % key,
+                         f"--weight={weight}", f"--bound={bound}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    report = json.loads(out.getvalue())
+    assert code == {"pass": 0, "fail": 1, "error": 2}[report["status"]]

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, exp, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from mpmath import mp
 from scipy.optimize import minimize
 
 from octolift.coset import GramTriple, gram, mat2
-from octolift.quadspace import GaussRational, gvec, pr_K, sym2_power, wedge
+from octolift import whittaker
+from octolift.quadspace import (E_PLUS, F_PLUS, H_PLUS, GaussRational,
+                                biv_matrix, gvec, pr_K, sym2_power, wedge)
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 alternating_binomial_sum,
                                 archimedean_integral_check, bessel_k,
@@ -23,7 +26,7 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 mat2_to_vec22, pairing22, positivity_oracle,
                                 q_poincare, s_v_sum, whittaker_eval,
                                 _plane_rotation, _s_v_exact,
-                                _vectors_by_norm)
+                                _sym_power_batch, _vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -223,12 +226,13 @@ def test_bvv_matches_exact_projection():
     while done < 10:
         v1 = tuple(int(e) for e in rng.randint(-3, 4, size=8))
         v2 = tuple(int(e) for e in rng.randint(-3, 4, size=8))
-        exact = _bvv_exact(v1, v2, 4)
-        if exact is None:
+        if _bvv_exact(v1, v2, 4) is None:
             continue
-        got = bvv(v1, v2, np.eye(8), 4)
-        for a, b in zip(got, exact):
-            assert abs(a - b) < 1e-10 * max(1.0, abs(b))
+        for ell in (4, 5):      # an odd power sees the projection's sign
+            exact = _bvv_exact(v1, v2, ell)
+            got = bvv(v1, v2, np.eye(8), ell)
+            for a, b in zip(got, exact):
+                assert abs(a - b) < 1e-10 * max(1.0, abs(b))
         done += 1
 
 
@@ -254,9 +258,104 @@ def test_vectors_by_norm_against_brute_force():
 
 def test_q_poincare_input_validation():
     with pytest.raises(ValueError):
-        q_poincare(GramTriple(1, 0, 1), 12, np.eye(8), 1)
+        q_poincare(GramTriple(1, 0, 1), 12, 1)
     with pytest.raises(ValueError):
-        q_poincare(GramTriple(1, 5, 1), 16, np.eye(8), 1)
+        q_poincare(GramTriple(1, 5, 1), 16, 1)
+    for radius in (0, -1):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            q_poincare(GramTriple(1, 0, 1), 16, radius)
+    # (32 r^2 + 1)^4 (64 r^2 + 1) first exceeds 2^63 at r = 13
+    with pytest.raises(ValueError, match="largest radius allowed is 12"):
+        q_poincare(GramTriple(1, 0, 1), 16, 13)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+@pytest.mark.parametrize("key", [(2, 0, 2), (2, 0, 1), (1, 0, 2)])
+def test_q_poincare_matches_reference_csv(key):
+    """Radius 1, weight 16, against the committed reference outputs, to
+    1e-12 relative to the largest component."""
+    path = REFERENCE / f"poincare_{key[0]}-{key[1]}-{key[2]}.csv"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert list(rows[:, 0]) == list(range(-16, 17))
+    want = rows[:, 1] + 1j * rows[:, 2]
+    got = np.array(q_poincare(GramTriple(*key), 16, 1).components)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --- the per-pair reference sum ----------------------------------------------------
+
+def _prk_pairs_float(W1, W2):
+    """(c_xx, c_xy, c_yy) rows for a batch of pairs, from the complex
+    action matrices of e+, h+, f+ (C_k = J8 b_k - (J8 b_k)^t) and the
+    trace form's Gram matrix, all in floats."""
+    mats = [np.array([[complex(z) for z in row] for row in biv_matrix(b)])
+            for b in (E_PLUS, H_PLUS, F_PLUS)]
+    j8 = np.eye(8)[::-1]
+    cs = [j8 @ b - (j8 @ b).T for b in mats]
+    ginv = np.linalg.inv(np.array([[np.trace(a @ b) for b in mats]
+                                   for a in mats]))
+    rhs = np.stack([np.einsum("ij,jk,ik->i", W1, c, W2) for c in cs])
+    ce, ch, cf = ginv @ rhs
+    return np.stack([-ce, 2.0 * ch, cf], axis=1), rhs
+
+
+def _q_poincare_per_pair(A, B, T, ell, radius):
+    """The sum before grouping: bvv for every pair (rows of A, B) with
+    pairing T.b.  Returns the total, the sup-norm of each shell's
+    contribution, the pair count and the number of distinct doubled trace
+    triples (the groups)."""
+    A, B = np.asarray(A, float), np.asarray(B, float)
+    i1, i2 = np.nonzero(A @ B[:, ::-1].T == T.b)
+    coeffs, rhs = _prk_pairs_float(A[i1], B[i2])
+    terms = _sym_power_batch(coeffs, ell)
+    shell = np.maximum(np.max(np.abs(A[i1]), axis=1),
+                       np.max(np.abs(B[i2]), axis=1))
+    shell_sup = [np.max(np.abs(terms[shell == s].sum(axis=0)))
+                 for s in range(1, radius + 1)]
+    groups = len(set(map(tuple, np.round(2 * rhs.T))))
+    return terms.sum(axis=0), shell_sup, len(i1), groups
+
+
+def _check_grouped(got, ref):
+    total, shell_sup, pairs, groups = ref
+    scale = np.max(np.abs(total))
+    assert np.max(np.abs(np.array(got.components) - total)) <= 1e-12 * scale
+    assert len(got.shell_sup) == len(shell_sup)
+    for a, b in zip(got.shell_sup, shell_sup):
+        assert abs(a - b) <= 1e-12 * scale
+    assert (got.pairs, got.groups) == (pairs, groups)
+
+
+def test_q_poincare_grouped_matches_per_pair_sum():
+    """Key (2,0,2) at radius 1 against the per-pair sum over a brute-force
+    enumeration of [-1, 1]^8: same total and tail, and the group counts
+    add up to the brute-force pair count."""
+    T = GramTriple(2, 0, 2)
+    vecs = np.array(list(product(range(-1, 2), repeat=8)))
+    q = np.einsum("ij,ij->i", vecs, vecs[:, ::-1]) // 2
+    ref = _q_poincare_per_pair(vecs[q == T.a], vecs[q == T.c], T, 16, 1)
+    assert ref[2] == 76560
+    _check_grouped(q_poincare(T, 16, 1), ref)
+
+
+def test_q_poincare_shells_match_per_pair_sum(monkeypatch):
+    """Both shells of a radius-2 sum over a random sample of the vectors
+    with q = 2, 250 of sup-norm 1 and 250 of sup-norm 2 (the full
+    radius-2 sum has 10^7-10^8 pairs)."""
+    T = GramTriple(2, 0, 2)
+    full = _vectors_by_norm(2, {2})[2]
+    rng = random.Random(5)
+    sample = [v for s in (1, 2) for v in rng.sample(
+        [v for v in full if max(map(abs, v)) == s], 250)]
+    rng.shuffle(sample)
+    monkeypatch.setattr(whittaker, "_vectors_by_norm",
+                        lambda radius, values: {2: sample})
+    got = q_poincare(T, 16, 2)
+    ref = _q_poincare_per_pair(sample, sample, T, 16, 2)
+    assert min(ref[1]) > 0
+    _check_grouped(got, ref)
 
 
 # --- positivity oracle -------------------------------------------------------------

@@ -24,12 +24,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from math import exp, gcd, isqrt, pi
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .coset import (GramTriple, IndexPair, breve, gram, hnf_right_cosets,
                     is_strongly_primitive, mat2, pair_act, reduce_gram)
@@ -225,7 +229,8 @@ def write_csv(path: str, header: List[str], rows: List[List[float]]) -> None:
 
 # --- subcommand bodies -----------------------------------------------------------
 # Each returns (status, details); raised TableError / ValueError /
-# InsufficientTableError become status "error" with exit code 2.
+# InsufficientTableError / OSError become status "error" with exit code 2,
+# and so does any other exception, reported as an internal error.
 
 def _random_octonion(rng: random.Random) -> Octonion:
     # plain-int coordinates: exact and much faster than Fractions
@@ -254,31 +259,29 @@ def cmd_oct_check(args):
                     "trilinear cyclic symmetry"]
 
 
-def _biv_eq(X, Y) -> bool:
-    return (X - Y).is_zero()
-
-
 def cmd_triality_verify(args):
     details = []
-    basis = triality.ge_basis()
-    imgs = [triality.phi_iso(X) for X in basis]
-    for X, Y in zip(basis, imgs):
-        if triality.phi_inv(Y) != X:
-            return "fail", [f"phi_inv(phi_iso(X)) != X at basis element {X}"]
-    details.append(f"phi bijective on the {len(basis)}-element basis")
-    for i, X in enumerate(basis):
-        for j, Y in enumerate(basis):
-            lhs = triality.phi_iso(triality.ge_bracket(X, Y))
-            if not _biv_eq(lhs, bracket(imgs[i], imgs[j])):
-                return "fail", [f"phi fails to preserve the bracket at basis "
-                                f"pair ({i}, {j})"]
-    details.append(f"phi preserves the bracket on all {len(basis)}x"
-                   f"{len(basis)} basis pairs")
-    for X, Y in zip(basis, imgs):
-        if not _biv_eq(triality.phi_iso(triality.ge_cartan(X)),
-                       cartan_theta(Y)):
-            return "fail", [f"phi does not intertwine the Cartan involutions "
-                            f"at basis element {X}"]
+    basis = triality.GE_BASIS          # all 28 basis elements, one batch
+    n = len(basis.num)
+    imgs = triality.phi_iso(basis)
+    back = triality.phi_inv(imgs)
+    for k in range(n):
+        if back[k] != basis[k]:
+            return "fail", [f"phi_inv(phi_iso(X)) != X at basis element {k}"]
+    details.append(f"phi bijective on the {n}-element basis")
+    # all n x n pairs at once, by broadcasting a column against a row
+    same = (triality.phi_iso(triality.ge_bracket(basis[:, None], basis[None]))
+            - bracket(imgs[:, None], imgs[None])).zero_mask()
+    if not same.all():
+        i, j = np.argwhere(~same)[0]
+        return "fail", [f"phi fails to preserve the bracket at basis pair "
+                        f"({i}, {j})"]
+    details.append(f"phi preserves the bracket on all {n}x{n} basis pairs")
+    same = (triality.phi_iso(triality.ge_cartan(basis))
+            - cartan_theta(imgs)).zero_mask()
+    if not same.all():
+        return "fail", [f"phi does not intertwine the Cartan involutions "
+                        f"at basis element {int(np.argmin(same))}"]
     details.append("phi intertwines the Cartan involutions on the basis")
     for k, triple in enumerate(triality.standard_triples()):
         if not triality.verify_triality_triple(*triple):
@@ -300,6 +303,9 @@ def cmd_triality_verify(args):
             return "fail", [f"cube transformation fails at (a,b,c)="
                             f"({a},{b},{c})"]
     details.append(f"{args.bound} random cube transformations verified")
+    details.append({"counts": {"basis_pairs": n * n, "cartan_elements": n,
+                               "triples": 6 + args.bound,
+                               "cubes": args.bound}})
     return "pass", details
 
 
@@ -641,9 +647,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def emit(report: dict, stream=None) -> None:
-    json.dump(report, stream or sys.stdout, indent=1, default=str)
-    (stream or sys.stdout).write("\n")
+def emit(report: dict) -> None:
+    try:
+        json.dump(report, sys.stdout, indent=1, default=str)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at the null device so that
+        # the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -655,6 +667,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         status, details = args.fn(args)
     except (TableError, InsufficientTableError, ValueError, OSError) as e:
         status, details = "error", [f"{type(e).__name__}: {e}"]
+    except Exception as e:
+        # Any other failure is a bug; it is reported with the place it was
+        # raised, never as a traceback.
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        status, details = "error", [
+            f"internal error {type(e).__name__}: {e} (raised at "
+            f"{os.path.basename(where.filename)}:{where.lineno})"]
     emit({"command": args.command, "status": status, "details": details,
           "seed": seed,
           "timings": {"total_s": round(time.monotonic() - start, 6)}})

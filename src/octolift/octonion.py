@@ -5,19 +5,16 @@ An element is written as a 2x2 "matrix"
     [ a   v ]
     [ phi d ]
 
-with a, d scalars, v a 3-vector and phi a 3-covector.  Scalars are
-arbitrary-precision rationals (fractions.Fraction); every operation also works
-verbatim over Gaussian rationals, which the Lie-algebra layers rely on.
+with a, d scalars, v a 3-vector and phi a 3-covector.  Scalars are kept as
+given: integers for the integral octonions the checks use, and every
+operation works verbatim over any exact ring (Fraction, Gaussian
+rationals).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Sign of the identification wedge(V3*, V3*) -> V3 relative to the standard
 # cross product (the wedge V3 x V3 -> V3* is fixed to +cross).  +1 makes the
@@ -47,9 +44,7 @@ class Octonion:
 
     @staticmethod
     def make(a=0, v=(0, 0, 0), phi=(0, 0, 0), d=0) -> "Octonion":
-        conv = lambda s: s if not isinstance(s, int) else Fraction(s)
-        return Octonion(conv(a), tuple(conv(s) for s in v),
-                        tuple(conv(s) for s in phi), conv(d))
+        return Octonion(a, tuple(v), tuple(phi), d)
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion(self.a + other.a,
@@ -126,7 +121,7 @@ BASIS = {"eps1": EPS1, "eps2": EPS2, "e1": E1, "e2": E2, "e3": E3,
 # The b-basis of the split quadratic space, in storage order
 # (b1, b2, b3, b4, b-4, b-3, b-2, b-1):
 # (e1, e3*, eps2, e2*, e2, -eps1, e3, e1*).
-_B_BASIS_OCT = (E1, E3S, EPS2, E2S, E2, -EPS1, E3, E1S)
+B_BASIS = (E1, E3S, EPS2, E2S, E2, -EPS1, E3, E1S)
 
 
 def to_vector8(x: Octonion) -> Tuple:

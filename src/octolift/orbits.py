@@ -5,18 +5,20 @@ Vectors are integer tuples of length 2n in the coordinate order
 antidiagonal form (u, w) = sum_k u[k] w[2n-1-k] and the quadratic form is
 q(v) = sum_i x_i y_i where x_i is the b_i coefficient and y_i the b_{-i}
 coefficient.  For n = 4 this matches the eight-dimensional coordinate order
-used by quadspace.to_vector8.
+used by octonion.to_vector8.
 
 Everything is exact integer arithmetic.  Each reduction returns a
-LatticeIsometry whose constructor re-checks g^t J g = J and det g = +1, and
-each public reduction re-verifies its own postcondition before returning.
+LatticeIsometry built from checked generators (the constructor checks
+g^t J g = J and det g = +1; products and inverses of checked isometries
+need no check), and each public reduction re-verifies its own
+postcondition before returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .coset import GramTriple
@@ -58,11 +60,6 @@ class SplitLattice:
     @property
     def rank(self) -> int:
         return 2 * self.n
-
-    def gram_matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        r = self.rank
-        return tuple(tuple(1 if i + j == r - 1 else 0 for j in range(r))
-                     for i in range(r))
 
     def basis_vector(self, i: int) -> VectorZ:
         """b_i for 1 <= i <= n, b_i for -n <= i <= -1."""
@@ -117,31 +114,44 @@ def _det_int(m) -> int:
     return sign * a[r - 1][r - 1]
 
 
+def int_inverse(m) -> Tuple[List[List[int]], int]:
+    """(N, d) with M^{-1} = N / d, d = +-det M, for a square integer matrix
+    M: fraction-free Gauss-Jordan elimination (Bareiss 1968), in which every
+    division is exact.  Raises ValueError if M is singular."""
+    r = len(m)
+    a = [[int(e) for e in row] + [int(i == j) for j in range(r)]
+         for i, row in enumerate(m)]
+    prev = 1
+    for k in range(r):
+        piv = next((i for i in range(k, r) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        for i in range(r):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * e - f * g) // prev for e, g in zip(a[i], a[k])]
+        prev = p
+    # the left block is now prev times the identity
+    return [row[r:] for row in a], prev
+
+
 def _inv_transpose_int(m) -> Tuple[Tuple[int, ...], ...]:
     """(M^{-1})^t for a unimodular integer matrix, exact."""
+    inv, d = int_inverse(m)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
     r = len(m)
-    a = [[Fraction(m[i][j]) for j in range(r)] +
-         [Fraction(1 if j == i else 0) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [e / f for e in a[col]]
-        for i in range(r):
-            if i != col and a[i][col]:
-                g = a[i][col]
-                a[i] = [e - g * p for e, p in zip(a[i], a[col])]
-    inv = [[a[i][r + j] for j in range(r)] for i in range(r)]
-    out = tuple(tuple(int(inv[j][i]) for j in range(r)) for i in range(r))
-    for i in range(r):
-        for j in range(r):
-            if inv[j][i] != out[i][j]:
-                raise ValueError("matrix is not unimodular")
-    return out
+    return tuple(tuple(d * inv[j][i] for j in range(r)) for i in range(r))
 
 
 class LatticeIsometry:
-    """An element of SO(L)(Z): integer matrix with g^t J g = J, det g = +1."""
+    """An element of SO(L)(Z): integer matrix with g^t J g = J, det g = +1.
+
+    The constructor checks both conditions; compose and inverse of checked
+    isometries are isometries, so they build their results through
+    _trusted without checking again."""
 
     def __init__(self, lattice: SplitLattice, matrix):
         self.lattice = lattice
@@ -149,15 +159,23 @@ class LatticeIsometry:
         r = lattice.rank
         if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
             raise ValueError("matrix size does not match the lattice rank")
-        J = lattice.gram_matrix()
+        # (g^t J g)[i][j] = (column i, column j reversed); symmetric in i, j
+        cols = list(zip(*self.matrix))
         for i in range(r):
-            for j in range(r):
-                s = sum(self.matrix[k][i] * self.matrix[r - 1 - k][j]
-                        for k in range(r))
-                if s != J[i][j]:
+            for j in range(i, r):
+                if (sum(map(mul, cols[i], reversed(cols[j])))
+                        != (i + j == r - 1)):
                     raise ValueError("matrix does not preserve the form")
         if _det_int(self.matrix) != 1:
             raise ValueError("determinant must be +1")
+
+    @classmethod
+    def _trusted(cls, lattice: SplitLattice, matrix) -> "LatticeIsometry":
+        """An isometry from a matrix known to be one (a tuple of int
+        tuples), unchecked."""
+        g = cls.__new__(cls)
+        g.lattice, g.matrix = lattice, matrix
+        return g
 
     @staticmethod
     def identity(lattice: SplitLattice) -> "LatticeIsometry":
@@ -167,16 +185,16 @@ class LatticeIsometry:
                            for i in range(r)))
 
     def apply(self, v: Sequence[int]) -> VectorZ:
-        return tuple(sum(row[j] * v[j] for j in range(len(v)))
-                     for row in self.matrix)
+        return tuple(sum(map(mul, row, v)) for row in self.matrix)
 
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         """self o other (apply other first)."""
-        r = self.lattice.rank
-        m = tuple(tuple(sum(self.matrix[i][k] * other.matrix[k][j]
-                            for k in range(r)) for j in range(r))
-                  for i in range(r))
-        return LatticeIsometry(self.lattice, m)
+        if other.lattice != self.lattice:
+            raise ValueError("isometries of different lattices")
+        cols = tuple(zip(*other.matrix))
+        m = tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                  for row in self.matrix)
+        return LatticeIsometry._trusted(self.lattice, m)
 
     def inverse(self) -> "LatticeIsometry":
         # g^{-1} = J^{-1} g^t J; with the antidiagonal form this is the
@@ -184,7 +202,7 @@ class LatticeIsometry:
         r = self.lattice.rank
         m = tuple(tuple(self.matrix[r - 1 - j][r - 1 - i] for j in range(r))
                   for i in range(r))
-        return LatticeIsometry(self.lattice, m)
+        return LatticeIsometry._trusted(self.lattice, m)
 
     def __eq__(self, other):
         return (isinstance(other, LatticeIsometry)

@@ -1,23 +1,32 @@
 """The split 8-dimensional quadratic space V in the b-basis, the Lie algebra
-wedge^2 V acting on V, its bracket and Cartan involution, and the exact
-projection pr_K onto the distinguished su(2).
+wedge^2 V = so(8) acting on it, its bracket, trace form and Cartan
+involution, and the two commuting su(2) triples of the compact
+construction.
 
 Scalars are Gaussian rationals.  Coordinates are stored in the order
 (b1, b2, b3, b4, b-4, b-3, b-2, b-1); the Gram matrix is the anti-diagonal
 identity, i.e. (index i, index 7-i) pair to 1.
+
+An element of wedge^2 V is stored as its action matrix on V over Z[i]:
+int64 arrays re, im of shape (..., 8, 8) over one positive denominator.
+Leading axes index a batch, so each operation applies to many elements in
+one call.  Every int64 product is bounded first, and an operation whose
+result could leave the int64 range raises OverflowError rather than wrap.
 
 The vectors u1, u2, v1, v2 of the compact su(2) construction each carry a
 factor 1/sqrt(2); every element built from them here (e+, h+, f+, ...) only
 uses products of pairs of such vectors, so all sqrt(2)'s are multiplied out
 and scalars stay Gaussian rational.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Sequence, Tuple
+from math import lcm
+from typing import Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -94,12 +103,7 @@ GONE = GaussRational.make(1)
 GI = GaussRational.make(0, 1)
 
 DIM = 8
-# b-basis labels in storage order.
-B_LABELS = ("b1", "b2", "b3", "b4", "b-4", "b-3", "b-2", "b-1")
 # wedge basis index pairs i<j, fixed total order.
-PAIR_INDEX: Dict[Tuple[int, int], int] = {
-    p: k for k, p in enumerate(combinations(range(DIM), 2))
-}
 PAIRS = tuple(combinations(range(DIM), 2))
 
 
@@ -138,56 +142,136 @@ def qval(u) -> GaussRational:
     return sum((_coerce(u[i]) * _coerce(u[7 - i]) for i in range(4)), GZERO)
 
 
-@dataclass(frozen=True)
+# --- exact int64 arrays ------------------------------------------------------
+
+_LIMIT = 2 ** 62
+
+
+def amax(*arrays) -> int:
+    """Largest absolute entry over the given integer arrays."""
+    return max((max(int(a.max()), -int(a.min())) for a in arrays if a.size),
+               default=0)
+
+
+def fits(bound: int) -> None:
+    """Raise OverflowError unless integers up to bound in absolute value are
+    safe in int64; called with a bound on a result before computing it."""
+    if bound >= _LIMIT:
+        raise OverflowError("exact int64 arithmetic would overflow")
+
+
+def reduced(den: int, *nums):
+    """(den, *nums) divided by the gcd of den and every entry of nums."""
+    g = den
+    for a in nums:
+        g = int(np.gcd.reduce(a, axis=None, initial=g))
+    if g == 1:
+        return (den,) + nums
+    return (den // g,) + tuple(a // g for a in nums)
+
+
+def _parts(x) -> Tuple[int, int, int]:
+    """(re, im, den) integers with x = (re + i im) / den."""
+    if isinstance(x, (int, np.integer)):
+        return int(x), 0, 1
+    x = _coerce(x)
+    den = lcm(x.re.denominator, x.im.denominator)
+    return (x.re.numerator * (den // x.re.denominator),
+            x.im.numerator * (den // x.im.denominator), den)
+
+
+def int_parts(xs):
+    """int64 arrays re, im and an int den with xs[k] = (re[k] + i im[k]) /
+    den, for a flat sequence of scalars."""
+    parts = [_parts(x) for x in xs]
+    den = lcm(*(d for _, _, d in parts))
+    return (np.array([r * (den // d) for r, _, d in parts], dtype=np.int64),
+            np.array([i * (den // d) for _, i, d in parts], dtype=np.int64),
+            den)
+
+
+# --- so(8) as action matrices ------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
 class Bivector:
-    """Element of wedge^2 V: 28 Gaussian-rational coefficients on b_i ^ b_j,
-    i < j in storage order."""
-    coeffs: Tuple[GaussRational, ...]
+    """Element of wedge^2 V, stored as its action matrix (re + i im) / den on
+    V: re, im int64 arrays of shape (..., 8, 8), den a positive int shared
+    by the batch."""
+    re: np.ndarray
+    im: np.ndarray
+    den: int = 1
 
     @staticmethod
-    def zero() -> "Bivector":
-        return Bivector(tuple(GZERO for _ in PAIRS))
+    def of(re, im, den: int = 1) -> "Bivector":
+        """(re + i im) / den with the common factor divided out."""
+        den, re, im = reduced(den, re, im)
+        return Bivector(re, im, den)
 
-    @staticmethod
-    def from_dict(d: Dict[Tuple[int, int], object]) -> "Bivector":
-        c = [GZERO] * len(PAIRS)
-        for (i, j), val in d.items():
-            val = _coerce(val)
-            if i == j:
-                continue
-            if i > j:
-                i, j, val = j, i, -val
-            c[PAIR_INDEX[(i, j)]] = c[PAIR_INDEX[(i, j)]] + val
-        return Bivector(tuple(c))
+    def __getitem__(self, index) -> "Bivector":
+        """Batch element(s) at index."""
+        return Bivector.of(self.re[index], self.im[index], self.den)
+
+    def _combine(self, other: "Bivector", sign: int) -> "Bivector":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        fits(a * amax(self.re, self.im) + abs(b) * amax(other.re, other.im))
+        return Bivector.of(a * self.re + b * other.re,
+                           a * self.im + b * other.im, den)
 
     def __add__(self, other: "Bivector") -> "Bivector":
-        return Bivector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Bivector") -> "Bivector":
-        return Bivector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Bivector":
-        return Bivector(tuple(-a for a in self.coeffs))
+        return Bivector(-self.re, -self.im, self.den)
+
+    def __eq__(self, other):
+        return isinstance(other, Bivector) and (self - other).is_zero()
+
+    __hash__ = None
 
     def scale(self, c) -> "Bivector":
-        c = _coerce(c)
-        return Bivector(tuple(c * a for a in self.coeffs))
+        cr, ci, d = _parts(c)
+        fits((abs(cr) + abs(ci)) * amax(self.re, self.im))
+        return Bivector.of(cr * self.re - ci * self.im,
+                           cr * self.im + ci * self.re, self.den * d)
+
+    def zero_mask(self) -> np.ndarray:
+        """Boolean array over the batch: which elements are zero."""
+        return ~(self.re.any(axis=(-2, -1)) | self.im.any(axis=(-2, -1)))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return bool(self.zero_mask().all())
 
 
 def wedge(u, w) -> Bivector:
-    """u ^ w for Vector8's u, w."""
-    d = {}
-    for i in range(DIM):
-        if not _coerce(u[i]):
-            continue
-        for j in range(DIM):
-            if i == j or not _coerce(w[j]):
-                continue
-            d[(i, j)] = d.get((i, j), GZERO) + _coerce(u[i]) * _coerce(w[j])
-    return Bivector.from_dict(d)
+    """u ^ w for Vector8's u, w: x -> (u, x) w - (w, x) u, where
+    (u, x) = sum_c u[7-c] x[c]."""
+    ur, ui, du = int_parts(u)
+    wr, wi, dw = int_parts(w)
+    fits(4 * amax(ur, ui) * amax(wr, wi))
+    ur2, ui2, wr2, wi2 = ur[::-1], ui[::-1], wr[::-1], wi[::-1]
+    re = (np.outer(wr, ur2) - np.outer(wi, ui2)
+          - np.outer(ur, wr2) + np.outer(ui, wi2))
+    im = (np.outer(wr, ui2) + np.outer(wi, ur2)
+          - np.outer(ur, wi2) - np.outer(ui, wr2))
+    return Bivector.of(re, im, du * dw)
+
+
+# b_i ^ b_j acts by +1 at (j, 7-i) and -1 at (i, 7-j), so the coefficient
+# of X on b_i ^ b_j is its action matrix entry (j, 7-i).
+_COEFF_ROWS = np.array([j for i, j in PAIRS])
+_COEFF_COLS = np.array([DIM - 1 - i for i, j in PAIRS])
+
+
+def biv_coords(X: Bivector) -> Tuple[np.ndarray, np.ndarray]:
+    """Numerators (re, im) over X.den of the coefficients of X on the
+    b_i ^ b_j, i < j, in PAIRS order; arrays of shape (..., 28)."""
+    return (X.re[..., _COEFF_ROWS, _COEFF_COLS],
+            X.im[..., _COEFF_ROWS, _COEFF_COLS])
 
 
 def biv_act(X: Bivector, w) -> Tuple[GaussRational, ...]:
@@ -199,87 +283,65 @@ def biv_act(X: Bivector, w) -> Tuple[GaussRational, ...]:
     Lie algebra homomorphism; the opposite sign would make it an
     anti-homomorphism throughout.)
     """
-    out = [GZERO] * DIM
-    for k, (i, j) in enumerate(PAIRS):
-        c = X.coeffs[k]
-        if not c:
-            continue
-        out[j] = out[j] + c * _coerce(w[7 - i])
-        out[i] = out[i] - c * _coerce(w[7 - j])
-    return tuple(out)
-
-
-def biv_sparse(X: Bivector) -> Dict[Tuple[int, int], GaussRational]:
-    """Sparse {(row, col): entry} action matrix of biv_act(X, .).
-
-    The basis bivector b_i ^ b_j contributes +c at (j, 7-i) and -c at
-    (i, 7-j)."""
-    A: Dict[Tuple[int, int], GaussRational] = {}
-    for k, (i, j) in enumerate(PAIRS):
-        c = X.coeffs[k]
-        if not c:
-            continue
-        A[(j, 7 - i)] = A.get((j, 7 - i), GZERO) + c
-        A[(i, 7 - j)] = A.get((i, 7 - j), GZERO) - c
-    return {k: v for k, v in A.items() if v}
+    wr, wi, dw = int_parts(w)
+    fits(16 * amax(X.re, X.im) * amax(wr, wi))
+    re, im = X.re @ wr - X.im @ wi, X.re @ wi + X.im @ wr
+    den = X.den * dw
+    return tuple(GaussRational(Fraction(int(a), den), Fraction(int(b), den))
+                 for a, b in zip(re, im))
 
 
 def biv_matrix(X: Bivector):
-    """Dense 8x8 matrix of biv_act(X, .)."""
-    A = biv_sparse(X)
-    return [[A.get((r, c), GZERO) for c in range(DIM)] for r in range(DIM)]
-
-
-def _sparse_to_bivector(A: Dict[Tuple[int, int], GaussRational]) -> Bivector:
-    d = {}
-    for (i, j) in PAIRS:
-        v = A.get((j, 7 - i))
-        if v is not None:
-            d[(i, j)] = v
-    X = Bivector.from_dict(d)
-    if biv_sparse(X) != {k: v for k, v in A.items() if v}:
-        raise ValueError("matrix is not skew with respect to the form")
-    return X
+    """The 8x8 action matrix of X as Gaussian rationals."""
+    return [[GaussRational(Fraction(int(X.re[r, c]), X.den),
+                           Fraction(int(X.im[r, c]), X.den))
+             for c in range(DIM)] for r in range(DIM)]
 
 
 def matrix_to_bivector(A) -> Bivector:
-    """Inverse of biv_matrix.  Raises if A is not skew w.r.t. the form
-    (i.e. not in the image of wedge^2 V)."""
-    sp = {}
-    for r in range(DIM):
-        for c in range(DIM):
-            v = _coerce(A[r][c])
-            if v:
-                sp[(r, c)] = v
-    return _sparse_to_bivector(sp)
+    """The element acting by the 8x8 matrix A.  Raises if A is not skew
+    w.r.t. the form (i.e. not in the image of wedge^2 V): (Ax, y) +
+    (x, Ay) = 0 reads J A + (J A)^t = 0, and J A is A with its rows
+    reversed."""
+    re, im, den = int_parts([x for row in A for x in row])
+    re, im = re.reshape(DIM, DIM), im.reshape(DIM, DIM)
+    for part in (re, im):
+        if (part[::-1] + part[::-1].T).any():
+            raise ValueError("matrix is not skew with respect to the form")
+    return Bivector.of(re, im, den)
+
+
+def _commutator(a, b):
+    c = a @ b
+    c -= b @ a
+    return c
 
 
 def bracket(X: Bivector, Y: Bivector) -> Bivector:
-    """Lie bracket: the unique bivector acting as the commutator
-    [act(X), act(Y)] in the 8-dim representation."""
-    AX, AY = biv_sparse(X), biv_sparse(Y)
-    C: Dict[Tuple[int, int], GaussRational] = {}
-    for (r, k), a in AX.items():
-        for (k2, c), b in AY.items():
-            if k == k2:
-                C[(r, c)] = C.get((r, c), GZERO) + a * b
-    for (r, k), a in AY.items():
-        for (k2, c), b in AX.items():
-            if k == k2:
-                C[(r, c)] = C.get((r, c), GZERO) - a * b
-    return _sparse_to_bivector({k: v for k, v in C.items() if v})
+    """Lie bracket: the commutator act(X) act(Y) - act(Y) act(X)."""
+    fits(32 * amax(X.re, X.im) * amax(Y.re, Y.im))
+    re = _commutator(X.re, Y.re)
+    re -= _commutator(X.im, Y.im)
+    im = _commutator(X.re, Y.im)
+    im += _commutator(X.im, Y.re)
+    return Bivector.of(re, im, X.den * Y.den)
 
 
 def cartan_theta(X: Bivector) -> Bivector:
     """Cartan involution induced by iota: b_j <-> b_{-j} on all eight
-    indices (storage index k <-> 7-k)."""
-    d = {}
-    for k, (i, j) in enumerate(PAIRS):
-        c = X.coeffs[k]
-        if not c:
-            continue
-        d[(7 - i, 7 - j)] = d.get((7 - i, 7 - j), GZERO) + c
-    return Bivector.from_dict(d)
+    indices (storage index k <-> 7-k), i.e. conjugation by that
+    permutation."""
+    return Bivector(X.re[..., ::-1, ::-1], X.im[..., ::-1, ::-1], X.den)
+
+
+def trace_form(X: Bivector, Y: Bivector) -> GaussRational:
+    """B(X, Y) = tr(act(X) act(Y)) in the 8-dim representation, for single
+    elements."""
+    fits(128 * amax(X.re, X.im) * amax(Y.re, Y.im))
+    re = int(np.sum(X.re * Y.re.T - X.im * Y.im.T))
+    im = int(np.sum(X.re * Y.im.T + X.im * Y.re.T))
+    den = X.den * Y.den
+    return GaussRational(Fraction(re, den), Fraction(im, den))
 
 
 # --- the distinguished su(2) -------------------------------------------------
@@ -311,46 +373,6 @@ E_PLUS, H_PLUS, F_PLUS = _su2_triple(+1)
 E_PRIME, H_PRIME, F_PRIME = _su2_triple(-1)
 
 
-def trace_form(X: Bivector, Y: Bivector) -> GaussRational:
-    """B(X, Y) = tr(act(X) act(Y)) in the 8-dim representation."""
-    AX, AY = biv_sparse(X), biv_sparse(Y)
-    return sum((a * AY[(k, r)] for (r, k), a in AX.items() if (k, r) in AY),
-               GZERO)
-
-
-@dataclass(frozen=True)
-class Sym2Element:
-    """Element c_xx x^2 + c_xy xy + c_yy y^2 of Sym^2(V2)."""
-    c_xx: GaussRational
-    c_xy: GaussRational
-    c_yy: GaussRational
-
-    @staticmethod
-    def make(c_xx=0, c_xy=0, c_yy=0) -> "Sym2Element":
-        return Sym2Element(_coerce(c_xx), _coerce(c_xy), _coerce(c_yy))
-
-    def __add__(self, other):
-        return Sym2Element(self.c_xx + other.c_xx, self.c_xy + other.c_xy,
-                           self.c_yy + other.c_yy)
-
-    def __sub__(self, other):
-        return Sym2Element(self.c_xx - other.c_xx, self.c_xy - other.c_xy,
-                           self.c_yy - other.c_yy)
-
-
-# Gram matrix of the trace form on span{e+, h+, f+}, precomputed lazily.
-_SU2_BASIS = (E_PLUS, H_PLUS, F_PLUS)
-_SU2_GRAM = None
-
-
-def _su2_gram():
-    global _SU2_GRAM
-    if _SU2_GRAM is None:
-        _SU2_GRAM = [[trace_form(a, b) for b in _SU2_BASIS]
-                     for a in _SU2_BASIS]
-    return _SU2_GRAM
-
-
 def _solve3(G, rhs):
     """Solve the 3x3 Gaussian-rational system G c = rhs by Cramer's rule."""
     def det3(M):
@@ -364,32 +386,3 @@ def _solve3(G, rhs):
               for r in range(3)]
         out.append(det3(Mk) / D)
     return out
-
-
-def pr_K(X: Bivector) -> Sym2Element:
-    """Orthogonal projection (w.r.t. the trace form) onto span{e+,h+,f+},
-    written in the x^2, xy, y^2 coordinates via e+ = -x^2, h+ = 2xy,
-    f+ = y^2."""
-    rhs = [trace_form(X, b) for b in _SU2_BASIS]
-    ce, ch, cf = _solve3(_su2_gram(), rhs)
-    # e+ -> -x^2, h+ -> 2xy, f+ -> y^2
-    return Sym2Element(-ce, ch + ch, cf)
-
-
-def sym2_power(s: Sym2Element, ell: int):
-    """(c_xx x^2 + c_xy xy + c_yy y^2)^ell expanded as the 2*ell+1
-    coefficients of x^(ell+v) y^(ell-v), v = -ell..ell (listed v ascending)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    # poly[k] = coefficient of x^k y^(2m-k) after m factors
-    poly = [s.c_yy, s.c_xy, s.c_xx]
-    for _ in range(ell - 1):
-        new = [GZERO] * (len(poly) + 2)
-        for k, c in enumerate(poly):
-            if not c:
-                continue
-            new[k] = new[k] + c * s.c_yy
-            new[k + 1] = new[k + 1] + c * s.c_xy
-            new[k + 2] = new[k + 2] + c * s.c_xx
-        poly = new
-    return tuple(poly)

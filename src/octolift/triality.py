@@ -11,259 +11,158 @@ Conventions:
     for (i,j,k) cyclic.
   * Permutations sigma act on E-coordinates by (sigma z)_i = z_{sigma^{-1}(i)};
     sigma is given as a tuple p of length 3 with p[i-1] = sigma(i).
+
+An element of g_E is an int64 array of its 28 coordinates in the basis of
+ge_basis() over one positive denominator; leading axes index a batch.  The
+structure constants only divide by 2 and 3, Phi is one integer table and
+its inverse one integer matrix over one denominator, so every check here is
+exact integer array arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Tuple
 
-from .octonion import (Octonion, oct_mul, conj as oct_conj, trace as oct_trace,
-                       to_vector8, BASIS, EPS1, E1, E2, E3, E1S, E2S, E3S, EPS2)
-from .quadspace import (Bivector, GaussRational, GZERO, biv_sparse, bracket,
-                        wedge, gvec, matrix_to_bivector, DIM)
+import numpy as np
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-
-# --- cubic norm structure E = F^3 --------------------------------------------
-
-@dataclass(frozen=True)
-class CubicE:
-    z1: Fraction
-    z2: Fraction
-    z3: Fraction
-
-    @staticmethod
-    def make(z1=0, z2=0, z3=0) -> "CubicE":
-        return CubicE(Fraction(z1), Fraction(z2), Fraction(z3))
-
-    def coords(self):
-        return (self.z1, self.z2, self.z3)
-
-    def norm(self):
-        return self.z1 * self.z2 * self.z3
-
-    def sharp(self) -> "CubicE":
-        return CubicE(self.z2 * self.z3, self.z3 * self.z1, self.z1 * self.z2)
-
-
-def cubic_cross(z: CubicE, w: CubicE) -> CubicE:
-    """z x w = (z+w)# - z# - w#."""
-    return CubicE(z.z2 * w.z3 + z.z3 * w.z2,
-                  z.z3 * w.z1 + z.z1 * w.z3,
-                  z.z1 * w.z2 + z.z2 * w.z1)
-
-
-def _cross3(x: Tuple, y: Tuple) -> Tuple:
-    return (x[1] * y[2] + x[2] * y[1],
-            x[2] * y[0] + x[0] * y[2],
-            x[0] * y[1] + x[1] * y[0])
-
-
-def _dot3(x, y):
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+from .octonion import (B_BASIS, BASIS, Octonion, conj as oct_conj, oct_mul,
+                       to_vector8, trace as oct_trace)
+from .orbits import int_inverse
+from .quadspace import (Bivector, amax, biv_coords, bracket, fits,
+                        int_parts, matrix_to_bivector, reduced, wedge)
 
 
 # --- the Lie algebra g_E ------------------------------------------------------
 
-def _zero3x3():
-    return ((F0,) * 3,) * 3
+# Coordinates, in the order of ge_basis(): the six off-diagonal E_jk in _OFF
+# order, the Cartan h1 = E11 - E22 and h2 = E22 - E33, the E^0 elements
+# u = (1, -1, 0) and (0, 1, -1), the nine v_j (x) e_m and the nine
+# delta_j (x) e_m (row j, column m).
+_OFF = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_OFF_J, _OFF_K = [j for j, _ in _OFF], [k for _, k in _OFF]
+GE_DIM = 28
 
 
-def _t3(rows):
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GEElement:
-    """sl3: traceless 3x3; e0: u with Psi_{2u} meaning (coords sum to 0);
-    vE[j][m]: coefficient of v_{j+1} (x) (E-basis m+1);
-    dE[j][m]: coefficient of delta_{j+1} (x) (E-dual-basis m+1)."""
-    sl3: Tuple[Tuple[Fraction, ...], ...]
-    e0: Tuple[Fraction, Fraction, Fraction]
-    vE: Tuple[Tuple[Fraction, ...], ...]
-    dE: Tuple[Tuple[Fraction, ...], ...]
+    """num / den in the coordinates of ge_basis(): num an int64 array of
+    shape (..., 28) whose leading axes index a batch, den a positive int
+    shared by the batch."""
+    num: np.ndarray
+    den: int = 1
 
     @staticmethod
-    def make(sl3=None, e0=(0, 0, 0), vE=None, dE=None) -> "GEElement":
-        sl3 = _t3(sl3) if sl3 is not None else _zero3x3()
-        vE = _t3(vE) if vE is not None else _zero3x3()
-        dE = _t3(dE) if dE is not None else _zero3x3()
-        e0 = tuple(Fraction(c) for c in e0)
-        if sum(sl3[i][i] for i in range(3)) != 0:
-            raise ValueError("sl3 part must be traceless")
-        if sum(e0) != 0:
-            raise ValueError("E^0 part must have coordinates summing to 0")
-        return GEElement(sl3, e0, vE, dE)
+    def of(num, den: int = 1) -> "GEElement":
+        """num / den with the common factor divided out."""
+        den, num = reduced(den, num)
+        return GEElement(num, den)
 
-    def __add__(self, other: "GEElement") -> "GEElement":
-        add3 = lambda A, B: tuple(tuple(a + b for a, b in zip(ra, rb))
-                                  for ra, rb in zip(A, B))
-        return GEElement(add3(self.sl3, other.sl3),
-                         tuple(a + b for a, b in zip(self.e0, other.e0)),
-                         add3(self.vE, other.vE), add3(self.dE, other.dE))
+    def __getitem__(self, index) -> "GEElement":
+        """Batch element(s) at index."""
+        return GEElement.of(self.num[index], self.den)
 
-    def __sub__(self, other: "GEElement") -> "GEElement":
-        return self + other.scale(-1)
+    def __eq__(self, other):
+        if not isinstance(other, GEElement):
+            return NotImplemented
+        fits(amax(self.num) * other.den + amax(other.num) * self.den)
+        return np.array_equal(self.num * other.den, other.num * self.den)
 
-    def __neg__(self) -> "GEElement":
-        return self.scale(-1)
+    __hash__ = None
 
-    def scale(self, c) -> "GEElement":
-        c = Fraction(c)
-        s3 = lambda A: tuple(tuple(c * a for a in row) for row in A)
-        return GEElement(s3(self.sl3), tuple(c * a for a in self.e0),
-                         s3(self.vE), s3(self.dE))
 
-    def is_zero(self) -> bool:
-        return (not any(any(row) for row in self.sl3) and not any(self.e0)
-                and not any(any(row) for row in self.vE)
-                and not any(any(row) for row in self.dE))
+GE_BASIS = GEElement(np.eye(GE_DIM, dtype=np.int64))
 
 
 def ge_basis():
     """Ordered 28-element basis of g_E: 6 off-diagonal E_{jk}, 2 diagonal
     Cartan elements, 2 E^0, 9 v_j(x)e_m, 9 delta_j(x)e_m."""
-    out = []
-    for j in range(3):
-        for k in range(3):
-            if j != k:
-                m = [[F0] * 3 for _ in range(3)]
-                m[j][k] = F1
-                out.append(GEElement.make(sl3=m))
-    out.append(GEElement.make(sl3=[[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
-    out.append(GEElement.make(sl3=[[0, 0, 0], [0, 1, 0], [0, 0, -1]]))
-    out.append(GEElement.make(e0=(1, -1, 0)))
-    out.append(GEElement.make(e0=(0, 1, -1)))
-    for j in range(3):
-        for m in range(3):
-            M = [[F0] * 3 for _ in range(3)]
-            M[j][m] = F1
-            out.append(GEElement.make(vE=M))
-    for j in range(3):
-        for m in range(3):
-            M = [[F0] * 3 for _ in range(3)]
-            M[j][m] = F1
-            out.append(GEElement.make(dE=M))
-    return out
+    return [GE_BASIS[k] for k in range(GE_DIM)]
+
+
+def _fields(num):
+    """(sl3, u, vE, dE) of coordinate arrays num (..., 28): int arrays of
+    shapes (..., 3, 3), (..., 3), (..., 3, 3), (..., 3, 3)."""
+    shape = num.shape[:-1]
+    sl3 = np.zeros(shape + (3, 3), dtype=np.int64)
+    sl3[..., _OFF_J, _OFF_K] = num[..., :6]
+    h1, h2 = num[..., 6], num[..., 7]
+    sl3[..., 0, 0], sl3[..., 1, 1], sl3[..., 2, 2] = h1, h2 - h1, -h2
+    a, b = num[..., 8], num[..., 9]
+    u = np.stack([a, b - a, -b], axis=-1)
+    return (sl3, u, num[..., 10:19].reshape(shape + (3, 3)),
+            num[..., 19:].reshape(shape + (3, 3)))
+
+
+def _coords(sl3, u, vE, dE):
+    """Inverse of _fields, for a traceless sl3 and u summing to 0."""
+    shape = sl3.shape[:-2]
+    return np.concatenate(
+        [sl3[..., _OFF_J, _OFF_K], sl3[..., 0, :1], -sl3[..., 2, 2:],
+         u[..., :1], -u[..., 2:], vE.reshape(shape + (9,)),
+         dE.reshape(shape + (9,))], axis=-1)
+
+
+# _EPS[i, j, k] is the sign of (i, j, k) as a permutation of (0, 1, 2), else
+# 0, and _SYM = |_EPS|, so that the E cross product (x x y)_m = x_{m+1}
+# y_{m+2} + x_{m+2} y_{m+1} is _SYM[m, p, q] x_p y_q.
+_EPS = np.zeros((3, 3, 3), dtype=np.int64)
+for _i in range(3):
+    _EPS[_i, (_i + 1) % 3, (_i + 2) % 3] = 1
+    _EPS[_i, (_i + 2) % 3, (_i + 1) % 3] = -1
+_SYM = np.abs(_EPS)
+
+
+def _wedge3(X, Y):
+    """Row k is sum_{i,j} eps_ijk X_i x Y_j: [v_i (x) x, v_j (x) x'] =
+    (v_i ^ v_j) (x) (x x x') with v_i ^ v_j = eps_ijk delta_k, and dually."""
+    return np.einsum("ijk,mpq,...ip,...jq->...km", _EPS, _SYM, X, Y)
 
 
 def ge_bracket(A: GEElement, B: GEElement) -> GEElement:
-    """Lie bracket on g_E (all five structural cases)."""
-    sl3 = [[F0] * 3 for _ in range(3)]
-    e0 = [F0, F0, F0]
-    vE = [[F0] * 3 for _ in range(3)]
-    dE = [[F0] * 3 for _ in range(3)]
+    """Lie bracket on g_E, all five structural cases, over the leading batch
+    axes of A and B, multiplied through by 3 to clear the 1/3 of the last:
+      * [sl3, sl3]: the matrix commutator;
+      * [phi, v (x) x] = (phi v) (x) x, [phi, delta (x) g] = -(phi^t delta)
+        (x) g;
+      * [Psi_{2u}, v (x) x] = v (x) 2ux, [Psi_{2u}, delta (x) g] =
+        delta (x) -2ug;
+      * [v_i (x) x, v_j (x) x'] = (v_i ^ v_j) (x) (x x x'), and dually;
+      * [delta_j (x) g, v_k (x) x] = (g, x)(E_kj - delta_jk / 3) +
+        delta_jk Psi_{2w}, w = xg - (x, g)/3 1_E."""
+    S, u, V, D = _fields(A.num)
+    S2, u2, V2, D2 = _fields(B.num)
+    fits(1000 * amax(A.num) * amax(B.num))
+    T = lambda M: M.swapaxes(-1, -2)
+    P = V2 @ T(D) - V @ T(D2)           # P[k, j] = (g_j, x_k), both orders
+    t = np.trace(P, axis1=-2, axis2=-1)[..., None]
+    sl3 = 3 * (S @ S2 - S2 @ S + P) - t[..., None] * np.eye(3, dtype=np.int64)
+    e0 = 3 * (V2 * D - V * D2).sum(axis=-2) - t
+    vE = 3 * (S @ V2 - S2 @ V + 2 * (u[..., None, :] * V2
+                                     - u2[..., None, :] * V)
+              + _wedge3(D, D2))
+    dE = 3 * (T(S2) @ D - T(S) @ D2 - 2 * (u[..., None, :] * D2
+                                           - u2[..., None, :] * D)
+              + _wedge3(V, V2))
+    return GEElement.of(_coords(sl3, e0, vE, dE), 3 * A.den * B.den)
 
-    # [sl3, sl3]: matrix commutator.
-    for i in range(3):
-        for j in range(3):
-            sl3[i][j] += sum(A.sl3[i][k] * B.sl3[k][j]
-                             - B.sl3[i][k] * A.sl3[k][j] for k in range(3))
 
-    # [sl3, v (x) x] = (phi v) (x) x ; [sl3, delta (x) gamma] uses -phi^t.
-    def sl3_on(phi, v_rows, d_rows, sign):
-        for j in range(3):
-            for i in range(3):
-                c = phi[i][j]
-                if c:
-                    for m in range(3):
-                        vE[i][m] += sign * c * v_rows[j][m]
-        for j in range(3):
-            for k in range(3):
-                c = phi[j][k]
-                if c:
-                    for m in range(3):
-                        dE[k][m] -= sign * c * d_rows[j][m]
-
-    sl3_on(A.sl3, B.vE, B.dE, F1)
-    sl3_on(B.sl3, A.vE, A.dE, -F1)
-
-    # [Psi_{2u}, v (x) x] = v (x) 2ux ; [Psi_{2u}, delta (x) g] = delta (x) -2ug.
-    def e0_on(u, v_rows, d_rows, sign):
-        for j in range(3):
-            for m in range(3):
-                vE[j][m] += sign * 2 * u[m] * v_rows[j][m]
-                dE[j][m] -= sign * 2 * u[m] * d_rows[j][m]
-
-    e0_on(A.e0, B.vE, B.dE, F1)
-    e0_on(B.e0, A.vE, A.dE, -F1)
-
-    # [v_i (x) x, v_j (x) x'] = (v_i ^ v_j) (x) (x x x'), v_i ^ v_j = delta_k.
-    def vv(av, bv, sign):
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                k = 3 - i - j
-                # sign of (i,j,k) as permutation of (0,1,2)
-                s = F1 if (j - i) % 3 == 1 else -F1
-                cr = _cross3(av[i], bv[j])
-                for m in range(3):
-                    dE[k][m] += sign * s * cr[m]
-
-    vv(A.vE, B.vE, Fraction(1, 2))
-    vv(B.vE, A.vE, Fraction(-1, 2))
-
-    # [delta_i (x) g, delta_j (x) g'] = (delta_i ^ delta_j) (x) (g x g') = v_k.
-    def dd(ad, bd, sign):
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                k = 3 - i - j
-                s = F1 if (j - i) % 3 == 1 else -F1
-                cr = _cross3(ad[i], bd[j])
-                for m in range(3):
-                    vE[k][m] += sign * s * cr[m]
-
-    dd(A.dE, B.dE, Fraction(1, 2))
-    dd(B.dE, A.dE, Fraction(-1, 2))
-
-    # [delta_j (x) g, v_k (x) x] = (g,x)(E_{kj} - delta_{jk} 1/3) + delta_{jk}
-    #   Psi_{2u}, u = x g - (1/3)(x,g) 1_E.
-    def dv(gam_rows, x_rows, sign):
-        for j in range(3):
-            g = gam_rows[j]
-            if not any(g):
-                continue
-            for k in range(3):
-                x = x_rows[k]
-                if not any(x):
-                    continue
-                p = _dot3(g, x)
-                sl3[k][j] += sign * p
-                if j == k:
-                    third = p / 3
-                    for t in range(3):
-                        sl3[t][t] -= sign * third
-                        e0[t] += sign * (x[t] * g[t] - third)
-
-    dv(A.dE, B.vE, F1)
-    dv(B.dE, A.vE, -F1)
-
-    return GEElement(tuple(tuple(r) for r in sl3), tuple(e0),
-                     tuple(tuple(r) for r in vE), tuple(tuple(r) for r in dE))
+def ge_cartan(X: GEElement) -> GEElement:
+    """Theta: -transpose on sl3, -1 on E^0, swap of the V3(x)E and
+    V3^dual (x) E^dual parts (iota is the coordinate identity)."""
+    S, u, V, D = _fields(X.num)
+    return GEElement.of(_coords(-S.swapaxes(-1, -2), -u, D, V), X.den)
 
 
 # --- the isomorphism Phi ------------------------------------------------------
 
-_V8 = {name: gvec(to_vector8(o)) for name, o in BASIS.items()}
+_V8 = {name: to_vector8(o) for name, o in BASIS.items()}
 
 
 def _w(a: str, b: str) -> Bivector:
     return wedge(_V8[a], _V8[b])
-
-
-def _e(j: int) -> str:          # 1-based
-    return f"e{j}"
-
-
-def _es(j: int) -> str:
-    return f"e{j}*"
 
 
 def _cyc(j: int) -> Tuple[int, int]:
@@ -271,218 +170,112 @@ def _cyc(j: int) -> Tuple[int, int]:
     return (j % 3 + 1, (j + 1) % 3 + 1)
 
 
-def _phi_vj(j: int, x) -> Bivector:
-    jp, jm = _cyc(j)
-    out = Bivector.zero()
-    if x[0]:
-        out = out + _w("eps1", _e(j)).scale(x[0])
-    if x[1]:
-        out = out + _w(_es(jp), _es(jm)).scale(x[1])
-    if x[2]:
-        out = out - _w("eps2", _e(j)).scale(x[2])
-    return out
+def _phi_table() -> np.ndarray:
+    """Phi of the 28 basis elements, as integer 8x8 action matrices:
+    E_jk -> e_k* ^ e_j; h_j through the bracket, h_j = [E_{j,j+1},
+    E_{j+1,j}], so that Phi is consistent on the Cartan; Psi_{2u} ->
+    (u1 - u3) eps1 ^ eps2 + u2 sum_i e_i ^ e_i*; and for x = (x1, x2, x3),
+    v_j (x) x -> x1 eps1 ^ e_j + x2 e_{j+1}* ^ e_{j-1}* - x3 eps2 ^ e_j,
+    delta_j (x) g -> -g1 eps2 ^ e_j* + g2 e_{j+1} ^ e_{j-1} + g3 eps1 ^ e_j*."""
+    imgs = [_w(f"e{k + 1}*", f"e{j + 1}") for j, k in _OFF]
+    imgs += [bracket(imgs[0], imgs[2]), bracket(imgs[3], imgs[5])]
+    s = _w("e1", "e1*") + _w("e2", "e2*") + _w("e3", "e3*")
+    imgs += [_w("eps1", "eps2") - s, _w("eps1", "eps2") + s]
+    for j in (1, 2, 3):
+        jp, jm = _cyc(j)
+        imgs += [_w("eps1", f"e{j}"), _w(f"e{jp}*", f"e{jm}*"),
+                 -_w("eps2", f"e{j}")]
+    for j in (1, 2, 3):
+        jp, jm = _cyc(j)
+        imgs += [-_w("eps2", f"e{j}*"), _w(f"e{jp}", f"e{jm}"),
+                 _w("eps1", f"e{j}*")]
+    if any(X.den != 1 or X.im.any() for X in imgs):
+        raise ArithmeticError("Phi of a basis element is not integral")
+    return np.stack([X.re for X in imgs])
 
 
-def _phi_dj(j: int, g) -> Bivector:
-    jp, jm = _cyc(j)
-    out = Bivector.zero()
-    if g[0]:
-        out = out - _w("eps2", _es(j)).scale(g[0])
-    if g[1]:
-        out = out + _w(_e(jp), _e(jm)).scale(g[1])
-    if g[2]:
-        out = out + _w("eps1", _es(j)).scale(g[2])
-    return out
+def _phi_inverse():
+    """(N, d), d > 0, with N / d the inverse of the 28x28 integer matrix of
+    Phi from basis coordinates to bivector coefficients."""
+    coeffs, _ = biv_coords(Bivector(_PHI, _PHI))
+    N, d = int_inverse(coeffs.T)
+    sign = 1 if d > 0 else -1
+    return np.array(N, dtype=np.int64) * sign, d * sign
 
 
-def _phi_ejk(j: int, k: int) -> Bivector:   # 1-based, j != k
-    return _w(_es(k), _e(j))
-
-
-# Images of the diagonal Cartan h_j = E_{jj} - E_{j+1,j+1}, defined through
-# the bracket so that Phi is automatically consistent on the Cartan:
-# h_j = [E_{j,j+1}, E_{j+1,j}].
-_PHI_H = [bracket(_phi_ejk(1, 2), _phi_ejk(2, 1)),
-          bracket(_phi_ejk(2, 3), _phi_ejk(3, 2))]
+_PHI = _phi_table()
+_PHI_INV, _PHI_INV_DEN = _phi_inverse()
 
 
 def phi_iso(X: GEElement) -> Bivector:
-    out = Bivector.zero()
-    for j in range(3):
-        for k in range(3):
-            if j != k and X.sl3[j][k]:
-                out = out + _phi_ejk(j + 1, k + 1).scale(X.sl3[j][k])
-    d1, d2, d3 = (X.sl3[i][i] for i in range(3))
-    if d1:
-        out = out + _PHI_H[0].scale(d1)
-    if d1 + d2:
-        out = out + _PHI_H[1].scale(d1 + d2)
-    u = X.e0
-    if any(u):
-        out = out + _w("eps1", "eps2").scale(u[0] - u[2])
-        if u[1]:
-            s = (_w("e1", "e1*") + _w("e2", "e2*") + _w("e3", "e3*"))
-            out = out + s.scale(u[1])
-    for j in range(3):
-        if any(X.vE[j]):
-            out = out + _phi_vj(j + 1, X.vE[j])
-        if any(X.dE[j]):
-            out = out + _phi_dj(j + 1, X.dE[j])
-    return out
-
-
-# Matrix of phi_iso over the 28-dim bases (columns = images of ge_basis),
-# and its inverse, built lazily.
-_GE_BASIS = None
-_PHI_INV_MAT = None
-
-
-def _fraction_of(g: GaussRational) -> Fraction:
-    if g.im != 0:
-        raise ValueError("unexpected imaginary part in phi image")
-    return g.re
-
-
-def _phi_matrices():
-    global _GE_BASIS, _PHI_INV_MAT
-    if _PHI_INV_MAT is None:
-        _GE_BASIS = ge_basis()
-        cols = [phi_iso(b) for b in _GE_BASIS]
-        M = [[_fraction_of(cols[c].coeffs[r]) for c in range(28)]
-             for r in range(28)]
-        _PHI_INV_MAT = _invert_fraction_matrix(M)
-    return _GE_BASIS, _PHI_INV_MAT
-
-
-def _invert_fraction_matrix(M):
-    n = len(M)
-    A = [list(row) + [F1 if i == j else F0 for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[p] = A[p], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [e * inv for e in A[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [e - f * g for e, g in zip(A[r], A[c])]
-    return [row[n:] for row in A]
+    """Phi(X) = sum_k X_k Phi(basis_k), one contraction with the table."""
+    fits(GE_DIM * amax(_PHI) * amax(X.num))
+    re = np.tensordot(X.num, _PHI, axes=(-1, 0))
+    return Bivector.of(re, np.zeros(re.shape, dtype=np.int64), X.den)
 
 
 def phi_inv(Y: Bivector) -> GEElement:
-    """Exact inverse of phi_iso (only defined for real-rational bivectors)."""
-    basis, inv = _phi_matrices()
-    y = [_fraction_of(c) for c in Y.coeffs]
-    out = GEElement.make()
-    for r in range(28):
-        c = sum(inv[r][k] * y[k] for k in range(28))
-        if c:
-            out = out + basis[r].scale(c)
-    return out
+    """Exact inverse of phi_iso (only defined for real bivectors): the
+    inverse matrix applied to Y's bivector coefficients."""
+    if Y.im.any():
+        raise ValueError("unexpected imaginary part in phi image")
+    y, _ = biv_coords(Y)
+    fits(GE_DIM * amax(_PHI_INV) * amax(y))
+    return GEElement.of(y @ _PHI_INV.T, _PHI_INV_DEN * Y.den)
 
 
 # --- triality triples ---------------------------------------------------------
 
-_OCT_BASIS_LIST = (E1, E3S, EPS2, E2S, E2, -EPS1, E3, E1S)
-# trilinear-form tensor TR[i][j][k] = tr(o_i (o_j o_k)) over the b-basis.
-_TR = tuple(tuple(tuple(oct_trace(oct_mul(a, oct_mul(b, c)))
-                        for c in _OCT_BASIS_LIST)
-                  for b in _OCT_BASIS_LIST)
-            for a in _OCT_BASIS_LIST)
-
-
-_TR_ARRAY = None
-
-
-def _tr_array():
-    global _TR_ARRAY
-    if _TR_ARRAY is None:
-        import numpy as np
-        _TR_ARRAY = np.array([[[int(t) for t in row] for row in plane]
-                              for plane in _TR], dtype=np.int64)
-    return _TR_ARRAY
-
-
-def _int_matrix_parts(X: Bivector):
-    """(re, im) int64 action matrices of X when every entry is a Gaussian
-    integer small enough for exact int64 contraction, else None."""
-    import numpy as np
-    re = np.zeros((DIM, DIM), dtype=np.int64)
-    im = np.zeros((DIM, DIM), dtype=np.int64)
-    for (r, c), a in biv_sparse(X).items():
-        if a.re.denominator != 1 or a.im.denominator != 1:
-            return None
-        if max(abs(a.re.numerator), abs(a.im.numerator)) > 2 ** 40:
-            return None
-        re[r][c] = a.re.numerator
-        im[r][c] = a.im.numerator
-    return re, im
+# b_i b_j = sum_k _MUL[i, j, k] b_k, and the trilinear form
+# _TR[i, j, k] = tr(b_i (b_j b_k)), over the b-basis.
+_MUL = np.array([[to_vector8(oct_mul(x, y)) for y in B_BASIS]
+                 for x in B_BASIS], dtype=np.int64)
+_TR = np.einsum("jkm,imn,n->ijk", _MUL, _MUL,
+                np.array([oct_trace(x) for x in B_BASIS], dtype=np.int64))
 
 
 def verify_triality_triple(X1: Bivector, X2: Bivector, X3: Bivector) -> bool:
     """True iff (X1 x, y, z) + (x, X2 y, z) + (x, y, X3 z) = 0 for all 8^3
-    octonion basis triples, exactly."""
-    parts = [_int_matrix_parts(X) for X in (X1, X2, X3)]
-    if all(p is not None for p in parts):
-        # Gaussian-integer entries: the contraction stays exact in int64
-        # (|entries| <= 2^40, |TR| <= 4, eight summands).
-        import numpy as np
-        T = _tr_array()
-        for comp in (0, 1):
-            total = (np.einsum("mx,myz->xyz", parts[0][comp], T)
-                     + np.einsum("my,xmz->xyz", parts[1][comp], T)
-                     + np.einsum("mz,xym->xyz", parts[2][comp], T))
-            if total.any():
-                return False
-        return True
-    cols = []
-    for X in (X1, X2, X3):
-        by_col = [[] for _ in range(DIM)]
-        for (m, c), a in biv_sparse(X).items():
-            by_col[c].append((m, a))
-        cols.append(by_col)
-    for x in range(DIM):
-        for y in range(DIM):
-            for z in range(DIM):
-                s = GZERO
-                for m, a in cols[0][x]:
-                    t = _TR[m][y][z]
-                    if t:
-                        s = s + a * t
-                for m, a in cols[1][y]:
-                    t = _TR[x][m][z]
-                    if t:
-                        s = s + a * t
-                for m, a in cols[2][z]:
-                    t = _TR[x][y][m]
-                    if t:
-                        s = s + a * t
-                if s:
-                    return False
-    return True
+    octonion basis triples (and every batch element), exactly: one
+    contraction of the action matrices, over a common denominator, with
+    the trilinear tensor."""
+    den = lcm(X1.den, X2.den, X3.den)
+    fits(max(den // X.den * amax(X.re, X.im) for X in (X1, X2, X3))
+         * 3 * 8 * amax(_TR))
+    A1, A2, A3 = (np.stack([X.re, X.im]) * (den // X.den)
+                  for X in (X1, X2, X3))
+    total = (np.einsum("...mx,myz->...xyz", A1, _TR)
+             + np.einsum("...my,xmz->...xyz", A2, _TR)
+             + np.einsum("...mz,xym->...xyz", A3, _TR))
+    return not total.any()
+
+
+def _mult_matrix(x: Octonion, side: str) -> Tuple[np.ndarray, int]:
+    """(M, den): M / den is the matrix of o -> x o (side 'l') or o -> o x
+    (side 'r') on b-coordinates, for rational x."""
+    re, im, den = int_parts(to_vector8(x))
+    if im.any():
+        raise ValueError("octonion coordinates must be rational")
+    fits(8 * amax(re) * amax(_MUL))
+    return np.einsum("i,ijk->kj" if side == "l" else "j,ijk->ki",
+                     re, _MUL), den
 
 
 def left_mult_bivector(u: Octonion, v: Octonion, side: str) -> Bivector:
     """The operator l_{u*} l_v - l_{v*} l_u (side='l') or
     r_{u*} r_v - r_{v*} r_u (side='r') as a bivector (twice the usual
     normalization 1/2(...) to stay integral for integral u, v)."""
-    us, vs = oct_conj(u), oct_conj(v)
-    cols = []
-    for o in _OCT_BASIS_LIST:
-        if side == "l":
-            w = oct_mul(us, oct_mul(v, o)) - oct_mul(vs, oct_mul(u, o))
-        else:
-            w = oct_mul(oct_mul(o, v), us) - oct_mul(oct_mul(o, u), vs)
-        cols.append(to_vector8(w))
-    A = [[cols[c][r] for c in range(DIM)] for r in range(DIM)]
-    return matrix_to_bivector(A)
+    (Lus, du), (Lv, dv), (Lvs, _), (Lu, _) = (
+        _mult_matrix(x, side) for x in (oct_conj(u), v, oct_conj(v), u))
+    fits(16 * amax(Lus, Lvs) * amax(Lu, Lv))
+    return matrix_to_bivector(Lus @ Lv - Lvs @ Lu).scale(
+        Fraction(1, du * dv))
 
 
 def prop_mult_triple(u: Octonion, v: Octonion):
     """The triality triple (2 u^v, l_{u*}l_v - l_{v*}l_u,
     r_{u*}r_v - r_{v*}r_u) (scaled by 2 from the 1/2-normalized one)."""
-    X1 = wedge(gvec(to_vector8(u)), gvec(to_vector8(v))).scale(2)
+    X1 = wedge(to_vector8(u), to_vector8(v)).scale(2)
     return X1, left_mult_bivector(u, v, "l"), left_mult_bivector(u, v, "r")
 
 
@@ -493,10 +286,10 @@ def standard_triples():
     out = []
     for j in (1, 2, 3):
         jp, jm = _cyc(j)
-        out.append((_w("eps1", _e(j)), _w(_es(jp), _es(jm)),
-                    _w("eps2", _e(j)).scale(-1)))
-        out.append((_w("eps1", _es(j)), _w("eps2", _es(j)).scale(-1),
-                    _w(_e(jp), _e(jm))))
+        out.append((_w("eps1", f"e{j}"), _w(f"e{jp}*", f"e{jm}*"),
+                    -_w("eps2", f"e{j}")))
+        out.append((_w("eps1", f"e{j}*"), -_w("eps2", f"e{j}*"),
+                    _w(f"e{jp}", f"e{jm}")))
     return out
 
 
@@ -520,10 +313,10 @@ def perm_apply(p, z):
 
 def s3_act_ge(p, X: GEElement) -> GEElement:
     """S3 acting on g_E through its action on the E-coordinates; sl3 fixed."""
-    p = _perm_tuple(p)
-    return GEElement(X.sl3, perm_apply(p, X.e0),
-                     tuple(perm_apply(p, row) for row in X.vE),
-                     tuple(perm_apply(p, row) for row in X.dE))
+    order = np.argsort(np.array(_perm_tuple(p)) - 1)   # (sigma z) = z[order]
+    S, u, V, D = _fields(X.num)
+    return GEElement.of(_coords(S, u[..., order], V[..., order],
+                                D[..., order]), X.den)
 
 
 def s3_act_biv(p, X: Bivector) -> Bivector:
@@ -531,19 +324,16 @@ def s3_act_biv(p, X: Bivector) -> Bivector:
     return phi_iso(s3_act_ge(p, phi_inv(X)))
 
 
+# Octonionic conjugation is minus the permutation of the b-basis that swaps
+# b3 = eps2 and b-3 = -eps1, so Ad(c) is conjugation by that permutation.
+_CONJ_PERM = (0, 1, 5, 3, 4, 2, 6, 7)
+
+
 def conj_twist(X: Bivector) -> Bivector:
     """Ad(c) X where c is octonionic conjugation (an isometry of the form):
     as matrices, c act(X) c."""
-    C = oct_conj_matrix()
-    A = biv_sparse(X)
-    out = [[GZERO] * DIM for _ in range(DIM)]
-    for (r, k), a in A.items():
-        for i in range(DIM):
-            if C[i][r]:
-                for j in range(DIM):
-                    if C[k][j]:
-                        out[i][j] = out[i][j] + a * (C[i][r] * C[k][j])
-    return matrix_to_bivector(out)
+    p = list(_CONJ_PERM)
+    return Bivector(X.re[..., p, :][..., p], X.im[..., p, :][..., p], X.den)
 
 
 def s3_act_triple(p, triple):
@@ -608,18 +398,3 @@ def cube_pairing(w1: BhargavaCube, w2: BhargavaCube) -> int:
     for i in range(3):
         s += w1.gamma[i] * w2.beta[i] - w1.beta[i] * w2.gamma[i]
     return s
-
-
-# --- Cartan involution on g_E -------------------------------------------------
-
-def ge_cartan(X: GEElement) -> GEElement:
-    """Theta: -transpose on sl3, -1 on E^0, swap of the V3(x)E and
-    V3^dual (x) E^dual parts (iota is the coordinate identity)."""
-    sl3 = tuple(tuple(-X.sl3[j][i] for j in range(3)) for i in range(3))
-    return GEElement(sl3, tuple(-c for c in X.e0), X.dE, X.vE)
-
-
-def oct_conj_matrix():
-    """Octonionic conjugation as an 8x8 rational matrix in the b-basis."""
-    cols = [to_vector8(oct_conj(o)) for o in _OCT_BASIS_LIST]
-    return [[cols[c][r] for c in range(DIM)] for r in range(DIM)]

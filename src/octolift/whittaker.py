@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, pi, prod, sqrt
+from math import comb, exp, factorial, isqrt, pi, prod, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -301,17 +301,14 @@ def _prk_int_matrices() -> np.ndarray:
         2 tr(act(w1 ^ w2) b_k) = w1^t (2 C_k) w2,  C_k = J8 b_k - (J8 b_k)^t,
 
     so the su(2)-projection is bilinear in the pair.  Built exactly from
-    quadspace's action matrices."""
+    quadspace's integer action matrices (J8 reverses the rows)."""
     mats = []
     for b in _SU2:
-        m = quadspace.biv_matrix(b)
-        c2 = [2 * (m[7 - i][j] - m[7 - j][i])
-              for i in range(8) for j in range(8)]
-        for part in ([z.re for z in c2], [z.im for z in c2]):
-            if any(x.denominator != 1 for x in part):
+        for part in (b.re, b.im):
+            c2 = 2 * (part[::-1] - part[::-1].T)
+            if (c2 % b.den).any():
                 raise ArithmeticError("2 C_k is not Gaussian-integral")
-            mats.append(np.array([int(x) for x in part],
-                                 dtype=np.int64).reshape(8, 8))
+            mats.append(c2 // b.den)
     return np.stack(mats)
 
 
@@ -434,6 +431,12 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
         raise ValueError("radius must be >= 1")
     if not T.is_positive_definite():
         raise ValueError("T must be positive definite")
+    # q(v) <= 4 radius^2 on the box, so a smaller radius reaches no pair
+    reach = isqrt((max(T.a, T.c) + 3) // 4 - 1) + 1
+    if radius < reach:
+        raise ValueError(f"radius {radius} reaches no vector with q(v) = "
+                         f"{max(T.a, T.c)} (q(v) <= 4 radius^2); the "
+                         f"smallest radius that can is {reach}")
     bases = _key_bases(radius)
     if prod(bases) > 2 ** 63:
         raise ValueError(f"radius {radius} overflows the int64 projection "

@@ -1,0 +1,372 @@
+"""Reference implementations for the exact algebra layer, kept as test
+oracles: the Fraction g_E bracket on (sl3, e0, vE, dE) fields, the sparse
+bracket on 28 bivector coefficients, Phi built from wedges of the octonion
+basis, the Gauss-Jordan inverse over Fraction, and the exact su(2)
+projection pr_K with its symmetric powers.  They share no code with the
+integer-array implementations they check beyond the scalar type and the
+b-basis coordinates of the octonions."""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from octolift.octonion import BASIS, to_vector8
+from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
+                                GaussRational, _coerce, _solve3, biv_coords,
+                                trace_form)
+
+F0, F1 = Fraction(0), Fraction(1)
+PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+
+
+# --- bivectors as 28 Gaussian-rational coefficients on b_i ^ b_j, i < j ------
+
+def coeffs_of(X):
+    """The 28 coefficients of a single quadspace.Bivector, after checking
+    that its whole action matrix is the one those coefficients give."""
+    re, im = biv_coords(X)
+    coeffs = tuple(GaussRational(Fraction(int(a), X.den),
+                                 Fraction(int(b), X.den))
+                   for a, b in zip(re, im))
+    matrix = {(r, c): GaussRational(Fraction(int(X.re[r, c]), X.den),
+                                    Fraction(int(X.im[r, c]), X.den))
+              for r in range(DIM) for c in range(DIM)
+              if X.re[r, c] or X.im[r, c]}
+    assert biv_sparse(coeffs) == matrix, "action matrix is not skew"
+    return coeffs
+
+
+def coeffs_from_dict(d):
+    c = [GZERO] * len(PAIRS)
+    for (i, j), val in d.items():
+        val = _coerce(val)
+        if i == j:
+            continue
+        if i > j:
+            i, j, val = j, i, -val
+        c[PAIR_INDEX[(i, j)]] = c[PAIR_INDEX[(i, j)]] + val
+    return tuple(c)
+
+
+def coeffs_wedge(u, w):
+    d = {}
+    for i in range(DIM):
+        for j in range(DIM):
+            if i != j and u[i] and w[j]:
+                d[(i, j)] = (d.get((i, j), GZERO)
+                             + _coerce(u[i]) * _coerce(w[j]))
+    return coeffs_from_dict(d)
+
+
+def coeffs_add(X, Y):
+    return tuple(a + b for a, b in zip(X, Y))
+
+
+def coeffs_scale(X, c):
+    c = _coerce(c)
+    return tuple(c * a for a in X)
+
+
+def biv_sparse(X):
+    """Sparse {(row, col): entry} action matrix: the basis bivector
+    b_i ^ b_j contributes +c at (j, 7-i) and -c at (i, 7-j)."""
+    A = {}
+    for k, (i, j) in enumerate(PAIRS):
+        c = X[k]
+        if not c:
+            continue
+        A[(j, 7 - i)] = A.get((j, 7 - i), GZERO) + c
+        A[(i, 7 - j)] = A.get((i, 7 - j), GZERO) - c
+    return {k: v for k, v in A.items() if v}
+
+
+def _sparse_to_coeffs(A):
+    X = coeffs_from_dict({(i, j): A[(j, 7 - i)] for (i, j) in PAIRS
+                          if (j, 7 - i) in A})
+    if biv_sparse(X) != {k: v for k, v in A.items() if v}:
+        raise ValueError("matrix is not skew with respect to the form")
+    return X
+
+
+def sparse_bracket(X, Y):
+    """The bivector acting as the commutator, on sparse action matrices."""
+    AX, AY = biv_sparse(X), biv_sparse(Y)
+    C = {}
+    for (r, k), a in AX.items():
+        for (k2, c), b in AY.items():
+            if k == k2:
+                C[(r, c)] = C.get((r, c), GZERO) + a * b
+    for (r, k), a in AY.items():
+        for (k2, c), b in AX.items():
+            if k == k2:
+                C[(r, c)] = C.get((r, c), GZERO) - a * b
+    return _sparse_to_coeffs({k: v for k, v in C.items() if v})
+
+
+# --- g_E on Fraction fields --------------------------------------------------
+
+def _zero3x3():
+    return [[F0] * 3 for _ in range(3)]
+
+
+def _frozen(sl3, e0, vE, dE):
+    return (tuple(tuple(r) for r in sl3), tuple(e0),
+            tuple(tuple(r) for r in vE), tuple(tuple(r) for r in dE))
+
+
+def _basis_fields():
+    """Fields of the 28 ge_basis elements, in its order."""
+    out = []
+    for j in range(3):
+        for k in range(3):
+            if j != k:
+                m = _zero3x3()
+                m[j][k] = F1
+                out.append(_frozen(m, (F0,) * 3, _zero3x3(), _zero3x3()))
+    for d in ((1, -1, 0), (0, 1, -1)):
+        m = _zero3x3()
+        for i in range(3):
+            m[i][i] = Fraction(d[i])
+        out.append(_frozen(m, (F0,) * 3, _zero3x3(), _zero3x3()))
+    for u in ((1, -1, 0), (0, 1, -1)):
+        out.append(_frozen(_zero3x3(), tuple(map(Fraction, u)), _zero3x3(),
+                           _zero3x3()))
+    for part in (2, 3):
+        for j in range(3):
+            for m in range(3):
+                M = _zero3x3()
+                M[j][m] = F1
+                f = [_zero3x3(), (F0,) * 3, _zero3x3(), _zero3x3()]
+                f[part] = M
+                out.append(_frozen(*f))
+    return out
+
+
+BASIS_FIELDS = _basis_fields()
+
+
+def fields_add(X, Y):
+    add3 = lambda A, B: tuple(tuple(a + b for a, b in zip(ra, rb))
+                              for ra, rb in zip(A, B))
+    return (add3(X[0], Y[0]), tuple(a + b for a, b in zip(X[1], Y[1])),
+            add3(X[2], Y[2]), add3(X[3], Y[3]))
+
+
+def fields_scale(X, c):
+    s3 = lambda A: tuple(tuple(c * a for a in row) for row in A)
+    return (s3(X[0]), tuple(c * a for a in X[1]), s3(X[2]), s3(X[3]))
+
+
+def fields_from_coords(coords):
+    out = fields_scale(BASIS_FIELDS[0], F0)
+    for c, b in zip(coords, BASIS_FIELDS):
+        out = fields_add(out, fields_scale(b, c))
+    return out
+
+
+def fields_of(X):
+    """Fraction fields of a single triality.GEElement."""
+    return fields_from_coords([Fraction(int(c), X.den) for c in X.num])
+
+
+def _cross3(x, y):
+    return (x[1] * y[2] + x[2] * y[1],
+            x[2] * y[0] + x[0] * y[2],
+            x[0] * y[1] + x[1] * y[0])
+
+
+def _dot3(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def ge_bracket(A, B):
+    """Lie bracket on g_E fields (sl3, e0, vE, dE), all five cases."""
+    A_sl3, A_e0, A_vE, A_dE = A
+    B_sl3, B_e0, B_vE, B_dE = B
+    sl3, e0, vE, dE = _zero3x3(), [F0, F0, F0], _zero3x3(), _zero3x3()
+
+    for i in range(3):
+        for j in range(3):
+            sl3[i][j] += sum(A_sl3[i][k] * B_sl3[k][j]
+                             - B_sl3[i][k] * A_sl3[k][j] for k in range(3))
+
+    def sl3_on(phi, v_rows, d_rows, sign):
+        for j in range(3):
+            for i in range(3):
+                for m in range(3):
+                    vE[i][m] += sign * phi[i][j] * v_rows[j][m]
+        for j in range(3):
+            for k in range(3):
+                for m in range(3):
+                    dE[k][m] -= sign * phi[j][k] * d_rows[j][m]
+
+    sl3_on(A_sl3, B_vE, B_dE, F1)
+    sl3_on(B_sl3, A_vE, A_dE, -F1)
+
+    def e0_on(u, v_rows, d_rows, sign):
+        for j in range(3):
+            for m in range(3):
+                vE[j][m] += sign * 2 * u[m] * v_rows[j][m]
+                dE[j][m] -= sign * 2 * u[m] * d_rows[j][m]
+
+    e0_on(A_e0, B_vE, B_dE, F1)
+    e0_on(B_e0, A_vE, A_dE, -F1)
+
+    def wedge_rows(a, b, sign, out):
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                k = 3 - i - j
+                s = F1 if (j - i) % 3 == 1 else -F1
+                cr = _cross3(a[i], b[j])
+                for m in range(3):
+                    out[k][m] += sign * s * cr[m]
+
+    wedge_rows(A_vE, B_vE, Fraction(1, 2), dE)
+    wedge_rows(B_vE, A_vE, Fraction(-1, 2), dE)
+    wedge_rows(A_dE, B_dE, Fraction(1, 2), vE)
+    wedge_rows(B_dE, A_dE, Fraction(-1, 2), vE)
+
+    def dv(gam_rows, x_rows, sign):
+        for j in range(3):
+            g = gam_rows[j]
+            for k in range(3):
+                x = x_rows[k]
+                p = _dot3(g, x)
+                sl3[k][j] += sign * p
+                if j == k:
+                    third = p / 3
+                    for t in range(3):
+                        sl3[t][t] -= sign * third
+                        e0[t] += sign * (x[t] * g[t] - third)
+
+    dv(A_dE, B_vE, F1)
+    dv(B_dE, A_vE, -F1)
+    return _frozen(sl3, e0, vE, dE)
+
+
+# --- Phi from wedges of the octonion basis -----------------------------------
+
+_V8 = {name: to_vector8(o) for name, o in BASIS.items()}
+
+
+def _w(a, b):
+    return coeffs_wedge(_V8[a], _V8[b])
+
+
+def _cyc(j):
+    return (j % 3 + 1, (j + 1) % 3 + 1)
+
+
+_PHI_H = (sparse_bracket(_w("e2*", "e1"), _w("e1*", "e2")),
+          sparse_bracket(_w("e3*", "e2"), _w("e2*", "e3")))
+
+
+def phi_iso(X):
+    """Phi on Fraction fields, as 28 coefficients."""
+    sl3, u, vE, dE = X
+    out = coeffs_scale(_w("e1", "e2"), 0)
+
+    def acc(Y, c):
+        nonlocal out
+        out = coeffs_add(out, coeffs_scale(Y, c))
+
+    for j in range(3):
+        for k in range(3):
+            if j != k:
+                acc(_w(f"e{k + 1}*", f"e{j + 1}"), sl3[j][k])
+    acc(_PHI_H[0], sl3[0][0])
+    acc(_PHI_H[1], sl3[0][0] + sl3[1][1])
+    acc(_w("eps1", "eps2"), u[0] - u[2])
+    for i in (1, 2, 3):
+        acc(_w(f"e{i}", f"e{i}*"), u[1])
+    for j in (1, 2, 3):
+        jp, jm = _cyc(j)
+        x, g = vE[j - 1], dE[j - 1]
+        acc(_w("eps1", f"e{j}"), x[0])
+        acc(_w(f"e{jp}*", f"e{jm}*"), x[1])
+        acc(_w("eps2", f"e{j}"), -x[2])
+        acc(_w("eps2", f"e{j}*"), -g[0])
+        acc(_w(f"e{jp}", f"e{jm}"), g[1])
+        acc(_w("eps1", f"e{j}*"), g[2])
+    return out
+
+
+def invert_fraction_matrix(M):
+    """Gauss-Jordan elimination over Fraction."""
+    n = len(M)
+    A = [[Fraction(e) for e in row] + [F1 if i == j else F0 for j in range(n)]
+         for i, row in enumerate(M)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        inv = 1 / A[c][c]
+        A[c] = [e * inv for e in A[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c]
+                A[r] = [e - f * g for e, g in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+def _real(g):
+    assert g.im == 0
+    return g.re
+
+
+_PHI_COLS = [phi_iso(b) for b in BASIS_FIELDS]
+_PHI_INV = invert_fraction_matrix(
+    [[_real(_PHI_COLS[c][r]) for c in range(28)] for r in range(28)])
+
+
+def phi_inv(Y):
+    """Fields of Phi^{-1} of 28 real coefficients."""
+    y = [_real(c) for c in Y]
+    return fields_from_coords([sum(_PHI_INV[r][k] * y[k] for k in range(28))
+                               for r in range(28)])
+
+
+# --- the exact su(2) projection ----------------------------------------------
+
+@dataclass(frozen=True)
+class Sym2Element:
+    """Element c_xx x^2 + c_xy xy + c_yy y^2 of Sym^2(V2)."""
+    c_xx: GaussRational
+    c_xy: GaussRational
+    c_yy: GaussRational
+
+    @staticmethod
+    def make(c_xx=0, c_xy=0, c_yy=0) -> "Sym2Element":
+        return Sym2Element(_coerce(c_xx), _coerce(c_xy), _coerce(c_yy))
+
+    def __add__(self, other):
+        return Sym2Element(self.c_xx + other.c_xx, self.c_xy + other.c_xy,
+                           self.c_yy + other.c_yy)
+
+
+_SU2_BASIS = (E_PLUS, H_PLUS, F_PLUS)
+_SU2_GRAM = [[trace_form(a, b) for b in _SU2_BASIS] for a in _SU2_BASIS]
+
+
+def pr_K(X) -> Sym2Element:
+    """Orthogonal projection (w.r.t. the trace form) onto span{e+,h+,f+},
+    written in the x^2, xy, y^2 coordinates via e+ = -x^2, h+ = 2xy,
+    f+ = y^2."""
+    ce, ch, cf = _solve3(_SU2_GRAM, [trace_form(X, b) for b in _SU2_BASIS])
+    return Sym2Element(-ce, ch + ch, cf)
+
+
+def sym2_power(s: Sym2Element, ell: int):
+    """(c_xx x^2 + c_xy xy + c_yy y^2)^ell expanded as the 2*ell+1
+    coefficients of x^(ell+v) y^(ell-v), v = -ell..ell (listed v ascending)."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    poly = [s.c_yy, s.c_xy, s.c_xx]
+    for _ in range(ell - 1):
+        new = [GZERO] * (len(poly) + 2)
+        for k, c in enumerate(poly):
+            new[k] = new[k] + c * s.c_yy
+            new[k + 1] = new[k + 1] + c * s.c_xy
+            new[k + 2] = new[k + 2] + c * s.c_xx
+        poly = new
+    return tuple(poly)

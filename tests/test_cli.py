@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -151,6 +154,24 @@ def test_reduce_and_triality_commands(capsys):
     assert code == 0 and rep["status"] == "pass"
     code, rep = _run(capsys, ["triality-verify", "--bound", "3"])
     assert code == 0 and rep["status"] == "pass"
+    assert rep["details"][-1] == {"counts": {
+        "basis_pairs": 784, "cartan_elements": 28, "triples": 9, "cubes": 3}}
+
+
+def test_triality_verify_names_a_failing_pair(capsys, monkeypatch):
+    good = cli.triality.ge_bracket
+
+    def bad(A, B):          # wrong exactly on the basis pair (3, 5)
+        out = good(A, B)
+        num = out.num.copy()
+        num[3, 5, 0] += out.den
+        return cli.triality.GEElement(num, out.den)
+
+    monkeypatch.setattr(cli.triality, "ge_bracket", bad)
+    code, rep = _run(capsys, ["triality-verify", "--bound", "1"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["details"] == ["phi fails to preserve the bracket at basis "
+                              "pair (3, 5)"]
 
 
 def test_dirichlet_command(tmp_path, capsys):
@@ -255,6 +276,42 @@ def test_poincare_report(tmp_path, capsys):
     assert len(work["shell_sup"]) == 1
     assert f"tail bound {cli._g17(work['shell_sup'][0])}" in rep["details"][0]
     assert out.read_text().splitlines()[0] == "v,re,im"
+
+
+def test_poincare_rejects_a_radius_below_the_key(capsys):
+    # q(v) <= 4 r^2 on [-r, r]^8: radius 1 cannot reach q = 5
+    code, rep = _run(capsys, ["poincare", "--key", "5,0,5", "--bound", "1"])
+    assert code == 2 and rep["status"] == "error"
+    assert "the smallest radius that can is 2" in rep["details"][0]
+    code, rep = _run(capsys, ["poincare", "--key", "4,0,17", "--bound",
+                              "2"])
+    assert code == 2 and "the smallest radius that can is 3" in \
+        rep["details"][0]
+
+
+def test_unexpected_exception_is_an_error_report(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("not a data error")
+
+    monkeypatch.setattr(cli, "cmd_oct_check", boom)
+    code, rep = _run(capsys, ["oct-check", "--bound", "1"])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["details"][0].startswith(
+        "internal error RuntimeError: not a data error (raised at "
+        "test_cli.py:")
+
+
+def test_closed_report_pipe_is_not_a_traceback():
+    # the reader is gone before the report is written
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from octolift.cli import main; "
+         "sys.exit(main(['poincare', '--key', '2,0,2', '--bound', '1']))"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octolift.octonion import (BASIS, EPS1, EPS2, UNIT, Octonion, conj,
-                               from_vector8, norm, oct_mul, qform,
+from octolift.octonion import (BASIS, B_BASIS, EPS1, EPS2, UNIT, Octonion,
+                               conj, from_vector8, norm, oct_mul, qform,
                                to_vector8, trace, trilinear)
 from octolift.quadspace import gvec, qval
 
@@ -82,3 +82,15 @@ def test_quadratic_minimal_polynomial():
     for o in BASIS.values():
         sq = oct_mul(o, o)
         assert sq == o.scale(trace(o)) - UNIT.scale(norm(o))
+
+
+def test_integer_coordinates_stay_integers():
+    x = Octonion.make(2, (1, -3, 0), (4, 0, -1), 5)
+    y = oct_mul(x, conj(x))
+    assert all(type(c) is int for c in (y.a, *y.v, *y.phi, y.d))
+    assert y == UNIT.scale(norm(x))
+
+
+def test_b_basis_is_the_coordinate_basis():
+    for k, o in enumerate(B_BASIS):
+        assert to_vector8(o) == tuple(int(i == k) for i in range(8))

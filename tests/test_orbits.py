@@ -1,17 +1,23 @@
 """Integral isometries of the split lattice and the pair-reduction pipeline."""
 
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octolift.coset import GramTriple
-from octolift.orbits import (LatticeIsometry, SplitLattice, embed_isometry,
+from octolift.orbits import (LatticeIsometry, SplitLattice, _det_int,
+                             _inv_transpose_int, embed_isometry,
                              find_complementary_plane, gram_of_pair,
-                             levi_dual, levi_isometry, opposite_unipotent,
-                             reduce_isotropic_plane, reduce_pair,
-                             reduce_primitive_vector, siegel_unipotent,
-                             swap_isometry, wedge_pair)
+                             int_inverse, levi_dual, levi_isometry,
+                             opposite_unipotent, reduce_isotropic_plane,
+                             reduce_pair, reduce_primitive_vector,
+                             siegel_unipotent, swap_isometry, wedge_pair)
+
+from oracles import invert_fraction_matrix
 
 LAT = SplitLattice(4)
 
@@ -218,3 +224,86 @@ def test_levi_dual_moves_dual_basis():
     _, gy = LAT.split_xy(g.apply(v))
     assert list(gy) == [sum(M[i][j] * y[j] for j in range(4))
                         for i in range(4)]
+
+
+# --- isometries built without a re-check, and the integer inverse ------------
+
+def _generator(lat, kind, i, j, k):
+    n = lat.n
+    if kind == 0:
+        A = _identity_matrix(n)
+        A[i][j] = k
+        return levi_isometry(lat, A)
+    if kind == 3:
+        return swap_isometry(lat, i + 1, j + 1)
+    B = [[0] * n for _ in range(n)]
+    B[i][j], B[j][i] = k, -k
+    return (siegel_unipotent if kind == 1 else opposite_unipotent)(lat, B)
+
+
+generators = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                       st.integers(0, 3), st.integers(-3, 3)).filter(
+                           lambda t: t[1] != t[2])
+products = st.lists(st.tuples(generators, st.booleans()), min_size=1,
+                    max_size=8)
+
+
+@given(products)
+@settings(max_examples=60, deadline=None)
+def test_compose_and_inverse_stay_isometries(steps):
+    g = LatticeIsometry.identity(LAT)
+    r = LAT.rank
+    for (kind, i, j, k), invert in steps:
+        h = _generator(LAT, kind, i, j, k)
+        g = (h.inverse() if invert else h).compose(g)
+        for m in (g.matrix, g.inverse().matrix):
+            assert all(sum(m[a][x] * m[r - 1 - a][y] for a in range(r))
+                       == (x + y == r - 1) for x in range(r) for y in range(r))
+            assert _det_int(m) == 1
+            LatticeIsometry(LAT, m)          # the checked constructor agrees
+
+
+def test_compose_rejects_another_lattice():
+    with pytest.raises(ValueError):
+        LatticeIsometry.identity(LAT).compose(
+            LatticeIsometry.identity(SplitLattice(3)))
+
+
+unimodular = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                st.integers(-3, 3)), max_size=12)
+
+
+@given(unimodular, st.sampled_from([-1, 1]))
+@settings(max_examples=80, deadline=None)
+def test_inv_transpose_matches_fraction_gauss_jordan(ops, sign):
+    m = _identity_matrix(5)
+    m[0] = [sign * e for e in m[0]]
+    for i, j, k in ops:                     # row_i += k row_j
+        if i != j:
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    inv = invert_fraction_matrix(m)
+    assert _inv_transpose_int(m) == tuple(tuple(inv[j][i] for j in range(5))
+                                          for i in range(5))
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_int_inverse_matches_fraction_gauss_jordan(m):
+    if _det_int(m) == 0:
+        with pytest.raises(ValueError):
+            int_inverse(m)
+        return
+    N, d = int_inverse(m)
+    assert abs(d) == abs(_det_int(m))
+    assert [[Fraction(e, d) for e in row] for row in N] == \
+        invert_fraction_matrix(m)
+
+
+def test_inv_transpose_rejects_non_unimodular():
+    for m in ([[2, 0], [0, 1]], [[1, 2], [3, 4]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            _inv_transpose_int(m)
+    for m in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="singular"):
+            _inv_transpose_int(m)

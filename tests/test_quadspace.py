@@ -3,16 +3,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift.quadspace import (DIM, E_PLUS, E_PRIME, F_PLUS, F_PRIME,
-                                GZERO, H_PLUS, H_PRIME, GaussRational,
-                                Sym2Element, basis_vector, biv_act,
+                                GZERO, H_PLUS, H_PRIME, Bivector,
+                                GaussRational, basis_vector, biv_act,
                                 biv_matrix, bracket, cartan_theta, gvec,
-                                matrix_to_bivector, pairing, pr_K, qval,
-                                sym2_power, trace_form, vadd, vscale, wedge)
+                                matrix_to_bivector, pairing, qval,
+                                trace_form, vadd, vscale, wedge)
+
+import oracles
+from oracles import Sym2Element, pr_K, sym2_power
 
 coords = st.tuples(*([st.integers(-5, 5)] * DIM)).map(gvec)
 bivectors = st.builds(wedge, coords, coords)
@@ -145,3 +149,49 @@ def test_sym2_power_against_direct_expansion():
             poly = new
         assert len(got) == 2 * ell + 1
         assert list(got) == poly
+
+
+# --- the integer action matrices against the sparse Fraction oracle ----------
+
+ints8 = st.lists(st.integers(-5, 5), min_size=DIM, max_size=DIM)
+gauss_coords = st.builds(
+    lambda re, im, den: tuple(GaussRational(Fraction(a, den), Fraction(b, den))
+                              for a, b in zip(re, im)),
+    ints8, ints8, st.integers(1, 3))
+gauss_bivectors = st.builds(lambda u, w, v, x: wedge(u, w) + wedge(v, x),
+                            gauss_coords, gauss_coords, coords, gauss_coords)
+
+
+@given(gauss_coords, gauss_coords)
+@settings(max_examples=50)
+def test_wedge_matches_oracle(u, w):
+    assert oracles.coeffs_of(wedge(u, w)) == oracles.coeffs_wedge(u, w)
+
+
+@given(gauss_bivectors, gauss_bivectors)
+@settings(max_examples=50)
+def test_bracket_matches_sparse_oracle(X, Y):
+    got = oracles.coeffs_of(bracket(X, Y))
+    assert got == oracles.sparse_bracket(oracles.coeffs_of(X),
+                                         oracles.coeffs_of(Y))
+
+
+def test_batched_bracket_matches_single_brackets():
+    rng = random.Random(8)
+    Xs = [wedge(gvec([rng.randint(-3, 3) for _ in range(DIM)]),
+                gvec([rng.randint(-3, 3) for _ in range(DIM)])).scale(
+                    GaussRational.make(Fraction(1, 2), 1)) for _ in range(6)]
+    batch = Bivector.of(np.stack([X.re for X in Xs]),
+                        np.stack([X.im for X in Xs]), 2)
+    C = bracket(batch, cartan_theta(batch))
+    assert list(C.zero_mask()) == [False] * 6
+    for k, X in enumerate(Xs):
+        assert C[k] == bracket(X, cartan_theta(X))
+
+
+def test_int64_overflow_raises():
+    X = wedge(gvec([2 ** 40 + 1, 1] + [0] * (DIM - 2)), basis_vector(2))
+    with pytest.raises(OverflowError):
+        bracket(X, X.scale(2 ** 10))
+    with pytest.raises(OverflowError):
+        X.scale(2 ** 30)

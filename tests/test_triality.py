@@ -1,19 +1,36 @@
 """The exceptional-algebra isomorphism, triality triples, S3 action, cubes."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octolift.octonion import Octonion
-from octolift.quadspace import bracket, cartan_theta
-from octolift.triality import (BhargavaCube, cube_pairing, cube_to_pair,
-                               ge_basis, ge_bracket, ge_cartan, pair_to_cube,
-                               phi_inv, phi_iso, prop_mult_triple,
-                               s3_act_cube, s3_act_triple, standard_triples,
+from octolift.octonion import (B_BASIS, Octonion, conj, from_vector8,
+                               oct_mul, to_vector8, trilinear)
+from octolift.quadspace import (E_PLUS, Bivector, biv_act, biv_matrix,
+                                bracket, cartan_theta, wedge)
+from octolift.triality import (BhargavaCube, GEElement, _TR, conj_twist,
+                               cube_pairing, cube_to_pair, ge_basis,
+                               ge_bracket, ge_cartan, left_mult_bivector,
+                               pair_to_cube, perm_apply, phi_inv, phi_iso,
+                               prop_mult_triple, s3_act_cube, s3_act_ge,
+                               s3_act_triple, standard_triples,
                                verify_triality_triple)
 
+import oracles
+
 PERMS = list(permutations((1, 2, 3)))
+octonions = st.builds(
+    lambda c, den: Octonion.make(Fraction(c[0], den),
+                                 tuple(Fraction(e, den) for e in c[1:4]),
+                                 tuple(Fraction(e, den) for e in c[4:7]),
+                                 Fraction(c[7], den)),
+    st.lists(st.integers(-4, 4), min_size=8, max_size=8), st.integers(1, 3))
+octonion_pairs = st.tuples(octonions, octonions)
 
 
 def _rand_oct(rng):
@@ -139,3 +156,114 @@ def test_bad_permutation_rejected():
     wc = BhargavaCube.make(1, (0, 0, 0), (0, 0, 0), 1)
     with pytest.raises(ValueError):
         s3_act_cube((1, 1, 2), wc)
+
+
+# --- the integer-array layer against the Fraction oracles --------------------
+
+ge_elements = st.builds(
+    lambda num, den: GEElement.of(np.array(num, dtype=np.int64), den),
+    st.lists(st.integers(-6, 6), min_size=28, max_size=28),
+    st.integers(1, 6))
+real_bivectors = st.builds(
+    lambda u, w, v, x, den: (wedge(u, w)
+                             + wedge(v, x)).scale(Fraction(1, den)),
+    *[st.tuples(*[st.integers(-4, 4)] * 8)] * 4, st.integers(1, 6))
+
+
+@given(ge_elements, ge_elements)
+@settings(max_examples=60, deadline=None)
+def test_ge_bracket_matches_fraction_oracle(A, B):
+    got = oracles.fields_of(ge_bracket(A, B))
+    assert got == oracles.ge_bracket(oracles.fields_of(A),
+                                     oracles.fields_of(B))
+
+
+@given(ge_elements)
+@settings(max_examples=60, deadline=None)
+def test_phi_iso_matches_oracle(X):
+    assert oracles.coeffs_of(phi_iso(X)) == oracles.phi_iso(
+        oracles.fields_of(X))
+
+
+@given(real_bivectors)
+@settings(max_examples=60, deadline=None)
+def test_phi_inv_matches_oracle(Y):
+    assert oracles.fields_of(phi_inv(Y)) == oracles.phi_inv(
+        oracles.coeffs_of(Y))
+
+
+@given(ge_elements)
+@settings(max_examples=30, deadline=None)
+def test_ge_cartan_and_s3_match_field_formulas(X):
+    sl3, e0, vE, dE = oracles.fields_of(X)
+    want = (tuple(tuple(-sl3[j][i] for j in range(3)) for i in range(3)),
+            tuple(-c for c in e0), dE, vE)
+    assert oracles.fields_of(ge_cartan(X)) == want
+    for p in PERMS:
+        want = (sl3, perm_apply(p, e0),
+                tuple(perm_apply(p, row) for row in vE),
+                tuple(perm_apply(p, row) for row in dE))
+        assert oracles.fields_of(s3_act_ge(p, X)) == want
+
+
+def test_batched_calls_match_single_calls():
+    rng = np.random.RandomState(5)
+    A = GEElement.of(rng.randint(-5, 6, size=(12, 28)), 2)
+    B = GEElement.of(rng.randint(-5, 6, size=(12, 28)), 3)
+    C, P = ge_bracket(A, B), phi_iso(A)
+    Q = phi_inv(P)
+    for k in range(12):
+        assert C[k] == ge_bracket(A[k], B[k])
+        assert (P[k] - phi_iso(A[k])).is_zero()
+        assert Q[k] == A[k]
+    assert verify_triality_triple(*(
+        Bivector.of(np.stack([X.re] * 3), np.stack([X.im] * 3), X.den)
+        for X in standard_triples()[2]))
+
+
+def test_phi_inv_rejects_complex_bivectors():
+    with pytest.raises(ValueError):
+        phi_inv(E_PLUS)
+
+
+def test_overflow_raises_instead_of_wrapping():
+    big = GEElement(np.full(28, 2 ** 40, dtype=np.int64))
+    with pytest.raises(OverflowError):
+        ge_bracket(big, big)
+    X = standard_triples()[0][0].scale(2 ** 40)
+    with pytest.raises(OverflowError):
+        verify_triality_triple(X, X, X.scale(2 ** 20))
+
+
+def test_trilinear_tensor_matches_octonions():
+    for i, x in enumerate(B_BASIS):
+        for j, y in enumerate(B_BASIS):
+            for k, z in enumerate(B_BASIS):
+                assert _TR[i, j, k] == trilinear(x, y, z)
+
+
+@given(octonion_pairs)
+@settings(max_examples=30, deadline=None)
+def test_mult_bivectors_match_octonion_products(uv):
+    # the columns are the images of the b-basis under the operator
+    u, v = uv
+    us, vs = conj(u), conj(v)
+    for side in ("l", "r"):
+        A = biv_matrix(left_mult_bivector(u, v, side))
+        for k, o in enumerate(B_BASIS):
+            if side == "l":
+                w = oct_mul(us, oct_mul(v, o)) - oct_mul(vs, oct_mul(u, o))
+            else:
+                w = oct_mul(oct_mul(o, v), us) - oct_mul(oct_mul(o, u), vs)
+            assert [A[r][k] for r in range(8)] == list(to_vector8(w))
+    assert verify_triality_triple(*prop_mult_triple(u, v))
+
+
+@given(real_bivectors, st.tuples(*[st.integers(-4, 4)] * 8))
+@settings(max_examples=30, deadline=None)
+def test_conj_twist_is_conjugation_by_octonionic_conj(X, x):
+    # act(c X c) x = c act(X) c x, c the octonionic conjugation
+    cx = to_vector8(conj(from_vector8(x)))
+    lhs = biv_act(conj_twist(X), x)
+    rhs = to_vector8(conj(from_vector8(biv_act(X, cx))))
+    assert lhs == rhs

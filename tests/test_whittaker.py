@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from octolift.coset import GramTriple, gram, mat2
 from octolift import whittaker
 from octolift.quadspace import (E_PLUS, F_PLUS, H_PLUS, GaussRational,
-                                biv_matrix, gvec, pr_K, sym2_power, wedge)
+                                biv_matrix, gvec, wedge)
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 alternating_binomial_sum,
                                 archimedean_integral_check, bessel_k,
@@ -27,6 +27,8 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 q_poincare, s_v_sum, whittaker_eval,
                                 _plane_rotation, _s_v_exact,
                                 _sym_power_batch, _vectors_by_norm)
+
+from oracles import pr_K, sym2_power
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -208,7 +210,8 @@ def test_archimedean_integral_preconditions():
 # --- the summand and the lattice sum ----------------------------------------------
 
 def _bvv_exact(v1, v2, ell):
-    """Independent exact route: quadspace pr_K + sym2_power over rationals."""
+    """Independent exact route: the oracles' pr_K + sym2_power over
+    rationals."""
     s = pr_K(wedge(gvec(v1), gvec(v2)))
     cxx = complex(s.c_xx)
     cxy = complex(s.c_xy)

@@ -46,7 +46,6 @@ from .octonion import Octonion, conj, norm, oct_mul, trilinear
 from .quadspace import GaussRational, bracket, cartan_theta
 from . import triality
 from . import orbits
-from . import whittaker
 
 
 class TableError(Exception):
@@ -472,6 +471,8 @@ def _worse(worst: float, err: float) -> float:
 
 
 def cmd_whittaker(args):
+    from . import whittaker    # loads scipy, which only this and
+                               # poincare need
     details = []
     rows = []
     worst_sv = 0.0
@@ -489,11 +490,14 @@ def cmd_whittaker(args):
     T = (0.2, -0.9, -1.1, -0.2)
     worst = 0.0
     worst_est = 0.0
+    nodes = intervals = 0
     for t in (0.7, 1.3):
         for theta in (0.0, 0.6):
             u = whittaker.boost_u(theta)
             num, closed = whittaker.archimedean_integral_check(T, t, u, ell)
             worst_est = _worse(worst_est, num.err)
+            nodes += num.nodes
+            intervals += num.intervals
             for v in range(-ell, ell + 1):
                 cn, cc = num.component(v), closed.component(v)
                 worst = _worse(worst, abs(cn - cc) / max(abs(cc), 1e-300))
@@ -511,17 +515,20 @@ def cmd_whittaker(args):
                   ["v", "t", "theta", "num_re", "num_im", "closed_re",
                    "closed_im"], rows)
         details.append(f"wrote {args.out}")
+    details.append({"quadrature": {"nodes": nodes, "intervals": intervals}})
     return "pass", details
 
 
 def cmd_poincare(args):
+    from . import whittaker    # as in cmd_whittaker
     a, b, c = args.key
     res = whittaker.q_poincare(GramTriple(a, b, c), args.weight, args.bound)
     comps = res.components
     rows = [[v, comps[v + args.weight].real, comps[v + args.weight].imag]
             for v in range(-args.weight, args.weight + 1)]
     details = [f"Fourier coefficient at ({a},{b},{c}), weight {args.weight},"
-               f" radius {args.bound}; tail bound {_g17(res.shell_sup[-1])}",
+               f" radius {args.bound}; outermost shell sup-norm "
+               f"{_g17(res.shell_sup[-1])}",
                {"pairs": res.pairs, "groups": res.groups,
                 "shell_sup": list(res.shell_sup)}]
     if args.out:
@@ -547,6 +554,13 @@ def _tolerance(s: str) -> float:
     if not tol > 0:
         raise argparse.ArgumentTypeError("expected a number > 0")
     return tol
+
+
+def _weight(s: str) -> int:
+    ell = int(s)
+    if ell < 0:
+        raise argparse.ArgumentTypeError("expected a weight >= 0")
+    return ell
 
 
 def _triple(s: str) -> Tuple[int, int, int]:
@@ -622,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("whittaker", cmd_whittaker, "Bessel-sum identity and "
              "archimedean integral vs closed form")
-    sp.add_argument("--weight", type=int, default=4)
+    sp.add_argument("--weight", type=_weight, default=4,
+                    help="weight ell >= 0")
     sp.add_argument("--tol", type=_tolerance, default=1e-6,
                     help="relative error bound, > 0 (inf allowed)")
     sp.add_argument("--out", default=None, help="CSV output path")

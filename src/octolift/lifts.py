@@ -172,21 +172,6 @@ def classical_maass_check(F: SiegelTable) -> Report:
     return Report(True, f"{len(F.entries)} keys verified")
 
 
-def jacobi_coeffs(c: HalfIntegralTable, nmax: int):
-    """Fourier-Jacobi expansion coefficients of the index-1 Jacobi form:
-    (n, r) -> c(4n - r^2) for 4n - r^2 >= 0, n <= nmax."""
-    out = {}
-    for n in range(nmax + 1):
-        r = 0
-        while r * r <= 4 * n:
-            val = c.c(4 * n - r * r)
-            out[(n, r)] = val
-            if r:
-                out[(n, -r)] = val
-            r += 1
-    return out
-
-
 # --- the quaternionic theta* lift ---------------------------------------------
 
 def theta_star(F: SiegelTable, lam: IndexPair) -> GaussRational:

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, isqrt, pi, prod, sqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import k0e, k1e, kve
 
 from .coset import GramTriple, IndexPair, gram as coset_gram
@@ -62,17 +61,17 @@ def bessel_k(nu, x: float) -> float:
     return float(kve(abs(two_nu.numerator) / 2, x)) * exp(-x)
 
 
-def bessel_k_row(nmax: int, x: float) -> List[float]:
+def bessel_k_row(nmax: int, x) -> np.ndarray:
     """[K_0(x), ..., K_nmax(x)]: library seeds K_0, K_1 and the upward
-    recurrence K_{n+1} = K_{n-1} + (2n/x) K_n (stable in this direction)."""
-    if x <= 0:
+    recurrence K_{n+1} = K_{n-1} + (2n/x) K_n (stable in this direction).
+    For an array x, row n is K_n on every entry of x."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise ValueError("bessel_k_row requires x > 0")
-    row = [float(k0e(x)) * exp(-x)]
-    if nmax >= 1:
-        row.append(float(k1e(x)) * exp(-x))
+    row = [k0e(x) * np.exp(-x), k1e(x) * np.exp(-x)]
     for n in range(1, nmax):
         row.append(row[n - 1] + (2.0 * n / x) * row[n])
-    return row[:nmax + 1]
+    return np.stack(row[:nmax + 1])
 
 
 # --- Levi points and beta ----------------------------------------------------
@@ -123,12 +122,15 @@ def beta_fn(T1, T2, r: LeviPoint) -> complex:
 
 @dataclass(frozen=True)
 class WhittakerValue:
-    """Coefficients of x^{l+v} y^{l-v} / ((l+v)! (l-v)!), v = -l..l, with
-    the quadrature's absolute error estimate (2-norm over the components)
-    when they come from one, else None."""
+    """Coefficients of x^{l+v} y^{l-v} / ((l+v)! (l-v)!), v = -l..l.  When
+    they come from a quadrature, err is its absolute error estimate (2-norm
+    over the components) and nodes, intervals count its integrand
+    evaluations and the intervals it evaluated; otherwise None, 0, 0."""
     ell: int
     components: Tuple[complex, ...]
     err: Optional[float] = None
+    nodes: int = 0
+    intervals: int = 0
 
     def __post_init__(self):
         if len(self.components) != 2 * self.ell + 1:
@@ -140,19 +142,25 @@ class WhittakerValue:
         return self.components[v + self.ell]
 
 
+def _whittaker_components(beta: np.ndarray, pref: float,
+                          ell: int) -> np.ndarray:
+    """Rows pref (beta/|beta|)^v K_|v|(|beta|), v = -ell..ell, one row per
+    entry of the complex array beta."""
+    ab = np.abs(beta)
+    v = np.arange(-ell, ell + 1)
+    return pref * (beta / ab)[:, None] ** v * bessel_k_row(ell, ab)[abs(v)].T
+
+
 def whittaker_eval(T1, T2, r: LeviPoint, ell: int) -> WhittakerValue:
     """det(m)^ell |det(m)| sum_v (beta/|beta|)^v K_v(|beta|) on the standard
     component basis."""
     beta = beta_fn(T1, T2, r)
-    ab = abs(beta)
-    if ab < 1e-14:
+    if abs(beta) < 1e-14:
         raise ValueError("degenerate: |beta| vanishes at this point")
     detm = float(np.linalg.det(r.m))
-    pref = detm ** ell * abs(detm)
-    phase = beta / ab
-    krow = bessel_k_row(ell, ab)
-    comps = [pref * phase ** v * krow[abs(v)] for v in range(-ell, ell + 1)]
-    return WhittakerValue(ell, tuple(comps))
+    comps = _whittaker_components(np.array([beta]), detm ** ell * abs(detm),
+                                  ell)[0]
+    return WhittakerValue(ell, tuple(comps.tolist()))
 
 
 # --- the S_v sum and its combinatorial engine --------------------------------
@@ -208,16 +216,6 @@ def s_v_sum(v: int, X: float) -> complex:
     return pi * exp(-X) * complex(_s_v_exact(v, Fraction(X)))
 
 
-def alternating_binomial_sum(poly: Sequence, m: int) -> Fraction:
-    """sum_{k=0}^m (-1)^k C(m,k) F(k) for F given by coefficients
-    [c0, c1, ...] of 1, k, k^2, ...; exact.  Zero whenever deg F < m."""
-    total = Fraction(0)
-    for k in range(m + 1):
-        fk = sum(Fraction(c) * k ** e for e, c in enumerate(poly))
-        total += (-1) ** k * comb(m, k) * fk
-    return total
-
-
 # --- the Fourier-Jacobi archimedean integral ---------------------------------
 
 def _plane_rotation(p1: np.ndarray, p2: np.ndarray, theta: float,
@@ -246,14 +244,93 @@ def boost_u(theta: float) -> np.ndarray:
     return _plane_rotation(p, n, theta, J4)
 
 
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15; Piessens, de Doncker-
+# Kapenga, Ueberhuber, Kahaner 1983): the 15 Kronrod nodes and weights, and
+# the 7-point Gauss weights on the odd-indexed nodes, which are the Gauss
+# nodes.
+_GK_X = np.array([0.991455371120812639206854697526329,
+                  0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926,
+                  0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013,
+                  0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245])
+_GK_X = np.concatenate([_GK_X, [0.0], -_GK_X[::-1]])
+_GK_W = np.array([0.022935322010529224963732008058970,
+                  0.063092092629978553290700663189204,
+                  0.104790010322250183839876322541518,
+                  0.140653259715525918745189590510238,
+                  0.169004726639267902826583426598550,
+                  0.190350578064785409913256402421014,
+                  0.204432940075298892414161999234649])
+_GK_W = np.concatenate([_GK_W, [0.209482141084727828012999174891714],
+                        _GK_W[::-1]])
+_G7_W = np.zeros(15)
+_G7_W[1::2] = [0.129484966168869693270611432679082,
+               0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975,
+               0.417959183673469387755102040816327,
+               0.381830050505118944950369775488975,
+               0.279705391489276667901467771423780,
+               0.129484966168869693270611432679082]
+
+
+def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
+                   limit: int) -> Tuple[np.ndarray, float, int]:
+    """Adaptive Gauss-Kronrod 7/15 quadrature of a vector-valued f over
+    [a, b]: (integral, error estimate, intervals evaluated).
+
+    f maps a 1-d array of points to one row of values per point.  Each
+    round evaluates the 15 nodes of every open interval in one call of f.
+    An interval's error estimate is ||K15 - G7||_2, raised to the rounding
+    floor 50 eps ||K15 of |f| ||_2.  The intervals are all accepted once
+    their estimates sum to at most tol = max(epsabs, epsrel ||integral||);
+    before that an interval is accepted when its estimate is within its
+    share of tol by length or is the rounding floor, and the others are
+    bisected.  The estimate returned is the sum over the accepted
+    intervals.  Once another round would pass limit intervals, or an
+    estimate is not finite, the open intervals are accepted unconverged,
+    estimates included."""
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    total, err, evaluated = 0.0, 0.0, 0
+    while True:
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        fx = f((mid[:, None] + half[:, None] * _GK_X).ravel())
+        fx = fx.reshape(len(lo), len(_GK_X), -1)
+        k15 = half[:, None] * np.einsum("k,ikc->ic", _GK_W, fx)
+        g7 = half[:, None] * np.einsum("k,ikc->ic", _G7_W, fx)
+        rounding = 50.0 * np.finfo(float).eps * np.linalg.norm(
+            half[:, None] * np.einsum("k,ikc->ic", _GK_W, np.abs(fx)), axis=1)
+        diff = np.linalg.norm(k15 - g7, axis=1)
+        est = np.maximum(diff, rounding)
+        evaluated += len(lo)
+        tol = max(epsabs, epsrel * np.linalg.norm(total + k15.sum(axis=0)))
+        if err + est.sum() <= tol:
+            done = np.ones(len(lo), dtype=bool)
+        else:
+            # at the rounding floor, halves have half the estimate and half
+            # the share, so bisection cannot help
+            done = (est <= tol * (hi - lo) / (b - a)) | (diff <= rounding)
+            if (evaluated + 2 * np.count_nonzero(~done) > limit
+                    or not np.isfinite(est).all()):
+                done[:] = True
+        total = total + k15[done].sum(axis=0)
+        err += float(est[done].sum())
+        if done.all():
+            return total, err, evaluated
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
 def archimedean_integral_check(T, t: float, u, ell: int,
-                               epsrel: float = 1e-9
+                               epsrel: float = 1e-9, limit: int = 1000
                                ) -> Tuple[WhittakerValue, WhittakerValue]:
     """Numeric integral over s of the Whittaker value along
     r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]], for the ordered pair
     [y0, T] with T in the orthogonal complement of y0; versus the closed
     form (pi t^ell e^{-(2-w)} / 2) i^v with w = t (T, u . y1).  The
-    numeric value carries quad_vec's error estimate in its err field."""
+    numeric value comes from _gauss_kronrod, capped at limit intervals,
+    and carries its error estimate and work counts."""
     T = np.asarray(T, dtype=float)
     u = np.asarray(u, dtype=float)
     if t <= 0:
@@ -265,22 +342,26 @@ def archimedean_integral_check(T, t: float, u, ell: int,
     w = t * pairing22(T, u @ Y1).real
     if 2.0 - w <= 0:
         raise ValueError("precondition violated: 2 - t (T, u . y1) <= 0")
-
-    # beta along the line (exact closed form of the pairing computation):
-    # beta(s) = -2 s t + i (2 - w); the integrand never degenerates.
-    def integrand(s):
-        m = np.array([[1.0, s * t], [0.0, t]])
-        val = whittaker_eval(Y0, T, LeviPoint(m, u), ell)
-        return np.array(val.components)
-
-    b0 = complex(-0.0, 2.0 - w)
-    assert abs(beta_fn(Y0, T, LeviPoint(np.array([[1.0, 0.0], [0.0, t]]), u))
-               - 1j * (2.0 - w)) < 1e-9 * (1 + abs(b0))
     # truncation: |beta| >= 2t|s|, so K_v decays like e^{-2t|s|}
     smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
-    res, err = integrate.quad_vec(integrand, -smax, smax,
-                                  epsabs=1e-14, epsrel=epsrel)
-    numeric = WhittakerValue(ell, tuple(res), float(err))
+
+    # beta along the line has the closed form beta(s) = -2 s t + i (2 - w),
+    # so the integrand never degenerates, and det m(s) = t.  The closed
+    # form is checked against the pairing computation at s = 0 and at four
+    # of the first round's nodes.
+    for s in (0.0, *(smax * _GK_X[::4])):
+        b = complex(-2.0 * s * t, 2.0 - w)
+        m = np.array([[1.0, s * t], [0.0, t]])
+        assert abs(beta_fn(Y0, T, LeviPoint(m, u)) - b) < 1e-9 * (1 + abs(b))
+
+    def integrand(s):
+        return _whittaker_components(-2.0 * t * s + 1j * (2.0 - w),
+                                     t ** ell * t, ell)
+
+    res, err, intervals = _gauss_kronrod(integrand, -smax, smax, 1e-14,
+                                         epsrel, limit)
+    numeric = WhittakerValue(ell, tuple(res.tolist()), err,
+                             len(_GK_X) * intervals, intervals)
     scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
     closed = WhittakerValue(
         ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1)))

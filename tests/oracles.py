@@ -1,18 +1,29 @@
-"""Reference implementations for the exact algebra layer, kept as test
-oracles: the Fraction g_E bracket on (sl3, e0, vE, dE) fields, the sparse
-bracket on 28 bivector coefficients, Phi built from wedges of the octonion
-basis, the Gauss-Jordan inverse over Fraction, and the exact su(2)
-projection pr_K with its symmetric powers.  They share no code with the
-integer-array implementations they check beyond the scalar type and the
-b-basis coordinates of the octonions."""
+"""Reference implementations kept as test oracles.
+
+For the exact algebra layer: the Fraction g_E bracket on (sl3, e0, vE, dE)
+fields, the sparse bracket on 28 bivector coefficients, Phi built from
+wedges of the octonion basis, the Gauss-Jordan inverse over Fraction, and
+the exact su(2) projection pr_K with its symmetric powers.  They share no
+code with the integer-array implementations they check beyond the scalar
+type and the b-basis coordinates of the octonions.
+
+For the numeric layer: the Whittaker integral by scipy's quad_vec with one
+whittaker_eval (beta by matrix products) per node.  Also two exact helpers
+that no command uses: an alternating binomial sum and the index-1 Jacobi
+form's coefficients."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+
+import numpy as np
+from scipy import integrate
 
 from octolift.octonion import BASIS, to_vector8
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
                                 GaussRational, _coerce, _solve3, biv_coords,
                                 trace_form)
+from octolift.whittaker import LeviPoint, Y0, whittaker_eval
 
 F0, F1 = Fraction(0), Fraction(1)
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
@@ -370,3 +381,49 @@ def sym2_power(s: Sym2Element, ell: int):
             new[k + 2] = new[k + 2] + c * s.c_xx
         poly = new
     return tuple(poly)
+
+
+# --- the numeric layer -------------------------------------------------------
+
+def archimedean_integral_quad_vec(T, t: float, u, ell: int):
+    """The integral of whittaker.archimedean_integral_check over the same
+    truncated line, by quad_vec: one validated LeviPoint and one
+    whittaker_eval per node.  Returns (components, error estimate)."""
+    T = np.asarray(T, dtype=float)
+
+    def integrand(s):
+        m = np.array([[1.0, s * t], [0.0, t]])
+        return np.array(whittaker_eval(Y0, T, LeviPoint(m, u), ell).components)
+
+    smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+    res, err = integrate.quad_vec(integrand, -smax, smax, epsabs=1e-14,
+                                  epsrel=1e-9)
+    return res, float(err)
+
+
+# --- exact helpers no command uses -------------------------------------------
+
+def alternating_binomial_sum(poly, m: int) -> Fraction:
+    """sum_{k=0}^m (-1)^k C(m,k) F(k) for F given by coefficients
+    [c0, c1, ...] of 1, k, k^2, ...; exact.  Zero whenever deg F < m."""
+    total = Fraction(0)
+    for k in range(m + 1):
+        fk = sum(Fraction(c) * k ** e for e, c in enumerate(poly))
+        total += (-1) ** k * comb(m, k) * fk
+    return total
+
+
+def jacobi_coeffs(c, nmax: int):
+    """Fourier-Jacobi expansion coefficients of the index-1 Jacobi form of
+    a HalfIntegralTable c: (n, r) -> c(4n - r^2) for 4n - r^2 >= 0,
+    n <= nmax."""
+    out = {}
+    for n in range(nmax + 1):
+        r = 0
+        while r * r <= 4 * n:
+            val = c.c(4 * n - r * r)
+            out[(n, r)] = val
+            if r:
+                out[(n, -r)] = val
+            r += 1
+    return out

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octolift import cli
+from octolift import cli, whittaker
 from octolift.coset import GramTriple
 from octolift.lifts import HalfIntegralTable, QuatTable, SiegelTable
 from octolift.quadspace import GaussRational
@@ -21,6 +22,21 @@ def _run(capsys, argv):
     code = cli.main(argv)
     report = json.loads(capsys.readouterr().out)
     return code, report
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports octolift as this test
+    session does."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _python("import sys, octolift.cli; "
+                   "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- table files --------------------------------------------------------------
@@ -209,8 +225,37 @@ def test_whittaker_infinite_tol_passes(capsys):
     assert "quadrature error estimate" in rep["details"][1]
 
 
+def test_whittaker_reports_quadrature_work(capsys):
+    code, rep = _run(capsys, ["whittaker", "--weight", "2"])
+    assert code == 0
+    work = rep["details"][-1]["quadrature"]
+    assert work["intervals"] > 0
+    assert work["nodes"] == 15 * work["intervals"]
+
+
+def test_whittaker_rejects_negative_weight():
+    proc = _python("import sys; from octolift.cli import main; "
+                   "sys.exit(main(['whittaker', '--weight', '-1']))")
+    assert proc.returncode == 2
+    assert "argument --weight: expected a weight >= 0" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("weight", ["40", "200"])
+def test_whittaker_high_weight_fails_fast(weight):
+    """Cancellation (weight 40) and overflow (weight 200) make the integral
+    inaccurate; the check must end at its interval cap and fail, not
+    hang."""
+    start = time.monotonic()
+    proc = _python("import sys; from octolift.cli import main; "
+                   f"sys.exit(main(['whittaker', '--weight', '{weight}']))")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "fail"
+    assert time.monotonic() - start < 10
+
+
 def test_whittaker_nan_error_fails(capsys, monkeypatch):
-    monkeypatch.setattr(cli.whittaker, "s_v_sum",
+    monkeypatch.setattr(whittaker, "s_v_sum",
                         lambda v, X: complex("nan"))
     code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
     assert code == 1 and rep["status"] == "fail"
@@ -218,14 +263,14 @@ def test_whittaker_nan_error_fails(capsys, monkeypatch):
 
 
 def test_whittaker_nan_integral_fails(capsys, monkeypatch):
-    check = cli.whittaker.archimedean_integral_check
+    check = whittaker.archimedean_integral_check
 
     def nan_numeric(*args):
         num, closed = check(*args)
         comps = (complex("nan"),) + num.components[1:]
-        return cli.whittaker.WhittakerValue(num.ell, comps, num.err), closed
+        return whittaker.WhittakerValue(num.ell, comps, num.err), closed
 
-    monkeypatch.setattr(cli.whittaker, "archimedean_integral_check",
+    monkeypatch.setattr(whittaker, "archimedean_integral_check",
                         nan_numeric)
     code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
     assert code == 1 and rep["status"] == "fail"
@@ -274,7 +319,8 @@ def test_poincare_report(tmp_path, capsys):
     work = rep["details"][1]
     assert (work["pairs"], work["groups"]) == (76560, 684)
     assert len(work["shell_sup"]) == 1
-    assert f"tail bound {cli._g17(work['shell_sup'][0])}" in rep["details"][0]
+    assert (f"outermost shell sup-norm {cli._g17(work['shell_sup'][0])}"
+            in rep["details"][0])
     assert out.read_text().splitlines()[0] == "v,re,im"
 
 

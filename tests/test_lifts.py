@@ -14,10 +14,12 @@ from octolift.lifts import (DirichletPoly, HalfIntegralTable,
                             a_prim, classical_maass_check,
                             classical_maass_lift, dirichlet_factor_check,
                             dirichlet_series, fj_extract, fj_pair,
-                            jacobi_coeffs, maass_membership,
-                            primitive_dirichlet_series, reduced_triples,
-                            spezialschar_keys, theta_star, theta_star_table)
+                            maass_membership, primitive_dirichlet_series,
+                            reduced_triples, spezialschar_keys, theta_star,
+                            theta_star_table)
 from octolift.quadspace import GZERO, GaussRational
+
+from oracles import jacobi_coeffs
 
 
 def _random_half_table(seed, bound, weight=10):

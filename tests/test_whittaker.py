@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy.optimize import minimize
@@ -20,7 +20,6 @@ from octolift import whittaker
 from octolift.quadspace import (E_PLUS, F_PLUS, H_PLUS, GaussRational,
                                 biv_matrix, gvec, wedge)
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
-                                alternating_binomial_sum,
                                 archimedean_integral_check, bessel_k,
                                 bessel_k_row, beta_fn, boost_u, bvv,
                                 mat2_to_vec22, pairing22, positivity_oracle,
@@ -28,7 +27,8 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 _plane_rotation, _s_v_exact,
                                 _sym_power_batch, _vectors_by_norm)
 
-from oracles import pr_K, sym2_power
+from oracles import (alternating_binomial_sum,
+                     archimedean_integral_quad_vec, pr_K, sym2_power)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -73,6 +73,16 @@ def test_bessel_k_row_matches_bessel_k():
         row = bessel_k_row(8, x)
         for n in range(9):
             assert abs(row[n] - bessel_k(n, x)) <= 1e-11 * abs(row[n])
+
+
+def test_bessel_k_row_on_an_array():
+    xs = np.array(BESSEL_X)
+    rows = bessel_k_row(22, xs)
+    assert rows.shape == (23, len(xs))
+    for k, x in enumerate(BESSEL_X):
+        assert list(rows[:, k]) == list(bessel_k_row(22, x))
+    with pytest.raises(ValueError):
+        bessel_k_row(3, np.array([1.0, 0.0]))
 
 
 # --- beta and Whittaker values ----------------------------------------------------
@@ -183,6 +193,18 @@ def test_alternating_binomial_sum():
     assert alternating_binomial_sum([5], 0) == 5
 
 
+def test_gauss_kronrod_rule_degrees():
+    """K15 integrates x^d exactly on [-1, 1] up to d = 22 (23 by symmetry),
+    G7 up to d = 13 and not d = 14."""
+    x = whittaker._GK_X
+    for d in range(24):
+        want = (1 - (-1) ** (d + 1)) / (d + 1)
+        assert abs(whittaker._GK_W @ x ** d - want) < 1e-15
+        if d <= 13:
+            assert abs(whittaker._G7_W @ x ** d - want) < 1e-15
+    assert abs(whittaker._G7_W @ x ** 14 - 2 / 15) > 1e-5
+
+
 def test_archimedean_integral_matches_closed_form():
     T = (0.2, -0.9, -1.1, -0.2)
     num, closed = archimedean_integral_check(T, 1.0, boost_u(0.4), 4)
@@ -193,6 +215,33 @@ def test_archimedean_integral_matches_closed_form():
     assert closed.err is None
     diff = np.array(num.components) - np.array(closed.components)
     assert np.linalg.norm(diff) <= num.err < 1e-8
+    assert num.nodes == 15 * num.intervals > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.integers(0, 8))
+def test_archimedean_integral_against_quad_vec(t, theta, ell):
+    """The batched Gauss-Kronrod rule against quad_vec's per-node
+    integral: equal to 1e-10 relative, and its error estimate bounds the
+    actual error."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    u = boost_u(theta)
+    num, closed = archimedean_integral_check(T, t, u, ell)
+    want, _ = archimedean_integral_quad_vec(T, t, u, ell)
+    got = np.array(num.components)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(got - np.array(closed.components)) <= num.err
+
+
+def test_archimedean_integral_interval_cap():
+    """A capped integral stops at the cap and still reports an estimate
+    that bounds its actual error."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    full, closed = archimedean_integral_check(T, 0.7, boost_u(0.3), 6)
+    num, _ = archimedean_integral_check(T, 0.7, boost_u(0.3), 6, limit=7)
+    assert num.intervals <= 7 < full.intervals
+    diff = np.array(num.components) - np.array(closed.components)
+    assert full.err < np.linalg.norm(diff) <= num.err
 
 
 def test_archimedean_integral_preconditions():

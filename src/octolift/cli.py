@@ -490,13 +490,12 @@ def cmd_whittaker(args):
     T = (0.2, -0.9, -1.1, -0.2)
     worst = 0.0
     worst_est = 0.0
-    nodes = intervals = 0
+    intervals = 0
     for t in (0.7, 1.3):
         for theta in (0.0, 0.6):
             u = whittaker.boost_u(theta)
             num, closed = whittaker.archimedean_integral_check(T, t, u, ell)
             worst_est = _worse(worst_est, num.err)
-            nodes += num.nodes
             intervals += num.intervals
             for v in range(-ell, ell + 1):
                 cn, cc = num.component(v), closed.component(v)
@@ -515,7 +514,8 @@ def cmd_whittaker(args):
                   ["v", "t", "theta", "num_re", "num_im", "closed_re",
                    "closed_im"], rows)
         details.append(f"wrote {args.out}")
-    details.append({"quadrature": {"nodes": nodes, "intervals": intervals}})
+    details.append({"quadrature": {"nodes": whittaker.GK_NODES * intervals,
+                                   "intervals": intervals}})
     return "pass", details
 
 
@@ -556,10 +556,17 @@ def _tolerance(s: str) -> float:
     return tol
 
 
+# The K-Bessel row overflows at every point of whittaker's grid from
+# weight 198 on, so a larger weight can only fail, after evaluating arrays
+# of 2 * weight + 1 components per quadrature node.
+_MAX_WEIGHT = 200
+
+
 def _weight(s: str) -> int:
     ell = int(s)
-    if ell < 0:
-        raise argparse.ArgumentTypeError("expected a weight >= 0")
+    if not 0 <= ell <= _MAX_WEIGHT:
+        raise argparse.ArgumentTypeError(
+            f"expected a weight between 0 and {_MAX_WEIGHT}")
     return ell
 
 
@@ -637,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("whittaker", cmd_whittaker, "Bessel-sum identity and "
              "archimedean integral vs closed form")
     sp.add_argument("--weight", type=_weight, default=4,
-                    help="weight ell >= 0")
+                    help=f"weight ell, 0 <= ell <= {_MAX_WEIGHT}")
     sp.add_argument("--tol", type=_tolerance, default=1e-6,
                     help="relative error bound, > 0 (inf allowed)")
     sp.add_argument("--out", default=None, help="CSV output path")

@@ -124,12 +124,11 @@ def beta_fn(T1, T2, r: LeviPoint) -> complex:
 class WhittakerValue:
     """Coefficients of x^{l+v} y^{l-v} / ((l+v)! (l-v)!), v = -l..l.  When
     they come from a quadrature, err is its absolute error estimate (2-norm
-    over the components) and nodes, intervals count its integrand
-    evaluations and the intervals it evaluated; otherwise None, 0, 0."""
+    over the components) and intervals counts the intervals it evaluated,
+    GK_NODES integrand values each; otherwise None and 0."""
     ell: int
     components: Tuple[complex, ...]
     err: Optional[float] = None
-    nodes: int = 0
     intervals: int = 0
 
     def __post_init__(self):
@@ -273,10 +272,12 @@ _G7_W[1::2] = [0.129484966168869693270611432679082,
                0.381830050505118944950369775488975,
                0.279705391489276667901467771423780,
                0.129484966168869693270611432679082]
+GK_NODES = len(_GK_X)     # integrand values per interval
+_GK_LIMIT = 1000          # intervals one integral may evaluate
 
 
-def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
-                   limit: int) -> Tuple[np.ndarray, float, int]:
+def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float
+                   ) -> Tuple[np.ndarray, float, int]:
     """Adaptive Gauss-Kronrod 7/15 quadrature of a vector-valued f over
     [a, b]: (integral, error estimate, intervals evaluated).
 
@@ -288,7 +289,7 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
     before that an interval is accepted when its estimate is within its
     share of tol by length or is the rounding floor, and the others are
     bisected.  The estimate returned is the sum over the accepted
-    intervals.  Once another round would pass limit intervals, or an
+    intervals.  Once another round would pass _GK_LIMIT intervals, or an
     estimate is not finite, the open intervals are accepted unconverged,
     estimates included."""
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
@@ -296,7 +297,7 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
     while True:
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         fx = f((mid[:, None] + half[:, None] * _GK_X).ravel())
-        fx = fx.reshape(len(lo), len(_GK_X), -1)
+        fx = fx.reshape(len(lo), GK_NODES, -1)
         k15 = half[:, None] * np.einsum("k,ikc->ic", _GK_W, fx)
         g7 = half[:, None] * np.einsum("k,ikc->ic", _G7_W, fx)
         rounding = 50.0 * np.finfo(float).eps * np.linalg.norm(
@@ -311,7 +312,7 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
             # at the rounding floor, halves have half the estimate and half
             # the share, so bisection cannot help
             done = (est <= tol * (hi - lo) / (b - a)) | (diff <= rounding)
-            if (evaluated + 2 * np.count_nonzero(~done) > limit
+            if (evaluated + 2 * np.count_nonzero(~done) > _GK_LIMIT
                     or not np.isfinite(est).all()):
                 done[:] = True
         total = total + k15[done].sum(axis=0)
@@ -323,14 +324,14 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
 
 
 def archimedean_integral_check(T, t: float, u, ell: int,
-                               epsrel: float = 1e-9, limit: int = 1000
+                               epsrel: float = 1e-9
                                ) -> Tuple[WhittakerValue, WhittakerValue]:
     """Numeric integral over s of the Whittaker value along
     r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]], for the ordered pair
     [y0, T] with T in the orthogonal complement of y0; versus the closed
     form (pi t^ell e^{-(2-w)} / 2) i^v with w = t (T, u . y1).  The
-    numeric value comes from _gauss_kronrod, capped at limit intervals,
-    and carries its error estimate and work counts."""
+    numeric value comes from _gauss_kronrod and carries its error
+    estimate and interval count."""
     T = np.asarray(T, dtype=float)
     u = np.asarray(u, dtype=float)
     if t <= 0:
@@ -359,9 +360,8 @@ def archimedean_integral_check(T, t: float, u, ell: int,
                                      t ** ell * t, ell)
 
     res, err, intervals = _gauss_kronrod(integrand, -smax, smax, 1e-14,
-                                         epsrel, limit)
-    numeric = WhittakerValue(ell, tuple(res.tolist()), err,
-                             len(_GK_X) * intervals, intervals)
+                                         epsrel)
+    numeric = WhittakerValue(ell, tuple(res.tolist()), err, intervals)
     scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
     closed = WhittakerValue(
         ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1)))

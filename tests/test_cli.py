@@ -233,12 +233,17 @@ def test_whittaker_reports_quadrature_work(capsys):
     assert work["nodes"] == 15 * work["intervals"]
 
 
-def test_whittaker_rejects_negative_weight():
+@pytest.mark.parametrize("weight", ["-1", "201", "1000000"])
+def test_whittaker_rejects_weight_out_of_range(weight):
+    """A weight outside 0..200 is a usage error, raised before any numeric
+    work: no RuntimeWarning and no large arrays."""
     proc = _python("import sys; from octolift.cli import main; "
-                   "sys.exit(main(['whittaker', '--weight', '-1']))")
+                   f"sys.exit(main(['whittaker', '--weight', '{weight}']))")
     assert proc.returncode == 2
-    assert "argument --weight: expected a weight >= 0" in proc.stderr
+    assert ("argument --weight: expected a weight between 0 and 200"
+            in proc.stderr)
     assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("weight", ["40", "200"])

@@ -215,7 +215,7 @@ def test_archimedean_integral_matches_closed_form():
     assert closed.err is None
     diff = np.array(num.components) - np.array(closed.components)
     assert np.linalg.norm(diff) <= num.err < 1e-8
-    assert num.nodes == 15 * num.intervals > 0
+    assert num.intervals > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -233,12 +233,36 @@ def test_archimedean_integral_against_quad_vec(t, theta, ell):
     assert np.linalg.norm(got - np.array(closed.components)) <= num.err
 
 
-def test_archimedean_integral_interval_cap():
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.integers(0, 16))
+def test_archimedean_integral_error_estimate_bounds_error(t, theta, ell):
+    """Up to weight 16, where the rounding floor of the estimate is what
+    ends the bisection, the estimate still bounds the distance to the
+    closed form."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    num, closed = archimedean_integral_check(T, t, boost_u(theta), ell)
+    diff = np.array(num.components) - np.array(closed.components)
+    assert np.linalg.norm(diff) <= num.err
+
+
+@pytest.mark.parametrize("ell", [12, 16])
+def test_archimedean_integral_error_estimate_at_high_weight(ell):
+    T = (0.2, -0.9, -1.1, -0.2)
+    for t in (0.5, 0.7, 1.3, 2.0):
+        for theta in (-1.0, 0.0, 0.6, 1.0):
+            num, closed = archimedean_integral_check(T, t, boost_u(theta),
+                                                     ell)
+            diff = np.array(num.components) - np.array(closed.components)
+            assert np.linalg.norm(diff) <= num.err
+
+
+def test_archimedean_integral_interval_cap(monkeypatch):
     """A capped integral stops at the cap and still reports an estimate
     that bounds its actual error."""
     T = (0.2, -0.9, -1.1, -0.2)
     full, closed = archimedean_integral_check(T, 0.7, boost_u(0.3), 6)
-    num, _ = archimedean_integral_check(T, 0.7, boost_u(0.3), 6, limit=7)
+    monkeypatch.setattr(whittaker, "_GK_LIMIT", 7)
+    num, _ = archimedean_integral_check(T, 0.7, boost_u(0.3), 6)
     assert num.intervals <= 7 < full.intervals
     diff = np.array(num.components) - np.array(closed.components)
     assert full.err < np.linalg.norm(diff) <= num.err

@@ -491,21 +491,27 @@ def cmd_whittaker(args):
     worst = 0.0
     worst_est = 0.0
     intervals = 0
-    for t in (0.7, 1.3):
-        for theta in (0.0, 0.6):
-            u = whittaker.boost_u(theta)
-            num, closed = whittaker.archimedean_integral_check(T, t, u, ell)
-            worst_est = _worse(worst_est, num.err)
-            intervals += num.intervals
-            for v in range(-ell, ell + 1):
-                cn, cc = num.component(v), closed.component(v)
-                worst = _worse(worst, abs(cn - cc) / max(abs(cc), 1e-300))
-                rows.append([v, t, theta, cn.real, cn.imag,
-                             cc.real, cc.imag])
-            if not worst < args.tol:
-                return "fail", [f"integral vs closed form: relative error "
-                                f"{worst:.3e} >= tol {args.tol:.3e} at "
-                                f"t={t}, theta={theta}"]
+    # At high weight the K-Bessel row overflows; the resulting inf or nan
+    # fails the check below, so numpy need not also warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (0.7, 1.3):
+            for theta in (0.0, 0.6):
+                u = whittaker.boost_u(theta)
+                num, closed = whittaker.archimedean_integral_check(T, t, u,
+                                                                   ell)
+                worst_est = _worse(worst_est, num.err)
+                intervals += num.intervals
+                for v in range(-ell, ell + 1):
+                    cn, cc = num.component(v), closed.component(v)
+                    worst = _worse(worst,
+                                   abs(cn - cc) / max(abs(cc), 1e-300))
+                    rows.append([v, t, theta, cn.real, cn.imag,
+                                 cc.real, cc.imag])
+                if not worst < args.tol:
+                    return "fail", [f"integral vs closed form: relative "
+                                    f"error {worst:.3e} >= tol "
+                                    f"{args.tol:.3e} at t={t}, "
+                                    f"theta={theta}"]
     details.append(f"Whittaker integral matches the closed form at weight "
                    f"{ell} on a 2x2 grid, worst relative error {worst:.3e}, "
                    f"worst quadrature error estimate {worst_est:.3e}")
@@ -556,18 +562,31 @@ def _tolerance(s: str) -> float:
     return tol
 
 
+def _int_range(what: str, lo: int, hi: Optional[int] = None):
+    """An argparse type for an integer in lo..hi (no upper end if hi is
+    None); a value outside is a usage error that names the range."""
+    def parse(s: str) -> int:
+        v = int(s)
+        if v < lo or (hi is not None and v > hi):
+            raise argparse.ArgumentTypeError(
+                f"expected {what} >= {lo}" if hi is None
+                else f"expected {what} between {lo} and {hi}")
+        return v
+    parse.__name__ = "int"      # argparse's "invalid int value" message
+    return parse
+
+
 # The K-Bessel row overflows at every point of whittaker's grid from
 # weight 198 on, so a larger weight can only fail, after evaluating arrays
 # of 2 * weight + 1 components per quadrature node.
 _MAX_WEIGHT = 200
+_weight = _int_range("a weight", 0, _MAX_WEIGHT)
 
-
-def _weight(s: str) -> int:
-    ell = int(s)
-    if not 0 <= ell <= _MAX_WEIGHT:
-        raise argparse.ArgumentTypeError(
-            f"expected a weight between 0 and {_MAX_WEIGHT}")
-    return ell
+# reduce draws triples with entries up to its bound and tests
+# b^2 - 4ac for squarefreeness by trial division up to about 2 bound:
+# 0.6 s for 3 pairs at 10^6, ten times that for each further power of 10.
+_MAX_REDUCE_BOUND = 10 ** 6
+_count = _int_range("a count", 0)
 
 
 def _triple(s: str) -> Tuple[int, int, int]:
@@ -592,14 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("oct-check", cmd_oct_check, "octonion arithmetic identities "
              "on random exact cases")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bound", type=int, default=1000,
-                    help="number of random cases")
+    sp.add_argument("--bound", type=_count, default=1000,
+                    help="number of random cases, >= 0")
 
     sp = add("triality-verify", cmd_triality_verify,
              "isomorphism, Cartan, triality-triple and cube suite")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bound", type=int, default=100,
-                    help="number of random triples/cubes")
+    sp.add_argument("--bound", type=_count, default=100,
+                    help="number of random triples/cubes, >= 0")
 
     sp = add("lift", cmd_lift, "classical genus-2 lift of a halfintegral "
              "table")
@@ -637,9 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("reduce", cmd_reduce, "canonical-form reduction of random "
              "vector pairs in the split rank-8 lattice")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--bound", type=int, default=6,
-                    help="entry bound for the random Gram triples")
+    sp.add_argument("--count", type=_count, default=25,
+                    help="number of random pairs, >= 0")
+    sp.add_argument("--bound", type=_int_range("a bound", 1,
+                                               _MAX_REDUCE_BOUND),
+                    default=6, help="entry bound for the random Gram "
+                    f"triples, 1 <= bound <= {_MAX_REDUCE_BOUND}")
 
     sp = add("whittaker", cmd_whittaker, "Bessel-sum identity and "
              "archimedean integral vs closed form")

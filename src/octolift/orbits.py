@@ -7,16 +7,24 @@ q(v) = sum_i x_i y_i where x_i is the b_i coefficient and y_i the b_{-i}
 coefficient.  For n = 4 this matches the eight-dimensional coordinate order
 used by octonion.to_vector8.
 
-Everything is exact integer arithmetic.  Each reduction returns a
-LatticeIsometry built from checked generators (the constructor checks
-g^t J g = J and det g = +1; products and inverses of checked isometries
-need no check), and each public reduction re-verifies its own
-postcondition before returning.
+Everything is exact integer arithmetic.  Where each guarantee is checked:
+
+- LatticeIsometry(lattice, matrix) checks g^t J g = J and det g = +1 for
+  an arbitrary matrix.
+- The factor constructors (levi_isometry, levi_dual, siegel_unipotent,
+  opposite_unipotent, swap_isometry, embed_isometry) build their matrix
+  from its closed block form and check only the parameters: A unimodular,
+  B and C skew, two distinct swap indices, a sub-isometry whose rank fits
+  the offset.  Each docstring gives the argument that these imply
+  g^t J g = J and det g = +1.  Products and inverses need no check.
+- Each public reduction re-verifies its own postcondition before
+  returning, so every end result is checked on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import List, Sequence, Tuple
@@ -92,6 +100,11 @@ class SplitLattice:
         return tuple(list(x) + [y[self.n - 1 - t] for t in range(self.n)])
 
 
+@lru_cache(maxsize=None)
+def _eye(r: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+
+
 def _det_int(m) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     a = [list(row) for row in m]
@@ -149,9 +162,11 @@ def _inv_transpose_int(m) -> Tuple[Tuple[int, ...], ...]:
 class LatticeIsometry:
     """An element of SO(L)(Z): integer matrix with g^t J g = J, det g = +1.
 
-    The constructor checks both conditions; compose and inverse of checked
-    isometries are isometries, so they build their results through
-    _trusted without checking again."""
+    The constructor checks both conditions, for an arbitrary matrix.
+    Everything else builds through _trusted without a check: identity;
+    the factor constructors below, whose parameter checks imply both
+    conditions (each docstring gives the argument); and compose and
+    inverse, since SO(L)(Z) is a group."""
 
     def __init__(self, lattice: SplitLattice, matrix):
         self.lattice = lattice
@@ -179,10 +194,7 @@ class LatticeIsometry:
 
     @staticmethod
     def identity(lattice: SplitLattice) -> "LatticeIsometry":
-        r = lattice.rank
-        return LatticeIsometry(
-            lattice, tuple(tuple(1 if i == j else 0 for j in range(r))
-                           for i in range(r)))
+        return LatticeIsometry._trusted(lattice, _eye(lattice.rank))
 
     def apply(self, v: Sequence[int]) -> VectorZ:
         return tuple(sum(map(mul, row, v)) for row in self.matrix)
@@ -191,10 +203,16 @@ class LatticeIsometry:
         """self o other (apply other first)."""
         if other.lattice != self.lattice:
             raise ValueError("isometries of different lattices")
-        cols = tuple(zip(*other.matrix))
-        m = tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                  for row in self.matrix)
-        return LatticeIsometry._trusted(self.lattice, m)
+        # Row i of the product is the sum over k of self[i][k] other[k], over
+        # the nonzero self[i][k] only: the factors are mostly identity, and
+        # no row of an invertible matrix is zero.
+        m = []
+        for row in self.matrix:
+            terms = [o if e == 1 else [e * x for x in o]
+                     for e, o in zip(row, other.matrix) if e]
+            m.append(tuple(map(sum, zip(*terms))) if len(terms) > 1
+                     else tuple(terms[0]))
+        return LatticeIsometry._trusted(self.lattice, tuple(m))
 
     def inverse(self) -> "LatticeIsometry":
         # g^{-1} = J^{-1} g^t J; with the antidiagonal form this is the
@@ -213,97 +231,111 @@ class LatticeIsometry:
         return hash((self.lattice, self.matrix))
 
 
-def _from_xy_action(lattice: SplitLattice, act) -> LatticeIsometry:
-    """Build an isometry from a map (x, y) -> (x', y') in natural order."""
-    r = lattice.rank
-    cols = []
-    for k in range(r):
-        e = [1 if t == k else 0 for t in range(r)]
-        x, y = lattice.split_xy(e)
-        nx, ny = act(x, y)
-        cols.append(lattice.join_xy(nx, ny))
-    m = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-    return LatticeIsometry(lattice, m)
+def _square(m, n: int, name: str) -> Tuple[Tuple[int, ...], ...]:
+    """m as n int tuples; raises ValueError unless it is n x n."""
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"{name} must be {n}x{n}")
+    return tuple(tuple(int(e) for e in row) for row in m)
+
+
+def _skew(m, n: int, name: str) -> Tuple[Tuple[int, ...], ...]:
+    m = _square(m, n, name)
+    if any(m[i][j] != -m[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError(f"{name} must be skew-symmetric")
+    return m
+
+
+def _levi(lattice: SplitLattice, A, A_inv_t) -> LatticeIsometry:
+    """g_A from A and (A^{-1})^t, both n x n int tuples, unchecked.  In the
+    storage order y_j sits at index 2n-1-j, so the y-block is A^{-t} with
+    its rows and columns reversed."""
+    zeros = (0,) * lattice.n
+    return LatticeIsometry._trusted(
+        lattice, tuple(row + zeros for row in A)
+        + tuple(zeros + row[::-1] for row in reversed(A_inv_t)))
 
 
 def levi_isometry(lattice: SplitLattice, A) -> LatticeIsometry:
-    """g_A in the Levi of the Siegel parabolic: x -> A x, y -> (A^{-1})^t y.
-    A may have determinant -1; det g_A = +1 regardless."""
-    n = lattice.n
-    At_inv = _inv_transpose_int(A)
+    """g_A in the Levi of the Siegel parabolic: x -> A x, y -> A^{-t} y.
 
-    def act(x, y):
-        nx = [sum(A[i][j] * x[j] for j in range(n)) for i in range(n)]
-        ny = [sum(At_inv[i][j] * y[j] for j in range(n)) for i in range(n)]
-        return nx, ny
-
-    return _from_xy_action(lattice, act)
+    Checked: A is n x n and unimodular, so A^{-t} is integral.  Then g_A
+    preserves the form, (A x)^t (A^{-t} y') = x^t y', and det g_A =
+    det A det A^{-1} = +1 even when det A = -1."""
+    A = _square(A, lattice.n, "A")
+    return _levi(lattice, A, _inv_transpose_int(A))
 
 
 def levi_dual(lattice: SplitLattice, M) -> LatticeIsometry:
-    """The Levi element acting on the y-block by M (so A = (M^{-1})^t)."""
-    return levi_isometry(lattice, _inv_transpose_int(M))
+    """The Levi element acting on the y-block by M: g_A with A = M^{-t}, so
+    A^{-t} = M and one inverse suffices.  Checked: M is n x n and
+    unimodular; the proof is levi_isometry's."""
+    M = _square(M, lattice.n, "M")
+    return _levi(lattice, _inv_transpose_int(M), M)
 
 
 def siegel_unipotent(lattice: SplitLattice, B) -> LatticeIsometry:
-    """u_B: x -> x + B y, y -> y, with B skew-symmetric."""
-    n = lattice.n
-    for i in range(n):
-        for j in range(n):
-            if B[i][j] != -B[j][i]:
-                raise ValueError("B must be skew-symmetric")
+    """u_B: x -> x + B y, y -> y.
 
-    def act(x, y):
-        nx = [x[i] + sum(B[i][j] * y[j] for j in range(n)) for i in range(n)]
-        return nx, list(y)
-
-    return _from_xy_action(lattice, act)
+    Checked: B is n x n and skew.  Then (x + B y)^t y' + y^t (x' + B y') =
+    x^t y' + y^t x' + y^t (B^t + B) y' preserves the form, and u_B is
+    unitriangular, so det u_B = +1."""
+    n, r = lattice.n, lattice.rank
+    B = _skew(B, n, "B")
+    eye = _eye(r)
+    return LatticeIsometry._trusted(
+        lattice, tuple(eye[i][:n] + B[i][::-1] for i in range(n)) + eye[n:])
 
 
 def opposite_unipotent(lattice: SplitLattice, C) -> LatticeIsometry:
-    """u_C in the radical opposite the Siegel parabolic:
-    x -> x, y -> y + C x, with C skew-symmetric."""
-    n = lattice.n
-    for i in range(n):
-        for j in range(n):
-            if C[i][j] != -C[j][i]:
-                raise ValueError("C must be skew-symmetric")
+    """u_C in the radical opposite the Siegel parabolic: x -> x,
+    y -> y + C x.
 
-    def act(x, y):
-        ny = [y[i] + sum(C[i][j] * x[j] for j in range(n)) for i in range(n)]
-        return list(x), ny
-
-    return _from_xy_action(lattice, act)
+    Checked: C is n x n and skew; the proof is siegel_unipotent's with x
+    and y exchanged."""
+    n, r = lattice.n, lattice.rank
+    C = _skew(C, n, "C")
+    eye = _eye(r)
+    return LatticeIsometry._trusted(
+        lattice, eye[:n] + tuple(C[i] + eye[r - 1 - i][n:]
+                                 for i in reversed(range(n))))
 
 
 def swap_isometry(lattice: SplitLattice, i: int, j: int) -> LatticeIsometry:
-    """Exchange b_i <-> b_{-i} and b_j <-> b_{-j} (i != j); det = +1."""
+    """Exchange b_i <-> b_{-i} and b_j <-> b_{-j}.
+
+    Checked: 1 <= i, j <= n and i != j.  Exchanging x_k and y_k keeps
+    x_k y'_k + y_k x'_k, and two disjoint transpositions have det +1 (one
+    alone would have det -1)."""
+    n, r = lattice.n, lattice.rank
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("swap index out of range")
     if i == j:
         raise ValueError("need two distinct indices to keep det = +1")
-
-    def act(x, y):
-        nx, ny = list(x), list(y)
-        for k in (i, j):
-            nx[k - 1], ny[k - 1] = ny[k - 1], nx[k - 1]
-        return nx, ny
-
-    return _from_xy_action(lattice, act)
+    perm = list(range(r))
+    for k in (i, j):
+        perm[k - 1], perm[r - k] = r - k, k - 1
+    eye = _eye(r)
+    return LatticeIsometry._trusted(lattice, tuple(eye[p] for p in perm))
 
 
 def embed_isometry(lattice: SplitLattice, sub: LatticeIsometry,
                    offset: int) -> LatticeIsometry:
-    """Extend an isometry of span(b_{k+1},...,b_{-(k+1)}) (k = offset) by the
-    identity on b_1,...,b_k, b_{-k},...,b_{-1}.  In the storage order the
-    sublattice occupies the contiguous middle slice."""
+    """Extend an isometry h of span(b_{k+1},...,b_{-(k+1)}) (k = offset) by
+    the identity on b_1,...,b_k, b_{-k},...,b_{-1}.  In the storage order
+    the sublattice occupies the contiguous middle slice.
+
+    Checked: rank(sub) + 2 offset = rank, offset >= 0.  The middle slice is
+    orthogonal to the outer coordinates and carries the sublattice's own
+    antidiagonal form, so diag(I_k, h, I_k) preserves the form, and its
+    det is det h = +1."""
     r = lattice.rank
-    rs = sub.lattice.rank
-    if rs + 2 * offset != r:
+    if offset < 0 or sub.lattice.rank + 2 * offset != r:
         raise ValueError("sublattice rank does not match the offset")
-    m = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(rs):
-        for j in range(rs):
-            m[offset + i][offset + j] = sub.matrix[i][j]
-    return LatticeIsometry(lattice, m)
+    eye = _eye(r)
+    pad = (0,) * offset
+    return LatticeIsometry._trusted(
+        lattice, eye[:offset] + tuple(pad + row + pad for row in sub.matrix)
+        + eye[r - offset:])
 
 
 def _rows_to_std(cols: Sequence[Sequence[int]], n: int):

@@ -7,6 +7,10 @@ the exact su(2) projection pr_K with its symmetric powers.  They share no
 code with the integer-array implementations they check beyond the scalar
 type and the b-basis coordinates of the octonions.
 
+For the orbit layer: the factor isometries of the split lattice built by
+pushing the unit vectors through an (x, y) action and checked by the
+LatticeIsometry constructor, with A^{-t} from the Fraction inverse.
+
 For the numeric layer: the Whittaker integral by scipy's quad_vec with one
 whittaker_eval (beta by matrix products) per node.  Also two exact helpers
 that no command uses: an alternating binomial sum and the index-1 Jacobi
@@ -20,6 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from octolift.octonion import BASIS, to_vector8
+from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
                                 GaussRational, _coerce, _solve3, biv_coords,
                                 trace_form)
@@ -335,6 +340,81 @@ def phi_inv(Y):
     y = [_real(c) for c in Y]
     return fields_from_coords([sum(_PHI_INV[r][k] * y[k] for k in range(28))
                                for r in range(28)])
+
+
+# --- factor isometries of the split lattice, by their action ---------------
+
+def from_xy_action(lattice, act):
+    """The isometry of a map (x, y) -> (x', y') in natural order: the
+    images of the unit vectors are its columns, and the checked
+    constructor verifies g^t J g = J and det g = +1."""
+    r = lattice.rank
+    cols = []
+    for k in range(r):
+        e = [1 if t == k else 0 for t in range(r)]
+        x, y = lattice.split_xy(e)
+        nx, ny = act(x, y)
+        cols.append(lattice.join_xy(nx, ny))
+    return LatticeIsometry(lattice, [[cols[j][i] for j in range(r)]
+                                     for i in range(r)])
+
+
+def _int_inv_transpose(A):
+    n = len(A)
+    inv = invert_fraction_matrix(A)
+    if any(e.denominator != 1 for row in inv for e in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(inv[j][i]) for j in range(n)] for i in range(n)]
+
+
+def _mat_vec(M, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in M]
+
+
+def levi_by_action(lattice, A):
+    """x -> A x, y -> A^{-t} y."""
+    A_inv_t = _int_inv_transpose(A)
+    return from_xy_action(lattice, lambda x, y: (_mat_vec(A, x),
+                                                 _mat_vec(A_inv_t, y)))
+
+
+def levi_dual_by_action(lattice, M):
+    """levi_by_action with A = M^{-t}."""
+    return levi_by_action(lattice, _int_inv_transpose(M))
+
+
+def siegel_by_action(lattice, B):
+    """x -> x + B y, y -> y."""
+    return from_xy_action(lattice, lambda x, y: (
+        [a + b for a, b in zip(x, _mat_vec(B, y))], list(y)))
+
+
+def opposite_by_action(lattice, C):
+    """x -> x, y -> y + C x."""
+    return from_xy_action(lattice, lambda x, y: (
+        list(x), [a + b for a, b in zip(y, _mat_vec(C, x))]))
+
+
+def swap_by_action(lattice, i, j):
+    """x_k <-> y_k for k = i, j."""
+    def act(x, y):
+        nx, ny = list(x), list(y)
+        for k in (i, j):
+            nx[k - 1], ny[k - 1] = ny[k - 1], nx[k - 1]
+        return nx, ny
+    return from_xy_action(lattice, act)
+
+
+def embed_by_action(lattice, sub, offset):
+    """The identity on x_1..x_k, y_1..y_k (k = offset) and sub on the
+    remaining coordinates, in natural order on both lattices."""
+    small = SplitLattice(lattice.n - offset)
+
+    def act(x, y):
+        sx, sy = small.split_xy(sub.apply(small.join_xy(x[offset:],
+                                                        y[offset:])))
+        return list(x[:offset]) + sx, list(y[:offset]) + sy
+    return from_xy_action(lattice, act)
 
 
 # --- the exact su(2) projection ----------------------------------------------

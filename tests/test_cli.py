@@ -250,12 +250,13 @@ def test_whittaker_rejects_weight_out_of_range(weight):
 def test_whittaker_high_weight_fails_fast(weight):
     """Cancellation (weight 40) and overflow (weight 200) make the integral
     inaccurate; the check must end at its interval cap and fail, not
-    hang."""
+    hang, and an overflow is a failed check, not a numpy warning."""
     start = time.monotonic()
     proc = _python("import sys; from octolift.cli import main; "
                    f"sys.exit(main(['whittaker', '--weight', '{weight}']))")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["status"] == "fail"
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     assert time.monotonic() - start < 10
 
 
@@ -373,16 +374,69 @@ def test_poincare_rejects_nonpositive_bound(capsys, bound):
     assert "radius must be >= 1" in rep["details"][0]
 
 
+def _fuzz_main(argv):
+    """Run cli.main; check that the exit code is 0, 1 or 2, that it
+    matches the report's status, and that no traceback reaches stderr.
+    Returns the exit code; a usage error (exit 2 from argparse, before any
+    report) returns 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        report = json.loads(out.getvalue())
+        assert code == {"pass": 0, "fail": 1, "error": 2}[report["status"]]
+    else:
+        assert code == 2 and "error: argument" in err.getvalue()
+    return code
+
+
 @settings(max_examples=60, deadline=None)
 @given(key=st.tuples(*[st.integers(-2, 2)] * 3),
        weight=st.sampled_from([-1, 0, 15, 16, 17]),
        bound=st.sampled_from([-1, 0, 1]))
 def test_poincare_fuzz_exit_codes(key, weight, bound):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["poincare", "--key=%d,%d,%d" % key,
-                         f"--weight={weight}", f"--bound={bound}"])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    report = json.loads(out.getvalue())
-    assert code == {"pass": 0, "fail": 1, "error": 2}[report["status"]]
+    _fuzz_main(["poincare", "--key=%d,%d,%d" % key, f"--weight={weight}",
+                f"--bound={bound}"])
+
+
+small = st.integers(-2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=small, bound=small | st.sampled_from([10 ** 6, 10 ** 6 + 1]),
+       seed=st.integers(0, 99))
+def test_reduce_fuzz_exit_codes(count, bound, seed):
+    code = _fuzz_main(["reduce", f"--count={count}", f"--bound={bound}",
+                       f"--seed={seed}"])
+    assert code == (0 if count >= 0 and 1 <= bound <= 10 ** 6 else 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(command=st.sampled_from(["oct-check", "triality-verify"]),
+       bound=small, seed=st.integers(0, 99))
+def test_random_suite_fuzz_exit_codes(command, bound, seed):
+    code = _fuzz_main([command, f"--bound={bound}", f"--seed={seed}"])
+    assert code == (0 if bound >= 0 else 2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--count=-1"], "--count: expected a count >= 0"),
+    (["reduce", "--bound=0"], "--bound: expected a bound between 1 and "
+                              "1000000"),
+    (["reduce", "--bound=1000001"], "--bound: expected a bound between 1 "
+                                    "and 1000000"),
+    (["oct-check", "--bound=-1"], "--bound: expected a count >= 0"),
+    (["triality-verify", "--bound=-1"], "--bound: expected a count >= 0"),
+])
+def test_negative_counts_and_bounds_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -17,7 +17,9 @@ from octolift.orbits import (LatticeIsometry, SplitLattice, _det_int,
                              reduce_pair, reduce_primitive_vector,
                              siegel_unipotent, swap_isometry, wedge_pair)
 
-from oracles import invert_fraction_matrix
+from oracles import (embed_by_action, invert_fraction_matrix,
+                     levi_by_action, levi_dual_by_action, opposite_by_action,
+                     siegel_by_action, swap_by_action)
 
 LAT = SplitLattice(4)
 
@@ -86,15 +88,30 @@ def test_group_laws():
 
 
 def test_generator_rejections():
-    with pytest.raises(ValueError):
-        levi_isometry(LAT, [[2, 0, 0, 0], [0, 1, 0, 0],
-                            [0, 0, 1, 0], [0, 0, 0, 1]])
-    B = [[0] * 4 for _ in range(4)]
-    B[0][1] = 1   # not skew
-    with pytest.raises(ValueError):
-        siegel_unipotent(LAT, B)
-    with pytest.raises(ValueError):
-        swap_isometry(LAT, 2, 2)
+    """Each factor checks the parameters its matrix is built from."""
+    zero = [[0] * 4 for _ in range(4)]
+    cases = [
+        (levi_isometry, [[2, 0, 0, 0], [0, 1, 0, 0],
+                         [0, 0, 1, 0], [0, 0, 0, 1]]),        # det 2
+        (levi_dual, [[1, 2, 0, 0], [2, 4, 0, 0],
+                     [0, 0, 1, 0], [0, 0, 0, 1]]),            # singular
+        (levi_isometry, _identity_matrix(3)),                 # 3x3
+        (levi_dual, _identity_matrix(4)[:3]),                 # 3x4
+        (siegel_unipotent, [[0, 1, 0, 0]] + zero[1:]),        # not skew
+        (opposite_unipotent, [[1, 0, 0, 0]] + zero[1:]),      # diagonal
+        (siegel_unipotent, [[0] * 5 for _ in range(5)]),      # 5x5
+        (opposite_unipotent, [row[:3] for row in zero]),      # 4x3
+    ]
+    for make, arg in cases:
+        with pytest.raises(ValueError):
+            make(LAT, arg)
+    for i, j in ((2, 2), (0, 1), (1, 5), (-1, 2)):
+        with pytest.raises(ValueError):
+            swap_isometry(LAT, i, j)
+    for rank_n, offset in ((3, 0), (3, 2), (3, -1), (5, -1)):
+        with pytest.raises(ValueError):      # (5, -1): ranks fit, offset not
+            embed_isometry(LAT, LatticeIsometry.identity(
+                SplitLattice(rank_n)), offset)
 
 
 def test_embed_isometry_acts_on_middle_block():
@@ -307,3 +324,88 @@ def test_inv_transpose_rejects_non_unimodular():
     for m in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
         with pytest.raises(ValueError, match="singular"):
             _inv_transpose_int(m)
+
+
+# --- factors from their closed block form, against the action oracle --------
+
+@st.composite
+def unimodular4(draw):
+    """A random 4x4 unimodular matrix: a row permutation, a sign (det -1
+    included) and a word of elementary row operations."""
+    m = [_identity_matrix(4)[p] for p in draw(st.permutations(range(4)))]
+    m[0] = [draw(st.sampled_from([-1, 1])) * e for e in m[0]]
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, 3),
+                                           st.integers(0, 3),
+                                           st.integers(-3, 3)), max_size=8)):
+        if i != j:
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def skew4(draw):
+    m = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            k = draw(st.integers(-5, 5))
+            m[i][j], m[j][i] = k, -k
+    return m
+
+
+def _assert_same_and_checked(g, oracle):
+    assert g.matrix == oracle.matrix
+    assert LatticeIsometry(g.lattice, g.matrix).matrix == g.matrix
+
+
+@given(unimodular4())
+@settings(max_examples=100, deadline=None)
+def test_levi_factors_match_the_action_oracle(A):
+    _assert_same_and_checked(levi_isometry(LAT, A), levi_by_action(LAT, A))
+    _assert_same_and_checked(levi_dual(LAT, A), levi_dual_by_action(LAT, A))
+
+
+@given(skew4())
+@settings(max_examples=60, deadline=None)
+def test_unipotent_factors_match_the_action_oracle(B):
+    _assert_same_and_checked(siegel_unipotent(LAT, B),
+                             siegel_by_action(LAT, B))
+    _assert_same_and_checked(opposite_unipotent(LAT, B),
+                             opposite_by_action(LAT, B))
+
+
+def test_swap_factors_match_the_action_oracle():
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i != j:
+                _assert_same_and_checked(swap_isometry(LAT, i, j),
+                                         swap_by_action(LAT, i, j))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_embed_matches_the_action_oracle(seed, offset):
+    rng = random.Random(seed)
+    h = _random_isometry(rng, lat=SplitLattice(4 - offset))
+    _assert_same_and_checked(embed_isometry(LAT, h, offset),
+                             embed_by_action(LAT, h, offset))
+
+
+def _dense_product(g, h):
+    r = len(g)
+    return tuple(tuple(sum(g[i][k] * h[k][j] for k in range(r))
+                       for j in range(r)) for i in range(r))
+
+
+@given(products, products)
+@settings(max_examples=60, deadline=None)
+def test_sparse_compose_matches_the_dense_product(word1, word2):
+    gs = []
+    for word in (word1, word2):
+        g = LatticeIsometry.identity(LAT)
+        for (kind, i, j, k), invert in word:
+            h = _generator(LAT, kind, i, j, k)
+            g = (h.inverse() if invert else h).compose(g)
+            gs.append(g)
+    for g in gs:
+        for h in gs:
+            assert g.compose(h).matrix == _dense_product(g.matrix, h.matrix)

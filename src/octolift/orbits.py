@@ -17,8 +17,11 @@ Everything is exact integer arithmetic.  Where each guarantee is checked:
   B and C skew, two distinct swap indices, a sub-isometry whose rank fits
   the offset.  Each docstring gives the argument that these imply
   g^t J g = J and det g = +1.  Products and inverses need no check.
-- Each public reduction re-verifies its own postcondition before
-  returning, so every end result is checked on every call.
+- Each public reduction (reduce_primitive_vector, reduce_isotropic_plane,
+  reduce_pair) checks its result on every call before returning: that g
+  sends the input to its target, and, once per call on the final product,
+  that g^t J g = J and det g = +1.  The reductions they build on skip the
+  second check, since the outer product is checked.
 """
 
 from __future__ import annotations
@@ -166,12 +169,17 @@ class LatticeIsometry:
     Everything else builds through _trusted without a check: identity;
     the factor constructors below, whose parameter checks imply both
     conditions (each docstring gives the argument); and compose and
-    inverse, since SO(L)(Z) is a group."""
+    inverse, since SO(L)(Z) is a group.  The public reductions re-check
+    their final product with _check."""
 
     def __init__(self, lattice: SplitLattice, matrix):
         self.lattice = lattice
         self.matrix = tuple(tuple(int(e) for e in row) for row in matrix)
-        r = lattice.rank
+        self._check()
+
+    def _check(self):
+        """Raise ValueError unless self.matrix is in SO(L)(Z)."""
+        r = self.lattice.rank
         if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
             raise ValueError("matrix size does not match the lattice rank")
         # (g^t J g)[i][j] = (column i, column j reversed); symmetric in i, j
@@ -232,10 +240,14 @@ class LatticeIsometry:
 
 
 def _square(m, n: int, name: str) -> Tuple[Tuple[int, ...], ...]:
-    """m as n int tuples; raises ValueError unless it is n x n."""
+    """m as n int tuples; raises ValueError unless it is n x n and
+    integral."""
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{name} must be {n}x{n}")
-    return tuple(tuple(int(e) for e in row) for row in m)
+    out = tuple(tuple(int(e) for e in row) for row in m)
+    if out != tuple(map(tuple, m)):
+        raise ValueError(f"{name} must have integer entries")
+    return out
 
 
 def _skew(m, n: int, name: str) -> Tuple[Tuple[int, ...], ...]:
@@ -398,8 +410,27 @@ def _check_postcondition(ok: bool, what: str):
         raise AssertionError("reduction postcondition failed: " + what)
 
 
+def _in_group(g: LatticeIsometry) -> LatticeIsometry:
+    """g, once checked to be in SO(L)(Z).  A public reduction returns an
+    unchecked product of factors; this one matrix check per call catches
+    a wrong factor block that still sends the input to its target."""
+    try:
+        g._check()
+    except ValueError as e:
+        _check_postcondition(False, f"g is not in SO(L)(Z): {e}")
+    return g
+
+
 def reduce_primitive_vector(v: Sequence[int]) -> Tuple[LatticeIsometry, int]:
     """Some g in SO(L)(Z) with g v = a b_1 + b_{-1}, a = q(v); v primitive."""
+    g, a = _reduce_primitive_vector(v)
+    return _in_group(g), a
+
+
+def _reduce_primitive_vector(v: Sequence[int]
+                             ) -> Tuple[LatticeIsometry, int]:
+    """reduce_primitive_vector without the final SO(L)(Z) check, for the
+    reductions that build on it and check their own product."""
     lat = SplitLattice(len(v) // 2)
     n = lat.n
     v = tuple(int(e) for e in v)
@@ -468,7 +499,7 @@ def find_complementary_plane(T1: Sequence[int],
     if D % 2 == 0:
         raise ValueError("hypothesis violated: D = -4 det S must be odd")
     # D odd squarefree forces T1 primitive (a common divisor k gives k^2 | D).
-    g1, a = reduce_primitive_vector(T1)
+    g1, a = _reduce_primitive_vector(T1)
     w2 = g1.apply(T2)
     x, y = lat.split_xy(w2)
     r, s = x[0], y[0]
@@ -479,7 +510,7 @@ def find_complementary_plane(T1: Sequence[int],
     if any(tail):
         m = _content(tail)
         w0 = tuple(e // m for e in tail)
-        h, beta = reduce_primitive_vector(w0)
+        h, beta = _reduce_primitive_vector(w0)
         g = embed_isometry(lat, h, 1).compose(g)
     else:
         m, beta = 0, 0
@@ -516,6 +547,12 @@ def reduce_isotropic_plane(u1: Sequence[int],
                            u2: Sequence[int]) -> LatticeIsometry:
     """Some g in SO(L)(Z) with g u1 = b_1, g u2 = b_2, for an isotropic pair
     whose wedge is primitive in the second exterior power of L."""
+    return _in_group(_reduce_isotropic_plane(u1, u2))
+
+
+def _reduce_isotropic_plane(u1: Sequence[int],
+                            u2: Sequence[int]) -> LatticeIsometry:
+    """reduce_isotropic_plane without the final SO(L)(Z) check."""
     lat = SplitLattice(len(u1) // 2)
     n = lat.n
     u1 = tuple(int(e) for e in u1)
@@ -530,7 +567,7 @@ def reduce_isotropic_plane(u1: Sequence[int],
 
     # Step 1: u1 is primitive and isotropic, so it reduces to b_{-1}; the
     # swap (b_1 <-> b_{-1}, b_2 <-> b_{-2}) then puts it at b_1.
-    g1, a1 = reduce_primitive_vector(u1)
+    g1, a1 = _reduce_primitive_vector(u1)
     g = swap_isometry(lat, 1, 2).compose(g1)
     w2 = g.apply(u2)
     # (u1, u2) = 0 means w2 has no b_{-1} component; its b_1 component is
@@ -540,7 +577,7 @@ def reduce_isotropic_plane(u1: Sequence[int],
     mid = list(x[1:]) + [w2[k] for k in range(n, 2 * n - 1)]
     # Step 2: reduce the middle part to b_{-2} inside span(b_2,...,b_{-2}),
     # then swap (b_2 <-> b_{-2}, b_3 <-> b_{-3}) to place it at b_2.
-    h, a2 = reduce_primitive_vector(mid)
+    h, a2 = _reduce_primitive_vector(mid)
     g = embed_isometry(lat, h, 1).compose(g)
     g = swap_isometry(lat, 2, 3).compose(g)
     # Step 3: a Levi element with A = [[1, -c], [0, 1]] (+ identity) clears
@@ -573,7 +610,7 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
         return LatticeIsometry.identity(lat), t
 
     u1, u2 = find_complementary_plane(T1, T2)
-    g = reduce_isotropic_plane(u1, u2)
+    g = _reduce_isotropic_plane(u1, u2)
     w1, w2 = g.apply(T1), g.apply(T2)
     # Now (w1 ^ w2, b_1 ^ b_2) = 1, i.e. the (b_{-1}, b_{-2}) minor of the
     # y-parts is a unit, so (y1, y2) extends to a basis: a Levi element
@@ -597,4 +634,4 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
 
     _check_postcondition(g.apply(T1) == target1 and g.apply(T2) == target2,
                          "pair did not reach the canonical form")
-    return g, t
+    return _in_group(g), t

@@ -374,24 +374,27 @@ def test_poincare_rejects_nonpositive_bound(capsys, bound):
     assert "radius must be >= 1" in rep["details"][0]
 
 
-def _fuzz_main(argv):
+def _fuzz_main(argv, usage_ok=False):
     """Run cli.main; check that the exit code is 0, 1 or 2, that it
-    matches the report's status, and that no traceback reaches stderr.
-    Returns the exit code; a usage error (exit 2 from argparse, before any
-    report) returns 2."""
+    matches the JSON report's status, and that no traceback reaches stderr.
+    Every run must print a report, unless usage_ok is set: then argparse
+    may instead reject the arguments (exit 2, no report, 'error: argument'
+    on stderr).  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as e:
+            if not usage_ok:
+                raise
             code = e.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if out.getvalue():
+    if usage_ok and not out.getvalue():
+        assert code == 2 and "error: argument" in err.getvalue()
+    else:
         report = json.loads(out.getvalue())
         assert code == {"pass": 0, "fail": 1, "error": 2}[report["status"]]
-    else:
-        assert code == 2 and "error: argument" in err.getvalue()
     return code
 
 
@@ -412,7 +415,7 @@ small = st.integers(-2, 3)
        seed=st.integers(0, 99))
 def test_reduce_fuzz_exit_codes(count, bound, seed):
     code = _fuzz_main(["reduce", f"--count={count}", f"--bound={bound}",
-                       f"--seed={seed}"])
+                       f"--seed={seed}"], usage_ok=True)
     assert code == (0 if count >= 0 and 1 <= bound <= 10 ** 6 else 2)
 
 
@@ -420,7 +423,8 @@ def test_reduce_fuzz_exit_codes(count, bound, seed):
 @given(command=st.sampled_from(["oct-check", "triality-verify"]),
        bound=small, seed=st.integers(0, 99))
 def test_random_suite_fuzz_exit_codes(command, bound, seed):
-    code = _fuzz_main([command, f"--bound={bound}", f"--seed={seed}"])
+    code = _fuzz_main([command, f"--bound={bound}", f"--seed={seed}"],
+                      usage_ok=True)
     assert code == (0 if bound >= 0 else 2)
 
 

@@ -101,6 +101,10 @@ def test_generator_rejections():
         (opposite_unipotent, [[1, 0, 0, 0]] + zero[1:]),      # diagonal
         (siegel_unipotent, [[0] * 5 for _ in range(5)]),      # 5x5
         (opposite_unipotent, [row[:3] for row in zero]),      # 4x3
+        (siegel_unipotent, [[0, 1.5, 0, 0], [-1, 0, 0, 0]]
+         + zero[2:]),                                         # 1.5 -> 1
+        (levi_isometry, [[1, 0.5, 0, 0], [0, 1, 0, 0],
+                         [0, 0, 1, 0], [0, 0, 0, 1]]),        # 0.5 -> 0
     ]
     for make, arg in cases:
         with pytest.raises(ValueError):
@@ -215,6 +219,30 @@ def test_reduce_pair_reaches_canonical_form():
                         for p, q, s in zip(b(1), b(2), b(-2)))
         assert g.apply(T1) == target1
         assert g.apply(T2) == target2
+        assert LatticeIsometry(LAT, g.matrix) == g
+
+
+def test_reductions_check_their_result_is_in_the_group(monkeypatch):
+    """A wrong factor that still reaches the target is caught: here every
+    Siegel factor also exchanges b_n <-> b_{-n}, which preserves the form
+    and the canonical targets (zero there) but has det -1."""
+    import octolift.orbits as orbits
+    honest = orbits.siegel_unipotent
+
+    def flipped(lat, B):
+        perm = list(range(lat.rank))
+        perm[lat.n - 1], perm[lat.n] = lat.n, lat.n - 1
+        flip = LatticeIsometry._trusted(
+            lat, tuple(tuple(int(k == p) for k in range(lat.rank))
+                       for p in perm))
+        return flip.compose(honest(lat, B))
+
+    monkeypatch.setattr(orbits, "siegel_unipotent", flipped)
+    T1, T2, _t = _random_admissible_pair(random.Random(6))
+    with pytest.raises(AssertionError, match="not in SO"):
+        reduce_pair(T1, T2)
+    with pytest.raises(AssertionError, match="determinant"):
+        reduce_primitive_vector(T1)
 
 
 def test_reduce_pair_orbit_transitivity():

@@ -9,7 +9,8 @@ Table file format (exact data only, no floats):
 
 where <key> is an integer n (halfintegral), a triple [a, b, c] (siegel), or a
 pair of 2x2 integer matrices (quaternionic).  Values are Gaussian rationals
-with numerator/denominator strings parsed exactly.  Numeric results
+with numerator/denominator strings parsed exactly.  Written tables hold the
+kind and weight on the first line and one entry per line.  Numeric results
 (whittaker, poincare) are written as CSV with 17 significant digits.
 
 Report format, emitted as JSON on standard output by every subcommand:
@@ -176,9 +177,15 @@ def load_table(path: str):
 
 
 def write_table(table, path: str) -> None:
+    """One JSON object: the kind and weight on the first line, then one
+    entry per line.  Each line goes through json.dumps, whose C encoder an
+    indent would switch off."""
+    data = serialize_table(table)
     with open(path, "w") as f:
-        json.dump(serialize_table(table), f, indent=1)
-        f.write("\n")
+        f.write(f'{{"kind": {json.dumps(data["kind"])}, '
+                f'"weight": {json.dumps(data["weight"])}, "entries": [')
+        f.write(",".join("\n" + json.dumps(e) for e in data["entries"]))
+        f.write("\n]}\n")
 
 
 # --- synthetic tables ------------------------------------------------------------
@@ -313,6 +320,10 @@ def cmd_lift(args):
     if not isinstance(c, HalfIntegralTable):
         raise TableError("lift needs a halfintegral input table")
     F = classical_maass_lift(c, args.weight, args.bound)
+    if not F.entries:
+        raise TableError(f"lift --bound {args.bound} yields no keys: the "
+                         f"smallest discriminant is {_MIN_DISC}, so use "
+                         f"--bound {_MIN_DISC} or more")
     rep = classical_maass_check(F)
     write_table(F, args.out)
     details = [rep.detail, f"wrote {args.out} "
@@ -337,6 +348,9 @@ def cmd_maass_check(args):
     phi = load_table(args.infile)
     if not isinstance(phi, QuatTable):
         raise TableError("maass-check needs a quaternionic input table")
+    if not phi.entries:
+        raise TableError(f"{args.infile} has no keys to check: theta-star "
+                         "--bound 1 or more yields keys")
     rep = maass_membership(phi)
     return ("pass" if rep.ok else "fail"), [rep.detail]
 
@@ -587,6 +601,11 @@ _weight = _int_range("a weight", 0, _MAX_WEIGHT)
 # 0.6 s for 3 pairs at 10^6, ten times that for each further power of 10.
 _MAX_REDUCE_BOUND = 10 ** 6
 _count = _int_range("a count", 0)
+_positive = _int_range("a bound", 1)
+
+# The smallest discriminant 4ac - b^2 of a positive definite triple:
+# 3, at (1, 1, 1).  A lift to a smaller bound has no keys.
+_MIN_DISC = 3
 
 
 def _triple(s: str) -> Tuple[int, int, int]:
@@ -624,14 +643,16 @@ def build_parser() -> argparse.ArgumentParser:
              "table")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--bound", type=int, required=True,
-                    help="discriminant bound")
+    sp.add_argument("--bound", type=_positive, required=True,
+                    help=f"discriminant bound, >= 1 (keys start at "
+                    f"{_MIN_DISC})")
     sp.add_argument("--out", required=True)
 
     sp = add("theta-star", cmd_theta_star, "tabulate the quaternionic lift "
              "of a siegel table")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--bound", type=int, required=True, help="det bound")
+    sp.add_argument("--bound", type=_positive, required=True,
+                    help="det bound, >= 1")
     sp.add_argument("--out", required=True)
 
     sp = add("maass-check", cmd_maass_check, "coefficient membership "
@@ -646,10 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("dirichlet", cmd_dirichlet, "Dirichlet-series factorization "
              "check on a quaternionic table")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--bound", type=int, default=12,
-                    help="series truncation")
-    sp.add_argument("--count", type=int, default=5,
-                    help="number of strongly primitive keys to test")
+    sp.add_argument("--bound", type=_positive, default=12,
+                    help="series truncation, >= 1")
+    sp.add_argument("--count", type=_int_range("a count", 1), default=5,
+                    help="number of strongly primitive keys to test, >= 1")
     sp.add_argument("--seed", type=int, default=None,
                     help="shuffle key choice (default: first keys)")
 
@@ -684,7 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
              "table")
     sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bound", type=int, default=36)
+    sp.add_argument("--bound", type=_positive, default=36,
+                    help="key bound, >= 1")
     sp.add_argument("--weight", type=int, default=10)
     sp.add_argument("--out", required=True)
 

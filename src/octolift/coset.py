@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 Mat2Z = Tuple[Tuple[int, int], Tuple[int, int]]
 IndexPair = Tuple[Mat2Z, Mat2Z]
@@ -101,9 +101,11 @@ def reduce_gram(t: GramTriple) -> GramTriple:
 
 def gram(lam: IndexPair) -> GramTriple:
     """S(lambda) = 1/2 [[(T1,T1), (T1,T2)], [(T1,T2), (T2,T2)]] recorded as
-    the triple (det T1, (T1,T2), det T2)."""
-    T1, T2 = lam
-    return GramTriple(mat2_det(T1), pair_bilinear(T1, T2), mat2_det(T2))
+    the triple (det T1, (T1,T2), det T2), in closed form from the eight
+    entries: (T1, T2) = a1 d2 + a2 d1 - b1 c2 - b2 c1."""
+    ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = lam
+    return GramTriple(a1 * d1 - b1 * c1, a1 * d2 + a2 * d1 - b1 * c2 - b2 * c1,
+                      a2 * d2 - b2 * c2)
 
 
 def divisors(n: int) -> List[int]:
@@ -198,6 +200,29 @@ def _apply_rinv(lam: IndexPair, r: Mat2Z) -> IndexPair:
                  for T in pair_act(lam, mat2_adjugate(r)))
 
 
+def _divisor_rows(lam: IndexPair) -> Iterator[Tuple[int, int, int]]:
+    """The HNF rows (a, b, d) of every r = [[a, b], [0, d]] that
+    divisor_cosets and divisor_grams sum over (see divisor_cosets)."""
+    if lam[0] == MAT2_ZERO and lam[1] == MAT2_ZERO:
+        raise ValueError("divisor cosets are undefined for the zero pair")
+    p, q, t = row_hnf(lam)
+    if t == 0:
+        # rank-1 stacked matrix: r can be scaled arbitrarily along the kernel
+        # direction without losing integrality.
+        raise ValueError("divisor cosets are infinite for rank-deficient "
+                         "pairs")
+    for a in divisors(p):
+        m = p // a
+        for d in divisors(t):
+            g = gcd(m, d)
+            if q % g:
+                continue
+            step = d // g
+            b0 = q // g * pow(m // g, -1, step) % step
+            for b in range(b0, d, step):
+                yield a, b, d
+
+
 def divisor_cosets(lam: IndexPair) -> List[Tuple[Mat2Z, IndexPair]]:
     """All pairs (r, lam.r^{-1}) where r runs over HNF representatives of the
     left GL2(Z)-cosets of {r in GL2(Q) cap M2(Z): lam r^{-1} integral}.
@@ -210,24 +235,24 @@ def divisor_cosets(lam: IndexPair) -> List[Tuple[Mat2Z, IndexPair]]:
     With g = gcd(p/a, d), that congruence is solvable iff g | q, and its
     solutions are b0 + k d/g for k = 0..g-1.  So exactly the admissible
     cosets are built: the lattices between R and Z^2."""
-    if lam[0] == MAT2_ZERO and lam[1] == MAT2_ZERO:
-        raise ValueError("divisor cosets are undefined for the zero pair")
-    p, q, t = row_hnf(lam)
-    if t == 0:
-        # rank-1 stacked matrix: r can be scaled arbitrarily along the kernel
-        # direction without losing integrality.
-        raise ValueError("divisor cosets are infinite for rank-deficient "
-                         "pairs")
+    rs = [mat2(a, b, 0, d) for a, b, d in _divisor_rows(lam)]
+    return [(r, _apply_rinv(lam, r)) for r in rs]
+
+
+def divisor_grams(lam: IndexPair) -> List[Tuple[int, GramTriple]]:
+    """(|det r|, gram(lam.r^{-1})) for the same r, in the same order, as
+    divisor_cosets(lam), without building lam.r^{-1}.
+
+    gram(lam.g) = g^t gram(lam) g, so with S(lam) = (A, B, C) and
+    r^{-1} = [[1/a, -b/(ad)], [0, 1/d]] the triple of lam.r^{-1} is
+    (A/a^2, (aB - 2bA)/(a^2 d), (b^2 A - abB + a^2 C)/(a^2 d^2)).  It is
+    integral because lam.r^{-1} is, so the divisions are exact."""
+    S = gram(lam)
+    A, B, C = S.a, S.b, S.c
     out = []
-    for a in divisors(p):
-        m = p // a
-        for d in divisors(t):
-            g = gcd(m, d)
-            if q % g:
-                continue
-            step = d // g
-            b0 = q // g * pow(m // g, -1, step) % step
-            for b in range(b0, d, step):
-                r = mat2(a, b, 0, d)
-                out.append((r, _apply_rinv(lam, r)))
+    for a, b, d in _divisor_rows(lam):
+        aa = a * a
+        out.append((a * d, GramTriple(A // aa, (a * B - 2 * b * A) // (aa * d),
+                                      (b * b * A - a * b * B + aa * C)
+                                      // (aa * d * d))))
     return out

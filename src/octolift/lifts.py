@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, Iterable, List
 
-from .coset import (GramTriple, IndexPair, breve, divisor_cosets, divisors,
-                    gram, hnf_right_cosets, is_strongly_primitive, mat2_det,
+from .coset import (GramTriple, IndexPair, breve, divisor_grams, divisors,
+                    gram, hnf_right_cosets, is_strongly_primitive,
                     mat2_scale, pair_act, reduce_gram)
 from .quadspace import GaussRational, GZERO, _coerce
 
@@ -176,13 +176,14 @@ def classical_maass_check(F: SiegelTable) -> Report:
 
 def theta_star(F: SiegelTable, lam: IndexPair) -> GaussRational:
     """a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
-    |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1."""
+    |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1
+    (divisor_grams gives each S(mu) without building mu)."""
     if not gram(lam).is_positive_definite():
         raise ValueError("theta_star needs positive definite gram(lambda)")
     ell = F.weight
     out = GZERO
-    for r, mu in divisor_cosets(lam):
-        out = out + abs(mat2_det(r)) ** (ell - 1) * F.a(gram(mu)).conj()
+    for n, t in divisor_grams(lam):
+        out = out + n ** (ell - 1) * F.a(t).conj()
     return out
 
 
@@ -192,8 +193,8 @@ def _closure_keys(pairs: Iterable[IndexPair]):
     keys = set()
     for lam in pairs:
         keys.add(lam)
-        for _r, mu in divisor_cosets(lam):
-            keys.add(breve(gram(mu)))
+        for _n, t in divisor_grams(lam):
+            keys.add(breve(t))
     return keys
 
 
@@ -239,7 +240,8 @@ def maass_membership(phi: QuatTable) -> Report:
     """Check the two Spezialschar coefficient conditions on every table key:
     (i) strongly primitive keys with equal gram carry equal coefficients;
     (ii) a_phi(lambda) = sum over divisor cosets (r, mu) of
-         |det r|^(ell-1) a_phi^prim(mu)."""
+         |det r|^(ell-1) a_phi^prim(mu), read as a_phi(breve(S(mu))) with
+         S(mu) from divisor_grams."""
     ell = phi.weight
     by_gram: Dict[GramTriple, List[IndexPair]] = {}
     for lam in phi.entries:
@@ -251,8 +253,8 @@ def maass_membership(phi: QuatTable) -> Report:
             return Report(False, f"condition (i) fails at gram {t}")
     for lam in phi.entries:
         rhs = GZERO
-        for r, mu in divisor_cosets(lam):
-            rhs = rhs + abs(mat2_det(r)) ** (ell - 1) * a_prim(phi, mu)
+        for n, t in divisor_grams(lam):
+            rhs = rhs + n ** (ell - 1) * phi.a(breve(t))
         if rhs != phi.entries[lam]:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
@@ -340,12 +342,11 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair, bound: int,
     for n in range(1, bound + 1):
         if _s_coprime(n, s_primes):
             for g in hnf_right_cosets(n):
-                for r, mu in divisor_cosets(pair_act(lam, g)):
-                    d = abs(mat2_det(r))
+                for d, _t in divisor_grams(pair_act(lam, g)):
                     if n % d or not (_s_coprime(d, s_primes)
                                      and _s_coprime(n // d, s_primes)):
-                        return Report(False,
-                                      f"S-coprimality fails at n={n}, r={r}")
+                        return Report(False, f"S-coprimality fails at n={n}, "
+                                      f"|det r|={d}, g={g}")
     for n in range(1, bound + 1):
         if lhs[n] != rhs[n]:
             return Report(False, f"factorization fails at n={n}")

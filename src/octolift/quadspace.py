@@ -54,6 +54,8 @@ class GaussRational:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):   # an integer scale (bool included)
+            return GaussRational(self.re * other, self.im * other)
         other = _coerce(other)
         return GaussRational(self.re * other.re - self.im * other.im,
                              self.re * other.im + self.im * other.re)

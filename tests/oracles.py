@@ -11,6 +11,11 @@ For the orbit layer: the factor isometries of the split lattice built by
 pushing the unit vectors through an (x, y) action and checked by the
 LatticeIsometry constructor, with A^{-t} from the Fraction inverse.
 
+For the lifts: the theta* coefficient and the Spezialschar membership
+check summed over divisor_cosets, building every pair mu = lambda.r^{-1}
+and taking its Gram triple, where the package reads S(mu) from
+divisor_grams.
+
 For the numeric layer: the Whittaker integral by scipy's quad_vec with one
 whittaker_eval (beta by matrix products) per node.  Also two exact helpers
 that no command uses: an alternating binomial sum and the index-1 Jacobi
@@ -23,6 +28,8 @@ from math import comb
 import numpy as np
 from scipy import integrate
 
+from octolift.coset import breve, divisor_cosets, gram, mat2_det
+from octolift.lifts import Report
 from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
@@ -461,6 +468,38 @@ def sym2_power(s: Sym2Element, ell: int):
             new[k + 2] = new[k + 2] + c * s.c_xx
         poly = new
     return tuple(poly)
+
+
+# --- the lifts, summed over the divisor cosets' pairs ------------------------
+
+def theta_star_by_cosets(F, lam) -> GaussRational:
+    """a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
+    |det r|^(ell-1) conj(a_F(gram(mu)))."""
+    ell = F.weight
+    out = GZERO
+    for r, mu in divisor_cosets(lam):
+        out = out + abs(mat2_det(r)) ** (ell - 1) * F.a(gram(mu)).conj()
+    return out
+
+
+def maass_membership_by_cosets(phi) -> Report:
+    """lifts.maass_membership, with condition (ii) summed over the pairs mu
+    of divisor_cosets and a_phi^prim(mu) = a_phi(breve(gram(mu)))."""
+    ell = phi.weight
+    by_gram = {}
+    for lam in phi.entries:
+        if len(divisor_cosets(lam)) == 1:     # strongly primitive
+            by_gram.setdefault(gram(lam), []).append(lam)
+    for t, lams in by_gram.items():
+        if len({phi.entries[lam] for lam in lams}) > 1:
+            return Report(False, f"condition (i) fails at gram {t}")
+    for lam in phi.entries:
+        rhs = GZERO
+        for r, mu in divisor_cosets(lam):
+            rhs = rhs + abs(mat2_det(r)) ** (ell - 1) * phi.a(breve(gram(mu)))
+        if rhs != phi.entries[lam]:
+            return Report(False, f"condition (ii) fails at {lam}")
+    return Report(True, f"{len(phi.entries)} keys verified")
 
 
 # --- the numeric layer -------------------------------------------------------

@@ -85,6 +85,26 @@ def test_rationals_survive_exactly():
     assert cli.parse_table(cli.serialize_table(t)) == t
 
 
+@pytest.mark.parametrize("empty", [False, True])
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_write_table_round_trips(tmp_path, kind, empty):
+    table = cli.synth_table(kind, seed=11, bound=24, weight=4)
+    if empty:
+        table = type(table)(4, {})
+    path = tmp_path / "t.json"
+    cli.write_table(table, str(path))
+    assert cli.load_table(str(path)) == table
+    with open(path) as f:
+        data = json.load(f)
+    assert data == cli.serialize_table(table)
+    assert list(data) == ["kind", "weight", "entries"]
+    # the kind and weight, one line per entry, the closing brackets
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(table.entries) + 2
+    for line, entry in zip(lines[1:-1], data["entries"]):
+        assert json.loads(line.rstrip(",")) == entry
+
+
 # --- report and exit-code contract -----------------------------------------------
 
 def test_pass_report(capsys):
@@ -298,6 +318,36 @@ def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
     assert "1152" in rep["details"][0]
 
 
+def test_empty_tables_do_not_pass(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    F = tmp_path / "F.json"
+    phi = tmp_path / "phi.json"
+    code, _ = _run(capsys, ["synth", "--kind", "halfintegral", "--seed", "1",
+                            "--bound", "40", "--out", str(c)])
+    assert code == 0
+    # the smallest discriminant of a positive definite triple is 3
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "4",
+                              "--bound", "2", "--out", str(F)])
+    assert code == 2 and rep["status"] == "error"
+    assert "use --bound 3 or more" in rep["details"][0]
+    assert not F.exists()
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "4",
+                              "--bound", "3", "--out", str(F)])
+    assert code == 0 and rep["details"][0] == "1 keys verified"
+    code, _ = _run(capsys, ["lift", "--in", str(c), "--weight", "4",
+                            "--bound", "4", "--out", str(F)])
+    assert code == 0      # theta-star --bound 1 reads discriminants <= 4
+    cli.write_table(QuatTable(4, {}), str(phi))
+    code, rep = _run(capsys, ["maass-check", "--in", str(phi)])
+    assert code == 2 and rep["status"] == "error"
+    assert "theta-star --bound 1 or more yields keys" in rep["details"][0]
+    code, rep = _run(capsys, ["theta-star", "--in", str(F), "--bound", "1",
+                              "--out", str(phi)])
+    assert code == 0
+    code, rep = _run(capsys, ["maass-check", "--in", str(phi)])
+    assert code == 0 and rep["status"] == "pass"
+
+
 def test_lift_reports_weight_mismatch(tmp_path, capsys):
     c = tmp_path / "c.json"
     F = tmp_path / "F.json"
@@ -436,6 +486,22 @@ def test_random_suite_fuzz_exit_codes(command, bound, seed):
                                     "and 1000000"),
     (["oct-check", "--bound=-1"], "--bound: expected a count >= 0"),
     (["triality-verify", "--bound=-1"], "--bound: expected a count >= 0"),
+    (["dirichlet", "--in=F.json", "--count=0"],
+     "--count: expected a count >= 1"),
+    (["dirichlet", "--in=F.json", "--count=-1"],
+     "--count: expected a count >= 1"),
+    (["dirichlet", "--in=F.json", "--bound=0"],
+     "--bound: expected a bound >= 1"),
+    (["dirichlet", "--in=F.json", "--bound=-3"],
+     "--bound: expected a bound >= 1"),
+    (["theta-star", "--in=F.json", "--out=phi.json", "--bound=0"],
+     "--bound: expected a bound >= 1"),
+    (["theta-star", "--in=F.json", "--out=phi.json", "--bound=-1"],
+     "--bound: expected a bound >= 1"),
+    (["lift", "--in=c.json", "--weight=4", "--out=F.json", "--bound=0"],
+     "--bound: expected a bound >= 1"),
+    (["synth", "--kind=siegel", "--out=F.json", "--bound=0"],
+     "--bound: expected a bound >= 1"),
 ])
 def test_negative_counts_and_bounds_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -444,3 +510,62 @@ def test_negative_counts_and_bounds_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# --- fuzzing the table commands ---------------------------------------------------
+
+# Every kind of table file, as synth writes it, before any damage
+_TABLES = {kind: cli.serialize_table(cli.synth_table(kind, 5, bound, 4))
+           for kind, bound in (("halfintegral", 40), ("siegel", 80),
+                               ("quaternionic", 6))}
+# Keys that no kind accepts: malformed, or outside every kind's support
+_BAD_KEYS = [None, "x", 1.5, True, 5, [1, 2], [1, 2, 2], [[1, 2], [3]],
+             [[[1, 0], [0, 1]], [[1, 0]]]]
+_BAD_RATIONALS = ["1/0", "x", "", "1/2/3", 0.5, None, 3, ["1"]]
+_DAMAGE = ("none", "kind", "empty", "rational", "key", "weight", "entries")
+
+
+@st.composite
+def _table_docs(draw):
+    """(document, damage): a synth table, maybe damaged in one way."""
+    doc = json.loads(json.dumps(_TABLES[draw(st.sampled_from(cli.KINDS))]))
+    damage = draw(st.sampled_from(_DAMAGE))
+    entries = doc["entries"]
+    i = draw(st.integers(0, len(entries) - 1))
+    if damage == "kind":
+        doc["kind"] = draw(st.sampled_from(["nope", None, 3, "Siegel"]))
+    elif damage == "empty":
+        entries.clear()
+    elif damage == "rational":
+        entries[i][draw(st.sampled_from(["re", "im"]))] = draw(
+            st.sampled_from(_BAD_RATIONALS))
+    elif damage == "key":
+        entries[i]["key"] = draw(st.sampled_from(_BAD_KEYS))
+    elif damage == "weight":
+        doc["weight"] = draw(st.sampled_from(["4", 4.0, None]))
+    elif damage == "entries":
+        doc["entries"] = draw(st.sampled_from([None, {}, "x", [1]]))
+    return doc, damage
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=_table_docs(), command=st.sampled_from(
+           ["lift", "theta-star", "maass-check", "fj", "dirichlet"]),
+       bound=st.integers(-2, 3), count=st.integers(-1, 2))
+def test_table_command_fuzz_exit_codes(tmp_path_factory, table, command,
+                                       bound, count):
+    doc, damage = table
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "in.json"
+    path.write_text(json.dumps(doc))
+    out = f"--out={work / 'out.json'}"
+    argv = {"lift": ["--weight=4", f"--bound={bound}", out],
+            "theta-star": [f"--bound={bound}", out],
+            "maass-check": [],
+            "fj": [out],
+            "dirichlet": [f"--bound={bound}", f"--count={count}"]}[command]
+    code = _fuzz_main([command, f"--in={path}", *argv], usage_ok=True)
+    out_of_range = (f"--bound={bound}" in argv and bound < 1
+                    or f"--count={count}" in argv and count < 1)
+    if out_of_range or damage != "none":    # every damage is fatal
+        assert code == 2

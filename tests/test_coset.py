@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift.coset import (GramTriple, MAT2_ZERO, breve, divisor_cosets,
-                            gram, hnf_left_cosets, hnf_right_cosets,
-                            is_strongly_primitive, mat2, mat2_det, mat2_mul,
-                            mat2_scale, mat2_transpose, pair_act,
-                            pair_bilinear, reduce_gram, row_hnf,
-                            smith_divisors)
+                            divisor_grams, gram, hnf_left_cosets,
+                            hnf_right_cosets, is_strongly_primitive, mat2,
+                            mat2_add, mat2_det, mat2_mul, mat2_scale,
+                            mat2_transpose, pair_act, pair_bilinear,
+                            reduce_gram, row_hnf, smith_divisors)
 
 ints = st.integers(-9, 9)
 mats = st.builds(mat2, ints, ints, ints, ints)
@@ -113,6 +113,15 @@ def test_gram_of_pair_action(lam1, lam2):
         nc = s.a * b * b + s.b * b * d + s.c * d * d
         nb = 2 * s.a * a * b + s.b * (a * d + b * c) + 2 * s.c * c * d
         assert t == GramTriple(na, nb, nc)
+
+
+@given(mats, mats)
+def test_gram_closed_form_is_the_det_definition(T1, T2):
+    # (T1, T2) = det(T1 + T2) - det T1 - det T2
+    assert gram((T1, T2)) == GramTriple(
+        mat2_det(T1),
+        mat2_det(mat2_add(T1, T2)) - mat2_det(T1) - mat2_det(T2),
+        mat2_det(T2))
 
 
 def _brute_strongly_primitive(lam, bound=6):
@@ -318,3 +327,32 @@ def test_divisor_cosets_match_trial_reference():
             assert pair_act(mu, r) == lam
         seen.add(smith_divisors(lam))
     assert {(1, d2) for d2 in range(1, 13)} <= seen
+
+
+@st.composite
+def _divisor_pairs(draw):
+    """A pair with small entries scaled by 1..4 (d2 up to about 12 and
+    beyond), or a pair with a prescribed row HNF of d2 <= 12."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        lam = _random_pair(rng, draw(st.sampled_from((1, 2, 4))))
+        k = draw(st.integers(1, 4))
+        return (mat2_scale(k, lam[0]), mat2_scale(k, lam[1]))
+    p, t = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    q = draw(st.integers(0, t - 1))
+    k = gcd(p, q, t)
+    if p * t > 12 * k:     # d2 = p t / d1 > 12: keep d1, shrink d2
+        p, q, t = k, 0, k
+    return _pair_with_row_lattice(rng, p, q, t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_divisor_pairs())
+def test_divisor_grams_match_divisor_cosets(lam):
+    if row_hnf(lam)[2] == 0:    # zero or rank-deficient: both refuse
+        for enumerate_cosets in (divisor_cosets, divisor_grams):
+            with pytest.raises(ValueError):
+                enumerate_cosets(lam)
+        return
+    assert divisor_grams(lam) == [(abs(mat2_det(r)), gram(mu))
+                                  for r, mu in divisor_cosets(lam)]

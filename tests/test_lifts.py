@@ -19,6 +19,7 @@ from octolift.lifts import (DirichletPoly, HalfIntegralTable,
                             theta_star_table)
 from octolift.quadspace import GZERO, GaussRational
 
+import oracles
 from oracles import jacobi_coeffs
 
 
@@ -133,6 +134,36 @@ def test_maass_membership_detects_corruption():
     assert key in entries
     entries[key] = entries[key] + 1
     assert not maass_membership(QuatTable(phi.weight, entries))
+
+
+@pytest.mark.parametrize("weight", [4, 10, 16])
+def test_divisor_gram_sums_match_the_coset_oracles(weight):
+    # theta* and membership read S(mu) from divisor_grams; the oracles
+    # build every mu = lambda . r^-1 and take its gram
+    F = _random_siegel_table(30 + weight, 4 * 12, weight=weight)
+    phi = theta_star_table(F, 12)
+    imprimitive = sorted(lam for lam in phi.entries
+                         if not is_strongly_primitive(lam))
+    assert any(len(oracles.divisor_cosets(lam)) > 2 for lam in imprimitive)
+    for lam, value in phi.entries.items():
+        assert value == oracles.theta_star_by_cosets(F, lam)
+    rng = random.Random(weight)
+    tables = [phi]
+    for _ in range(3):
+        # condition (ii) pins an imprimitive key against breve(S(lambda))
+        entries = dict(phi.entries)
+        lam = rng.choice(imprimitive)
+        entries[lam] = entries[lam] + GaussRational.make(0, 1)
+        tables.append(QuatTable(weight, entries))
+    # condition (i) broken: random values on every key
+    tables.append(QuatTable(weight, {
+        lam: GaussRational.make(rng.randint(-3, 3), rng.randint(-3, 3))
+        for lam in phi.entries}))
+    for table in tables:
+        assert maass_membership(table) == \
+            oracles.maass_membership_by_cosets(table)
+    assert maass_membership(phi).ok
+    assert not any(maass_membership(t).ok for t in tables[1:])
 
 
 def test_fj_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from octolift.quadspace import (DIM, E_PLUS, E_PRIME, F_PLUS, F_PRIME,
                                 GZERO, H_PLUS, H_PRIME, Bivector,
-                                GaussRational, basis_vector, biv_act,
+                                GaussRational, _coerce, basis_vector, biv_act,
                                 biv_matrix, bracket, cartan_theta, gvec,
                                 matrix_to_bivector, pairing, qval,
                                 trace_form, vadd, vscale, wedge)
@@ -24,6 +24,15 @@ bivectors = st.builds(wedge, coords, coords)
 
 def _zero(X):
     return X.is_zero()
+
+
+@pytest.mark.parametrize("k", [7, -3, 0, True, False, 10 ** 30])
+def test_gauss_rational_times_int_is_the_coerced_product(k):
+    z = GaussRational(Fraction(22, 7), Fraction(-1, 3))
+    want = z * _coerce(k)
+    for got in (z * k, k * z):
+        assert got == want and hash(got) == hash(want)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
 def test_gram_is_antidiagonal():

@@ -8,10 +8,15 @@ Table file format (exact data only, no floats):
      "entries": [{"key": <key>, "re": "p/q", "im": "p/q"}, ...]}
 
 where <key> is an integer n (halfintegral), a triple [a, b, c] (siegel), or a
-pair of 2x2 integer matrices (quaternionic).  Values are Gaussian rationals
-with numerator/denominator strings parsed exactly.  Written tables hold the
-kind and weight on the first line and one entry per line.  Numeric results
-(whittaker, poincare) are written as CSV with 17 significant digits.
+pair of 2x2 integer matrices (quaternionic).  Values are Gaussian rationals:
+"re" and "im" (each "0" when absent) are strings, and a table accepts
+exactly the strings fractions.Fraction parses: "p/q" in lowest terms or
+not, an optional sign, decimal and exponent forms such as "1.5" or "1e3",
+digits grouped by "_", and surrounding whitespace.  A zero denominator, any
+other string and a value that is not a string are data errors.  Written
+tables hold the kind and weight on the first line and one entry per line,
+with values in lowest terms.  Numeric results (whittaker, poincare) are
+written as CSV with 17 significant digits.
 
 Report format, emitted as JSON on standard output by every subcommand:
 
@@ -24,6 +29,7 @@ Exit code 0 on pass, 1 on fail, 2 on usage or data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -63,11 +69,6 @@ def _parse_rational(s, where: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise TableError(f"{where}: bad rational string {s!r} ({e})")
-
-
-def _parse_gauss(entry: dict, where: str) -> GaussRational:
-    return GaussRational(_parse_rational(entry.get("re", "0"), where),
-                         _parse_rational(entry.get("im", "0"), where))
 
 
 def _gauss_fields(v: GaussRational) -> Dict[str, str]:
@@ -116,8 +117,47 @@ def _key_sort(kind: str):
 KINDS = ("halfintegral", "siegel", "quaternionic")
 
 
+def _siegel_key(key) -> Optional[GramTriple]:
+    """The triple in a key that is a list of three ints, else None."""
+    if type(key) is list and len(key) == 3:
+        a, b, c = key
+        if type(a) is int and type(b) is int and type(c) is int:
+            return GramTriple(a, b, c)
+    return None
+
+
+def _int_pair(row) -> bool:
+    return (type(row) is list and len(row) == 2 and type(row[0]) is int
+            and type(row[1]) is int)
+
+
+def _quat_key(key) -> Optional[IndexPair]:
+    """The pair of matrices in a key that is a list of two lists of two
+    int pairs, else None."""
+    if type(key) is list and len(key) == 2:
+        m, n = key
+        if type(m) is list and type(n) is list and len(m) == len(n) == 2:
+            (p, q), (r, s) = m, n
+            if _int_pair(p) and _int_pair(q) and _int_pair(r) and _int_pair(s):
+                return (tuple(p), tuple(q)), (tuple(r), tuple(s))
+    return None
+
+
+# kind -> the key of a well-formed JSON key (exact int and list types, as
+# json.load gives them), else None; _parse_key then judges it
+_FAST_KEYS = {
+    "halfintegral": lambda key: key if type(key) is int else None,
+    "siegel": _siegel_key,
+    "quaternionic": _quat_key,
+}
+
+
 def parse_table(data):
-    """JSON object -> HalfIntegralTable / SiegelTable / QuatTable."""
+    """JSON object -> HalfIntegralTable / SiegelTable / QuatTable, in one
+    pass over the entries.  A well-formed key is read directly; any other
+    goes through _parse_key, whose diagnostic names the entry.  Each
+    distinct value string is parsed once by Fraction, and each distinct
+    (re, im) pair becomes one GaussRational shared by its entries."""
     if not isinstance(data, dict):
         raise TableError("table file must be a JSON object")
     kind = data.get("kind")
@@ -127,15 +167,33 @@ def parse_table(data):
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise TableError("entries must be a list")
+    fast_key = _FAST_KEYS[kind]
+    rationals: Dict[str, Fraction] = {}
+    values: Dict[Tuple[str, str], GaussRational] = {}
+
+    def rational(s, i: int) -> Fraction:
+        q = rationals.get(s) if type(s) is str else None
+        if q is None:
+            q = rationals[s] = _parse_rational(s, f"entries[{i}]")
+        return q
+
     entries = {}
     for i, entry in enumerate(raw):
-        where = f"entries[{i}]"
         if not isinstance(entry, dict) or "key" not in entry:
-            raise TableError(f"{where}: each entry needs a 'key'")
-        key = _parse_key(kind, entry["key"], where)
+            raise TableError(f"entries[{i}]: each entry needs a 'key'")
+        raw_key = entry["key"]
+        key = fast_key(raw_key)
+        if key is None:
+            key = _parse_key(kind, raw_key, f"entries[{i}]")
         if key in entries:
-            raise TableError(f"{where}: duplicate key {entry['key']!r}")
-        entries[key] = _parse_gauss(entry, where)
+            raise TableError(f"entries[{i}]: duplicate key {raw_key!r}")
+        re, im = entry.get("re", "0"), entry.get("im", "0")
+        value = (values.get((re, im))
+                 if type(re) is str and type(im) is str else None)
+        if value is None:   # rational() rejects a value that is no string
+            value = values[re, im] = GaussRational(rational(re, i),
+                                                   rational(im, i))
+        entries[key] = value
     try:
         if kind == "halfintegral":
             return HalfIntegralTable(weight, entries)
@@ -167,12 +225,16 @@ def serialize_table(table) -> dict:
 
 def load_table(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except OSError as e:
         raise TableError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise TableError(f"{path}: invalid JSON: {e}")
+    except UnicodeDecodeError as e:
+        raise TableError(f"{path}: not UTF-8 text: {e}")
+    except RecursionError:
+        raise TableError(f"{path}: JSON nested too deeply to decode")
     return parse_table(data)
 
 
@@ -389,13 +451,6 @@ def cmd_dirichlet(args):
         extra = [pair_act(lam, g) for lam in lams
                  for n in range(1, args.bound + 1)
                  for g in hnf_right_cosets(n)]
-        # each extra pair's own gram is read through its identity coset
-        need = max(gram(mu).disc() for mu in extra)
-        have = max((t.disc() for t in table.entries), default=0)
-        if need > have:
-            raise TableError(f"dirichlet --bound {args.bound} reads a_F up "
-                             f"to discriminant {need}, but the table stops "
-                             f"at {have}: build it with --bound {need}")
         phi = theta_star_table(table, 1, extra_pairs=extra)
     elif isinstance(table, QuatTable):
         phi = table
@@ -620,27 +675,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="octolift",
         description="Exact and numeric verification pipelines for the "
                     "octonionic lift package.")
+    # a subcommand's name runs cmd_<name>, see _command
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("oct-check", cmd_oct_check, "octonion arithmetic identities "
-             "on random exact cases")
+    sp = sub.add_parser("oct-check", help="octonion arithmetic "
+                        "identities on random exact cases")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bound", type=_count, default=1000,
                     help="number of random cases, >= 0")
 
-    sp = add("triality-verify", cmd_triality_verify,
-             "isomorphism, Cartan, triality-triple and cube suite")
+    sp = sub.add_parser("triality-verify", help="isomorphism, Cartan, "
+                        "triality-triple and cube suite")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bound", type=_count, default=100,
                     help="number of random triples/cubes, >= 0")
 
-    sp = add("lift", cmd_lift, "classical genus-2 lift of a halfintegral "
-             "table")
+    sp = sub.add_parser("lift", help="classical genus-2 lift of a "
+                        "halfintegral table")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--bound", type=_positive, required=True,
@@ -648,24 +699,24 @@ def build_parser() -> argparse.ArgumentParser:
                     f"{_MIN_DISC})")
     sp.add_argument("--out", required=True)
 
-    sp = add("theta-star", cmd_theta_star, "tabulate the quaternionic lift "
-             "of a siegel table")
+    sp = sub.add_parser("theta-star", help="tabulate the quaternionic "
+                        "lift of a siegel table")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--bound", type=_positive, required=True,
                     help="det bound, >= 1")
     sp.add_argument("--out", required=True)
 
-    sp = add("maass-check", cmd_maass_check, "coefficient membership "
-             "conditions on a quaternionic table")
+    sp = sub.add_parser("maass-check", help="coefficient membership "
+                        "conditions on a quaternionic table")
     sp.add_argument("--in", dest="infile", required=True)
 
-    sp = add("fj", cmd_fj, "extract Fourier-Jacobi coefficients from a "
-             "quaternionic table")
+    sp = sub.add_parser("fj", help="extract Fourier-Jacobi coefficients "
+                        "from a quaternionic table")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = add("dirichlet", cmd_dirichlet, "Dirichlet-series factorization "
-             "check on a quaternionic table")
+    sp = sub.add_parser("dirichlet", help="Dirichlet-series "
+                        "factorization check on a quaternionic table")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--bound", type=_positive, default=12,
                     help="series truncation, >= 1")
@@ -674,8 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="shuffle key choice (default: first keys)")
 
-    sp = add("reduce", cmd_reduce, "canonical-form reduction of random "
-             "vector pairs in the split rank-8 lattice")
+    sp = sub.add_parser("reduce", help="canonical-form reduction of "
+                        "random vector pairs in the split rank-8 lattice")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_count, default=25,
                     help="number of random pairs, >= 0")
@@ -684,16 +735,16 @@ def build_parser() -> argparse.ArgumentParser:
                     default=6, help="entry bound for the random Gram "
                     f"triples, 1 <= bound <= {_MAX_REDUCE_BOUND}")
 
-    sp = add("whittaker", cmd_whittaker, "Bessel-sum identity and "
-             "archimedean integral vs closed form")
+    sp = sub.add_parser("whittaker", help="Bessel-sum identity and "
+                        "archimedean integral vs closed form")
     sp.add_argument("--weight", type=_weight, default=4,
                     help=f"weight ell, 0 <= ell <= {_MAX_WEIGHT}")
     sp.add_argument("--tol", type=_tolerance, default=1e-6,
                     help="relative error bound, > 0 (inf allowed)")
     sp.add_argument("--out", default=None, help="CSV output path")
 
-    sp = add("poincare", cmd_poincare, "Fourier coefficient of the "
-             "vector-valued series by lattice-point summation")
+    sp = sub.add_parser("poincare", help="Fourier coefficient of the "
+                        "vector-valued series by lattice-point summation")
     sp.add_argument("--key", type=_triple, default=(1, 0, 1),
                     help="Gram triple a,b,c")
     sp.add_argument("--weight", type=int, default=16)
@@ -701,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="summation radius")
     sp.add_argument("--out", default=None, help="CSV output path")
 
-    sp = add("synth", cmd_synth, "deterministic synthetic coefficient "
-             "table")
+    sp = sub.add_parser("synth", help="deterministic synthetic "
+                        "coefficient table")
     sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bound", type=_positive, default=36,
@@ -724,13 +775,25 @@ def emit(report: dict) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
+def _command(name: str):
+    """The cmd_* function of a subcommand, looked up when it runs, so that
+    a rebinding of the module attribute takes effect."""
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     seed = getattr(args, "seed", None)
     try:
-        status, details = args.fn(args)
+        status, details = _command(args.command)(args)
     except (TableError, InsufficientTableError, ValueError, OSError) as e:
         status, details = "error", [f"{type(e).__name__}: {e}"]
     except Exception as e:

@@ -67,8 +67,13 @@ class SiegelTable:
         if self.weight % 2:
             raise ValueError("weight must be even")
         for t in self.entries:
-            if reduce_gram(t) != t:
-                raise ValueError(f"key {t} is not reduced")
+            # A positive semidefinite triple is its own reduce_gram iff
+            # 0 <= b <= a <= c, and such a triple has 4ac - b^2 >= 3a^2 >= 0.
+            if not 0 <= t.b <= t.a <= t.c:
+                psd = t.a >= 0 and t.c >= 0 and t.disc() >= 0
+                raise ValueError(f"key {t} is not "
+                                 + ("reduced" if psd
+                                    else "positive semidefinite"))
             if self.cuspidal and not t.is_positive_definite():
                 raise ValueError("cuspidal table keys must be pos. definite")
 
@@ -221,9 +226,19 @@ def spezialschar_keys(detbound: int,
 
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
-    """Tabulate theta_star over spezialschar_keys(detbound, extra_pairs)."""
+    """Tabulate theta_star over spezialschar_keys(detbound, extra_pairs).
+    A key lambda reads a_F at discriminants up to disc S(lambda) (each
+    divisor coset's S(mu) has disc S(lambda) / |det r|^2), so a table that
+    stops below the largest key's fails here, before any sum."""
+    keys = spezialschar_keys(detbound, extra_pairs)
+    need = max((gram(lam).disc() for lam in keys), default=0)
+    have = max((t.disc() for t in F.entries), default=0)
+    if need > have:
+        raise InsufficientTableError(
+            f"theta* reads a_F up to discriminant {need}, but the table "
+            f"stops at {have}: build the table to discriminant {need}")
     entries = {}
-    for lam in spezialschar_keys(detbound, extra_pairs):
+    for lam in keys:
         entries[lam] = theta_star(F, lam)
     return QuatTable(F.weight, entries)
 

@@ -16,6 +16,10 @@ check summed over divisor_cosets, building every pair mu = lambda.r^{-1}
 and taking its Gram triple, where the package reads S(mu) from
 divisor_grams.
 
+For the table files: the per-entry parser, each key through the CLI's
+_parse_key and each value string through its own Fraction, as the one-pass
+loader's reference.
+
 For the numeric layer: the Whittaker integral by scipy's quad_vec with one
 whittaker_eval (beta by matrix products) per node.  Also two exact helpers
 that no command uses: an alternating binomial sum and the index-1 Jacobi
@@ -28,8 +32,10 @@ from math import comb
 import numpy as np
 from scipy import integrate
 
+from octolift.cli import KINDS, TableError, _parse_int, _parse_key
 from octolift.coset import breve, divisor_cosets, gram, mat2_det
-from octolift.lifts import Report
+from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
+                            SiegelTable)
 from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
@@ -500,6 +506,52 @@ def maass_membership_by_cosets(phi) -> Report:
         if rhs != phi.entries[lam]:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
+
+
+# --- table files, one entry at a time ---------------------------------------
+
+def _parse_rational(s, where: str) -> Fraction:
+    if not isinstance(s, str):
+        raise TableError(f"{where}: rational values must be strings, "
+                         f"got {type(s).__name__}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as e:
+        raise TableError(f"{where}: bad rational string {s!r} ({e})")
+
+
+def parse_table_by_entry(data):
+    """cli.parse_table as a loop that parses every entry on its own: each
+    key through _parse_key, each of its two value strings through
+    Fraction."""
+    if not isinstance(data, dict):
+        raise TableError("table file must be a JSON object")
+    kind = data.get("kind")
+    if kind not in KINDS:
+        raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
+    weight = _parse_int(data.get("weight"), "weight")
+    raw = data.get("entries")
+    if not isinstance(raw, list):
+        raise TableError("entries must be a list")
+    entries = {}
+    for i, entry in enumerate(raw):
+        where = f"entries[{i}]"
+        if not isinstance(entry, dict) or "key" not in entry:
+            raise TableError(f"{where}: each entry needs a 'key'")
+        key = _parse_key(kind, entry["key"], where)
+        if key in entries:
+            raise TableError(f"{where}: duplicate key {entry['key']!r}")
+        entries[key] = GaussRational(
+            _parse_rational(entry.get("re", "0"), where),
+            _parse_rational(entry.get("im", "0"), where))
+    try:
+        if kind == "halfintegral":
+            return HalfIntegralTable(weight, entries)
+        if kind == "siegel":
+            return SiegelTable(weight, entries)
+        return QuatTable(weight, entries)
+    except ValueError as e:
+        raise TableError(f"invalid table: {e}")
 
 
 # --- the numeric layer -------------------------------------------------------

@@ -17,6 +17,8 @@ from octolift.coset import GramTriple
 from octolift.lifts import HalfIntegralTable, QuatTable, SiegelTable
 from octolift.quadspace import GaussRational
 
+import oracles
+
 
 def _run(capsys, argv):
     code = cli.main(argv)
@@ -78,6 +80,30 @@ def test_parse_rejects_malformed():
     with pytest.raises(cli.TableError):
         cli.parse_table({"kind": "halfintegral", "weight": 4,
                          "entries": [{"key": 4, "re": "1/0", "im": "0"}]})
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("latin1.json", b'{"kind": "siegel", "weight": 4, "entries": [], '
+                    b'"note": "\xe9"}', "not UTF-8 text"),
+    ("deep.json", b"[" * 200000, "JSON nested too deeply to decode"),
+    ("indefinite.json", b'{"kind": "siegel", "weight": 4, "entries": '
+                        b'[{"key": [1, 3, 1], "re": "1"}]}',
+     "is not positive semidefinite"),
+    ("semidefinite.json", b'{"kind": "siegel", "weight": 4, "entries": '
+                          b'[{"key": [0, 0, 2], "re": "1"}]}',
+     "cuspidal table keys must be pos. definite"),
+])
+def test_undecodable_or_invalid_file_exits_2(tmp_path, capsys, name,
+                                             content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, rep = _run(capsys, ["theta-star", "--in", str(path), "--bound",
+                              "1", "--out", str(tmp_path / "phi.json")])
+    assert code == 2 and rep["status"] == "error"
+    assert message in rep["details"][0]
+    assert "internal error" not in rep["details"][0]
+    if name in ("latin1.json", "deep.json"):
+        assert str(path) in rep["details"][0]
 
 
 def test_rationals_survive_exactly():
@@ -318,6 +344,25 @@ def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
     assert "1152" in rep["details"][0]
 
 
+def test_theta_star_small_table_fails_fast(tmp_path, capsys):
+    F = tmp_path / "F.json"
+    phi = tmp_path / "phi.json"
+    code, _ = _run(capsys, ["synth", "--kind", "siegel", "--bound", "100",
+                            "--out", str(F)])
+    assert code == 0
+    # --bound 36 has the key breve(1, 0, 36), of discriminant 144
+    code, rep = _run(capsys, ["theta-star", "--in", str(F), "--bound", "36",
+                              "--out", str(phi)])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["details"] == [
+        "InsufficientTableError: theta* reads a_F up to discriminant 144, "
+        "but the table stops at 100: build the table to discriminant 144"]
+    assert not phi.exists()
+    code, _ = _run(capsys, ["theta-star", "--in", str(F), "--bound", "25",
+                            "--out", str(phi)])
+    assert code == 0
+
+
 def test_empty_tables_do_not_pass(tmp_path, capsys):
     c = tmp_path / "c.json"
     F = tmp_path / "F.json"
@@ -389,6 +434,27 @@ def test_poincare_rejects_a_radius_below_the_key(capsys):
                               "2"])
     assert code == 2 and "the smallest radius that can is 3" in \
         rep["details"][0]
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
+    F = tmp_path / "F.json"
+    code, _ = _run(capsys, ["synth", "--kind", "siegel", "--bound", "32",
+                            "--weight", "4", "--out", str(F)])
+    assert code == 0
+    runs = [(["dirichlet", "--in", str(F), "--bound", "2", "--count", "1",
+              "--seed", "5"], 5),
+            (["dirichlet", "--in", str(F), "--bound", "2", "--count", "1"],
+             None),
+            (["oct-check", "--bound", "3"], 0)]
+    for argv, seed in runs:
+        code, rep = _run(capsys, argv)
+        assert code == 0
+        assert (rep["command"], rep["seed"]) == (argv[0], seed)
+    monkeypatch.setattr(cli, "cmd_oct_check",
+                        lambda args: ("pass", [f"patched {args.bound}"]))
+    code, rep = _run(capsys, ["oct-check", "--bound", "4"])
+    assert code == 0 and rep["details"] == ["patched 4"]
+    assert rep["seed"] == 0
 
 
 def test_unexpected_exception_is_an_error_report(capsys, monkeypatch):
@@ -569,3 +635,86 @@ def test_table_command_fuzz_exit_codes(tmp_path_factory, table, command,
                     or f"--count={count}" in argv and count < 1)
     if out_of_range or damage != "none":    # every damage is fatal
         assert code == 2
+
+
+# The damages of _table_docs, plus: value strings that Fraction accepts or
+# rejects, keys whose leaves are bools, floats, strings or nested lists, keys
+# outside a kind's support, and duplicate keys.
+_VALUES = ["2/4", "+1", " 3 ", "1e3", "1_0", "1/0", "-0", "1.5", "1/-2",
+           *_BAD_RATIONALS]
+_KEY_LEAVES = [True, False, 1.0, 2.5, [1], [[1, 2]], [], "1", None, -1, 0,
+               1, 7]
+
+
+def _key_paths(key, path=()):
+    """The paths to every list and leaf in a JSON key, the key included."""
+    yield path
+    if isinstance(key, list):
+        for j, part in enumerate(key):
+            yield from _key_paths(part, path + (j,))
+
+
+def _replaced(key, path, new):
+    if not path:
+        return new
+    out = list(key)
+    out[path[0]] = _replaced(key[path[0]], path[1:], new)
+    return out
+
+
+@st.composite
+def _parser_docs(draw):
+    """A synth table, intact or with one damage of _table_docs or of the
+    kinds above."""
+    if draw(st.booleans()):
+        return draw(_table_docs())[0]
+    doc = json.loads(json.dumps(_TABLES[draw(st.sampled_from(cli.KINDS))]))
+    entries = doc["entries"]
+    i = draw(st.integers(0, len(entries) - 1))
+    damage = draw(st.sampled_from(["value", "key", "duplicate"]))
+    if damage == "value":
+        entries[i][draw(st.sampled_from(["re", "im"]))] = draw(
+            st.sampled_from(_VALUES))
+    elif damage == "key":
+        key = entries[i]["key"]
+        path = draw(st.sampled_from(list(_key_paths(key))))
+        entries[i]["key"] = _replaced(key, path,
+                                      draw(st.sampled_from(_KEY_LEAVES)))
+    else:
+        j = draw(st.integers(0, len(entries) - 1))
+        entries[j]["key"] = json.loads(json.dumps(entries[i]["key"]))
+    return doc
+
+
+def _assert_parsed_as_the_oracle_does(doc):
+    """The one-pass parser returns the oracle's table, and raises TableError
+    exactly when the oracle does."""
+    try:
+        want = oracles.parse_table_by_entry(doc)
+    except cli.TableError:
+        with pytest.raises(cli.TableError):
+            cli.parse_table(doc)
+    else:
+        got = cli.parse_table(doc)
+        assert got == want
+        assert list(got.entries) == list(want.entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_parser_docs())
+def test_parse_table_matches_the_per_entry_oracle(doc):
+    _assert_parsed_as_the_oracle_does(doc)
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_every_key_leaf_damage_matches_the_oracle(kind):
+    """Each part of the first key of each kind, replaced by each leaf of
+    _KEY_LEAVES (the first key is (1, 0, 1) for siegel, so a bool there
+    still gives a reduced triple)."""
+    doc = _TABLES[kind]
+    key = doc["entries"][0]["key"]
+    for path in _key_paths(key):
+        for leaf in _KEY_LEAVES:
+            entry = {**doc["entries"][0], "key": _replaced(key, path, leaf)}
+            _assert_parsed_as_the_oracle_does(
+                {**doc, "entries": [entry, *doc["entries"][1:]]})

@@ -54,6 +54,30 @@ def test_half_table_support_rule():
         c.c(7)                      # supported but absent: never silently 0
 
 
+def test_reduced_key_check_is_reduce_gram():
+    """SiegelTable accepts a key by 0 <= b <= a <= c; on every triple with
+    entries in -12..12 that agrees with reduce_gram(t) == t, and a triple
+    that is not positive semidefinite raises ValueError, as reduce_gram
+    does."""
+    span = range(-12, 13)
+    for a in span:
+        for b in span:
+            for c in span:
+                t = GramTriple(a, b, c)
+                try:
+                    reduced = reduce_gram(t) == t
+                except ValueError:
+                    reduced = None
+                try:
+                    SiegelTable(4, {t: GZERO}, cuspidal=False)
+                    accepted = True
+                except ValueError as e:
+                    accepted = False
+                    assert ("positive semidefinite" in str(e)) == (
+                        reduced is None)
+                assert accepted == bool(reduced), t
+
+
 def test_siegel_table_canonicalizes_lookups():
     F = SiegelTable(4, {GramTriple(1, 0, 1): GaussRational.make(5)})
     assert F.a(GramTriple(1, 0, 1)) == F.a(GramTriple(1, 2, 2))

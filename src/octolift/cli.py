@@ -9,13 +9,13 @@ Table file format (exact data only, no floats):
 
 where <key> is an integer n (halfintegral), a triple [a, b, c] (siegel), or a
 pair of 2x2 integer matrices (quaternionic).  Values are Gaussian rationals:
-"re" and "im" (each "0" when absent) are strings, and a table accepts
-exactly the strings fractions.Fraction parses: "p/q" in lowest terms or
-not, an optional sign, decimal and exponent forms such as "1.5" or "1e3",
-digits grouped by "_", and surrounding whitespace.  A zero denominator, any
-other string and a value that is not a string are data errors.  Written
-tables hold the kind and weight on the first line and one entry per line,
-with values in lowest terms.  Numeric results (whittaker, poincare) are
+"re" and "im" (each "0" when absent) are strings "p/q" or "n" with an
+optional sign, as written in lowest terms.  A zero denominator, a string
+that fractions.Fraction does not parse and a value that is not a string are
+data errors.  The other strings Fraction parses ("2/4", "1.5", "1e3", "1_0",
+surrounding whitespace) load today but are not part of the format; exponent
+forms may be bounded later.  Written tables hold the kind and weight on the
+first line and one entry per line.  Numeric results (whittaker, poincare) are
 written as CSV with 17 significant digits.
 
 Report format, emitted as JSON on standard output by every subcommand:
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .coset import (GramTriple, IndexPair, breve, gram, hnf_right_cosets,
-                    is_strongly_primitive, mat2, pair_act, reduce_gram)
+                    is_strongly_primitive, pair_act, reduce_gram)
 from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     SiegelTable, classical_maass_check, classical_maass_lift,
                     dirichlet_factor_check, fj_extract, fj_pair,
@@ -81,23 +81,42 @@ def _parse_int(x, where: str) -> int:
     return x
 
 
-def _parse_mat2(x, where: str):
-    if (not isinstance(x, list) or len(x) != 2
-            or any(not isinstance(r, list) or len(r) != 2 for r in x)):
-        raise TableError(f"{where}: expected a 2x2 integer matrix, got {x!r}")
-    return mat2(*(_parse_int(e, where) for row in x for e in row))
+def _not_an_int(i: int, parts) -> TableError:
+    bad = next(e for e in parts if type(e) is not int)
+    return TableError(f"entries[{i}]: expected an integer, got {bad!r}")
 
 
-def _parse_key(kind: str, key, where: str):
+def _parse_mat2(x, i: int):
+    if type(x) is list and len(x) == 2:
+        r, s = x
+        if type(r) is list and type(s) is list and len(r) == len(s) == 2:
+            (a, b), (c, d) = r, s
+            if (type(a) is int and type(b) is int and type(c) is int
+                    and type(d) is int):
+                return (a, b), (c, d)
+            raise _not_an_int(i, (a, b, c, d))
+    raise TableError(f"entries[{i}]: expected a 2x2 integer matrix, "
+                     f"got {x!r}")
+
+
+def _parse_key(kind: str, key, i: int):
+    """The table key of entries[i]'s JSON key.  json.load gives exact int
+    and list types, so a bool, a float or a tuple is no integer or list
+    here; the diagnostic is built only when the key is rejected."""
     if kind == "halfintegral":
-        return _parse_int(key, where)
+        if type(key) is int:
+            return key
+        raise _not_an_int(i, (key,))
     if kind == "siegel":
-        if not isinstance(key, list) or len(key) != 3:
-            raise TableError(f"{where}: expected a triple [a, b, c]")
-        return GramTriple(*(_parse_int(e, where) for e in key))
-    if not isinstance(key, list) or len(key) != 2:
-        raise TableError(f"{where}: expected a pair of 2x2 matrices")
-    return (_parse_mat2(key[0], where), _parse_mat2(key[1], where))
+        if type(key) is not list or len(key) != 3:
+            raise TableError(f"entries[{i}]: expected a triple [a, b, c]")
+        a, b, c = key
+        if type(a) is int and type(b) is int and type(c) is int:
+            return GramTriple(a, b, c)
+        raise _not_an_int(i, key)
+    if type(key) is not list or len(key) != 2:
+        raise TableError(f"entries[{i}]: expected a pair of 2x2 matrices")
+    return _parse_mat2(key[0], i), _parse_mat2(key[1], i)
 
 
 def _key_json(kind: str, key):
@@ -117,47 +136,10 @@ def _key_sort(kind: str):
 KINDS = ("halfintegral", "siegel", "quaternionic")
 
 
-def _siegel_key(key) -> Optional[GramTriple]:
-    """The triple in a key that is a list of three ints, else None."""
-    if type(key) is list and len(key) == 3:
-        a, b, c = key
-        if type(a) is int and type(b) is int and type(c) is int:
-            return GramTriple(a, b, c)
-    return None
-
-
-def _int_pair(row) -> bool:
-    return (type(row) is list and len(row) == 2 and type(row[0]) is int
-            and type(row[1]) is int)
-
-
-def _quat_key(key) -> Optional[IndexPair]:
-    """The pair of matrices in a key that is a list of two lists of two
-    int pairs, else None."""
-    if type(key) is list and len(key) == 2:
-        m, n = key
-        if type(m) is list and type(n) is list and len(m) == len(n) == 2:
-            (p, q), (r, s) = m, n
-            if _int_pair(p) and _int_pair(q) and _int_pair(r) and _int_pair(s):
-                return (tuple(p), tuple(q)), (tuple(r), tuple(s))
-    return None
-
-
-# kind -> the key of a well-formed JSON key (exact int and list types, as
-# json.load gives them), else None; _parse_key then judges it
-_FAST_KEYS = {
-    "halfintegral": lambda key: key if type(key) is int else None,
-    "siegel": _siegel_key,
-    "quaternionic": _quat_key,
-}
-
-
 def parse_table(data):
     """JSON object -> HalfIntegralTable / SiegelTable / QuatTable, in one
-    pass over the entries.  A well-formed key is read directly; any other
-    goes through _parse_key, whose diagnostic names the entry.  Each
-    distinct value string is parsed once by Fraction, and each distinct
-    (re, im) pair becomes one GaussRational shared by its entries."""
+    pass over the entries.  Each distinct value string is parsed once by
+    Fraction."""
     if not isinstance(data, dict):
         raise TableError("table file must be a JSON object")
     kind = data.get("kind")
@@ -167,13 +149,11 @@ def parse_table(data):
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise TableError("entries must be a list")
-    fast_key = _FAST_KEYS[kind]
     rationals: Dict[str, Fraction] = {}
-    values: Dict[Tuple[str, str], GaussRational] = {}
 
     def rational(s, i: int) -> Fraction:
         q = rationals.get(s) if type(s) is str else None
-        if q is None:
+        if q is None:   # _parse_rational rejects a value that is no string
             q = rationals[s] = _parse_rational(s, f"entries[{i}]")
         return q
 
@@ -181,19 +161,11 @@ def parse_table(data):
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "key" not in entry:
             raise TableError(f"entries[{i}]: each entry needs a 'key'")
-        raw_key = entry["key"]
-        key = fast_key(raw_key)
-        if key is None:
-            key = _parse_key(kind, raw_key, f"entries[{i}]")
+        key = _parse_key(kind, entry["key"], i)
         if key in entries:
-            raise TableError(f"entries[{i}]: duplicate key {raw_key!r}")
-        re, im = entry.get("re", "0"), entry.get("im", "0")
-        value = (values.get((re, im))
-                 if type(re) is str and type(im) is str else None)
-        if value is None:   # rational() rejects a value that is no string
-            value = values[re, im] = GaussRational(rational(re, i),
-                                                   rational(im, i))
-        entries[key] = value
+            raise TableError(f"entries[{i}]: duplicate key {entry['key']!r}")
+        entries[key] = GaussRational(rational(entry.get("re", "0"), i),
+                                     rational(entry.get("im", "0"), i))
     try:
         if kind == "halfintegral":
             return HalfIntegralTable(weight, entries)

@@ -16,9 +16,9 @@ check summed over divisor_cosets, building every pair mu = lambda.r^{-1}
 and taking its Gram triple, where the package reads S(mu) from
 divisor_grams.
 
-For the table files: the per-entry parser, each key through the CLI's
-_parse_key and each value string through its own Fraction, as the one-pass
-loader's reference.
+For the table files: the per-entry parser, each key through isinstance
+checks and each value string parsed again wherever it occurs, as the
+one-pass loader's reference.
 
 For the numeric layer: the Whittaker integral by scipy's quad_vec with one
 whittaker_eval (beta by matrix products) per node.  Also two exact helpers
@@ -32,8 +32,9 @@ from math import comb
 import numpy as np
 from scipy import integrate
 
-from octolift.cli import KINDS, TableError, _parse_int, _parse_key
-from octolift.coset import breve, divisor_cosets, gram, mat2_det
+from octolift.cli import KINDS, TableError, _parse_int, _parse_rational
+from octolift.coset import (GramTriple, breve, divisor_cosets, gram, mat2,
+                            mat2_det)
 from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
                             SiegelTable)
 from octolift.octonion import BASIS, to_vector8
@@ -510,19 +511,28 @@ def maass_membership_by_cosets(phi) -> Report:
 
 # --- table files, one entry at a time ---------------------------------------
 
-def _parse_rational(s, where: str) -> Fraction:
-    if not isinstance(s, str):
-        raise TableError(f"{where}: rational values must be strings, "
-                         f"got {type(s).__name__}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise TableError(f"{where}: bad rational string {s!r} ({e})")
+def _parse_mat2(x, where: str):
+    if (not isinstance(x, list) or len(x) != 2
+            or any(not isinstance(r, list) or len(r) != 2 for r in x)):
+        raise TableError(f"{where}: expected a 2x2 integer matrix, got {x!r}")
+    return mat2(*(_parse_int(e, where) for row in x for e in row))
+
+
+def _parse_key(kind: str, key, where: str):
+    if kind == "halfintegral":
+        return _parse_int(key, where)
+    if kind == "siegel":
+        if not isinstance(key, list) or len(key) != 3:
+            raise TableError(f"{where}: expected a triple [a, b, c]")
+        return GramTriple(*(_parse_int(e, where) for e in key))
+    if not isinstance(key, list) or len(key) != 2:
+        raise TableError(f"{where}: expected a pair of 2x2 matrices")
+    return (_parse_mat2(key[0], where), _parse_mat2(key[1], where))
 
 
 def parse_table_by_entry(data):
     """cli.parse_table as a loop that parses every entry on its own: each
-    key through _parse_key, each of its two value strings through
+    key through isinstance checks, each of its two value strings through
     Fraction."""
     if not isinstance(data, dict):
         raise TableError("table file must be a JSON object")

@@ -688,12 +688,13 @@ def _parser_docs(draw):
 
 def _assert_parsed_as_the_oracle_does(doc):
     """The one-pass parser returns the oracle's table, and raises TableError
-    exactly when the oracle does."""
+    with the oracle's diagnostic exactly when the oracle does."""
     try:
         want = oracles.parse_table_by_entry(doc)
-    except cli.TableError:
-        with pytest.raises(cli.TableError):
+    except cli.TableError as e:
+        with pytest.raises(cli.TableError) as got:
             cli.parse_table(doc)
+        assert str(got.value) == str(e)
     else:
         got = cli.parse_table(doc)
         assert got == want

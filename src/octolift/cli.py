@@ -13,10 +13,11 @@ pair of 2x2 integer matrices (quaternionic).  Values are Gaussian rationals:
 optional sign, as written in lowest terms.  A zero denominator, a string
 that fractions.Fraction does not parse and a value that is not a string are
 data errors.  The other strings Fraction parses ("2/4", "1.5", "1e3", "1_0",
-surrounding whitespace) load today but are not part of the format; exponent
-forms may be bounded later.  Written tables hold the kind and weight on the
-first line and one entry per line.  Numeric results (whittaker, poincare) are
-written as CSV with 17 significant digits.
+surrounding whitespace) load today but are not part of the format; an
+exponent above 4300 in absolute value is a data error.  Written tables hold
+the kind and weight on the first line and one entry per line.  Numeric
+results (whittaker, poincare) are written as CSV with 17 significant
+digits.
 
 Report format, emitted as JSON on standard output by every subcommand:
 
@@ -61,10 +62,22 @@ class TableError(Exception):
 
 # --- exact value / key codecs ---------------------------------------------------
 
+# Fraction("1e<n>") builds 10^|n| exactly, for seconds at n = 10^7; CPython
+# bounds the digits of an integer string, and so a mantissa, by 4300 too.
+_MAX_EXPONENT = 4300
+
+
 def _parse_rational(s, where: str) -> Fraction:
     if not isinstance(s, str):
         raise TableError(f"{where}: rational values must be strings, "
                          f"got {type(s).__name__}")
+    try:    # an exponent that int() rejects, Fraction rejects too
+        exponent = abs(int(s.lower().partition("e")[2]))
+    except ValueError:
+        exponent = 0
+    if exponent > _MAX_EXPONENT:
+        raise TableError(f"{where}: the exponent of {s!r} exceeds "
+                         f"{_MAX_EXPONENT} in absolute value")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:

@@ -19,7 +19,6 @@ def mat2(a, b, c, d) -> Mat2Z:
 
 
 MAT2_ZERO = mat2(0, 0, 0, 0)
-MAT2_ID = mat2(1, 0, 0, 1)
 
 
 def mat2_det(m: Mat2Z) -> int:

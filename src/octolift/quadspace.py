@@ -373,18 +373,3 @@ def _su2_triple(v2sign: int):
 
 E_PLUS, H_PLUS, F_PLUS = _su2_triple(+1)
 E_PRIME, H_PRIME, F_PRIME = _su2_triple(-1)
-
-
-def _solve3(G, rhs):
-    """Solve the 3x3 Gaussian-rational system G c = rhs by Cramer's rule."""
-    def det3(M):
-        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-    D = det3(G)
-    out = []
-    for k in range(3):
-        Mk = [[rhs[r] if c == k else G[r][c] for c in range(3)]
-              for r in range(3)]
-        out.append(det3(Mk) / D)
-    return out

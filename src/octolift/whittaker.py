@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, exp, factorial, isqrt, pi, prod, sqrt
 from typing import List, Optional, Tuple
 
@@ -164,8 +165,10 @@ def whittaker_eval(T1, T2, r: LeviPoint, ell: int) -> WhittakerValue:
 
 # --- the S_v sum and its combinatorial engine --------------------------------
 
-def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
-    """S_v(X) / (pi e^{-X}) at rational X > 0, exactly.
+@lru_cache(maxsize=128)
+def _s_v_poly(v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """S_v(X) / (pi e^{-X}) as Gaussian-integer coefficients (re, im) of
+    X^{-m}, m < top = max(|v|, 1), over the denominator 2^top.
 
     With K_{n+1/2}(X) = sqrt(pi/(2X)) e^{-X} sum_j (n+j)!/(j! (n-j)!)
     (2X)^{-j}, the k-th term of S_v is pi e^{-X} times
@@ -173,9 +176,7 @@ def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
         C(|v|, 2k) (i sgn v)^{|v|-2k} (2k)!/(2^{k+1} k!) X^{-k}
         sum_j (n+j)!/(j! (n-j)!) (2X)^{-j},    n = |v| - k - 1
 
-    (n = 0 at v = 0).  The terms are gathered as Gaussian-integer
-    coefficients of a polynomial in 1/X over the denominator 2^{|v|}, which
-    is then evaluated at X = p/q by Horner's rule in integers."""
+    (n = 0 at v = 0)."""
     av = abs(v)
     sgn = 1 if v >= 0 else -1
     top = max(av, 1)            # 2^top clears every 2^{-(j+1)}
@@ -192,6 +193,14 @@ def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
             re[k + j] += ur * t
             im[k + j] += ui * t
             a = a * (n + j + 1) * (n - j) // (j + 1)
+    return tuple(re), tuple(im)
+
+
+def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
+    """S_v(X) / (pi e^{-X}) at rational X > 0, exactly: the polynomial of
+    _s_v_poly evaluated at X = p/q by Horner's rule in integers."""
+    re, im = _s_v_poly(v)
+    top = len(re)
     # sum_m coeff[m] (q/p)^m = (sum_m coeff[m] q^m p^{M-m}) / p^M
     p, q = X.numerator, X.denominator
     num_re, num_im, pw = re[-1], im[-1], 1
@@ -370,48 +379,43 @@ def archimedean_integral_check(T, t: float, u, ell: int,
 
 # --- Poincare summand --------------------------------------------------------
 
-J8 = np.array([[1.0 if i + j == 7 else 0.0 for j in range(8)]
-               for i in range(8)])
-_SU2 = (quadspace.E_PLUS, quadspace.H_PLUS, quadspace.F_PLUS)
-
-
 def _prk_int_matrices() -> np.ndarray:
-    """Re and Im of the Gaussian-integer matrices 2 C_k for b_k = e+, h+,
-    f+, stacked as six int64 8x8 matrices, where
+    """Re(2 C_e), Im(2 C_e) and Im(2 C_h) as int64 8x8 matrices M, giving
+    the key integers x, y, z = w1^t M w2, where for b_k = e+, h+, f+
 
-        2 tr(act(w1 ^ w2) b_k) = w1^t (2 C_k) w2,  C_k = J8 b_k - (J8 b_k)^t,
+        2 tr(act(w1 ^ w2) b_k) = w1^t (2 C_k) w2,  C_k = J b_k - (J b_k)^t
 
-    so the su(2)-projection is bilinear in the pair.  Built exactly from
-    quadspace's integer action matrices (J8 reverses the rows)."""
-    mats = []
-    for b in _SU2:
+    (J, the pairing, reverses the rows).  Built exactly from quadspace's
+    integer action matrices, checking what the closed form of _prk_coeffs
+    rests on: the trace form's Gram matrix, every 2 C_k Gaussian-integral,
+    and Re(2 C_h) = 0, Re(2 C_f) = -Re(2 C_e), Im(2 C_f) = Im(2 C_e)."""
+    su2 = (quadspace.E_PLUS, quadspace.H_PLUS, quadspace.F_PLUS)
+    if [[quadspace.trace_form(a, b) for b in su2] for a in su2] != [
+            [0, 0, 2], [0, 4, 0], [2, 0, 0]]:
+        raise ArithmeticError("the trace form on span{e+, h+, f+} changed")
+    parts = []
+    for b in su2:
         for part in (b.re, b.im):
             c2 = 2 * (part[::-1] - part[::-1].T)
             if (c2 % b.den).any():
                 raise ArithmeticError("2 C_k is not Gaussian-integral")
-            mats.append(c2 // b.den)
-    return np.stack(mats)
-
-
-def _su2_gram_inv() -> np.ndarray:
-    """Inverse of the trace form's Gram matrix on span{e+, h+, f+}, solved
-    exactly column by column."""
-    G = [[quadspace.trace_form(a, b) for b in _SU2] for a in _SU2]
-    cols = [quadspace._solve3(G, [quadspace.GaussRational.make(int(i == k))
-                                  for i in range(3)]) for k in range(3)]
-    return np.array([[complex(c) for c in col] for col in cols]).T
+            parts.append(c2 // b.den)
+    re_e, im_e, re_h, im_h, re_f, im_f = parts
+    if re_h.any() or (re_f != -re_e).any() or (im_f != im_e).any():
+        raise ArithmeticError("2 C_h and 2 C_f are not fixed by x, y, z")
+    return np.stack([re_e, im_e, im_h])
 
 
 _PRK2 = _prk_int_matrices()
-_SU2_GRAM_INV = _su2_gram_inv()
 
 
-def _prk_coeffs(rhs2: np.ndarray) -> np.ndarray:
-    """(c_xx, c_xy, c_yy) rows of pr_K from rows of the three values
-    2 tr(act(w1 ^ w2) b_k): solve against the trace form's Gram matrix on
-    span{e+, h+, f+}, then e+ = -x^2, h+ = 2xy, f+ = y^2."""
-    ce, ch, cf = _SU2_GRAM_INV @ (np.asarray(rhs2).T / 2.0)
-    return np.stack([-ce, 2.0 * ch, cf], axis=1)
+def _prk_coeffs(xyz: np.ndarray) -> np.ndarray:
+    """(c_xx, c_xy, c_yy) rows of pr_K from rows of key integers (x, y, z):
+    the doubled traces (x + iy, iz, -x + iy) on (e+, h+, f+), solved
+    against the Gram matrix [[0, 0, 2], [0, 4, 0], [2, 0, 0]], with
+    e+ = -x^2, h+ = 2xy, f+ = y^2."""
+    x, y, z = np.asarray(xyz, dtype=float).T
+    return np.stack([x - 1j * y, 1j * z, x + 1j * y], axis=1) / 4.0
 
 
 def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
@@ -437,14 +441,12 @@ def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
     return poly / (nrm ** (2 * ell + 1))[:, None]
 
 
-def bvv(v1, v2, g, ell: int) -> Tuple[complex, ...]:
-    """pr_K(Ad(g^{-1}) v1 ^ v2)^ell / ||pr_K(...)||^(2 ell + 1): 2 ell + 1
+def bvv(v1, v2, ell: int) -> Tuple[complex, ...]:
+    """pr_K(v1 ^ v2)^ell / ||pr_K(v1 ^ v2)||^(2 ell + 1): 2 ell + 1
     coefficients of x^{l+v} y^{l-v}, v ascending."""
-    g = np.asarray(g, dtype=float)
-    ginv = J8 @ g.T @ J8
-    w1, w2 = ginv @ np.asarray(v1, float), ginv @ np.asarray(v2, float)
-    rhs2 = np.einsum("i,kij,j->k", w1, _PRK2[0::2] + 1j * _PRK2[1::2], w2)
-    return tuple(_sym_power_batch(_prk_coeffs(rhs2[None, :]), ell)[0])
+    xyz = np.einsum("i,kij,j->k", np.asarray(v1, float), _PRK2,
+                    np.asarray(v2, float))
+    return tuple(_sym_power_batch(_prk_coeffs(xyz[None, :]), ell)[0])
 
 
 def _vectors_by_norm(radius: int, values) -> dict:
@@ -466,8 +468,8 @@ def _vectors_by_norm(radius: int, values) -> dict:
 
 
 def _key_bases(radius: int) -> List[int]:
-    """Mixed-radix bases 2 M_j + 1 packing the six integers w1^t M_j w2
-    (M_j the matrices of _PRK2) for sup-norms <= radius, with
+    """Mixed-radix bases 2 M_j + 1 packing the three key integers
+    w1^t M_j w2 (M_j the matrices of _PRK2) for sup-norms <= radius, with
     M_j = radius^2 sum |entries of M_j| bounding |w1^t M_j w2|."""
     return [2 * radius ** 2 * int(np.abs(m).sum()) + 1 for m in _PRK2]
 
@@ -493,17 +495,17 @@ class PoincareSum:
 
 
 def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
-    """Sum of bvv(v1, v2, g = 1, ell) over the integral pairs with
-    S(v1, v2) = T and sup-norms <= radius, shell by shell.
+    """Sum of bvv(v1, v2, ell) over the integral pairs with S(v1, v2) = T
+    and sup-norms <= radius, shell by shell.
 
-    The summand depends on the pair only through pr_K(v1 ^ v2), whose
-    three trace coefficients are, doubled, the Gaussian integers
-    v1^t (2 C_k) v2 (_prk_int_matrices).  So the pairs are grouped by these
-    six integers, computed exactly in int64 and packed in mixed radix into
-    one int64 key (_key_bases); each block of pairs is merged into the
-    sorted (key, pairs per shell) table, so memory grows with the number
-    of groups, not of pairs.  The symmetric power is then built once per
-    group and weighted by the group's pair counts.  A degenerate
+    The summand depends on the pair only through pr_K(v1 ^ v2), which is
+    fixed, in closed form (_prk_coeffs), by three integers x, y, z
+    bilinear in the pair (_prk_int_matrices).  So the pairs are grouped by
+    these three integers, computed exactly in int64 and packed in mixed
+    radix into one int64 key (_key_bases); each block of pairs is merged
+    into the sorted (key, pairs per shell) table, so memory grows with the
+    number of groups, not of pairs.  The symmetric power is then built
+    once per group and weighted by the group's pair counts.  A degenerate
     projection raises: every pair lies in exactly one group, so checking
     the groups checks the pairs."""
     if ell < 16 or ell % 2:
@@ -551,8 +553,7 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
                            minlength=new.size).reshape(new.shape)
         keys, counts = merged, new
     digits = keys[:, None] // strides % np.array(bases) - offsets
-    terms = _sym_power_batch(
-        _prk_coeffs(digits[:, 0::2] + 1j * digits[:, 1::2]), ell)
+    terms = _sym_power_batch(_prk_coeffs(digits), ell)
     return PoincareSum(tuple(counts.sum(axis=1) @ terms),
                        tuple(float(np.max(np.abs(s)))
                              for s in counts.T @ terms),

@@ -40,7 +40,7 @@ from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
 from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
-                                GaussRational, _coerce, _solve3, biv_coords,
+                                GaussRational, _coerce, biv_coords,
                                 trace_form)
 from octolift.whittaker import LeviPoint, Y0, whittaker_eval
 
@@ -447,6 +447,21 @@ class Sym2Element:
     def __add__(self, other):
         return Sym2Element(self.c_xx + other.c_xx, self.c_xy + other.c_xy,
                            self.c_yy + other.c_yy)
+
+
+def _solve3(G, rhs):
+    """Solve the 3x3 Gaussian-rational system G c = rhs by Cramer's rule."""
+    def det3(M):
+        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+    D = det3(G)
+    out = []
+    for k in range(3):
+        Mk = [[rhs[r] if c == k else G[r][c] for c in range(3)]
+              for r in range(3)]
+        out.append(det3(Mk) / D)
+    return out
 
 
 _SU2_BASIS = (E_PLUS, H_PLUS, F_PLUS)

@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +107,31 @@ def test_undecodable_or_invalid_file_exits_2(tmp_path, capsys, name,
     assert "internal error" not in rep["details"][0]
     if name in ("latin1.json", "deep.json"):
         assert str(path) in rep["details"][0]
+
+
+@pytest.mark.parametrize("value", ["1e3", "-2.5E-3", "1e4300", "1e-4300"])
+def test_exponent_forms_within_the_bound_load(value):
+    table = cli.parse_table({"kind": "halfintegral", "weight": 4,
+                             "entries": [{"key": 0, "re": value}]})
+    assert table.entries[0] == GaussRational.make(Fraction(value))
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1e-4301", "1E+4_301"])
+def test_huge_exponent_exits_2_at_once(tmp_path, capsys, value):
+    """Fraction would build 10^(10^7) exactly for "1e10000000", which
+    takes seconds; the exponent is rejected before that, naming the
+    entry."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": "halfintegral", "weight": 4,
+                                "entries": [{"key": 0, "re": value}]}))
+    start = time.monotonic()
+    code, rep = _run(capsys, ["lift", "--in", str(path), "--weight", "4",
+                              "--bound", "3", "--out",
+                              str(tmp_path / "F.json")])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and rep["status"] == "error"
+    assert "entries[0]: the exponent of" in rep["details"][0]
+    assert "exceeds 4300" in rep["details"][0]
 
 
 def test_rationals_survive_exactly():
@@ -523,6 +551,34 @@ def test_poincare_fuzz_exit_codes(key, weight, bound):
                 f"--bound={bound}"])
 
 
+@settings(max_examples=24, deadline=None)
+@given(weight=st.sampled_from([-1, 0, 200, 201]),
+       tol=st.sampled_from(["-inf", "-1", "0", "-0", "nan", "1e-6"]))
+def test_whittaker_fuzz_exit_codes(weight, tol):
+    """Every weight outside 0..200 and every tol that is not > 0 is a usage
+    error; at the edges inside, weight 0 passes and weight 200 fails (its
+    K-Bessel row overflows)."""
+    code = _fuzz_main(["whittaker", f"--weight={weight}", f"--tol={tol}"],
+                      usage_ok=True)
+    if weight in (0, 200) and tol == "1e-6":
+        assert code == (0 if weight == 0 else 1)
+    else:
+        assert code == 2
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(cli.KINDS), bound=st.sampled_from([-1, 0, 1, 4]),
+       weight=st.sampled_from([3, 4]))
+def test_synth_fuzz_exit_codes(tmp_path_factory, kind, bound, weight):
+    """A bound below 1 (a usage error) and an odd siegel weight (a data
+    error) exit 2; every other edge writes its table."""
+    out = tmp_path_factory.mktemp("synth") / "t.json"
+    code = _fuzz_main(["synth", f"--kind={kind}", f"--bound={bound}",
+                       f"--weight={weight}", f"--out={out}"], usage_ok=True)
+    assert code == (2 if bound < 1 or kind == "siegel" and weight % 2
+                    else 0)
+
+
 small = st.integers(-2, 3)
 
 
@@ -641,7 +697,7 @@ def test_table_command_fuzz_exit_codes(tmp_path_factory, table, command,
 # rejects, keys whose leaves are bools, floats, strings or nested lists, keys
 # outside a kind's support, and duplicate keys.
 _VALUES = ["2/4", "+1", " 3 ", "1e3", "1_0", "1/0", "-0", "1.5", "1/-2",
-           *_BAD_RATIONALS]
+           "1e10000000", *_BAD_RATIONALS]
 _KEY_LEAVES = [True, False, 1.0, 2.5, [1], [[1, 2]], [], "1", None, -1, 0,
                1, 7]
 
@@ -719,3 +775,21 @@ def test_every_key_leaf_damage_matches_the_oracle(kind):
             entry = {**doc["entries"][0], "key": _replaced(key, path, leaf)}
             _assert_parsed_as_the_oracle_does(
                 {**doc, "entries": [entry, *doc["entries"][1:]]})
+
+
+# --- the README -------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_readme_command_parses():
+    """Each `octolift ...` line of the README's command-line section, split
+    as a shell would, is accepted by the parser; nothing is run."""
+    section = README.read_text().split("## Command line", 1)[1]
+    lines = [line for line in section.splitlines()
+             if line.startswith("octolift ")]
+    assert len(lines) >= 11
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).command == argv[0], line

@@ -306,7 +306,7 @@ def test_bvv_matches_exact_projection():
             continue
         for ell in (4, 5):      # an odd power sees the projection's sign
             exact = _bvv_exact(v1, v2, ell)
-            got = bvv(v1, v2, np.eye(8), ell)
+            got = bvv(v1, v2, ell)
             for a, b in zip(got, exact):
                 assert abs(a - b) < 1e-10 * max(1.0, abs(b))
         done += 1
@@ -318,7 +318,7 @@ def test_bvv_degenerate_projection_raises():
     v2 = (1, -1, -1, -1, -1, 0, 1, 1)
     assert _bvv_exact(v1, v2, 16) is None
     with pytest.raises(ValueError):
-        bvv(v1, v2, np.eye(8), 16)
+        bvv(v1, v2, 16)
 
 
 def test_vectors_by_norm_against_brute_force():
@@ -340,9 +340,9 @@ def test_q_poincare_input_validation():
     for radius in (0, -1):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             q_poincare(GramTriple(1, 0, 1), 16, radius)
-    # (32 r^2 + 1)^4 (64 r^2 + 1) first exceeds 2^63 at r = 13
-    with pytest.raises(ValueError, match="largest radius allowed is 12"):
-        q_poincare(GramTriple(1, 0, 1), 16, 13)
+    # (32 r^2 + 1)^2 (64 r^2 + 1) first exceeds 2^63 at r = 229
+    with pytest.raises(ValueError, match="largest radius allowed is 228"):
+        q_poincare(GramTriple(1, 0, 1), 16, 229)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"

@@ -50,8 +50,8 @@ from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     dirichlet_factor_check, fj_extract, fj_pair,
                     maass_membership, reduced_triples, spezialschar_keys,
                     theta_star_table)
-from .octonion import Octonion, conj, norm, oct_mul, trilinear
-from .quadspace import GaussRational, bracket, cartan_theta
+from .octonion import from_vector8
+from .quadspace import GaussRational, bracket, cartan_theta, stack
 from . import triality
 from . import orbits
 
@@ -201,10 +201,17 @@ def serialize_table(table) -> dict:
     else:
         raise TypeError(f"not a table: {table!r}")
     entries = []
-    for key in sorted(table.entries, key=_key_sort(kind)):
-        row = {"key": _key_json(kind, key)}
-        row.update(_gauss_fields(table.entries[key]))
-        entries.append(row)
+    try:
+        for key in sorted(table.entries, key=_key_sort(kind)):
+            row = {"key": _key_json(kind, key)}
+            row.update(_gauss_fields(table.entries[key]))
+            entries.append(row)
+    except ValueError:
+        # str() of an integer longer than Python's digit limit
+        raise TableError(f"cannot write the value at key "
+                         f"{_key_json(kind, key)}: it has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's "
+                         f"limit for integer-to-string conversion")
     return {"kind": kind, "weight": table.weight, "entries": entries}
 
 
@@ -285,28 +292,50 @@ def write_csv(path: str, header: List[str], rows: List[List[float]]) -> None:
 # InsufficientTableError / OSError become status "error" with exit code 2,
 # and so does any other exception, reported as an internal error.
 
-def _random_octonion(rng: random.Random) -> Octonion:
-    # plain-int coordinates: exact and much faster than Fractions
-    return Octonion(rng.randint(-5, 5),
-                    tuple(rng.randint(-5, 5) for _ in range(3)),
-                    tuple(rng.randint(-5, 5) for _ in range(3)),
-                    rng.randint(-5, 5))
+# The random suites draw and check their cases in blocks of this many, so
+# that memory stays bounded for any --bound: verifying a block of 1024
+# triality triples raised the peak RSS by about 21 MB.
+_BLOCK = 1024
+
+
+def _suite_rng(seed: int) -> np.random.Generator:
+    """The random suites' generator, derived from any int seed (numpy's
+    default_rng rejects negative seeds)."""
+    return np.random.default_rng(random.Random(seed).getrandbits(128))
+
+
+def _blocks(rng: np.random.Generator, count: int, shape, lo: int, hi: int):
+    """(first case index, cases): count cases of the given shape with
+    int64 entries in lo..hi, drawn in blocks of _BLOCK; the case axis is
+    second, so that a block unpacks into its operands."""
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
+        yield start, rng.integers(lo, hi + 1, size=(shape[0], n) + shape[1:])
+
+
+def _octonion(w) -> str:
+    """The octonion of int64 b-coordinates w, as a failure names it."""
+    return str(from_vector8(w.tolist()))
 
 
 def cmd_oct_check(args):
-    rng = random.Random(args.seed)
-    for i in range(args.bound):
-        x, y, z = (_random_octonion(rng) for _ in range(3))
-        if norm(oct_mul(x, y)) != norm(x) * norm(y):
-            return "fail", [f"norm multiplicativity fails at case {i}: "
-                            f"x={x}, y={y}"]
-        if conj(oct_mul(x, y)) != oct_mul(conj(y), conj(x)):
+    for start, (x, y, z) in _blocks(_suite_rng(args.seed), args.bound,
+                                    (3, 8), -5, 5):
+        holds = triality.octonion_identities(x, y, z)
+        bad = ~np.logical_and.reduce(holds)
+        if not bad.any():
+            continue
+        i = int(np.argmax(bad))
+        case, norm_ok, conj_ok = start + i, holds[0][i], holds[1][i]
+        xs, ys, zs = _octonion(x[i]), _octonion(y[i]), _octonion(z[i])
+        if not norm_ok:
+            return "fail", [f"norm multiplicativity fails at case {case}: "
+                            f"x={xs}, y={ys}"]
+        if not conj_ok:
             return "fail", [f"conjugation anti-homomorphism fails at case "
-                            f"{i}: x={x}, y={y}"]
-        t = trilinear(x, y, z)
-        if t != trilinear(y, z, x) or t != trilinear(z, x, y):
-            return "fail", [f"trilinear cyclic symmetry fails at case {i}: "
-                            f"x={x}, y={y}, z={z}"]
+                            f"{case}: x={xs}, y={ys}"]
+        return "fail", [f"trilinear cyclic symmetry fails at case {case}: "
+                        f"x={xs}, y={ys}, z={zs}"]
     return "pass", [f"{args.bound} random exact cases verified for norm "
                     "multiplicativity, conjugation anti-homomorphism, "
                     "trilinear cyclic symmetry"]
@@ -336,25 +365,28 @@ def cmd_triality_verify(args):
         return "fail", [f"phi does not intertwine the Cartan involutions "
                         f"at basis element {int(np.argmin(same))}"]
     details.append("phi intertwines the Cartan involutions on the basis")
-    for k, triple in enumerate(triality.standard_triples()):
-        if not triality.verify_triality_triple(*triple):
-            return "fail", [f"standard triality triple {k} fails"]
+    bad = triality.triality_defects(
+        *(stack(component) for component in zip(*triality.standard_triples())))
+    if bad.any():
+        return "fail", [f"standard triality triple {int(np.argmax(bad))} "
+                        f"fails"]
     details.append("all 6 standard triality triples verified")
-    rng = random.Random(args.seed)
-    for i in range(args.bound):
-        u, v = _random_octonion(rng), _random_octonion(rng)
-        if not triality.verify_triality_triple(
-                *triality.prop_mult_triple(u, v)):
-            return "fail", [f"multiplication triple fails at case {i}: "
-                            f"u={u}, v={v}"]
+    rng = _suite_rng(args.seed)
+    for start, (u, v) in _blocks(rng, args.bound, (2, 8), -5, 5):
+        bad = triality.triality_defects(*triality.mult_triples(u, v))
+        if bad.any():
+            i = int(np.argmax(bad))
+            return "fail", [f"multiplication triple fails at case "
+                            f"{start + i}: u={_octonion(u[i])}, "
+                            f"v={_octonion(v[i])}"]
     details.append(f"{args.bound} random multiplication triples verified")
-    for i in range(args.bound):
-        a, b, c = (rng.randint(-9, 9) for _ in range(3))
-        wc = triality.BhargavaCube.make(-c, (0, 0, b), (1, a, 1), 0)
-        want = triality.BhargavaCube.make(-c, (0, b, 0), (a, 1, 1), 0)
-        if triality.s3_act_cube((3, 1, 2), wc) != want:
-            return "fail", [f"cube transformation fails at (a,b,c)="
-                            f"({a},{b},{c})"]
+    for _, abc in _blocks(rng, args.bound, (3,), -9, 9):
+        for a, b, c in abc.T.tolist():
+            wc = triality.BhargavaCube.make(-c, (0, 0, b), (1, a, 1), 0)
+            want = triality.BhargavaCube.make(-c, (0, b, 0), (a, 1, 1), 0)
+            if triality.s3_act_cube((3, 1, 2), wc) != want:
+                return "fail", [f"cube transformation fails at (a,b,c)="
+                                f"({a},{b},{c})"]
     details.append(f"{args.bound} random cube transformations verified")
     details.append({"counts": {"basis_pairs": n * n, "cartan_elements": n,
                                "triples": 6 + args.bound,
@@ -579,11 +611,39 @@ def cmd_whittaker(args):
     return "pass", details
 
 
+# q_poincare tests every pair of vectors in the (2r+1)^8 box at radius r:
+# radius 2 on 1,0,1 takes about 61 s and 276 MB, and radius 3 would make
+# about 7e10 pair tests, so a larger radius is refused before any work.
+_MAX_POINCARE_RADIUS = 2
+
+
 def cmd_poincare(args):
     from . import whittaker    # as in cmd_whittaker
+    if args.bound > _MAX_POINCARE_RADIUS:
+        raise ValueError(f"radius {args.bound} is above "
+                         f"{_MAX_POINCARE_RADIUS}, the largest radius the "
+                         f"pair-by-pair sum can reach in about a minute")
+    if args.weight > _MAX_WEIGHT:
+        raise ValueError(f"weight {args.weight} is above {_MAX_WEIGHT}, the "
+                         f"largest weight allowed (the cost grows as "
+                         f"groups x weight^2)")
     a, b, c = args.key
-    res = whittaker.q_poincare(GramTriple(a, b, c), args.weight, args.bound)
+    # At high weight the symmetric powers overflow; the resulting inf or
+    # nan fails the check below, so numpy need not also warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = whittaker.q_poincare(GramTriple(a, b, c), args.weight,
+                                   args.bound)
     comps = res.components
+    finite = np.isfinite(comps)
+    if not finite.all():
+        return "fail", [f"component v={int(np.argmin(finite)) - args.weight}"
+                        f" is not finite: the weight-{args.weight} terms "
+                        f"overflow double precision"]
+    finite = np.isfinite(res.shell_sup)
+    if not finite.all():
+        return "fail", [f"the sup-norm of shell {int(np.argmin(finite)) + 1}"
+                        f" is not finite: the weight-{args.weight} terms "
+                        f"overflow double precision"]
     rows = [[v, comps[v + args.weight].real, comps[v + args.weight].imag]
             for v in range(-args.weight, args.weight + 1)]
     details = [f"Fourier coefficient at ({a},{b},{c}), weight {args.weight},"

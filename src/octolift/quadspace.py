@@ -300,17 +300,32 @@ def biv_matrix(X: Bivector):
              for c in range(DIM)] for r in range(DIM)]
 
 
-def matrix_to_bivector(A) -> Bivector:
-    """The element acting by the 8x8 matrix A.  Raises if A is not skew
-    w.r.t. the form (i.e. not in the image of wedge^2 V): (Ax, y) +
-    (x, Ay) = 0 reads J A + (J A)^t = 0, and J A is A with its rows
-    reversed."""
-    re, im, den = int_parts([x for row in A for x in row])
-    re, im = re.reshape(DIM, DIM), im.reshape(DIM, DIM)
+def skew_bivector(re, im, den: int = 1) -> Bivector:
+    """The elements acting by the matrices (re + i im) / den, int64 arrays
+    of shape (..., 8, 8).  Raises unless every one is skew w.r.t. the form
+    (i.e. in the image of wedge^2 V): (Ax, y) + (x, Ay) = 0 reads
+    J A + (J A)^t = 0, and J A is A with its rows reversed."""
     for part in (re, im):
-        if (part[::-1] + part[::-1].T).any():
+        ja = part[..., ::-1, :]
+        if (ja + ja.swapaxes(-1, -2)).any():
             raise ValueError("matrix is not skew with respect to the form")
     return Bivector.of(re, im, den)
+
+
+def matrix_to_bivector(A) -> Bivector:
+    """The element acting by the 8x8 matrix A of scalars; raises if A is
+    not skew (skew_bivector)."""
+    re, im, den = int_parts([x for row in A for x in row])
+    return skew_bivector(re.reshape(DIM, DIM), im.reshape(DIM, DIM), den)
+
+
+def stack(xs) -> Bivector:
+    """The bivectors xs as one batch along a new leading axis, over the
+    least common denominator."""
+    den = lcm(*(X.den for X in xs))
+    fits(max(den // X.den * amax(X.re, X.im) for X in xs))
+    return Bivector.of(np.stack([X.re * (den // X.den) for X in xs]),
+                       np.stack([X.im * (den // X.den) for X in xs]), den)
 
 
 def _commutator(a, b):

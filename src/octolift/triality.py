@@ -22,17 +22,16 @@ exact integer array arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Tuple
 
 import numpy as np
 
-from .octonion import (B_BASIS, BASIS, Octonion, conj as oct_conj, oct_mul,
-                       to_vector8, trace as oct_trace)
+from .octonion import (B_BASIS, BASIS, Octonion, oct_mul, to_vector8,
+                       trace as oct_trace)
 from .orbits import int_inverse
 from .quadspace import (Bivector, amax, biv_coords, bracket, fits,
-                        int_parts, matrix_to_bivector, reduced, wedge)
+                        int_parts, reduced, skew_bivector, wedge)
 
 
 # --- the Lie algebra g_E ------------------------------------------------------
@@ -113,12 +112,18 @@ for _i in range(3):
     _EPS[_i, (_i + 1) % 3, (_i + 2) % 3] = 1
     _EPS[_i, (_i + 2) % 3, (_i + 1) % 3] = -1
 _SYM = np.abs(_EPS)
+# _W3[(i, p, j, q), (k, m)] = _EPS[i, j, k] _SYM[m, p, q]
+_W3 = np.einsum("ijk,mpq->ipjqkm", _EPS, _SYM).reshape(81, 9)
 
 
 def _wedge3(X, Y):
     """Row k is sum_{i,j} eps_ijk X_i x Y_j: [v_i (x) x, v_j (x) x'] =
-    (v_i ^ v_j) (x) (x x x') with v_i ^ v_j = eps_ijk delta_k, and dually."""
-    return np.einsum("ijk,mpq,...ip,...jq->...km", _EPS, _SYM, X, Y)
+    (v_i ^ v_j) (x) (x x x') with v_i ^ v_j = eps_ijk delta_k, and dually.
+    One matmul of the outer products X (x) Y, over the broadcast batch
+    shape of X and Y, with _W3."""
+    XY = X[..., :, :, None, None] * Y[..., None, None, :, :]
+    shape = XY.shape[:-4]
+    return (XY.reshape(shape + (81,)) @ _W3).reshape(shape + (3, 3))
 
 
 def ge_bracket(A: GEElement, B: GEElement) -> GEElement:
@@ -224,7 +229,11 @@ def phi_inv(Y: Bivector) -> GEElement:
     return GEElement.of(y @ _PHI_INV.T, _PHI_INV_DEN * Y.den)
 
 
-# --- triality triples ---------------------------------------------------------
+# --- octonions as int64 arrays ------------------------------------------------
+
+# An octonion batch is an int64 array of shape (..., 8) of to_vector8
+# coordinates (the b-basis), whose leading axes index the batch.  Every
+# function below bounds its result with fits before computing it.
 
 # b_i b_j = sum_k _MUL[i, j, k] b_k, and the trilinear form
 # _TR[i, j, k] = tr(b_i (b_j b_k)), over the b-basis.
@@ -233,12 +242,61 @@ _MUL = np.array([[to_vector8(oct_mul(x, y)) for y in B_BASIS]
 _TR = np.einsum("jkm,imn,n->ijk", _MUL, _MUL,
                 np.array([oct_trace(x) for x in B_BASIS], dtype=np.int64))
 
+# Octonionic conjugation is minus the permutation of the b-basis that swaps
+# b3 = eps2 and b-3 = -eps1, so Ad(c) is conjugation by that permutation.
+_CONJ_PERM = (0, 1, 5, 3, 4, 2, 6, 7)
 
-def verify_triality_triple(X1: Bivector, X2: Bivector, X3: Bivector) -> bool:
-    """True iff (X1 x, y, z) + (x, X2 y, z) + (x, y, X3 z) = 0 for all 8^3
-    octonion basis triples (and every batch element), exactly: one
-    contraction of the action matrices, over a common denominator, with
-    the trilinear tensor."""
+
+def _outer(x, y):
+    """Rows 8 i + j of x_i y_j over the broadcast batch shape; the caller
+    bounds the contraction that follows."""
+    xy = x[..., :, None] * y[..., None, :]
+    return xy.reshape(xy.shape[:-2] + (64,))
+
+
+def mul8(x, y):
+    """Zorn products x y: one contraction with _MUL."""
+    fits(64 * amax(_MUL) * amax(x) * amax(y))
+    return _outer(x, y) @ _MUL.reshape(64, 8)
+
+
+def conj8(x):
+    """Conjugates: minus the _CONJ_PERM permutation."""
+    return -x[..., _CONJ_PERM]
+
+
+def norm8(x):
+    """n(x) = -q(x), with q(w) = sum_{i<4} w_i w_{7-i}."""
+    fits(4 * amax(x) ** 2)
+    return -(x[..., :4] * x[..., :3:-1]).sum(axis=-1)
+
+
+def trilinear8(x, y, z):
+    """(x, y, z) = tr(x (y z)): one contraction with _TR."""
+    fits(512 * amax(_TR) * amax(x) * amax(y) * amax(z))
+    return ((_outer(x, y) @ _TR.reshape(64, 8)) * z).sum(axis=-1)
+
+
+def octonion_identities(x, y, z):
+    """Boolean arrays over the batch, True where the identity holds:
+    n(xy) = n(x) n(y), conj(xy) = conj(y) conj(x), and
+    (x, y, z) = (y, z, x) = (z, x, y)."""
+    xy = mul8(x, y)
+    fits(16 * amax(x) ** 2 * amax(y) ** 2)
+    norm_ok = norm8(xy) == norm8(x) * norm8(y)
+    conj_ok = (conj8(xy) == mul8(conj8(y), conj8(x))).all(axis=-1)
+    t = trilinear8(x, y, z)
+    cyclic_ok = (t == trilinear8(y, z, x)) & (t == trilinear8(z, x, y))
+    return norm_ok, conj_ok, cyclic_ok
+
+
+# --- triality triples ---------------------------------------------------------
+
+def triality_defects(X1: Bivector, X2: Bivector, X3: Bivector) -> np.ndarray:
+    """Boolean array over the broadcast batch: True where
+    (X1 x, y, z) + (x, X2 y, z) + (x, y, X3 z) = 0 fails for some of the
+    8^3 octonion basis triples, exactly: one contraction of the action
+    matrices, over a common denominator, with the trilinear tensor."""
     den = lcm(X1.den, X2.den, X3.den)
     fits(max(den // X.den * amax(X.re, X.im) for X in (X1, X2, X3))
          * 3 * 8 * amax(_TR))
@@ -247,36 +305,71 @@ def verify_triality_triple(X1: Bivector, X2: Bivector, X3: Bivector) -> bool:
     total = (np.einsum("...mx,myz->...xyz", A1, _TR)
              + np.einsum("...my,xmz->...xyz", A2, _TR)
              + np.einsum("...mz,xym->...xyz", A3, _TR))
-    return not total.any()
+    return total.any(axis=(0, -3, -2, -1))
 
 
-def _mult_matrix(x: Octonion, side: str) -> Tuple[np.ndarray, int]:
-    """(M, den): M / den is the matrix of o -> x o (side 'l') or o -> o x
-    (side 'r') on b-coordinates, for rational x."""
+def verify_triality_triple(X1: Bivector, X2: Bivector, X3: Bivector) -> bool:
+    """True iff (X1 x, y, z) + (x, X2 y, z) + (x, y, X3 z) = 0 for all 8^3
+    octonion basis triples and every batch element (triality_defects)."""
+    return not triality_defects(X1, X2, X3).any()
+
+
+def _mult_triple_table() -> np.ndarray:
+    """(64, 3 * 64) table whose row 8 i + j holds the action matrices of
+    the triple of (b_i, b_j) in mult_triples: 2 b_i ^ b_j, which acts by
+    x -> 2 (b_i, x) b_j - 2 (b_j, x) b_i, then l_{b_i*} l_{b_j} -
+    l_{b_j*} l_{b_i} and the same with r, where b_i* = -b_{_CONJ_PERM[i]}.
+    The triple is bilinear in (u, v), so the table determines it."""
+    L = _MUL.transpose(0, 2, 1)       # L[i][k, j]: o -> b_i o
+    R = _MUL.transpose(1, 2, 0)       # R[j][k, i]: o -> o b_j
+    p = list(_CONJ_PERM)
+    out = np.zeros((8, 8, 3, 8, 8), dtype=np.int64)
+    i = np.arange(8)
+    out[i[:, None], i, 0, i, 7 - i[:, None]] += 2
+    out[i[:, None], i, 0, i[:, None], 7 - i] -= 2
+    for c, M in ((1, L), (2, R)):
+        out[:, :, c] = (np.einsum("jab,ibc->ijac", M[p], M)
+                        - np.einsum("iab,jbc->ijac", M[p], M))
+    return out.reshape(64, 3 * 64)
+
+
+_TRIPLE = _mult_triple_table()
+
+
+def mult_triples(u, v, den: int = 1):
+    """The triality triples (2 u^v, l_{u*}l_v - l_{v*}l_u,
+    r_{u*}r_v - r_{v*}r_u) / den of octonion batches u, v (int64 b-coordinate
+    arrays), three Bivectors over the broadcast batch shape: one contraction
+    of the outer products with _TRIPLE.  Each component is checked skew
+    (skew_bivector)."""
+    fits(64 * amax(_TRIPLE) * amax(u) * amax(v))
+    uv = _outer(u, v)
+    A = (uv @ _TRIPLE).reshape(uv.shape[:-1] + (3, 8, 8))
+    zero = np.zeros(A.shape[:-3] + (8, 8), dtype=np.int64)
+    return tuple(skew_bivector(A[..., c, :, :], zero, den) for c in range(3))
+
+
+def _b_numerators(x: Octonion):
+    """(int64 b-coordinates, den) of a rational octonion x."""
     re, im, den = int_parts(to_vector8(x))
     if im.any():
         raise ValueError("octonion coordinates must be rational")
-    fits(8 * amax(re) * amax(_MUL))
-    return np.einsum("i,ijk->kj" if side == "l" else "j,ijk->ki",
-                     re, _MUL), den
+    return re, den
+
+
+def prop_mult_triple(u: Octonion, v: Octonion):
+    """The triality triple (2 u^v, l_{u*}l_v - l_{v*}l_u,
+    r_{u*}r_v - r_{v*}r_u) (scaled by 2 from the 1/2-normalized one), for
+    rational u, v: mult_triples over the product of their denominators."""
+    (ur, du), (vr, dv) = _b_numerators(u), _b_numerators(v)
+    return mult_triples(ur, vr, du * dv)
 
 
 def left_mult_bivector(u: Octonion, v: Octonion, side: str) -> Bivector:
     """The operator l_{u*} l_v - l_{v*} l_u (side='l') or
     r_{u*} r_v - r_{v*} r_u (side='r') as a bivector (twice the usual
     normalization 1/2(...) to stay integral for integral u, v)."""
-    (Lus, du), (Lv, dv), (Lvs, _), (Lu, _) = (
-        _mult_matrix(x, side) for x in (oct_conj(u), v, oct_conj(v), u))
-    fits(16 * amax(Lus, Lvs) * amax(Lu, Lv))
-    return matrix_to_bivector(Lus @ Lv - Lvs @ Lu).scale(
-        Fraction(1, du * dv))
-
-
-def prop_mult_triple(u: Octonion, v: Octonion):
-    """The triality triple (2 u^v, l_{u*}l_v - l_{v*}l_u,
-    r_{u*}r_v - r_{v*}r_u) (scaled by 2 from the 1/2-normalized one)."""
-    X1 = wedge(to_vector8(u), to_vector8(v)).scale(2)
-    return X1, left_mult_bivector(u, v, "l"), left_mult_bivector(u, v, "r")
+    return prop_mult_triple(u, v)[1 if side == "l" else 2]
 
 
 def standard_triples():
@@ -322,11 +415,6 @@ def s3_act_ge(p, X: GEElement) -> GEElement:
 def s3_act_biv(p, X: Bivector) -> Bivector:
     """The S3 action transported to wedge^2 O through phi_iso."""
     return phi_iso(s3_act_ge(p, phi_inv(X)))
-
-
-# Octonionic conjugation is minus the permutation of the b-basis that swaps
-# b3 = eps2 and b-3 = -eps1, so Ad(c) is conjugation by that permutation.
-_CONJ_PERM = (0, 1, 5, 3, 4, 2, 6, 7)
 
 
 def conj_twist(X: Bivector) -> Bivector:

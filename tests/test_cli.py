@@ -7,10 +7,12 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from octolift import cli, whittaker
 from octolift.coset import GramTriple
 from octolift.lifts import HalfIntegralTable, QuatTable, SiegelTable
-from octolift.quadspace import GaussRational
+from octolift.octonion import B_BASIS, from_vector8, to_vector8
+from octolift.quadspace import Bivector, GaussRational, wedge
 
 import oracles
 
@@ -114,6 +117,23 @@ def test_exponent_forms_within_the_bound_load(value):
     table = cli.parse_table({"kind": "halfintegral", "weight": 4,
                              "entries": [{"key": 0, "re": value}]})
     assert table.entries[0] == GaussRational.make(Fraction(value))
+
+
+def test_writer_names_the_key_past_the_digit_limit(tmp_path, capsys):
+    # "1e4300" loads, but its lift has a value of 4301 digits
+    c, F = tmp_path / "c.json", tmp_path / "F.json"
+    cli.write_table(cli.synth_table("halfintegral", 0, 20, weight=10), str(c))
+    data = json.loads(c.read_text())
+    (entry,) = [e for e in data["entries"] if e["key"] == 3]
+    entry["re"] = "1e4300"
+    c.write_text(json.dumps(data))
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                              "--bound", "20", "--out", str(F)])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["details"] == [
+        "TableError: cannot write the value at key [1, 1, 1]: it has more "
+        "than 4300 digits, Python's limit for integer-to-string conversion"]
+    assert not F.exists()
 
 
 @pytest.mark.parametrize("value", ["1e10000000", "1e-4301", "1E+4_301"])
@@ -262,6 +282,82 @@ def test_triality_verify_names_a_failing_pair(capsys, monkeypatch):
     assert code == 1 and rep["status"] == "fail"
     assert rep["details"] == ["phi fails to preserve the bracket at basis "
                               "pair (3, 5)"]
+
+
+def _suite_cases(seed, count, shape):
+    """The cases a random suite draws at seed, all blocks joined (the case
+    axis is second, as in cli._blocks)."""
+    return np.concatenate([c for _, c in cli._blocks(
+        cli._suite_rng(seed), count, shape, -5, 5)], axis=1)
+
+
+@pytest.mark.parametrize("command", ["oct-check", "triality-verify"])
+def test_random_suites_take_any_seed(capsys, command):
+    # numpy's default_rng rejects -1; the suites derive their generator
+    reports = []
+    for _ in range(2):
+        code, rep = _run(capsys, [command, "--bound", "40", "--seed", "-1"])
+        assert code == 0 and rep["status"] == "pass" and rep["seed"] == -1
+        del rep["timings"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert (_suite_cases(-1, 40, (3, 8)) == _suite_cases(-1, 40, (3, 8))
+            ).all()
+
+
+def test_random_suites_cross_a_block_boundary(capsys):
+    n = cli._BLOCK + 1
+    code, rep = _run(capsys, ["oct-check", "--bound", str(n)])
+    assert code == 0 and rep["details"][0].startswith(f"{n} random exact")
+    code, rep = _run(capsys, ["triality-verify", "--bound", str(n)])
+    assert code == 0
+    assert rep["details"][-1]["counts"]["triples"] == 6 + n
+
+
+def test_oct_check_names_a_failing_case(capsys, monkeypatch):
+    bound, case = cli._BLOCK + 10, cli._BLOCK + 7     # in the second block
+    x, y, _ = _suite_cases(3, bound, (3, 8))
+    target = x[case]
+    # mul8 sees x as its left factor, then conj(y)
+    hit = ((x == target).all(axis=1)
+           | (cli.triality.conj8(y) == target).all(axis=1))
+    assert int(np.argmax(hit)) == case
+    good = cli.triality.mul8
+
+    def bad(a, b):          # wrong exactly where the left factor is target
+        out = good(a, b)
+        out[(a == target).all(axis=-1), 0] += 1
+        return out
+
+    monkeypatch.setattr(cli.triality, "mul8", bad)
+    code, rep = _run(capsys, ["oct-check", "--bound", str(bound),
+                              "--seed", "3"])
+    assert code == 1 and rep["status"] == "fail"
+    assert (f"fails at case {case}: x={from_vector8(target.tolist())}, "
+            in rep["details"][0])
+
+
+def test_triality_verify_names_a_failing_triple(capsys, monkeypatch):
+    bound, case = cli._BLOCK + 10, cli._BLOCK + 7     # in the second block
+    u, v = _suite_cases(3, bound, (2, 8))
+    assert int(np.argmax((u == u[case]).all(axis=1))) == case
+    extra = wedge(to_vector8(B_BASIS[0]), to_vector8(B_BASIS[1])).re
+    good = cli.triality.mult_triples
+
+    def bad(a, b):          # X2 is off by b1 ^ b2 where u is u[case]
+        X1, X2, X3 = good(a, b)
+        re = X2.re.copy()
+        re[(a == u[case]).all(axis=-1)] += X2.den * extra
+        return X1, Bivector(re, X2.im, X2.den), X3
+
+    monkeypatch.setattr(cli.triality, "mult_triples", bad)
+    code, rep = _run(capsys, ["triality-verify", "--bound", str(bound),
+                              "--seed", "3"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["details"][-1] == (
+        f"multiplication triple fails at case {case}: "
+        f"u={from_vector8(u[case].tolist())}, "
+        f"v={from_vector8(v[case].tolist())}")
 
 
 def test_dirichlet_command(tmp_path, capsys):
@@ -462,6 +558,28 @@ def test_poincare_rejects_a_radius_below_the_key(capsys):
                               "2"])
     assert code == 2 and "the smallest radius that can is 3" in \
         rep["details"][0]
+
+
+def test_poincare_refuses_radius_and_weight_past_the_limits(capsys):
+    code, rep = _run(capsys, ["poincare", "--key", "1,0,1", "--bound", "3"])
+    assert code == 2 and rep["status"] == "error"
+    assert "radius 3 is above 2" in rep["details"][0]
+    code, rep = _run(capsys, ["poincare", "--key", "2,0,2", "--weight",
+                              "400", "--bound", "1"])
+    assert code == 2 and rep["status"] == "error"
+    assert "weight 400 is above 200" in rep["details"][0]
+
+
+def test_poincare_fails_on_non_finite_terms(capsys, monkeypatch):
+    # at weight 400 on 2,0,2, 107 of the 801 components overflow to nan
+    monkeypatch.setattr(cli, "_MAX_WEIGHT", 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy must not warn either
+        code, rep = _run(capsys, ["poincare", "--key", "2,0,2", "--weight",
+                                  "400", "--bound", "1"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["details"] == ["component v=-54 is not finite: the "
+                              "weight-400 terms overflow double precision"]
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octolift.octonion import (B_BASIS, Octonion, conj, from_vector8,
+from octolift.octonion import (B_BASIS, Octonion, conj, from_vector8, norm,
                                oct_mul, to_vector8, trilinear)
 from octolift.quadspace import (E_PLUS, Bivector, biv_act, biv_matrix,
                                 bracket, cartan_theta, wedge)
-from octolift.triality import (BhargavaCube, GEElement, _TR, conj_twist,
-                               cube_pairing, cube_to_pair, ge_basis,
-                               ge_bracket, ge_cartan, left_mult_bivector,
-                               pair_to_cube, perm_apply, phi_inv, phi_iso,
-                               prop_mult_triple, s3_act_cube, s3_act_ge,
-                               s3_act_triple, standard_triples,
-                               verify_triality_triple)
+from octolift.triality import (BhargavaCube, GEElement, _TR, conj8,
+                               conj_twist, cube_pairing, cube_to_pair,
+                               ge_basis, ge_bracket, ge_cartan,
+                               left_mult_bivector, mul8, mult_triples, norm8,
+                               octonion_identities, pair_to_cube, perm_apply,
+                               phi_inv, phi_iso, prop_mult_triple,
+                               s3_act_cube, s3_act_ge, s3_act_triple,
+                               standard_triples, trilinear8,
+                               triality_defects, verify_triality_triple)
 
 import oracles
 
@@ -31,6 +33,10 @@ octonions = st.builds(
                                  Fraction(c[7], den)),
     st.lists(st.integers(-4, 4), min_size=8, max_size=8), st.integers(1, 3))
 octonion_pairs = st.tuples(octonions, octonions)
+# batches of integral octonions as int64 b-coordinates, shape (n, 8)
+coordinate_batches = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=8, max_size=8),
+    min_size=n, max_size=n).map(lambda rows: np.array(rows, dtype=np.int64)))
 
 
 def _rand_oct(rng):
@@ -267,3 +273,53 @@ def test_conj_twist_is_conjugation_by_octonionic_conj(X, x):
     lhs = biv_act(conj_twist(X), x)
     rhs = to_vector8(conj(from_vector8(biv_act(X, cx))))
     assert lhs == rhs
+
+
+# --- octonions and triples as int64 batches ----------------------------------
+
+@given(coordinate_batches, coordinate_batches, coordinate_batches)
+@settings(max_examples=40, deadline=None)
+def test_batched_octonion_arithmetic_matches_scalar(x, y, z):
+    n = min(len(x), len(y), len(z))
+    x, y, z = x[:n], y[:n], z[:n]
+    prod, cx, nx, t = mul8(x, y), conj8(x), norm8(x), trilinear8(x, y, z)
+    for k in range(n):
+        xo, yo, zo = (from_vector8(w[k].tolist()) for w in (x, y, z))
+        assert prod[k].tolist() == list(to_vector8(oct_mul(xo, yo)))
+        assert cx[k].tolist() == list(to_vector8(conj(xo)))
+        assert nx[k] == norm(xo)
+        assert t[k] == trilinear(xo, yo, zo)
+    assert all(h.all() for h in octonion_identities(x, y, z))
+
+
+@given(coordinate_batches, coordinate_batches)
+@settings(max_examples=30, deadline=None)
+def test_batched_triples_match_prop_mult_triple(u, v):
+    n = min(len(u), len(v))
+    u, v = u[:n], v[:n]
+    triples = mult_triples(u, v)
+    assert not triality_defects(*triples).any()
+    for k in range(n):
+        uo, vo = from_vector8(u[k].tolist()), from_vector8(v[k].tolist())
+        single = prop_mult_triple(uo, vo)
+        assert all(X[k] == Y for X, Y in zip(triples, single))
+        assert single[0] == wedge(to_vector8(uo), to_vector8(vo)).scale(2)
+
+
+def test_triality_defects_name_the_failing_element():
+    X1, X2, X3 = mult_triples(np.eye(8, dtype=np.int64)[:5],
+                              np.eye(8, dtype=np.int64)[::-1][:5])
+    re = X2.re.copy()
+    re[3] += X2.den * wedge(to_vector8(B_BASIS[0]),
+                            to_vector8(B_BASIS[1])).re
+    bad = triality_defects(X1, Bivector(re, X2.im, X2.den), X3)
+    assert bad.tolist() == [False, False, False, True, False]
+
+
+def test_coordinates_near_2_31_overflow():
+    x = np.full((2, 8), 2 ** 31 - 1, dtype=np.int64)
+    for call in (lambda: mul8(x, x), lambda: norm8(2 * x),
+                 lambda: trilinear8(x, x, x), lambda: mult_triples(x, x),
+                 lambda: octonion_identities(x, x, x)):
+        with pytest.raises(OverflowError):
+            call()

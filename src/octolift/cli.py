@@ -38,20 +38,20 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from math import exp, gcd, isqrt, pi
+from math import exp, isqrt, pi
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .coset import (GramTriple, IndexPair, breve, gram, hnf_right_cosets,
+from .coset import (GramTriple, breve, gram, hnf_right_cosets,
                     is_strongly_primitive, pair_act, reduce_gram)
 from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     SiegelTable, classical_maass_check, classical_maass_lift,
                     dirichlet_factor_check, fj_extract, fj_pair,
-                    maass_membership, reduced_triples, spezialschar_keys,
-                    theta_star_table)
+                    maass_membership, reduced_triples, require_disc,
+                    spezialschar_keys, theta_star_table)
 from .octonion import from_vector8
-from .quadspace import GaussRational, bracket, cartan_theta, stack
+from .quadspace import GaussRational, bracket, cartan_theta
 from . import triality
 from . import orbits
 
@@ -365,8 +365,7 @@ def cmd_triality_verify(args):
         return "fail", [f"phi does not intertwine the Cartan involutions "
                         f"at basis element {int(np.argmin(same))}"]
     details.append("phi intertwines the Cartan involutions on the basis")
-    bad = triality.triality_defects(
-        *(stack(component) for component in zip(*triality.standard_triples())))
+    bad = triality.triality_defects(*triality.standard_triple_batch())
     if bad.any():
         return "fail", [f"standard triality triple {int(np.argmax(bad))} "
                         f"fails"]
@@ -465,6 +464,10 @@ def cmd_dirichlet(args):
         if args.seed is not None:
             random.Random(args.seed).shuffle(lams)
         lams = lams[:args.count]
+        # disc S(lam . g) = disc S(lam) |det g|^2, and the detbound-1 keys
+        # reach 4: check the table before building any pair.
+        require_disc(table, max([4] + [gram(lam).disc() * args.bound ** 2
+                                       for lam in lams]))
         extra = [pair_act(lam, g) for lam in lams
                  for n in range(1, args.bound + 1)
                  for g in hnf_right_cosets(n)]
@@ -738,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lift", help="classical genus-2 lift of a "
                         "halfintegral table")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--weight", type=int, required=True)
+    sp.add_argument("--weight", type=_int_range("a weight", 1),
+                    required=True, help="even weight ell, >= 1")
     sp.add_argument("--bound", type=_positive, required=True,
                     help=f"discriminant bound, >= 1 (keys start at "
                     f"{_MIN_DISC})")

@@ -34,6 +34,15 @@ class Report:
         return self.ok
 
 
+def _check_weight(ell: int, even: bool = True) -> None:
+    """Reject a weight below 1, for which d^(ell - 1) is not an integer,
+    and, if even is set, an odd one."""
+    if ell < 1:
+        raise ValueError(f"weight must be at least 1, got {ell}")
+    if even and ell % 2:
+        raise ValueError("weight must be even")
+
+
 @dataclass(frozen=True)
 class HalfIntegralTable:
     """Coefficients c(n) of a weight ell - 1/2 form in the plus space:
@@ -64,8 +73,7 @@ class SiegelTable:
     cuspidal: bool = True
 
     def __post_init__(self):
-        if self.weight % 2:
-            raise ValueError("weight must be even")
+        _check_weight(self.weight)
         for t in self.entries:
             # A positive semidefinite triple is its own reduce_gram iff
             # 0 <= b <= a <= c, and such a triple has 4ac - b^2 >= 3a^2 >= 0.
@@ -94,6 +102,7 @@ class QuatTable:
     entries: Dict[IndexPair, GaussRational] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_weight(self.weight, even=False)
         for lam in self.entries:
             if not gram(lam).is_positive_definite():
                 raise ValueError(f"key {lam} has non-positive-definite gram")
@@ -150,8 +159,7 @@ def classical_maass_lift(c: HalfIntegralTable, ell: int,
                          bound: int) -> SiegelTable:
     """A_F(a,b,c) = sum_{d | gcd(a,b,c)} d^(ell-1) c((4ac-b^2)/d^2) on all
     reduced positive definite triples of discriminant <= bound."""
-    if ell % 2:
-        raise ValueError("weight must be even")
+    _check_weight(ell)
     entries = {}
     for t in reduced_triples(bound):
         g = gcd(gcd(t.a, t.b), t.c)
@@ -224,6 +232,16 @@ def spezialschar_keys(detbound: int,
     return sorted(_closure_keys(base))
 
 
+def require_disc(F: SiegelTable, need: int) -> None:
+    """Raise InsufficientTableError unless F's keys reach discriminant
+    need, the largest one theta* will read."""
+    have = max((t.disc() for t in F.entries), default=0)
+    if need > have:
+        raise InsufficientTableError(
+            f"theta* reads a_F up to discriminant {need}, but the table "
+            f"stops at {have}: build the table to discriminant {need}")
+
+
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
     """Tabulate theta_star over spezialschar_keys(detbound, extra_pairs).
@@ -231,12 +249,7 @@ def theta_star_table(F: SiegelTable, detbound: int,
     divisor coset's S(mu) has disc S(lambda) / |det r|^2), so a table that
     stops below the largest key's fails here, before any sum."""
     keys = spezialschar_keys(detbound, extra_pairs)
-    need = max((gram(lam).disc() for lam in keys), default=0)
-    have = max((t.disc() for t in F.entries), default=0)
-    if need > have:
-        raise InsufficientTableError(
-            f"theta* reads a_F up to discriminant {need}, but the table "
-            f"stops at {have}: build the table to discriminant {need}")
+    require_disc(F, max((gram(lam).disc() for lam in keys), default=0))
     entries = {}
     for lam in keys:
         entries[lam] = theta_star(F, lam)

@@ -11,12 +11,14 @@ Everything is exact integer arithmetic.  Where each guarantee is checked:
 
 - LatticeIsometry(lattice, matrix) checks g^t J g = J and det g = +1 for
   an arbitrary matrix.
-- The factor constructors (levi_isometry, levi_dual, siegel_unipotent,
+- The factor constructors (levi_isometry, siegel_unipotent,
   opposite_unipotent, swap_isometry, embed_isometry) build their matrix
   from its closed block form and check only the parameters: A unimodular,
   B and C skew, two distinct swap indices, a sub-isometry whose rank fits
   the offset.  Each docstring gives the argument that these imply
-  g^t J g = J and det g = +1.  Products and inverses need no check.
+  g^t J g = J and det g = +1.  Products and inverses need no check.  Each
+  Levi factor gets A^{-t} from the same row operations (_rows_to_std) that
+  give A, so no matrix is inverted.
 - Each public reduction (reduce_primitive_vector, reduce_isotropic_plane,
   reduce_pair) checks its result on every call before returning: that g
   sends the input to its target, and, once per call on the final product,
@@ -130,38 +132,6 @@ def _det_int(m) -> int:
     return sign * a[r - 1][r - 1]
 
 
-def int_inverse(m) -> Tuple[List[List[int]], int]:
-    """(N, d) with M^{-1} = N / d, d = +-det M, for a square integer matrix
-    M: fraction-free Gauss-Jordan elimination (Bareiss 1968), in which every
-    division is exact.  Raises ValueError if M is singular."""
-    r = len(m)
-    a = [[int(e) for e in row] + [int(i == j) for j in range(r)]
-         for i, row in enumerate(m)]
-    prev = 1
-    for k in range(r):
-        piv = next((i for i in range(k, r) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        for i in range(r):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * e - f * g) // prev for e, g in zip(a[i], a[k])]
-        prev = p
-    # the left block is now prev times the identity
-    return [row[r:] for row in a], prev
-
-
-def _inv_transpose_int(m) -> Tuple[Tuple[int, ...], ...]:
-    """(M^{-1})^t for a unimodular integer matrix, exact."""
-    inv, d = int_inverse(m)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    r = len(m)
-    return tuple(tuple(d * inv[j][i] for j in range(r)) for i in range(r))
-
-
 class LatticeIsometry:
     """An element of SO(L)(Z): integer matrix with g^t J g = J, det g = +1.
 
@@ -272,17 +242,11 @@ def levi_isometry(lattice: SplitLattice, A) -> LatticeIsometry:
 
     Checked: A is n x n and unimodular, so A^{-t} is integral.  Then g_A
     preserves the form, (A x)^t (A^{-t} y') = x^t y', and det g_A =
-    det A det A^{-1} = +1 even when det A = -1."""
+    det A det A^{-1} = +1 even when det A = -1.  The row reduction of A's
+    columns checks it and gives M A = I, so A^{-t} = M^t."""
     A = _square(A, lattice.n, "A")
-    return _levi(lattice, A, _inv_transpose_int(A))
-
-
-def levi_dual(lattice: SplitLattice, M) -> LatticeIsometry:
-    """The Levi element acting on the y-block by M: g_A with A = M^{-t}, so
-    A^{-t} = M and one inverse suffices.  Checked: M is n x n and
-    unimodular; the proof is levi_isometry's."""
-    M = _square(M, lattice.n, "M")
-    return _levi(lattice, _inv_transpose_int(M), M)
+    M, _ = _std_transform(tuple(zip(*A)), lattice.n)
+    return _levi(lattice, A, tuple(zip(*M)))
 
 
 def siegel_unipotent(lattice: SplitLattice, B) -> LatticeIsometry:
@@ -351,44 +315,46 @@ def embed_isometry(lattice: SplitLattice, sub: LatticeIsometry,
 
 
 def _rows_to_std(cols: Sequence[Sequence[int]], n: int):
-    """An M in GL_n(Z) with M c_j = gcd-pivot e_j for each given column c_j;
-    returns (M, pivots).  Row operations only, so det M = +-1."""
+    """An M in GL_n(Z) with M c_j = gcd-pivot e_j for each given column c_j,
+    by row operations on [c_1 ... c_k | M]; returns (M, W = M^{-t}, pivots).
+    W takes each operation's contragredient: rows (j, i) by [[p, q], [s, t]]
+    (det 1) go with [[t, -s], [-q, p]], a negation with itself, and
+    row_i -= f row_j with W_j += f W_i."""
     k = len(cols)
-    work = [list(c) for c in zip(*[list(c) for c in cols])]  # n rows, k cols
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = [list(c) + [int(i == j) for j in range(n)]
+         for i, c in enumerate(zip(*cols))]
+    W = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots = []
     for j in range(k):
         for i in range(j + 1, n):
-            if work[i][j] == 0:
+            if a[i][j] == 0:
                 continue
-            g, p, q = _xgcd(work[j][j], work[i][j])
-            s, t = -(work[i][j] // g), work[j][j] // g
-            M[j], M[i] = ([p * a + q * b for a, b in zip(M[j], M[i])],
-                          [s * a + t * b for a, b in zip(M[j], M[i])])
-            work[j], work[i] = ([p * a + q * b
-                                 for a, b in zip(work[j], work[i])],
-                                [s * a + t * b
-                                 for a, b in zip(work[j], work[i])])
-        if work[j][j] < 0:
-            M[j] = [-a for a in M[j]]
-            work[j] = [-a for a in work[j]]
-        pivots.append(work[j][j])
+            g, p, q = _xgcd(a[j][j], a[i][j])
+            s, t = -(a[i][j] // g), a[j][j] // g
+            a[j], a[i] = ([p * x + q * y for x, y in zip(a[j], a[i])],
+                          [s * x + t * y for x, y in zip(a[j], a[i])])
+            W[j], W[i] = ([t * x - s * y for x, y in zip(W[j], W[i])],
+                          [p * y - q * x for x, y in zip(W[j], W[i])])
+        if a[j][j] < 0:
+            a[j] = [-x for x in a[j]]
+            W[j] = [-x for x in W[j]]
+        pivots.append(a[j][j])
         for i in range(j):
-            c = work[i][j]
-            if work[j][j] and c % work[j][j] == 0:
-                f = c // work[j][j]
-                M[i] = [a - f * b for a, b in zip(M[i], M[j])]
-                work[i] = [a - f * b for a, b in zip(work[i], work[j])]
-    return tuple(tuple(row) for row in M), pivots
+            if a[j][j] and a[i][j] % a[j][j] == 0:
+                f = a[i][j] // a[j][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+                W[j] = [x + f * y for x, y in zip(W[j], W[i])]
+    return (tuple(tuple(row[k:]) for row in a), tuple(map(tuple, W)),
+            pivots)
 
 
 def _std_transform(cols, n: int):
-    """M in GL_n(Z) with M c_j = e_j; raises ValueError if the columns are
-    not a primitive system (some pivot != 1)."""
-    M, pivots = _rows_to_std(cols, n)
+    """(M, M^{-t}) with M c_j = e_j; raises ValueError unless the columns
+    are a primitive system (all pivots 1): they extend to a basis."""
+    M, W, pivots = _rows_to_std(cols, n)
     if any(p != 1 for p in pivots):
-        raise ValueError("columns do not form a primitive system")
-    return M
+        raise ValueError("columns do not extend to a unimodular matrix")
+    return M, W
 
 
 def wedge_pair(x1: Sequence[int], x2: Sequence[int],
@@ -450,16 +416,15 @@ def _reduce_primitive_vector(v: Sequence[int]
     x, y = lat.split_xy(v)
     if any(x):
         # Levi: x -> (d, 0, ..., 0), d = content(x) > 0.
-        M, piv = _rows_to_std([x], n)
-        w = push(levi_isometry(lat, M))
+        M, M_it, _ = _rows_to_std([x], n)
+        w = push(_levi(lat, M, M_it))
         x, y = lat.split_xy(w)
         d = x[0]
-        # GL_{n-1} fixing b_1, b_{-1}: y tail -> (e, 0, ..., 0).
+        # GL_{n-1} fixing b_1, b_{-1}: y tail -> (e, 0, ..., 0).  The
+        # column e_1 taken first pins row 1 and column 1 of N.
         if any(y[1:]):
-            M1, _ = _rows_to_std([y[1:]], n - 1)
-            N = [[1] + [0] * (n - 1)] + \
-                [[0] + list(M1[i]) for i in range(n - 1)]
-            w = push(levi_dual(lat, N))
+            N, N_it, _ = _rows_to_std([[1] + [0] * (n - 1), [0] + y[1:]], n)
+            w = push(_levi(lat, N_it, N))
             x, y = lat.split_xy(w)
         # Opposite unipotent: y_3 += d makes y = (y_1, e, d, 0, ...), which
         # is primitive because gcd(d, y_1, e) = content(v) = 1.
@@ -468,8 +433,8 @@ def _reduce_primitive_vector(v: Sequence[int]
         w = push(opposite_unipotent(lat, C))
         x, y = lat.split_xy(w)
     # Now y is primitive: Levi sends it to e_1.
-    M = _std_transform([y], n)
-    w = push(levi_dual(lat, M))
+    M, M_it = _std_transform([y], n)
+    w = push(_levi(lat, M_it, M))
     x, y = lat.split_xy(w)
     # Siegel unipotent clears x_2, ..., x_n (y = e_1, so x_i += B_i1).
     B = [[0] * n for _ in range(n)]
@@ -506,20 +471,16 @@ def find_complementary_plane(T1: Sequence[int],
     # Reduce the component of T2 in span(b_2, ..., b_{-2}) to m(beta b_2 +
     # b_{-2}) with the stabilizer of b_1, b_{-1} (a copy of the n-1 problem).
     tail = list(x[1:]) + [w2[k] for k in range(n, 2 * n - 1)]
-    g = g1
+    g, m = g1, 0
     if any(tail):
         m = _content(tail)
-        w0 = tuple(e // m for e in tail)
-        h, beta = _reduce_primitive_vector(w0)
+        h, _ = _reduce_primitive_vector(tuple(e // m for e in tail))
         g = embed_isometry(lat, h, 1).compose(g)
-    else:
-        m, beta = 0, 0
     alpha = a * s - r
-    gg, p, q = _xgcd(alpha, -m)
+    gg, xx, yy = _xgcd(alpha, -m)       # alpha*xx - m*yy = gg
     if gg != 1:
         raise ValueError("hypothesis violated: gcd(a s - r, m) != 1, "
                          "so D is not odd and squarefree")
-    xx, yy = p, q            # alpha*xx - m*yy = 1
     b = lat.basis_vector
     u1 = tuple(p1 + p3 for p1, p3 in zip(b(1), b(3)))
     u2 = tuple(xx * e1 + yy * e2 - xx * e3
@@ -581,10 +542,11 @@ def _reduce_isotropic_plane(u1: Sequence[int],
     g = embed_isometry(lat, h, 1).compose(g)
     g = swap_isometry(lat, 2, 3).compose(g)
     # Step 3: a Levi element with A = [[1, -c], [0, 1]] (+ identity) clears
-    # the leftover b_1 coefficient of u2 while fixing b_1.
-    A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    A[0][1] = -c
-    g = levi_isometry(lat, A).compose(g)
+    # the leftover b_1 coefficient of u2 while fixing b_1; A^{-t} is
+    # [[1, 0], [c, 1]] (+ identity).
+    A, A_it = ([list(row) for row in _eye(n)] for _ in range(2))
+    A[0][1], A_it[1][0] = -c, c
+    g = _levi(lat, tuple(map(tuple, A)), tuple(map(tuple, A_it))).compose(g)
 
     _check_postcondition(g.apply(u1) == b(1) and g.apply(u2) == b(2),
                          "g u1 != b_1 or g u2 != b_2")
@@ -617,8 +579,8 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
     # moves the y-parts to exactly (b_{-1}, b_{-2}).
     _, y1 = lat.split_xy(w1)
     _, y2 = lat.split_xy(w2)
-    M = _std_transform([y1, y2], n)
-    g = levi_dual(lat, M).compose(g)
+    M, M_it = _std_transform([y1, y2], n)
+    g = _levi(lat, M_it, M).compose(g)
     w1, w2 = g.apply(T1), g.apply(T2)
     x1, _ = lat.split_xy(w1)
     x2, _ = lat.split_xy(w2)

@@ -319,15 +319,6 @@ def matrix_to_bivector(A) -> Bivector:
     return skew_bivector(re.reshape(DIM, DIM), im.reshape(DIM, DIM), den)
 
 
-def stack(xs) -> Bivector:
-    """The bivectors xs as one batch along a new leading axis, over the
-    least common denominator."""
-    den = lcm(*(X.den for X in xs))
-    fits(max(den // X.den * amax(X.re, X.im) for X in xs))
-    return Bivector.of(np.stack([X.re * (den // X.den) for X in xs]),
-                       np.stack([X.im * (den // X.den) for X in xs]), den)
-
-
 def _commutator(a, b):
     c = a @ b
     c -= b @ a

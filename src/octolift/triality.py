@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .octonion import (B_BASIS, BASIS, Octonion, oct_mul, to_vector8,
                        trace as oct_trace)
-from .orbits import int_inverse
 from .quadspace import (Bivector, amax, biv_coords, bracket, fits,
                         int_parts, reduced, skew_bivector, wedge)
 
@@ -199,13 +198,35 @@ def _phi_table() -> np.ndarray:
     return np.stack([X.re for X in imgs])
 
 
+def int_inverse(m) -> Tuple[List[List[int]], int]:
+    """(N, d) with M^{-1} = N / d, d = +-det M, for a square integer matrix
+    M: fraction-free Gauss-Jordan elimination (Bareiss 1968), in which every
+    division is exact.  Raises ValueError if M is singular."""
+    r = len(m)
+    a = [[int(e) for e in row] + [int(i == j) for j in range(r)]
+         for i, row in enumerate(m)]
+    prev = 1
+    for k in range(r):
+        piv = next((i for i in range(k, r) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        for i in range(r):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * e - f * g) // prev for e, g in zip(a[i], a[k])]
+        prev = p
+    # the left block is now prev times the identity
+    return [row[r:] for row in a], prev
+
+
 def _phi_inverse():
     """(N, d), d > 0, with N / d the inverse of the 28x28 integer matrix of
     Phi from basis coordinates to bivector coefficients."""
     coeffs, _ = biv_coords(Bivector(_PHI, _PHI))
     N, d = int_inverse(coeffs.T)
-    sign = 1 if d > 0 else -1
-    return np.array(N, dtype=np.int64) * sign, d * sign
+    return np.array(N, dtype=np.int64) * (1 if d > 0 else -1), abs(d)
 
 
 _PHI = _phi_table()
@@ -372,18 +393,26 @@ def left_mult_bivector(u: Octonion, v: Octonion, side: str) -> Bivector:
     return prop_mult_triple(u, v)[1 if side == "l" else 2]
 
 
+# The six standard triples are Phi images of basis elements, so rows of
+# _PHI: (eps1 ^ e_j, e_{j+1}* ^ e_{j-1}*, -eps2 ^ e_j) is Phi of
+# v_j (x) (e_1, e_2, e_3), and (eps1 ^ e_j*, -eps2 ^ e_j*, e_{j+1} ^ e_{j-1})
+# is Phi of delta_j (x) (e_3, e_1, e_2); one row of indices per triple.
+_STANDARD_ROWS = np.array([[10, 11, 12], [21, 19, 20], [13, 14, 15],
+                           [24, 22, 23], [16, 17, 18], [27, 25, 26]])
+
+
+def standard_triple_batch():
+    """The six standard triples as three Bivector batches, one each for
+    X1, X2 and X3."""
+    return tuple(Bivector(_PHI[_STANDARD_ROWS[:, c]],
+                          np.zeros((6, 8, 8), dtype=np.int64))
+                 for c in range(3))
+
+
 def standard_triples():
-    """The six explicit basis triality triples:
-    (eps1 ^ e_j, e_{j+1}* ^ e_{j-1}*, -eps2 ^ e_j) and
-    (eps1 ^ e_j*, -eps2 ^ e_j*, e_{j+1} ^ e_{j-1}) for j in {1,2,3}."""
-    out = []
-    for j in (1, 2, 3):
-        jp, jm = _cyc(j)
-        out.append((_w("eps1", f"e{j}"), _w(f"e{jp}*", f"e{jm}*"),
-                    -_w("eps2", f"e{j}")))
-        out.append((_w("eps1", f"e{j}*"), -_w("eps2", f"e{j}*"),
-                    _w(f"e{jp}", f"e{jm}")))
-    return out
+    """The six standard triality triples, as a list of (X1, X2, X3)."""
+    batch = standard_triple_batch()
+    return [tuple(X[t] for X in batch) for t in range(6)]
 
 
 # --- S3 actions ---------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference implementations kept as test oracles.
 
 For the exact algebra layer: the Fraction g_E bracket on (sl3, e0, vE, dE)
-fields, the sparse bracket on 28 bivector coefficients, Phi built from
-wedges of the octonion basis, the Gauss-Jordan inverse over Fraction, and
+fields, the sparse bracket on 28 bivector coefficients, Phi and the six
+standard triality triples built from wedges of the octonion basis, the
+Gauss-Jordan inverse over Fraction, and
 the exact su(2) projection pr_K with its symmetric powers.  They share no
 code with the integer-array implementations they check beyond the scalar
 type and the b-basis coordinates of the octonions.
@@ -322,6 +323,21 @@ def phi_iso(X):
     return out
 
 
+def standard_triples():
+    """The six standard triality triples from wedges of the octonion basis,
+    as 28 coefficients each: (eps1 ^ e_j, e_{j+1}* ^ e_{j-1}*, -eps2 ^ e_j)
+    and (eps1 ^ e_j*, -eps2 ^ e_j*, e_{j+1} ^ e_{j-1}) for j = 1, 2, 3."""
+    out = []
+    for j in (1, 2, 3):
+        jp, jm = _cyc(j)
+        out.append((_w("eps1", f"e{j}"), _w(f"e{jp}*", f"e{jm}*"),
+                    coeffs_scale(_w("eps2", f"e{j}"), -1)))
+        out.append((_w("eps1", f"e{j}*"),
+                    coeffs_scale(_w("eps2", f"e{j}*"), -1),
+                    _w(f"e{jp}", f"e{jm}")))
+    return out
+
+
 def invert_fraction_matrix(M):
     """Gauss-Jordan elimination over Fraction."""
     n = len(M)
@@ -390,11 +406,6 @@ def levi_by_action(lattice, A):
     A_inv_t = _int_inv_transpose(A)
     return from_xy_action(lattice, lambda x, y: (_mat_vec(A, x),
                                                  _mat_vec(A_inv_t, y)))
-
-
-def levi_dual_by_action(lattice, M):
-    """levi_by_action with A = M^{-t}."""
-    return levi_by_action(lattice, _int_inv_transpose(M))
 
 
 def siegel_by_action(lattice, B):

@@ -466,6 +466,12 @@ def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
                               "--count", "5"])
     assert code == 2 and rep["status"] == "error"
     assert "1152" in rep["details"][0]
+    # the needed discriminant is known before any pair of the orbit is built
+    start = time.monotonic()
+    code, rep = _run(capsys, ["dirichlet", "--in", str(F), "--bound", "320",
+                              "--count", "5"])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and "discriminant 819200" in rep["details"][0]
 
 
 def test_theta_star_small_table_fails_fast(tmp_path, capsys):
@@ -686,15 +692,50 @@ def test_whittaker_fuzz_exit_codes(weight, tol):
 
 @settings(max_examples=24, deadline=None)
 @given(kind=st.sampled_from(cli.KINDS), bound=st.sampled_from([-1, 0, 1, 4]),
-       weight=st.sampled_from([3, 4]))
+       weight=st.sampled_from([-2, 0, 3, 4]))
 def test_synth_fuzz_exit_codes(tmp_path_factory, kind, bound, weight):
-    """A bound below 1 (a usage error) and an odd siegel weight (a data
-    error) exit 2; every other edge writes its table."""
+    """A bound below 1 (a usage error), a siegel or quaternionic weight
+    below 1 and an odd siegel weight (data errors) exit 2; every other edge
+    writes its table."""
     out = tmp_path_factory.mktemp("synth") / "t.json"
     code = _fuzz_main(["synth", f"--kind={kind}", f"--bound={bound}",
                        f"--weight={weight}", f"--out={out}"], usage_ok=True)
-    assert code == (2 if bound < 1 or kind == "siegel" and weight % 2
-                    else 0)
+    bad_weight = kind != "halfintegral" and (
+        weight < 1 or kind == "siegel" and weight % 2)
+    assert code == (2 if bound < 1 or bad_weight else 0)
+
+
+def test_weight_below_one_is_a_data_error(tmp_path):
+    """lift --weight -2, and a siegel (-2) or quaternionic (0) table, exit
+    2 with a message that names the weight, never as an internal error."""
+    c = tmp_path / "c.json"
+    assert _fuzz_main(["synth", "--kind=halfintegral", "--bound=40",
+                       f"--out={c}"]) == 0
+    runs = [(["lift", f"--in={c}", "--weight=-2", "--bound=40",
+              f"--out={tmp_path / 'F.json'}"], None)]
+    for kind, weight, argv in (
+            ("siegel", -2, ["theta-star", "--bound=4",
+                            f"--out={tmp_path / 'phi.json'}"]),
+            ("quaternionic", 0, ["dirichlet"])):
+        table = tmp_path / f"{kind}.json"
+        assert _fuzz_main(["synth", f"--kind={kind}", "--bound=40",
+                           f"--out={table}"]) == 0
+        data = json.loads(table.read_text())
+        data["weight"] = weight
+        table.write_text(json.dumps(data))
+        runs.append(([argv[0], f"--in={table}"] + argv[1:], weight))
+    for argv, weight in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+        text = out.getvalue() + err.getvalue()
+        assert code == 2, argv
+        assert "internal error" not in text
+        assert (f"weight must be at least 1, got {weight}" in text
+                if weight is not None else "expected a weight >= 1" in text)
 
 
 small = st.integers(-2, 3)

@@ -74,6 +74,13 @@ def test_standard_triples_verify():
         assert verify_triality_triple(*triple)
 
 
+def test_standard_triples_match_the_wedge_construction():
+    # read from rows of the Phi table; the oracle builds them from wedges
+    got = [tuple(oracles.coeffs_of(X) for X in triple)
+           for triple in standard_triples()]
+    assert got == oracles.standard_triples()
+
+
 def test_standard_triple_fails_when_perturbed():
     X1, X2, X3 = standard_triples()[0]
     assert not verify_triality_triple(X1.scale(2), X2, X3)

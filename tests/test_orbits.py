@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from octolift.cli import _random_isometry
 from octolift.coset import GramTriple
 from octolift.orbits import (LatticeIsometry, SplitLattice, _det_int,
-                             _rows_to_std, embed_isometry,
+                             _rows_to_std, _std_transform, embed_isometry,
                              find_complementary_plane, gram_of_pair,
                              levi_isometry, opposite_unipotent,
                              reduce_isotropic_plane, reduce_pair,
@@ -352,6 +352,15 @@ def test_row_reduction_of_a_unimodular_square_is_its_inverse(A):
     assert pivots == [1] * len(A)
     assert [list(row) for row in W] == [list(c) for c in zip(*A)]
     assert [list(row) for row in M] == _int_inv_transpose(list(zip(*A)))
+
+
+def test_inv_transpose_rejects_non_unimodular():
+    # the exact inverse transpose comes from _std_transform, which refuses a
+    # square whose columns do not extend to a basis: det +-2 or singular
+    for m in ([[2, 0], [0, 1]], [[1, 2], [3, 4]],
+              [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="not extend to a unimodular"):
+            _std_transform(list(zip(*m)), 2)
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),

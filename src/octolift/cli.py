@@ -614,9 +614,11 @@ def cmd_whittaker(args):
     return "pass", details
 
 
-# q_poincare tests every pair of vectors in the (2r+1)^8 box at radius r:
-# radius 2 on 1,0,1 takes about 61 s and 276 MB, and radius 3 would make
-# about 7e10 pair tests, so a larger radius is refused before any work.
+# q_poincare counts the pairs of each fold pair on the fold split.  On a
+# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 1.5 s and 124 MB
+# peak RSS at --bound 2, and 19 s but 1,141 MB at --bound 3 (358,014
+# groups, whose symmetric powers also grow with the weight), so a radius
+# above 2 is refused before any work.
 _MAX_POINCARE_RADIUS = 2
 
 
@@ -624,8 +626,9 @@ def cmd_poincare(args):
     from . import whittaker    # as in cmd_whittaker
     if args.bound > _MAX_POINCARE_RADIUS:
         raise ValueError(f"radius {args.bound} is above "
-                         f"{_MAX_POINCARE_RADIUS}, the largest radius the "
-                         f"pair-by-pair sum can reach in about a minute")
+                         f"{_MAX_POINCARE_RADIUS}, the largest radius "
+                         f"allowed (the memory grows as groups x weight, "
+                         f"over 1 GB at radius 3)")
     if args.weight > _MAX_WEIGHT:
         raise ValueError(f"weight {args.weight} is above {_MAX_WEIGHT}, the "
                          f"largest weight allowed (the cost grows as "
@@ -653,7 +656,12 @@ def cmd_poincare(args):
                f" radius {args.bound}; outermost shell sup-norm "
                f"{_g17(res.shell_sup[-1])}",
                {"pairs": res.pairs, "groups": res.groups,
+                "fold_pairs": res.fold_pairs,
                 "shell_sup": list(res.shell_sup)}]
+    if args.bound >= 2:
+        # the convergence figure; undefined after an empty shell
+        last, prev = res.shell_sup[-1], res.shell_sup[-2]
+        details[1]["shell_ratio"] = last / prev if prev else None
     if args.out:
         write_csv(args.out, ["v", "re", "im"], rows)
         details.append(f"wrote {args.out}")

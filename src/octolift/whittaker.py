@@ -16,7 +16,7 @@ the middle slice of the eight-dimensional coordinates used in quadspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, factorial, isqrt, pi, prod, sqrt
@@ -388,7 +388,9 @@ def _prk_int_matrices() -> np.ndarray:
     (J, the pairing, reverses the rows).  Built exactly from quadspace's
     integer action matrices, checking what the closed form of _prk_coeffs
     rests on: the trace form's Gram matrix, every 2 C_k Gaussian-integral,
-    and Re(2 C_h) = 0, Re(2 C_f) = -Re(2 C_e), Im(2 C_f) = Im(2 C_e)."""
+    and Re(2 C_h) = 0, Re(2 C_f) = -Re(2 C_e), Im(2 C_f) = Im(2 C_e); and
+    what q_poincare's fold split rests on: row i of each M equals row
+    7 - i, and column j equals column 7 - j."""
     su2 = (quadspace.E_PLUS, quadspace.H_PLUS, quadspace.F_PLUS)
     if [[quadspace.trace_form(a, b) for b in su2] for a in su2] != [
             [0, 0, 2], [0, 4, 0], [2, 0, 0]]:
@@ -403,7 +405,11 @@ def _prk_int_matrices() -> np.ndarray:
     re_e, im_e, re_h, im_h, re_f, im_f = parts
     if re_h.any() or (re_f != -re_e).any() or (im_f != im_e).any():
         raise ArithmeticError("2 C_h and 2 C_f are not fixed by x, y, z")
-    return np.stack([re_e, im_e, im_h])
+    mats = np.stack([re_e, im_e, im_h])
+    if (mats != mats[:, ::-1]).any() or (mats != mats[:, :, ::-1]).any():
+        raise ArithmeticError("the key matrices do not factor through the "
+                              "fold v_i + v_(7-i)")
+    return mats
 
 
 _PRK2 = _prk_int_matrices()
@@ -441,32 +447,6 @@ def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
     return poly / (nrm ** (2 * ell + 1))[:, None]
 
 
-def bvv(v1, v2, ell: int) -> Tuple[complex, ...]:
-    """pr_K(v1 ^ v2)^ell / ||pr_K(v1 ^ v2)||^(2 ell + 1): 2 ell + 1
-    coefficients of x^{l+v} y^{l-v}, v ascending."""
-    xyz = np.einsum("i,kij,j->k", np.asarray(v1, float), _PRK2,
-                    np.asarray(v2, float))
-    return tuple(_sym_power_batch(_prk_coeffs(xyz[None, :]), ell)[0])
-
-
-def _vectors_by_norm(radius: int, values) -> dict:
-    """All v in Z^8 with sup-norm <= radius, bucketed by q(v), kept only
-    for q(v) in the given value set."""
-    values = set(values)
-    rng = range(-radius, radius + 1)
-    # split v = (first four, reversed second four); with the second half
-    # stored reversed, q(v) is the plain dot product of the two halves
-    from itertools import product
-    halves = list(product(rng, repeat=4))
-    out = {v: [] for v in values}
-    for a in halves:
-        for b in halves:
-            qv = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-            if qv in values:
-                out[qv].append(a + tuple(reversed(b)))
-    return out
-
-
 def _key_bases(radius: int) -> List[int]:
     """Mixed-radix bases 2 M_j + 1 packing the three key integers
     w1^t M_j w2 (M_j the matrices of _PRK2) for sup-norms <= radius, with
@@ -487,27 +467,147 @@ class PoincareSum:
     shell_sup[s - 1], the sup-norm of the contribution of shell s (the
     pairs whose larger sup-norm is s), the last one being the convergence
     indicator; the number of lattice pairs summed and of the distinct
-    su(2) projections (groups) they fall into."""
+    su(2) projections (groups) they fall into; and the work, fold_pairs,
+    which equality ignores (0 when the sum was not made on folds)."""
     components: Tuple[complex, ...]
     shell_sup: Tuple[float, ...]
     pairs: int
     groups: int
+    fold_pairs: int = field(default=0, compare=False)
+
+
+# Every sign vector in {+1, -1}^4, one per row.
+_SIGNS = 1 - 2 * (np.arange(16)[:, None] >> np.arange(4) & 1)
+
+# Fold pairs per block of q_poincare (its t pairs per block are about as
+# many); each block holds a few int64 arrays of this length.
+_FOLD_BLOCK = 1 << 20
+
+
+@dataclass(frozen=True)
+class _FoldSet:
+    """The vectors v with a given q(v) and sup-norm <= radius, folded into
+    s = (v0 + v7, v1 + v6, v2 + v5, v3 + v4) and t = (v0 - v7, ..., v3 - v4):
+    patterns, the distinct |s| (coordinatewise), ascending; t, sup and
+    t_pattern, one row per (|s|, t), sorted by pattern, with sup the
+    vector's sup-norm; folds, every s whose |s| is a pattern, and
+    fold_pattern, their patterns, ascending.  The vectors are the pairs
+    (s, t) of a fold and a t row of its pattern."""
+    patterns: np.ndarray
+    t: np.ndarray
+    sup: np.ndarray
+    t_pattern: np.ndarray
+    folds: np.ndarray
+    fold_pattern: np.ndarray
+
+
+def _fold_set(radius: int, q: int) -> _FoldSet:
+    """_FoldSet for q(v) = q.  One coordinate pair (v_i, v_(7-i)) with
+    sup-norm <= radius is one (|s_i|, t_i) with t_i = |s_i| mod 2 and
+    |s_i| + |t_i| <= 2 radius; q(v) = (|s|^2 - |t|^2)/4 and the sup-norm
+    is max_i (|s_i| + |t_i|)/2.  The rows are joined from two halves of
+    two coordinates each on |s|^2 - |t|^2 = 4 q."""
+    n = 2 * radius
+    pair = np.array([(p, t) for p in range(n + 1)
+                     for t in range(p - n, n - p + 1, 2)], dtype=np.int64)
+    # rows (|s_0|, t_0, |s_1|, t_1); the same rows serve coordinates 2, 3
+    half = np.concatenate([np.repeat(pair, len(pair), axis=0),
+                           np.tile(pair, (len(pair), 1))], axis=1)
+    w = (half[:, 0::2] ** 2 - half[:, 1::2] ** 2).sum(axis=1)
+    # row i joins the cnt[i] rows order[lo[i]:lo[i] + cnt[i]], whose w is
+    # 4 q - w[i]
+    order = np.argsort(w, kind="stable")
+    lo = np.searchsorted(w[order], 4 * q - w, side="left")
+    cnt = np.searchsorted(w[order], 4 * q - w, side="right") - lo
+    second = order[np.arange(cnt.sum())
+                   + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+    rows = np.concatenate([np.repeat(half, cnt, axis=0), half[second]],
+                          axis=1)
+    patterns, t_pattern = np.unique(rows[:, 0::2], axis=0,
+                                    return_inverse=True)
+    t_pattern = t_pattern.ravel()
+    order = np.argsort(t_pattern, kind="stable")
+    rows, t_pattern = rows[order], t_pattern[order]
+    # a sign change on a zero coordinate gives the same fold again
+    signed = patterns[:, None, :] * _SIGNS
+    new = ~((_SIGNS < 0) & (patterns[:, None, :] == 0)).any(axis=2)
+    return _FoldSet(patterns, rows[:, 1::2],
+                    (rows[:, 0::2] + np.abs(rows[:, 1::2])).max(axis=1) // 2,
+                    t_pattern, signed[new], np.nonzero(new)[0])
+
+
+def _group(codes: np.ndarray, rows: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct codes, ascending, and the sum of the rows over each."""
+    if not len(codes):
+        return codes, rows
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return codes[first], np.add.reduceat(rows[order], first)
+
+
+def _pair_counts(A: _FoldSet, C: _FoldSet, lo: int, hi: int,
+                 s1: np.ndarray, s1_pattern: np.ndarray, b: int,
+                 radius: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs (v1, v2) with pairing b over the fold pairs (s1, s2): s1
+    a row of s1, of pattern s1_pattern in lo..hi-1 of A, and s2 a fold of
+    C.  Returns the mask of the fold pairs with at least one pair, and
+    their pairs per shell, one row each in the mask's row-major order.
+
+    Since the pairing is (s1.s2 - t1.t2)/2, the counts are
+    H[|s1|, |s2|][s1.s2 - 2b, shell], where H counts the pairs of t rows
+    of patterns lo..hi-1 of A and of C by t1.t2 and shell.  H is built
+    sparse, over the dot values that occur; a t-set is closed under sign
+    changes, so t1 runs over t1 >= 0 with multiplicity 2^(nonzeros)."""
+    # |t1.t2| and |s1.s2 - 2b| are at most d_off
+    d_off = 16 * radius ** 2 + 2 * abs(b)
+    n_d, n_c = 2 * d_off + 1, len(C.patterns)
+    r = slice(*np.searchsorted(A.t_pattern, [lo, hi]))
+    nonneg = (A.t[r] >= 0).all(axis=1)
+    t1, t1_sup = A.t[r][nonneg], A.sup[r][nonneg]
+    code = (((A.t_pattern[r][nonneg, None] - lo) * n_c + C.t_pattern) * n_d
+            + t1 @ C.t.T + d_off) * radius
+    code += np.maximum(t1_sup[:, None], C.sup) - 1
+    code, n = _group(code.ravel(), np.repeat(
+        1 << np.count_nonzero(t1, axis=1), len(C.t)))
+    h_code, h_row = np.unique(code // radius, return_inverse=True)
+    H = np.zeros((len(h_code), radius), dtype=np.int64)
+    H[h_row, code % radius] = n
+    code = (((s1_pattern[:, None] - lo) * n_c + C.fold_pattern) * n_d
+            + s1 @ C.folds.T - 2 * b + d_off)
+    at = np.searchsorted(h_code, code).clip(max=len(h_code) - 1)
+    hit = h_code[at] == code
+    return hit, H[at[hit]]
 
 
 def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
-    """Sum of bvv(v1, v2, ell) over the integral pairs with S(v1, v2) = T
-    and sup-norms <= radius, shell by shell.
+    """Sum of pr_K(v1 ^ v2)^ell / ||pr_K(v1 ^ v2)||^(2 ell + 1) (as
+    coefficients of x^{l+v} y^{l-v}, v ascending) over the integral pairs
+    with S(v1, v2) = T and sup-norms <= radius, shell by shell.
 
     The summand depends on the pair only through pr_K(v1 ^ v2), which is
     fixed, in closed form (_prk_coeffs), by three integers x, y, z
     bilinear in the pair (_prk_int_matrices).  So the pairs are grouped by
     these three integers, computed exactly in int64 and packed in mixed
-    radix into one int64 key (_key_bases); each block of pairs is merged
-    into the sorted (key, pairs per shell) table, so memory grows with the
-    number of groups, not of pairs.  The symmetric power is then built
-    once per group and weighted by the group's pair counts.  A degenerate
-    projection raises: every pair lies in exactly one group, so checking
-    the groups checks the pairs."""
+    radix into one int64 key (_key_bases), and the symmetric power is
+    built once per group and weighted by the group's pair counts.
+
+    The pairs are counted on the fold split: with s = (v0 + v7, ...,
+    v3 + v4) and t = (v0 - v7, ..., v3 - v4) (_FoldSet), each key matrix
+    has row i equal to row 7 - i and column j equal to column 7 - j, so
+    x, y, z are s1^t M' s2 with M' its top-left 4x4 block, and the pairs
+    over a fold pair (s1, s2), by shell, are counted from the patterns
+    |s1|, |s2| and s1.s2 alone (_pair_counts).  The folds of v1 run in
+    blocks of whole patterns, each block reducing its fold pairs to one
+    row of pair counts per key, and one sort over all blocks groups the
+    keys, so memory grows with folds and groups, not with pairs.
+    (s1, s2) and (-s1, -s2) have the same key and counts, so s1 runs over
+    the folds whose first nonzero entry is positive and the counts are
+    doubled; fold_pairs is the number of fold pairs visited.
+
+    A degenerate projection raises: every pair lies in exactly one group,
+    so checking the groups checks the pairs."""
     if ell < 16 or ell % 2:
         raise ValueError("ell must be an even integer >= 16")
     if radius < 1:
@@ -528,36 +628,35 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
     offsets = np.array([(b - 1) // 2 for b in bases], dtype=np.int64)
     strides = np.array([prod(bases[:j]) for j in range(len(bases))],
                        dtype=np.int64)
-    buckets = _vectors_by_norm(radius, {T.a, T.c})
-    A = np.array(buckets[T.a], dtype=np.int64).reshape(-1, 8)
-    B = np.array(buckets[T.c], dtype=np.int64).reshape(-1, 8)
-    supA = np.max(np.abs(A), axis=1)
-    supB = np.max(np.abs(B), axis=1)
-    BJ = B[:, ::-1]               # pairing with the antidiagonal form
-    keys = np.zeros(0, dtype=np.int64)               # sorted, distinct
-    counts = np.zeros((0, radius), dtype=np.int64)   # pairs per key, shell
-    block = 256
-    for lo in range(0, len(A), block):
-        Ab = A[lo:lo + block]
-        i1, i2 = np.nonzero(Ab @ BJ.T == T.b)
-        Bh = B[i2]
-        bkeys = np.zeros(len(i1), dtype=np.int64)
-        for m, off, stride in zip(_PRK2, offsets, strides):
-            bkeys += (np.einsum("ij,ij->i", (Ab @ m)[i1], Bh) + off) * stride
-        shell = np.maximum(supA[lo:lo + block][i1], supB[i2]) - 1
-        merged, inv = np.unique(np.concatenate([keys, bkeys]),
-                                return_inverse=True)
-        new = np.zeros((len(merged), radius), dtype=np.int64)
-        new[inv[:len(keys)]] = counts
-        new += np.bincount(inv[len(keys):] * radius + shell,
-                           minlength=new.size).reshape(new.shape)
-        keys, counts = merged, new
+    # key - offsets . strides = s1^t key_matrix s2
+    key_matrix = np.einsum("j,jik->ik", strides, _PRK2[:, :4, :4])
+    A, C = _fold_set(radius, T.a), _fold_set(radius, T.c)
+    lead = A.folds[np.arange(len(A.folds)), np.argmax(A.folds != 0, axis=1)]
+    s1, s1_pattern = A.folds[lead > 0], A.fold_pattern[lead > 0]
+    s1_end = np.searchsorted(s1_pattern, np.arange(len(A.patterns) + 1))
+    # blocks of whole patterns, each of about _FOLD_BLOCK fold pairs
+    step = max(1, _FOLD_BLOCK // max(1, len(C.folds)))
+    cuts = np.unique(np.searchsorted(s1_end, np.arange(0, len(s1), step)))
+    keys = [np.zeros(0, dtype=np.int64)]
+    counts = [np.zeros((0, radius), dtype=np.int64)]
+    for lo, hi in zip(cuts, np.append(cuts[1:], len(A.patterns))):
+        f = slice(s1_end[lo], s1_end[hi])
+        hit, n = _pair_counts(A, C, lo, hi, s1[f], s1_pattern[f], T.b,
+                              radius)
+        block_keys, block_counts = _group(
+            (s1[f] @ key_matrix @ C.folds.T)[hit], n)
+        keys.append(block_keys)
+        counts.append(block_counts)
+    keys, counts = _group(np.concatenate(keys), np.concatenate(counts))
+    keys += offsets @ strides
+    counts *= 2
     digits = keys[:, None] // strides % np.array(bases) - offsets
     terms = _sym_power_batch(_prk_coeffs(digits), ell)
     return PoincareSum(tuple(counts.sum(axis=1) @ terms),
                        tuple(float(np.max(np.abs(s)))
                              for s in counts.T @ terms),
-                       int(counts.sum()), len(keys))
+                       int(counts.sum()), len(keys),
+                       len(s1) * len(C.folds))
 
 
 # --- positivity oracle -------------------------------------------------------

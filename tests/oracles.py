@@ -22,13 +22,17 @@ checks and each value string parsed again wherever it occurs, as the
 one-pass loader's reference.
 
 For the numeric layer: the Whittaker integral by scipy's quad_vec with one
-whittaker_eval (beta by matrix products) per node.  Also two exact helpers
+whittaker_eval (beta by matrix products) per node; the Poincare summand of
+one pair; and the Poincare sum by testing every pair of vectors from the
+(2r+1)^8 box, sharing only the key packing and the symmetric-power step
+with q_poincare's fold split.  Also two exact helpers
 that no command uses: an alternating binomial sum and the index-1 Jacobi
 form's coefficients."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 from scipy import integrate
@@ -43,7 +47,9 @@ from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
                                 GaussRational, _coerce, biv_coords,
                                 trace_form)
-from octolift.whittaker import LeviPoint, Y0, whittaker_eval
+from octolift.whittaker import (LeviPoint, PoincareSum, Y0, _PRK2,
+                                _key_bases, _prk_coeffs, _sym_power_batch,
+                                whittaker_eval)
 
 F0, F1 = Fraction(0), Fraction(1)
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
@@ -606,6 +612,75 @@ def archimedean_integral_quad_vec(T, t: float, u, ell: int):
     res, err = integrate.quad_vec(integrand, -smax, smax, epsabs=1e-14,
                                   epsrel=1e-9)
     return res, float(err)
+
+
+def bvv(v1, v2, ell: int):
+    """pr_K(v1 ^ v2)^ell / ||pr_K(v1 ^ v2)||^(2 ell + 1) for one pair: 2 ell
+    + 1 coefficients of x^{l+v} y^{l-v}, v ascending."""
+    xyz = np.einsum("i,kij,j->k", np.asarray(v1, float), _PRK2,
+                    np.asarray(v2, float))
+    return tuple(_sym_power_batch(_prk_coeffs(xyz[None, :]), ell)[0])
+
+
+def vectors_by_norm(radius: int, values) -> dict:
+    """All v in Z^8 with sup-norm <= radius, bucketed by q(v), kept only
+    for q(v) in the given value set: the (2 radius + 1)^8 box, tested
+    vector by vector."""
+    values = set(values)
+    rng = range(-radius, radius + 1)
+    # split v = (first four, reversed second four); with the second half
+    # stored reversed, q(v) is the plain dot product of the two halves
+    halves = list(product(rng, repeat=4))
+    out = {v: [] for v in values}
+    for a in halves:
+        for b in halves:
+            qv = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+            if qv in values:
+                out[qv].append(a + tuple(reversed(b)))
+    return out
+
+
+def q_poincare_by_pairs(A, B, T: GramTriple, ell: int,
+                        radius: int) -> PoincareSum:
+    """whittaker.q_poincare over explicit vectors: every pair in A x B
+    (lists of v1 with q(v1) = T.a and v2 with q(v2) = T.c, sup-norms <=
+    radius) is tested for the pairing T.b.  The pairs are grouped by the
+    same int64 keys, each block merged into a sorted (key, pairs per
+    shell) table, and summed by the same symmetric-power step, so the
+    result can be compared with ==."""
+    bases = _key_bases(radius)
+    offsets = np.array([(b - 1) // 2 for b in bases], dtype=np.int64)
+    strides = np.array([prod(bases[:j]) for j in range(len(bases))],
+                       dtype=np.int64)
+    A = np.array(A, dtype=np.int64).reshape(-1, 8)
+    B = np.array(B, dtype=np.int64).reshape(-1, 8)
+    supA = np.max(np.abs(A), axis=1)
+    supB = np.max(np.abs(B), axis=1)
+    BJ = B[:, ::-1]               # pairing with the antidiagonal form
+    keys = np.zeros(0, dtype=np.int64)               # sorted, distinct
+    counts = np.zeros((0, radius), dtype=np.int64)   # pairs per key, shell
+    block = 256
+    for lo in range(0, len(A), block):
+        Ab = A[lo:lo + block]
+        i1, i2 = np.nonzero(Ab @ BJ.T == T.b)
+        Bh = B[i2]
+        bkeys = np.zeros(len(i1), dtype=np.int64)
+        for m, off, stride in zip(_PRK2, offsets, strides):
+            bkeys += (np.einsum("ij,ij->i", (Ab @ m)[i1], Bh) + off) * stride
+        shell = np.maximum(supA[lo:lo + block][i1], supB[i2]) - 1
+        merged, inv = np.unique(np.concatenate([keys, bkeys]),
+                                return_inverse=True)
+        new = np.zeros((len(merged), radius), dtype=np.int64)
+        new[inv[:len(keys)]] = counts
+        new += np.bincount(inv[len(keys):] * radius + shell,
+                           minlength=new.size).reshape(new.shape)
+        keys, counts = merged, new
+    digits = keys[:, None] // strides % np.array(bases) - offsets
+    terms = _sym_power_batch(_prk_coeffs(digits), ell)
+    return PoincareSum(tuple(counts.sum(axis=1) @ terms),
+                       tuple(float(np.max(np.abs(s)))
+                             for s in counts.T @ terms),
+                       int(counts.sum()), len(keys))
 
 
 # --- exact helpers no command uses -------------------------------------------

@@ -549,10 +549,27 @@ def test_poincare_report(tmp_path, capsys):
     assert code == 0 and rep["status"] == "pass"
     work = rep["details"][1]
     assert (work["pairs"], work["groups"]) == (76560, 684)
-    assert len(work["shell_sup"]) == 1
+    assert work["fold_pairs"] == 124 * 248    # s1 up to sign, every s2
+    assert len(work["shell_sup"]) == 1 and "shell_ratio" not in work
     assert (f"outermost shell sup-norm {cli._g17(work['shell_sup'][0])}"
             in rep["details"][0])
     assert out.read_text().splitlines()[0] == "v,re,im"
+
+
+def test_poincare_reports_fold_pairs_and_the_shell_ratio(tmp_path, capsys):
+    code, rep = _run(capsys, ["poincare", "--key", "1,0,1", "--weight", "16",
+                              "--bound", "2", "--out", str(tmp_path / "p")])
+    assert code == 0 and rep["status"] == "pass"
+    work = rep["details"][1]
+    assert (work["pairs"], work["groups"], work["fold_pairs"]) == (
+        83056560, 32098, 2728448)
+    assert work["shell_ratio"] == work["shell_sup"][1] / work["shell_sup"][0]
+    assert 0.05 < work["shell_ratio"] < 0.06
+    # no pair of 5,0,5 lies in shell 1, so the ratio is undefined
+    code, rep = _run(capsys, ["poincare", "--key", "5,0,5", "--bound", "2",
+                              "--out", str(tmp_path / "q")])
+    assert code == 0 and rep["details"][1]["shell_sup"][0] == 0.0
+    assert rep["details"][1]["shell_ratio"] is None
 
 
 def test_poincare_rejects_a_radius_below_the_key(capsys):

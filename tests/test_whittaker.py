@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, exp, pi, sqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,19 +17,20 @@ from mpmath import mp
 from scipy.optimize import minimize
 
 from octolift.coset import GramTriple, gram, mat2
-from octolift import whittaker
+from octolift import quadspace, whittaker
 from octolift.quadspace import (E_PLUS, F_PLUS, H_PLUS, GaussRational,
                                 biv_matrix, gvec, wedge)
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 archimedean_integral_check, bessel_k,
-                                bessel_k_row, beta_fn, boost_u, bvv,
+                                bessel_k_row, beta_fn, boost_u,
                                 mat2_to_vec22, pairing22, positivity_oracle,
                                 q_poincare, s_v_sum, whittaker_eval,
                                 _plane_rotation, _s_v_exact,
-                                _sym_power_batch, _vectors_by_norm)
+                                _sym_power_batch)
 
 from oracles import (alternating_binomial_sum,
-                     archimedean_integral_quad_vec, pr_K, sym2_power)
+                     archimedean_integral_quad_vec, bvv, pr_K,
+                     q_poincare_by_pairs, sym2_power, vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -322,7 +324,7 @@ def test_bvv_degenerate_projection_raises():
 
 
 def test_vectors_by_norm_against_brute_force():
-    got = _vectors_by_norm(1, {0, 1, 2})
+    got = vectors_by_norm(1, {0, 1, 2})
     brute = {0: [], 1: [], 2: []}
     for v in product(range(-1, 2), repeat=8):
         q = sum(v[i] * v[7 - i] for i in range(4))
@@ -416,22 +418,80 @@ def test_q_poincare_grouped_matches_per_pair_sum():
     _check_grouped(q_poincare(T, 16, 1), ref)
 
 
-def test_q_poincare_shells_match_per_pair_sum(monkeypatch):
-    """Both shells of a radius-2 sum over a random sample of the vectors
-    with q = 2, 250 of sup-norm 1 and 250 of sup-norm 2 (the full
-    radius-2 sum has 10^7-10^8 pairs)."""
+def test_prk_matrices_check_the_fold_symmetry(monkeypatch):
+    """Conjugating e+, h+, f+ by an integral isometry that does not commute
+    with v_i <-> v_(7-i) keeps every su(2) relation the import check tests
+    but breaks row i = row 7 - i, which must then raise."""
+    n = np.zeros((8, 8), dtype=np.int64)
+    n[0, 1], n[6, 7] = 1, -1      # 1 + n preserves the antidiagonal form
+    g, g_inv = np.eye(8, dtype=np.int64) + n, np.eye(8, dtype=np.int64) - n
+    for name in ("E_PLUS", "H_PLUS", "F_PLUS"):
+        b = getattr(quadspace, name)
+        monkeypatch.setattr(quadspace, name, SimpleNamespace(
+            re=g @ b.re @ g_inv, im=g @ b.im @ g_inv, den=b.den))
+    with pytest.raises(ArithmeticError, match="fold"):
+        whittaker._prk_int_matrices()
+
+
+def test_fold_set_enumerates_the_vectors():
+    """Each fold with each t row of its pattern is one vector, v_i =
+    (s_i + t_i)/2 and v_(7-i) = (s_i - t_i)/2: exactly the box's vectors
+    of that norm, with their sup-norms."""
+    for radius, q in ((1, 1), (2, 1), (2, 2), (2, 5)):
+        f = whittaker._fold_set(radius, q)
+        got = []
+        for s, p in zip(f.folds, f.fold_pattern):
+            for t, sup in zip(f.t[f.t_pattern == p], f.sup[f.t_pattern == p]):
+                v = np.concatenate([s + t, (s - t)[::-1]]) // 2
+                assert max(abs(v)) == sup
+                got.append(tuple(int(x) for x in v))
+        assert sorted(got) == sorted(vectors_by_norm(radius, {q})[q])
+        assert f.patterns.tolist() == sorted(f.patterns.tolist())
+
+
+def test_fold_pair_shell_counts_match_a_direct_count():
+    """2,0,2 at radius 2: the pairs per shell that _pair_counts gives for
+    the fold pairs of 40 sampled folds, against a count over the vectors
+    with those folds; both shells are reached."""
     T = GramTriple(2, 0, 2)
-    full = _vectors_by_norm(2, {2})[2]
-    rng = random.Random(5)
-    sample = [v for s in (1, 2) for v in rng.sample(
-        [v for v in full if max(map(abs, v)) == s], 250)]
-    rng.shuffle(sample)
-    monkeypatch.setattr(whittaker, "_vectors_by_norm",
-                        lambda radius, values: {2: sample})
-    got = q_poincare(T, 16, 2)
-    ref = _q_poincare_per_pair(sample, sample, T, 16, 2)
-    assert min(ref[1]) > 0
-    _check_grouped(got, ref)
+    f = whittaker._fold_set(2, 2)
+    pick = np.sort(np.random.default_rng(5).choice(len(f.folds), 40,
+                                                   replace=False))
+    hit, n = whittaker._pair_counts(f, f, 0, len(f.patterns), f.folds[pick],
+                                    f.fold_pattern[pick], T.b, 2)
+    got = np.zeros(hit.shape + (2,), dtype=np.int64)
+    got[hit] = n
+    vecs = np.array(vectors_by_norm(2, {2})[2])
+    folds = vecs[:, :4] + vecs[:, :3:-1]
+    index = {tuple(s): i for i, s in enumerate(f.folds.tolist())}
+    fold_of = np.array([index[tuple(s)] for s in folds.tolist()])
+    sup = np.max(np.abs(vecs), axis=1)
+    want = np.zeros_like(got)
+    for row, i in enumerate(pick):
+        i1, i2 = np.nonzero(vecs[fold_of == i] @ vecs[:, ::-1].T == T.b)
+        shell = np.maximum(sup[fold_of == i][i1], sup[i2]) - 1
+        np.add.at(want[row], (fold_of[i2], shell), 1)
+    assert (got == want).all()
+    assert (want.sum(axis=(0, 1)) > 0).all()
+
+
+@pytest.mark.parametrize("key", [(2, 0, 2), (2, 0, 1), (1, 0, 2), (1, 0, 1),
+                                 (1, 1, 1)])
+def test_q_poincare_equals_the_pair_by_pair_sum(key):
+    """Radius 1: the fold split gives the same PoincareSum, bit for bit, as
+    testing every pair of the box's vectors."""
+    T = GramTriple(*key)
+    vecs = vectors_by_norm(1, {T.a, T.c})
+    assert q_poincare(T, 16, 1) == q_poincare_by_pairs(vecs[T.a], vecs[T.c],
+                                                       T, 16, 1)
+
+
+def test_q_poincare_at_radius_2_is_pinned():
+    """1,0,1 at radius 2: the pair and group counts and the shell sup-norms
+    that testing all 30,984^2 pairs of the box's vectors gave."""
+    got = q_poincare(GramTriple(1, 0, 1), 16, 2)
+    assert (got.pairs, got.groups) == (83056560, 32098)
+    assert got.shell_sup == (43.122698801169776, 2.2243226055035117)
 
 
 # --- positivity oracle -------------------------------------------------------------

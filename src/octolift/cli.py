@@ -773,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("dirichlet", help="Dirichlet-series "
-                        "factorization check on a quaternionic table")
+                        "factorization check on a siegel table (lifted "
+                        "first) or a quaternionic table")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--bound", type=_positive, default=12,
                     help="series truncation, >= 1")

@@ -6,7 +6,6 @@ enumeration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, List, Tuple
 
@@ -59,14 +58,6 @@ class GramTriple:
     a: int
     b: int
     c: int
-
-    @staticmethod
-    def make(a, b, c) -> "GramTriple":
-        return GramTriple(int(a), int(b), int(c))
-
-    def matrix(self):
-        h = Fraction(self.b, 2)
-        return ((Fraction(self.a), h), (h, Fraction(self.c)))
 
     def disc(self) -> int:
         """4ac - b^2 (positive for positive definite triples)."""

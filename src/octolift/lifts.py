@@ -1,6 +1,7 @@
 """The coefficient engine: classical genus-2 Maass lift and relations, the
 quaternionic theta* lift on Fourier coefficients, Spezialschar membership,
-Fourier-Jacobi extraction, and the Dirichlet-series factorization.
+Fourier-Jacobi extraction, and the Dirichlet-series factorization check,
+made in one pass over the orbit lambda.g.
 
 All coefficient tables are ingested data (synthetic or user-supplied); the
 identities verified here are exact combinatorial statements about the lift
@@ -113,43 +114,18 @@ class QuatTable:
         return self.entries[lam]
 
 
-@dataclass(frozen=True)
-class DirichletPoly:
-    """Truncated Dirichlet series: coefficient of n^-s for n <= bound."""
-    coeffs: Dict[int, GaussRational]
-    bound: int
-
-    def __getitem__(self, n: int) -> GaussRational:
-        return self.coeffs.get(n, GZERO)
-
-    def convolve(self, other: "DirichletPoly") -> "DirichletPoly":
-        bound = min(self.bound, other.bound)
-        out: Dict[int, GaussRational] = {}
-        for n in range(1, bound + 1):
-            s = GZERO
-            for d in divisors(n):
-                s = s + self[d] * other[n // d]
-            if s:
-                out[n] = s
-        return DirichletPoly(out, bound)
-
-
 # --- classical genus-2 Maass lift (Sec. 2 machinery) --------------------------
 
-def reduced_triples(discbound: int, include_singular: bool = False):
-    """All reduced triples 0 <= b <= a <= c with 0 < 4ac - b^2 <= discbound
-    (plus the singular ones with disc 0 when requested)."""
+def reduced_triples(discbound: int):
+    """All reduced triples 0 <= b <= a <= c with 4ac - b^2 <= discbound
+    (each has 4ac - b^2 >= 3a^2 > 0, so all are positive definite)."""
     out = []
-    if include_singular:
-        cmax = discbound  # conventional cap for singular keys
-        out.extend(GramTriple(0, 0, c) for c in range(cmax + 1))
     a = 1
     while 4 * a * a - a * a <= discbound:
         for b in range(a + 1):
             c = a
             while 4 * a * c - b * b <= discbound:
-                if 4 * a * c - b * b > 0:
-                    out.append(GramTriple(a, b, c))
+                out.append(GramTriple(a, b, c))
                 c += 1
         a += 1
     return out
@@ -305,77 +281,49 @@ def fj_extract(phi: QuatTable, t: GramTriple) -> GaussRational:
 
 # --- Dirichlet series -----------------------------------------------------------
 
-def _s_coprime(n: int, s_primes) -> bool:
-    return all(n % p for p in s_primes)
-
-
-def _coset_series(a, lam: IndexPair, ell: int, bound: int,
-                  s_primes) -> DirichletPoly:
-    """The series truncated at n <= bound whose n^-s coefficient is
-    sum_{g right cosets, |det g| = n, n coprime to S}
-    a(lambda . g) / n^(ell-1)."""
-    coeffs: Dict[int, GaussRational] = {}
-    for n in range(1, bound + 1):
-        if not _s_coprime(n, s_primes):
-            continue
-        s = GZERO
-        for g in hnf_right_cosets(n):
-            s = s + a(pair_act(lam, g))
-        if s:
-            coeffs[n] = s / _coerce(n ** (ell - 1))
-    return DirichletPoly(coeffs, bound)
-
-
-def dirichlet_series(phi: QuatTable, lam: IndexPair, bound: int,
-                     s_primes: Iterable[int] = ()) -> DirichletPoly:
-    """D_phi(T1,T2) truncated at n <= bound: the n^-s coefficient is
-    sum_{g right cosets, |det g| = n, n coprime to S}
-    a_phi(lambda . g) / n^(ell-1)."""
-    if not is_strongly_primitive(lam):
-        raise ValueError("dirichlet_series needs a strongly primitive pair")
-    return _coset_series(phi.a, lam, phi.weight, bound, tuple(s_primes))
-
-
-def _zeta_sigma_factor(bound: int, s_primes) -> DirichletPoly:
-    """sum_{r in GL2(Z)\\M2^S(Z)} |det r|^-s truncated: coefficient sigma_1(n)
-    for S-coprime n."""
-    coeffs = {}
-    for n in range(1, bound + 1):
-        if _s_coprime(n, s_primes):
-            coeffs[n] = _coerce(sum(divisors(n)))
-    return DirichletPoly(coeffs, bound)
-
-
-def primitive_dirichlet_series(phi: QuatTable, lam: IndexPair, bound: int,
-                               s_primes: Iterable[int] = ()) -> DirichletPoly:
-    """The primitive-coefficient factor:
-    n^-s coefficient = sum_{g, |det g| = n coprime to S}
-    a_phi^prim(lambda . g) / n^(ell-1)."""
-    return _coset_series(lambda mu: a_prim(phi, mu), lam, phi.weight, bound,
-                         tuple(s_primes))
-
-
-def dirichlet_factor_check(phi: QuatTable, lam: IndexPair, bound: int,
-                           s_primes: Iterable[int] = ()) -> Report:
+def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
+                           bound: int) -> Report:
     """Verify, coefficient by coefficient up to n <= bound, that
     D_phi = (sum_r |det r|^-s) * (sum_g a_phi^prim(lambda.g)/|det g|^(s+ell-1))
-    as truncated Dirichlet series.  Also confirms the coset-divisor
-    S-coprimality property that underlies the rearrangement: for S-coprime
-    |det g|, every divisor coset r of lambda.g has S-coprime |det r| and
-    |det(g r^-1)|."""
-    s_primes = tuple(s_primes)
-    lhs = dirichlet_series(phi, lam, bound, s_primes)
-    rhs = _zeta_sigma_factor(bound, s_primes).convolve(
-        primitive_dirichlet_series(phi, lam, bound, s_primes))
+    as truncated Dirichlet series, for a strongly primitive lambda.  One
+    pass over the orbit mu = lambda.g (g in hnf_right_cosets(n), n <= bound)
+    adds a_phi(mu) / n^(ell-1) to D_phi(n) and a_phi^prim(mu) / n^(ell-1)
+    to P(n), and confirms the property behind the rearrangement: every
+    divisor coset r of mu has |det r| dividing n.  Then D_phi(n) must equal
+    sum_{d | n} sigma_1(d) P(n/d).  A coefficient missing from the table
+    raises InsufficientTableError naming lambda and the largest bound the
+    table supports for it."""
+    if not is_strongly_primitive(lam):
+        raise ValueError("dirichlet_factor_check needs a strongly "
+                         "primitive pair")
+    full: Dict[int, GaussRational] = {}
+    prim: Dict[int, GaussRational] = {}
+    misfit = None
     for n in range(1, bound + 1):
-        if _s_coprime(n, s_primes):
-            for g in hnf_right_cosets(n):
-                for d, _t in divisor_grams(pair_act(lam, g)):
-                    if n % d or not (_s_coprime(d, s_primes)
-                                     and _s_coprime(n // d, s_primes)):
-                        return Report(False, f"S-coprimality fails at n={n}, "
-                                      f"|det r|={d}, g={g}")
+        s_full = s_prim = GZERO
+        for g in hnf_right_cosets(n):
+            mu = pair_act(lam, g)
+            try:
+                s_full = s_full + phi.a(mu)
+                s_prim = s_prim + a_prim(phi, mu)
+            except InsufficientTableError as e:
+                largest = (f"--bound {n - 1} is the largest bound" if n > 1
+                           else "no bound is")
+                raise InsufficientTableError(
+                    f"{e} (needed by lambda={lam} at |det g|={n}): "
+                    f"{largest} this table supports for lambda") from e
+            if misfit is None:
+                misfit = next((f"|det r|={d} does not divide n={n}, g={g}"
+                               for d, _t in divisor_grams(mu) if n % d), None)
+        scale = _coerce(n ** (phi.weight - 1))
+        full[n] = s_full / scale
+        prim[n] = s_prim / scale
+    if misfit is not None:
+        return Report(False, f"coset divisibility fails: {misfit}")
     for n in range(1, bound + 1):
-        if lhs[n] != rhs[n]:
+        rhs = GZERO
+        for d in divisors(n):
+            rhs = rhs + sum(divisors(d)) * prim[n // d]
+        if full[n] != rhs:
             return Report(False, f"factorization fails at n={n}")
     return Report(True, f"verified to n={bound}")

@@ -283,6 +283,7 @@ _G7_W[1::2] = [0.129484966168869693270611432679082,
                0.129484966168869693270611432679082]
 GK_NODES = len(_GK_X)     # integrand values per interval
 _GK_LIMIT = 1000          # intervals one integral may evaluate
+_GK_EPSREL = 1e-9         # relative tolerance of archimedean_integral_check
 
 
 def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float
@@ -332,8 +333,7 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
-def archimedean_integral_check(T, t: float, u, ell: int,
-                               epsrel: float = 1e-9
+def archimedean_integral_check(T, t: float, u, ell: int
                                ) -> Tuple[WhittakerValue, WhittakerValue]:
     """Numeric integral over s of the Whittaker value along
     r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]], for the ordered pair
@@ -369,7 +369,7 @@ def archimedean_integral_check(T, t: float, u, ell: int,
                                      t ** ell * t, ell)
 
     res, err, intervals = _gauss_kronrod(integrand, -smax, smax, 1e-14,
-                                         epsrel)
+                                         _GK_EPSREL)
     numeric = WhittakerValue(ell, tuple(res.tolist()), err, intervals)
     scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
     closed = WhittakerValue(

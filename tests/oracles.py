@@ -15,7 +15,9 @@ LatticeIsometry constructor, with A^{-t} from the Fraction inverse.
 For the lifts: the theta* coefficient and the Spezialschar membership
 check summed over divisor_cosets, building every pair mu = lambda.r^{-1}
 and taking its Gram triple, where the package reads S(mu) from
-divisor_grams.
+divisor_grams; and the Dirichlet factorization check as three passes over
+the orbit lambda.g (the series D_phi, the primitive series convolved with
+sigma_1, and the divisibility test), where the package makes one.
 
 For the table files: the per-entry parser, each key through isinstance
 checks and each value string parsed again wherever it occurs, as the
@@ -38,10 +40,11 @@ import numpy as np
 from scipy import integrate
 
 from octolift.cli import KINDS, TableError, _parse_int, _parse_rational
-from octolift.coset import (GramTriple, breve, divisor_cosets, gram, mat2,
-                            mat2_det)
+from octolift.coset import (GramTriple, breve, divisor_cosets, divisor_grams,
+                            divisors, gram, hnf_right_cosets,
+                            is_strongly_primitive, mat2, mat2_det, pair_act)
 from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
-                            SiegelTable)
+                            SiegelTable, a_prim)
 from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
@@ -539,6 +542,83 @@ def maass_membership_by_cosets(phi) -> Report:
         if rhs != phi.entries[lam]:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
+
+
+# --- the Dirichlet factorization as three series -----------------------------
+
+@dataclass(frozen=True)
+class DirichletPoly:
+    """Truncated Dirichlet series: coefficient of n^-s for n <= bound."""
+    coeffs: dict
+    bound: int
+
+    def __getitem__(self, n: int) -> GaussRational:
+        return self.coeffs.get(n, GZERO)
+
+    def convolve(self, other: "DirichletPoly") -> "DirichletPoly":
+        bound = min(self.bound, other.bound)
+        out = {}
+        for n in range(1, bound + 1):
+            s = GZERO
+            for d in divisors(n):
+                s = s + self[d] * other[n // d]
+            if s:
+                out[n] = s
+        return DirichletPoly(out, bound)
+
+
+def _coset_series(a, lam, ell: int, bound: int) -> DirichletPoly:
+    """The series truncated at n <= bound whose n^-s coefficient is
+    sum_{g right cosets, |det g| = n} a(lambda . g) / n^(ell-1)."""
+    coeffs = {}
+    for n in range(1, bound + 1):
+        s = GZERO
+        for g in hnf_right_cosets(n):
+            s = s + a(pair_act(lam, g))
+        if s:
+            coeffs[n] = s / _coerce(n ** (ell - 1))
+    return DirichletPoly(coeffs, bound)
+
+
+def dirichlet_series(phi, lam, bound: int) -> DirichletPoly:
+    """D_phi(T1,T2) truncated at n <= bound: the n^-s coefficient is
+    sum_{g right cosets, |det g| = n} a_phi(lambda . g) / n^(ell-1)."""
+    if not is_strongly_primitive(lam):
+        raise ValueError("dirichlet_series needs a strongly primitive pair")
+    return _coset_series(phi.a, lam, phi.weight, bound)
+
+
+def _zeta_sigma_factor(bound: int) -> DirichletPoly:
+    """sum_{r in GL2(Z)\\M2(Z)} |det r|^-s truncated: coefficient
+    sigma_1(n)."""
+    return DirichletPoly({n: _coerce(sum(divisors(n)))
+                          for n in range(1, bound + 1)}, bound)
+
+
+def primitive_dirichlet_series(phi, lam, bound: int) -> DirichletPoly:
+    """The primitive-coefficient factor: n^-s coefficient =
+    sum_{g, |det g| = n} a_phi^prim(lambda . g) / n^(ell-1)."""
+    return _coset_series(lambda mu: a_prim(phi, mu), lam, phi.weight, bound)
+
+
+def dirichlet_factor_check_by_series(phi, lam, bound: int) -> Report:
+    """lifts.dirichlet_factor_check as three passes over the orbit: D_phi,
+    the primitive series and its Dirichlet convolution with sigma_1, then
+    the divisibility of n by every |det r| of lambda.g."""
+    lhs = dirichlet_series(phi, lam, bound)
+    rhs = _zeta_sigma_factor(bound).convolve(
+        primitive_dirichlet_series(phi, lam, bound))
+    for n in range(1, bound + 1):
+        for g in hnf_right_cosets(n):
+            for d, _t in divisor_grams(pair_act(lam, g)):
+                if n % d:
+                    return Report(False, "coset divisibility fails: "
+                                  f"|det r|={d} does not divide n={n}, "
+                                  f"g={g}")
+    for n in range(1, bound + 1):
+        if lhs[n] != rhs[n]:
+            return Report(False, f"factorization fails at n={n}")
+    return Report(True, f"verified to n={bound}")
 
 
 # --- table files, one entry at a time ---------------------------------------

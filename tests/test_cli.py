@@ -474,6 +474,27 @@ def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
     assert code == 2 and "discriminant 819200" in rep["details"][0]
 
 
+def test_dirichlet_on_a_small_quaternionic_table_names_the_bound(tmp_path,
+                                                                 capsys):
+    c, F, phi = (tmp_path / f for f in ("c.json", "F.json", "phi.json"))
+    for argv in (["synth", "--kind", "halfintegral", "--seed", "7",
+                  "--bound", "100", "--out", str(c)],
+                 ["lift", "--in", str(c), "--weight", "10", "--bound", "100",
+                  "--out", str(F)],
+                 ["theta-star", "--in", str(F), "--bound", "25",
+                  "--out", str(phi)]):
+        assert _run(capsys, argv)[0] == 0
+    code, rep = _run(capsys, ["dirichlet", "--in", str(phi), "--bound", "12",
+                              "--count", "5"])
+    assert code == 2 and rep["status"] == "error"
+    assert "(needed by lambda=" in rep["details"][0]
+    assert "at |det g|=2" in rep["details"][0]
+    assert "--bound 1 is the largest bound" in rep["details"][0]
+    code, rep = _run(capsys, ["dirichlet", "--in", str(phi), "--bound", "1",
+                              "--count", "5"])
+    assert code == 0 and rep["status"] == "pass"
+
+
 def test_theta_star_small_table_fails_fast(tmp_path, capsys):
     F = tmp_path / "F.json"
     phi = tmp_path / "phi.json"

@@ -9,18 +9,18 @@ import pytest
 
 from octolift.coset import (GramTriple, breve, gram, hnf_right_cosets,
                             is_strongly_primitive, pair_act, reduce_gram)
-from octolift.lifts import (DirichletPoly, HalfIntegralTable,
-                            InsufficientTableError, QuatTable, SiegelTable,
-                            a_prim, classical_maass_check,
-                            classical_maass_lift, dirichlet_factor_check,
-                            dirichlet_series, fj_extract, fj_pair,
-                            maass_membership, primitive_dirichlet_series,
-                            reduced_triples, spezialschar_keys, theta_star,
-                            theta_star_table)
+from octolift.lifts import (HalfIntegralTable, InsufficientTableError,
+                            QuatTable, SiegelTable, a_prim,
+                            classical_maass_check, classical_maass_lift,
+                            dirichlet_factor_check, fj_extract, fj_pair,
+                            maass_membership, reduced_triples,
+                            spezialschar_keys, theta_star, theta_star_table)
 from octolift.quadspace import GZERO, GaussRational
 
 import oracles
-from oracles import jacobi_coeffs
+from oracles import (DirichletPoly, dirichlet_factor_check_by_series,
+                     dirichlet_series, jacobi_coeffs,
+                     primitive_dirichlet_series)
 
 
 def _random_half_table(seed, bound, weight=10):
@@ -255,6 +255,36 @@ def test_dirichlet_series_requires_strong_primitivity():
                  for T in breve(GramTriple(1, 1, 1)))
     with pytest.raises(ValueError):
         dirichlet_series(phi, lam2, 2)
+    with pytest.raises(ValueError):
+        dirichlet_factor_check(phi, lam2, 2)
+
+
+def test_dirichlet_check_matches_the_three_series_oracle():
+    """The one-pass check gives the same Report as the three-series oracle
+    on lambda = breve(t) and fj_pair(t) for four t, six seeds and weights 4
+    and 10, to bound 8; on odd seeds one orbit value of the theta* table
+    is corrupted, and both reports fail."""
+    bound = 8
+    cosets = [g for n in range(1, bound + 1) for g in hnf_right_cosets(n)]
+    for weight in (4, 10):
+        for seed in range(6):
+            # disc S(lambda.g) = disc(t) |det g|^2 <= 15 * 8^2
+            F = _random_siegel_table(seed, 15 * bound ** 2, weight)
+            for abc in ((1, 1, 1), (1, 0, 1), (1, 1, 2), (2, 1, 2)):
+                for make in (breve, fj_pair):
+                    lam = make(GramTriple(*abc))
+                    phi = theta_star_table(F, 1, extra_pairs=[
+                        pair_act(lam, g) for g in cosets])
+                    if seed % 2:
+                        entries = dict(phi.entries)
+                        g = random.Random(seed).choice(cosets[1:])
+                        key = pair_act(lam, g)
+                        entries[key] = entries[key] + 1
+                        phi = QuatTable(weight, entries)
+                    rep = dirichlet_factor_check(phi, lam, bound)
+                    assert rep.ok != bool(seed % 2), (lam, seed, rep)
+                    assert rep == dirichlet_factor_check_by_series(
+                        phi, lam, bound), (lam, seed, weight)
 
 
 def test_primitive_series_agrees_on_primitive_part():

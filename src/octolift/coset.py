@@ -29,11 +29,6 @@ def mat2_add(m: Mat2Z, n: Mat2Z) -> Mat2Z:
                  for rm, rn in zip(m, n))
 
 
-def mat2_mul(m: Mat2Z, n: Mat2Z) -> Mat2Z:
-    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2))
-                       for j in range(2)) for i in range(2))
-
-
 def mat2_scale(c: int, m: Mat2Z) -> Mat2Z:
     return tuple(tuple(c * e for e in row) for row in m)
 
@@ -44,12 +39,6 @@ def mat2_transpose(m: Mat2Z) -> Mat2Z:
 
 def mat2_adjugate(m: Mat2Z) -> Mat2Z:
     return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
-def pair_bilinear(T1: Mat2Z, T2: Mat2Z) -> int:
-    """(T1, T2) for the quadratic form q = det on M2:
-    det(T1+T2) - det T1 - det T2."""
-    return mat2_det(mat2_add(T1, T2)) - mat2_det(T1) - mat2_det(T2)
 
 
 @dataclass(frozen=True)

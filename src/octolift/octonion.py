@@ -132,8 +132,3 @@ def to_vector8(x: Octonion) -> Tuple:
 
 def from_vector8(w: Sequence) -> Octonion:
     return Octonion(-w[5], (w[0], w[4], w[6]), (w[7], w[3], w[1]), w[2])
-
-
-def qform(x: Octonion):
-    """Quadratic form on the 8-dim space: q(x) = -n(x)."""
-    return -norm(x)

@@ -19,11 +19,12 @@ Everything is exact integer arithmetic.  Where each guarantee is checked:
   g^t J g = J and det g = +1.  Products and inverses need no check.  Each
   Levi factor gets A^{-t} from the same row operations (_rows_to_std) that
   give A, so no matrix is inverted.
-- Each public reduction (reduce_primitive_vector, reduce_isotropic_plane,
-  reduce_pair) checks its result on every call before returning: that g
-  sends the input to its target, and, once per call on the final product,
-  that g^t J g = J and det g = +1.  The reductions they build on skip the
-  second check, since the outer product is checked.
+- reduce_pair, the one public reduction, checks its result on every call
+  before returning: that g sends the input to its target, and, once per
+  call on the final product, that g^t J g = J and det g = +1.  The
+  reductions it builds on (_reduce_primitive_vector,
+  _reduce_isotropic_plane) check only that their g reaches its target,
+  since the outer product is checked.
 """
 
 from __future__ import annotations
@@ -377,9 +378,9 @@ def _check_postcondition(ok: bool, what: str):
 
 
 def _in_group(g: LatticeIsometry) -> LatticeIsometry:
-    """g, once checked to be in SO(L)(Z).  A public reduction returns an
-    unchecked product of factors; this one matrix check per call catches
-    a wrong factor block that still sends the input to its target."""
+    """g, once checked to be in SO(L)(Z).  reduce_pair builds an unchecked
+    product of factors; this one matrix check per call catches a wrong
+    factor block that still sends the input to its target."""
     try:
         g._check()
     except ValueError as e:
@@ -387,15 +388,10 @@ def _in_group(g: LatticeIsometry) -> LatticeIsometry:
     return g
 
 
-def reduce_primitive_vector(v: Sequence[int]) -> Tuple[LatticeIsometry, int]:
-    """Some g in SO(L)(Z) with g v = a b_1 + b_{-1}, a = q(v); v primitive."""
-    g, a = _reduce_primitive_vector(v)
-    return _in_group(g), a
-
-
 def _reduce_primitive_vector(v: Sequence[int]
                              ) -> Tuple[LatticeIsometry, int]:
-    """reduce_primitive_vector without the final SO(L)(Z) check, for the
+    """Some g with g v = a b_1 + b_{-1}, a = q(v), for v primitive; a
+    product of SO(L)(Z) factors, without the final SO(L)(Z) check, for the
     reductions that build on it and check their own product."""
     lat = SplitLattice(len(v) // 2)
     n = lat.n
@@ -504,16 +500,11 @@ def _wedge_primitive(u1: Sequence[int], u2: Sequence[int]) -> bool:
     return g == 1
 
 
-def reduce_isotropic_plane(u1: Sequence[int],
-                           u2: Sequence[int]) -> LatticeIsometry:
-    """Some g in SO(L)(Z) with g u1 = b_1, g u2 = b_2, for an isotropic pair
-    whose wedge is primitive in the second exterior power of L."""
-    return _in_group(_reduce_isotropic_plane(u1, u2))
-
-
 def _reduce_isotropic_plane(u1: Sequence[int],
                             u2: Sequence[int]) -> LatticeIsometry:
-    """reduce_isotropic_plane without the final SO(L)(Z) check."""
+    """Some g with g u1 = b_1, g u2 = b_2, for an isotropic pair whose
+    wedge is primitive in the second exterior power of L; a product of
+    SO(L)(Z) factors, without the final SO(L)(Z) check."""
     lat = SplitLattice(len(u1) // 2)
     n = lat.n
     u1 = tuple(int(e) for e in u1)

@@ -1,7 +1,6 @@
 """The split 8-dimensional quadratic space V in the b-basis, the Lie algebra
 wedge^2 V = so(8) acting on it, its bracket, trace form and Cartan
-involution, and the two commuting su(2) triples of the compact
-construction.
+involution, and the su(2) triple (e+, h+, f+) of the compact construction.
 
 Scalars are Gaussian rationals.  Coordinates are stored in the order
 (b1, b2, b3, b4, b-4, b-3, b-2, b-1); the Gram matrix is the anti-diagonal
@@ -14,7 +13,7 @@ one call.  Every int64 product is bounded first, and an operation whose
 result could leave the int64 range raises OverflowError rather than wrap.
 
 The vectors u1, u2, v1, v2 of the compact su(2) construction each carry a
-factor 1/sqrt(2); every element built from them here (e+, h+, f+, ...) only
+factor 1/sqrt(2); every element built from them here (e+, h+, f+) only
 uses products of pairs of such vectors, so all sqrt(2)'s are multiplied out
 and scalars stay Gaussian rational.
 """
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -102,35 +101,14 @@ def _coerce(x) -> GaussRational:
 
 GZERO = GaussRational.make(0)
 GONE = GaussRational.make(1)
-GI = GaussRational.make(0, 1)
 
 DIM = 8
 # wedge basis index pairs i<j, fixed total order.
 PAIRS = tuple(combinations(range(DIM), 2))
 
 
-def gvec(coords: Sequence) -> Tuple[GaussRational, ...]:
-    """Coerce an 8-sequence to a Vector8 (tuple of GaussRationals)."""
-    if len(coords) != DIM:
-        raise ValueError("Vector8 needs 8 coordinates")
-    return tuple(_coerce(c) for c in coords)
-
-
 def basis_vector(i: int) -> Tuple[GaussRational, ...]:
     return tuple(GONE if j == i else GZERO for j in range(DIM))
-
-
-def vadd(u, w):
-    return tuple(a + b for a, b in zip(u, w))
-
-
-def vsub(u, w):
-    return tuple(a - b for a, b in zip(u, w))
-
-
-def vscale(c, u):
-    c = _coerce(c)
-    return tuple(c * a for a in u)
 
 
 def pairing(u, w) -> GaussRational:
@@ -276,30 +254,6 @@ def biv_coords(X: Bivector) -> Tuple[np.ndarray, np.ndarray]:
             X.im[..., _COEFF_ROWS, _COEFF_COLS])
 
 
-def biv_act(X: Bivector, w) -> Tuple[GaussRational, ...]:
-    """(u ^ v) . x = (u, x) v - (v, x) u, extended bilinearly.
-
-    For a basis bivector b_i ^ b_j this sends x to (b_i,x) b_j - (b_j,x) b_i,
-    i.e. picks up the coordinates x_{7-i} and x_{7-j}.  (This is the sign
-    that makes the 28 e/eps wedge images of the cubic-structure generators a
-    Lie algebra homomorphism; the opposite sign would make it an
-    anti-homomorphism throughout.)
-    """
-    wr, wi, dw = int_parts(w)
-    fits(16 * amax(X.re, X.im) * amax(wr, wi))
-    re, im = X.re @ wr - X.im @ wi, X.re @ wi + X.im @ wr
-    den = X.den * dw
-    return tuple(GaussRational(Fraction(int(a), den), Fraction(int(b), den))
-                 for a, b in zip(re, im))
-
-
-def biv_matrix(X: Bivector):
-    """The 8x8 action matrix of X as Gaussian rationals."""
-    return [[GaussRational(Fraction(int(X.re[r, c]), X.den),
-                           Fraction(int(X.im[r, c]), X.den))
-             for c in range(DIM)] for r in range(DIM)]
-
-
 def skew_bivector(re, im, den: int = 1) -> Bivector:
     """The elements acting by the matrices (re + i im) / den, int64 arrays
     of shape (..., 8, 8).  Raises unless every one is skew w.r.t. the form
@@ -310,13 +264,6 @@ def skew_bivector(re, im, den: int = 1) -> Bivector:
         if (ja + ja.swapaxes(-1, -2)).any():
             raise ValueError("matrix is not skew with respect to the form")
     return Bivector.of(re, im, den)
-
-
-def matrix_to_bivector(A) -> Bivector:
-    """The element acting by the 8x8 matrix A of scalars; raises if A is
-    not skew (skew_bivector)."""
-    re, im, den = int_parts([x for row in A for x in row])
-    return skew_bivector(re.reshape(DIM, DIM), im.reshape(DIM, DIM), den)
 
 
 def _commutator(a, b):
@@ -357,25 +304,22 @@ def trace_form(X: Bivector, Y: Bivector) -> GaussRational:
 # v1 = (b3 + b-3)/sqrt2, v2 = (b4 + b-4)/sqrt2.
 # sqrt2's are cleared pairwise: each generator below is a sum of wedges of two
 # such vectors, contributing a global 1/2.
-_U1 = gvec((1, 0, 0, 0, 0, 0, 0, 1))
-_U2 = gvec((0, 1, 0, 0, 0, 0, 1, 0))
-_V1 = gvec((0, 0, 1, 0, 0, 1, 0, 0))
-_V2 = gvec((0, 0, 0, 1, 1, 0, 0, 0))
 
+def _su2_triple():
+    """e+ = 1/2 (u1 - i u2) ^ (v1 - i v2), f+ = -1/2 (u1 + i u2) ^ (v1 + i v2)
+    and h+ = i (u1 ^ u2 + v1 ^ v2), from the coordinates of sqrt2 u1, ...,
+    sqrt2 v2."""
+    u1, u2 = (1, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 1, 0)
+    v1, v2 = (0, 0, 1, 0, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0)
+    i = GaussRational.make(0, 1)
 
-def _su2_triple(v2sign: int):
-    v2 = _V2 if v2sign > 0 else vscale(-1, _V2)
-    half = GaussRational.make(Fraction(1, 2))
-    quarter = GaussRational.make(Fraction(1, 4))
-    a = vsub(_U1, vscale(GI, _U2))         # u1 - i u2 (times sqrt2)
-    b = vsub(_V1, vscale(GI, v2))          # v1 - i v2 (times sqrt2)
-    ac = vadd(_U1, vscale(GI, _U2))
-    bc = vadd(_V1, vscale(GI, v2))
-    e = wedge(a, b).scale(quarter)         # 1/2 (u1-iu2)^(v1-iv2)
-    f = wedge(ac, bc).scale(quarter).scale(-1)
-    h = (wedge(_U1, _U2) + wedge(_V1, v2)).scale(half).scale(GI)
+    def plus_i(x, y, sign):                # x + sign i y
+        return tuple(a + sign * b * i for a, b in zip(x, y))
+
+    e = wedge(plus_i(u1, u2, -1), plus_i(v1, v2, -1)).scale(Fraction(1, 4))
+    f = wedge(plus_i(u1, u2, 1), plus_i(v1, v2, 1)).scale(Fraction(-1, 4))
+    h = (wedge(u1, u2) + wedge(v1, v2)).scale(i * Fraction(1, 2))
     return e, h, f
 
 
-E_PLUS, H_PLUS, F_PLUS = _su2_triple(+1)
-E_PRIME, H_PRIME, F_PRIME = _su2_triple(-1)
+E_PLUS, H_PLUS, F_PLUS = _su2_triple()

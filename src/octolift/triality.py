@@ -1,7 +1,8 @@
 """The cubic-norm-structure Lie algebra g_E for E = F x F x F, the explicit
 isomorphism Phi: g_E -> wedge^2 O onto the octonionic so(8), triality-triple
-verification, the S3 action, and the induced S3 action on integer cubes
-(alpha, beta, gamma, delta) indexing Heisenberg characters.
+verification, and the S3 action on integer cubes (alpha, beta, gamma, delta)
+indexing Heisenberg characters, induced through Phi from the S3 action on
+the E-coordinates of g_E.
 
 Conventions:
   * g_E = (sl_3 + E^0) + V_3 (x) E + V_3^dual (x) E^dual.
@@ -264,7 +265,7 @@ _TR = np.einsum("jkm,imn,n->ijk", _MUL, _MUL,
                 np.array([oct_trace(x) for x in B_BASIS], dtype=np.int64))
 
 # Octonionic conjugation is minus the permutation of the b-basis that swaps
-# b3 = eps2 and b-3 = -eps1, so Ad(c) is conjugation by that permutation.
+# b3 = eps2 and b-3 = -eps1.
 _CONJ_PERM = (0, 1, 5, 3, 4, 2, 6, 7)
 
 
@@ -386,13 +387,6 @@ def prop_mult_triple(u: Octonion, v: Octonion):
     return mult_triples(ur, vr, du * dv)
 
 
-def left_mult_bivector(u: Octonion, v: Octonion, side: str) -> Bivector:
-    """The operator l_{u*} l_v - l_{v*} l_u (side='l') or
-    r_{u*} r_v - r_{v*} r_u (side='r') as a bivector (twice the usual
-    normalization 1/2(...) to stay integral for integral u, v)."""
-    return prop_mult_triple(u, v)[1 if side == "l" else 2]
-
-
 # The six standard triples are Phi images of basis elements, so rows of
 # _PHI: (eps1 ^ e_j, e_{j+1}* ^ e_{j-1}*, -eps2 ^ e_j) is Phi of
 # v_j (x) (e_1, e_2, e_3), and (eps1 ^ e_j*, -eps2 ^ e_j*, e_{j+1} ^ e_{j-1})
@@ -433,39 +427,6 @@ def perm_apply(p, z):
     return tuple(out)
 
 
-def s3_act_ge(p, X: GEElement) -> GEElement:
-    """S3 acting on g_E through its action on the E-coordinates; sl3 fixed."""
-    order = np.argsort(np.array(_perm_tuple(p)) - 1)   # (sigma z) = z[order]
-    S, u, V, D = _fields(X.num)
-    return GEElement.of(_coords(S, u[..., order], V[..., order],
-                                D[..., order]), X.den)
-
-
-def s3_act_biv(p, X: Bivector) -> Bivector:
-    """The S3 action transported to wedge^2 O through phi_iso."""
-    return phi_iso(s3_act_ge(p, phi_inv(X)))
-
-
-def conj_twist(X: Bivector) -> Bivector:
-    """Ad(c) X where c is octonionic conjugation (an isometry of the form):
-    as matrices, c act(X) c."""
-    p = list(_CONJ_PERM)
-    return Bivector(X.re[..., p, :][..., p], X.im[..., p, :][..., p], X.den)
-
-
-def s3_act_triple(p, triple):
-    """Image of a triality triple under the transported S3 action: each
-    component moves by s3_act_biv, with the conjugation twist for odd
-    permutations.  Sends triality triples to triality triples (up to the
-    automatic cyclic-rotation invariance)."""
-    p = _perm_tuple(p)
-    even = p in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-    imgs = tuple(s3_act_biv(p, X) for X in triple)
-    if even:
-        return imgs
-    return tuple(conj_twist(X) for X in imgs)
-
-
 # --- Bhargava cubes -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -481,24 +442,6 @@ class BhargavaCube:
                             tuple(int(g) for g in gamma), int(delta))
 
 
-def pair_to_cube(T1, T2) -> BhargavaCube:
-    """Inverse of cube_to_pair.  T1, T2 are 2x2 integer matrices under the
-    identification m11 b3 - m21 b4 + m12 b-4 + m22 b-3 <-> [[m11,m12],
-    [m21,m22]]:
-        T1 = gamma1 b3 - beta2 b4 + delta b-4 + gamma3 b-3,
-        T2 = -beta3 b3 + alpha b4 - gamma2 b-4 - beta1 b-3."""
-    (p, q), (r, s) = T1
-    (t, u), (w, z) = T2
-    return BhargavaCube.make(-w, (-z, r, -t), (p, -u, s), q)
-
-
-def cube_to_pair(wc: BhargavaCube):
-    a, b, g, d = wc.alpha, wc.beta, wc.gamma, wc.delta
-    T1 = ((g[0], d), (b[1], g[2]))
-    T2 = ((-b[2], -g[1]), (-a, -b[0]))
-    return T1, T2
-
-
 def s3_act_cube(p, wc: BhargavaCube) -> BhargavaCube:
     """The S3 action transported through phi_iso and the character pairing
     <w, w'> = (T1, y1') + (T2, y2'); it comes out as the plain permutation of
@@ -506,12 +449,3 @@ def s3_act_cube(p, wc: BhargavaCube) -> BhargavaCube:
     p = _perm_tuple(p)
     return BhargavaCube(wc.alpha, perm_apply(p, wc.beta),
                         perm_apply(p, wc.gamma), wc.delta)
-
-
-def cube_pairing(w1: BhargavaCube, w2: BhargavaCube) -> int:
-    """<w, w'> = (T1, y1') + (T2, y2') = alpha d' - delta a'
-    + sum_i (gamma_i b'_i - beta_i g'_i)."""
-    s = w1.alpha * w2.delta - w1.delta * w2.alpha
-    for i in range(3):
-        s += w1.gamma[i] * w2.beta[i] - w1.beta[i] * w2.gamma[i]
-    return s

@@ -1,10 +1,10 @@
 """Numeric kernels for the degenerate Whittaker expansion on SO(4,4).
 
 Exact structure constants live in quadspace/triality; this module is the
-floating-point layer: K-Bessel functions of integer and half-integer order,
-the beta functions attached to ordered pairs of vectors in the signature
-(2,2) block, the vector-valued Whittaker values, the Fourier-Jacobi
-archimedean integral with its closed form, the Poincare summand built from
+floating-point layer: rows K_0..K_n of K-Bessel functions, the beta
+functions attached to ordered pairs of vectors in the signature (2,2)
+block, the vector-valued Whittaker values, the Fourier-Jacobi archimedean
+integral with its closed form, the Poincare summand built from
 the su(2)-projection of a bivector.  It also holds an exact positivity
 test: an integer sign that picks which ordering of a pair the Whittaker
 expansion sees.
@@ -23,7 +23,7 @@ from math import comb, exp, factorial, isqrt, pi, prod, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import k0e, k1e, kve
+from scipy.special import k0e, k1e
 
 from .coset import GramTriple, IndexPair, gram as coset_gram
 from . import quadspace
@@ -43,24 +43,7 @@ def pairing22(u, w) -> complex:
     return complex(np.asarray(u) @ J4 @ np.asarray(w))
 
 
-def mat2_to_vec22(m) -> np.ndarray:
-    """The 2x2 matrix [[m11, m12], [m21, m22]] as the vector
-    m11 b3 - m21 b4 + m12 b-4 + m22 b-3; det becomes the quadratic form."""
-    return np.array([m[0][0], -m[1][0], m[0][1], m[1][1]], dtype=float)
-
-
 # --- K-Bessel ----------------------------------------------------------------
-
-def bessel_k(nu, x: float) -> float:
-    """Modified K-Bessel function for integer or half-integer order, from
-    the exponentially scaled library kernel (Amos, ACM TOMS 644)."""
-    if x <= 0:
-        raise ValueError("bessel_k requires x > 0")
-    two_nu = 2 * Fraction(nu)
-    if two_nu.denominator != 1:
-        raise ValueError("order must be integer or half-integer")
-    return float(kve(abs(two_nu.numerator) / 2, x)) * exp(-x)
-
 
 def bessel_k_row(nmax: int, x) -> np.ndarray:
     """[K_0(x), ..., K_nmax(x)]: library seeds K_0, K_1 and the upward
@@ -672,7 +655,9 @@ def positivity_oracle(lam: IndexPair) -> str:
     the orientation of the pair's projection onto span(y0, y1): 'positive'
     for s < 0, 'swapped' for s > 0.
 
-    Proof.  Put zeta(T) = (T, v1 + i v2).  Under mat2_to_vec22,
+    Proof.  Identify T = [[m11, m12], [m21, m22]] with the vector
+    m11 b3 - m21 b4 + m12 b-4 + m22 b-3 of the (2,2) block, on which the
+    quadratic form is det T, and put zeta(T) = (T, v1 + i v2).  Then
     (T, y0) = tr T and (T, y1) = T[0][1] - T[1][0], so at r = 1
     Im(conj(zeta(T1)) zeta(T2)) = s / 2.  For the pair (x1, x2) that
     beta_fn forms from r, beta = sqrt2 i (zeta(x1) + i zeta(x2)), so

@@ -6,7 +6,14 @@ standard triality triples built from wedges of the octonion basis, the
 Gauss-Jordan inverse over Fraction, and
 the exact su(2) projection pr_K with its symmetric powers.  They share no
 code with the integer-array implementations they check beyond the scalar
-type and the b-basis coordinates of the octonions.
+type and the b-basis coordinates of the octonions.  Beside them, helpers
+that only tests use: a bivector's action on a vector, the su(2) triple
+commuting with (e+, h+, f+), the S3 action on g_E, on so(8) through Phi
+(with the conjugation twist for odd permutations) and on triality triples,
+and the pairing of integer cubes that the cube action preserves.
+
+For the cosets: the product of 2x2 integer matrices, to compare coset
+representatives.
 
 For the orbit layer: the factor isometries of the split lattice built by
 pushing the unit vectors through an (x, y) action and checked by the
@@ -23,9 +30,10 @@ For the table files: the per-entry parser, each key through isinstance
 checks and each value string parsed again wherever it occurs, as the
 one-pass loader's reference.
 
-For the numeric layer: the Whittaker integral by scipy's quad_vec with one
-whittaker_eval (beta by matrix products) per node; the Poincare summand of
-one pair; and the Poincare sum by testing every pair of vectors from the
+For the numeric layer: 2x2 matrices as vectors of the (2,2) block (det
+becomes the quadratic form); the Whittaker integral by scipy's quad_vec
+with one whittaker_eval (beta by matrix products) per node; the Poincare
+summand of one pair; and the Poincare sum by testing every pair of vectors from the
 (2r+1)^8 box, sharing only the key packing and the symmetric-power step
 with q_poincare's fold split.  Also two exact helpers
 that no command uses: an alternating binomial sum and the index-1 Jacobi
@@ -48,14 +56,48 @@ from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
 from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import LatticeIsometry, SplitLattice
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
-                                GaussRational, _coerce, biv_coords,
-                                trace_form)
+                                Bivector, GaussRational, _coerce, amax,
+                                biv_coords, fits, int_parts, trace_form)
+from octolift.triality import (_CONJ_PERM, GEElement, _coords, _fields,
+                               _perm_tuple)
+from octolift import triality
 from octolift.whittaker import (LeviPoint, PoincareSum, Y0, _PRK2,
                                 _key_bases, _prk_coeffs, _sym_power_batch,
                                 whittaker_eval)
 
 F0, F1 = Fraction(0), Fraction(1)
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+
+
+# --- so(8) acting on V -------------------------------------------------------
+
+def biv_act(X: Bivector, w):
+    """(u ^ v) . x = (u, x) v - (v, x) u, extended bilinearly, for a single
+    Bivector X and an 8-tuple w of ints or GaussRationals.
+
+    For a basis bivector b_i ^ b_j this sends x to (b_i,x) b_j - (b_j,x) b_i,
+    i.e. picks up the coordinates x_{7-i} and x_{7-j}.  (This is the sign
+    that makes the 28 e/eps wedge images of the cubic-structure generators a
+    Lie algebra homomorphism; the opposite sign would make it an
+    anti-homomorphism throughout.)
+    """
+    wr, wi, dw = int_parts(w)
+    fits(16 * amax(X.re, X.im) * amax(wr, wi))
+    re, im = X.re @ wr - X.im @ wi, X.re @ wi + X.im @ wr
+    den = X.den * dw
+    return tuple(GaussRational(Fraction(int(a), den), Fraction(int(b), den))
+                 for a, b in zip(re, im))
+
+
+def su2_prime_triple():
+    """The su(2) triple (e', h', f') that commutes with E_PLUS, H_PLUS,
+    F_PLUS: their conjugates by the isometry v2 -> -v2 (b4 -> -b4,
+    b-4 -> -b-4), since wedge commutes with isometries and fixes u1, u2,
+    v1."""
+    d = np.array([1, 1, 1, -1, -1, 1, 1, 1])
+    flip = d[:, None] * d
+    return tuple(Bivector(X.re * flip, X.im * flip, X.den)
+                 for X in (E_PLUS, H_PLUS, F_PLUS))
 
 
 # --- bivectors as 28 Gaussian-rational coefficients on b_i ^ b_j, i < j ------
@@ -381,6 +423,49 @@ def phi_inv(Y):
                                for r in range(28)])
 
 
+# --- the S3 action on g_E, so(8), triples and cubes --------------------------
+
+def s3_act_ge(p, X: GEElement) -> GEElement:
+    """S3 acting on g_E through its action on the E-coordinates; sl3 fixed."""
+    order = np.argsort(np.array(_perm_tuple(p)) - 1)   # (sigma z) = z[order]
+    S, u, V, D = _fields(X.num)
+    return GEElement.of(_coords(S, u[..., order], V[..., order],
+                                D[..., order]), X.den)
+
+
+def s3_act_biv(p, X: Bivector) -> Bivector:
+    """The S3 action transported to wedge^2 O through phi_iso."""
+    return triality.phi_iso(s3_act_ge(p, triality.phi_inv(X)))
+
+
+def conj_twist(X: Bivector) -> Bivector:
+    """Ad(c) X where c is octonionic conjugation (an isometry of the form):
+    as matrices, c act(X) c, and c is minus the permutation _CONJ_PERM."""
+    p = list(_CONJ_PERM)
+    return Bivector(X.re[..., p, :][..., p], X.im[..., p, :][..., p], X.den)
+
+
+def s3_act_triple(p, triple):
+    """Image of a triality triple under the transported S3 action: each
+    component moves by s3_act_biv, with the conjugation twist for odd
+    permutations.  Sends triality triples to triality triples (up to the
+    automatic cyclic-rotation invariance)."""
+    p = _perm_tuple(p)
+    imgs = tuple(s3_act_biv(p, X) for X in triple)
+    if p in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        return imgs
+    return tuple(conj_twist(X) for X in imgs)
+
+
+def cube_pairing(w1, w2) -> int:
+    """<w, w'> = (T1, y1') + (T2, y2') on BhargavaCubes
+    = alpha delta' - delta alpha' + sum_i (gamma_i beta'_i - beta_i gamma'_i)."""
+    s = w1.alpha * w2.delta - w1.delta * w2.alpha
+    for i in range(3):
+        s += w1.gamma[i] * w2.beta[i] - w1.beta[i] * w2.gamma[i]
+    return s
+
+
 # --- factor isometries of the split lattice, by their action ---------------
 
 def from_xy_action(lattice, act):
@@ -510,6 +595,14 @@ def sym2_power(s: Sym2Element, ell: int):
             new[k + 2] = new[k + 2] + c * s.c_xx
         poly = new
     return tuple(poly)
+
+
+# --- 2x2 integer matrices ----------------------------------------------------
+
+def mat2_mul(m, n):
+    """The product of two 2x2 integer matrices as nested tuples."""
+    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2))
+                       for j in range(2)) for i in range(2))
 
 
 # --- the lifts, summed over the divisor cosets' pairs ------------------------
@@ -677,6 +770,13 @@ def parse_table_by_entry(data):
 
 
 # --- the numeric layer -------------------------------------------------------
+
+def mat2_to_vec22(m) -> np.ndarray:
+    """The 2x2 matrix [[m11, m12], [m21, m22]] as the vector
+    m11 b3 - m21 b4 + m12 b-4 + m22 b-3 of the (2,2) block; det becomes the
+    quadratic form."""
+    return np.array([m[0][0], -m[1][0], m[0][1], m[1][1]], dtype=float)
+
 
 def archimedean_integral_quad_vec(T, t: float, u, ell: int):
     """The integral of whittaker.archimedean_integral_check over the same

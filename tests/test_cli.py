@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift import cli, whittaker
-from octolift.coset import GramTriple
 from octolift.lifts import HalfIntegralTable, QuatTable, SiegelTable
 from octolift.octonion import B_BASIS, from_vector8, to_vector8
 from octolift.quadspace import Bivector, GaussRational, wedge

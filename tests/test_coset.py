@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from octolift.coset import (GramTriple, MAT2_ZERO, breve, divisor_cosets,
                             divisor_grams, gram, hnf_left_cosets,
                             hnf_right_cosets, is_strongly_primitive, mat2,
-                            mat2_add, mat2_det, mat2_mul, mat2_scale,
-                            mat2_transpose, pair_act, pair_bilinear,
-                            reduce_gram, row_hnf, smith_divisors)
+                            mat2_add, mat2_det, mat2_scale, mat2_transpose,
+                            pair_act, reduce_gram, row_hnf, smith_divisors)
+
+from oracles import mat2_mul
 
 ints = st.integers(-9, 9)
 mats = st.builds(mat2, ints, ints, ints, ints)
@@ -53,13 +54,6 @@ def test_hnf_right_cosets_are_transposes():
 def test_hnf_rejects_nonpositive():
     with pytest.raises(ValueError):
         hnf_left_cosets(0)
-
-
-@given(mats, mats)
-def test_pair_bilinear_is_det_polarization(T1, T2):
-    lhs = pair_bilinear(T1, T2)
-    assert lhs == pair_bilinear(T2, T1)
-    assert pair_bilinear(T1, T1) == 2 * mat2_det(T1)
 
 
 def _pos_semidef_triples():

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from octolift.cli import _random_isometry
 from octolift.coset import GramTriple
 from octolift.orbits import (LatticeIsometry, SplitLattice, _det_int,
-                             _rows_to_std, _std_transform, embed_isometry,
+                             _in_group, _reduce_isotropic_plane,
+                             _reduce_primitive_vector, _rows_to_std,
+                             _std_transform, embed_isometry,
                              find_complementary_plane, gram_of_pair,
-                             levi_isometry, opposite_unipotent,
-                             reduce_isotropic_plane, reduce_pair,
-                             reduce_primitive_vector, siegel_unipotent,
-                             swap_isometry, wedge_pair)
+                             levi_isometry, opposite_unipotent, reduce_pair,
+                             siegel_unipotent, swap_isometry, wedge_pair)
 from octolift.triality import int_inverse
 
 from oracles import (_int_inv_transpose, embed_by_action,
@@ -25,6 +25,19 @@ from oracles import (_int_inv_transpose, embed_by_action,
                      opposite_by_action, siegel_by_action, swap_by_action)
 
 LAT = SplitLattice(4)
+
+
+def reduce_primitive_vector(v):
+    """_reduce_primitive_vector with its product checked to lie in
+    SO(L)(Z), as reduce_pair checks its own."""
+    g, a = _reduce_primitive_vector(v)
+    return _in_group(g), a
+
+
+def reduce_isotropic_plane(u1, u2):
+    """_reduce_isotropic_plane with its product checked to lie in
+    SO(L)(Z)."""
+    return _in_group(_reduce_isotropic_plane(u1, u2))
 
 
 def _rand_vec(rng, bound=5):

@@ -7,24 +7,26 @@ q(v) = sum_i x_i y_i where x_i is the b_i coefficient and y_i the b_{-i}
 coefficient.  For n = 4 this matches the eight-dimensional coordinate order
 used by octonion.to_vector8.
 
-Everything is exact integer arithmetic.  Where each guarantee is checked:
+Everything is exact integer arithmetic.  Each reduction and each factor is
+a sequence of row operations on one augmented matrix R = [g | g v_1 ...],
+started from [I | v_1 ...]; decisions are read from the vector columns.  A
+step on row k also acts on its partner row k' = 2n-1-k (b_i <-> b_{-i}),
+and four primitives hold that layout: _add, _pair, _negate and _swap.  A
+reduction on span(b_{k+1}, ..., b_{-(k+1)}) is the same code on rows k..k'.
+
+Where each guarantee is checked:
 
 - LatticeIsometry(lattice, matrix) checks g^t J g = J and det g = +1 for
   an arbitrary matrix.
-- The factor constructors (levi_isometry, siegel_unipotent,
-  opposite_unipotent, swap_isometry, embed_isometry) build their matrix
-  from its closed block form and check only the parameters: A unimodular,
-  B and C skew, two distinct swap indices, a sub-isometry whose rank fits
-  the offset.  Each docstring gives the argument that these imply
-  g^t J g = J and det g = +1.  Products and inverses need no check.  Each
-  Levi factor gets A^{-t} from the same row operations (_rows_to_std) that
-  give A, so no matrix is inverted.
-- reduce_pair, the one public reduction, checks its result on every call
-  before returning: that g sends the input to its target, and, once per
-  call on the final product, that g^t J g = J and det g = +1.  The
-  reductions it builds on (_reduce_primitive_vector,
-  _reduce_isotropic_plane) check only that their g reaches its target,
-  since the outer product is checked.
+- Each primitive lies in SO(L)(Z) (its docstring gives the argument), so
+  the g block of R needs no check.  The factor constructors
+  (levi_isometry, siegel_unipotent, opposite_unipotent, swap_isometry)
+  apply primitives to the identity and check only their parameters: A
+  unimodular, B and C skew, two distinct swap indices.
+- reduce_pair, the one public reduction, checks on every call that g sends
+  the input to its target and, once on the final matrix, that g^t J g = J
+  and det g = +1.  Its sub-reductions (_reduce_primitive, _reduce_plane)
+  check only that their columns reach their targets.
 """
 
 from __future__ import annotations
@@ -94,17 +96,6 @@ class SplitLattice:
         r = self.rank
         return sum(v[i] * v[r - 1 - i] for i in range(self.n))
 
-    def split_xy(self, v: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """(x, y) in natural index order: x[i-1] = coeff of b_i,
-        y[i-1] = coeff of b_{-i}."""
-        r = self.rank
-        x = [v[i] for i in range(self.n)]
-        y = [v[r - 1 - i] for i in range(self.n)]
-        return x, y
-
-    def join_xy(self, x: Sequence[int], y: Sequence[int]) -> VectorZ:
-        return tuple(list(x) + [y[self.n - 1 - t] for t in range(self.n)])
-
 
 @lru_cache(maxsize=None)
 def _eye(r: int) -> Tuple[Tuple[int, ...], ...]:
@@ -138,10 +129,11 @@ class LatticeIsometry:
 
     The constructor checks both conditions, for an arbitrary matrix.
     Everything else builds through _trusted without a check: identity;
-    the factor constructors below, whose parameter checks imply both
-    conditions (each docstring gives the argument); and compose and
-    inverse, since SO(L)(Z) is a group.  The public reductions re-check
-    their final product with _check."""
+    the g block of a matrix R that has seen only the row primitives below
+    (each docstring gives the argument), which is how the factor
+    constructors and the reductions build theirs; and compose and inverse,
+    since SO(L)(Z) is a group.  reduce_pair re-checks its final matrix
+    with _check."""
 
     def __init__(self, lattice: SplitLattice, matrix):
         self.lattice = lattice
@@ -228,14 +220,92 @@ def _skew(m, n: int, name: str) -> Tuple[Tuple[int, ...], ...]:
     return m
 
 
-def _levi(lattice: SplitLattice, A, A_inv_t) -> LatticeIsometry:
-    """g_A from A and (A^{-1})^t, both n x n int tuples, unchecked.  In the
-    storage order y_j sits at index 2n-1-j, so the y-block is A^{-t} with
-    its rows and columns reversed."""
-    zeros = (0,) * lattice.n
-    return LatticeIsometry._trusted(
-        lattice, tuple(row + zeros for row in A)
-        + tuple(zeros + row[::-1] for row in reversed(A_inv_t)))
+Rows = List[List[int]]
+
+
+def _augment(r: int, vectors: Sequence[Sequence[int]]) -> Rows:
+    """R = [I | v_1 v_2 ...] with r rows, for row operations."""
+    return [list(row) + [int(v[i]) for v in vectors]
+            for i, row in enumerate(_eye(r))]
+
+
+def _isometry(lattice: SplitLattice, R: Rows) -> LatticeIsometry:
+    """The g block of R, unchecked: R has seen only primitives."""
+    r = lattice.rank
+    return LatticeIsometry._trusted(lattice,
+                                    tuple(tuple(row[:r]) for row in R))
+
+
+def _add(R: Rows, p: int, q: int, f: int):
+    """The root element 1 + f (E_pq - E_q'p'), x' = r-1-x the partner row:
+    row p += f row q, row q' -= f row p'.  For p != q, q', X = E_pq - E_q'p'
+    has X^t J + J X = 0 and X^2 = 0, so 1 + f X is an isometry, unipotent.
+    Two x rows give a Levi transvection; x row p, y row q a Siegel root."""
+    if f:
+        r = len(R)
+        R[p] = [a + f * b for a, b in zip(R[p], R[q])]
+        R[r - 1 - q] = [a - f * b
+                        for a, b in zip(R[r - 1 - q], R[r - 1 - p])]
+
+
+def _pair(R: Rows, j: int, i: int, p: int, q: int, s: int, t: int):
+    """Rows (j, i) by A = [[p, q], [s, t]] of det 1 and the partner rows by
+    A^{-t} = [[t, -s], [-q, p]], for j, i both x or both y rows: the Levi
+    element of A, an isometry of det +1."""
+    r = len(R)
+    a, b = R[j], R[i]
+    R[j] = [p * x + q * y for x, y in zip(a, b)]
+    R[i] = [s * x + t * y for x, y in zip(a, b)]
+    a, b = R[r - 1 - j], R[r - 1 - i]
+    R[r - 1 - j] = [t * x - s * y for x, y in zip(a, b)]
+    R[r - 1 - i] = [p * y - q * x for x, y in zip(a, b)]
+
+
+def _negate(R: Rows, k: int):
+    """Rows k and k' negated: the Levi element of diag(1, .., -1, .., 1)."""
+    r = len(R)
+    R[k] = [-x for x in R[k]]
+    R[r - 1 - k] = [-x for x in R[r - 1 - k]]
+
+
+def _swap(R: Rows, i: int, j: int):
+    """Exchange rows i <-> i' and j <-> j' (i, j distinct x rows): b_i <->
+    b_{-i} keeps x_i y'_i + y_i x'_i, and two disjoint transpositions have
+    det +1 (one alone would have det -1)."""
+    r = len(R)
+    for k in (i, j):
+        R[k], R[r - 1 - k] = R[r - 1 - k], R[k]
+
+
+def _siegel(R: Rows, entries):
+    """The Siegel unipotent x -> x + B y for the skew B with B[p][q] = f =
+    -B[q][p], one entry (p, q, f) per pair of x rows: the commuting roots
+    _add(p, q', f) (x_p += f y_q, x_q -= f y_p)."""
+    r = len(R)
+    for p, q, f in entries:
+        _add(R, p, r - 1 - q, f)
+
+
+def _eliminate(R: Rows, rows: Sequence[int], cols: Sequence[int],
+               unimodular: bool = False):
+    """Row-reduce R on rows x cols (all x or all y rows): column j gets a
+    gcd pivot >= 0 at rows[j], zeros below, and zeros above where the pivot
+    divides.  With unimodular, raise ValueError unless every pivot is 1,
+    i.e. the columns go exactly to the first unit vectors."""
+    for j, c in enumerate(cols):
+        k = rows[j]
+        for i in rows[j + 1:]:
+            if R[i][c]:
+                g, p, q = _xgcd(R[k][c], R[i][c])
+                _pair(R, k, i, p, q, -(R[i][c] // g), R[k][c] // g)
+        if R[k][c] < 0:
+            _negate(R, k)
+        d = R[k][c]
+        for i in rows[:j]:
+            if d and R[i][c] % d == 0:
+                _add(R, i, k, -(R[i][c] // d))
+    if unimodular and any(R[k][c] != 1 for k, c in zip(rows, cols)):
+        raise ValueError("columns do not extend to a unimodular matrix")
 
 
 def levi_isometry(lattice: SplitLattice, A) -> LatticeIsometry:
@@ -243,119 +313,54 @@ def levi_isometry(lattice: SplitLattice, A) -> LatticeIsometry:
 
     Checked: A is n x n and unimodular, so A^{-t} is integral.  Then g_A
     preserves the form, (A x)^t (A^{-t} y') = x^t y', and det g_A =
-    det A det A^{-1} = +1 even when det A = -1.  The row reduction of A's
-    columns checks it and gives M A = I, so A^{-t} = M^t."""
-    A = _square(A, lattice.n, "A")
-    M, _ = _std_transform(tuple(zip(*A)), lattice.n)
-    return _levi(lattice, A, tuple(zip(*M)))
+    det A det A^{-1} = +1 even when det A = -1.  Eliminating A's columns
+    checks it and builds g_M with M A = I; g_A is its inverse."""
+    n, r = lattice.n, lattice.rank
+    A = _square(A, n, "A")
+    R = _augment(r, [col + (0,) * n for col in zip(*A)])
+    _eliminate(R, range(n), range(r, r + n), unimodular=True)
+    return _isometry(lattice, R).inverse()
 
 
 def siegel_unipotent(lattice: SplitLattice, B) -> LatticeIsometry:
     """u_B: x -> x + B y, y -> y.
 
-    Checked: B is n x n and skew.  Then (x + B y)^t y' + y^t (x' + B y') =
-    x^t y' + y^t x' + y^t (B^t + B) y' preserves the form, and u_B is
-    unitriangular, so det u_B = +1."""
-    n, r = lattice.n, lattice.rank
+    Checked: B is n x n and skew; u_B is then a product of _siegel's
+    roots."""
+    n = lattice.n
     B = _skew(B, n, "B")
-    eye = _eye(r)
-    return LatticeIsometry._trusted(
-        lattice, tuple(eye[i][:n] + B[i][::-1] for i in range(n)) + eye[n:])
+    R = _augment(lattice.rank, ())
+    _siegel(R, [(i, j, B[i][j]) for i in range(n) for j in range(i + 1, n)])
+    return _isometry(lattice, R)
 
 
 def opposite_unipotent(lattice: SplitLattice, C) -> LatticeIsometry:
     """u_C in the radical opposite the Siegel parabolic: x -> x,
     y -> y + C x.
 
-    Checked: C is n x n and skew; the proof is siegel_unipotent's with x
-    and y exchanged."""
+    Checked: C is n x n and skew; u_C is the product of the roots
+    _add(i', j, C[i][j]), i < j."""
     n, r = lattice.n, lattice.rank
     C = _skew(C, n, "C")
-    eye = _eye(r)
-    return LatticeIsometry._trusted(
-        lattice, eye[:n] + tuple(C[i] + eye[r - 1 - i][n:]
-                                 for i in reversed(range(n))))
+    R = _augment(r, ())
+    for i in range(n):
+        for j in range(i + 1, n):
+            _add(R, r - 1 - i, j, C[i][j])
+    return _isometry(lattice, R)
 
 
 def swap_isometry(lattice: SplitLattice, i: int, j: int) -> LatticeIsometry:
     """Exchange b_i <-> b_{-i} and b_j <-> b_{-j}.
 
-    Checked: 1 <= i, j <= n and i != j.  Exchanging x_k and y_k keeps
-    x_k y'_k + y_k x'_k, and two disjoint transpositions have det +1 (one
-    alone would have det -1)."""
-    n, r = lattice.n, lattice.rank
+    Checked: 1 <= i, j <= n and i != j, as _swap needs."""
+    n = lattice.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("swap index out of range")
     if i == j:
         raise ValueError("need two distinct indices to keep det = +1")
-    perm = list(range(r))
-    for k in (i, j):
-        perm[k - 1], perm[r - k] = r - k, k - 1
-    eye = _eye(r)
-    return LatticeIsometry._trusted(lattice, tuple(eye[p] for p in perm))
-
-
-def embed_isometry(lattice: SplitLattice, sub: LatticeIsometry,
-                   offset: int) -> LatticeIsometry:
-    """Extend an isometry h of span(b_{k+1},...,b_{-(k+1)}) (k = offset) by
-    the identity on b_1,...,b_k, b_{-k},...,b_{-1}.  In the storage order
-    the sublattice occupies the contiguous middle slice.
-
-    Checked: rank(sub) + 2 offset = rank, offset >= 0.  The middle slice is
-    orthogonal to the outer coordinates and carries the sublattice's own
-    antidiagonal form, so diag(I_k, h, I_k) preserves the form, and its
-    det is det h = +1."""
-    r = lattice.rank
-    if offset < 0 or sub.lattice.rank + 2 * offset != r:
-        raise ValueError("sublattice rank does not match the offset")
-    eye = _eye(r)
-    pad = (0,) * offset
-    return LatticeIsometry._trusted(
-        lattice, eye[:offset] + tuple(pad + row + pad for row in sub.matrix)
-        + eye[r - offset:])
-
-
-def _rows_to_std(cols: Sequence[Sequence[int]], n: int):
-    """An M in GL_n(Z) with M c_j = gcd-pivot e_j for each given column c_j,
-    by row operations on [c_1 ... c_k | M]; returns (M, W = M^{-t}, pivots).
-    W takes each operation's contragredient: rows (j, i) by [[p, q], [s, t]]
-    (det 1) go with [[t, -s], [-q, p]], a negation with itself, and
-    row_i -= f row_j with W_j += f W_i."""
-    k = len(cols)
-    a = [list(c) + [int(i == j) for j in range(n)]
-         for i, c in enumerate(zip(*cols))]
-    W = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots = []
-    for j in range(k):
-        for i in range(j + 1, n):
-            if a[i][j] == 0:
-                continue
-            g, p, q = _xgcd(a[j][j], a[i][j])
-            s, t = -(a[i][j] // g), a[j][j] // g
-            a[j], a[i] = ([p * x + q * y for x, y in zip(a[j], a[i])],
-                          [s * x + t * y for x, y in zip(a[j], a[i])])
-            W[j], W[i] = ([t * x - s * y for x, y in zip(W[j], W[i])],
-                          [p * y - q * x for x, y in zip(W[j], W[i])])
-        if a[j][j] < 0:
-            a[j] = [-x for x in a[j]]
-            W[j] = [-x for x in W[j]]
-        pivots.append(a[j][j])
-        for i in range(j):
-            if a[j][j] and a[i][j] % a[j][j] == 0:
-                f = a[i][j] // a[j][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-                W[j] = [x + f * y for x, y in zip(W[j], W[i])]
-    return (tuple(tuple(row[k:]) for row in a), tuple(map(tuple, W)),
-            pivots)
-
-
-def _std_transform(cols, n: int):
-    """(M, M^{-t}) with M c_j = e_j; raises ValueError unless the columns
-    are a primitive system (all pivots 1): they extend to a basis."""
-    M, W, pivots = _rows_to_std(cols, n)
-    if any(p != 1 for p in pivots):
-        raise ValueError("columns do not extend to a unimodular matrix")
-    return M, W
+    R = _augment(lattice.rank, ())
+    _swap(R, i - 1, j - 1)
+    return _isometry(lattice, R)
 
 
 def wedge_pair(x1: Sequence[int], x2: Sequence[int],
@@ -378,9 +383,9 @@ def _check_postcondition(ok: bool, what: str):
 
 
 def _in_group(g: LatticeIsometry) -> LatticeIsometry:
-    """g, once checked to be in SO(L)(Z).  reduce_pair builds an unchecked
-    product of factors; this one matrix check per call catches a wrong
-    factor block that still sends the input to its target."""
+    """g, once checked to be in SO(L)(Z).  reduce_pair builds its matrix
+    by unchecked primitives; this one matrix check per call catches a wrong
+    step that still sends the input to its target."""
     try:
         g._check()
     except ValueError as e:
@@ -388,59 +393,46 @@ def _in_group(g: LatticeIsometry) -> LatticeIsometry:
     return g
 
 
-def _reduce_primitive_vector(v: Sequence[int]
-                             ) -> Tuple[LatticeIsometry, int]:
-    """Some g with g v = a b_1 + b_{-1}, a = q(v), for v primitive; a
-    product of SO(L)(Z) factors, without the final SO(L)(Z) check, for the
-    reductions that build on it and check their own product."""
-    lat = SplitLattice(len(v) // 2)
-    n = lat.n
-    v = tuple(int(e) for e in v)
-    if _content(v) != 1:
+def _reduce_primitive(R: Rows, c: int, k: int = 0) -> int:
+    """Row operations on rows k..k' of R, k' = 2n-1-k, that take column c
+    there (a vector v of the span of b_{k+1}, ..., b_{-(k+1)}, primitive) to
+    a b_{k+1} + b_{-(k+1)}, a = q(v); returns a.  They act as the identity
+    on the other rows, and check only that the column reaches its target."""
+    r = len(R)
+    xs = list(range(k, r // 2))         # the rows of b_{k+1}, ..., b_n
+    ys = [r - 1 - i for i in xs]        # and of b_{-(k+1)}, ..., b_{-n}
+    if _content([R[i][c] for i in range(k, r - k)]) != 1:
         raise ValueError("not primitive")
-    a = lat.qval(v)
-    if v == lat.join_xy([a] + [0] * (n - 1), [1] + [0] * (n - 1)):
-        return LatticeIsometry.identity(lat), a
+    a = sum(R[i][c] * R[r - 1 - i][c] for i in xs)
 
-    g = LatticeIsometry.identity(lat)
+    def reached() -> bool:
+        return all(R[i][c] == (a if i == k else i == r - 1 - k)
+                   for i in range(k, r - k))
 
-    def push(step):
-        nonlocal g
-        g = step.compose(g)
-        return g.apply(v)
-
-    x, y = lat.split_xy(v)
-    if any(x):
+    if reached():
+        return a
+    if any(R[i][c] for i in xs):
         # Levi: x -> (d, 0, ..., 0), d = content(x) > 0.
-        M, M_it, _ = _rows_to_std([x], n)
-        w = push(_levi(lat, M, M_it))
-        x, y = lat.split_xy(w)
-        d = x[0]
-        # GL_{n-1} fixing b_1, b_{-1}: y tail -> (e, 0, ..., 0).  The
-        # column e_1 taken first pins row 1 and column 1 of N.
-        if any(y[1:]):
-            N, N_it, _ = _rows_to_std([[1] + [0] * (n - 1), [0] + y[1:]], n)
-            w = push(_levi(lat, N_it, N))
-            x, y = lat.split_xy(w)
-        # Opposite unipotent: y_3 += d makes y = (y_1, e, d, 0, ...), which
-        # is primitive because gcd(d, y_1, e) = content(v) = 1.
-        C = [[0] * n for _ in range(n)]
-        C[2][0], C[0][2] = 1, -1
-        w = push(opposite_unipotent(lat, C))
-        x, y = lat.split_xy(w)
+        _eliminate(R, xs, [c])
+        # GL_{n-1} fixing b_1, b_{-1}: y tail -> (e, 0, ..., 0).
+        if any(R[i][c] for i in ys[1:]):
+            _eliminate(R, ys[1:], [c])
+        # Opposite root y_3 += x_1 (y_1 -= x_3) makes y = (y_1, e, d, 0,
+        # ...), which is primitive because gcd(d, y_1, e) = content(v) = 1.
+        _add(R, ys[2], k, 1)
     # Now y is primitive: Levi sends it to e_1.
-    M, M_it = _std_transform([y], n)
-    w = push(_levi(lat, M_it, M))
-    x, y = lat.split_xy(w)
-    # Siegel unipotent clears x_2, ..., x_n (y = e_1, so x_i += B_i1).
-    B = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        B[i][0], B[0][i] = -x[i], x[i]
-    w = push(siegel_unipotent(lat, B))
+    _eliminate(R, ys, [c], unimodular=True)
+    # Siegel unipotent clears x_2, ..., x_n (y = e_1, so x_i -= x_i y_1).
+    _siegel(R, [(k, i, R[i][c]) for i in xs[1:]])
+    _check_postcondition(reached(), "g v != a b_1 + b_{-1}")
+    return a
 
-    target = lat.join_xy([a] + [0] * (n - 1), [1] + [0] * (n - 1))
-    _check_postcondition(w == target, "g v != a b_1 + b_{-1}")
-    return g, a
+
+def _apply_inverse(R: Rows, u: Sequence[int]) -> VectorZ:
+    """g^{-1} u, g the g block of R: g^{-1} = J g^t J, the antitranspose."""
+    r = len(R)
+    return tuple(sum(u[j] * R[r - 1 - j][r - 1 - i] for j in range(r) if u[j])
+                 for i in range(r))
 
 
 def find_complementary_plane(T1: Sequence[int],
@@ -450,7 +442,7 @@ def find_complementary_plane(T1: Sequence[int],
     the construction raises 'hypothesis violated' when its coprimality
     consequence fails)."""
     lat = SplitLattice(len(T1) // 2)
-    n = lat.n
+    n, r = lat.n, lat.rank
     if n < 4:
         raise ValueError("the complementary-plane construction needs n >= 4")
     T1 = tuple(int(e) for e in T1)
@@ -460,29 +452,27 @@ def find_complementary_plane(T1: Sequence[int],
     if D % 2 == 0:
         raise ValueError("hypothesis violated: D = -4 det S must be odd")
     # D odd squarefree forces T1 primitive (a common divisor k gives k^2 | D).
-    g1, a = _reduce_primitive_vector(T1)
-    w2 = g1.apply(T2)
-    x, y = lat.split_xy(w2)
-    r, s = x[0], y[0]
+    R = _augment(r, (T1, T2))
+    a = _reduce_primitive(R, r)
+    c = r + 1
+    x1, y1 = R[0][c], R[r - 1][c]
     # Reduce the component of T2 in span(b_2, ..., b_{-2}) to m(beta b_2 +
-    # b_{-2}) with the stabilizer of b_1, b_{-1} (a copy of the n-1 problem).
-    tail = list(x[1:]) + [w2[k] for k in range(n, 2 * n - 1)]
-    g, m = g1, 0
-    if any(tail):
-        m = _content(tail)
-        h, _ = _reduce_primitive_vector(tuple(e // m for e in tail))
-        g = embed_isometry(lat, h, 1).compose(g)
-    alpha = a * s - r
+    # b_{-2}) with the stabilizer of b_1, b_{-1} (the n-1 problem on rows
+    # 1..2n-2, which reads those rows of the column divided by m).
+    m = _content([R[i][c] for i in range(1, r - 1)])
+    if m:
+        for row in R[1:r - 1]:
+            row[c] //= m
+        _reduce_primitive(R, c, 1)
+    alpha = a * y1 - x1
     gg, xx, yy = _xgcd(alpha, -m)       # alpha*xx - m*yy = gg
     if gg != 1:
         raise ValueError("hypothesis violated: gcd(a s - r, m) != 1, "
                          "so D is not odd and squarefree")
     b = lat.basis_vector
-    u1 = tuple(p1 + p3 for p1, p3 in zip(b(1), b(3)))
-    u2 = tuple(xx * e1 + yy * e2 - xx * e3
-               for e1, e2, e3 in zip(b(-1), b(2), b(-3)))
-    ginv = g.inverse()
-    u1, u2 = ginv.apply(u1), ginv.apply(u2)
+    u1 = _apply_inverse(R, [p1 + p3 for p1, p3 in zip(b(1), b(3))])
+    u2 = _apply_inverse(R, [xx * e1 + yy * e2 - xx * e3
+                            for e1, e2, e3 in zip(b(-1), b(2), b(-3))])
     _check_postcondition(
         lat.qval(u1) == 0 and lat.qval(u2) == 0
         and lat.pairing(u1, u2) == 0, "plane is not isotropic")
@@ -491,57 +481,39 @@ def find_complementary_plane(T1: Sequence[int],
     return u1, u2
 
 
-def _wedge_primitive(u1: Sequence[int], u2: Sequence[int]) -> bool:
-    r = len(u1)
-    g = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            g = gcd(g, u1[i] * u2[j] - u1[j] * u2[i])
-    return g == 1
-
-
-def _reduce_isotropic_plane(u1: Sequence[int],
-                            u2: Sequence[int]) -> LatticeIsometry:
-    """Some g with g u1 = b_1, g u2 = b_2, for an isotropic pair whose
-    wedge is primitive in the second exterior power of L; a product of
-    SO(L)(Z) factors, without the final SO(L)(Z) check."""
-    lat = SplitLattice(len(u1) // 2)
-    n = lat.n
-    u1 = tuple(int(e) for e in u1)
-    u2 = tuple(int(e) for e in u2)
+def _reduce_plane(R: Rows, c1: int, c2: int):
+    """Row operations on R that take columns c1, c2 (u1, u2: an isotropic
+    pair whose wedge is primitive in the second exterior power of L) to b_1,
+    b_2; they check only that the columns reach their targets."""
+    r = len(R)
+    u1 = [row[c1] for row in R]
+    u2 = [row[c2] for row in R]
+    lat = SplitLattice(r // 2)
     if (lat.qval(u1) or lat.qval(u2) or lat.pairing(u1, u2)):
         raise ValueError("the span of u1, u2 must be isotropic")
-    if not _wedge_primitive(u1, u2):
+    if _content([u1[i] * u2[j] - u1[j] * u2[i]
+                 for i in range(r) for j in range(i + 1, r)]) != 1:
         raise ValueError("not primitive wedge")
-    b = lat.basis_vector
-    if u1 == b(1) and u2 == b(2):
-        return LatticeIsometry.identity(lat)
 
+    def reached() -> bool:
+        return all(row[c1] == (i == 0) and row[c2] == (i == 1)
+                   for i, row in enumerate(R))
+
+    if reached():
+        return
     # Step 1: u1 is primitive and isotropic, so it reduces to b_{-1}; the
     # swap (b_1 <-> b_{-1}, b_2 <-> b_{-2}) then puts it at b_1.
-    g1, a1 = _reduce_primitive_vector(u1)
-    g = swap_isometry(lat, 1, 2).compose(g1)
-    w2 = g.apply(u2)
-    # (u1, u2) = 0 means w2 has no b_{-1} component; its b_1 component is
-    # irrelevant to the wedge, and the middle part is primitive isotropic.
-    x, y = lat.split_xy(w2)
-    c = x[0]
-    mid = list(x[1:]) + [w2[k] for k in range(n, 2 * n - 1)]
-    # Step 2: reduce the middle part to b_{-2} inside span(b_2,...,b_{-2}),
-    # then swap (b_2 <-> b_{-2}, b_3 <-> b_{-3}) to place it at b_2.
-    h, a2 = _reduce_primitive_vector(mid)
-    g = embed_isometry(lat, h, 1).compose(g)
-    g = swap_isometry(lat, 2, 3).compose(g)
-    # Step 3: a Levi element with A = [[1, -c], [0, 1]] (+ identity) clears
-    # the leftover b_1 coefficient of u2 while fixing b_1; A^{-t} is
-    # [[1, 0], [c, 1]] (+ identity).
-    A, A_it = ([list(row) for row in _eye(n)] for _ in range(2))
-    A[0][1], A_it[1][0] = -c, c
-    g = _levi(lat, tuple(map(tuple, A)), tuple(map(tuple, A_it))).compose(g)
-
-    _check_postcondition(g.apply(u1) == b(1) and g.apply(u2) == b(2),
-                         "g u1 != b_1 or g u2 != b_2")
-    return g
+    _reduce_primitive(R, c1)
+    _swap(R, 0, 1)
+    # Step 2: (u1, u2) = 0, so u2 has no b_{-1} part now, and its middle
+    # part is primitive isotropic: reduce it to b_{-2} on rows 1..2n-2, then
+    # swap (b_2 <-> b_{-2}, b_3 <-> b_{-3}) to place it at b_2.
+    _reduce_primitive(R, c2, 1)
+    _swap(R, 1, 2)
+    # Step 3: the Levi transvection x_1 -= c x_2 (y_2 += c y_1) clears the
+    # leftover b_1 coefficient c of u2 while fixing b_1.
+    _add(R, 0, 1, -R[0][c2])
+    _check_postcondition(reached(), "g u1 != b_1 or g u2 != b_2")
 
 
 def reduce_pair(T1: Sequence[int], T2: Sequence[int]
@@ -551,7 +523,7 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
     Requires n >= 4 and -4 det S odd and squarefree; since the canonical
     form depends only on S, this realizes transitivity on X_T."""
     lat = SplitLattice(len(T1) // 2)
-    n = lat.n
+    n, r = lat.n, lat.rank
     T1 = tuple(int(e) for e in T1)
     T2 = tuple(int(e) for e in T2)
     t = gram_of_pair(T1, T2)
@@ -562,29 +534,20 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
     if T1 == target1 and T2 == target2:
         return LatticeIsometry.identity(lat), t
 
-    u1, u2 = find_complementary_plane(T1, T2)
-    g = _reduce_isotropic_plane(u1, u2)
-    w1, w2 = g.apply(T1), g.apply(T2)
-    # Now (w1 ^ w2, b_1 ^ b_2) = 1, i.e. the (b_{-1}, b_{-2}) minor of the
-    # y-parts is a unit, so (y1, y2) extends to a basis: a Levi element
+    R = _augment(r, find_complementary_plane(T1, T2) + (T1, T2))
+    _reduce_plane(R, r, r + 1)
+    c1, c2 = r + 2, r + 3
+    # Now (g T1 ^ g T2, b_1 ^ b_2) = 1, i.e. the (b_{-1}, b_{-2}) minor of
+    # the y-parts is a unit, so (y1, y2) extends to a basis: a Levi element
     # moves the y-parts to exactly (b_{-1}, b_{-2}).
-    _, y1 = lat.split_xy(w1)
-    _, y2 = lat.split_xy(w2)
-    M, M_it = _std_transform([y1, y2], n)
-    g = _levi(lat, M_it, M).compose(g)
-    w1, w2 = g.apply(T1), g.apply(T2)
-    x1, _ = lat.split_xy(w1)
-    x2, _ = lat.split_xy(w2)
+    _eliminate(R, [r - 1 - i for i in range(n)], [c1, c2], unimodular=True)
     # Siegel unipotent: with y-parts (e_1, e_2), the Gram entries pin the
     # surviving coefficients (x1[0] = a, x2[1] = c, x1[1] + x2[0] = b) and a
     # skew B clears everything else.
-    B = [[0] * n for _ in range(n)]
-    B[1][0], B[0][1] = -x1[1], x1[1]
-    for i in range(2, n):
-        B[i][0], B[0][i] = -x1[i], x1[i]
-        B[i][1], B[1][i] = -x2[i], x2[i]
-    g = siegel_unipotent(lat, B).compose(g)
+    _siegel(R, [(0, i, R[i][c1]) for i in range(1, n)]
+            + [(1, i, R[i][c2]) for i in range(2, n)])
 
+    g = _isometry(lat, R)
     _check_postcondition(g.apply(T1) == target1 and g.apply(T2) == target2,
                          "pair did not reach the canonical form")
     return _in_group(g), t

@@ -100,26 +100,10 @@ def _coerce(x) -> GaussRational:
 
 
 GZERO = GaussRational.make(0)
-GONE = GaussRational.make(1)
 
 DIM = 8
 # wedge basis index pairs i<j, fixed total order.
 PAIRS = tuple(combinations(range(DIM), 2))
-
-
-def basis_vector(i: int) -> Tuple[GaussRational, ...]:
-    return tuple(GONE if j == i else GZERO for j in range(DIM))
-
-
-def pairing(u, w) -> GaussRational:
-    """Polarized bilinear form: (b_i, b_{-j}) = delta_ij."""
-    return sum((_coerce(a) * _coerce(w[7 - i]) for i, a in enumerate(u)),
-               GZERO)
-
-
-def qval(u) -> GaussRational:
-    """q(u) = sum over the four hyperbolic pairs."""
-    return sum((_coerce(u[i]) * _coerce(u[7 - i]) for i in range(4)), GZERO)
 
 
 # --- exact int64 arrays ------------------------------------------------------

@@ -7,7 +7,8 @@ Gauss-Jordan inverse over Fraction, and
 the exact su(2) projection pr_K with its symmetric powers.  They share no
 code with the integer-array implementations they check beyond the scalar
 type and the b-basis coordinates of the octonions.  Beside them, helpers
-that only tests use: a bivector's action on a vector, the su(2) triple
+that only tests use: the unit vectors, pairing and quadratic form of V
+over the Gaussian rationals, a bivector's action on a vector, the su(2) triple
 commuting with (e+, h+, f+), the S3 action on g_E, on so(8) through Phi
 (with the conjugation twist for odd permutations) and on triality triples,
 and the pairing of integer cubes that the cube action preserves.
@@ -16,7 +17,8 @@ For the cosets: the product of 2x2 integer matrices, to compare coset
 representatives.
 
 For the orbit layer: the factor isometries of the split lattice built by
-pushing the unit vectors through an (x, y) action and checked by the
+pushing the unit vectors through an (x, y) action (split_xy and join_xy
+pass between a vector and its x, y parts) and checked by the
 LatticeIsometry constructor, with A^{-t} from the Fraction inverse.
 
 For the lifts: the theta* coefficient and the Spezialschar membership
@@ -54,7 +56,7 @@ from octolift.coset import (GramTriple, breve, divisor_cosets, divisor_grams,
 from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
                             SiegelTable, a_prim)
 from octolift.octonion import BASIS, to_vector8
-from octolift.orbits import LatticeIsometry, SplitLattice
+from octolift.orbits import LatticeIsometry
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
                                 Bivector, GaussRational, _coerce, amax,
                                 biv_coords, fits, int_parts, trace_form)
@@ -69,7 +71,26 @@ F0, F1 = Fraction(0), Fraction(1)
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 
-# --- so(8) acting on V -------------------------------------------------------
+# --- V over the Gaussian rationals, and so(8) acting on it -----------------
+
+GONE = GaussRational.make(1)
+
+
+def basis_vector(i: int):
+    """The i-th unit vector of V as an 8-tuple of GaussRationals."""
+    return tuple(GONE if j == i else GZERO for j in range(DIM))
+
+
+def pairing(u, w) -> GaussRational:
+    """Polarized bilinear form: (b_i, b_{-j}) = delta_ij."""
+    return sum((_coerce(a) * _coerce(w[7 - i]) for i, a in enumerate(u)),
+               GZERO)
+
+
+def qval(u) -> GaussRational:
+    """q(u) = sum over the four hyperbolic pairs."""
+    return sum((_coerce(u[i]) * _coerce(u[7 - i]) for i in range(4)), GZERO)
+
 
 def biv_act(X: Bivector, w):
     """(u ^ v) . x = (u, x) v - (v, x) u, extended bilinearly, for a single
@@ -468,6 +489,18 @@ def cube_pairing(w1, w2) -> int:
 
 # --- factor isometries of the split lattice, by their action ---------------
 
+def split_xy(lattice, v):
+    """(x, y) in natural index order: x[i-1] = coeff of b_i,
+    y[i-1] = coeff of b_{-i}."""
+    r = lattice.rank
+    return ([v[i] for i in range(lattice.n)],
+            [v[r - 1 - i] for i in range(lattice.n)])
+
+
+def join_xy(lattice, x, y):
+    return tuple(list(x) + [y[lattice.n - 1 - t] for t in range(lattice.n)])
+
+
 def from_xy_action(lattice, act):
     """The isometry of a map (x, y) -> (x', y') in natural order: the
     images of the unit vectors are its columns, and the checked
@@ -476,9 +509,8 @@ def from_xy_action(lattice, act):
     cols = []
     for k in range(r):
         e = [1 if t == k else 0 for t in range(r)]
-        x, y = lattice.split_xy(e)
-        nx, ny = act(x, y)
-        cols.append(lattice.join_xy(nx, ny))
+        nx, ny = act(*split_xy(lattice, e))
+        cols.append(join_xy(lattice, nx, ny))
     return LatticeIsometry(lattice, [[cols[j][i] for j in range(r)]
                                      for i in range(r)])
 
@@ -521,18 +553,6 @@ def swap_by_action(lattice, i, j):
         for k in (i, j):
             nx[k - 1], ny[k - 1] = ny[k - 1], nx[k - 1]
         return nx, ny
-    return from_xy_action(lattice, act)
-
-
-def embed_by_action(lattice, sub, offset):
-    """The identity on x_1..x_k, y_1..y_k (k = offset) and sub on the
-    remaining coordinates, in natural order on both lattices."""
-    small = SplitLattice(lattice.n - offset)
-
-    def act(x, y):
-        sx, sy = small.split_xy(sub.apply(small.join_xy(x[offset:],
-                                                        y[offset:])))
-        return list(x[:offset]) + sx, list(y[:offset]) + sy
     return from_xy_action(lattice, act)
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from octolift.octonion import (BASIS, B_BASIS, EPS1, EPS2, UNIT, Octonion,
                                conj, from_vector8, norm, oct_mul,
                                to_vector8, trace, trilinear)
-from octolift.quadspace import qval
+
+from oracles import qval
 
 scalars = st.fractions(min_value=-9, max_value=9,
                        max_denominator=4) | st.integers(-9, 9)

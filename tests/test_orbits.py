@@ -11,33 +11,38 @@ from hypothesis import strategies as st
 
 from octolift.cli import _random_isometry
 from octolift.coset import GramTriple
-from octolift.orbits import (LatticeIsometry, SplitLattice, _det_int,
-                             _in_group, _reduce_isotropic_plane,
-                             _reduce_primitive_vector, _rows_to_std,
-                             _std_transform, embed_isometry,
+from octolift.orbits import (LatticeIsometry, SplitLattice, _augment,
+                             _det_int, _eliminate, _in_group, _isometry,
+                             _reduce_plane, _reduce_primitive,
                              find_complementary_plane, gram_of_pair,
                              levi_isometry, opposite_unipotent, reduce_pair,
                              siegel_unipotent, swap_isometry, wedge_pair)
 from octolift.triality import int_inverse
 
-from oracles import (_int_inv_transpose, embed_by_action,
-                     invert_fraction_matrix, levi_by_action,
-                     opposite_by_action, siegel_by_action, swap_by_action)
+from oracles import (_int_inv_transpose, invert_fraction_matrix, join_xy,
+                     levi_by_action, opposite_by_action, siegel_by_action,
+                     split_xy, swap_by_action)
 
 LAT = SplitLattice(4)
 
 
 def reduce_primitive_vector(v):
-    """_reduce_primitive_vector with its product checked to lie in
-    SO(L)(Z), as reduce_pair checks its own."""
-    g, a = _reduce_primitive_vector(v)
-    return _in_group(g), a
+    """Some g with g v = a b_1 + b_{-1}, a = q(v), for v primitive: the
+    row reduction of [I | v], with its product checked to lie in SO(L)(Z),
+    as reduce_pair checks its own."""
+    lat = SplitLattice(len(v) // 2)
+    R = _augment(lat.rank, [v])
+    a = _reduce_primitive(R, lat.rank)
+    return _in_group(_isometry(lat, R)), a
 
 
 def reduce_isotropic_plane(u1, u2):
-    """_reduce_isotropic_plane with its product checked to lie in
-    SO(L)(Z)."""
-    return _in_group(_reduce_isotropic_plane(u1, u2))
+    """Some g with g u1 = b_1, g u2 = b_2: the row reduction of
+    [I | u1 u2], with its product checked to lie in SO(L)(Z)."""
+    lat = SplitLattice(len(u1) // 2)
+    R = _augment(lat.rank, [u1, u2])
+    _reduce_plane(R, lat.rank, lat.rank + 1)
+    return _in_group(_isometry(lat, R))
 
 
 def _rand_vec(rng, bound=5):
@@ -61,8 +66,8 @@ def test_lattice_conventions():
     assert LAT.pairing(b(2), b(-2)) == 1
     assert LAT.qval(b(3)) == 0
     v = (1, 2, 3, 4, 5, 6, 7, 8)
-    x, y = LAT.split_xy(v)
-    assert LAT.join_xy(x, y) == v
+    x, y = split_xy(LAT, v)
+    assert join_xy(LAT, x, y) == v
     assert LAT.qval(v) == sum(a * b_ for a, b_ in zip(x, y))
 
 
@@ -112,20 +117,37 @@ def test_generator_rejections():
     for i, j in ((2, 2), (0, 1), (1, 5), (-1, 2)):
         with pytest.raises(ValueError):
             swap_isometry(LAT, i, j)
-    for rank_n, offset in ((3, 0), (3, 2), (3, -1), (5, -1)):
-        with pytest.raises(ValueError):      # (5, -1): ranks fit, offset not
-            embed_isometry(LAT, LatticeIsometry.identity(
-                SplitLattice(rank_n)), offset)
 
 
-def test_embed_isometry_acts_on_middle_block():
-    sub = SplitLattice(3)
-    rng = random.Random(2)
-    h = _random_isometry(sub, rng)
-    g = embed_isometry(LAT, h, 1)
-    b = LAT.basis_vector
-    assert g.apply(b(1)) == b(1)
-    assert g.apply(b(-1)) == b(-1)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(4, 1), (5, 1), (5, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_sub_reduction_leaves_the_outer_rows_untouched(seed, shape):
+    """The primitive-vector reduction at offset k touches only rows
+    k..2n-1-k, and there it is the reduction of the rank 2(n-k) lattice:
+    started from [I | v], the g block is diag(I_k, h, I_k) with h what the
+    same code gives for the middle of v on its own lattice."""
+    n, k = shape
+    r = 2 * n
+    rng = random.Random(seed)
+    while True:
+        v = _rand_vec(rng) + tuple(rng.randint(-5, 5) for _ in range(r - 8))
+        if gcd(*v[k:r - k]) == 1:
+            break
+    g = _random_isometry(SplitLattice(n), rng)
+    R = [list(row) + [e] for row, e in zip(g.matrix, v)]
+    _reduce_primitive(R, r, k)
+    outer = [i for i in range(r) if not k <= i < r - k]
+    assert all(R[i] == list(g.matrix[i]) + [v[i]] for i in outer)
+    LatticeIsometry(SplitLattice(n), [row[:r] for row in R])
+
+    R = _augment(r, [v])
+    a = _reduce_primitive(R, r, k)
+    h, a_small = reduce_primitive_vector(v[k:r - k])
+    assert a == a_small
+    eye = _identity_matrix(r)
+    assert [row[:r] for row in R] == [
+        eye[i] if i in outer else [0] * k + list(h.matrix[i - k]) + [0] * k
+        for i in range(r)]
 
 
 def test_reduce_primitive_vector():
@@ -223,21 +245,19 @@ def test_reduce_pair_reaches_canonical_form():
 
 
 def test_reductions_check_their_result_is_in_the_group(monkeypatch):
-    """A wrong factor that still reaches the target is caught: here every
-    Siegel factor also exchanges b_n <-> b_{-n}, which preserves the form
-    and the canonical targets (zero there) but has det -1."""
+    """A wrong step that still reaches the target is caught: here every
+    Siegel step (and so every siegel_unipotent factor) also exchanges
+    b_n <-> b_{-n}, which preserves the form and the canonical targets
+    (zero there) but has det -1."""
     import octolift.orbits as orbits
-    honest = orbits.siegel_unipotent
+    honest = orbits._siegel
 
-    def flipped(lat, B):
-        perm = list(range(lat.rank))
-        perm[lat.n - 1], perm[lat.n] = lat.n, lat.n - 1
-        flip = LatticeIsometry._trusted(
-            lat, tuple(tuple(int(k == p) for k in range(lat.rank))
-                       for p in perm))
-        return flip.compose(honest(lat, B))
+    def flipped(R, entries):
+        honest(R, entries)
+        n = len(R) // 2
+        R[n - 1], R[n] = R[n], R[n - 1]
 
-    monkeypatch.setattr(orbits, "siegel_unipotent", flipped)
+    monkeypatch.setattr(orbits, "_siegel", flipped)
     T1, T2, _t = _random_admissible_pair(random.Random(6))
     with pytest.raises(AssertionError, match="not in SO"):
         reduce_pair(T1, T2)
@@ -348,32 +368,57 @@ def column_systems(draw):
                                      max_size=n), min_size=k, max_size=k))
 
 
+def _eliminate_x(cols, n, unimodular=False):
+    """_eliminate of the given columns on the x rows of [I_2n | cols] (the
+    columns padded by zero y parts): (M, W, columns), with M the x block of
+    g, W its y block in natural order and columns the reduced x parts."""
+    r = 2 * n
+    R = _augment(r, [list(c) + [0] * n for c in cols])
+    _eliminate(R, range(n), range(r, r + len(cols)), unimodular)
+    assert all(R[i][j] == 0 for i in range(r) for j in range(r)
+               if (i < n) != (j < n))
+    assert all(R[i][c] == 0 for i in range(n, r) for c in range(r, len(R[0])))
+    M = [row[:n] for row in R[:n]]
+    W = [[R[r - 1 - i][r - 1 - j] for j in range(n)] for i in range(n)]
+    return M, W, [[row[c] for row in R[:n]] for c in range(r, len(R[0]))]
+
+
 @given(column_systems())
 @settings(max_examples=150, deadline=None)
 def test_row_reduction_carries_the_exact_inverse_transpose(system):
     n, cols = system
-    M, W, pivots = _rows_to_std(cols, n)
-    assert [list(row) for row in W] == _int_inv_transpose(M)
-    assert len(pivots) == len(cols) and all(p >= 0 for p in pivots)
+    M, W, reduced = _eliminate_x(cols, n)
+    assert W == _int_inv_transpose(M)
+    assert len(reduced) == len(cols)
+    for j, (c, red) in enumerate(zip(cols, reduced)):
+        assert red == [sum(a * b for a, b in zip(row, c)) for row in M]
+        assert red[j] >= 0 and not any(red[j + 1:])     # the gcd pivot
 
 
 @given(st.sampled_from([3, 4]).flatmap(unimodular_square))
 @settings(max_examples=100, deadline=None)
 def test_row_reduction_of_a_unimodular_square_is_its_inverse(A):
-    # M A = I, so M = A^{-1} and M^{-t} = A^t
-    M, W, pivots = _rows_to_std(list(zip(*A)), len(A))
-    assert pivots == [1] * len(A)
-    assert [list(row) for row in W] == [list(c) for c in zip(*A)]
-    assert [list(row) for row in M] == _int_inv_transpose(list(zip(*A)))
+    # M A = I, so M = A^{-1} and M^{-t} = A^t; levi_isometry is its inverse
+    n = len(A)
+    M, W, reduced = _eliminate_x(list(zip(*A)), n, unimodular=True)
+    assert reduced == _identity_matrix(n)
+    assert W == [list(c) for c in zip(*A)]
+    assert M == _int_inv_transpose(list(zip(*A)))
+    g = levi_isometry(SplitLattice(n), A).matrix
+    assert [list(row[:n]) for row in g[:n]] == [list(row) for row in A]
+    assert ([[g[2 * n - 1 - i][2 * n - 1 - j] for j in range(n)]
+             for i in range(n)] == _int_inv_transpose(A))
 
 
 def test_inv_transpose_rejects_non_unimodular():
-    # the exact inverse transpose comes from _std_transform, which refuses a
+    # the exact inverse transpose comes from an elimination that refuses a
     # square whose columns do not extend to a basis: det +-2 or singular
     for m in ([[2, 0], [0, 1]], [[1, 2], [3, 4]],
               [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
         with pytest.raises(ValueError, match="not extend to a unimodular"):
-            _std_transform(list(zip(*m)), 2)
+            _eliminate_x(list(zip(*m)), 2, unimodular=True)
+        with pytest.raises(ValueError, match="not extend to a unimodular"):
+            levi_isometry(LAT, _pad4(m))
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
@@ -390,7 +435,7 @@ def test_int_inverse_matches_fraction_gauss_jordan(m):
         invert_fraction_matrix(m)
 
 
-# --- factors from their closed block form, against the action oracle --------
+# --- factors from row operations on the identity, against the action oracle
 
 @st.composite
 def skew4(draw):
@@ -428,15 +473,6 @@ def test_swap_factors_match_the_action_oracle():
             if i != j:
                 _assert_same_and_checked(swap_isometry(LAT, i, j),
                                          swap_by_action(LAT, i, j))
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
-@settings(max_examples=40, deadline=None)
-def test_embed_matches_the_action_oracle(seed, offset):
-    rng = random.Random(seed)
-    h = _random_isometry(SplitLattice(4 - offset), rng)
-    _assert_same_and_checked(embed_isometry(LAT, h, offset),
-                             embed_by_action(LAT, h, offset))
 
 
 def _dense_product(g, h):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS,
-                                Bivector, GaussRational, _coerce,
-                                basis_vector, bracket, cartan_theta, pairing,
-                                qval, skew_bivector, trace_form, wedge)
+                                Bivector, GaussRational, _coerce, bracket,
+                                cartan_theta, skew_bivector, trace_form, wedge)
 
 import oracles
-from oracles import Sym2Element, biv_act, pr_K, sym2_power
+from oracles import (Sym2Element, basis_vector, biv_act, pairing, pr_K,
+                     qval, sym2_power)
 
 E_PRIME, H_PRIME, F_PRIME = oracles.su2_prime_triple()
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import random
@@ -41,8 +42,6 @@ from fractions import Fraction
 from math import exp, isqrt, pi
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .coset import (GramTriple, breve, gram, hnf_right_cosets,
                     is_strongly_primitive, pair_act, reduce_gram)
 from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
@@ -50,10 +49,35 @@ from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     dirichlet_factor_check, fj_extract, fj_pair,
                     maass_membership, reduced_triples, require_disc,
                     spezialschar_keys, theta_star_table)
-from .octonion import from_vector8
-from .quadspace import GaussRational, bracket, cartan_theta
-from . import triality
-from . import orbits
+from .scalar import GaussRational
+
+
+def _lazy(name: str):
+    """The package module name (".m"), registered in sys.modules but
+    executed at its first attribute access; or the module already
+    registered under that name, so that every caller shares one copy.
+    The table commands never touch the lazy modules, so a process that
+    runs only them loads neither numpy nor scipy.  An import of the module
+    elsewhere (`from octolift import m`, `import octolift.m`) loads it at
+    once, as it would without this (see octolift.__getattr__)."""
+    name = importlib.util.resolve_name(name, __package__)
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+# The modules of the algebra and numeric commands.  numpy is no module of
+# the package; those commands import it where they use it.
+octonion = _lazy(".octonion")
+orbits = _lazy(".orbits")
+quadspace = _lazy(".quadspace")
+triality = _lazy(".triality")
+whittaker = _lazy(".whittaker")
 
 
 class TableError(Exception):
@@ -298,13 +322,14 @@ def write_csv(path: str, header: List[str], rows: List[List[float]]) -> None:
 _BLOCK = 1024
 
 
-def _suite_rng(seed: int) -> np.random.Generator:
-    """The random suites' generator, derived from any int seed (numpy's
-    default_rng rejects negative seeds)."""
+def _suite_rng(seed: int):
+    """The random suites' numpy Generator, derived from any int seed
+    (numpy's default_rng rejects negative seeds)."""
+    import numpy as np
     return np.random.default_rng(random.Random(seed).getrandbits(128))
 
 
-def _blocks(rng: np.random.Generator, count: int, shape, lo: int, hi: int):
+def _blocks(rng, count: int, shape, lo: int, hi: int):
     """(first case index, cases): count cases of the given shape with
     int64 entries in lo..hi, drawn in blocks of _BLOCK; the case axis is
     second, so that a block unpacks into its operands."""
@@ -315,23 +340,23 @@ def _blocks(rng: np.random.Generator, count: int, shape, lo: int, hi: int):
 
 def _octonion(w) -> str:
     """The octonion of int64 b-coordinates w, as a failure names it."""
-    return str(from_vector8(w.tolist()))
+    return str(octonion.from_vector8(w.tolist()))
 
 
 def cmd_oct_check(args):
     for start, (x, y, z) in _blocks(_suite_rng(args.seed), args.bound,
                                     (3, 8), -5, 5):
-        holds = triality.octonion_identities(x, y, z)
-        bad = ~np.logical_and.reduce(holds)
+        norm_ok, conj_ok, cyclic_ok = triality.octonion_identities(x, y, z)
+        bad = ~(norm_ok & conj_ok & cyclic_ok)
         if not bad.any():
             continue
-        i = int(np.argmax(bad))
-        case, norm_ok, conj_ok = start + i, holds[0][i], holds[1][i]
+        i = int(bad.argmax())
+        case = start + i
         xs, ys, zs = _octonion(x[i]), _octonion(y[i]), _octonion(z[i])
-        if not norm_ok:
+        if not norm_ok[i]:
             return "fail", [f"norm multiplicativity fails at case {case}: "
                             f"x={xs}, y={ys}"]
-        if not conj_ok:
+        if not conj_ok[i]:
             return "fail", [f"conjugation anti-homomorphism fails at case "
                             f"{case}: x={xs}, y={ys}"]
         return "fail", [f"trilinear cyclic symmetry fails at case {case}: "
@@ -353,28 +378,28 @@ def cmd_triality_verify(args):
     details.append(f"phi bijective on the {n}-element basis")
     # all n x n pairs at once, by broadcasting a column against a row
     same = (triality.phi_iso(triality.ge_bracket(basis[:, None], basis[None]))
-            - bracket(imgs[:, None], imgs[None])).zero_mask()
+            - quadspace.bracket(imgs[:, None], imgs[None])).zero_mask()
     if not same.all():
-        i, j = np.argwhere(~same)[0]
+        i, j = divmod(int(same.argmin()), n)
         return "fail", [f"phi fails to preserve the bracket at basis pair "
                         f"({i}, {j})"]
     details.append(f"phi preserves the bracket on all {n}x{n} basis pairs")
     same = (triality.phi_iso(triality.ge_cartan(basis))
-            - cartan_theta(imgs)).zero_mask()
+            - quadspace.cartan_theta(imgs)).zero_mask()
     if not same.all():
         return "fail", [f"phi does not intertwine the Cartan involutions "
-                        f"at basis element {int(np.argmin(same))}"]
+                        f"at basis element {int(same.argmin())}"]
     details.append("phi intertwines the Cartan involutions on the basis")
     bad = triality.triality_defects(*triality.standard_triple_batch())
     if bad.any():
-        return "fail", [f"standard triality triple {int(np.argmax(bad))} "
+        return "fail", [f"standard triality triple {int(bad.argmax())} "
                         f"fails"]
     details.append("all 6 standard triality triples verified")
     rng = _suite_rng(args.seed)
     for start, (u, v) in _blocks(rng, args.bound, (2, 8), -5, 5):
         bad = triality.triality_defects(*triality.mult_triples(u, v))
         if bad.any():
-            i = int(np.argmax(bad))
+            i = int(bad.argmax())
             return "fail", [f"multiplication triple fails at case "
                             f"{start + i}: u={_octonion(u[i])}, "
                             f"v={_octonion(v[i])}"]
@@ -560,8 +585,7 @@ def _worse(worst: float, err: float) -> float:
 
 
 def cmd_whittaker(args):
-    from . import whittaker    # loads scipy, which only this and
-                               # poincare need
+    import numpy as np
     details = []
     rows = []
     worst_sv = 0.0
@@ -623,7 +647,7 @@ _MAX_POINCARE_RADIUS = 2
 
 
 def cmd_poincare(args):
-    from . import whittaker    # as in cmd_whittaker
+    import numpy as np
     if args.bound > _MAX_POINCARE_RADIUS:
         raise ValueError(f"radius {args.bound} is above "
                          f"{_MAX_POINCARE_RADIUS}, the largest radius "

@@ -11,13 +11,14 @@ formulas, so synthetic Gaussian-rational tables give full coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from .coset import (GramTriple, IndexPair, breve, divisor_grams, divisors,
                     gram, hnf_right_cosets, is_strongly_primitive,
                     mat2_scale, pair_act, reduce_gram)
-from .quadspace import GaussRational, GZERO, _coerce
+from .scalar import GaussRational, GZERO, _coerce
 
 
 class InsufficientTableError(Exception):
@@ -85,6 +86,12 @@ class SiegelTable:
                                     else "positive semidefinite"))
             if self.cuspidal and not t.is_positive_definite():
                 raise ValueError("cuspidal table keys must be pos. definite")
+
+    @cached_property
+    def max_disc(self) -> int:
+        """The largest discriminant of a key, 0 without keys; computed
+        once, as a table's entries are not changed after it is built."""
+        return max((t.disc() for t in self.entries), default=0)
 
     def a(self, t: GramTriple) -> GaussRational:
         key = reduce_gram(t)
@@ -163,38 +170,47 @@ def classical_maass_check(F: SiegelTable) -> Report:
 
 # --- the quaternionic theta* lift ---------------------------------------------
 
-def theta_star(F: SiegelTable, lam: IndexPair) -> GaussRational:
+def theta_star(F: SiegelTable, lam: IndexPair,
+               grams: Optional[list] = None) -> GaussRational:
     """a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
     |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1
-    (divisor_grams gives each S(mu) without building mu)."""
+    (divisor_grams gives each S(mu) without building mu; grams, when
+    given, is divisor_grams(lam))."""
     if not gram(lam).is_positive_definite():
         raise ValueError("theta_star needs positive definite gram(lambda)")
     ell = F.weight
     out = GZERO
-    for n, t in divisor_grams(lam):
+    for n, t in divisor_grams(lam) if grams is None else grams:
         out = out + n ** (ell - 1) * F.a(t).conj()
     return out
 
 
-def _closure_keys(pairs: Iterable[IndexPair]):
+def _closure_keys(pairs: Iterable[IndexPair], grams: dict):
     """The given pairs together with breve(gram(mu)) for every divisor
-    reduction mu of each pair (what membership checks will look up)."""
+    reduction mu of each pair (what membership checks will look up).
+    grams maps a pair to its divisor_grams; a pair missing from it is
+    added."""
     keys = set()
     for lam in pairs:
         keys.add(lam)
-        for _n, t in divisor_grams(lam):
+        if lam not in grams:
+            grams[lam] = divisor_grams(lam)
+        for _n, t in grams[lam]:
             keys.add(breve(t))
     return keys
 
 
 def spezialschar_keys(detbound: int,
-                      extra_pairs: Iterable[IndexPair] = ()) -> List[IndexPair]:
+                      extra_pairs: Iterable[IndexPair] = (),
+                      grams: Optional[dict] = None) -> List[IndexPair]:
     """The standard key family for a theta* coefficient table: for every
     reduced positive definite t with det [[a,b/2],[b/2,c]] <= detbound
     (i.e. disc <= 4*detbound), the canonical strongly primitive pairs
     breve(t) and ([[a,0],[b,1]], [[0,-1],[c,0]]), together with the
     imprimitive multiples d*breve(t0) that stay within the bound, any extra
-    pairs requested, and the breve-closure needed by membership checks."""
+    pairs requested, and the breve-closure needed by membership checks.
+    A dict passed as grams receives the divisor_grams of every pair the
+    closure expands, keyed by pair, for theta_star_table to reuse."""
     discbound = 4 * detbound
     base = []
     for t in reduced_triples(discbound):
@@ -205,13 +221,13 @@ def spezialschar_keys(detbound: int,
             base.append((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])))
             d += 1
     base.extend(extra_pairs)
-    return sorted(_closure_keys(base))
+    return sorted(_closure_keys(base, {} if grams is None else grams))
 
 
 def require_disc(F: SiegelTable, need: int) -> None:
     """Raise InsufficientTableError unless F's keys reach discriminant
     need, the largest one theta* will read."""
-    have = max((t.disc() for t in F.entries), default=0)
+    have = F.max_disc
     if need > have:
         raise InsufficientTableError(
             f"theta* reads a_F up to discriminant {need}, but the table "
@@ -224,11 +240,12 @@ def theta_star_table(F: SiegelTable, detbound: int,
     A key lambda reads a_F at discriminants up to disc S(lambda) (each
     divisor coset's S(mu) has disc S(lambda) / |det r|^2), so a table that
     stops below the largest key's fails here, before any sum."""
-    keys = spezialschar_keys(detbound, extra_pairs)
+    grams = {}
+    keys = spezialschar_keys(detbound, extra_pairs, grams)
     require_disc(F, max((gram(lam).disc() for lam in keys), default=0))
     entries = {}
     for lam in keys:
-        entries[lam] = theta_star(F, lam)
+        entries[lam] = theta_star(F, lam, grams.get(lam))
     return QuatTable(F.weight, entries)
 
 

@@ -2,9 +2,9 @@
 wedge^2 V = so(8) acting on it, its bracket, trace form and Cartan
 involution, and the su(2) triple (e+, h+, f+) of the compact construction.
 
-Scalars are Gaussian rationals.  Coordinates are stored in the order
-(b1, b2, b3, b4, b-4, b-3, b-2, b-1); the Gram matrix is the anti-diagonal
-identity, i.e. (index i, index 7-i) pair to 1.
+Scalars are Gaussian rationals (scalar.GaussRational).  Coordinates are
+stored in the order (b1, b2, b3, b4, b-4, b-3, b-2, b-1); the Gram matrix
+is the anti-diagonal identity, i.e. (index i, index 7-i) pair to 1.
 
 An element of wedge^2 V is stored as its action matrix on V over Z[i]:
 int64 arrays re, im of shape (..., 8, 8) over one positive denominator.
@@ -27,79 +27,8 @@ from typing import Tuple
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class GaussRational:
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def make(re=0, im=0) -> "GaussRational":
-        return GaussRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):   # an integer scale (bool included)
-            return GaussRational(self.re * other, self.im * other)
-        other = _coerce(other)
-        return GaussRational(self.re * other.re - self.im * other.im,
-                             self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return self * GaussRational(other.re / n, -other.im / n)
-
-    def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    def __repr__(self):
-        return f"GaussRational({self.re}, {self.im})"
-
-
-def _coerce(x) -> GaussRational:
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(Fraction(x), Fraction(0))
-    raise TypeError(f"cannot coerce {x!r} to GaussRational")
-
-
-GZERO = GaussRational.make(0)
+# The scalar type lives in scalar; it stays importable from here.
+from .scalar import GZERO, GaussRational, _coerce  # noqa: F401
 
 DIM = 8
 # wedge basis index pairs i<j, fixed total order.

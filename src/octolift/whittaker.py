@@ -27,6 +27,7 @@ from scipy.special import k0e, k1e
 
 from .coset import GramTriple, IndexPair, gram as coset_gram
 from . import quadspace
+from .scalar import GaussRational
 
 # --- the signature (2,2) block ----------------------------------------------
 
@@ -179,7 +180,7 @@ def _s_v_poly(v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(re), tuple(im)
 
 
-def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
+def _s_v_exact(v: int, X: Fraction) -> GaussRational:
     """S_v(X) / (pi e^{-X}) at rational X > 0, exactly: the polynomial of
     _s_v_poly evaluated at X = p/q by Horner's rule in integers."""
     re, im = _s_v_poly(v)
@@ -192,8 +193,7 @@ def _s_v_exact(v: int, X: Fraction) -> quadspace.GaussRational:
         num_re = num_re * q + re[m] * pw
         num_im = num_im * q + im[m] * pw
     den = pw << top
-    return quadspace.GaussRational(Fraction(num_re, den),
-                                   Fraction(num_im, den))
+    return GaussRational(Fraction(num_re, den), Fraction(num_im, den))
 
 
 def s_v_sum(v: int, X: float) -> complex:

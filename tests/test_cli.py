@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octolift import cli, whittaker
+from octolift import cli, triality, whittaker
 from octolift.lifts import HalfIntegralTable, QuatTable, SiegelTable
 from octolift.octonion import B_BASIS, from_vector8, to_vector8
 from octolift.quadspace import Bivector, GaussRational, wedge
@@ -268,15 +268,15 @@ def test_reduce_and_triality_commands(capsys):
 
 
 def test_triality_verify_names_a_failing_pair(capsys, monkeypatch):
-    good = cli.triality.ge_bracket
+    good = triality.ge_bracket
 
     def bad(A, B):          # wrong exactly on the basis pair (3, 5)
         out = good(A, B)
         num = out.num.copy()
         num[3, 5, 0] += out.den
-        return cli.triality.GEElement(num, out.den)
+        return triality.GEElement(num, out.den)
 
-    monkeypatch.setattr(cli.triality, "ge_bracket", bad)
+    monkeypatch.setattr(triality, "ge_bracket", bad)
     code, rep = _run(capsys, ["triality-verify", "--bound", "1"])
     assert code == 1 and rep["status"] == "fail"
     assert rep["details"] == ["phi fails to preserve the bracket at basis "
@@ -319,16 +319,16 @@ def test_oct_check_names_a_failing_case(capsys, monkeypatch):
     target = x[case]
     # mul8 sees x as its left factor, then conj(y)
     hit = ((x == target).all(axis=1)
-           | (cli.triality.conj8(y) == target).all(axis=1))
+           | (triality.conj8(y) == target).all(axis=1))
     assert int(np.argmax(hit)) == case
-    good = cli.triality.mul8
+    good = triality.mul8
 
     def bad(a, b):          # wrong exactly where the left factor is target
         out = good(a, b)
         out[(a == target).all(axis=-1), 0] += 1
         return out
 
-    monkeypatch.setattr(cli.triality, "mul8", bad)
+    monkeypatch.setattr(triality, "mul8", bad)
     code, rep = _run(capsys, ["oct-check", "--bound", str(bound),
                               "--seed", "3"])
     assert code == 1 and rep["status"] == "fail"
@@ -341,7 +341,7 @@ def test_triality_verify_names_a_failing_triple(capsys, monkeypatch):
     u, v = _suite_cases(3, bound, (2, 8))
     assert int(np.argmax((u == u[case]).all(axis=1))) == case
     extra = wedge(to_vector8(B_BASIS[0]), to_vector8(B_BASIS[1])).re
-    good = cli.triality.mult_triples
+    good = triality.mult_triples
 
     def bad(a, b):          # X2 is off by b1 ^ b2 where u is u[case]
         X1, X2, X3 = good(a, b)
@@ -349,7 +349,7 @@ def test_triality_verify_names_a_failing_triple(capsys, monkeypatch):
         re[(a == u[case]).all(axis=-1)] += X2.den * extra
         return X1, Bivector(re, X2.im, X2.den), X3
 
-    monkeypatch.setattr(cli.triality, "mult_triples", bad)
+    monkeypatch.setattr(triality, "mult_triples", bad)
     code, rep = _run(capsys, ["triality-verify", "--bound", str(bound),
                               "--seed", "3"])
     assert code == 1 and rep["status"] == "fail"

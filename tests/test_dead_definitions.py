@@ -4,14 +4,16 @@ A definition is live when module-level code of the package, a live
 definition of the package, ``tests/test_acceptance.py`` or ``bench/*.py``
 names it; ``bench/`` counts identifier strings too, so the tracer's
 ``SPANNED`` and ``COUNTED`` names are references.  The ``cmd_*`` functions
-are live because ``cli._command`` looks them up by name.  Liveness spreads
+are live because ``cli._command`` looks them up by name, and a module's
+``__getattr__`` because the interpreter does.  Liveness spreads
 from those roots to a fixpoint.  Unit tests are not roots: a helper that
 only unit tests call belongs in ``tests/oracles.py`` or nowhere.
 
 In the package and in ``tests/test_acceptance.py`` a reference is resolved
 to its module: a bare name to the module it is used in, or to the module
 it was imported from (``from .m import x``), and ``m.x`` to module m when m
-names a module of the package.  Any other attribute is a method or field
+names a module of the package, by an import or by a lazy binding
+``m = _lazy(".m")`` (a name assigned a call on the module's name).  Any other attribute is a method or field
 and refers to no top-level definition, so a method named like a function of
 another module keeps that function dead.  The names and strings of
 ``bench/`` match a definition of that name in any module."""
@@ -28,10 +30,10 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _imports(tree: ast.Module, package: set):
-    """(names, modules) bound by the imports anywhere in tree: names maps
-    a local name to the (module, name) it was imported as, modules maps a
-    local name to the module of the package (a set of module names) it
-    stands for."""
+    """(names, modules) bound by the imports and lazy bindings anywhere in
+    tree: names maps a local name to the (module, name) it was imported as,
+    modules maps a local name to the module of the package (a set of module
+    names) it stands for."""
     names, modules = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -51,6 +53,17 @@ def _imports(tree: ast.Module, package: set):
                 mod = alias.name.rpartition(".")[2]
                 if alias.name.startswith("octolift.") and alias.asname:
                     modules[alias.asname] = mod
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Call)
+              and len(node.value.args) == 1
+              and isinstance(node.value.args[0], ast.Constant)
+              and isinstance(node.value.args[0].value, str)):
+            target = node.value.args[0].value
+            for prefix in (".", "octolift."):
+                mod = target[len(prefix):]
+                if target.startswith(prefix) and mod in package:
+                    modules[node.targets[0].id] = mod
     return names, modules
 
 
@@ -107,7 +120,8 @@ def dead_definitions(root: Path = ROOT) -> list:
                     _refs(node, path.stem, imports) - {(path.stem, node.name)})
             else:
                 roots |= _refs(node, path.stem, imports)
-    roots |= {d for d in defs if d[1] in bench or d[1].startswith("cmd_")}
+    roots |= {d for d in defs if d[1] in bench or d[1].startswith("cmd_")
+              or d[1] == "__getattr__"}
     live, seen = set(), roots
     while seen - live:
         live |= seen
@@ -142,3 +156,23 @@ def test_references_resolve_to_their_module(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert dead_definitions(tmp_path) == ["a.qval", "b.run"]
+
+
+def test_lazy_bindings_resolve_to_their_module(tmp_path):
+    """m = _lazy(".m") binds m to module m as `from . import m` would, so
+    m.x keeps exactly x alive."""
+    files = {
+        "src/octolift/a.py": (
+            "def _lazy(name): pass\n"
+            "c = _lazy('.c')\n"
+            "d = _lazy('octolift.d')\n"
+            "def cmd_go(): return c.used() + d.used()\n"),
+        "src/octolift/c.py": "def used(): pass\ndef unused(): pass\n",
+        "src/octolift/d.py": "def used(): pass\ndef unused(): pass\n",
+        "tests/test_acceptance.py": "",
+        "bench/tracing.py": "",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert dead_definitions(tmp_path) == ["c.unused", "d.unused"]

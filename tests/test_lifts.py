@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from octolift import lifts
 from octolift.coset import (GramTriple, breve, gram, hnf_right_cosets,
                             is_strongly_primitive, pair_act, reduce_gram)
 from octolift.lifts import (HalfIntegralTable, InsufficientTableError,
@@ -144,6 +145,24 @@ def test_theta_star_table_is_in_the_spezialschar():
     F = _random_siegel_table(4, 4 * 12, weight=4)
     phi = theta_star_table(F, 12)
     assert maass_membership(phi)
+
+
+def test_theta_star_table_builds_each_keys_divisor_grams_once(monkeypatch):
+    F = _random_siegel_table(4, 4 * 12, weight=4)
+    want = theta_star_table(F, 12)
+    calls = []
+    build = lifts.divisor_grams
+    monkeypatch.setattr(lifts, "divisor_grams",
+                        lambda lam: calls.append(lam) or build(lam))
+    phi = theta_star_table(F, 12)
+    assert phi == want
+    assert sorted(calls) == sorted(phi.entries)
+
+
+def test_siegel_table_max_disc():
+    F = _random_siegel_table(4, 4 * 12, weight=4)
+    assert F.max_disc == max(t.disc() for t in F.entries) == 48
+    assert SiegelTable(4, {}).max_disc == 0
 
 
 def test_maass_membership_detects_corruption():

@@ -108,10 +108,6 @@ def _parse_rational(s, where: str) -> Fraction:
         raise TableError(f"{where}: bad rational string {s!r} ({e})")
 
 
-def _gauss_fields(v: GaussRational) -> Dict[str, str]:
-    return {"re": str(v.re), "im": str(v.im)}
-
-
 def _parse_int(x, where: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TableError(f"{where}: expected an integer, got {x!r}")
@@ -136,15 +132,16 @@ def _parse_mat2(x, i: int):
                      f"got {x!r}")
 
 
-def _parse_key(kind: str, key, i: int):
-    """The table key of entries[i]'s JSON key.  json.load gives exact int
-    and list types, so a bool, a float or a tuple is no integer or list
-    here; the diagnostic is built only when the key is rejected."""
-    if kind == "halfintegral":
+def _parse_key(cls, key, i: int):
+    """The key of a table of class cls for entries[i]'s JSON key.
+    json.load gives exact int and list types, so a bool, a float or a tuple
+    is no integer or list here; the diagnostic is built only when the key
+    is rejected."""
+    if cls is HalfIntegralTable:
         if type(key) is int:
             return key
         raise _not_an_int(i, (key,))
-    if kind == "siegel":
+    if cls is SiegelTable:
         if type(key) is not list or len(key) != 3:
             raise TableError(f"entries[{i}]: expected a triple [a, b, c]")
         a, b, c = key
@@ -156,21 +153,11 @@ def _parse_key(kind: str, key, i: int):
     return _parse_mat2(key[0], i), _parse_mat2(key[1], i)
 
 
-def _key_json(kind: str, key):
-    if kind == "halfintegral":
-        return key
-    if kind == "siegel":
-        return [key.a, key.b, key.c]
-    return [[list(row) for row in m] for m in key]
-
-
-def _key_sort(kind: str):
-    if kind == "siegel":
-        return lambda t: (t.a, t.b, t.c)
-    return lambda k: k
-
-
-KINDS = ("halfintegral", "siegel", "quaternionic")
+# Every table key is an int or a nested tuple of ints, so it sorts and
+# json.dumps writes it as the file does.
+TABLES = {cls.kind: cls
+          for cls in (HalfIntegralTable, SiegelTable, QuatTable)}
+KINDS = tuple(TABLES)
 
 
 def parse_table(data):
@@ -182,6 +169,7 @@ def parse_table(data):
     kind = data.get("kind")
     if kind not in KINDS:
         raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
+    cls = TABLES[kind]
     weight = _parse_int(data.get("weight"), "weight")
     raw = data.get("entries")
     if not isinstance(raw, list):
@@ -198,17 +186,13 @@ def parse_table(data):
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "key" not in entry:
             raise TableError(f"entries[{i}]: each entry needs a 'key'")
-        key = _parse_key(kind, entry["key"], i)
+        key = _parse_key(cls, entry["key"], i)
         if key in entries:
             raise TableError(f"entries[{i}]: duplicate key {entry['key']!r}")
         entries[key] = GaussRational(rational(entry.get("re", "0"), i),
                                      rational(entry.get("im", "0"), i))
     try:
-        if kind == "halfintegral":
-            return HalfIntegralTable(weight, entries)
-        if kind == "siegel":
-            return SiegelTable(weight, entries)
-        return QuatTable(weight, entries)
+        return cls(weight, entries)
     except ValueError as e:
         raise TableError(f"invalid table: {e}")
 
@@ -216,27 +200,18 @@ def parse_table(data):
 def serialize_table(table) -> dict:
     """Table object -> JSON object; keys are emitted in sorted order so the
     output is deterministic and parse(serialize(t)) == t."""
-    if isinstance(table, HalfIntegralTable):
-        kind = "halfintegral"
-    elif isinstance(table, SiegelTable):
-        kind = "siegel"
-    elif isinstance(table, QuatTable):
-        kind = "quaternionic"
-    else:
-        raise TypeError(f"not a table: {table!r}")
     entries = []
     try:
-        for key in sorted(table.entries, key=_key_sort(kind)):
-            row = {"key": _key_json(kind, key)}
-            row.update(_gauss_fields(table.entries[key]))
-            entries.append(row)
+        for key in sorted(table.entries):
+            v = table.entries[key]
+            entries.append({"key": key, "re": str(v.re), "im": str(v.im)})
     except ValueError:
         # str() of an integer longer than Python's digit limit
         raise TableError(f"cannot write the value at key "
-                         f"{_key_json(kind, key)}: it has more than "
+                         f"{json.dumps(key)}: it has more than "
                          f"{sys.get_int_max_str_digits()} digits, Python's "
                          f"limit for integer-to-string conversion")
-    return {"kind": kind, "weight": table.weight, "entries": entries}
+    return {"kind": table.kind, "weight": table.weight, "entries": entries}
 
 
 def load_table(path: str):
@@ -278,23 +253,17 @@ def synth_table(kind: str, seed: int, bound: int, weight: int = 10):
     halfintegral keys n <= bound with n = 0, 3 mod 4; siegel keys the reduced
     positive definite triples of discriminant <= bound; quaternionic keys the
     standard strongly-primitive family with det S <= bound."""
+    if kind not in KINDS:
+        raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
+    cls = TABLES[kind]
+    if cls is HalfIntegralTable:
+        keys = [n for n in range(bound + 1) if n % 4 in (0, 3)]
+    elif cls is SiegelTable:
+        keys = reduced_triples(bound)
+    else:
+        keys = spezialschar_keys(bound)
     rng = random.Random(seed)
-    entries = {}
-    if kind == "halfintegral":
-        for n in range(bound + 1):
-            if n % 4 in (0, 3):
-                entries[n] = _random_gauss(rng)
-        return HalfIntegralTable(weight, entries)
-    if kind == "siegel":
-        for t in sorted(reduced_triples(bound),
-                        key=lambda t: (t.a, t.b, t.c)):
-            entries[t] = _random_gauss(rng)
-        return SiegelTable(weight, entries)
-    if kind == "quaternionic":
-        for lam in spezialschar_keys(bound):
-            entries[lam] = _random_gauss(rng)
-        return QuatTable(weight, entries)
-    raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
+    return cls(weight, {k: _random_gauss(rng) for k in keys})
 
 
 # --- numeric CSV output ----------------------------------------------------------
@@ -482,8 +451,7 @@ def cmd_dirichlet(args):
         # Choose strongly primitive pairs over the smallest reduced triples,
         # then tabulate the quaternionic lift on exactly the orbit lam . g
         # (|det g| <= bound) the truncated series needs.
-        triples = sorted(reduced_triples(8), key=lambda t: (t.disc(), t.a,
-                                                            t.b, t.c))
+        triples = sorted(reduced_triples(8), key=lambda t: (t.disc(), t))
         lams = list(dict.fromkeys(   # breve(t) = fj_pair(t) when a = 1
             f(t) for t in triples for f in (breve, fj_pair)))
         if args.seed is not None:

@@ -5,9 +5,8 @@ enumeration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 Mat2Z = Tuple[Tuple[int, int], Tuple[int, int]]
 IndexPair = Tuple[Mat2Z, Mat2Z]
@@ -41,9 +40,9 @@ def mat2_adjugate(m: Mat2Z) -> Mat2Z:
     return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 
-@dataclass(frozen=True)
-class GramTriple:
-    """The half-integral symmetric matrix [[a, b/2], [b/2, c]]."""
+class GramTriple(NamedTuple):
+    """The half-integral symmetric matrix [[a, b/2], [b/2, c]]: a tuple, so
+    triples order as (a, b, c) and JSON writes one as [a, b, c]."""
     a: int
     b: int
     c: int

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Dict, Iterable, List, Optional
+from typing import ClassVar, Dict, Iterable, List, Optional
 
 from .coset import (GramTriple, IndexPair, breve, divisor_grams, divisors,
                     gram, hnf_right_cosets, is_strongly_primitive,
@@ -49,6 +49,7 @@ def _check_weight(ell: int, even: bool = True) -> None:
 class HalfIntegralTable:
     """Coefficients c(n) of a weight ell - 1/2 form in the plus space:
     c(n) = 0 unless n = 0 or 3 mod 4 (such n are simply absent)."""
+    kind: ClassVar[str] = "halfintegral"
     weight: int
     entries: Dict[int, GaussRational] = field(default_factory=dict)
 
@@ -67,12 +68,13 @@ class HalfIntegralTable:
 
 @dataclass(frozen=True)
 class SiegelTable:
-    """Genus-2 coefficients a_F(T) keyed by GL2(Z)-reduced positive
-    (semi)definite triples; lookups canonicalize via reduction.  Even weight
-    is assumed throughout (so a_F(u^t T u) = a_F(T) for all u in GL2(Z))."""
+    """Genus-2 cusp form coefficients a_F(T) keyed by GL2(Z)-reduced
+    positive definite triples; lookups canonicalize via reduction, and a
+    singular triple reads 0.  Even weight is assumed throughout (so
+    a_F(u^t T u) = a_F(T) for all u in GL2(Z))."""
+    kind: ClassVar[str] = "siegel"
     weight: int
     entries: Dict[GramTriple, GaussRational] = field(default_factory=dict)
-    cuspidal: bool = True
 
     def __post_init__(self):
         _check_weight(self.weight)
@@ -84,7 +86,7 @@ class SiegelTable:
                 raise ValueError(f"key {t} is not "
                                  + ("reduced" if psd
                                     else "positive semidefinite"))
-            if self.cuspidal and not t.is_positive_definite():
+            if not t.is_positive_definite():
                 raise ValueError("cuspidal table keys must be pos. definite")
 
     @cached_property
@@ -95,7 +97,7 @@ class SiegelTable:
 
     def a(self, t: GramTriple) -> GaussRational:
         key = reduce_gram(t)
-        if self.cuspidal and not key.is_positive_definite():
+        if not key.is_positive_definite():
             return GZERO
         if key not in self.entries:
             raise InsufficientTableError(f"a_F({key}) not in table")
@@ -106,6 +108,7 @@ class SiegelTable:
 class QuatTable:
     """Quaternionic coefficients a_phi(lambda) keyed by exact index pairs;
     every key has positive definite Gram matrix (cuspidal support)."""
+    kind: ClassVar[str] = "quaternionic"
     weight: int
     entries: Dict[IndexPair, GaussRational] = field(default_factory=dict)
 
@@ -125,7 +128,8 @@ class QuatTable:
 
 def reduced_triples(discbound: int):
     """All reduced triples 0 <= b <= a <= c with 4ac - b^2 <= discbound
-    (each has 4ac - b^2 >= 3a^2 > 0, so all are positive definite)."""
+    (each has 4ac - b^2 >= 3a^2 > 0, so all are positive definite), in
+    increasing (a, b, c) order."""
     out = []
     a = 1
     while 4 * a * a - a * a <= discbound:
@@ -157,7 +161,7 @@ def classical_maass_check(F: SiegelTable) -> Report:
     """Verify a_F(a,b,c) = sum_{d | gcd(a,b,c)} d^(ell-1) a_F(ac/d^2, b/d, 1)
     for every key of the table."""
     ell = F.weight
-    for t in sorted(F.entries, key=lambda t: (t.disc(), t.a, t.b, t.c)):
+    for t in sorted(F.entries, key=lambda t: (t.disc(), t)):
         g = gcd(gcd(t.a, t.b), t.c)
         rhs = GZERO
         for d in divisors(g):

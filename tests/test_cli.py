@@ -1,5 +1,6 @@
 """The command-line front end: table round trips, exit codes, pipelines."""
 
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift import cli, triality, whittaker
-from octolift.lifts import HalfIntegralTable, QuatTable, SiegelTable
+from octolift.lifts import (HalfIntegralTable, QuatTable, SiegelTable,
+                            classical_maass_lift, theta_star_table)
 from octolift.octonion import B_BASIS, from_vector8, to_vector8
 from octolift.quadspace import Bivector, GaussRational, wedge
 
@@ -169,13 +171,40 @@ def test_write_table_round_trips(tmp_path, kind, empty):
     assert cli.load_table(str(path)) == table
     with open(path) as f:
         data = json.load(f)
-    assert data == cli.serialize_table(table)
+    # the table's keys are tuples, which JSON writes as lists
+    assert data == json.loads(json.dumps(cli.serialize_table(table)))
     assert list(data) == ["kind", "weight", "entries"]
     # the kind and weight, one line per entry, the closing brackets
     lines = path.read_text().splitlines()
     assert len(lines) == len(table.entries) + 2
     for line, entry in zip(lines[1:-1], data["entries"]):
         assert json.loads(line.rstrip(",")) == entry
+
+
+_PINNED_SHA256 = {
+    "halfintegral":
+        "eac0fc7edada8d630e2021de9b15339857e2abb49bdef9528e582730ad6944c3",
+    "siegel":
+        "b049f8f8eff357a0dd6277abb5f8a744f15c8f50246e08d760181062fd6549e8",
+    "quaternionic":
+        "b8804559ea627596a54d33c2908d50026dd92da4d19f0899e08a4791e1d310a6",
+    "theta-star":
+        "8dcf32f2beffe3d889a43af8af318402244ce0fefddc643f96bbf9f639d4de9c",
+}
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    """write_table's output, byte for byte, for a synthetic table of each
+    kind and for the theta* lift of a lifted table: the file format,
+    the entry order and the value strings do not change."""
+    tables = {kind: cli.synth_table(kind, 11, 24, 4) for kind in cli.KINDS}
+    F = classical_maass_lift(tables["halfintegral"], 4, 24)
+    tables["theta-star"] = theta_star_table(F, 6)
+    path = tmp_path / "t.json"
+    for name, table in tables.items():
+        cli.write_table(table, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _PINNED_SHA256[name], name
 
 
 # --- report and exit-code contract -----------------------------------------------

@@ -40,8 +40,7 @@ def _random_siegel_table(seed, discbound, weight=4):
                                          rng.randint(1, 3)),
                                 Fraction(rng.randint(-9, 9),
                                          rng.randint(1, 3)))
-               for t in sorted(reduced_triples(discbound),
-                               key=lambda t: (t.a, t.b, t.c))}
+               for t in reduced_triples(discbound)}
     return SiegelTable(weight, entries)
 
 
@@ -56,10 +55,11 @@ def test_half_table_support_rule():
 
 
 def test_reduced_key_check_is_reduce_gram():
-    """SiegelTable accepts a key by 0 <= b <= a <= c; on every triple with
-    entries in -12..12 that agrees with reduce_gram(t) == t, and a triple
-    that is not positive semidefinite raises ValueError, as reduce_gram
-    does."""
+    """SiegelTable accepts a key by 0 <= b <= a <= c and 4ac - b^2 > 0; on
+    every triple with entries in -12..12 that agrees with reduce_gram(t) ==
+    t for a positive definite t.  A triple that is not positive
+    semidefinite is named so, as reduce_gram rejects it too, and a reduced
+    singular one is rejected as no key of a cusp form."""
     span = range(-12, 13)
     for a in span:
         for b in span:
@@ -70,13 +70,16 @@ def test_reduced_key_check_is_reduce_gram():
                 except ValueError:
                     reduced = None
                 try:
-                    SiegelTable(4, {t: GZERO}, cuspidal=False)
+                    SiegelTable(4, {t: GZERO})
                     accepted = True
                 except ValueError as e:
                     accepted = False
                     assert ("positive semidefinite" in str(e)) == (
                         reduced is None)
-                assert accepted == bool(reduced), t
+                    assert ("cuspidal" in str(e)) == (
+                        bool(reduced) and not t.is_positive_definite())
+                assert accepted == (bool(reduced)
+                                    and t.is_positive_definite()), t
 
 
 def test_siegel_table_canonicalizes_lookups():
@@ -91,6 +94,7 @@ def test_siegel_table_canonicalizes_lookups():
 
 def test_reduced_triples_complete_and_reduced():
     ts = reduced_triples(40)
+    assert ts == sorted(ts)
     assert len(ts) == len(set(ts))
     for t in ts:
         assert 0 <= t.b <= t.a <= t.c and 0 < t.disc() <= 40

@@ -39,14 +39,14 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from math import exp, isqrt, pi
+from math import exp, gcd, isqrt, pi
 from typing import Dict, List, Optional, Tuple
 
 from .coset import (GramTriple, breve, gram, hnf_right_cosets,
                     is_strongly_primitive, pair_act, reduce_gram)
 from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     SiegelTable, classical_maass_check, classical_maass_lift,
-                    dirichlet_factor_check, fj_extract, fj_pair,
+                    dirichlet_factor_check, fj_pair,
                     maass_membership, reduced_triples, require_disc,
                     spezialschar_keys, theta_star_table)
 from .scalar import GaussRational
@@ -197,6 +197,12 @@ def parse_table(data):
         raise TableError(f"invalid table: {e}")
 
 
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def serialize_table(table) -> dict:
     """Table object -> JSON object; keys are emitted in sorted order so the
     output is deterministic and parse(serialize(t)) == t."""
@@ -204,7 +210,8 @@ def serialize_table(table) -> dict:
     try:
         for key in sorted(table.entries):
             v = table.entries[key]
-            entries.append({"key": key, "re": str(v.re), "im": str(v.im)})
+            entries.append({"key": key, "re": _ratio(v.p, v.d),
+                            "im": _ratio(v.q, v.d)})
     except ValueError:
         # str() of an integer longer than Python's digit limit
         raise TableError(f"cannot write the value at key "
@@ -435,7 +442,7 @@ def cmd_fj(args):
     for lam in phi.entries:
         t = gram(lam)
         if lam == fj_pair(t):
-            entries[reduce_gram(t)] = fj_extract(phi, t)
+            entries[reduce_gram(t)] = phi.a(lam).conj()
     if not entries:
         raise TableError("no Fourier-Jacobi keys "
                          "([[a,0],[b,1]], [[0,-1],[c,0]]) in the table")

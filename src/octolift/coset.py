@@ -5,6 +5,7 @@ enumeration."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterator, List, NamedTuple, Tuple
 
@@ -86,11 +87,13 @@ def gram(lam: IndexPair) -> GramTriple:
                       a2 * d2 - b2 * c2)
 
 
-def divisors(n: int) -> List[int]:
-    """The positive divisors of |n|, in increasing order."""
+@lru_cache(maxsize=4096)
+def divisors(n: int) -> Tuple[int, ...]:
+    """The positive divisors of |n|, in increasing order; memoised, as the
+    lifts and coset enumerations ask for the same small n many times."""
     n = abs(n)
     low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(low + [n // d for d in low]))
+    return tuple(sorted(set(low + [n // d for d in low])))
 
 
 def hnf_left_cosets(n: int) -> List[Mat2Z]:

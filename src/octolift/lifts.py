@@ -18,7 +18,7 @@ from typing import ClassVar, Dict, Iterable, List, Optional
 from .coset import (GramTriple, IndexPair, breve, divisor_grams, divisors,
                     gram, hnf_right_cosets, is_strongly_primitive,
                     mat2_scale, pair_act, reduce_gram)
-from .scalar import GaussRational, GZERO, _coerce
+from .scalar import GaussRational, GZERO, weighted_sum
 
 
 class InsufficientTableError(Exception):
@@ -149,11 +149,8 @@ def classical_maass_lift(c: HalfIntegralTable, ell: int,
     _check_weight(ell)
     entries = {}
     for t in reduced_triples(bound):
-        g = gcd(gcd(t.a, t.b), t.c)
-        val = GZERO
-        for d in divisors(g):
-            val = val + d ** (ell - 1) * c.c(t.disc() // (d * d))
-        entries[t] = val
+        entries[t] = weighted_sum((d ** (ell - 1), c.c(t.disc() // (d * d)))
+                                  for d in divisors(gcd(t.a, t.b, t.c)))
     return SiegelTable(ell, entries)
 
 
@@ -162,11 +159,10 @@ def classical_maass_check(F: SiegelTable) -> Report:
     for every key of the table."""
     ell = F.weight
     for t in sorted(F.entries, key=lambda t: (t.disc(), t)):
-        g = gcd(gcd(t.a, t.b), t.c)
-        rhs = GZERO
-        for d in divisors(g):
-            rhs = rhs + d ** (ell - 1) * F.a(
-                GramTriple(t.a * t.c // (d * d), t.b // d, 1))
+        ac = t.a * t.c
+        rhs = weighted_sum(
+            (d ** (ell - 1), F.a(GramTriple(ac // (d * d), t.b // d, 1)))
+            for d in divisors(gcd(t.a, t.b, t.c)))
         if rhs != F.entries[t]:
             return Report(False, f"relation fails at {t}")
     return Report(True, f"{len(F.entries)} keys verified")
@@ -183,10 +179,9 @@ def theta_star(F: SiegelTable, lam: IndexPair,
     if not gram(lam).is_positive_definite():
         raise ValueError("theta_star needs positive definite gram(lambda)")
     ell = F.weight
-    out = GZERO
-    for n, t in divisor_grams(lam) if grams is None else grams:
-        out = out + n ** (ell - 1) * F.a(t).conj()
-    return out
+    if grams is None:
+        grams = divisor_grams(lam)
+    return weighted_sum((n ** (ell - 1), F.a(t)) for n, t in grams).conj()
 
 
 def _closure_keys(pairs: Iterable[IndexPair], grams: dict):
@@ -268,19 +263,17 @@ def maass_membership(phi: QuatTable) -> Report:
          |det r|^(ell-1) a_phi^prim(mu), read as a_phi(breve(S(mu))) with
          S(mu) from divisor_grams."""
     ell = phi.weight
-    by_gram: Dict[GramTriple, List[IndexPair]] = {}
-    for lam in phi.entries:
-        if is_strongly_primitive(lam):
-            by_gram.setdefault(gram(lam), []).append(lam)
-    for t, lams in by_gram.items():
-        vals = {phi.entries[lam] for lam in lams}
-        if len(vals) > 1:
+    grams = [divisor_grams(lam) for lam in phi.entries]
+    by_gram: Dict[GramTriple, List[GaussRational]] = {}
+    for dg, x in zip(grams, phi.entries.values()):
+        if len(dg) == 1:   # strongly primitive: r = 1 is its only coset
+            by_gram.setdefault(dg[0][1], []).append(x)
+    for t, vals in by_gram.items():
+        if any(x != vals[0] for x in vals):
             return Report(False, f"condition (i) fails at gram {t}")
-    for lam in phi.entries:
-        rhs = GZERO
-        for n, t in divisor_grams(lam):
-            rhs = rhs + n ** (ell - 1) * phi.a(breve(t))
-        if rhs != phi.entries[lam]:
+    for dg, (lam, x) in zip(grams, phi.entries.items()):
+        rhs = weighted_sum((n ** (ell - 1), phi.a(breve(t))) for n, t in dg)
+        if rhs != x:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
 
@@ -290,9 +283,7 @@ def maass_membership(phi: QuatTable) -> Report:
 def fj_pair(t: GramTriple) -> IndexPair:
     """The strongly primitive pair ([[a,0],[b,1]], [[0,-1],[c,0]]) with gram
     equal to t."""
-    lam = (((t.a, 0), (t.b, 1)), ((0, -1), (t.c, 0)))
-    assert gram(lam) == t
-    return lam
+    return (((t.a, 0), (t.b, 1)), ((0, -1), (t.c, 0)))
 
 
 def fj_extract(phi: QuatTable, t: GramTriple) -> GaussRational:
@@ -321,12 +312,12 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
     prim: Dict[int, GaussRational] = {}
     misfit = None
     for n in range(1, bound + 1):
-        s_full = s_prim = GZERO
+        s_full, s_prim = [], []
         for g in hnf_right_cosets(n):
             mu = pair_act(lam, g)
             try:
-                s_full = s_full + phi.a(mu)
-                s_prim = s_prim + a_prim(phi, mu)
+                s_full.append((1, phi.a(mu)))
+                s_prim.append((1, a_prim(phi, mu)))
             except InsufficientTableError as e:
                 largest = (f"--bound {n - 1} is the largest bound" if n > 1
                            else "no bound is")
@@ -336,15 +327,14 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
             if misfit is None:
                 misfit = next((f"|det r|={d} does not divide n={n}, g={g}"
                                for d, _t in divisor_grams(mu) if n % d), None)
-        scale = _coerce(n ** (phi.weight - 1))
-        full[n] = s_full / scale
-        prim[n] = s_prim / scale
+        scale = n ** (phi.weight - 1)
+        full[n] = weighted_sum(s_full) / scale
+        prim[n] = weighted_sum(s_prim) / scale
     if misfit is not None:
         return Report(False, f"coset divisibility fails: {misfit}")
     for n in range(1, bound + 1):
-        rhs = GZERO
-        for d in divisors(n):
-            rhs = rhs + sum(divisors(d)) * prim[n // d]
+        rhs = weighted_sum((sum(divisors(d)), prim[n // d])
+                           for d in divisors(n))
         if full[n] != rhs:
             return Report(False, f"factorization fails at n={n}")
     return Report(True, f"verified to n={bound}")

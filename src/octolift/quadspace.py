@@ -2,9 +2,12 @@
 wedge^2 V = so(8) acting on it, its bracket, trace form and Cartan
 involution, and the su(2) triple (e+, h+, f+) of the compact construction.
 
-Scalars are Gaussian rationals (scalar.GaussRational).  Coordinates are
-stored in the order (b1, b2, b3, b4, b-4, b-3, b-2, b-1); the Gram matrix
-is the anti-diagonal identity, i.e. (index i, index 7-i) pair to 1.
+Scalars are Gaussian rationals (scalar.GaussRational): integers
+(p + i q) / d in lowest terms, the form a Bivector holds for a whole
+matrix over one denominator, and _parts reads them as they are held.
+Coordinates are stored in the order (b1, b2, b3, b4, b-4, b-3, b-2, b-1);
+the Gram matrix is the anti-diagonal identity, i.e. (index i, index 7-i)
+pair to 1.
 
 An element of wedge^2 V is stored as its action matrix on V over Z[i]:
 int64 arrays re, im of shape (..., 8, 8) over one positive denominator.
@@ -68,9 +71,7 @@ def _parts(x) -> Tuple[int, int, int]:
     if isinstance(x, (int, np.integer)):
         return int(x), 0, 1
     x = _coerce(x)
-    den = lcm(x.re.denominator, x.im.denominator)
-    return (x.re.numerator * (den // x.re.denominator),
-            x.im.numerator * (den // x.im.denominator), den)
+    return x.p, x.q, x.d
 
 
 def int_parts(xs):
@@ -208,8 +209,7 @@ def trace_form(X: Bivector, Y: Bivector) -> GaussRational:
     fits(128 * amax(X.re, X.im) * amax(Y.re, Y.im))
     re = int(np.sum(X.re * Y.re.T - X.im * Y.im.T))
     im = int(np.sum(X.re * Y.im.T + X.im * Y.re.T))
-    den = X.den * Y.den
-    return GaussRational(Fraction(re, den), Fraction(im, den))
+    return GaussRational.over(re, im, X.den * Y.den)
 
 
 # --- the distinguished su(2) -------------------------------------------------

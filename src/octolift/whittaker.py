@@ -192,8 +192,7 @@ def _s_v_exact(v: int, X: Fraction) -> GaussRational:
         pw *= p
         num_re = num_re * q + re[m] * pw
         num_im = num_im * q + im[m] * pw
-    den = pw << top
-    return GaussRational(Fraction(num_re, den), Fraction(num_im, den))
+    return GaussRational.over(num_re, num_im, pw << top)
 
 
 def s_v_sum(v: int, X: float) -> complex:

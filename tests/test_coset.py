@@ -267,6 +267,23 @@ def test_smith_divisors_match_minors_reference():
     assert smith_divisors((T, mat2_scale(-3, T))) == (2, 0)
 
 
+def test_one_divisor_coset_iff_strongly_primitive():
+    # the divisor cosets are the lattices between the row lattice and Z^2,
+    # so there is one exactly when the row lattice is Z^2
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(3000):
+        lam = _random_pair(rng, rng.choice((1, 2, 4)))
+        k = rng.choice((1, 1, 1, 2, 3))
+        lam = (mat2_scale(k, lam[0]), mat2_scale(k, lam[1]))
+        if row_hnf(lam)[2] == 0:   # rank below 2: infinitely many cosets
+            continue
+        primitive = is_strongly_primitive(lam)
+        assert (len(divisor_grams(lam)) == 1) == primitive
+        kinds.add(primitive)
+    assert kinds == {True, False}
+
+
 def _pair_with_row_lattice(rng, p, q, t):
     """A pair whose vec-column stack has row lattice Z(p, q) + Z(0, t),
     then moved by a random unimodular g, which multiplies that lattice by g

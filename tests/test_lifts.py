@@ -3,6 +3,7 @@ Dirichlet factorization."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -211,6 +212,50 @@ def test_divisor_gram_sums_match_the_coset_oracles(weight):
             oracles.maass_membership_by_cosets(table)
     assert maass_membership(phi).ok
     assert not any(maass_membership(t).ok for t in tables[1:])
+
+
+def test_membership_names_the_first_broken_gram_and_key():
+    """Broken at two grams for condition (i), the report names the gram
+    whose strongly primitive keys come first in key order, even when the
+    other gram's broken key comes first; broken at two keys for condition
+    (ii), it names the first broken key."""
+    F = _random_siegel_table(9, 4 * 36, weight=4)
+    phi = theta_star_table(F, 36)
+    keys = list(phi.entries)
+    spans = {}     # gram -> (first, last) index of its strongly primitive keys
+    for i, lam in enumerate(keys):
+        if is_strongly_primitive(lam):
+            first, _last = spans.get(gram(lam), (i, i))
+            spans[gram(lam)] = (first, i)
+    crossed = [(s, t) for s in spans for t in spans
+               if spans[s][0] < spans[t][0] < spans[t][1] < spans[s][1]]
+    assert crossed
+    one = GaussRational.make(1)
+    for s, t in crossed[:20]:
+        entries = dict(phi.entries)
+        for u in (t, s):    # the last key of t comes before the last of s
+            entries[keys[spans[u][1]]] += one
+        table = QuatTable(phi.weight, entries)
+        rep = maass_membership(table)
+        assert rep.detail == f"condition (i) fails at gram {s}"
+        assert rep == oracles.maass_membership_by_cosets(table)
+    imprimitive = [lam for lam in keys if not is_strongly_primitive(lam)]
+    rng = random.Random(9)
+    for _ in range(20):
+        a, b = sorted(rng.sample(range(len(imprimitive)), 2))
+        entries = dict(phi.entries)
+        for lam in (imprimitive[b], imprimitive[a]):
+            entries[lam] += one
+        table = QuatTable(phi.weight, entries)
+        rep = maass_membership(table)
+        assert rep.detail == f"condition (ii) fails at {imprimitive[a]}"
+        assert rep == oracles.maass_membership_by_cosets(table)
+
+
+def test_fj_pair_has_gram_t():
+    for a, b, c in product(range(-4, 5), repeat=3):
+        t = GramTriple(a, b, c)
+        assert gram(fj_pair(t)) == t
 
 
 def test_fj_round_trip():

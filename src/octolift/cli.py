@@ -614,10 +614,11 @@ def cmd_whittaker(args):
 
 
 # q_poincare counts the pairs of each fold pair on the fold split.  On a
-# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 1.5 s and 124 MB
-# peak RSS at --bound 2, and 19 s but 1,141 MB at --bound 3 (358,014
-# groups, whose symmetric powers also grow with the weight), so a radius
-# above 2 is refused before any work.
+# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 1.0 s and 122 MB
+# peak RSS at --bound 2 (a fresh process, median of 3), and q_poincare
+# alone 16 s but 1,140 MB at radius 3 (358,014 groups, whose symmetric
+# powers also grow with the weight), so a radius above 2 is refused before
+# any work.
 _MAX_POINCARE_RADIUS = 2
 
 

@@ -159,9 +159,7 @@ def is_strongly_primitive(lam: IndexPair) -> bool:
 def breve(t: GramTriple) -> IndexPair:
     """A canonical strongly primitive pair with gram equal to t exactly:
     T1 = [[1,0],[b,a]], T2 = [[0,-1],[c,0]]."""
-    lam = (mat2(1, 0, t.b, t.a), mat2(0, -1, t.c, 0))
-    assert gram(lam) == t
-    return lam
+    return (mat2(1, 0, t.b, t.a), mat2(0, -1, t.c, 0))
 
 
 def pair_act(lam: IndexPair, g: Mat2Z) -> IndexPair:

@@ -409,24 +409,43 @@ def _prk_coeffs(xyz: np.ndarray) -> np.ndarray:
 def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
     """Rows (c_xx x^2 + c_xy xy + c_yy y^2)^ell / ||.||^(2 ell + 1) for
     rows (c_xx, c_xy, c_yy) of coeffs, as coefficients of x^{l+v} y^{l-v},
-    v ascending; a degenerate (zero) projection raises."""
-    c_xx, c_xy, c_yy = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    v ascending, in a C-contiguous (rows, 2 ell + 1) array; a degenerate
+    (zero) projection raises.
+
+    The powers are built coefficient-major, one row of the working arrays
+    per coefficient and one column per input row, so every shifted slice
+    is contiguous.  Each of the ell - 1 passes multiplies the current
+    power p by the quadratic into the spare of two (2 ell + 1, rows)
+    buffers, through one (2 ell - 1, rows) scratch buffer that holds each
+    product in turn.  The three arrays are allocated once, and no view of
+    the spare or the scratch outlives the loop, so both are freed before
+    the final transposing copy and the peak stays about three times the
+    result.  Coefficient k of a pass is ((0 + c_yy p_k) + c_xy p_(k-1)) +
+    c_xx p_(k-2): the operations, in their order, of a convolution into a
+    zeroed array (the 0 + turns a product's -0 into +0, as there), so the
+    result equals tests/oracles.py's sym_power_by_convolution bit for
+    bit."""
+    c_xx, c_xy, c_yy = (np.ascontiguousarray(coeffs[:, k]) for k in range(3))
     nrm = np.sqrt(np.abs(c_xx) ** 2 + np.abs(c_xy) ** 2 / 2.0
                   + np.abs(c_yy) ** 2)
     if np.any(nrm < 1e-12):
         raise ValueError("degenerate projection")
-    poly = np.zeros((len(nrm), 2 * ell + 1), dtype=complex)
-    poly[:, 0], poly[:, 1], poly[:, 2] = c_yy, c_xy, c_xx
-    deg = 2
-    for _ in range(ell - 1):
-        new = np.zeros_like(poly)
-        base = poly[:, :deg + 1]
-        new[:, 0:deg + 1] += base * c_yy[:, None]
-        new[:, 1:deg + 2] += base * c_xy[:, None]
-        new[:, 2:deg + 3] += base * c_xx[:, None]
-        poly = new
-        deg += 2
-    return poly / (nrm ** (2 * ell + 1))[:, None]
+    poly = np.empty((2 * ell + 1, len(nrm)), dtype=complex)
+    poly[0], poly[1], poly[2] = c_yy, c_xy, c_xx
+    spare, scratch = np.empty_like(poly), np.empty_like(poly[2:])
+    for n in range(3, 2 * ell + 1, 2):
+        # poly[:n] holds the current power, spare[:n + 2] gets the next
+        np.multiply(poly[:n], c_yy, out=scratch[:n])
+        np.add(scratch[:n], 0.0, out=spare[:n])
+        spare[n:n + 2] = 0
+        np.multiply(poly[:n], c_xy, out=scratch[:n])
+        spare[1:n + 1] += scratch[:n]
+        np.multiply(poly[:n], c_xx, out=scratch[:n])
+        spare[2:n + 2] += scratch[:n]
+        poly, spare = spare, poly
+    del spare, scratch
+    poly /= nrm ** (2 * ell + 1)
+    return poly.T.copy()
 
 
 def _key_bases(radius: int) -> List[int]:

@@ -35,11 +35,12 @@ one-pass loader's reference.
 For the numeric layer: 2x2 matrices as vectors of the (2,2) block (det
 becomes the quadratic form); the Whittaker integral by scipy's quad_vec
 with one whittaker_eval (beta by matrix products) per node; the Poincare
-summand of one pair; and the Poincare sum by testing every pair of vectors from the
-(2r+1)^8 box, sharing only the key packing and the symmetric-power step
-with q_poincare's fold split.  Also two exact helpers
-that no command uses: an alternating binomial sum and the index-1 Jacobi
-form's coefficients."""
+summand of one pair; the symmetric powers as an out-of-place
+convolution, the reference of the in-place kernel; and the Poincare sum
+by testing every pair of vectors from the (2r+1)^8 box, sharing only the
+key packing and the symmetric-power step with q_poincare's fold split.
+Also two exact helpers that no command uses: an alternating binomial sum
+and the index-1 Jacobi form's coefficients."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -820,6 +821,29 @@ def bvv(v1, v2, ell: int):
     xyz = np.einsum("i,kij,j->k", np.asarray(v1, float), _PRK2,
                     np.asarray(v2, float))
     return tuple(_sym_power_batch(_prk_coeffs(xyz[None, :]), ell)[0])
+
+
+def sym_power_by_convolution(coeffs: np.ndarray, ell: int) -> np.ndarray:
+    """whittaker._sym_power_batch as an out-of-place convolution on the
+    row-major layout: each pass adds the three shifted products into a
+    fresh zeroed (rows, 2 ell + 1) array."""
+    c_xx, c_xy, c_yy = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    nrm = np.sqrt(np.abs(c_xx) ** 2 + np.abs(c_xy) ** 2 / 2.0
+                  + np.abs(c_yy) ** 2)
+    if np.any(nrm < 1e-12):
+        raise ValueError("degenerate projection")
+    poly = np.zeros((len(nrm), 2 * ell + 1), dtype=complex)
+    poly[:, 0], poly[:, 1], poly[:, 2] = c_yy, c_xy, c_xx
+    deg = 2
+    for _ in range(ell - 1):
+        new = np.zeros_like(poly)
+        base = poly[:, :deg + 1]
+        new[:, 0:deg + 1] += base * c_yy[:, None]
+        new[:, 1:deg + 2] += base * c_xy[:, None]
+        new[:, 2:deg + 3] += base * c_xx[:, None]
+        poly = new
+        deg += 2
+    return poly / (nrm ** (2 * ell + 1))[:, None]
 
 
 def vectors_by_norm(radius: int, values) -> dict:

@@ -178,6 +178,14 @@ def test_breve_is_strongly_primitive_with_given_gram():
                 assert is_strongly_primitive(lam)
 
 
+def test_breve_has_gram_t_and_is_strongly_primitive_on_all_small_triples():
+    for a, b, c in product(range(-4, 5), repeat=3):
+        t = GramTriple(a, b, c)
+        lam = breve(t)
+        assert gram(lam) == t
+        assert is_strongly_primitive(lam)
+
+
 def test_divisor_cosets_structure():
     t = GramTriple(1, 0, 1)
     lam = breve(t)

@@ -2,6 +2,7 @@
 and the positivity oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb, exp, pi, sqrt
@@ -28,7 +29,8 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
 
 from oracles import (alternating_binomial_sum,
                      archimedean_integral_quad_vec, bvv, mat2_to_vec22, pr_K,
-                     q_poincare_by_pairs, sym2_power, vectors_by_norm)
+                     q_poincare_by_pairs, sym2_power,
+                     sym_power_by_convolution, vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -466,6 +468,75 @@ def test_q_poincare_at_radius_2_is_pinned():
     got = q_poincare(GramTriple(1, 0, 1), 16, 2)
     assert (got.pairs, got.groups) == (83056560, 32098)
     assert got.shell_sup == (43.122698801169776, 2.2243226055035117)
+
+
+# --- the symmetric-power kernel ----------------------------------------------------
+
+def _kernel_rows(monkeypatch, key, radius):
+    """The coefficient rows q_poincare hands _sym_power_batch (the same
+    at every weight)."""
+    seen = []
+    kernel = whittaker._sym_power_batch
+
+    def record(coeffs, ell):
+        seen.append(coeffs)
+        return kernel(coeffs, ell)
+
+    monkeypatch.setattr(whittaker, "_sym_power_batch", record)
+    q_poincare(GramTriple(*key), 16, radius)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _random_kernel_rows(rng, n):
+    """Rows of random key integers in -30..30, zeros included, none all
+    zero."""
+    xyz = rng.integers(-30, 31, size=(n, 3))
+    return whittaker._prk_coeffs(xyz[(xyz != 0).any(axis=1)])
+
+
+def test_sym_power_batch_equals_the_convolution_bit_for_bit(monkeypatch):
+    """The in-place coefficient-major kernel against the out-of-place
+    convolution: 2,0,1's rows at radius 1, random rows at weights 16, 40
+    and 200, and 2,0,2 at weight 400, whose powers overflow from v = -54.
+    Equal as arrays, NaNs included, and byte for byte, signs of zero
+    included."""
+    rng = np.random.default_rng(21)
+    cases = [(_kernel_rows(monkeypatch, (2, 0, 1), 1), 16)]
+    assert len(cases[0][0]) == 1328
+    cases += [(_random_kernel_rows(rng, 300), ell) for ell in (16, 40, 200)]
+    cases.append((_kernel_rows(monkeypatch, (2, 0, 2), 1), 400))
+    for coeffs, ell in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _sym_power_batch(coeffs, ell)
+            want = sym_power_by_convolution(coeffs, ell)
+        assert got.shape == (len(coeffs), 2 * ell + 1)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
+    assert np.flatnonzero(~np.isfinite(got).all(axis=0))[0] - ell == -54
+
+
+def test_sym_power_batch_zero_row_raises():
+    coeffs = _random_kernel_rows(np.random.default_rng(4), 20)
+    coeffs[7] = 0
+    for kernel in (_sym_power_batch, sym_power_by_convolution):
+        with pytest.raises(ValueError, match="degenerate projection"):
+            kernel(coeffs, 16)
+
+
+def test_sym_power_batch_peak_memory():
+    """Three working arrays, the spare two freed before the final copy:
+    the traced peak stays within 3.25 times the result."""
+    coeffs = _random_kernel_rows(np.random.default_rng(9), 8400)
+    assert len(coeffs) >= 8192
+    tracemalloc.start()
+    try:
+        terms = _sym_power_batch(coeffs, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * terms.nbytes
 
 
 # --- positivity oracle -------------------------------------------------------------

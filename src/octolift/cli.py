@@ -35,6 +35,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import sys
 import time
 import traceback
@@ -119,6 +120,26 @@ def _not_an_int(i: int, parts) -> TableError:
     return TableError(f"entries[{i}]: expected an integer, got {bad!r}")
 
 
+# The key parsers take entries[i]'s JSON key and return the table key.
+# json.load gives exact int and list types, so a bool, a float or a tuple is
+# no integer or list here; the diagnostic is built only when the key is
+# rejected.
+
+def _int_key(key, i: int) -> int:
+    if type(key) is int:
+        return key
+    raise _not_an_int(i, (key,))
+
+
+def _triple_key(key, i: int) -> GramTriple:
+    if type(key) is not list or len(key) != 3:
+        raise TableError(f"entries[{i}]: expected a triple [a, b, c]")
+    a, b, c = key
+    if type(a) is int and type(b) is int and type(c) is int:
+        return GramTriple(a, b, c)
+    raise _not_an_int(i, key)
+
+
 def _parse_mat2(x, i: int):
     if type(x) is list and len(x) == 2:
         r, s = x
@@ -132,65 +153,92 @@ def _parse_mat2(x, i: int):
                      f"got {x!r}")
 
 
-def _parse_key(cls, key, i: int):
-    """The key of a table of class cls for entries[i]'s JSON key.
-    json.load gives exact int and list types, so a bool, a float or a tuple
-    is no integer or list here; the diagnostic is built only when the key
-    is rejected."""
-    if cls is HalfIntegralTable:
-        if type(key) is int:
-            return key
-        raise _not_an_int(i, (key,))
-    if cls is SiegelTable:
-        if type(key) is not list or len(key) != 3:
-            raise TableError(f"entries[{i}]: expected a triple [a, b, c]")
-        a, b, c = key
-        if type(a) is int and type(b) is int and type(c) is int:
-            return GramTriple(a, b, c)
-        raise _not_an_int(i, key)
+def _pair_key(key, i: int):
     if type(key) is not list or len(key) != 2:
         raise TableError(f"entries[{i}]: expected a pair of 2x2 matrices")
     return _parse_mat2(key[0], i), _parse_mat2(key[1], i)
 
 
-# Every table key is an int or a nested tuple of ints, so it sorts and
-# json.dumps writes it as the file does.
+# The key writers give a table key's JSON text as json.dumps writes it.
+
+def _triple_text(t: GramTriple) -> str:
+    a, b, c = t
+    return f"[{a}, {b}, {c}]"
+
+
+def _pair_text(lam) -> str:
+    ((a, b), (c, d)), ((e, f), (g, h)) = lam
+    return f"[[[{a}, {b}], [{c}, {d}]], [[{e}, {f}], [{g}, {h}]]]"
+
+
+# Every table key is an int or a nested tuple of ints, so it sorts as the
+# file lists it.  Each kind has a table class, a key parser and a key
+# writer.
 TABLES = {cls.kind: cls
           for cls in (HalfIntegralTable, SiegelTable, QuatTable)}
 KINDS = tuple(TABLES)
+_KEY_PARSERS = {"halfintegral": _int_key, "siegel": _triple_key,
+                "quaternionic": _pair_key}
+_KEY_WRITERS = {"halfintegral": str, "siegel": _triple_text,
+                "quaternionic": _pair_text}
+
+# A value string as the writer writes it: an integer or a fraction of
+# ASCII digits, with an optional minus sign.
+_WRITTEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _parse_ratio(s, where: str) -> Tuple[int, int]:
+    """(n, d) with d > 0 for a value string, not always in lowest terms.
+    The written shape is read by int; any other string, a zero denominator
+    and an integer over Python's digit limit go through _parse_rational,
+    which gives the diagnostic."""
+    if type(s) is str and _WRITTEN.fullmatch(s):
+        n, _, d = s.partition("/")
+        try:
+            n, d = int(n), int(d or 1)
+        except ValueError:   # more digits than Python's limit
+            pass
+        else:
+            if d:
+                return n, d
+    q = _parse_rational(s, where)
+    return q.numerator, q.denominator
 
 
 def parse_table(data):
     """JSON object -> HalfIntegralTable / SiegelTable / QuatTable, in one
-    pass over the entries.  Each distinct value string is parsed once by
-    Fraction."""
+    pass over the entries.  Each distinct value string is parsed once, to
+    a numerator and a denominator."""
     if not isinstance(data, dict):
         raise TableError("table file must be a JSON object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
     cls = TABLES[kind]
+    parse_key = _KEY_PARSERS[kind]
     weight = _parse_int(data.get("weight"), "weight")
     raw = data.get("entries")
     if not isinstance(raw, list):
         raise TableError("entries must be a list")
-    rationals: Dict[str, Fraction] = {}
+    ratios: Dict[str, Tuple[int, int]] = {}
 
-    def rational(s, i: int) -> Fraction:
-        q = rationals.get(s) if type(s) is str else None
-        if q is None:   # _parse_rational rejects a value that is no string
-            q = rationals[s] = _parse_rational(s, f"entries[{i}]")
-        return q
+    def ratio(s, i: int) -> Tuple[int, int]:
+        r = ratios.get(s) if type(s) is str else None
+        if r is None:   # _parse_ratio rejects a value that is no string
+            r = ratios[s] = _parse_ratio(s, f"entries[{i}]")
+        return r
 
     entries = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "key" not in entry:
             raise TableError(f"entries[{i}]: each entry needs a 'key'")
-        key = _parse_key(cls, entry["key"], i)
+        key = parse_key(entry["key"], i)
         if key in entries:
             raise TableError(f"entries[{i}]: duplicate key {entry['key']!r}")
-        entries[key] = GaussRational(rational(entry.get("re", "0"), i),
-                                     rational(entry.get("im", "0"), i))
+        a, b = ratio(entry.get("re", "0"), i)
+        c, d = ratio(entry.get("im", "0"), i)
+        # (a/b + i c/d) in lowest terms
+        entries[key] = GaussRational.over(a * d, c * b, b * d)
     try:
         return cls(weight, entries)
     except ValueError as e:
@@ -201,24 +249,6 @@ def _ratio(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, without building the Fraction."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
-def serialize_table(table) -> dict:
-    """Table object -> JSON object; keys are emitted in sorted order so the
-    output is deterministic and parse(serialize(t)) == t."""
-    entries = []
-    try:
-        for key in sorted(table.entries):
-            v = table.entries[key]
-            entries.append({"key": key, "re": _ratio(v.p, v.d),
-                            "im": _ratio(v.q, v.d)})
-    except ValueError:
-        # str() of an integer longer than Python's digit limit
-        raise TableError(f"cannot write the value at key "
-                         f"{json.dumps(key)}: it has more than "
-                         f"{sys.get_int_max_str_digits()} digits, Python's "
-                         f"limit for integer-to-string conversion")
-    return {"kind": table.kind, "weight": table.weight, "entries": entries}
 
 
 def load_table(path: str):
@@ -238,13 +268,27 @@ def load_table(path: str):
 
 def write_table(table, path: str) -> None:
     """One JSON object: the kind and weight on the first line, then one
-    entry per line.  Each line goes through json.dumps, whose C encoder an
-    indent would switch off."""
-    data = serialize_table(table)
+    entry per line, {"key": <key>, "re": "p/q", "im": "p/q"} with the keys
+    in sorted order, so the file is deterministic and loads back as the
+    table.  Each line is built from the key's and the value's integers,
+    as json.dumps would write it: a value string needs no escaping."""
+    key_text = _KEY_WRITERS[table.kind]
+    lines = []
+    try:
+        for key, v in sorted(table.entries.items()):
+            lines.append(f'\n{{"key": {key_text(key)}, '
+                         f'"re": "{_ratio(v.p, v.d)}", '
+                         f'"im": "{_ratio(v.q, v.d)}"}}')
+    except ValueError:
+        # str() of an integer longer than Python's digit limit
+        raise TableError(f"cannot write the value at key "
+                         f"{json.dumps(key)}: it has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's "
+                         f"limit for integer-to-string conversion")
     with open(path, "w") as f:
-        f.write(f'{{"kind": {json.dumps(data["kind"])}, '
-                f'"weight": {json.dumps(data["weight"])}, "entries": [')
-        f.write(",".join("\n" + json.dumps(e) for e in data["entries"]))
+        f.write(f'{{"kind": {json.dumps(table.kind)}, '
+                f'"weight": {json.dumps(table.weight)}, "entries": [')
+        f.write(",".join(lines))
         f.write("\n]}\n")
 
 

@@ -30,7 +30,9 @@ sigma_1, and the divisibility test), where the package makes one.
 
 For the table files: the per-entry parser, each key through isinstance
 checks and each value string parsed again wherever it occurs, as the
-one-pass loader's reference.
+one-pass loader's reference; and the JSON object a written table file
+holds, each entry built as a dict with json.dumps's key and Fraction's
+value strings, as the line writer's reference.
 
 For the numeric layer: 2x2 matrices as vectors of the (2,2) block (det
 becomes the quadratic form); the Whittaker integral by scipy's quad_vec
@@ -42,6 +44,7 @@ key packing and the symmetric-power step with q_poincare's fold split.
 Also two exact helpers that no command uses: an alternating binomial sum
 and the index-1 Jacobi form's coefficients."""
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -788,6 +791,16 @@ def parse_table_by_entry(data):
         return QuatTable(weight, entries)
     except ValueError as e:
         raise TableError(f"invalid table: {e}")
+
+
+def serialize_table(table) -> dict:
+    """The JSON object of table's file, as json.load reads it: the keys
+    in sorted order, each as a JSON list, and each value part as
+    str(Fraction)."""
+    entries = [{"key": json.loads(json.dumps(key)), "re": str(v.re),
+                "im": str(v.im)}
+               for key, v in sorted(table.entries.items())]
+    return {"kind": table.kind, "weight": table.weight, "entries": entries}
 
 
 # --- the numeric layer -------------------------------------------------------

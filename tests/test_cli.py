@@ -11,6 +11,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +54,13 @@ def test_cli_import_loads_no_scipy():
 def test_round_trip_all_kinds():
     for kind in cli.KINDS:
         t = cli.synth_table(kind, seed=11, bound=24, weight=4)
-        data = json.loads(json.dumps(cli.serialize_table(t)))
-        assert cli.parse_table(data) == t
+        assert cli.parse_table(oracles.serialize_table(t)) == t
 
 
 def test_synth_deterministic():
-    a = cli.serialize_table(cli.synth_table("siegel", 5, 40, 4))
-    b = cli.serialize_table(cli.synth_table("siegel", 5, 40, 4))
-    c = cli.serialize_table(cli.synth_table("siegel", 6, 40, 4))
+    a = oracles.serialize_table(cli.synth_table("siegel", 5, 40, 4))
+    b = oracles.serialize_table(cli.synth_table("siegel", 5, 40, 4))
+    c = oracles.serialize_table(cli.synth_table("siegel", 6, 40, 4))
     assert a == b
     assert a != c
 
@@ -157,7 +157,7 @@ def test_huge_exponent_exits_2_at_once(tmp_path, capsys, value):
 
 def test_rationals_survive_exactly():
     t = HalfIntegralTable(8, {3: GaussRational.make("22/7", "-1/3")})
-    assert cli.parse_table(cli.serialize_table(t)) == t
+    assert cli.parse_table(oracles.serialize_table(t)) == t
 
 
 @pytest.mark.parametrize("empty", [False, True])
@@ -171,14 +171,45 @@ def test_write_table_round_trips(tmp_path, kind, empty):
     assert cli.load_table(str(path)) == table
     with open(path) as f:
         data = json.load(f)
-    # the table's keys are tuples, which JSON writes as lists
-    assert data == json.loads(json.dumps(cli.serialize_table(table)))
+    assert data == oracles.serialize_table(table)
     assert list(data) == ["kind", "weight", "entries"]
     # the kind and weight, one line per entry, the closing brackets
     lines = path.read_text().splitlines()
     assert len(lines) == len(table.entries) + 2
     for line, entry in zip(lines[1:-1], data["entries"]):
         assert json.loads(line.rstrip(",")) == entry
+
+
+# Values with a zero part, a negative part, a denominator above 1 in one
+# part only, and integers of about 4,000 digits (Python writes and reads up
+# to 4,300).
+_EDGE_VALUES = [GaussRational.make(0), GaussRational.make(0, "-3/7"),
+                GaussRational.make("5/2", 0), GaussRational.make(-4, "1/9"),
+                GaussRational.make("22/7", 3),
+                GaussRational.make("-22/7", "-1"),
+                GaussRational.make(Fraction(10 ** 3999 + 7, 3),
+                                   -10 ** 3998 - 1),
+                GaussRational.make(1, Fraction(-1, 10 ** 3999 + 9))]
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_written_lines_match_the_dict_reference(tmp_path, kind):
+    """The file of a synth table whose first values are replaced by the
+    edge values holds the reference's JSON object, one entry per line, and
+    loads back as the table."""
+    table = cli.synth_table(kind, seed=3, bound=40, weight=6)
+    keys = sorted(table.entries)
+    assert len(keys) > len(_EDGE_VALUES)
+    table = type(table)(6, {**table.entries, **dict(zip(keys, _EDGE_VALUES))})
+    path = tmp_path / "t.json"
+    cli.write_table(table, str(path))
+    want = oracles.serialize_table(table)
+    assert json.loads(path.read_text()) == want
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(keys) + 2
+    for line, entry in zip(lines[1:-1], want["entries"]):
+        assert json.loads(line.rstrip(",")) == entry
+    assert cli.load_table(str(path)) == table
 
 
 _PINNED_SHA256 = {
@@ -862,7 +893,7 @@ def test_negative_counts_and_bounds_are_usage_errors(capsys, argv, message):
 # --- fuzzing the table commands ---------------------------------------------------
 
 # Every kind of table file, as synth writes it, before any damage
-_TABLES = {kind: cli.serialize_table(cli.synth_table(kind, 5, bound, 4))
+_TABLES = {kind: oracles.serialize_table(cli.synth_table(kind, 5, bound, 4))
            for kind, bound in (("halfintegral", 40), ("siegel", 80),
                                ("quaternionic", 6))}
 # Keys that no kind accepts: malformed, or outside every kind's support
@@ -919,10 +950,13 @@ def test_table_command_fuzz_exit_codes(tmp_path_factory, table, command,
 
 
 # The damages of _table_docs, plus: value strings that Fraction accepts or
-# rejects, keys whose leaves are bools, floats, strings or nested lists, keys
-# outside a kind's support, and duplicate keys.
+# rejects (among them the written shape not in lowest terms, a zero
+# denominator, Arabic-Indic digits, a superscript digit and a denominator
+# past Python's digit limit), keys whose leaves are bools, floats, strings
+# or nested lists, keys outside a kind's support, and duplicate keys.
 _VALUES = ["2/4", "+1", " 3 ", "1e3", "1_0", "1/0", "-0", "1.5", "1/-2",
-           "1e10000000", *_BAD_RATIONALS]
+           "1e10000000", "-6/4", "0/5", "007", "0/0", "\u0661/\u0662",
+           "\u00b2", "1/" + "7" * 4301, *_BAD_RATIONALS]
 _KEY_LEAVES = [True, False, 1.0, 2.5, [1], [[1, 2]], [], "1", None, -1, 0,
                1, 7]
 
@@ -986,6 +1020,16 @@ def _assert_parsed_as_the_oracle_does(doc):
 @given(doc=_parser_docs())
 def test_parse_table_matches_the_per_entry_oracle(doc):
     _assert_parsed_as_the_oracle_does(doc)
+
+
+def test_every_value_string_matches_the_oracle():
+    """Each of _VALUES as the real and as the imaginary part of the first
+    entry of each kind: the written shape is read by int, every other
+    string by Fraction, and both give the oracle's value or diagnostic."""
+    for value, doc, part in product(_VALUES, _TABLES.values(), ("re", "im")):
+        entry = {**doc["entries"][0], part: value}
+        _assert_parsed_as_the_oracle_does(
+            {**doc, "entries": [entry, *doc["entries"][1:]]})
 
 
 @pytest.mark.parametrize("kind", cli.KINDS)

@@ -58,9 +58,9 @@ def _lazy(name: str):
     executed at its first attribute access; or the module already
     registered under that name, so that every caller shares one copy.
     The table commands never touch the lazy modules, so a process that
-    runs only them loads neither numpy nor scipy.  An import of the module
-    elsewhere (`from octolift import m`, `import octolift.m`) loads it at
-    once, as it would without this (see octolift.__getattr__)."""
+    runs only them loads no numpy.  An import of the module elsewhere
+    (`from octolift import m`, `import octolift.m`) loads it at once, as
+    it would without this (see octolift.__getattr__)."""
     name = importlib.util.resolve_name(name, __package__)
     module = sys.modules.get(name)
     if module is None:

@@ -1,7 +1,8 @@
 """Numeric kernels for the degenerate Whittaker expansion on SO(4,4).
 
 Exact structure constants live in quadspace/triality; this module is the
-floating-point layer: rows K_0..K_n of K-Bessel functions, the beta
+floating-point layer, on numpy alone: rows K_0..K_n of K-Bessel functions
+(K_0 and K_1 by a trapezoid rule, the rest by recurrence), the beta
 functions attached to ordered pairs of vectors in the signature (2,2)
 block, the vector-valued Whittaker values, the Fourier-Jacobi archimedean
 integral with its closed form, the Poincare summand built from
@@ -17,17 +18,14 @@ the middle slice of the eight-dimensional coordinates used in quadspace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial, isqrt, pi, prod, sqrt
+from math import asinh, comb, exp, factorial, isqrt, pi, prod, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import k0e, k1e
 
 from .coset import GramTriple, IndexPair, gram as coset_gram
 from . import quadspace
-from .scalar import GaussRational
 
 # --- the signature (2,2) block ----------------------------------------------
 
@@ -38,25 +36,79 @@ Y0 = np.array([1.0, 0.0, 0.0, 1.0])   # b3 + b-3
 Y1 = np.array([0.0, 1.0, 1.0, 0.0])   # b4 + b-4
 V1 = Y0 / sqrt(2.0)
 V2 = Y1 / sqrt(2.0)
+_V12 = V1 + 1j * V2
 
 
 def pairing22(u, w) -> complex:
-    return complex(np.asarray(u) @ J4 @ np.asarray(w))
+    # u J4 is u reversed
+    return complex(np.asarray(u)[::-1] @ np.asarray(w))
 
 
 # --- K-Bessel ----------------------------------------------------------------
 
+# Below this, sinh^2(t/2) overflows at the last nodes of _k01_scaled.
+_BESSEL_X_MIN = 1e-300
+# k/2 for the nodes k of _k01_scaled, one row each, down to _BESSEL_X_MIN
+_HALF_K = 0.5 * np.arange(
+    2.0 + int(10.0 * asinh(sqrt(20.0 / _BESSEL_X_MIN))))[:, None]
+
+
+def _k01_scaled(x: np.ndarray, xmin: float
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Trapezoid sums for K_0(x) e^x and K_1(x) e^x on a 1-d array x of
+    finite entries >= _BESSEL_X_MIN, xmin the smallest: ([s0, s1], h) with
+    K_0(x) e^x = h s0 and K_1(x) e^x = h (2 s1 + s0).  By
+
+        K_nu(x) e^x = int_0^oo exp(-x (cosh t - 1)) cosh(nu t) dt,
+
+    cosh t - 1 = 2 sinh^2(t/2), and the rule converges geometrically on
+    this integrand.  The step is h = min(0.2, 0.6/sqrt(x)) and the nodes
+    t = k h stop where x (cosh t - 1) passes 40, at k = t_max / h with
+    t_max = 2 asinh(sqrt(20/x)): below 15 when h = 0.6/sqrt(x) (x >= 9),
+    10 asinh(sqrt(20/x)) when h = 0.2 (37 at x = 0.05, 114 at x = 1e-8).
+
+    Every entry gets the nodes of xmin, with its terms past its own cut
+    set to 0, so an entry's sums depend on that entry alone: exp and sinh
+    run on contiguous (nodes, entries) arrays, as for a single entry, and
+    the node sum is numpy's reduction over the leading axis of a (nodes,
+    2 entries) array, which adds the rows in order for every column."""
+    m = len(x)
+    h = np.minimum(0.2, 0.6 / np.sqrt(x))
+    nodes = 2 + int(max(15.0, 10.0 * asinh(sqrt(20.0 / xmin))))
+    s2 = _HALF_K[:nodes] * h
+    np.sinh(s2, out=s2)
+    s2 *= s2                           # sinh^2(t/2), one row per node
+    g = s2 * (-2.0 * x)                # -x (cosh t - 1)
+    keep = g >= -40.0                  # the nodes before the entry's cut
+    np.exp(g, out=g)
+    terms = np.empty((nodes, 2 * m))   # the summands of s0, then of s1
+    np.multiply(g, keep, out=terms[:, :m])
+    terms[0, :m] = 0.5                 # the endpoint t = 0 has weight h/2
+    np.multiply(terms[:, :m], s2, out=terms[:, m:])
+    return np.add.reduce(terms, axis=0).reshape(2, m), h
+
+
 def bessel_k_row(nmax: int, x) -> np.ndarray:
-    """[K_0(x), ..., K_nmax(x)]: library seeds K_0, K_1 and the upward
-    recurrence K_{n+1} = K_{n-1} + (2n/x) K_n (stable in this direction).
-    For an array x, row n is K_n on every entry of x."""
+    """[K_0(x), ..., K_nmax(x)]: K_0 and K_1 from the trapezoid sums of
+    _k01_scaled, then the upward recurrence K_{n+1} = K_{n-1} + (2n/x) K_n
+    (stable in this direction).  For an array x, row n is K_n on every
+    entry of x, and an entry's column is bit for bit the row of that
+    entry alone.  x must be finite and at least _BESSEL_X_MIN (1e-300)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k_row requires x > 0")
-    row = [k0e(x) * np.exp(-x), k1e(x) * np.exp(-x)]
+    flat = x.reshape(-1)
+    xmin = flat.min() if len(flat) else np.inf
+    if not xmin >= _BESSEL_X_MIN:
+        raise ValueError(f"bessel_k_row requires x >= {_BESSEL_X_MIN:g}")
+    sums, h = _k01_scaled(flat, float(xmin))
+    rows = np.empty((max(nmax, 1) + 1, len(flat)))
+    row = list(rows)
+    np.multiply(sums, h * np.exp(-flat), out=rows[:2])
+    row[1] *= 2.0
+    row[1] += row[0]
     for n in range(1, nmax):
-        row.append(row[n - 1] + (2.0 * n / x) * row[n])
-    return np.stack(row[:nmax + 1])
+        np.multiply(2.0 * n / flat, row[n], out=row[n + 1])
+        np.add(row[n + 1], row[n - 1], out=row[n + 1])
+    return rows[:nmax + 1].reshape((nmax + 1,) + x.shape)
 
 
 # --- Levi points and beta ----------------------------------------------------
@@ -73,9 +125,10 @@ class LeviPoint:
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "h", h)
-        if m.shape != (2, 2) or np.linalg.det(m) <= 0:
+        if m.shape != (2, 2) or m[0, 0] * m[1, 1] <= m[0, 1] * m[1, 0]:
             raise ValueError("m must be 2x2 with positive determinant")
-        if h.shape != (4, 4) or np.max(np.abs(h.T @ J4 @ h - J4)) > 1e-12:
+        # J4 h is h with its rows reversed
+        if h.shape != (4, 4) or np.max(np.abs(h.T @ h[::-1] - J4)) > 1e-12:
             raise ValueError("h must preserve the (2,2) form")
 
     @staticmethod
@@ -84,8 +137,9 @@ class LeviPoint:
 
 
 def _h_inverse(h: np.ndarray) -> np.ndarray:
-    # h^{-1} = J h^t J for the antidiagonal form
-    return J4 @ h.T @ J4
+    # h^{-1} = J h^t J for the antidiagonal form: h^t with its rows and
+    # columns reversed
+    return h.T[::-1, ::-1]
 
 
 def beta_fn(T1, T2, r: LeviPoint) -> complex:
@@ -100,8 +154,7 @@ def beta_fn(T1, T2, r: LeviPoint) -> complex:
     m = r.m
     tp1 = m[0][0] * s1 + m[1][0] * s2
     tp2 = m[0][1] * s1 + m[1][1] * s2
-    target = (V1 + 1j * V2).astype(complex)
-    val = pairing22(tp1, target) + 1j * pairing22(tp2, target)
+    val = pairing22(tp1, _V12) + 1j * pairing22(tp2, _V12)
     return sqrt(2.0) * 1j * val
 
 
@@ -180,19 +233,20 @@ def _s_v_poly(v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(re), tuple(im)
 
 
-def _s_v_exact(v: int, X: Fraction) -> GaussRational:
-    """S_v(X) / (pi e^{-X}) at rational X > 0, exactly: the polynomial of
-    _s_v_poly evaluated at X = p/q by Horner's rule in integers."""
+def _s_v_horner(v: int, p: int, q: int) -> Tuple[int, int, int]:
+    """S_v(X) / (pi e^{-X}) at X = p/q > 0 as integers (re, im, den), not
+    in lowest terms: the polynomial of _s_v_poly by Horner's rule,
+
+        sum_m coeff[m] (q/p)^m / 2^top
+            = (sum_m coeff[m] q^m p^(M-m)) / (2^top p^M),   M = top - 1."""
     re, im = _s_v_poly(v)
     top = len(re)
-    # sum_m coeff[m] (q/p)^m = (sum_m coeff[m] q^m p^{M-m}) / p^M
-    p, q = X.numerator, X.denominator
     num_re, num_im, pw = re[-1], im[-1], 1
     for m in range(top - 2, -1, -1):
         pw *= p
         num_re = num_re * q + re[m] * pw
         num_im = num_im * q + im[m] * pw
-    return GaussRational.over(num_re, num_im, pw << top)
+    return num_re, num_im, pw << top
 
 
 def s_v_sum(v: int, X: float) -> complex:
@@ -200,10 +254,13 @@ def s_v_sum(v: int, X: float) -> complex:
 
     The individual terms grow like (2/X)^{|v|} while the total stays O(1),
     so the sum is carried out exactly at the float's rational value of X
-    (_s_v_exact), and only the common factor pi e^{-X} is a float."""
+    (_s_v_horner), and only the common factor pi e^{-X} is a float.  Each
+    part is one int / int, which rounds correctly, so it equals the float
+    of the reduced fraction."""
     if X <= 0:
         raise ValueError("s_v_sum requires X > 0")
-    return pi * exp(-X) * complex(_s_v_exact(v, Fraction(X)))
+    num_re, num_im, den = _s_v_horner(v, *X.as_integer_ratio())
+    return pi * exp(-X) * complex(num_re / den, num_im / den)
 
 
 # --- the Fourier-Jacobi archimedean integral ---------------------------------
@@ -637,7 +694,11 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
     s1_end = np.searchsorted(s1_pattern, np.arange(len(A.patterns) + 1))
     # blocks of whole patterns, each of about _FOLD_BLOCK fold pairs
     step = max(1, _FOLD_BLOCK // max(1, len(C.folds)))
-    cuts = np.unique(np.searchsorted(s1_end, np.arange(0, len(s1), step)))
+    starts = np.searchsorted(s1_end, np.arange(0, len(s1), step))
+    # starts is sorted, so its distinct entries are where it steps
+    # (np.unique's first call would import numpy.ma, which nothing here
+    # uses)
+    cuts = starts[np.diff(starts, prepend=-1) != 0]
     keys = [np.zeros(0, dtype=np.int64)]
     counts = [np.zeros((0, radius), dtype=np.int64)]
     for lo, hi in zip(cuts, np.append(cuts[1:], len(A.patterns))):

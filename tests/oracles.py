@@ -41,8 +41,10 @@ summand of one pair; the symmetric powers as an out-of-place
 convolution, the reference of the in-place kernel; and the Poincare sum
 by testing every pair of vectors from the (2r+1)^8 box, sharing only the
 key packing and the symmetric-power step with q_poincare's fold split.
-Also two exact helpers that no command uses: an alternating binomial sum
-and the index-1 Jacobi form's coefficients."""
+Also three exact helpers that no command uses: the S_v sum as a reduced
+Gaussian rational (s_v_sum takes the float of each part straight from
+the unreduced integers), an alternating binomial sum and the index-1
+Jacobi form's coefficients."""
 
 import json
 from dataclasses import dataclass
@@ -68,8 +70,8 @@ from octolift.triality import (_CONJ_PERM, GEElement, _coords, _fields,
                                _perm_tuple)
 from octolift import triality
 from octolift.whittaker import (LeviPoint, PoincareSum, Y0, _PRK2,
-                                _key_bases, _prk_coeffs, _sym_power_batch,
-                                whittaker_eval)
+                                _key_bases, _prk_coeffs, _s_v_horner,
+                                _sym_power_batch, whittaker_eval)
 
 F0, F1 = Fraction(0), Fraction(1)
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
@@ -921,6 +923,12 @@ def q_poincare_by_pairs(A, B, T: GramTriple, ell: int,
 
 
 # --- exact helpers no command uses -------------------------------------------
+
+def s_v_exact(v: int, X: Fraction) -> GaussRational:
+    """S_v(X) / (pi e^{-X}) at rational X > 0, exactly, in lowest terms:
+    whittaker's Horner integers over their denominator."""
+    return GaussRational.over(*_s_v_horner(v, X.numerator, X.denominator))
+
 
 def alternating_binomial_sum(poly, m: int) -> Fraction:
     """sum_{k=0}^m (-1)^k C(m,k) F(k) for F given by coefficients

@@ -24,12 +24,12 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 archimedean_integral_check, bessel_k_row,
                                 beta_fn, boost_u, pairing22,
                                 positivity_oracle, q_poincare, s_v_sum,
-                                whittaker_eval, _plane_rotation, _s_v_exact,
+                                whittaker_eval, _plane_rotation,
                                 _sym_power_batch)
 
 from oracles import (alternating_binomial_sum,
                      archimedean_integral_quad_vec, bvv, mat2_to_vec22, pr_K,
-                     q_poincare_by_pairs, sym2_power,
+                     q_poincare_by_pairs, s_v_exact, sym2_power,
                      sym_power_by_convolution, vectors_by_norm)
 
 
@@ -61,6 +61,34 @@ def test_bessel_k_row_on_an_array():
         assert list(rows[:, k]) == list(bessel_k_row(22, x))
     with pytest.raises(ValueError):
         bessel_k_row(3, np.array([1.0, 0.0]))
+
+
+def test_bessel_seeds_against_mpmath_on_the_whole_domain():
+    """K_0 and K_1 from the trapezoid rule within 1e-13 relative of mpmath
+    from x = 1e-8 (114 nodes) to 700; |beta| reaches near 0 as w -> 2."""
+    for x in [1e-8, *np.geomspace(1e-4, 700.0, 200)]:
+        for n, got in enumerate(bessel_k_row(1, x)):
+            want = _besselk_mp(n, x)
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_bessel_k_row_columns_do_not_depend_on_the_array():
+    """Arrays of 1 to 200 entries spread over 1e-8..700, so that most
+    entries get more nodes than their own cut needs; each column is the
+    row of its entry alone, bit for bit, and the shape follows x."""
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 8, 15, 120, 200):
+        xs = np.exp(rng.uniform(np.log(1e-8), np.log(700.0), size))
+        rows = bessel_k_row(6, xs)
+        for k, x in enumerate(xs):
+            assert rows[:, k].tobytes() == bessel_k_row(6, x).tobytes()
+    assert bessel_k_row(4, np.ones((2, 3))).shape == (5, 2, 3)
+    assert bessel_k_row(4, np.ones(0)).shape == (5, 0)
+    with np.errstate(over="ignore"):
+        assert bessel_k_row(2, 1e-300)[2] == np.inf
+    for bad in (0.0, -1.0, 1e-301, np.nan):
+        with pytest.raises(ValueError, match="x >= 1e-300"):
+            bessel_k_row(1, np.array([1.0, bad]))
 
 
 # --- beta and Whittaker values ----------------------------------------------------
@@ -154,6 +182,29 @@ def test_s_v_sum_against_extended_precision_random(v, X):
     assert abs(s_v_sum(v, X) - want) <= 1e-13 * abs(want)
 
 
+def test_s_v_sum_is_the_float_of_the_exact_sum():
+    """s_v_sum takes each part's float from the unreduced Horner integers;
+    it equals exactly the float of the reduced Gaussian rational."""
+    def exact(v, X):
+        return pi * exp(-X) * complex(s_v_exact(v, Fraction(X)))
+
+    for v in range(-22, 23):
+        for X in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+            assert s_v_sum(v, X) == exact(v, X)
+
+
+@given(st.integers(-22, 22),
+       st.floats(min_value=5e-324, allow_infinity=False))
+def test_s_v_sum_is_the_float_of_the_exact_sum_random(v, X):
+    try:
+        want = pi * exp(-X) * complex(s_v_exact(v, Fraction(X)))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            s_v_sum(v, X)
+        return
+    assert s_v_sum(v, X) == want
+
+
 def test_s_v_exact_part_is_i_to_the_v_over_2():
     half = Fraction(1, 2)
     units = tuple(GaussRational.make(re, im) for re, im in
@@ -161,7 +212,7 @@ def test_s_v_exact_part_is_i_to_the_v_over_2():
     for X in (Fraction(1, 10), Fraction(1, 3), Fraction(22, 7), Fraction(5),
               Fraction(123, 4)):
         for v in range(-30, 31):
-            assert _s_v_exact(v, X) == units[v % 4]
+            assert s_v_exact(v, X) == units[v % 4]
 
 
 def test_alternating_binomial_sum():

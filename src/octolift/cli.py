@@ -484,7 +484,8 @@ def cmd_fj(args):
         raise TableError("fj needs a quaternionic input table")
     entries = {}
     for lam in phi.entries:
-        t = gram(lam)
+        # a key (((a, 0), (b, 1)), ((0, -1), (c, 0))) is fj_pair((a, b, c))
+        t = GramTriple(lam[0][0][0], lam[0][1][0], lam[1][1][0])
         if lam == fj_pair(t):
             entries[reduce_gram(t)] = phi.a(lam).conj()
     if not entries:
@@ -544,32 +545,6 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _random_isometry(lat, rng: random.Random):
-    """A pseudo-random element of SO(L)(Z): a short product of Levi, Siegel,
-    opposite and swap generators with small entries."""
-    n = lat.n
-    g = orbits.LatticeIsometry.identity(lat)
-    for _ in range(6):
-        kind = rng.randrange(4)
-        if kind == 0:
-            A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            i, j = rng.sample(range(n), 2)
-            A[i][j] = rng.randint(-2, 2)
-            g = orbits.levi_isometry(lat, A).compose(g)
-        elif kind == 3:
-            i, j = rng.sample(range(1, n + 1), 2)
-            g = orbits.swap_isometry(lat, i, j).compose(g)
-        else:
-            B = [[0] * n for _ in range(n)]
-            i, j = rng.sample(range(n), 2)
-            k = rng.randint(-2, 2)
-            B[i][j], B[j][i] = k, -k
-            make = (orbits.siegel_unipotent if kind == 1
-                    else orbits.opposite_unipotent)
-            g = make(lat, B).compose(g)
-    return g
-
-
 def cmd_reduce(args):
     rng = random.Random(args.seed)
     lat = orbits.SplitLattice(4)
@@ -584,7 +559,7 @@ def cmd_reduce(args):
         T1 = tuple(a * p + q for p, q in zip(bv(1), bv(-1)))
         T2 = tuple(b * p + c * q + s
                    for p, q, s in zip(bv(1), bv(2), bv(-2)))
-        g = _random_isometry(lat, rng)
+        g = orbits.random_isometry(lat, rng)
         w1, w2 = g.apply(T1), g.apply(T2)
         h, t = orbits.reduce_pair(w1, w2)
         if t != GramTriple(a, b, c):

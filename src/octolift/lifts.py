@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import ClassVar, Dict, Iterable, List, Optional
+from typing import ClassVar, Dict, Iterable, List
 
 from .coset import (GramTriple, IndexPair, breve, divisor_grams, divisors,
                     gram, hnf_right_cosets, is_strongly_primitive,
@@ -170,46 +170,12 @@ def classical_maass_check(F: SiegelTable) -> Report:
 
 # --- the quaternionic theta* lift ---------------------------------------------
 
-def theta_star(F: SiegelTable, lam: IndexPair,
-               grams: Optional[list] = None) -> GaussRational:
-    """a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
-    |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1
-    (divisor_grams gives each S(mu) without building mu; grams, when
-    given, is divisor_grams(lam))."""
-    if not gram(lam).is_positive_definite():
-        raise ValueError("theta_star needs positive definite gram(lambda)")
-    ell = F.weight
-    if grams is None:
-        grams = divisor_grams(lam)
-    return weighted_sum((n ** (ell - 1), F.a(t)) for n, t in grams).conj()
-
-
-def _closure_keys(pairs: Iterable[IndexPair], grams: dict):
-    """The given pairs together with breve(gram(mu)) for every divisor
-    reduction mu of each pair (what membership checks will look up).
-    grams maps a pair to its divisor_grams; a pair missing from it is
-    added."""
-    keys = set()
-    for lam in pairs:
-        keys.add(lam)
-        if lam not in grams:
-            grams[lam] = divisor_grams(lam)
-        for _n, t in grams[lam]:
-            keys.add(breve(t))
-    return keys
-
-
-def spezialschar_keys(detbound: int,
-                      extra_pairs: Iterable[IndexPair] = (),
-                      grams: Optional[dict] = None) -> List[IndexPair]:
-    """The standard key family for a theta* coefficient table: for every
-    reduced positive definite t with det [[a,b/2],[b/2,c]] <= detbound
-    (i.e. disc <= 4*detbound), the canonical strongly primitive pairs
-    breve(t) and ([[a,0],[b,1]], [[0,-1],[c,0]]), together with the
-    imprimitive multiples d*breve(t0) that stay within the bound, any extra
-    pairs requested, and the breve-closure needed by membership checks.
-    A dict passed as grams receives the divisor_grams of every pair the
-    closure expands, keyed by pair, for theta_star_table to reuse."""
+def _base_pairs(detbound: int,
+                extra_pairs: Iterable[IndexPair]) -> List[IndexPair]:
+    """For every reduced positive definite t with det [[a,b/2],[b/2,c]] <=
+    detbound (i.e. disc <= 4*detbound): the canonical strongly primitive
+    pairs breve(t) and fj_pair(t), and the imprimitive multiples d*breve(t)
+    that stay within the bound; then the extra pairs."""
     discbound = 4 * detbound
     base = []
     for t in reduced_triples(discbound):
@@ -220,7 +186,36 @@ def spezialschar_keys(detbound: int,
             base.append((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])))
             d += 1
     base.extend(extra_pairs)
-    return sorted(_closure_keys(base, {} if grams is None else grams))
+    return base
+
+
+def _family(base: Iterable[IndexPair]):
+    """Yield each key of the family once, with its divisor grams: the base
+    pairs, with divisor_grams(lambda), and for each divisor gram t of one
+    the breve-closure key breve(t) (what membership checks will look up),
+    strongly primitive, so ((1, t),) are its divisor grams."""
+    seen = set()
+    for lam in base:
+        if lam in seen:
+            continue
+        seen.add(lam)
+        grams = divisor_grams(lam)
+        yield lam, grams
+        for _n, t in grams:
+            key = breve(t)
+            if key not in seen:
+                seen.add(key)
+                yield key, ((1, t),)
+
+
+def spezialschar_keys(detbound: int,
+                      extra_pairs: Iterable[IndexPair] = ()
+                      ) -> List[IndexPair]:
+    """The standard key family for a theta* coefficient table, sorted: the
+    base pairs of _base_pairs(detbound, extra_pairs) and their
+    breve-closure."""
+    return sorted(lam for lam, _grams in
+                  _family(_base_pairs(detbound, extra_pairs)))
 
 
 def require_disc(F: SiegelTable, need: int) -> None:
@@ -235,17 +230,21 @@ def require_disc(F: SiegelTable, need: int) -> None:
 
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
-    """Tabulate theta_star over spezialschar_keys(detbound, extra_pairs).
-    A key lambda reads a_F at discriminants up to disc S(lambda) (each
-    divisor coset's S(mu) has disc S(lambda) / |det r|^2), so a table that
-    stops below the largest key's fails here, before any sum."""
-    grams = {}
-    keys = spezialschar_keys(detbound, extra_pairs, grams)
-    require_disc(F, max((gram(lam).disc() for lam in keys), default=0))
-    entries = {}
-    for lam in keys:
-        entries[lam] = theta_star(F, lam, grams.get(lam))
-    return QuatTable(F.weight, entries)
+    """Tabulate theta* over spezialschar_keys(detbound, extra_pairs):
+    a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
+    |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1
+    comes from the key's divisor grams.  A key reads a_F at discriminants
+    up to disc S(lambda) (each S(mu) has disc S(lambda) / |det r|^2, and
+    a closure key's disc is one of those), so a table that stops below the
+    largest base pair's fails here, before any sum.  A pair whose stack has
+    rank below 2 raises ValueError (its divisor cosets are infinite), and
+    so does one whose gram is not positive definite."""
+    ell = F.weight
+    base = _base_pairs(detbound, extra_pairs)
+    require_disc(F, max((gram(lam).disc() for lam in base), default=0))
+    return QuatTable(ell, dict(sorted(
+        (lam, weighted_sum((n ** (ell - 1), F.a(t)) for n, t in grams).conj())
+        for lam, grams in _family(base))))
 
 
 # --- Maass Spezialschar membership --------------------------------------------

@@ -22,7 +22,8 @@ Where each guarantee is checked:
   the g block of R needs no check.  The factor constructors
   (levi_isometry, siegel_unipotent, opposite_unipotent, swap_isometry)
   apply primitives to the identity and check only their parameters: A
-  unimodular, B and C skew, two distinct swap indices.
+  unimodular, B and C skew, two distinct swap indices.  random_isometry
+  applies the same factors as primitives to one running matrix.
 - reduce_pair, the one public reduction, checks on every call that g sends
   the input to its target and, once on the final matrix, that g^t J g = J
   and det g = +1.  Its sub-reductions (_reduce_primitive, _reduce_plane)
@@ -360,6 +361,29 @@ def swap_isometry(lattice: SplitLattice, i: int, j: int) -> LatticeIsometry:
         raise ValueError("need two distinct indices to keep det = +1")
     R = _augment(lattice.rank, ())
     _swap(R, i - 1, j - 1)
+    return _isometry(lattice, R)
+
+
+def random_isometry(lattice: SplitLattice, rng) -> LatticeIsometry:
+    """A pseudo-random element of SO(L)(Z) from rng (a random.Random): six
+    random factors with small entries, each a Levi transvection x_i += k x_j,
+    a Siegel or opposite root of the skew matrix with entries k, -k at (i,
+    j), (j, i), or a swap, applied as primitives to one running matrix."""
+    n, r = lattice.n, lattice.rank
+    R = _augment(r, ())
+    for _ in range(6):
+        kind = rng.randrange(4)
+        i, j = rng.sample(range(n), 2)
+        if kind == 3:
+            _swap(R, i, j)
+            continue
+        k = rng.randint(-2, 2)
+        if kind == 0:
+            _add(R, i, j, k)            # Levi
+        elif kind == 1:
+            _add(R, i, r - 1 - j, k)    # Siegel
+        else:
+            _add(R, r - 1 - i, j, k)    # opposite
     return _isometry(lattice, R)
 
 

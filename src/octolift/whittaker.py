@@ -265,30 +265,12 @@ def s_v_sum(v: int, X: float) -> complex:
 
 # --- the Fourier-Jacobi archimedean integral ---------------------------------
 
-def _plane_rotation(p1: np.ndarray, p2: np.ndarray, theta: float,
-                    J: np.ndarray) -> np.ndarray:
-    """Rotation (both vectors of norm +1 or both -1) or boost (mixed norms)
-    by theta in the plane of the J-orthonormal pair (p1, p2)."""
-    n1 = float(p1 @ J @ p1)
-    n2 = float(p2 @ J @ p2)
-    dim = len(p1)
-    if n1 == n2:
-        c, s = np.cos(theta), np.sin(theta)
-        return (np.eye(dim)
-                + n1 * (c - 1) * (np.outer(p1, J @ p1) + np.outer(p2, J @ p2))
-                + n1 * s * (np.outer(p2, J @ p1) - np.outer(p1, J @ p2)))
-    c, s = np.cosh(theta), np.sinh(theta)
-    return (np.eye(dim)
-            + (c - 1) * (np.outer(p1, J @ p1) - np.outer(p2, J @ p2)) * n1
-            + s * (np.outer(p2, J @ p1) - np.outer(p1, J @ p2)) * n1)
-
-
 def boost_u(theta: float) -> np.ndarray:
     """An element of SO(V_{1,2})(R)^0 fixing y0: the hyperbolic rotation by
-    theta in the plane spanned by y1 and the negative vector b4 - b-4."""
-    p = Y1 / sqrt(2.0)
-    n = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)    # (b4 - b-4)/sqrt2
-    return _plane_rotation(p, n, theta, J4)
+    theta in the plane spanned by y1 and the negative vector b4 - b-4.  Its
+    isotropic eigenvectors b4 and b-4 scale by e^theta and e^-theta, so it
+    is diag(1, e^theta, e^-theta, 1)."""
+    return np.diag([1.0, exp(theta), exp(-theta), 1.0])
 
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15; Piessens, de Doncker-

@@ -19,12 +19,17 @@ representatives.
 For the orbit layer: the factor isometries of the split lattice built by
 pushing the unit vectors through an (x, y) action (split_xy and join_xy
 pass between a vector and its x, y parts) and checked by the
-LatticeIsometry constructor, with A^{-t} from the Fraction inverse.
+LatticeIsometry constructor, with A^{-t} from the Fraction inverse; and
+the random isometry as a product of six factor isometries, each composed
+into a dense running product, the reference of the package's one running
+matrix.
 
 For the lifts: the theta* coefficient and the Spezialschar membership
 check summed over divisor_cosets, building every pair mu = lambda.r^{-1}
 and taking its Gram triple, where the package reads S(mu) from
-divisor_grams; and the Dirichlet factorization check as three passes over
+divisor_grams; the theta* key family closed over divisor_cosets, where
+the package gives a closure key its one coset without enumerating; and
+the Dirichlet factorization check as three passes over
 the orbit lambda.g (the series D_phi, the primitive series convolved with
 sigma_1, and the divisibility test), where the package makes one.
 
@@ -35,12 +40,14 @@ holds, each entry built as a dict with json.dumps's key and Fraction's
 value strings, as the line writer's reference.
 
 For the numeric layer: 2x2 matrices as vectors of the (2,2) block (det
-becomes the quadratic form); the Whittaker integral by scipy's quad_vec
-with one whittaker_eval (beta by matrix products) per node; the Poincare
-summand of one pair; the symmetric powers as an out-of-place
-convolution, the reference of the in-place kernel; and the Poincare sum
-by testing every pair of vectors from the (2r+1)^8 box, sharing only the
-key packing and the symmetric-power step with q_poincare's fold split.
+becomes the quadratic form); rotations and boosts in the plane of a
+J-orthonormal pair, the reference of boost_u's closed form; the Whittaker
+integral by scipy's quad_vec with one whittaker_eval (beta by matrix
+products) per node; the Poincare summand of one pair; the symmetric
+powers as an out-of-place convolution, the reference of the in-place
+kernel; and the Poincare sum by testing every pair of vectors from the
+(2r+1)^8 box, sharing only the key packing and the symmetric-power step
+with q_poincare's fold split.
 Also three exact helpers that no command uses: the S_v sum as a reduced
 Gaussian rational (s_v_sum takes the float of each part straight from
 the unreduced integers), an alternating binomial sum and the index-1
@@ -60,9 +67,11 @@ from octolift.coset import (GramTriple, breve, divisor_cosets, divisor_grams,
                             divisors, gram, hnf_right_cosets,
                             is_strongly_primitive, mat2, mat2_det, pair_act)
 from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
-                            SiegelTable, a_prim)
+                            SiegelTable, a_prim, reduced_triples)
 from octolift.octonion import BASIS, to_vector8
-from octolift.orbits import LatticeIsometry
+from octolift.orbits import (LatticeIsometry, levi_isometry,
+                             opposite_unipotent, siegel_unipotent,
+                             swap_isometry)
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
                                 Bivector, GaussRational, _coerce, amax,
                                 biv_coords, fits, int_parts, trace_form)
@@ -562,6 +571,31 @@ def swap_by_action(lattice, i, j):
     return from_xy_action(lattice, act)
 
 
+def random_isometry_by_compose(lattice, rng):
+    """orbits.random_isometry drawn the same way from rng, each of its six
+    factors built as a LatticeIsometry and composed into the product."""
+    n = lattice.n
+    g = LatticeIsometry.identity(lattice)
+    for _ in range(6):
+        kind = rng.randrange(4)
+        if kind == 0:
+            A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            i, j = rng.sample(range(n), 2)
+            A[i][j] = rng.randint(-2, 2)
+            g = levi_isometry(lattice, A).compose(g)
+        elif kind == 3:
+            i, j = rng.sample(range(1, n + 1), 2)
+            g = swap_isometry(lattice, i, j).compose(g)
+        else:
+            B = [[0] * n for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            B[i][j], B[j][i] = k, -k
+            make = siegel_unipotent if kind == 1 else opposite_unipotent
+            g = make(lattice, B).compose(g)
+    return g
+
+
 # --- the exact su(2) projection ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -661,6 +695,26 @@ def maass_membership_by_cosets(phi) -> Report:
         if rhs != phi.entries[lam]:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
+
+
+def spezialschar_keys_by_cosets(detbound: int, extra_pairs=()) -> list:
+    """The theta* key family, sorted: for every reduced t with disc <=
+    4*detbound the pairs breve(t), ([[a,0],[b,1]], [[0,-1],[c,0]]) and
+    d*breve(t) while disc(d^2 t) stays within the bound, the extra pairs,
+    and breve(gram(mu)) for every divisor coset (r, mu) of each of them."""
+    base = []
+    for t in reduced_triples(4 * detbound):
+        base += [breve(t), (mat2(t.a, 0, t.b, 1), mat2(0, -1, t.c, 0))]
+        d = 2
+        while d ** 4 * t.disc() <= 4 * detbound:
+            base.append(tuple(tuple(tuple(d * e for e in row) for row in T)
+                              for T in breve(t)))
+            d += 1
+    base += list(extra_pairs)
+    keys = set(base)
+    for lam in base:
+        keys |= {breve(gram(mu)) for _r, mu in divisor_cosets(lam)}
+    return sorted(keys)
 
 
 # --- the Dirichlet factorization as three series -----------------------------
@@ -812,6 +866,24 @@ def mat2_to_vec22(m) -> np.ndarray:
     m11 b3 - m21 b4 + m12 b-4 + m22 b-3 of the (2,2) block; det becomes the
     quadratic form."""
     return np.array([m[0][0], -m[1][0], m[0][1], m[1][1]], dtype=float)
+
+
+def plane_rotation(p1: np.ndarray, p2: np.ndarray, theta: float,
+                   J: np.ndarray) -> np.ndarray:
+    """Rotation (both vectors of norm +1 or both -1) or boost (mixed norms)
+    by theta in the plane of the J-orthonormal pair (p1, p2)."""
+    n1 = float(p1 @ J @ p1)
+    n2 = float(p2 @ J @ p2)
+    dim = len(p1)
+    if n1 == n2:
+        c, s = np.cos(theta), np.sin(theta)
+        return (np.eye(dim)
+                + n1 * (c - 1) * (np.outer(p1, J @ p1) + np.outer(p2, J @ p2))
+                + n1 * s * (np.outer(p2, J @ p1) - np.outer(p1, J @ p2)))
+    c, s = np.cosh(theta), np.sinh(theta)
+    return (np.eye(dim)
+            + (c - 1) * (np.outer(p1, J @ p1) - np.outer(p2, J @ p2)) * n1
+            + s * (np.outer(p2, J @ p1) - np.outer(p1, J @ p2)) * n1)
 
 
 def archimedean_integral_quad_vec(T, t: float, u, ell: int):

@@ -16,7 +16,7 @@ from octolift.lifts import (HalfIntegralTable, InsufficientTableError,
                             classical_maass_check, classical_maass_lift,
                             dirichlet_factor_check, fj_extract, fj_pair,
                             maass_membership, reduced_triples,
-                            spezialschar_keys, theta_star, theta_star_table)
+                            spezialschar_keys, theta_star_table)
 from octolift.quadspace import GZERO, GaussRational
 
 import oracles
@@ -153,6 +153,9 @@ def test_theta_star_table_is_in_the_spezialschar():
 
 
 def test_theta_star_table_builds_each_keys_divisor_grams_once(monkeypatch):
+    """divisor_grams runs once per distinct base pair and never on a key
+    that only the breve-closure adds; a base pair the closure reaches
+    first is strongly primitive, and its one divisor gram is its gram."""
     F = _random_siegel_table(4, 4 * 12, weight=4)
     want = theta_star_table(F, 12)
     calls = []
@@ -161,7 +164,31 @@ def test_theta_star_table_builds_each_keys_divisor_grams_once(monkeypatch):
                         lambda lam: calls.append(lam) or build(lam))
     phi = theta_star_table(F, 12)
     assert phi == want
-    assert sorted(calls) == sorted(phi.entries)
+    assert (len(calls), len(phi.entries)) == (72, 76)
+    assert len(set(calls)) == len(calls)
+    base = set(lifts._base_pairs(12, ()))
+    assert set(calls) <= base
+    assert all(is_strongly_primitive(lam) for lam in base - set(calls))
+
+
+@pytest.mark.parametrize("detbound", range(1, 13))
+def test_spezialschar_keys_match_the_closure_over_divisor_cosets(detbound):
+    assert spezialschar_keys(detbound) == \
+        oracles.spezialschar_keys_by_cosets(detbound)
+
+
+def test_spezialschar_keys_with_the_dirichlet_orbit_as_extras():
+    """The extra pairs of `dirichlet --bound 12 --count 5` on a Siegel
+    table: the orbits lambda.g, |det g| <= 12, of its five strongly
+    primitive pairs."""
+    triples = sorted(reduced_triples(8), key=lambda t: (t.disc(), t))
+    lams = list(dict.fromkeys(f(t) for t in triples
+                              for f in (breve, fj_pair)))[:5]
+    extra = [pair_act(lam, g) for lam in lams for n in range(1, 13)
+             for g in hnf_right_cosets(n)]
+    keys = spezialschar_keys(1, extra)
+    assert keys == oracles.spezialschar_keys_by_cosets(1, extra)
+    assert len(keys) > len(set(extra))
 
 
 def test_siegel_table_max_disc():
@@ -266,16 +293,17 @@ def test_fj_round_trip():
             assert fj_extract(phi, t) == F.a(t)
 
 
-def test_theta_star_on_primitive_pair_is_a_conjugate():
+def test_theta_star_table_on_a_primitive_pair_is_a_conjugate():
     F = _random_siegel_table(7, 4 * 6, weight=4)
     t = GramTriple(1, 1, 2)
-    assert theta_star(F, breve(t)) == F.a(t).conj()
+    assert theta_star_table(F, 6).a(breve(t)) == F.a(t).conj()
 
 
-def test_theta_star_rejects_degenerate_index():
+def test_theta_star_table_rejects_a_degenerate_extra_pair():
     F = _random_siegel_table(8, 16, weight=4)
     with pytest.raises(ValueError):
-        theta_star(F, (((1, 0), (0, 0)), ((0, 0), (0, 0))))
+        theta_star_table(F, 1,
+                         extra_pairs=[(((1, 0), (0, 0)), ((0, 0), (0, 0)))])
 
 
 def test_dirichlet_poly_convolution():

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octolift.cli import _random_isometry
 from octolift.coset import GramTriple
 from octolift.orbits import (LatticeIsometry, SplitLattice, _augment,
                              _det_int, _eliminate, _in_group, _isometry,
                              _reduce_plane, _reduce_primitive,
                              find_complementary_plane, gram_of_pair,
-                             levi_isometry, opposite_unipotent, reduce_pair,
-                             siegel_unipotent, swap_isometry, wedge_pair)
+                             levi_isometry, opposite_unipotent,
+                             random_isometry, reduce_pair, siegel_unipotent,
+                             swap_isometry, wedge_pair)
 from octolift.triality import int_inverse
 
 from oracles import (_int_inv_transpose, invert_fraction_matrix, join_xy,
-                     levi_by_action, opposite_by_action, siegel_by_action,
-                     split_xy, swap_by_action)
+                     levi_by_action, opposite_by_action,
+                     random_isometry_by_compose, siegel_by_action, split_xy,
+                     swap_by_action)
 
 LAT = SplitLattice(4)
 
@@ -74,17 +75,29 @@ def test_lattice_conventions():
 def test_isometries_preserve_the_form():
     rng = random.Random(0)
     for _ in range(25):
-        g = _random_isometry(LAT, rng)
+        g = random_isometry(LAT, rng)
         u, w = _rand_vec(rng), _rand_vec(rng)
         assert LAT.qval(g.apply(u)) == LAT.qval(u)
         assert LAT.pairing(g.apply(u), g.apply(w)) == LAT.pairing(u, w)
+
+
+def test_random_isometry_matches_the_composed_factors():
+    """One running matrix gives the same isometry as composing the six
+    factor isometries, and leaves rng in the same state."""
+    for n, seeds in ((4, range(2000)), (3, range(200)), (5, range(200))):
+        lat = SplitLattice(n)
+        for seed in seeds:
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert (random_isometry(lat, rng).matrix
+                    == random_isometry_by_compose(lat, ref).matrix)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_group_laws():
     rng = random.Random(1)
     e = LatticeIsometry.identity(LAT)
     for _ in range(15):
-        g, h = _random_isometry(LAT, rng), _random_isometry(LAT, rng)
+        g, h = random_isometry(LAT, rng), random_isometry(LAT, rng)
         v = _rand_vec(rng)
         assert g.compose(g.inverse()) == e
         assert g.inverse().compose(g) == e
@@ -133,7 +146,7 @@ def test_sub_reduction_leaves_the_outer_rows_untouched(seed, shape):
         v = _rand_vec(rng) + tuple(rng.randint(-5, 5) for _ in range(r - 8))
         if gcd(*v[k:r - k]) == 1:
             break
-    g = _random_isometry(SplitLattice(n), rng)
+    g = random_isometry(SplitLattice(n), rng)
     R = [list(row) + [e] for row, e in zip(g.matrix, v)]
     _reduce_primitive(R, r, k)
     outer = [i for i in range(r) if not k <= i < r - k]
@@ -187,7 +200,7 @@ def _random_admissible_pair(rng, bound=5):
             break
     T1 = tuple(a * p + q for p, q in zip(b(1), b(-1)))
     T2 = tuple(bb * p + c * q + s for p, q, s in zip(b(1), b(2), b(-2)))
-    g = _random_isometry(LAT, rng)
+    g = random_isometry(LAT, rng)
     return g.apply(T1), g.apply(T2), GramTriple(a, bb, c)
 
 
@@ -213,7 +226,7 @@ def test_reduce_isotropic_plane():
     rng = random.Random(5)
     b = LAT.basis_vector
     for _ in range(20):
-        g = _random_isometry(LAT, rng)
+        g = random_isometry(LAT, rng)
         u1, u2 = g.apply(b(1)), g.apply(b(2))
         h = reduce_isotropic_plane(u1, u2)
         assert h.apply(u1) == b(1)

@@ -24,13 +24,12 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 archimedean_integral_check, bessel_k_row,
                                 beta_fn, boost_u, pairing22,
                                 positivity_oracle, q_poincare, s_v_sum,
-                                whittaker_eval, _plane_rotation,
-                                _sym_power_batch)
+                                whittaker_eval, _sym_power_batch)
 
 from oracles import (alternating_binomial_sum,
-                     archimedean_integral_quad_vec, bvv, mat2_to_vec22, pr_K,
-                     q_poincare_by_pairs, s_v_exact, sym2_power,
-                     sym_power_by_convolution, vectors_by_norm)
+                     archimedean_integral_quad_vec, bvv, mat2_to_vec22,
+                     plane_rotation, pr_K, q_poincare_by_pairs, s_v_exact,
+                     sym2_power, sym_power_by_convolution, vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -135,6 +134,18 @@ def test_boost_u_fixes_y0_and_preserves_form():
         u = boost_u(theta)
         assert np.max(np.abs(u.T @ J4 @ u - J4)) < 1e-12
         assert np.max(np.abs(u @ Y0 - Y0)) < 1e-12
+
+
+def test_boost_u_is_the_boost_in_the_plane_of_y1_and_b4_minus_b_minus_4():
+    """The closed form against the plane boost built from outer products,
+    entry by entry within 1e-14 of max(1, |entry|): the entries reach
+    e^3 = 20, and the outer-product form rounds at that scale."""
+    p = Y1 / sqrt(2.0)
+    n = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)    # (b4 - b-4)/sqrt2
+    for theta in np.linspace(-3.0, 3.0, 601):
+        u = boost_u(theta)
+        err = np.abs(u - plane_rotation(p, n, theta, J4))
+        assert np.all(err < 1e-14 * np.maximum(1.0, np.abs(u)))
 
 
 def test_s_v_sum_identity_small():
@@ -691,10 +702,10 @@ def _levi_from_params(p) -> LeviPoint:
     m = (np.array([[1.0, x], [0.0, 1.0]])
          @ np.diag([np.exp(y / 2.0), np.exp(-y / 2.0)])
          @ np.array([[co, -si], [si, co]]))
-    h = (_plane_rotation(_P1, _P2, a, J4)
-         @ _plane_rotation(_N1, _N2, b, J4)
-         @ _plane_rotation(_P1, _N1, c, J4)
-         @ _plane_rotation(_P2, _N2, d, J4))
+    h = (plane_rotation(_P1, _P2, a, J4)
+         @ plane_rotation(_N1, _N2, b, J4)
+         @ plane_rotation(_P1, _N1, c, J4)
+         @ plane_rotation(_P2, _N2, d, J4))
     return LeviPoint(m, h)
 
 

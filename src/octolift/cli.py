@@ -598,27 +598,23 @@ def cmd_whittaker(args):
     worst = 0.0
     worst_est = 0.0
     intervals = 0
+    grid = [(t, theta) for t in (0.7, 1.3) for theta in (0.0, 0.6)]
     # At high weight the K-Bessel row overflows; the resulting inf or nan
     # fails the check below, so numpy need not also warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in (0.7, 1.3):
-            for theta in (0.0, 0.6):
-                u = whittaker.boost_u(theta)
-                num, closed = whittaker.archimedean_integral_check(T, t, u,
-                                                                   ell)
-                worst_est = _worse(worst_est, num.err)
-                intervals += num.intervals
-                for v in range(-ell, ell + 1):
-                    cn, cc = num.component(v), closed.component(v)
-                    worst = _worse(worst,
-                                   abs(cn - cc) / max(abs(cc), 1e-300))
-                    rows.append([v, t, theta, cn.real, cn.imag,
-                                 cc.real, cc.imag])
-                if not worst < args.tol:
-                    return "fail", [f"integral vs closed form: relative "
-                                    f"error {worst:.3e} >= tol "
-                                    f"{args.tol:.3e} at t={t}, "
-                                    f"theta={theta}"]
+        checks = whittaker.archimedean_integral_checks(
+            T, [(t, whittaker.boost_u(theta)) for t, theta in grid], ell)
+    for (t, theta), (num, closed) in zip(grid, checks):
+        worst_est = _worse(worst_est, num.err)
+        intervals += num.intervals
+        for v in range(-ell, ell + 1):
+            cn, cc = num.component(v), closed.component(v)
+            worst = _worse(worst, abs(cn - cc) / max(abs(cc), 1e-300))
+            rows.append([v, t, theta, cn.real, cn.imag, cc.real, cc.imag])
+        if not worst < args.tol:
+            return "fail", [f"integral vs closed form: relative error "
+                            f"{worst:.3e} >= tol {args.tol:.3e} at t={t}, "
+                            f"theta={theta}"]
     details.append(f"Whittaker integral matches the closed form at weight "
                    f"{ell} on a 2x2 grid, worst relative error {worst:.3e}, "
                    f"worst quadrature error estimate {worst_est:.3e}")

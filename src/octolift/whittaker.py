@@ -179,10 +179,10 @@ class WhittakerValue:
         return self.components[v + self.ell]
 
 
-def _whittaker_components(beta: np.ndarray, pref: float,
-                          ell: int) -> np.ndarray:
+def _whittaker_components(beta: np.ndarray, pref, ell: int) -> np.ndarray:
     """Rows pref (beta/|beta|)^v K_|v|(|beta|), v = -ell..ell, one row per
-    entry of the complex array beta."""
+    entry of the complex array beta; pref is a scalar, or a column of one
+    prefactor per row."""
     ab = np.abs(beta)
     v = np.arange(-ell, ell + 1)
     return pref * (beta / ab)[:, None] ** v * bessel_k_row(ell, ab)[abs(v)].T
@@ -304,30 +304,41 @@ _G7_W[1::2] = [0.129484966168869693270611432679082,
                0.129484966168869693270611432679082]
 GK_NODES = len(_GK_X)     # integrand values per interval
 _GK_LIMIT = 1000          # intervals one integral may evaluate
-_GK_EPSREL = 1e-9         # relative tolerance of archimedean_integral_check
+_GK_EPSREL = 1e-9         # relative tolerance of archimedean_integral_checks
 
 
-def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float
-                   ) -> Tuple[np.ndarray, float, int]:
-    """Adaptive Gauss-Kronrod 7/15 quadrature of a vector-valued f over
-    [a, b]: (integral, error estimate, intervals evaluated).
+def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, epsabs: float,
+                   epsrel: float) -> List[Tuple[np.ndarray, float, int]]:
+    """Adaptive Gauss-Kronrod 7/15 quadrature of m vector-valued integrals
+    in lockstep, integral j over [a[j], b[j]]: one (integral, error
+    estimate, intervals evaluated) per integral.
 
-    f maps a 1-d array of points to one row of values per point.  Each
-    round evaluates the 15 nodes of every open interval in one call of f.
+    f(points, which) maps a 1-d array of points, and the index of the
+    integral each point belongs to, to one row of values per point; a row
+    must depend on its point and index alone.  Each round evaluates the 15
+    nodes of every open interval of every integral in one call of f.  An
+    integral's open intervals stay contiguous, in the order it would keep
+    alone (left halves, then right halves), and every decision below is
+    made on its own intervals, so its result is bit for bit the one it
+    would get integrated alone.
+
     An interval's error estimate is ||K15 - G7||_2, raised to the rounding
-    floor 50 eps ||K15 of |f| ||_2.  The intervals are all accepted once
-    their estimates sum to at most tol = max(epsabs, epsrel ||integral||);
-    before that an interval is accepted when its estimate is within its
-    share of tol by length or is the rounding floor, and the others are
-    bisected.  The estimate returned is the sum over the accepted
-    intervals.  Once another round would pass _GK_LIMIT intervals, or an
-    estimate is not finite, the open intervals are accepted unconverged,
-    estimates included."""
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    total, err, evaluated = 0.0, 0.0, 0
-    while True:
+    floor 50 eps ||K15 of |f| ||_2.  An integral's intervals are all
+    accepted once their estimates sum to at most tol = max(epsabs, epsrel
+    ||integral||); before that an interval is accepted when its estimate is
+    within its share of tol by length or is the rounding floor, and the
+    others are bisected.  The estimate returned is the sum over the
+    accepted intervals.  Once another round would take an integral past
+    _GK_LIMIT intervals, or one of its estimates is not finite, its open
+    intervals are accepted unconverged, estimates included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m = len(a)
+    lo, hi, which = a, b, np.arange(m)
+    total, err, evaluated = [0.0] * m, [0.0] * m, [0] * m
+    while len(lo):
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        fx = f((mid[:, None] + half[:, None] * _GK_X).ravel())
+        fx = f((mid[:, None] + half[:, None] * _GK_X).ravel(),
+               np.repeat(which, GK_NODES))
         fx = fx.reshape(len(lo), GK_NODES, -1)
         k15 = half[:, None] * np.einsum("k,ikc->ic", _GK_W, fx)
         g7 = half[:, None] * np.einsum("k,ikc->ic", _G7_W, fx)
@@ -335,67 +346,100 @@ def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float
             half[:, None] * np.einsum("k,ikc->ic", _GK_W, np.abs(fx)), axis=1)
         diff = np.linalg.norm(k15 - g7, axis=1)
         est = np.maximum(diff, rounding)
-        evaluated += len(lo)
-        tol = max(epsabs, epsrel * np.linalg.norm(total + k15.sum(axis=0)))
-        if err + est.sum() <= tol:
-            done = np.ones(len(lo), dtype=bool)
-        else:
-            # at the rounding floor, halves have half the estimate and half
-            # the share, so bisection cannot help
-            done = (est <= tol * (hi - lo) / (b - a)) | (diff <= rounding)
-            if (evaluated + 2 * np.count_nonzero(~done) > _GK_LIMIT
-                    or not np.isfinite(est).all()):
-                done[:] = True
-        total = total + k15[done].sum(axis=0)
-        err += float(est[done].sum())
-        if done.all():
-            return total, err, evaluated
+        done = np.empty(len(lo), dtype=bool)
+        cuts = np.searchsorted(which, np.arange(m + 1)).tolist()
+        for j in range(m):
+            rows = slice(cuts[j], cuts[j + 1])
+            if rows.start == rows.stop:
+                continue
+            evaluated[j] += rows.stop - rows.start
+            tol = max(epsabs, epsrel * np.linalg.norm(
+                total[j] + k15[rows].sum(axis=0)))
+            ok = done[rows]           # a view: setting ok sets done
+            if err[j] + est[rows].sum() <= tol:
+                ok[:] = True
+            else:
+                # at the rounding floor, halves have half the estimate and
+                # half the share, so bisection cannot help
+                ok[:] = ((est[rows] <= tol * (hi[rows] - lo[rows])
+                          / (b[j] - a[j])) | (diff[rows] <= rounding[rows]))
+                if (evaluated[j] + 2 * np.count_nonzero(~ok) > _GK_LIMIT
+                        or not np.isfinite(est[rows]).all()):
+                    ok[:] = True
+            total[j] = total[j] + k15[rows][ok].sum(axis=0)
+            err[j] += float(est[rows][ok].sum())
         lo, mid, hi = lo[~done], mid[~done], hi[~done]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        which = np.tile(which[~done], 2)
+        order = np.argsort(which, kind="stable")
+        which = which[order]
+        lo = np.concatenate([lo, mid])[order]
+        hi = np.concatenate([mid, hi])[order]
+    return list(zip(total, err, evaluated))
 
 
-def archimedean_integral_check(T, t: float, u, ell: int
-                               ) -> Tuple[WhittakerValue, WhittakerValue]:
-    """Numeric integral over s of the Whittaker value along
-    r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]], for the ordered pair
-    [y0, T] with T in the orthogonal complement of y0; versus the closed
-    form (pi t^ell e^{-(2-w)} / 2) i^v with w = t (T, u . y1).  The
-    numeric value comes from _gauss_kronrod and carries its error
-    estimate and interval count."""
+def archimedean_integral_checks(T, points, ell: int
+                                ) -> List[Tuple[WhittakerValue,
+                                                WhittakerValue]]:
+    """For each (t, u) of points: the numeric integral over s of the
+    Whittaker value along r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]],
+    for the ordered pair [y0, T] with T in the orthogonal complement of
+    y0; versus the closed form (pi t^ell e^{-(2-w)} / 2) i^v with
+    w = t (T, u . y1).  The integrals run in lockstep through
+    _gauss_kronrod, each with its own error control, and each numeric
+    value carries its error estimate and interval count."""
     T = np.asarray(T, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if t <= 0:
-        raise ValueError("t must be positive")
     if abs(pairing22(T, Y0)) > 1e-12:
         raise ValueError("T must be orthogonal to y0")
     if pairing22(T, T).real <= 0:
         raise ValueError("T must span a positive line")
-    w = t * pairing22(T, u @ Y1).real
-    if 2.0 - w <= 0:
-        raise ValueError("precondition violated: 2 - t (T, u . y1) <= 0")
-    # truncation: |beta| >= 2t|s|, so K_v decays like e^{-2t|s|}
-    smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+    ts, ws, smaxes, closed = [], [], [], []
+    for t, u in points:
+        u = np.asarray(u, dtype=float)
+        if t <= 0:
+            raise ValueError("t must be positive")
+        w = t * pairing22(T, u @ Y1).real
+        if 2.0 - w <= 0:
+            raise ValueError("precondition violated: 2 - t (T, u . y1) <= 0")
+        # truncation: |beta| >= 2t|s|, so K_v decays like e^{-2t|s|}
+        smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+        # beta along the line has the closed form beta(s) = -2 s t +
+        # i (2 - w), so the integrand never degenerates, and det m(s) = t.
+        # The closed form is checked against the pairing computation at
+        # s = 0 and at four of the first round's nodes.
+        for s in (0.0, *(smax * _GK_X[::4])):
+            b = complex(-2.0 * s * t, 2.0 - w)
+            m = np.array([[1.0, s * t], [0.0, t]])
+            if not abs(beta_fn(Y0, T, LeviPoint(m, u)) - b) \
+                    < 1e-9 * (1 + abs(b)):
+                raise ArithmeticError(f"beta along the line at t={t}, "
+                                      f"s={s} is not -2 s t + i (2 - w)")
+        ts.append(t)
+        ws.append(w)
+        smaxes.append(smax)
+        scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
+        closed.append(WhittakerValue(
+            ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1))))
+    # each integral's coefficients as Python floats, as it computes them
+    # alone (numpy's ts ** ell can differ in the last bit)
+    slope = np.array([-2.0 * t for t in ts])
+    shift = np.array([1j * (2.0 - w) for w in ws])
+    pref = np.array([t ** ell * t for t in ts])
 
-    # beta along the line has the closed form beta(s) = -2 s t + i (2 - w),
-    # so the integrand never degenerates, and det m(s) = t.  The closed
-    # form is checked against the pairing computation at s = 0 and at four
-    # of the first round's nodes.
-    for s in (0.0, *(smax * _GK_X[::4])):
-        b = complex(-2.0 * s * t, 2.0 - w)
-        m = np.array([[1.0, s * t], [0.0, t]])
-        assert abs(beta_fn(Y0, T, LeviPoint(m, u)) - b) < 1e-9 * (1 + abs(b))
+    def integrand(s, which):
+        return _whittaker_components(slope[which] * s + shift[which],
+                                     pref[which][:, None], ell)
 
-    def integrand(s):
-        return _whittaker_components(-2.0 * t * s + 1j * (2.0 - w),
-                                     t ** ell * t, ell)
+    smaxes = np.array(smaxes)
+    return [(WhittakerValue(ell, tuple(res.tolist()), err, intervals), c)
+            for (res, err, intervals), c in zip(
+                _gauss_kronrod(integrand, -smaxes, smaxes, 1e-14,
+                               _GK_EPSREL), closed)]
 
-    res, err, intervals = _gauss_kronrod(integrand, -smax, smax, 1e-14,
-                                         _GK_EPSREL)
-    numeric = WhittakerValue(ell, tuple(res.tolist()), err, intervals)
-    scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
-    closed = WhittakerValue(
-        ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1)))
-    return numeric, closed
+
+def archimedean_integral_check(T, t: float, u, ell: int
+                               ) -> Tuple[WhittakerValue, WhittakerValue]:
+    """archimedean_integral_checks at the single point (t, u)."""
+    return archimedean_integral_checks(T, [(t, u)], ell)[0]
 
 
 # --- Poincare summand --------------------------------------------------------

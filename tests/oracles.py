@@ -43,11 +43,12 @@ For the numeric layer: 2x2 matrices as vectors of the (2,2) block (det
 becomes the quadratic form); rotations and boosts in the plane of a
 J-orthonormal pair, the reference of boost_u's closed form; the Whittaker
 integral by scipy's quad_vec with one whittaker_eval (beta by matrix
-products) per node; the Poincare summand of one pair; the symmetric
-powers as an out-of-place convolution, the reference of the in-place
-kernel; and the Poincare sum by testing every pair of vectors from the
-(2r+1)^8 box, sharing only the key packing and the symmetric-power step
-with q_poincare's fold split.
+products) per node, and by the adaptive Gauss-Kronrod rule run on one
+integral alone, the reference of the package's lockstep run; the Poincare
+summand of one pair; the symmetric powers as an out-of-place convolution,
+the reference of the in-place kernel; and the Poincare sum by testing
+every pair of vectors from the (2r+1)^8 box, sharing only the key packing
+and the symmetric-power step with q_poincare's fold split.
 Also three exact helpers that no command uses: the S_v sum as a reduced
 Gaussian rational (s_v_sum takes the float of each part straight from
 the unreduced integers), an alternating binomial sum and the index-1
@@ -78,9 +79,12 @@ from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
 from octolift.triality import (_CONJ_PERM, GEElement, _coords, _fields,
                                _perm_tuple)
 from octolift import triality
-from octolift.whittaker import (LeviPoint, PoincareSum, Y0, _PRK2,
+from octolift import whittaker
+from octolift.whittaker import (GK_NODES, LeviPoint, PoincareSum, Y0, Y1,
+                                _G7_W, _GK_EPSREL, _GK_W, _GK_X, _PRK2,
                                 _key_bases, _prk_coeffs, _s_v_horner,
-                                _sym_power_batch, whittaker_eval)
+                                _sym_power_batch, _whittaker_components,
+                                pairing22, whittaker_eval)
 
 F0, F1 = Fraction(0), Fraction(1)
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
@@ -900,6 +904,57 @@ def archimedean_integral_quad_vec(T, t: float, u, ell: int):
     res, err = integrate.quad_vec(integrand, -smax, smax, epsabs=1e-14,
                                   epsrel=1e-9)
     return res, float(err)
+
+
+def gauss_kronrod_single(f, a: float, b: float, epsabs: float,
+                         epsrel: float):
+    """One integral alone by whittaker._gauss_kronrod's rule and decisions,
+    the reference of its lockstep run: f maps a 1-d array of points to one
+    row of values per point; returns (integral, error estimate, intervals
+    evaluated).  The interval cap is read from whittaker._GK_LIMIT at each
+    round, so a test can lower it."""
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    total, err, evaluated = 0.0, 0.0, 0
+    while True:
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        fx = f((mid[:, None] + half[:, None] * _GK_X).ravel())
+        fx = fx.reshape(len(lo), GK_NODES, -1)
+        k15 = half[:, None] * np.einsum("k,ikc->ic", _GK_W, fx)
+        g7 = half[:, None] * np.einsum("k,ikc->ic", _G7_W, fx)
+        rounding = 50.0 * np.finfo(float).eps * np.linalg.norm(
+            half[:, None] * np.einsum("k,ikc->ic", _GK_W, np.abs(fx)), axis=1)
+        diff = np.linalg.norm(k15 - g7, axis=1)
+        est = np.maximum(diff, rounding)
+        evaluated += len(lo)
+        tol = max(epsabs, epsrel * np.linalg.norm(total + k15.sum(axis=0)))
+        if err + est.sum() <= tol:
+            done = np.ones(len(lo), dtype=bool)
+        else:
+            done = (est <= tol * (hi - lo) / (b - a)) | (diff <= rounding)
+            if (evaluated + 2 * np.count_nonzero(~done) > whittaker._GK_LIMIT
+                    or not np.isfinite(est).all()):
+                done[:] = True
+        total = total + k15[done].sum(axis=0)
+        err += float(est[done].sum())
+        if done.all():
+            return total, err, evaluated
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def archimedean_integral_single(T, t: float, u, ell: int):
+    """The integral of whittaker.archimedean_integral_checks at one point
+    (t, u), by gauss_kronrod_single with the integrand of that point alone:
+    (integral, error estimate, intervals evaluated)."""
+    w = t * pairing22(np.asarray(T, dtype=float),
+                      np.asarray(u, dtype=float) @ Y1).real
+    smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+
+    def integrand(s):
+        return _whittaker_components(-2.0 * t * s + 1j * (2.0 - w),
+                                     t ** ell * t, ell)
+
+    return gauss_kronrod_single(integrand, -smax, smax, 1e-14, _GK_EPSREL)
 
 
 def bvv(v1, v2, ell: int):

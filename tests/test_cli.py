@@ -497,19 +497,38 @@ def test_whittaker_nan_error_fails(capsys, monkeypatch):
     assert "nan" in rep["details"][0]
 
 
-def test_whittaker_nan_integral_fails(capsys, monkeypatch):
-    check = whittaker.archimedean_integral_check
+def _nan_integrals(monkeypatch, at):
+    """Make archimedean_integral_checks return a NaN first component in the
+    numeric values of the grid points whose indices are in at."""
+    checks = whittaker.archimedean_integral_checks
 
     def nan_numeric(*args):
-        num, closed = check(*args)
-        comps = (complex("nan"),) + num.components[1:]
-        return whittaker.WhittakerValue(num.ell, comps, num.err), closed
+        out = checks(*args)
+        for i in at:
+            num, closed = out[i]
+            comps = (complex("nan"),) + num.components[1:]
+            out[i] = whittaker.WhittakerValue(num.ell, comps, num.err), closed
+        return out
 
-    monkeypatch.setattr(whittaker, "archimedean_integral_check",
+    monkeypatch.setattr(whittaker, "archimedean_integral_checks",
                         nan_numeric)
+
+
+def test_whittaker_nan_integral_fails(capsys, monkeypatch):
+    _nan_integrals(monkeypatch, range(4))
     code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
     assert code == 1 and rep["status"] == "fail"
     assert "nan" in rep["details"][0]
+
+
+def test_whittaker_nan_in_third_grid_point_names_it(capsys, monkeypatch):
+    """The grid is walked in (t, theta) order, so a NaN only in the third
+    integral fails the check there."""
+    _nan_integrals(monkeypatch, [2])
+    code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
+    assert code == 1 and rep["status"] == "fail"
+    assert "nan" in rep["details"][0]
+    assert rep["details"][0].endswith("at t=1.3, theta=0.0")
 
 
 def test_dirichlet_small_table_fails_fast(tmp_path, capsys):

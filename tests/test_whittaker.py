@@ -1,7 +1,10 @@
 """Bessel evaluation, the beta pairing, Whittaker values, lattice sums,
 and the positivity oracle."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -21,12 +24,13 @@ from octolift.coset import GramTriple, gram, mat2
 from octolift import quadspace, whittaker
 from octolift.quadspace import E_PLUS, F_PLUS, H_PLUS, GaussRational, wedge
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
-                                archimedean_integral_check, bessel_k_row,
+                                archimedean_integral_check,
+                                archimedean_integral_checks, bessel_k_row,
                                 beta_fn, boost_u, pairing22,
                                 positivity_oracle, q_poincare, s_v_sum,
                                 whittaker_eval, _sym_power_batch)
 
-from oracles import (alternating_binomial_sum,
+from oracles import (alternating_binomial_sum, archimedean_integral_single,
                      archimedean_integral_quad_vec, bvv, mat2_to_vec22,
                      plane_rotation, pr_K, q_poincare_by_pairs, s_v_exact,
                      sym2_power, sym_power_by_convolution, vectors_by_norm)
@@ -306,6 +310,85 @@ def test_archimedean_integral_interval_cap(monkeypatch):
     assert num.intervals <= 7 < full.intervals
     diff = np.array(num.components) - np.array(closed.components)
     assert full.err < np.linalg.norm(diff) <= num.err
+
+
+def _bits(components, err, intervals):
+    return (np.asarray(components, dtype=complex).tobytes(),
+            np.float64(err).tobytes(), intervals)
+
+
+def _single_bits(T, points, ell):
+    return [_bits(*archimedean_integral_single(T, t, u, ell))
+            for t, u in points]
+
+
+def _lockstep_bits(T, points, ell):
+    return [_bits(num.components, num.err, num.intervals)
+            for num, _ in archimedean_integral_checks(T, points, ell)]
+
+
+@pytest.mark.parametrize("ell", range(17))
+def test_lockstep_integrals_match_single_integrals(ell):
+    """Every integral of a lockstep run is bit for bit the one integrated
+    alone: components, error estimate and interval count."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    points = [(t, boost_u(theta)) for t in (0.5, 0.7, 1.3, 2.0)
+              for theta in (-1.0, 0.0, 0.6, 1.0)]
+    assert _lockstep_bits(T, points, ell) == _single_bits(T, points, ell)
+
+
+def test_lockstep_capped_integral_keeps_its_neighbours(monkeypatch):
+    """With a cap of 7 intervals, the middle integral is capped and its
+    neighbours converge below the cap: each gets what it gets alone, and
+    the neighbours what they get uncapped."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    points = [(3.0, boost_u(3.0)), (0.7, boost_u(0.3)), (1.3, boost_u(3.0))]
+    uncapped = _single_bits(T, points, 4)
+    monkeypatch.setattr(whittaker, "_GK_LIMIT", 7)
+    got = _lockstep_bits(T, points, 4)
+    assert got == _single_bits(T, points, 4)
+    assert [g[2] for g in got] == [1, 7, 7]
+    assert got[0] == uncapped[0] and got[2] == uncapped[2]
+    assert uncapped[1][2] > 7
+
+
+def test_lockstep_non_finite_integral_keeps_its_neighbours():
+    """At weight 200 the K-Bessel row overflows near s = 0 at theta = 0, and
+    that integral stops after its first round with a NaN estimate; at
+    theta = 5 the integrals stay finite, whatever runs beside them."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    points = [(0.5, boost_u(5.0)), (0.5, boost_u(0.0)), (1.0, boost_u(5.0))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _lockstep_bits(T, points, 200)
+        assert got == _single_bits(T, points, 200)
+        assert got[0] == _lockstep_bits(T, points[:1], 200)[0]
+        nums = [num for num, _ in archimedean_integral_checks(T, points, 200)]
+    assert not np.isfinite(nums[1].err) and nums[1].intervals == 1
+    for num in (nums[0], nums[2]):
+        assert np.isfinite(num.components).all() and np.isfinite(num.err)
+
+
+def test_beta_self_check_raises_under_python_o(monkeypatch):
+    """The closed form of beta along the line is checked with a raise, not
+    an assert, so a beta off by 1e-6 fails the call in process and in a
+    fresh interpreter run with -O."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    beta = whittaker.beta_fn
+    monkeypatch.setattr(whittaker, "beta_fn",
+                        lambda *args: beta(*args) + 1e-6)
+    with pytest.raises(ArithmeticError, match="t=0.7"):
+        archimedean_integral_check(T, 0.7, boost_u(0.0), 4)
+    code = ("from octolift import whittaker as w\n"
+            "beta = w.beta_fn\n"
+            "w.beta_fn = lambda *args: beta(*args) + 1e-6\n"
+            "w.archimedean_integral_check((0.2, -0.9, -1.1, -0.2), 0.7, "
+            "w.boost_u(0.0), 4)\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 1
+    assert "ArithmeticError: beta along the line at t=0.7, s=0.0" \
+        in proc.stderr, proc.stderr
 
 
 def test_archimedean_integral_preconditions():

@@ -391,16 +391,16 @@ def cmd_triality_verify(args):
     basis = triality.GE_BASIS          # all 28 basis elements, one batch
     n = len(basis.num)
     imgs = triality.phi_iso(basis)
-    back = triality.phi_inv(imgs)
-    for k in range(n):
-        if back[k] != basis[k]:
-            return "fail", [f"phi_inv(phi_iso(X)) != X at basis element {k}"]
+    same = triality.phi_inv(imgs).eq_mask(basis)
+    if not same.all():
+        return "fail", [f"phi_inv(phi_iso(X)) != X at basis element "
+                        f"{int(same.argmin())}"]
     details.append(f"phi bijective on the {n}-element basis")
     # all n x n pairs at once, by broadcasting a column against a row
-    same = (triality.phi_iso(triality.ge_bracket(basis[:, None], basis[None]))
-            - quadspace.bracket(imgs[:, None], imgs[None])).zero_mask()
-    if not same.all():
-        i, j = divmod(int(same.argmin()), n)
+    bad = triality.bracket_defects(
+        triality.ge_bracket(basis[:, None], basis[None]), imgs)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), n)
         return "fail", [f"phi fails to preserve the bracket at basis pair "
                         f"({i}, {j})"]
     details.append(f"phi preserves the bracket on all {n}x{n} basis pairs")

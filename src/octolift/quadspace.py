@@ -161,11 +161,18 @@ _COEFF_ROWS = np.array([j for i, j in PAIRS])
 _COEFF_COLS = np.array([DIM - 1 - i for i, j in PAIRS])
 
 
+def skew_coords(A: np.ndarray) -> np.ndarray:
+    """The coefficients on the b_i ^ b_j, i < j, in PAIRS order, of the
+    elements acting by the skew matrices A (..., 8, 8): shape (..., 28).
+    A skew matrix is the sum of its coefficients times the b_i ^ b_j, so
+    they determine it."""
+    return A[..., _COEFF_ROWS, _COEFF_COLS]
+
+
 def biv_coords(X: Bivector) -> Tuple[np.ndarray, np.ndarray]:
     """Numerators (re, im) over X.den of the coefficients of X on the
     b_i ^ b_j, i < j, in PAIRS order; arrays of shape (..., 28)."""
-    return (X.re[..., _COEFF_ROWS, _COEFF_COLS],
-            X.im[..., _COEFF_ROWS, _COEFF_COLS])
+    return skew_coords(X.re), skew_coords(X.im)
 
 
 def skew_bivector(re, im, den: int = 1) -> Bivector:

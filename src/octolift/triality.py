@@ -31,7 +31,8 @@ import numpy as np
 from .octonion import (B_BASIS, BASIS, Octonion, oct_mul, to_vector8,
                        trace as oct_trace)
 from .quadspace import (Bivector, amax, biv_coords, bracket, fits,
-                        int_parts, reduced, skew_bivector, wedge)
+                        int_parts, reduced, skew_bivector, skew_coords,
+                        wedge)
 
 
 # --- the Lie algebra g_E ------------------------------------------------------
@@ -63,11 +64,17 @@ class GEElement:
         """Batch element(s) at index."""
         return GEElement.of(self.num[index], self.den)
 
+    def eq_mask(self, other: "GEElement") -> np.ndarray:
+        """Boolean array over the broadcast batch: which elements equal
+        other's."""
+        fits(amax(self.num) * other.den + amax(other.num) * self.den)
+        return (self.num * other.den == other.num * self.den).all(axis=-1)
+
     def __eq__(self, other):
         if not isinstance(other, GEElement):
             return NotImplemented
-        fits(amax(self.num) * other.den + amax(other.num) * self.den)
-        return np.array_equal(self.num * other.den, other.num * self.den)
+        return (self.num.shape == other.num.shape
+                and bool(self.eq_mask(other).all()))
 
     __hash__ = None
 
@@ -104,26 +111,26 @@ def _coords(sl3, u, vE, dE):
          dE.reshape(shape + (9,))], axis=-1)
 
 
-# _EPS[i, j, k] is the sign of (i, j, k) as a permutation of (0, 1, 2), else
-# 0, and _SYM = |_EPS|, so that the E cross product (x x y)_m = x_{m+1}
-# y_{m+2} + x_{m+2} y_{m+1} is _SYM[m, p, q] x_p y_q.
-_EPS = np.zeros((3, 3, 3), dtype=np.int64)
-for _i in range(3):
-    _EPS[_i, (_i + 1) % 3, (_i + 2) % 3] = 1
-    _EPS[_i, (_i + 2) % 3, (_i + 1) % 3] = -1
-_SYM = np.abs(_EPS)
-# _W3[(i, p, j, q), (k, m)] = _EPS[i, j, k] _SYM[m, p, q]
-_W3 = np.einsum("ijk,mpq->ipjqkm", _EPS, _SYM).reshape(81, 9)
+# Row s of _SHIFTS holds, at 3 k + m, the flat index of (k + a, m + b) mod 3
+# in a 3x3 array, for (a, b) = (1, 1), (1, 2), (2, 1), (2, 2).
+_SHIFTS = np.array([[3 * ((k + a) % 3) + (m + b) % 3
+                     for k in range(3) for m in range(3)]
+                    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2))])
+_SIGNS = np.array([1, 1, -1, -1])
 
 
 def _wedge3(X, Y):
-    """Row k is sum_{i,j} eps_ijk X_i x Y_j: [v_i (x) x, v_j (x) x'] =
-    (v_i ^ v_j) (x) (x x x') with v_i ^ v_j = eps_ijk delta_k, and dually.
-    One matmul of the outer products X (x) Y, over the broadcast batch
-    shape of X and Y, with _W3."""
-    XY = X[..., :, :, None, None] * Y[..., None, None, :, :]
-    shape = XY.shape[:-4]
-    return (XY.reshape(shape + (81,)) @ _W3).reshape(shape + (3, 3))
+    """Row k is sum_{i,j} eps_ijk X_i x Y_j = X_{k+1} x Y_{k+2} -
+    X_{k+2} x Y_{k+1}, over the broadcast batch shape of X and Y:
+    [v_i (x) x, v_j (x) x'] = (v_i ^ v_j) (x) (x x x') with v_i ^ v_j =
+    eps_ijk delta_k, and dually.  With the E cross product (x x y)_m =
+    x_{m+1} y_{m+2} + x_{m+2} y_{m+1}, entry (k, m) is the sum of the
+    four products X[k+a, m+b] Y[k+3-a, m+3-b] over the rows of _SHIFTS,
+    with _SIGNS."""
+    Xs = X.reshape(X.shape[:-2] + (9,))[..., _SHIFTS]
+    Ys = Y.reshape(Y.shape[:-2] + (9,))[..., _SHIFTS[::-1]]
+    W = _SIGNS @ (Xs * Ys)
+    return W.reshape(W.shape[:-1] + (3, 3))
 
 
 def ge_bracket(A: GEElement, B: GEElement) -> GEElement:
@@ -225,12 +232,13 @@ def int_inverse(m) -> Tuple[List[List[int]], int]:
 def _phi_inverse():
     """(N, d), d > 0, with N / d the inverse of the 28x28 integer matrix of
     Phi from basis coordinates to bivector coefficients."""
-    coeffs, _ = biv_coords(Bivector(_PHI, _PHI))
-    N, d = int_inverse(coeffs.T)
+    N, d = int_inverse(_PHI_COORDS.T)
     return np.array(N, dtype=np.int64) * (1 if d > 0 else -1), abs(d)
 
 
 _PHI = _phi_table()
+# Row k: the coefficients of Phi(basis_k) on the b_i ^ b_j (skew_coords).
+_PHI_COORDS = skew_coords(_PHI)
 _PHI_INV, _PHI_INV_DEN = _phi_inverse()
 
 
@@ -251,6 +259,33 @@ def phi_inv(Y: Bivector) -> GEElement:
     return GEElement.of(y @ _PHI_INV.T, _PHI_INV_DEN * Y.den)
 
 
+def _commutator_coords(P: Bivector) -> np.ndarray:
+    """Numerators over P.den ** 2 of the coordinates (skew_coords) of
+    [P_i, P_j] for every pair of a real batch P of n elements: an
+    (n, n, 28) array.  Every product P_i P_j is block (i, j) of one
+    (8n x 8) @ (8 x 8n) integer product M, so that [P_i, P_j] =
+    M[i, j] - M[j, i]."""
+    if P.im.any():
+        raise ValueError("unexpected imaginary part in phi image")
+    n = len(P.re)
+    fits(16 * amax(P.re) ** 2)
+    M = (P.re.reshape(8 * n, 8) @ P.re.transpose(1, 0, 2).reshape(8, 8 * n))
+    MC = skew_coords(M.reshape(n, 8, n, 8).transpose(0, 2, 1, 3))
+    return MC - MC.swapaxes(0, 1)
+
+
+def bracket_defects(C: GEElement, P: Bivector) -> np.ndarray:
+    """Boolean (n, n) array for the images P = phi_iso(b) of n elements
+    b_i of g_E and the (n, n) batch C of their brackets [b_i, b_j]: True
+    at (i, j) where Phi(C[i, j]) != [P_i, P_j], exactly.  Phi(C[i, j]) and
+    the commutators of the skew P_i are skew, and a skew matrix is
+    determined by its 28 coordinates, so comparing those is exact."""
+    so8 = _commutator_coords(P)
+    fits(amax(so8) * C.den)
+    fits(GE_DIM * amax(_PHI_COORDS) * amax(C.num) * P.den ** 2)
+    return ((C.num @ _PHI_COORDS) * P.den ** 2 != so8 * C.den).any(axis=-1)
+
+
 # --- octonions as int64 arrays ------------------------------------------------
 
 # An octonion batch is an int64 array of shape (..., 8) of to_vector8
@@ -263,6 +298,10 @@ _MUL = np.array([[to_vector8(oct_mul(x, y)) for y in B_BASIS]
                  for x in B_BASIS], dtype=np.int64)
 _TR = np.einsum("jkm,imn,n->ijk", _MUL, _MUL,
                 np.array([oct_trace(x) for x in B_BASIS], dtype=np.int64))
+# _TR_SLOTS[c][m] is _TR with m in slot c, over the other two slots in
+# order: _TR[m, y, z], _TR[x, m, z] and _TR[x, y, m], as (8, 64) arrays.
+_TR_SLOTS = tuple(np.ascontiguousarray(_TR.transpose(order).reshape(8, 64))
+                  for order in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
 
 # Octonionic conjugation is minus the permutation of the b-basis that swaps
 # b3 = eps2 and b-3 = -eps1.
@@ -317,16 +356,18 @@ def octonion_identities(x, y, z):
 def triality_defects(X1: Bivector, X2: Bivector, X3: Bivector) -> np.ndarray:
     """Boolean array over the broadcast batch: True where
     (X1 x, y, z) + (x, X2 y, z) + (x, y, X3 z) = 0 fails for some of the
-    8^3 octonion basis triples, exactly: one contraction of the action
-    matrices, over a common denominator, with the trilinear tensor."""
+    8^3 octonion basis triples, exactly: each term one matmul of its
+    action matrices, over a common denominator, with the trilinear
+    tensor."""
     den = lcm(X1.den, X2.den, X3.den)
     fits(max(den // X.den * amax(X.re, X.im) for X in (X1, X2, X3))
          * 3 * 8 * amax(_TR))
-    A1, A2, A3 = (np.stack([X.re, X.im]) * (den // X.den)
-                  for X in (X1, X2, X3))
-    total = (np.einsum("...mx,myz->...xyz", A1, _TR)
-             + np.einsum("...my,xmz->...xyz", A2, _TR)
-             + np.einsum("...mz,xym->...xyz", A3, _TR))
+    A = [np.stack([X.re, X.im]) * (den // X.den) for X in (X1, X2, X3)]
+    # term c is one matmul with _TR_SLOTS[c]; its axes come out as slot c
+    # first, then the other two, and are moved back to (x, y, z)
+    t1, t2, t3 = ((a.swapaxes(-1, -2) @ T).reshape(a.shape[:-1] + (8, 8))
+                  for a, T in zip(A, _TR_SLOTS))
+    total = t1 + t2.swapaxes(-3, -2) + np.moveaxis(t3, -3, -1)
     return total.any(axis=(0, -3, -2, -1))
 
 

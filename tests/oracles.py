@@ -1,10 +1,12 @@
 """Reference implementations kept as test oracles.
 
 For the exact algebra layer: the Fraction g_E bracket on (sl3, e0, vE, dE)
-fields, the sparse bracket on 28 bivector coefficients, Phi and the six
-standard triality triples built from wedges of the octonion basis, the
-Gauss-Jordan inverse over Fraction, and
-the exact su(2) projection pr_K with its symmetric powers.  They share no
+fields, the wedge of its V3 (x) E parts as one contraction of outer
+products with an integer table (the reference of the package's shifted
+products), the sparse bracket on 28 bivector coefficients, Phi and
+the six standard triality triples built from wedges of the octonion
+basis, the Gauss-Jordan inverse over Fraction, and the exact su(2)
+projection pr_K with its symmetric powers.  They share no
 code with the integer-array implementations they check beyond the scalar
 type and the b-basis coordinates of the octonions.  Beside them, helpers
 that only tests use: the unit vectors, pairing and quadratic form of V
@@ -461,6 +463,29 @@ def phi_inv(Y):
     y = [_real(c) for c in Y]
     return fields_from_coords([sum(_PHI_INV[r][k] * y[k] for k in range(28))
                                for r in range(28)])
+
+
+# --- the g_E wedge as one table contraction ---------------------------------
+
+# _EPS[i, j, k] is the sign of (i, j, k) as a permutation of (0, 1, 2), else
+# 0, and _SYM = |_EPS|, so that the E cross product (x x y)_m = x_{m+1}
+# y_{m+2} + x_{m+2} y_{m+1} is _SYM[m, p, q] x_p y_q.
+_EPS = np.zeros((3, 3, 3), dtype=np.int64)
+for _i in range(3):
+    _EPS[_i, (_i + 1) % 3, (_i + 2) % 3] = 1
+    _EPS[_i, (_i + 2) % 3, (_i + 1) % 3] = -1
+_SYM = np.abs(_EPS)
+# _W3[(i, p, j, q), (k, m)] = _EPS[i, j, k] _SYM[m, p, q]
+_W3 = np.einsum("ijk,mpq->ipjqkm", _EPS, _SYM).reshape(81, 9)
+
+
+def wedge3_by_outer(X, Y):
+    """Row k is sum_{i,j} eps_ijk X_i x Y_j, for int arrays X, Y of shape
+    (..., 3, 3): one matmul of the outer products X (x) Y, over the
+    broadcast batch shape, with _W3."""
+    XY = X[..., :, :, None, None] * Y[..., None, None, :, :]
+    shape = XY.shape[:-4]
+    return (XY.reshape(shape + (81,)) @ _W3).reshape(shape + (3, 3))
 
 
 # --- the S3 action on g_E, so(8), triples and cubes --------------------------

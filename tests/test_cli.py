@@ -343,6 +343,37 @@ def test_triality_verify_names_a_failing_pair(capsys, monkeypatch):
                               "pair (3, 5)"]
 
 
+def test_triality_verify_names_a_failing_round_trip(capsys, monkeypatch):
+    good = triality.phi_inv
+
+    def bad(Y):             # wrong exactly at basis element 17
+        out = good(Y)
+        num = out.num.copy()
+        num[17, 3] += out.den
+        return triality.GEElement(num, out.den)
+
+    monkeypatch.setattr(triality, "phi_inv", bad)
+    code, rep = _run(capsys, ["triality-verify", "--bound", "1"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["details"] == ["phi_inv(phi_iso(X)) != X at basis element 17"]
+
+
+def test_triality_verify_names_a_failing_cartan_element(capsys, monkeypatch):
+    good = triality.ge_cartan
+
+    def bad(X):             # wrong exactly at basis element 9
+        out = good(X)
+        num = out.num.copy()
+        num[9, 0] += out.den
+        return triality.GEElement(num, out.den)
+
+    monkeypatch.setattr(triality, "ge_cartan", bad)
+    code, rep = _run(capsys, ["triality-verify", "--bound", "1"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["details"] == ["phi does not intertwine the Cartan "
+                              "involutions at basis element 9"]
+
+
 def _suite_cases(seed, count, shape):
     """The cases a random suite draws at seed, all blocks joined (the case
     axis is second, as in cli._blocks)."""

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from octolift.octonion import (B_BASIS, Octonion, conj, from_vector8, norm,
                                oct_mul, to_vector8, trilinear)
-from octolift.quadspace import (E_PLUS, Bivector, bracket, cartan_theta,
-                                wedge)
-from octolift.triality import (BhargavaCube, GEElement, _TR, conj8, ge_basis,
-                               ge_bracket, ge_cartan, mul8, mult_triples,
-                               norm8, octonion_identities, perm_apply,
-                               phi_inv, phi_iso, prop_mult_triple,
-                               s3_act_cube, standard_triples, trilinear8,
+from octolift.quadspace import (E_PLUS, Bivector, biv_coords, bracket,
+                                cartan_theta, wedge)
+from octolift.triality import (GE_BASIS, BhargavaCube, GEElement, _TR,
+                               _commutator_coords, _wedge3, bracket_defects,
+                               conj8, ge_basis, ge_bracket, ge_cartan, mul8,
+                               mult_triples, norm8, octonion_identities,
+                               perm_apply, phi_inv, phi_iso,
+                               prop_mult_triple, s3_act_cube,
+                               standard_triples, trilinear8,
                                triality_defects, verify_triality_triple)
 
 import oracles
@@ -218,6 +220,58 @@ def test_batched_calls_match_single_calls():
     assert verify_triality_triple(*(
         Bivector.of(np.stack([X.re] * 3), np.stack([X.im] * 3), X.den)
         for X in standard_triples()[2]))
+
+
+def test_wedge3_equals_the_table_contraction():
+    # the shifted products against the outer products times _W3
+    rng = np.random.default_rng(11)
+    shapes = [((3, 3), (3, 3)), ((5, 3, 3), (5, 3, 3)),
+              ((4, 1, 3, 3), (1, 6, 3, 3)), ((2, 3, 3), (3, 3))]
+    for xs, ys in shapes:
+        X = rng.integers(-1000, 1001, size=xs)
+        Y = rng.integers(-1000, 1001, size=ys)
+        got, want = _wedge3(X, Y), oracles.wedge3_by_outer(X, Y)
+        assert got.shape == want.shape and (got == want).all()
+
+
+def test_commutator_table_matches_per_pair_brackets():
+    basis, imgs = ge_basis(), phi_iso(GE_BASIS)
+    table = _commutator_coords(imgs)          # over imgs.den ** 2
+    assert table.shape == (28, 28, 28) and imgs.den == 1
+    for i in range(28):
+        for j in range(28):
+            for want in (bracket(imgs[i], imgs[j]),
+                         phi_iso(ge_bracket(basis[i], basis[j]))):
+                re, im = biv_coords(want)
+                assert not im.any() and (table[i, j] * want.den == re).all()
+    C = ge_bracket(GE_BASIS[:, None], GE_BASIS[None])
+    assert not bracket_defects(C, imgs).any()
+
+
+def test_bracket_defects_over_denominators_name_the_failing_pair():
+    rng = np.random.RandomState(8)
+    A = GEElement.of(rng.randint(-5, 6, size=(7, 28)), 6)
+    P, C = phi_iso(A), ge_bracket(A[:, None], A[None])
+    assert P.den > 1 and C.den > 1
+    assert not bracket_defects(C, P).any()
+    num = C.num.copy()
+    num[2, 4, 5] += 1
+    bad = bracket_defects(GEElement(num, C.den), P)
+    assert bad.sum() == 1 and bad[2, 4]
+
+
+def test_bracket_defects_raise_instead_of_wrapping():
+    imgs = phi_iso(GE_BASIS)
+    C = ge_bracket(GE_BASIS[:, None], GE_BASIS[None])
+    big = Bivector(imgs.re * 2 ** 30, imgs.im, imgs.den)
+    for call in (lambda: _commutator_coords(big),
+                 lambda: bracket_defects(C, big),
+                 lambda: bracket_defects(
+                     GEElement(np.full(C.num.shape, 2 ** 58), C.den), imgs)):
+        with pytest.raises(OverflowError):
+            call()
+    with pytest.raises(ValueError):
+        bracket_defects(C, Bivector(imgs.re, imgs.re, imgs.den))
 
 
 def test_phi_inv_rejects_complex_bivectors():

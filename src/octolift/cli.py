@@ -136,7 +136,8 @@ def _triple_key(key, i: int) -> GramTriple:
         raise TableError(f"entries[{i}]: expected a triple [a, b, c]")
     a, b, c = key
     if type(a) is int and type(b) is int and type(c) is int:
-        return GramTriple(a, b, c)
+        # GramTriple(a, b, c), skipping the named tuple's Python __new__
+        return tuple.__new__(GramTriple, key)
     raise _not_an_int(i, key)
 
 
@@ -534,6 +535,9 @@ def cmd_dirichlet(args):
         if not rep.ok:
             return "fail", [f"lambda={lam}: {rep.detail}"]
         details.append(f"lambda={lam}: {rep.detail}")
+    if len(lams) < args.count:
+        details.append(f"checked {len(lams)} of the {args.count} pairs "
+                       f"requested: there are only {len(lams)} candidates")
     return "pass", details
 
 

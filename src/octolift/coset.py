@@ -24,11 +24,6 @@ def mat2_det(m: Mat2Z) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def mat2_add(m: Mat2Z, n: Mat2Z) -> Mat2Z:
-    return tuple(tuple(a + b for a, b in zip(rm, rn))
-                 for rm, rn in zip(m, n))
-
-
 def mat2_scale(c: int, m: Mat2Z) -> Mat2Z:
     return tuple(tuple(c * e for e in row) for row in m)
 
@@ -165,10 +160,17 @@ def breve(t: GramTriple) -> IndexPair:
 def pair_act(lam: IndexPair, g: Mat2Z) -> IndexPair:
     """lam . g: the pair (T1, T2) viewed as a row vector of matrices, so
     lam . g = (g11 T1 + g21 T2, g12 T1 + g22 T2).  Satisfies
-    gram(lam . g) = g^t gram(lam) g."""
-    T1, T2 = lam
-    return (mat2_add(mat2_scale(g[0][0], T1), mat2_scale(g[1][0], T2)),
-            mat2_add(mat2_scale(g[0][1], T1), mat2_scale(g[1][1], T2)))
+    gram(lam . g) = g^t gram(lam) g.  Computed entry by entry from the
+    eight entries of lam and the four of g: entry (i, j) of the first
+    matrix is g11 T1[i][j] + g21 T2[i][j], of the second
+    g12 T1[i][j] + g22 T2[i][j], the block formula without building the
+    four scaled matrices."""
+    ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = lam
+    (g11, g12), (g21, g22) = g
+    return (((g11 * a1 + g21 * a2, g11 * b1 + g21 * b2),
+             (g11 * c1 + g21 * c2, g11 * d1 + g21 * d2)),
+            ((g12 * a1 + g22 * a2, g12 * b1 + g22 * b2),
+             (g12 * c1 + g22 * c2, g12 * d1 + g22 * d2)))
 
 
 def _apply_rinv(lam: IndexPair, r: Mat2Z) -> IndexPair:

@@ -17,7 +17,7 @@ from typing import ClassVar, Dict, Iterable, List
 
 from .coset import (GramTriple, IndexPair, breve, divisor_grams, divisors,
                     gram, hnf_right_cosets, is_strongly_primitive,
-                    mat2_scale, pair_act, reduce_gram)
+                    mat2_scale, pair_act, reduce_gram, row_hnf)
 from .scalar import GaussRational, GZERO, weighted_sum
 
 
@@ -77,23 +77,30 @@ class SiegelTable:
     entries: Dict[GramTriple, GaussRational] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Accept each key with the one test 0 <= b <= a <= c and a > 0.
+        A positive semidefinite triple is its own reduce_gram iff
+        0 <= b <= a <= c, and such a triple has 4ac - b^2 >= 4a^2 - a^2
+        = 3a^2, so a > 0 makes it positive definite; conversely a positive
+        definite triple has a > 0.  The diagnostic is built only for a
+        rejected key."""
         _check_weight(self.weight)
         for t in self.entries:
-            # A positive semidefinite triple is its own reduce_gram iff
-            # 0 <= b <= a <= c, and such a triple has 4ac - b^2 >= 3a^2 >= 0.
-            if not 0 <= t.b <= t.a <= t.c:
-                psd = t.a >= 0 and t.c >= 0 and t.disc() >= 0
+            a, b, c = t
+            if 0 <= b <= a <= c and a > 0:
+                continue
+            if not 0 <= b <= a <= c:
+                psd = a >= 0 and c >= 0 and 4 * a * c - b * b >= 0
                 raise ValueError(f"key {t} is not "
                                  + ("reduced" if psd
                                     else "positive semidefinite"))
-            if not t.is_positive_definite():
-                raise ValueError("cuspidal table keys must be pos. definite")
+            raise ValueError("cuspidal table keys must be pos. definite")
 
     @cached_property
     def max_disc(self) -> int:
         """The largest discriminant of a key, 0 without keys; computed
         once, as a table's entries are not changed after it is built."""
-        return max((t.disc() for t in self.entries), default=0)
+        return max((4 * a * c - b * b for a, b, c in self.entries),
+                   default=0)
 
     def a(self, t: GramTriple) -> GaussRational:
         key = reduce_gram(t)
@@ -303,7 +310,14 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
     divisor coset r of mu has |det r| dividing n.  Then D_phi(n) must equal
     sum_{d | n} sigma_1(d) P(n/d).  A coefficient missing from the table
     raises InsufficientTableError naming lambda and the largest bound the
-    table supports for it."""
+    table supports for it.
+
+    The divisibility needs no enumeration of the divisor cosets.  With
+    row_hnf(mu) = (p, q, t), a coset r is admissible iff its row lattice
+    Z^2 r contains R = Z(p, q) + Z(0, t) (see coset.divisor_cosets), so
+    |det r| = [Z^2 : Z^2 r] divides [Z^2 : R] = p t; and r = HNF(R) is
+    admissible with |det r| = p t.  So every |det r| divides n iff p t
+    divides n, and p t is the one |det r| to name when it does not."""
     if not is_strongly_primitive(lam):
         raise ValueError("dirichlet_factor_check needs a strongly "
                          "primitive pair")
@@ -324,8 +338,9 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
                     f"{e} (needed by lambda={lam} at |det g|={n}): "
                     f"{largest} this table supports for lambda") from e
             if misfit is None:
-                misfit = next((f"|det r|={d} does not divide n={n}, g={g}"
-                               for d, _t in divisor_grams(mu) if n % d), None)
+                p, _q, t = row_hnf(mu)
+                if n % (p * t):
+                    misfit = f"|det r|={p * t} does not divide n={n}, g={g}"
         scale = n ** (phi.weight - 1)
         full[n] = weighted_sum(s_full) / scale
         prim[n] = weighted_sum(s_prim) / scale

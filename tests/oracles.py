@@ -15,8 +15,9 @@ commuting with (e+, h+, f+), the S3 action on g_E, on so(8) through Phi
 (with the conjugation twist for odd permutations) and on triality triples,
 and the pairing of integer cubes that the cube action preserves.
 
-For the cosets: the product of 2x2 integer matrices, to compare coset
-representatives.
+For the cosets: the product and the sum of 2x2 integer matrices, to
+compare coset representatives, and the pair action lam . g built from
+scaled and added matrices, the reference of its entry formula.
 
 For the orbit layer: the factor isometries of the split lattice built by
 pushing the unit vectors through an (x, y) action (split_xy and join_xy
@@ -68,7 +69,8 @@ from scipy import integrate
 from octolift.cli import KINDS, TableError, _parse_int, _parse_rational
 from octolift.coset import (GramTriple, breve, divisor_cosets, divisor_grams,
                             divisors, gram, hnf_right_cosets,
-                            is_strongly_primitive, mat2, mat2_det, pair_act)
+                            is_strongly_primitive, mat2, mat2_det,
+                            mat2_scale, pair_act)
 from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
                             SiegelTable, a_prim, reduced_triples)
 from octolift.octonion import BASIS, to_vector8
@@ -692,6 +694,20 @@ def mat2_mul(m, n):
     """The product of two 2x2 integer matrices as nested tuples."""
     return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2))
                        for j in range(2)) for i in range(2))
+
+
+def mat2_add(m, n):
+    """The sum of two 2x2 integer matrices as nested tuples."""
+    return tuple(tuple(a + b for a, b in zip(rm, rn))
+                 for rm, rn in zip(m, n))
+
+
+def pair_act_by_blocks(lam, g):
+    """lam . g = (g11 T1 + g21 T2, g12 T1 + g22 T2) from scaled and added
+    matrices, the reference of coset.pair_act's entry formula."""
+    T1, T2 = lam
+    return (mat2_add(mat2_scale(g[0][0], T1), mat2_scale(g[1][0], T2)),
+            mat2_add(mat2_scale(g[0][1], T1), mat2_scale(g[1][1], T2)))
 
 
 # --- the lifts, summed over the divisor cosets' pairs ------------------------

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift import cli, triality, whittaker
+from octolift.coset import is_strongly_primitive
 from octolift.lifts import (HalfIntegralTable, QuatTable, SiegelTable,
                             classical_maass_lift, theta_star_table)
 from octolift.octonion import B_BASIS, from_vector8, to_vector8
@@ -460,6 +461,39 @@ def test_dirichlet_command(tmp_path, capsys):
                               "--count", "2"])
     assert code == 0 and rep["status"] == "pass"
     assert len(rep["details"]) == 2
+
+
+def test_dirichlet_names_a_count_beyond_the_candidates(tmp_path, capsys):
+    """--count above the number of candidate pairs checks them all, passes
+    and says how many of the requested pairs it checked; a count within
+    reach adds no such line."""
+    F, phi = tmp_path / "F.json", tmp_path / "phi.json"
+    for argv in (["synth", "--kind", "siegel", "--seed", "3", "--bound",
+                  "300", "--weight", "4", "--out", str(F)],
+                 ["theta-star", "--in", str(F), "--bound", "9",
+                  "--out", str(phi)]):
+        assert _run(capsys, argv)[0] == 0
+    # the Siegel branch draws from the 4 pairs over reduced triples of
+    # discriminant <= 8
+    code, rep = _run(capsys, ["dirichlet", "--in", str(F), "--bound", "2",
+                              "--count", "5"])
+    assert code == 0 and rep["status"] == "pass"
+    assert len(rep["details"]) == 5
+    assert rep["details"][-1] == ("checked 4 of the 5 pairs requested: "
+                                  "there are only 4 candidates")
+    code, rep = _run(capsys, ["dirichlet", "--in", str(F), "--bound", "2",
+                              "--count", "4"])
+    assert code == 0 and len(rep["details"]) == 4
+    assert all(d.startswith("lambda=") for d in rep["details"])
+    keys = sum(is_strongly_primitive(lam)
+               for lam in cli.load_table(str(phi)).entries)
+    code, rep = _run(capsys, ["dirichlet", "--in", str(phi), "--bound", "1",
+                              "--count", "1000", "--seed", "2"])
+    assert code == 0 and rep["status"] == "pass"
+    assert len(rep["details"]) == keys + 1
+    assert rep["details"][-1] == (f"checked {keys} of the 1000 pairs "
+                                  f"requested: there are only {keys} "
+                                  "candidates")
 
 
 def test_whittaker_csv_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Integer 2x2 coset representatives, Gram reduction, strong primitivity."""
 
+import functools
 import random
 from itertools import product
 from math import gcd
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from octolift.coset import (GramTriple, MAT2_ZERO, breve, divisor_cosets,
                             divisor_grams, gram, hnf_left_cosets,
                             hnf_right_cosets, is_strongly_primitive, mat2,
-                            mat2_add, mat2_det, mat2_scale, mat2_transpose,
-                            pair_act, reduce_gram, row_hnf, smith_divisors)
+                            mat2_det, mat2_scale, mat2_transpose, pair_act,
+                            reduce_gram, row_hnf, smith_divisors)
+from octolift.lifts import fj_pair
 
-from oracles import mat2_mul
+from oracles import mat2_add, mat2_mul, pair_act_by_blocks
 
 ints = st.integers(-9, 9)
 mats = st.builds(mat2, ints, ints, ints, ints)
@@ -107,6 +109,23 @@ def test_gram_of_pair_action(lam1, lam2):
         nc = s.a * b * b + s.b * b * d + s.c * d * d
         nb = 2 * s.a * a * b + s.b * (a * d + b * c) + 2 * s.c * c * d
         assert t == GramTriple(na, nb, nc)
+
+
+_UNIMODULAR_STEPS = (mat2(1, 1, 0, 1), mat2(1, -1, 0, 1), mat2(1, 0, 1, 1),
+                     mat2(1, 0, -1, 1), mat2(-1, 0, 0, 1), mat2(0, 1, 1, 0))
+# g with det +-1 (products of elementary steps and sign flips) and with
+# det 0 (u v^t), beside random g; all have negative entries
+unimodular = st.lists(st.sampled_from(_UNIMODULAR_STEPS), max_size=8).map(
+    lambda steps: functools.reduce(mat2_mul, steps, mat2(1, 0, 0, 1)))
+rank_one = st.builds(lambda u1, u2, v1, v2: mat2(u1 * v1, u1 * v2,
+                                                 u2 * v1, u2 * v2),
+                     ints, ints, ints, ints)
+
+
+@settings(max_examples=300)
+@given(st.tuples(mats, mats), st.one_of(mats, unimodular, rank_one))
+def test_pair_act_is_the_block_formula(lam, g):
+    assert pair_act(lam, g) == pair_act_by_blocks(lam, g)
 
 
 @given(mats, mats)
@@ -375,3 +394,33 @@ def test_divisor_grams_match_divisor_cosets(lam):
         return
     assert divisor_grams(lam) == [(abs(mat2_det(r)), gram(mu))
                                   for r, mu in divisor_cosets(lam)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_divisor_pairs())
+def test_every_divisor_det_divides_the_row_hnf_index(lam):
+    """Every admissible r has Z^2 r containing R = Z(p, q) + Z(0, t), so
+    |det r| divides [Z^2 : R] = p t, and r = HNF(R) attains it."""
+    p, _q, t = row_hnf(lam)
+    if t == 0:    # zero or rank-deficient: no finite coset set
+        return
+    dets = [d for d, _t in divisor_grams(lam)]
+    assert all(p * t % d == 0 for d in dets)
+    assert max(dets) == p * t
+
+
+def test_orbit_row_hnf_index_is_det_g():
+    """For a strongly primitive lambda and g of |det g| = n, the stack of
+    lambda . g has row lattice Z^2 g of index n."""
+    rng = random.Random(43)
+    lams = [make(GramTriple(*abc)) for make in (breve, fj_pair)
+            for abc in ((1, 1, 1), (1, 0, 1), (2, 1, 3), (3, 2, 5))]
+    while len(lams) < 20:
+        lam = _random_pair(rng, 5)
+        if row_hnf(lam)[2] and is_strongly_primitive(lam):
+            lams.append(lam)
+    for lam in lams:
+        for n in range(1, 13):
+            for g in hnf_right_cosets(n):
+                p, _q, t = row_hnf(pair_act(lam, g))
+                assert p * t == n, (lam, g)

@@ -9,15 +9,14 @@ Table file format (exact data only, no floats):
 
 where <key> is an integer n (halfintegral), a triple [a, b, c] (siegel), or a
 pair of 2x2 integer matrices (quaternionic).  Values are Gaussian rationals:
-"re" and "im" (each "0" when absent) are strings "p/q" or "n" with an
-optional sign, as written in lowest terms.  A zero denominator, a string
-that fractions.Fraction does not parse and a value that is not a string are
-data errors.  The other strings Fraction parses ("2/4", "1.5", "1e3", "1_0",
-surrounding whitespace) load today but are not part of the format; an
-exponent above 4300 in absolute value is a data error.  Written tables hold
-the kind and weight on the first line and one entry per line.  Numeric
-results (whittaker, poincare) are written as CSV with 17 significant
-digits.
+"re" and "im" (each "0" when absent) are strings of the one form the
+writer writes, -?[0-9]+(?:/[0-9]+)?: an integer n or a fraction n/d of
+ASCII digits with an optional leading minus, d nonzero and each integer
+within Python's digit limit (4300 by default).  Any other value is a data
+error that names the entry and the value.  Written tables hold the kind
+and weight on the first line and one entry per line, each value in lowest
+terms.  Numeric results (whittaker, poincare) are written as CSV with 17
+significant digits.
 
 Report format, emitted as JSON on standard output by every subcommand:
 
@@ -36,10 +35,10 @@ import json
 import os
 import random
 import re
+import reprlib
 import sys
 import time
 import traceback
-from fractions import Fraction
 from math import exp, gcd, isqrt, pi
 from typing import Dict, List, Optional, Tuple
 
@@ -86,28 +85,6 @@ class TableError(Exception):
 
 
 # --- exact value / key codecs ---------------------------------------------------
-
-# Fraction("1e<n>") builds 10^|n| exactly, for seconds at n = 10^7; CPython
-# bounds the digits of an integer string, and so a mantissa, by 4300 too.
-_MAX_EXPONENT = 4300
-
-
-def _parse_rational(s, where: str) -> Fraction:
-    if not isinstance(s, str):
-        raise TableError(f"{where}: rational values must be strings, "
-                         f"got {type(s).__name__}")
-    try:    # an exponent that int() rejects, Fraction rejects too
-        exponent = abs(int(s.lower().partition("e")[2]))
-    except ValueError:
-        exponent = 0
-    if exponent > _MAX_EXPONENT:
-        raise TableError(f"{where}: the exponent of {s!r} exceeds "
-                         f"{_MAX_EXPONENT} in absolute value")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise TableError(f"{where}: bad rational string {s!r} ({e})")
-
 
 def _parse_int(x, where: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
@@ -183,27 +160,33 @@ _KEY_PARSERS = {"halfintegral": _int_key, "siegel": _triple_key,
 _KEY_WRITERS = {"halfintegral": str, "siegel": _triple_text,
                 "quaternionic": _pair_text}
 
-# A value string as the writer writes it: an integer or a fraction of
-# ASCII digits, with an optional minus sign.
+# A value string as the writer writes it, and the one form the reader
+# accepts: an integer or a fraction of ASCII digits, with an optional minus
+# sign.
 _WRITTEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_ratio(s, where: str) -> Tuple[int, int]:
-    """(n, d) with d > 0 for a value string, not always in lowest terms.
-    The written shape is read by int; any other string, a zero denominator
-    and an integer over Python's digit limit go through _parse_rational,
-    which gives the diagnostic."""
-    if type(s) is str and _WRITTEN.fullmatch(s):
-        n, _, d = s.partition("/")
-        try:
-            n, d = int(n), int(d or 1)
-        except ValueError:   # more digits than Python's limit
-            pass
-        else:
-            if d:
-                return n, d
-    q = _parse_rational(s, where)
-    return q.numerator, q.denominator
+    """(n, d) with d > 0 for a value string of the written shape, not
+    always in lowest terms; any other value is a TableError naming where
+    and the value, shortened by reprlib."""
+    if type(s) is not str:
+        raise TableError(f"{where}: rational values must be strings, "
+                         f"got {type(s).__name__}")
+    if not _WRITTEN.fullmatch(s):
+        raise TableError(f"{where}: bad rational string {reprlib.repr(s)}: "
+                         f"expected n or n/d in ASCII digits, with an "
+                         f"optional leading minus")
+    n, _, d = s.partition("/")
+    try:
+        n, d = int(n), int(d or 1)
+    except ValueError:
+        raise TableError(f"{where}: {reprlib.repr(s)} has an integer of more "
+                         f"than {sys.get_int_max_str_digits()} digits, "
+                         f"Python's limit for string-to-integer conversion")
+    if not d:
+        raise TableError(f"{where}: zero denominator in {reprlib.repr(s)}")
+    return n, d
 
 
 def parse_table(data):
@@ -247,7 +230,7 @@ def parse_table(data):
 
 
 def _ratio(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    """The value string of n/d for d > 0, in lowest terms."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
@@ -296,8 +279,10 @@ def write_table(table, path: str) -> None:
 # --- synthetic tables ------------------------------------------------------------
 
 def _random_gauss(rng: random.Random) -> GaussRational:
-    return GaussRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    """a/b + i c/d, drawn in that order."""
+    a, b, c, d = (rng.randint(-9, 9), rng.randint(1, 4), rng.randint(-9, 9),
+                  rng.randint(1, 4))
+    return GaussRational.over(a * d, c * b, b * d)
 
 
 def synth_table(kind: str, seed: int, bound: int, weight: int = 10):
@@ -483,12 +468,19 @@ def cmd_fj(args):
     phi = load_table(args.infile)
     if not isinstance(phi, QuatTable):
         raise TableError("fj needs a quaternionic input table")
-    entries = {}
+    entries, first = {}, {}
     for lam in phi.entries:
         # a key (((a, 0), (b, 1)), ((0, -1), (c, 0))) is fj_pair((a, b, c))
         t = GramTriple(lam[0][0][0], lam[0][1][0], lam[1][1][0])
         if lam == fj_pair(t):
-            entries[reduce_gram(t)] = phi.a(lam).conj()
+            key, v = reduce_gram(t), phi.a(lam).conj()
+            # a theta* lift reads one a_F for the whole class
+            if entries.setdefault(key, v) != v:
+                return "fail", [f"keys {_pair_text(first[key])} and "
+                                f"{_pair_text(lam)} both reduce to the class "
+                                f"{tuple(key)} but carry different "
+                                f"coefficients"]
+            first.setdefault(key, lam)
     if not entries:
         raise TableError("no Fourier-Jacobi keys "
                          "([[a,0],[b,1]], [[0,-1],[c,0]]) in the table")

@@ -152,8 +152,18 @@ def reduced_triples(discbound: int):
 def classical_maass_lift(c: HalfIntegralTable, ell: int,
                          bound: int) -> SiegelTable:
     """A_F(a,b,c) = sum_{d | gcd(a,b,c)} d^(ell-1) c((4ac-b^2)/d^2) on all
-    reduced positive definite triples of discriminant <= bound."""
+    reduced positive definite triples of discriminant <= bound.  The
+    largest n <= bound with n = 0, 3 mod 4 is read at the key (1, 0, n/4)
+    or (1, 1, (n+1)/4), so a table whose keys stop below it fails before
+    any triple is built."""
     _check_weight(ell)
+    n = bound if bound % 4 == 3 else bound - bound % 4
+    top = max(c.entries, default=0)
+    if n > max(top, 2):
+        have = (f"stops at c({top}): --bound {top} is the largest bound it "
+                f"supports" if top else "has no key above 0")
+        raise InsufficientTableError(
+            f"the lift reads c({n}), but the table {have}")
     entries = {}
     for t in reduced_triples(bound):
         entries[t] = weighted_sum((d ** (ell - 1), c.c(t.disc() // (d * d)))

@@ -58,6 +58,8 @@ the unreduced integers), an alternating binomial sum and the index-1
 Jacobi form's coefficients."""
 
 import json
+import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -66,7 +68,7 @@ from math import comb, prod
 import numpy as np
 from scipy import integrate
 
-from octolift.cli import KINDS, TableError, _parse_int, _parse_rational
+from octolift.cli import KINDS, TableError, _parse_int
 from octolift.coset import (GramTriple, breve, divisor_cosets, divisor_grams,
                             divisors, gram, hnf_right_cosets,
                             is_strongly_primitive, mat2, mat2_det,
@@ -848,6 +850,31 @@ def _parse_mat2(x, where: str):
     return mat2(*(_parse_int(e, where) for row in x for e in row))
 
 
+def _parse_value(s, where: str) -> Fraction:
+    """A value string as a Fraction, read without the program's pattern:
+    an optional leading minus, then one or two nonempty runs of ASCII
+    digits joined by "/", the second not zero; with cli._parse_ratio's
+    diagnostics."""
+    if not isinstance(s, str):
+        raise TableError(f"{where}: rational values must be strings, "
+                         f"got {type(s).__name__}")
+    shown = reprlib.repr(s)
+    parts = (s[1:] if s.startswith("-") else s).split("/")
+    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise TableError(f"{where}: bad rational string {shown}: expected n "
+                         f"or n/d in ASCII digits, with an optional leading "
+                         f"minus")
+    if any(len(p) > sys.get_int_max_str_digits() for p in parts):
+        raise TableError(f"{where}: {shown} has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's "
+                         f"limit for string-to-integer conversion")
+    n = int(parts[0])
+    d = int(parts[1]) if len(parts) == 2 else 1
+    if d == 0:
+        raise TableError(f"{where}: zero denominator in {shown}")
+    return Fraction(-n if s.startswith("-") else n, d)
+
+
 def _parse_key(kind: str, key, where: str):
     if kind == "halfintegral":
         return _parse_int(key, where)
@@ -863,7 +890,7 @@ def _parse_key(kind: str, key, where: str):
 def parse_table_by_entry(data):
     """cli.parse_table as a loop that parses every entry on its own: each
     key through isinstance checks, each of its two value strings through
-    Fraction."""
+    _parse_value."""
     if not isinstance(data, dict):
         raise TableError("table file must be a JSON object")
     kind = data.get("kind")
@@ -882,8 +909,8 @@ def parse_table_by_entry(data):
         if key in entries:
             raise TableError(f"{where}: duplicate key {entry['key']!r}")
         entries[key] = GaussRational(
-            _parse_rational(entry.get("re", "0"), where),
-            _parse_rational(entry.get("im", "0"), where))
+            _parse_value(entry.get("re", "0"), where),
+            _parse_value(entry.get("im", "0"), where))
     try:
         if kind == "halfintegral":
             return HalfIntegralTable(weight, entries)

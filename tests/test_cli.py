@@ -114,35 +114,68 @@ def test_undecodable_or_invalid_file_exits_2(tmp_path, capsys, name,
         assert str(path) in rep["details"][0]
 
 
-@pytest.mark.parametrize("value", ["1e3", "-2.5E-3", "1e4300", "1e-4300"])
-def test_exponent_forms_within_the_bound_load(value):
-    table = cli.parse_table({"kind": "halfintegral", "weight": 4,
-                             "entries": [{"key": 0, "re": value}]})
-    assert table.entries[0] == GaussRational.make(Fraction(value))
+def _first_value_error(value, part="re") -> str:
+    """The diagnostic of a halfintegral table whose one entry has value
+    as its real or imaginary part."""
+    with pytest.raises(cli.TableError) as e:
+        cli.parse_table({"kind": "halfintegral", "weight": 4,
+                         "entries": [{"key": 0, part: value}]})
+    return str(e.value)
+
+
+@pytest.mark.parametrize("value", ["1e3", "-2.5E-3", "1e4300", "1e-4300",
+                                   "1.5", "+1", " 3 ", "1_0"])
+def test_other_value_forms_are_rejected(value):
+    """Only the written shape loads: an exponent, a decimal point, a plus
+    sign, whitespace or an underscore is a data error naming the entry and
+    the string."""
+    assert _first_value_error(value) == (
+        f"entries[0]: bad rational string {value!r}: expected n or n/d in "
+        f"ASCII digits, with an optional leading minus")
+
+
+def test_value_diagnostics_are_distinct():
+    """A zero denominator, too many digits, a value that is no string and
+    any other string each have their own message; a long string is
+    shortened in it."""
+    assert _first_value_error("3/0", "im") == (
+        "entries[0]: zero denominator in '3/0'")
+    digits = _first_value_error("1/" + "7" * 4301)
+    assert digits == (
+        "entries[0]: '1/7777777777...7777777777777' has an integer of more "
+        "than 4300 digits, Python's limit for string-to-integer conversion")
+    assert _first_value_error(0.5) == (
+        "entries[0]: rational values must be strings, got float")
+    assert _first_value_error("x" * 100) == (
+        "entries[0]: bad rational string 'xxxxxxxxxxxx...xxxxxxxxxxxxx': "
+        "expected n or n/d in ASCII digits, with an optional leading minus")
 
 
 def test_writer_names_the_key_past_the_digit_limit(tmp_path, capsys):
-    # "1e4300" loads, but its lift has a value of 4301 digits
+    # c(4) of 4,300 digits loads, but the 2^9 c(4) term of the lift at
+    # (2, 0, 2) has 4,302
     c, F = tmp_path / "c.json", tmp_path / "F.json"
     cli.write_table(cli.synth_table("halfintegral", 0, 20, weight=10), str(c))
     data = json.loads(c.read_text())
-    (entry,) = [e for e in data["entries"] if e["key"] == 3]
-    entry["re"] = "1e4300"
+    (entry,) = [e for e in data["entries"] if e["key"] == 4]
+    entry["re"] = "1" + "0" * 4299
     c.write_text(json.dumps(data))
     code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
                               "--bound", "20", "--out", str(F)])
     assert code == 2 and rep["status"] == "error"
     assert rep["details"] == [
-        "TableError: cannot write the value at key [1, 1, 1]: it has more "
+        "TableError: cannot write the value at key [2, 0, 2]: it has more "
         "than 4300 digits, Python's limit for integer-to-string conversion"]
     assert not F.exists()
 
 
-@pytest.mark.parametrize("value", ["1e10000000", "1e-4301", "1E+4_301"])
+@pytest.mark.parametrize("value", [
+    "1e10000000", "1e-4301", "1E+4_301",
+    pytest.param("1" * 10 ** 6, id="a 10^6-digit integer")])
 def test_huge_exponent_exits_2_at_once(tmp_path, capsys, value):
     """Fraction would build 10^(10^7) exactly for "1e10000000", which
-    takes seconds; the exponent is rejected before that, naming the
-    entry."""
+    takes seconds; the reader rejects it, as any exponent form, at once,
+    and a 10^6-digit string too, naming the entry and the string."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": "halfintegral", "weight": 4,
                                 "entries": [{"key": 0, "re": value}]}))
@@ -152,8 +185,8 @@ def test_huge_exponent_exits_2_at_once(tmp_path, capsys, value):
                               str(tmp_path / "F.json")])
     assert time.monotonic() - start < 1.0
     assert code == 2 and rep["status"] == "error"
-    assert "entries[0]: the exponent of" in rep["details"][0]
-    assert "exceeds 4300" in rep["details"][0]
+    assert rep["details"][0].startswith("TableError: entries[0]: ")
+    assert f"'{value[:12]}" in rep["details"][0]
 
 
 def test_rationals_survive_exactly():
@@ -317,6 +350,32 @@ def test_lift_theta_maass_fj_pipeline(tmp_path, capsys):
     shared = set(Ftab.entries) & set(fjtab.entries)
     assert shared
     assert all(Ftab.entries[t] == fjtab.entries[t] for t in shared)
+
+
+def test_fj_fails_on_a_class_with_two_values(tmp_path, capsys):
+    """fj_pair(1, 2, 4) and fj_pair(1, 0, 3) are keys of a theta-star
+    --bound 36 table with the same reduced class; altering one of them
+    makes fj fail and write nothing."""
+    F, phi, out = (tmp_path / f for f in ("F.json", "phi.json", "fj.json"))
+    for argv in (["synth", "--kind", "siegel", "--seed", "7", "--bound",
+                  "144", "--weight", "10", "--out", str(F)],
+                 ["theta-star", "--in", str(F), "--bound", "36", "--out",
+                  str(phi)],
+                 ["fj", "--in", str(phi), "--out", str(out)]):
+        assert _run(capsys, argv)[0] == 0
+    data = json.loads(phi.read_text())
+    (entry,) = [e for e in data["entries"]
+                if e["key"] == [[[1, 0], [2, 1]], [[0, -1], [4, 0]]]]
+    entry["re"] = str(Fraction(entry["re"]) + 1)
+    phi.write_text(json.dumps(data))
+    out.unlink()
+    code, rep = _run(capsys, ["fj", "--in", str(phi), "--out", str(out)])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["details"] == [
+        "keys [[[1, 0], [0, 1]], [[0, -1], [3, 0]]] and [[[1, 0], [2, 1]], "
+        "[[0, -1], [4, 0]]] both reduce to the class (1, 0, 3) but carry "
+        "different coefficients"]
+    assert not out.exists()
 
 
 def test_reduce_and_triality_commands(capsys):
@@ -615,6 +674,36 @@ def test_dirichlet_small_table_fails_fast(tmp_path, capsys):
                               "--count", "5"])
     assert time.monotonic() - start < 1.0
     assert code == 2 and "discriminant 819200" in rep["details"][0]
+
+
+def test_lift_small_table_fails_fast(tmp_path, capsys):
+    c, F = tmp_path / "c.json", tmp_path / "F.json"
+    code, _ = _run(capsys, ["synth", "--kind", "halfintegral", "--seed", "7",
+                            "--bound", "144", "--out", str(c)])
+    assert code == 0
+    # the largest n <= 10^6 with n = 0, 3 mod 4 is checked before any
+    # triple is built
+    start = time.monotonic()
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                              "--bound", "1000000", "--out", str(F)])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and rep["details"] == [
+        "InsufficientTableError: the lift reads c(1000000), but the table "
+        "stops at c(144): --bound 144 is the largest bound it supports"]
+    assert not F.exists()
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                              "--bound", "146", "--out", str(F)])
+    assert code == 0
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                              "--bound", "147", "--out", str(F)])
+    assert code == 2 and "reads c(147)" in rep["details"][0]
+    cli.write_table(HalfIntegralTable(10, {0: GaussRational.make(1)}),
+                    str(c))
+    code, rep = _run(capsys, ["lift", "--in", str(c), "--weight", "10",
+                              "--bound", "3", "--out", str(F)])
+    assert code == 2 and rep["details"] == [
+        "InsufficientTableError: the lift reads c(3), but the table has no "
+        "key above 0"]
 
 
 def test_dirichlet_on_a_small_quaternionic_table_names_the_bound(tmp_path,
@@ -1033,14 +1122,15 @@ def test_table_command_fuzz_exit_codes(tmp_path_factory, table, command,
         assert code == 2
 
 
-# The damages of _table_docs, plus: value strings that Fraction accepts or
-# rejects (among them the written shape not in lowest terms, a zero
-# denominator, Arabic-Indic digits, a superscript digit and a denominator
-# past Python's digit limit), keys whose leaves are bools, floats, strings
-# or nested lists, keys outside a kind's support, and duplicate keys.
+# The damages of _table_docs, plus: value strings of the written shape
+# (some not in lowest terms, one at Python's digit limit) and not (among
+# them forms that Fraction reads, a zero denominator, Arabic-Indic digits,
+# a superscript digit and a denominator past Python's digit limit), keys
+# whose leaves are bools, floats, strings or nested lists, keys outside a
+# kind's support, and duplicate keys.
 _VALUES = ["2/4", "+1", " 3 ", "1e3", "1_0", "1/0", "-0", "1.5", "1/-2",
            "1e10000000", "-6/4", "0/5", "007", "0/0", "\u0661/\u0662",
-           "\u00b2", "1/" + "7" * 4301, *_BAD_RATIONALS]
+           "\u00b2", "1/" + "7" * 4301, "-" + "9" * 4300, *_BAD_RATIONALS]
 _KEY_LEAVES = [True, False, 1.0, 2.5, [1], [[1, 2]], [], "1", None, -1, 0,
                1, 7]
 
@@ -1108,12 +1198,20 @@ def test_parse_table_matches_the_per_entry_oracle(doc):
 
 def test_every_value_string_matches_the_oracle():
     """Each of _VALUES as the real and as the imaginary part of the first
-    entry of each kind: the written shape is read by int, every other
-    string by Fraction, and both give the oracle's value or diagnostic."""
+    entry of each kind: the parser and the oracle's own reader give the
+    same value or the same diagnostic.  Only the written shape loads:
+    "+1", " 3 ", "1e3", "1_0" and "1.5", which Fraction reads, do not."""
+    loaded = set()
     for value, doc, part in product(_VALUES, _TABLES.values(), ("re", "im")):
         entry = {**doc["entries"][0], part: value}
         _assert_parsed_as_the_oracle_does(
             {**doc, "entries": [entry, *doc["entries"][1:]]})
+        try:
+            cli.parse_table({**doc, "entries": [entry]})
+            loaded.add(value)
+        except cli.TableError:
+            pass
+    assert loaded == {"2/4", "-0", "-6/4", "0/5", "007", "-" + "9" * 4300}
 
 
 @pytest.mark.parametrize("kind", cli.KINDS)
@@ -1133,6 +1231,15 @@ def test_every_key_leaf_damage_matches_the_oracle(kind):
 # --- the README -------------------------------------------------------------------
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_table_format_quotes_the_value_grammar():
+    """The README's table-format paragraph gives the reader's one value
+    grammar as cli._WRITTEN spells it."""
+    text = README.read_text()
+    paragraph = text[text.index("Table files are JSON objects"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    assert f"`{cli._WRITTEN.pattern}`" in paragraph
 
 
 def test_every_readme_command_parses():

@@ -106,20 +106,17 @@ def hnf_right_cosets(n: int) -> List[Mat2Z]:
     return [mat2_transpose(m) for m in hnf_left_cosets(n)]
 
 
-def _stack(lam: IndexPair):
-    """The 4x2 matrix whose columns are the vectorized T1 and T2.  The pair
-    action lam . g corresponds to right multiplication of this matrix by g,
-    which is what makes its row lattice detect divisibility."""
-    T1, T2 = lam
-    return tuple((T1[i][j], T2[i][j]) for i in range(2) for j in range(2))
-
-
 def row_hnf(lam: IndexPair) -> Tuple[int, int, int]:
-    """(p, q, t) such that the row lattice of the stack of lam is
+    """(p, q, t) such that the row lattice of the stack of lam, the 4x2
+    matrix whose columns are the vectorized T1 and T2, is
     Z(p, q) + Z(0, t): its row Hermite normal form, with p >= 0, t >= 0,
-    0 <= q < t when t > 0, and t = 0 when the rank is below 2."""
+    0 <= q < t when t > 0, and t = 0 when the rank is below 2.  The pair
+    action lam . g is right multiplication of the stack by g, which is
+    what makes its row lattice detect divisibility.  The four rows
+    (T1[i][j], T2[i][j]) are read straight from the eight entries of lam."""
+    ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = lam
     p = q = t = 0
-    for x, y in _stack(lam):
+    for x, y in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)):
         while x:   # Euclid on the first column, carrying the second
             k = p // x
             p, q, x, y = x, y, p - k * x, q - k * y
@@ -227,7 +224,15 @@ def divisor_grams(lam: IndexPair) -> List[Tuple[int, GramTriple]]:
     gram(lam.g) = g^t gram(lam) g, so with S(lam) = (A, B, C) and
     r^{-1} = [[1/a, -b/(ad)], [0, 1/d]] the triple of lam.r^{-1} is
     (A/a^2, (aB - 2bA)/(a^2 d), (b^2 A - abB + a^2 C)/(a^2 d^2)).  It is
-    integral because lam.r^{-1} is, so the divisions are exact."""
+    integral because lam.r^{-1} is, so the divisions are exact.
+
+    When row_hnf(lam) has p = t = 1 the row lattice is Z^2, so r = 1 is
+    the one admissible coset and the list is [(1, gram(lam))] at once;
+    every other pair, the zero pair and rank-deficient ones included,
+    goes through _divisor_rows and its checks."""
+    p, _q, t = row_hnf(lam)
+    if p == 1 and t == 1:
+        return [(1, gram(lam))]
     S = gram(lam)
     A, B, C = S.a, S.b, S.c
     out = []

@@ -122,7 +122,11 @@ class QuatTable:
     def __post_init__(self):
         _check_weight(self.weight, even=False)
         for lam in self.entries:
-            if not gram(lam).is_positive_definite():
+            # gram(lam) = (A, B, C) from the eight entries, as in coset.gram
+            ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = lam
+            A = a1 * d1 - b1 * c1
+            B = a1 * d2 + a2 * d1 - b1 * c2 - b2 * c1
+            if A <= 0 or 4 * A * (a2 * d2 - b2 * c2) <= B * B:
                 raise ValueError(f"key {lam} has non-positive-definite gram")
 
     def a(self, lam: IndexPair) -> GaussRational:
@@ -187,36 +191,42 @@ def classical_maass_check(F: SiegelTable) -> Report:
 
 # --- the quaternionic theta* lift ---------------------------------------------
 
-def _base_pairs(detbound: int,
-                extra_pairs: Iterable[IndexPair]) -> List[IndexPair]:
+def _base_pairs(detbound: int, extra_pairs: Iterable[IndexPair]):
     """For every reduced positive definite t with det [[a,b/2],[b/2,c]] <=
     detbound (i.e. disc <= 4*detbound): the canonical strongly primitive
     pairs breve(t) and fj_pair(t), and the imprimitive multiples d*breve(t)
-    that stay within the bound; then the extra pairs."""
+    that stay within the bound; then the extra pairs.  Each comes as
+    (lambda, grams): breve(t) and fj_pair(t) have gram exactly t and are
+    strongly primitive by construction, so their divisor grams ((1, t),)
+    are given in closed form; the rest carry None, to be enumerated."""
     discbound = 4 * detbound
     base = []
     for t in reduced_triples(discbound):
         lam = breve(t)
-        base += [lam, fj_pair(t)]
+        grams = ((1, t),)
+        base += [(lam, grams), (fj_pair(t), grams)]
         d = 2
         while d ** 4 * t.disc() <= discbound:   # gram(d*lam) = d^2 gram(lam)
-            base.append((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])))
+            base.append(((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])),
+                         None))
             d += 1
-    base.extend(extra_pairs)
+    base.extend((lam, None) for lam in extra_pairs)
     return base
 
 
-def _family(base: Iterable[IndexPair]):
+def _family(base):
     """Yield each key of the family once, with its divisor grams: the base
-    pairs, with divisor_grams(lambda), and for each divisor gram t of one
-    the breve-closure key breve(t) (what membership checks will look up),
+    pairs of _base_pairs, with their closed-form grams or else
+    divisor_grams(lambda), and for each divisor gram t of one the
+    breve-closure key breve(t) (what membership checks will look up),
     strongly primitive, so ((1, t),) are its divisor grams."""
     seen = set()
-    for lam in base:
+    for lam, grams in base:
         if lam in seen:
             continue
         seen.add(lam)
-        grams = divisor_grams(lam)
+        if grams is None:
+            grams = divisor_grams(lam)
         yield lam, grams
         for _n, t in grams:
             key = breve(t)
@@ -250,18 +260,29 @@ def theta_star_table(F: SiegelTable, detbound: int,
     """Tabulate theta* over spezialschar_keys(detbound, extra_pairs):
     a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
     |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1
-    comes from the key's divisor grams.  A key reads a_F at discriminants
-    up to disc S(lambda) (each S(mu) has disc S(lambda) / |det r|^2, and
-    a closure key's disc is one of those), so a table that stops below the
-    largest base pair's fails here, before any sum.  A pair whose stack has
-    rank below 2 raises ValueError (its divisor cosets are infinite), and
-    so does one whose gram is not positive definite."""
+    comes from the key's divisor grams.  A key with one divisor gram t is
+    strongly primitive, its one coset is r = 1, and it reads conj a_F(t).
+    A key reads a_F at discriminants up to disc S(lambda) (each S(mu) has
+    disc S(lambda) / |det r|^2, and a closure key's disc is one of those).
+    The largest base pair is breve(1, 0, detbound), of disc 4*detbound, so
+    a table that stops below that or below an extra pair's disc fails
+    here, before any base pair is built.  A pair whose stack has rank below 2 raises
+    ValueError (its divisor cosets are infinite), and so does one whose
+    gram is not positive definite."""
     ell = F.weight
-    base = _base_pairs(detbound, extra_pairs)
-    require_disc(F, max((gram(lam).disc() for lam in base), default=0))
+    extra = list(extra_pairs)
+    require_disc(F, max([4 * detbound]
+                        + [gram(lam).disc() for lam in extra]))
+
+    def coefficient(grams) -> GaussRational:
+        if len(grams) == 1:
+            return F.a(grams[0][1]).conj()
+        return weighted_sum((n ** (ell - 1), F.a(t))
+                            for n, t in grams).conj()
+
     return QuatTable(ell, dict(sorted(
-        (lam, weighted_sum((n ** (ell - 1), F.a(t)) for n, t in grams).conj())
-        for lam, grams in _family(base))))
+        (lam, coefficient(grams))
+        for lam, grams in _family(_base_pairs(detbound, extra)))))
 
 
 # --- Maass Spezialschar membership --------------------------------------------
@@ -277,7 +298,9 @@ def maass_membership(phi: QuatTable) -> Report:
     (i) strongly primitive keys with equal gram carry equal coefficients;
     (ii) a_phi(lambda) = sum over divisor cosets (r, mu) of
          |det r|^(ell-1) a_phi^prim(mu), read as a_phi(breve(S(mu))) with
-         S(mu) from divisor_grams."""
+         S(mu) from divisor_grams; for a strongly primitive key, whose one
+         divisor gram is its gram t, the sum is the one term
+         a_phi(breve(t))."""
     ell = phi.weight
     grams = [divisor_grams(lam) for lam in phi.entries]
     by_gram: Dict[GramTriple, List[GaussRational]] = {}
@@ -288,7 +311,11 @@ def maass_membership(phi: QuatTable) -> Report:
         if any(x != vals[0] for x in vals):
             return Report(False, f"condition (i) fails at gram {t}")
     for dg, (lam, x) in zip(grams, phi.entries.items()):
-        rhs = weighted_sum((n ** (ell - 1), phi.a(breve(t))) for n, t in dg)
+        if len(dg) == 1:
+            rhs = phi.a(breve(dg[0][1]))
+        else:
+            rhs = weighted_sum((n ** (ell - 1), phi.a(breve(t)))
+                               for n, t in dg)
         if rhs != x:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")

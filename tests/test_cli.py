@@ -746,6 +746,24 @@ def test_theta_star_small_table_fails_fast(tmp_path, capsys):
     assert code == 0
 
 
+def test_theta_star_huge_bound_fails_before_any_pair(tmp_path, capsys):
+    """The largest base pair, breve(1, 0, B), has discriminant 4 B, so the
+    table is checked before any of the base pairs is built."""
+    F, phi = tmp_path / "F.json", tmp_path / "phi.json"
+    code, _ = _run(capsys, ["synth", "--kind", "siegel", "--bound", "144",
+                            "--out", str(F)])
+    assert code == 0
+    start = time.monotonic()
+    code, rep = _run(capsys, ["theta-star", "--in", str(F), "--bound",
+                              "1000000", "--out", str(phi)])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and rep["details"] == [
+        "InsufficientTableError: theta* reads a_F up to discriminant "
+        "4000000, but the table stops at 144: build the table to "
+        "discriminant 4000000"]
+    assert not phi.exists()
+
+
 def test_empty_tables_do_not_pass(tmp_path, capsys):
     c = tmp_path / "c.json"
     F = tmp_path / "F.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octolift import coset
 from octolift.coset import (GramTriple, MAT2_ZERO, breve, divisor_cosets,
                             divisor_grams, gram, hnf_left_cosets,
                             hnf_right_cosets, is_strongly_primitive, mat2,
@@ -394,6 +395,27 @@ def test_divisor_grams_match_divisor_cosets(lam):
         return
     assert divisor_grams(lam) == [(abs(mat2_det(r)), gram(mu))
                                   for r, mu in divisor_cosets(lam)]
+
+
+def test_divisor_grams_of_strongly_primitive_pairs_return_early(monkeypatch):
+    """On 400 random strongly primitive pairs divisor_grams gives
+    [(1, gram(lam))] without enumerating any coset, and that is the list
+    the coset enumeration gives."""
+    rng = random.Random(47)
+    pairs = []
+    while len(pairs) < 400:
+        lam = _random_pair(rng, rng.choice((1, 2, 4, 9)))
+        if lam != (MAT2_ZERO, MAT2_ZERO) and is_strongly_primitive(lam):
+            pairs.append(lam)
+    want = [[(abs(mat2_det(r)), gram(mu)) for r, mu in divisor_cosets(lam)]
+            for lam in pairs]
+    assert want == [[(1, gram(lam))] for lam in pairs]
+
+    def no_enumeration(lam):
+        raise AssertionError(f"{lam} enumerated")
+
+    monkeypatch.setattr(coset, "_divisor_rows", no_enumeration)
+    assert [divisor_grams(lam) for lam in pairs] == want
 
 
 @settings(max_examples=400, deadline=None)

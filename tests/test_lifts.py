@@ -9,8 +9,9 @@ from math import gcd
 import pytest
 
 from octolift import lifts
-from octolift.coset import (GramTriple, breve, gram, hnf_right_cosets,
-                            is_strongly_primitive, pair_act, reduce_gram)
+from octolift.coset import (GramTriple, breve, divisor_grams, gram,
+                            hnf_right_cosets, is_strongly_primitive, mat2,
+                            mat2_det, mat2_scale, pair_act, reduce_gram)
 from octolift.lifts import (HalfIntegralTable, InsufficientTableError,
                             QuatTable, SiegelTable, a_prim,
                             classical_maass_check, classical_maass_lift,
@@ -83,6 +84,43 @@ def test_reduced_key_check_is_reduce_gram():
                                     and t.is_positive_definite()), t
 
 
+def _quat_key_error(lam):
+    """The ValueError text of a one-key QuatTable on lam, None if built."""
+    try:
+        QuatTable(4, {lam: GZERO})
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_quat_table_key_check_is_gram_is_positive_definite():
+    """QuatTable tests det T1 > 0 and 4AC > B^2 from the eight entries; on
+    every pair with entries in -1..1, and on drawn pairs on the boundary
+    (det T1 = 0, or T1 and T2 proportional so that 4AC = B^2), it accepts
+    exactly the keys with gram(lam).is_positive_definite(), and names the
+    others in one message."""
+    rng = random.Random(53)
+    pairs = [(mat2(*e[:4]), mat2(*e[4:]))
+             for e in product((-1, 0, 1), repeat=8)]
+    for _ in range(500):
+        T = mat2(*(rng.randint(-4, 4) for _ in range(4)))
+        pairs.append((mat2_scale(rng.randint(-3, 3), T),
+                      mat2_scale(rng.randint(-3, 3), T)))
+        a, b, k = (rng.randint(-4, 4) for _ in range(3))
+        pairs.append((mat2(a, b, k * a, k * b), T))
+    boundary = {"A = 0": 0, "A > 0, 4AC = B^2": 0}
+    for lam in pairs:
+        S = gram(lam)
+        if S.a == 0:
+            boundary["A = 0"] += 1
+        elif S.a > 0 and S.disc() == 0:
+            boundary["A > 0, 4AC = B^2"] += 1
+        want = (None if S.is_positive_definite() else
+                f"key {lam} has non-positive-definite gram")
+        assert _quat_key_error(lam) == want
+    assert min(boundary.values()) > 100, boundary
+
+
 def test_siegel_table_canonicalizes_lookups():
     F = SiegelTable(4, {GramTriple(1, 0, 1): GaussRational.make(5)})
     assert F.a(GramTriple(1, 0, 1)) == F.a(GramTriple(1, 2, 2))
@@ -153,22 +191,44 @@ def test_theta_star_table_is_in_the_spezialschar():
 
 
 def test_theta_star_table_builds_each_keys_divisor_grams_once(monkeypatch):
-    """divisor_grams runs once per distinct base pair and never on a key
-    that only the breve-closure adds; a base pair the closure reaches
-    first is strongly primitive, and its one divisor gram is its gram."""
+    """divisor_grams runs once on each base pair whose grams are not given
+    in closed form, the multiples d*breve(t) and the extra pairs, in base
+    order, and never on breve(t), fj_pair(t) or a key that only the
+    breve-closure adds: those are strongly primitive with gram t, so
+    ((1, t),) are their divisor grams."""
     F = _random_siegel_table(4, 4 * 12, weight=4)
-    want = theta_star_table(F, 12)
+    lam = breve(GramTriple(1, 1, 2))
+    extra = [pair_act(lam, g) for g in hnf_right_cosets(2)]
+    want = theta_star_table(F, 12, extra)
     calls = []
     build = lifts.divisor_grams
     monkeypatch.setattr(lifts, "divisor_grams",
                         lambda lam: calls.append(lam) or build(lam))
-    phi = theta_star_table(F, 12)
+    phi = theta_star_table(F, 12, extra)
     assert phi == want
-    assert (len(calls), len(phi.entries)) == (72, 76)
-    assert len(set(calls)) == len(calls)
-    base = set(lifts._base_pairs(12, ()))
-    assert set(calls) <= base
-    assert all(is_strongly_primitive(lam) for lam in base - set(calls))
+    multiples = [(mat2_scale(d, breve(t)[0]), mat2_scale(d, breve(t)[1]))
+                 for t in reduced_triples(4 * 12) for d in (2, 3)
+                 if d ** 4 * t.disc() <= 4 * 12]
+    assert len(multiples) == 1 and len(extra) == 3
+    assert calls == multiples + extra
+    closed = {f(gram(mu)) for mu in phi.entries for f in (breve, fj_pair)}
+    assert closed.isdisjoint(calls)
+    assert len(phi.entries) > len(calls)
+
+
+@pytest.mark.parametrize("detbound", range(1, 13))
+def test_closed_form_base_grams_are_the_enumerated_ones(detbound):
+    """breve(t) and fj_pair(t) enter the family with divisor grams
+    ((1, t),), and those are what divisor_grams and the coset enumeration
+    give."""
+    given = [(lam, grams) for lam, grams in lifts._base_pairs(detbound, ())
+             if grams is not None]
+    assert len(given) == 2 * len(reduced_triples(4 * detbound))
+    for lam, ((n, t),) in given:
+        assert (n, gram(lam)) == (1, t)
+        assert divisor_grams(lam) == [(1, t)]
+        assert [(abs(mat2_det(r)), gram(mu))
+                for r, mu in oracles.divisor_cosets(lam)] == [(1, t)]
 
 
 @pytest.mark.parametrize("detbound", range(1, 13))

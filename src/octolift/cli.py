@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib.util
 import json
 import os
@@ -42,8 +43,8 @@ import traceback
 from math import exp, gcd, isqrt, pi
 from typing import Dict, List, Optional, Tuple
 
-from .coset import (GramTriple, breve, gram, hnf_right_cosets,
-                    is_strongly_primitive, pair_act, reduce_gram)
+from .coset import (GramTriple, breve, gram, is_strongly_primitive,
+                    reduce_gram)
 from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     SiegelTable, classical_maass_check, classical_maass_lift,
                     dirichlet_factor_check, fj_pair,
@@ -236,18 +237,29 @@ def _ratio(n: int, d: int) -> str:
 
 
 def load_table(path: str):
+    """The table in the file at path, decoded and built with the cyclic
+    garbage collector paused.  The decoded JSON tree and the table built
+    from it hold no reference cycles, so a collection while they grow
+    could only traverse their objects, never free one; the collector's
+    previous state is restored however the load ends."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as e:
-        raise TableError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise TableError(f"{path}: invalid JSON: {e}")
-    except UnicodeDecodeError as e:
-        raise TableError(f"{path}: not UTF-8 text: {e}")
-    except RecursionError:
-        raise TableError(f"{path}: JSON nested too deeply to decode")
-    return parse_table(data)
+        try:
+            with open(path, encoding="utf-8") as f:
+                data = json.load(f)
+        except OSError as e:
+            raise TableError(f"cannot read {path}: {e}")
+        except json.JSONDecodeError as e:
+            raise TableError(f"{path}: invalid JSON: {e}")
+        except UnicodeDecodeError as e:
+            raise TableError(f"{path}: not UTF-8 text: {e}")
+        except RecursionError:
+            raise TableError(f"{path}: JSON nested too deeply to decode")
+        return parse_table(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_table(table, path: str) -> None:
@@ -493,26 +505,22 @@ def cmd_fj(args):
 def cmd_dirichlet(args):
     table = load_table(args.infile)
     if isinstance(table, SiegelTable):
-        # Choose strongly primitive pairs over the smallest reduced triples,
-        # then tabulate the quaternionic lift on exactly the orbit lam . g
-        # (|det g| <= bound) the truncated series needs.
+        # Choose strongly primitive pairs over the smallest reduced triples;
+        # the check reads theta*(F) straight from F along the orbit lam . g
+        # (|det g| <= bound).
         triples = sorted(reduced_triples(8), key=lambda t: (t.disc(), t))
         lams = list(dict.fromkeys(   # breve(t) = fj_pair(t) when a = 1
             f(t) for t in triples for f in (breve, fj_pair)))
         if args.seed is not None:
             random.Random(args.seed).shuffle(lams)
         lams = lams[:args.count]
-        # disc S(lam . g) = disc S(lam) |det g|^2, and the detbound-1 keys
-        # reach 4: check the table before building any pair.
-        require_disc(table, max([4] + [gram(lam).disc() * args.bound ** 2
-                                       for lam in lams]))
-        extra = [pair_act(lam, g) for lam in lams
-                 for n in range(1, args.bound + 1)
-                 for g in hnf_right_cosets(n)]
-        phi = theta_star_table(table, 1, extra_pairs=extra)
+        # disc S(lam . g) = disc S(lam) |det g|^2, and every a_F the check
+        # reads is at S(lam . g) or a divisor gram of it, of smaller disc:
+        # check the table before building any pair.
+        require_disc(table, max(gram(lam).disc() * args.bound ** 2
+                                for lam in lams))
     elif isinstance(table, QuatTable):
-        phi = table
-        lams = [lam for lam in sorted(phi.entries)
+        lams = [lam for lam in sorted(table.entries)
                 if is_strongly_primitive(lam)]
         if not lams:
             raise TableError("no strongly primitive keys in the table")
@@ -523,7 +531,7 @@ def cmd_dirichlet(args):
         raise TableError("dirichlet needs a siegel or quaternionic table")
     details = []
     for lam in lams:
-        rep = dirichlet_factor_check(phi, lam, args.bound)
+        rep = dirichlet_factor_check(table, lam, args.bound)
         if not rep.ok:
             return "fail", [f"lambda={lam}: {rep.detail}"]
         details.append(f"lambda={lam}: {rep.detail}")
@@ -625,8 +633,9 @@ def cmd_whittaker(args):
 
 
 # q_poincare counts the pairs of each fold pair on the fold split.  On a
-# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 1.0 s and 122 MB
-# peak RSS at --bound 2 (a fresh process, median of 3), and q_poincare
+# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 0.8-1.0 s and
+# 98.5 MB peak RSS at --bound 2 (fresh processes, 5 runs; the first, with
+# cold file caches, 2.0 s), and q_poincare
 # alone 16 s but 1,140 MB at radius 3 (358,014 groups, whose symmetric
 # powers also grow with the weight), so a radius above 2 is refused before
 # any work.

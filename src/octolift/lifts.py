@@ -255,33 +255,33 @@ def require_disc(F: SiegelTable, need: int) -> None:
             f"stops at {have}: build the table to discriminant {need}")
 
 
+def theta_star_coefficient(F: SiegelTable, grams) -> GaussRational:
+    """a_{theta*(F)}(lambda) = sum over the divisor cosets (r, mu) of lambda
+    of |det r|^(ell-1) conj(a_F(S(mu))), read from grams =
+    divisor_grams(lambda), the (|det r|, S(mu)) of those cosets.  A strongly
+    primitive lambda has the one coset r = 1 and reads conj a_F(S(lambda))."""
+    if len(grams) == 1:
+        return F.a(grams[0][1]).conj()
+    ell = F.weight
+    return weighted_sum((n ** (ell - 1), F.a(t)) for n, t in grams).conj()
+
+
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
-    """Tabulate theta* over spezialschar_keys(detbound, extra_pairs):
-    a_{theta*(F)}(lambda) = sum over divisor cosets (r, mu) of
-    |det r|^(ell-1) conj(a_F(S(mu))), where S(mu) = t(r^-1) S(lambda) r^-1
-    comes from the key's divisor grams.  A key with one divisor gram t is
-    strongly primitive, its one coset is r = 1, and it reads conj a_F(t).
+    """Tabulate theta* over spezialschar_keys(detbound, extra_pairs), each
+    key's coefficient by theta_star_coefficient from its divisor grams.
     A key reads a_F at discriminants up to disc S(lambda) (each S(mu) has
     disc S(lambda) / |det r|^2, and a closure key's disc is one of those).
     The largest base pair is breve(1, 0, detbound), of disc 4*detbound, so
     a table that stops below that or below an extra pair's disc fails
-    here, before any base pair is built.  A pair whose stack has rank below 2 raises
-    ValueError (its divisor cosets are infinite), and so does one whose
-    gram is not positive definite."""
-    ell = F.weight
+    here, before any base pair is built.  A pair whose stack has rank
+    below 2 raises ValueError (its divisor cosets are infinite), and so
+    does one whose gram is not positive definite."""
     extra = list(extra_pairs)
     require_disc(F, max([4 * detbound]
                         + [gram(lam).disc() for lam in extra]))
-
-    def coefficient(grams) -> GaussRational:
-        if len(grams) == 1:
-            return F.a(grams[0][1]).conj()
-        return weighted_sum((n ** (ell - 1), F.a(t))
-                            for n, t in grams).conj()
-
-    return QuatTable(ell, dict(sorted(
-        (lam, coefficient(grams))
+    return QuatTable(F.weight, dict(sorted(
+        (lam, theta_star_coefficient(F, grams))
         for lam, grams in _family(_base_pairs(detbound, extra)))))
 
 
@@ -336,15 +336,20 @@ def fj_extract(phi: QuatTable, t: GramTriple) -> GaussRational:
 
 # --- Dirichlet series -----------------------------------------------------------
 
-def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
+def dirichlet_factor_check(table: QuatTable | SiegelTable, lam: IndexPair,
                            bound: int) -> Report:
     """Verify, coefficient by coefficient up to n <= bound, that
     D_phi = (sum_r |det r|^-s) * (sum_g a_phi^prim(lambda.g)/|det g|^(s+ell-1))
-    as truncated Dirichlet series, for a strongly primitive lambda.  One
-    pass over the orbit mu = lambda.g (g in hnf_right_cosets(n), n <= bound)
-    adds a_phi(mu) / n^(ell-1) to D_phi(n) and a_phi^prim(mu) / n^(ell-1)
-    to P(n), and confirms the property behind the rearrangement: every
-    divisor coset r of mu has |det r| dividing n.  Then D_phi(n) must equal
+    as truncated Dirichlet series, for a strongly primitive lambda.  The
+    table is a QuatTable phi, or a SiegelTable F, which stands for
+    phi = theta*(F) with no theta* table built: a_phi(mu) is
+    theta_star_coefficient(F, divisor_grams(mu)), and a_phi^prim(mu), the
+    coefficient of the strongly primitive breve(S(mu)), is conj a_F(S(mu)),
+    S(mu) being the first divisor gram (r = 1).  One pass over the orbit
+    mu = lambda.g (g in hnf_right_cosets(n), n <= bound) adds a_phi(mu) /
+    n^(ell-1) to D_phi(n) and a_phi^prim(mu) / n^(ell-1) to P(n), and
+    confirms the property behind the rearrangement: every divisor coset r
+    of mu has |det r| dividing n.  Then D_phi(n) must equal
     sum_{d | n} sigma_1(d) P(n/d).  A coefficient missing from the table
     raises InsufficientTableError naming lambda and the largest bound the
     table supports for it.
@@ -358,6 +363,7 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
     if not is_strongly_primitive(lam):
         raise ValueError("dirichlet_factor_check needs a strongly "
                          "primitive pair")
+    siegel = isinstance(table, SiegelTable)
     full: Dict[int, GaussRational] = {}
     prim: Dict[int, GaussRational] = {}
     misfit = None
@@ -366,8 +372,13 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
         for g in hnf_right_cosets(n):
             mu = pair_act(lam, g)
             try:
-                s_full.append((1, phi.a(mu)))
-                s_prim.append((1, a_prim(phi, mu)))
+                if siegel:
+                    grams = divisor_grams(mu)
+                    s_full.append((1, theta_star_coefficient(table, grams)))
+                    s_prim.append((1, table.a(grams[0][1]).conj()))
+                else:
+                    s_full.append((1, table.a(mu)))
+                    s_prim.append((1, a_prim(table, mu)))
             except InsufficientTableError as e:
                 largest = (f"--bound {n - 1} is the largest bound" if n > 1
                            else "no bound is")
@@ -378,7 +389,7 @@ def dirichlet_factor_check(phi: QuatTable, lam: IndexPair,
                 p, _q, t = row_hnf(mu)
                 if n % (p * t):
                     misfit = f"|det r|={p * t} does not divide n={n}, g={g}"
-        scale = n ** (phi.weight - 1)
+        scale = n ** (table.weight - 1)
         full[n] = weighted_sum(s_full) / scale
         prim[n] = weighted_sum(s_prim) / scale
     if misfit is not None:

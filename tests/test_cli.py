@@ -1,5 +1,6 @@
 """The command-line front end: table round trips, exit codes, pipelines."""
 
+import gc
 import hashlib
 import io
 import json
@@ -212,6 +213,29 @@ def test_write_table_round_trips(tmp_path, kind, empty):
     assert len(lines) == len(table.entries) + 2
     for line, entry in zip(lines[1:-1], data["entries"]):
         assert json.loads(line.rstrip(",")) == entry
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_table_restores_the_collector_state(tmp_path, enabled):
+    """load_table pauses the cyclic collector and leaves it as it found it,
+    after a good file and after a TableError alike."""
+    good, bad_json, bad_value = (tmp_path / f for f in
+                                 ("good.json", "bad.json", "value.json"))
+    cli.write_table(cli.synth_table("siegel", 1, 24, 4), str(good))
+    bad_json.write_text('{"kind": "siegel",')
+    bad_value.write_text('{"kind": "siegel", "weight": 4, "entries": '
+                         '[{"key": [1, 0, 1], "re": "1/0"}]}')
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli.load_table(str(good)).entries
+        assert gc.isenabled() is enabled
+        for path in (bad_json, bad_value):
+            with pytest.raises(cli.TableError):
+                cli.load_table(str(path))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # Values with a zero part, a negative part, a denominator above 1 in one
@@ -725,6 +749,49 @@ def test_dirichlet_on_a_small_quaternionic_table_names_the_bound(tmp_path,
     code, rep = _run(capsys, ["dirichlet", "--in", str(phi), "--bound", "1",
                               "--count", "5"])
     assert code == 0 and rep["status"] == "pass"
+
+
+def test_dirichlet_on_a_siegel_table_with_a_hole_names_the_bound(tmp_path,
+                                                                  capsys):
+    """A Siegel table that lacks one coefficient of an orbit fails as a
+    quaternionic table does: the message names lambda, |det g| and the
+    largest bound the table supports for lambda."""
+    F, hole = tmp_path / "F.json", tmp_path / "hole.json"
+    assert _run(capsys, ["synth", "--kind", "siegel", "--seed", "5",
+                         "--bound", "800", "--weight", "4",
+                         "--out", str(F)])[0] == 0
+    table = cli.load_table(str(F))
+    entries = dict(table.entries)
+    del entries[(1, 0, 4)]
+    cli.write_table(SiegelTable(4, entries), str(hole))
+    code, rep = _run(capsys, ["dirichlet", "--in", str(hole), "--bound",
+                              "10", "--count", "4", "--seed", "1"])
+    assert code == 2 and rep["details"] == [
+        "InsufficientTableError: a_F(GramTriple(a=1, b=0, c=4)) not in "
+        "table (needed by lambda=(((1, 0), (0, 1)), ((0, -1), (1, 0))) at "
+        "|det g|=2): --bound 1 is the largest bound this table supports "
+        "for lambda"]
+    code, rep = _run(capsys, ["dirichlet", "--in", str(hole), "--bound",
+                              "1", "--count", "4", "--seed", "1"])
+    assert code == 0 and len(rep["details"]) == 4
+
+
+def test_dirichlet_on_a_siegel_table_needs_the_discriminants_it_reads(
+        tmp_path, capsys):
+    """The pair breve(1, 1, 1) at --bound 1 reads a_F at discriminant 3
+    alone, so a table that stops there suffices; one of disc 8 does not."""
+    F = tmp_path / "F.json"
+    assert _run(capsys, ["synth", "--kind", "siegel", "--bound", "3",
+                         "--out", str(F)])[0] == 0
+    code, rep = _run(capsys, ["dirichlet", "--in", str(F), "--bound", "1",
+                              "--count", "1"])
+    assert code == 0 and rep["details"] == [
+        "lambda=(((1, 0), (1, 1)), ((0, -1), (1, 0))): verified to n=1"]
+    code, rep = _run(capsys, ["dirichlet", "--in", str(F), "--bound", "1",
+                              "--count", "4"])
+    assert code == 2 and rep["details"] == [
+        "InsufficientTableError: theta* reads a_F up to discriminant 8, but "
+        "the table stops at 3: build the table to discriminant 8"]
 
 
 def test_theta_star_small_table_fails_fast(tmp_path, capsys):

@@ -443,6 +443,41 @@ def test_dirichlet_check_matches_the_three_series_oracle():
                         phi, lam, bound), (lam, seed, weight)
 
 
+def _dirichlet_candidates():
+    """The strongly primitive pairs `dirichlet` draws on a Siegel table:
+    breve(t) and fj_pair(t) over the reduced triples of disc <= 8."""
+    return sorted({make(t) for t in reduced_triples(8)
+                   for make in (breve, fj_pair)})
+
+
+@pytest.mark.parametrize("weight", [4, 10])
+def test_dirichlet_on_a_siegel_table_is_the_check_on_its_theta_star_table(
+        weight):
+    """dirichlet_factor_check on F reads theta*(F) along the orbit; it gives
+    the Report of the check on the theta* table of that orbit, for every
+    candidate pair and every bound to 10 (theta*(F) always factors, so
+    each passes)."""
+    bound = 10
+    F = _random_siegel_table(weight, 8 * bound ** 2, weight)
+    lams = _dirichlet_candidates()
+    assert len(lams) == 4
+    for lam in lams:
+        phi = theta_star_table(F, 1, extra_pairs=[
+            pair_act(lam, g) for n in range(1, bound + 1)
+            for g in hnf_right_cosets(n)])
+        for b in range(1, bound + 1):
+            rep = dirichlet_factor_check(F, lam, b)
+            assert rep.ok, (lam, b, rep)
+            assert rep == dirichlet_factor_check(phi, lam, b), (lam, b)
+
+
+def test_dirichlet_on_a_siegel_table_requires_strong_primitivity():
+    F = _random_siegel_table(3, 64)
+    lam2 = tuple(mat2_scale(2, T) for T in breve(GramTriple(1, 1, 1)))
+    with pytest.raises(ValueError):
+        dirichlet_factor_check(F, lam2, 2)
+
+
 def test_primitive_series_agrees_on_primitive_part():
     lam = breve(GramTriple(1, 0, 1))
     _F, phi = _spezialschar_table_for(lam, 4, seed=13)

@@ -16,13 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-# Sign of the identification wedge(V3*, V3*) -> V3 relative to the standard
-# cross product (the wedge V3 x V3 -> V3* is fixed to +cross).  +1 makes the
-# standard triality triples verify; kept as a named constant because only the
-# relative sign is forced.
-DUAL_WEDGE_SIGN = 1
-
-
 def _cross(u: Sequence, w: Sequence) -> Tuple:
     return (
         u[1] * w[2] - u[2] * w[1],
@@ -75,10 +68,13 @@ def oct_mul(x: Octonion, y: Octonion) -> Octonion:
          av' + d'v - phi x phi',
          a'phi + d phi' + v x v',
          phi(v') + dd')
-    with the wedge products identified with cross products as above.
+    with both wedge products identified with the standard cross product:
+    V3 x V3 -> V3* is +cross, and wedge(V3*, V3*) -> V3 is +cross too, the
+    sign that makes the standard triality triples verify (only the relative
+    sign is forced).
     """
     a = x.a * y.a + _dot(y.phi, x.v)
-    v = tuple(x.a * s + y.d * t - DUAL_WEDGE_SIGN * c
+    v = tuple(x.a * s + y.d * t - c
               for s, t, c in zip(y.v, x.v, _cross(x.phi, y.phi)))
     phi = tuple(y.a * s + x.d * t + c
                 for s, t, c in zip(x.phi, y.phi, _cross(x.v, y.v)))

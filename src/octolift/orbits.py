@@ -24,10 +24,15 @@ Where each guarantee is checked:
   apply primitives to the identity and check only their parameters: A
   unimodular, B and C skew, two distinct swap indices.  random_isometry
   applies the same factors as primitives to one running matrix.
-- reduce_pair, the one public reduction, checks on every call that g sends
-  the input to its target and, once on the final matrix, that g^t J g = J
-  and det g = +1.  Its sub-reductions (_reduce_primitive, _reduce_plane)
-  check only that their columns reach their targets.
+- reduce_pair, the one public reduction, is one pass over one matrix
+  [g | g T1, g T2, plane]: the isotropic plane it needs is written in
+  closed form in the current coordinates, where it is found, and reduced
+  on the same matrix.  It checks on every call that g sends the input to
+  its target and, once on the final matrix, that g^t J g = J and
+  det g = +1.  Its sub-reductions (_reduce_primitive, _reduce_plane)
+  check that their columns reach their targets, _reduce_plane also that
+  its plane is isotropic with a primitive wedge, and the unimodular Levi
+  step that the y-parts of g T1, g T2 then extend to a basis.
 """
 
 from __future__ import annotations
@@ -387,14 +392,6 @@ def random_isometry(lattice: SplitLattice, rng) -> LatticeIsometry:
     return _isometry(lattice, R)
 
 
-def wedge_pair(x1: Sequence[int], x2: Sequence[int],
-               y1: Sequence[int], y2: Sequence[int]) -> int:
-    """(x1 ^ x2, y1 ^ y2) = (x1,y2)(x2,y1) - (x1,y1)(x2,y2)."""
-    lat = SplitLattice(len(x1) // 2)
-    return (lat.pairing(x1, y2) * lat.pairing(x2, y1)
-            - lat.pairing(x1, y1) * lat.pairing(x2, y2))
-
-
 def gram_of_pair(T1: Sequence[int], T2: Sequence[int]) -> GramTriple:
     """S(T1, T2) recorded as the triple (q(T1), (T1,T2), q(T2))."""
     lat = SplitLattice(len(T1) // 2)
@@ -452,59 +449,6 @@ def _reduce_primitive(R: Rows, c: int, k: int = 0) -> int:
     return a
 
 
-def _apply_inverse(R: Rows, u: Sequence[int]) -> VectorZ:
-    """g^{-1} u, g the g block of R: g^{-1} = J g^t J, the antitranspose."""
-    r = len(R)
-    return tuple(sum(u[j] * R[r - 1 - j][r - 1 - i] for j in range(r) if u[j])
-                 for i in range(r))
-
-
-def find_complementary_plane(T1: Sequence[int],
-                             T2: Sequence[int]) -> Tuple[VectorZ, VectorZ]:
-    """(u1, u2) spanning an isotropic plane with (T1 ^ T2, u1 ^ u2) = 1.
-    Requires n >= 4 and D = -4 det S(T1, T2) odd (squarefree in practice;
-    the construction raises 'hypothesis violated' when its coprimality
-    consequence fails)."""
-    lat = SplitLattice(len(T1) // 2)
-    n, r = lat.n, lat.rank
-    if n < 4:
-        raise ValueError("the complementary-plane construction needs n >= 4")
-    T1 = tuple(int(e) for e in T1)
-    T2 = tuple(int(e) for e in T2)
-    t = gram_of_pair(T1, T2)
-    D = -t.disc()  # b^2 - 4ac = -4 det S
-    if D % 2 == 0:
-        raise ValueError("hypothesis violated: D = -4 det S must be odd")
-    # D odd squarefree forces T1 primitive (a common divisor k gives k^2 | D).
-    R = _augment(r, (T1, T2))
-    a = _reduce_primitive(R, r)
-    c = r + 1
-    x1, y1 = R[0][c], R[r - 1][c]
-    # Reduce the component of T2 in span(b_2, ..., b_{-2}) to m(beta b_2 +
-    # b_{-2}) with the stabilizer of b_1, b_{-1} (the n-1 problem on rows
-    # 1..2n-2, which reads those rows of the column divided by m).
-    m = _content([R[i][c] for i in range(1, r - 1)])
-    if m:
-        for row in R[1:r - 1]:
-            row[c] //= m
-        _reduce_primitive(R, c, 1)
-    alpha = a * y1 - x1
-    gg, xx, yy = _xgcd(alpha, -m)       # alpha*xx - m*yy = gg
-    if gg != 1:
-        raise ValueError("hypothesis violated: gcd(a s - r, m) != 1, "
-                         "so D is not odd and squarefree")
-    b = lat.basis_vector
-    u1 = _apply_inverse(R, [p1 + p3 for p1, p3 in zip(b(1), b(3))])
-    u2 = _apply_inverse(R, [xx * e1 + yy * e2 - xx * e3
-                            for e1, e2, e3 in zip(b(-1), b(2), b(-3))])
-    _check_postcondition(
-        lat.qval(u1) == 0 and lat.qval(u2) == 0
-        and lat.pairing(u1, u2) == 0, "plane is not isotropic")
-    _check_postcondition(wedge_pair(T1, T2, u1, u2) == 1,
-                         "(T1 ^ T2, u1 ^ u2) != 1")
-    return u1, u2
-
-
 def _reduce_plane(R: Rows, c1: int, c2: int):
     """Row operations on R that take columns c1, c2 (u1, u2: an isotropic
     pair whose wedge is primitive in the second exterior power of L) to b_1,
@@ -544,8 +488,16 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
                 ) -> Tuple[LatticeIsometry, GramTriple]:
     """Some g in SO(L)(Z) with g T1 = a b_1 + b_{-1} and
     g T2 = b b_1 + c b_2 + b_{-2}, where (a, b, c) records S(T1, T2).
-    Requires n >= 4 and -4 det S odd and squarefree; since the canonical
-    form depends only on S, this realizes transitivity on X_T."""
+    Requires n >= 4 and D = -4 det S odd (squarefree in practice; the
+    construction raises 'hypothesis violated' when its coprimality
+    consequence fails); since the canonical form depends only on S, this
+    realizes transitivity on X_T.
+
+    One pass over one matrix R = [g | g T1, g T2, plane]: reduce T1, then
+    the part of T2 off b_{+-1} (in a scratch column, divided by its content
+    m), and write there, in closed form, an isotropic plane (u1, u2) with
+    (g T1 ^ g T2, u1 ^ u2) = 1; reduce that plane to (b_1, b_2), and a
+    Levi and a Siegel step finish the pair."""
     lat = SplitLattice(len(T1) // 2)
     n, r = lat.n, lat.rank
     T1 = tuple(int(e) for e in T1)
@@ -557,10 +509,37 @@ def reduce_pair(T1: Sequence[int], T2: Sequence[int]
                     for p, q, s in zip(b(1), b(2), b(-2)))
     if T1 == target1 and T2 == target2:
         return LatticeIsometry.identity(lat), t
+    if n < 4:
+        raise ValueError("the complementary-plane construction needs n >= 4")
+    if t.disc() % 2 == 0:   # D = b^2 - 4ac = -4 det S
+        raise ValueError("hypothesis violated: D = -4 det S must be odd")
 
-    R = _augment(r, find_complementary_plane(T1, T2) + (T1, T2))
-    _reduce_plane(R, r, r + 1)
-    c1, c2 = r + 2, r + 3
+    # D odd squarefree forces T1 primitive (a common divisor k gives k^2 | D).
+    c1, c2, c = r, r + 1, r + 2
+    R = _augment(r, (T1, T2, T2))
+    a = _reduce_primitive(R, c1)
+    x1, y1 = R[0][c], R[r - 1][c]
+    # Reduce the component of T2 in span(b_2, ..., b_{-2}) to m(beta b_2 +
+    # b_{-2}) with the stabilizer of b_1, b_{-1} (the n-1 problem on rows
+    # 1..2n-2, which reads those rows of the scratch column divided by m).
+    m = _content([R[i][c] for i in range(1, r - 1)])
+    if m:
+        for row in R[1:r - 1]:
+            row[c] //= m
+        _reduce_primitive(R, c, 1)
+    alpha = a * y1 - x1
+    gg, xx, yy = _xgcd(alpha, -m)       # alpha*xx - m*yy = gg
+    if gg != 1:
+        raise ValueError("hypothesis violated: gcd(a s - r, m) != 1, "
+                         "so D is not odd and squarefree")
+    # Now g T1 = a b_1 + b_{-1} and g T2 = x1 b_1 + m(beta b_2 + b_{-2}) +
+    # y1 b_{-1}.  The plane u1 = b_1 + b_3, u2 = xx b_{-1} + yy b_2 -
+    # xx b_{-3} is isotropic, and (g T1 ^ g T2, u1 ^ u2) = alpha xx - m yy
+    # = 1: it goes in the scratch column and one new column.
+    for i, row in enumerate(R):
+        row[c] = (i == 0) + (i == 2)
+        row.append(xx * ((i == r - 1) - (i == r - 3)) + yy * (i == 1))
+    _reduce_plane(R, c, c + 1)
     # Now (g T1 ^ g T2, b_1 ^ b_2) = 1, i.e. the (b_{-1}, b_{-2}) minor of
     # the y-parts is a unit, so (y1, y2) extends to a basis: a Levi element
     # moves the y-parts to exactly (b_{-1}, b_{-2}).

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from octolift.coset import GramTriple
 from octolift.orbits import (LatticeIsometry, SplitLattice, _augment,
                              _det_int, _eliminate, _in_group, _isometry,
-                             _reduce_plane, _reduce_primitive,
-                             find_complementary_plane, gram_of_pair,
+                             _reduce_plane, _reduce_primitive, gram_of_pair,
                              levi_isometry, opposite_unipotent,
                              random_isometry, reduce_pair, siegel_unipotent,
-                             swap_isometry, wedge_pair)
+                             swap_isometry)
 from octolift.triality import int_inverse
 
 from oracles import (_int_inv_transpose, invert_fraction_matrix, join_xy,
@@ -188,38 +187,76 @@ def _is_squarefree(n):
     return all(n % (p * p) for p in range(2, isqrt(n) + 1))
 
 
+def _canonical_pair(lat, a, bb, c):
+    """(a b_1 + b_{-1}, bb b_1 + c b_2 + b_{-2}): reduce_pair's target."""
+    b = lat.basis_vector
+    return (tuple(a * p + q for p, q in zip(b(1), b(-1))),
+            tuple(bb * p + c * q + s for p, q, s in zip(b(1), b(2), b(-2))))
+
+
 def _random_admissible_pair(rng, bound=5):
     """A pair isometric to the canonical one for a random positive definite
     triple with odd squarefree -4 det S."""
-    b = LAT.basis_vector
     while True:
         a = rng.randint(1, bound)
         c = rng.randint(a, bound)
         bb = rng.choice(range(1, 2 * isqrt(a * c), 2))
         if bb * bb < 4 * a * c and _is_squarefree(bb * bb - 4 * a * c):
             break
-    T1 = tuple(a * p + q for p, q in zip(b(1), b(-1)))
-    T2 = tuple(bb * p + c * q + s for p, q, s in zip(b(1), b(2), b(-2)))
+    T1, T2 = _canonical_pair(LAT, a, bb, c)
     g = random_isometry(LAT, rng)
     return g.apply(T1), g.apply(T2), GramTriple(a, bb, c)
 
 
-def test_find_complementary_plane():
-    rng = random.Random(4)
-    for _ in range(20):
-        T1, T2, _t = _random_admissible_pair(rng)
-        u1, u2 = find_complementary_plane(T1, T2)
-        assert LAT.qval(u1) == LAT.qval(u2) == 0
-        assert LAT.pairing(u1, u2) == 0
-        assert wedge_pair(T1, T2, u1, u2) == 1
+def _moved_pair(lat, a, bb, c, seed):
+    """The canonical pair of (a, bb, c) moved by a random isometry, so
+    that reduce_pair cannot return the identity at once."""
+    pair = _canonical_pair(lat, a, bb, c)
+    rng = random.Random(seed)
+    while True:
+        g = random_isometry(lat, rng)
+        moved = tuple(g.apply(v) for v in pair)
+        if moved != pair:
+            return moved
 
 
-def test_find_complementary_plane_rejects_even_disc():
-    b = LAT.basis_vector
-    T1 = tuple(p + q for p, q in zip(b(1), b(-1)))
-    T2 = tuple(q + s for q, s in zip(b(2), b(-2)))   # S = I, -4 det S even
-    with pytest.raises(ValueError):
-        find_complementary_plane(T1, T2)
+def test_reduce_pair_rejects_even_disc():
+    T1, T2 = _moved_pair(LAT, 1, 0, 1, 8)   # S = I, -4 det S even
+    with pytest.raises(ValueError, match="must be odd"):
+        reduce_pair(T1, T2)
+
+
+def test_reduce_pair_needs_rank_8():
+    lat = SplitLattice(3)
+    T1, T2 = _moved_pair(lat, 1, 1, 1, 9)
+    assert reduce_pair(*_canonical_pair(lat, 1, 1, 1))[0] == \
+        LatticeIsometry.identity(lat)
+    with pytest.raises(ValueError, match="needs n >= 4"):
+        reduce_pair(T1, T2)
+
+
+def test_reduce_pair_rejects_imprimitive_first_vector():
+    # T1 = 3(b_1 + b_{-1}), T2 = b_1 + b_2 + b_{-2}: -4 det S = -27 is odd
+    T1, T2 = _canonical_pair(LAT, 1, 1, 1)
+    with pytest.raises(ValueError, match="not primitive"):
+        reduce_pair(tuple(3 * e for e in T1), T2)
+
+
+def test_reduce_pair_builds_one_matrix(monkeypatch):
+    """The complementary plane is written into the matrix that reduces the
+    pair, not found on a matrix of its own and pulled back."""
+    import octolift.orbits as orbits
+    T1, T2, t = _random_admissible_pair(random.Random(10))
+    assert (T1, T2) != _canonical_pair(LAT, *t)
+    honest, built = orbits._augment, []
+
+    def counted(r, vectors):
+        built.append(vectors)
+        return honest(r, vectors)
+
+    monkeypatch.setattr(orbits, "_augment", counted)
+    reduce_pair(T1, T2)
+    assert len(built) == 1
 
 
 def test_reduce_isotropic_plane():
@@ -244,14 +281,11 @@ def test_reduce_isotropic_plane_rejects_bad_input():
 
 def test_reduce_pair_reaches_canonical_form():
     rng = random.Random(6)
-    b = LAT.basis_vector
     for _ in range(25):
         T1, T2, t = _random_admissible_pair(rng)
         g, got = reduce_pair(T1, T2)
         assert got == t == gram_of_pair(T1, T2)
-        target1 = tuple(t.a * p + q for p, q in zip(b(1), b(-1)))
-        target2 = tuple(t.b * p + t.c * q + s
-                        for p, q, s in zip(b(1), b(2), b(-2)))
+        target1, target2 = _canonical_pair(LAT, *t)
         assert g.apply(T1) == target1
         assert g.apply(T2) == target2
         assert LatticeIsometry(LAT, g.matrix) == g
@@ -293,15 +327,16 @@ def test_reduce_pair_orbit_transitivity():
 
 
 def test_reduction_output_is_pinned():
-    """The exact matrices, not only the postconditions: a sha256 over what
-    reduce_pair and reduce_primitive_vector (n = 3, 4, 5, sparse inputs so
-    that every branch runs) return for a fixed seed.  A change to the row
-    operations or to the order of the factors shows here."""
-    h = hashlib.sha256()
+    """The exact matrices, not only the postconditions: one sha256 over
+    what reduce_pair returns and one over what reduce_primitive_vector
+    (n = 3, 4, 5, sparse inputs so that every branch runs) returns, for a
+    fixed seed.  A change to the row operations or to the order of the
+    factors shows here, and in the digest of the reduction it touches."""
+    pairs, vectors = hashlib.sha256(), hashlib.sha256()
     rng = random.Random(1301)
     for _ in range(120):
         T1, T2, _t = _random_admissible_pair(rng)
-        h.update(repr(reduce_pair(T1, T2)[0].matrix).encode())
+        pairs.update(repr(reduce_pair(T1, T2)[0].matrix).encode())
     for n in (3, 4, 5):
         done = 0
         while done < 40:
@@ -309,10 +344,12 @@ def test_reduction_output_is_pinned():
                       for _ in range(2 * n))
             if gcd(*v) != 1:
                 continue
-            h.update(repr(reduce_primitive_vector(v)[0].matrix).encode())
+            vectors.update(repr(reduce_primitive_vector(v)[0].matrix).encode())
             done += 1
-    assert h.hexdigest() == ("d34e3e004a50796afe327d406d556e04"
-                             "c853a1c34de42cb3182c70f77bf212b0")
+    assert pairs.hexdigest() == ("a6b72c15dea912063c7b1908832aec32"
+                                 "cca12f44bd303d32923c810c67b08cc8")
+    assert vectors.hexdigest() == ("805bf1c72fde0d57733ccc7fe63187fc"
+                                   "85640a51424daa5b6c3388e8b0560368")
 
 
 # --- isometries built without a re-check, and the row reduction -------------

@@ -480,6 +480,9 @@ def cmd_fj(args):
     phi = load_table(args.infile)
     if not isinstance(phi, QuatTable):
         raise TableError("fj needs a quaternionic input table")
+    if phi.weight % 2:
+        raise TableError(f"fj writes a siegel table, whose weight must be "
+                         f"even; {args.infile} has weight {phi.weight}")
     entries, first = {}, {}
     for lam in phi.entries:
         # a key (((a, 0), (b, 1)), ((0, -1), (c, 0))) is fj_pair((a, b, c))

@@ -17,9 +17,6 @@ def mat2(a, b, c, d) -> Mat2Z:
     return ((int(a), int(b)), (int(c), int(d)))
 
 
-MAT2_ZERO = mat2(0, 0, 0, 0)
-
-
 def mat2_det(m: Mat2Z) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
@@ -30,10 +27,6 @@ def mat2_scale(c: int, m: Mat2Z) -> Mat2Z:
 
 def mat2_transpose(m: Mat2Z) -> Mat2Z:
     return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-
-
-def mat2_adjugate(m: Mat2Z) -> Mat2Z:
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 
 class GramTriple(NamedTuple):
@@ -141,10 +134,11 @@ def smith_divisors(lam: IndexPair) -> Tuple[int, int]:
 def is_strongly_primitive(lam: IndexPair) -> bool:
     """True iff the only r in GL2(Q) cap M2(Z) with lam r^{-1} still integral
     are units: equivalently both Smith divisors of the 4x2 matrix with
-    columns vec(T1), vec(T2) are 1, i.e. its row lattice is Z^2."""
-    if lam[0] == MAT2_ZERO and lam[1] == MAT2_ZERO:
+    columns vec(T1), vec(T2) are 1, i.e. its row lattice is Z^2.  The zero
+    pair, the one whose row HNF has (p, q) = (0, 0), is refused."""
+    p, q, t = row_hnf(lam)
+    if p == q == 0:
         raise ValueError("strong primitivity is undefined for the zero pair")
-    p, _q, t = row_hnf(lam)
     return (p, t) == (1, 1)
 
 
@@ -170,20 +164,12 @@ def pair_act(lam: IndexPair, g: Mat2Z) -> IndexPair:
              (g12 * c1 + g22 * c2, g12 * d1 + g22 * d2)))
 
 
-def _apply_rinv(lam: IndexPair, r: Mat2Z) -> IndexPair:
-    """lam . r^{-1} for an r whose row lattice contains that of the stack of
-    lam, so the division by det r is exact."""
-    n = mat2_det(r)
-    return tuple(tuple(tuple(e // n for e in row) for row in T)
-                 for T in pair_act(lam, mat2_adjugate(r)))
-
-
-def _divisor_rows(lam: IndexPair) -> Iterator[Tuple[int, int, int]]:
+def _divisor_rows(p: int, q: int, t: int) -> Iterator[Tuple[int, int, int]]:
     """The HNF rows (a, b, d) of every r = [[a, b], [0, d]] that
-    divisor_cosets and divisor_grams sum over (see divisor_cosets)."""
-    if lam[0] == MAT2_ZERO and lam[1] == MAT2_ZERO:
+    divisor_cosets and divisor_grams sum over for a pair of row HNF
+    (p, q, t) (see divisor_cosets)."""
+    if p == q == 0:
         raise ValueError("divisor cosets are undefined for the zero pair")
-    p, q, t = row_hnf(lam)
     if t == 0:
         # rank-1 stacked matrix: r can be scaled arbitrarily along the kernel
         # direction without losing integrality.
@@ -212,9 +198,18 @@ def divisor_cosets(lam: IndexPair) -> List[Tuple[Mat2Z, IndexPair]]:
     0 <= b < d, and R lies in it iff a | p, d | t and (p/a) b = q mod d.
     With g = gcd(p/a, d), that congruence is solvable iff g | q, and its
     solutions are b0 + k d/g for k = 0..g-1.  So exactly the admissible
-    cosets are built: the lattices between R and Z^2."""
-    rs = [mat2(a, b, 0, d) for a, b, d in _divisor_rows(lam)]
-    return [(r, _apply_rinv(lam, r)) for r in rs]
+    cosets are built: the lattices between R and Z^2.  r^{-1} is
+    [[d, -b], [0, a]] / det r, so lam.r^{-1} = (d T1, a T2 - b T1) / det r."""
+    ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = lam
+    out = []
+    for a, b, d in _divisor_rows(*row_hnf(lam)):
+        r = mat2(a, b, 0, d)
+        n = mat2_det(r)
+        out.append((r, (((d * a1 // n, d * b1 // n),
+                         (d * c1 // n, d * d1 // n)),
+                        (((a * a2 - b * a1) // n, (a * b2 - b * b1) // n),
+                         ((a * c2 - b * c1) // n, (a * d2 - b * d1) // n)))))
+    return out
 
 
 def divisor_grams(lam: IndexPair) -> List[Tuple[int, GramTriple]]:
@@ -228,15 +223,15 @@ def divisor_grams(lam: IndexPair) -> List[Tuple[int, GramTriple]]:
 
     When row_hnf(lam) has p = t = 1 the row lattice is Z^2, so r = 1 is
     the one admissible coset and the list is [(1, gram(lam))] at once;
-    every other pair, the zero pair and rank-deficient ones included,
-    goes through _divisor_rows and its checks."""
-    p, _q, t = row_hnf(lam)
+    every other HNF, the zero pair's and rank-deficient ones included,
+    goes to _divisor_rows and its checks."""
+    p, q, t = row_hnf(lam)
     if p == 1 and t == 1:
         return [(1, gram(lam))]
     S = gram(lam)
     A, B, C = S.a, S.b, S.c
     out = []
-    for a, b, d in _divisor_rows(lam):
+    for a, b, d in _divisor_rows(p, q, t):
         aa = a * a
         out.append((a * d, GramTriple(A // aa, (a * B - 2 * b * A) // (aa * d),
                                       (b * b * A - a * b * B + aa * C)

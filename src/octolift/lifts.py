@@ -54,6 +54,7 @@ class HalfIntegralTable:
     entries: Dict[int, GaussRational] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_weight(self.weight, even=False)
         for n in self.entries:
             if n < 0 or n % 4 not in (0, 3):
                 raise ValueError(f"c({n}) must vanish (n != 0, 3 mod 4)")
@@ -235,14 +236,10 @@ def _family(base):
                 yield key, ((1, t),)
 
 
-def spezialschar_keys(detbound: int,
-                      extra_pairs: Iterable[IndexPair] = ()
-                      ) -> List[IndexPair]:
+def spezialschar_keys(detbound: int) -> List[IndexPair]:
     """The standard key family for a theta* coefficient table, sorted: the
-    base pairs of _base_pairs(detbound, extra_pairs) and their
-    breve-closure."""
-    return sorted(lam for lam, _grams in
-                  _family(_base_pairs(detbound, extra_pairs)))
+    base pairs of _base_pairs(detbound, ()) and their breve-closure."""
+    return sorted(lam for lam, _grams in _family(_base_pairs(detbound, ())))
 
 
 def require_disc(F: SiegelTable, need: int) -> None:
@@ -268,7 +265,7 @@ def theta_star_coefficient(F: SiegelTable, grams) -> GaussRational:
 
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
-    """Tabulate theta* over spezialschar_keys(detbound, extra_pairs), each
+    """Tabulate theta* over _family(_base_pairs(detbound, extra_pairs)), each
     key's coefficient by theta_star_coefficient from its divisor grams.
     A key reads a_F at discriminants up to disc S(lambda) (each S(mu) has
     disc S(lambda) / |det r|^2, and a closure key's disc is one of those).

@@ -304,11 +304,12 @@ _G7_W[1::2] = [0.129484966168869693270611432679082,
                0.129484966168869693270611432679082]
 GK_NODES = len(_GK_X)     # integrand values per interval
 _GK_LIMIT = 1000          # intervals one integral may evaluate
+_GK_EPSABS = 1e-14        # absolute tolerance of archimedean_integral_checks
 _GK_EPSREL = 1e-9         # relative tolerance of archimedean_integral_checks
 
 
-def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, epsabs: float,
-                   epsrel: float) -> List[Tuple[np.ndarray, float, int]]:
+def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray
+                   ) -> List[Tuple[np.ndarray, float, int]]:
     """Adaptive Gauss-Kronrod 7/15 quadrature of m vector-valued integrals
     in lockstep, integral j over [a[j], b[j]]: one (integral, error
     estimate, intervals evaluated) per integral.
@@ -324,11 +325,11 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, epsabs: float,
 
     An interval's error estimate is ||K15 - G7||_2, raised to the rounding
     floor 50 eps ||K15 of |f| ||_2.  An integral's intervals are all
-    accepted once their estimates sum to at most tol = max(epsabs, epsrel
-    ||integral||); before that an interval is accepted when its estimate is
-    within its share of tol by length or is the rounding floor, and the
-    others are bisected.  The estimate returned is the sum over the
-    accepted intervals.  Once another round would take an integral past
+    accepted once their estimates sum to at most tol = max(_GK_EPSABS,
+    _GK_EPSREL ||integral||); before that an interval is accepted when its
+    estimate is within its share of tol by length or is the rounding floor,
+    and the others are bisected.  The estimate returned is the sum over
+    the accepted intervals.  Once another round would take an integral past
     _GK_LIMIT intervals, or one of its estimates is not finite, its open
     intervals are accepted unconverged, estimates included."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -353,7 +354,7 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, epsabs: float,
             if rows.start == rows.stop:
                 continue
             evaluated[j] += rows.stop - rows.start
-            tol = max(epsabs, epsrel * np.linalg.norm(
+            tol = max(_GK_EPSABS, _GK_EPSREL * np.linalg.norm(
                 total[j] + k15[rows].sum(axis=0)))
             ok = done[rows]           # a view: setting ok sets done
             if err[j] + est[rows].sum() <= tol:
@@ -432,8 +433,7 @@ def archimedean_integral_checks(T, points, ell: int
     smaxes = np.array(smaxes)
     return [(WhittakerValue(ell, tuple(res.tolist()), err, intervals), c)
             for (res, err, intervals), c in zip(
-                _gauss_kronrod(integrand, -smaxes, smaxes, 1e-14,
-                               _GK_EPSREL), closed)]
+                _gauss_kronrod(integrand, -smaxes, smaxes), closed)]
 
 
 def archimedean_integral_check(T, t: float, u, ell: int

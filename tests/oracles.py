@@ -16,8 +16,10 @@ commuting with (e+, h+, f+), the S3 action on g_E, on so(8) through Phi
 and the pairing of integer cubes that the cube action preserves.
 
 For the cosets: the product and the sum of 2x2 integer matrices, to
-compare coset representatives, and the pair action lam . g built from
-scaled and added matrices, the reference of its entry formula.
+compare coset representatives, the pair action lam . g built from
+scaled and added matrices, the reference of its entry formula, and
+lam . r^{-1} as the pair action of the adjugate of r divided by det r,
+the reference of divisor_cosets' closed form.
 
 For the orbit layer: the factor isometries of the split lattice built by
 pushing the unit vectors through an (x, y) action (split_xy and join_xy
@@ -87,8 +89,8 @@ from octolift.triality import (_CONJ_PERM, GEElement, _coords, _fields,
 from octolift import triality
 from octolift import whittaker
 from octolift.whittaker import (GK_NODES, LeviPoint, PoincareSum, Y0, Y1,
-                                _G7_W, _GK_EPSREL, _GK_W, _GK_X, _PRK2,
-                                _key_bases, _prk_coeffs, _s_v_horner,
+                                _G7_W, _GK_EPSABS, _GK_EPSREL, _GK_W, _GK_X,
+                                _PRK2, _key_bases, _prk_coeffs, _s_v_horner,
                                 _sym_power_batch, _whittaker_components,
                                 pairing22, whittaker_eval)
 
@@ -712,6 +714,16 @@ def pair_act_by_blocks(lam, g):
             mat2_add(mat2_scale(g[0][1], T1), mat2_scale(g[1][1], T2)))
 
 
+def apply_rinv_by_adjugate(lam, r):
+    """lam . r^{-1} as pair_act(lam, adj r) divided by det r, for an r
+    with lam . r^{-1} integral: the reference of divisor_cosets' closed
+    form (d T1, a T2 - b T1) / det r."""
+    n = mat2_det(r)
+    adj = ((r[1][1], -r[0][1]), (-r[1][0], r[0][0]))
+    return tuple(tuple(tuple(e // n for e in row) for row in T)
+                 for T in pair_act(lam, adj))
+
+
 # --- the lifts, summed over the divisor cosets' pairs ------------------------
 
 def theta_star_by_cosets(F, lam) -> GaussRational:
@@ -1022,7 +1034,8 @@ def archimedean_integral_single(T, t: float, u, ell: int):
         return _whittaker_components(-2.0 * t * s + 1j * (2.0 - w),
                                      t ** ell * t, ell)
 
-    return gauss_kronrod_single(integrand, -smax, smax, 1e-14, _GK_EPSREL)
+    return gauss_kronrod_single(integrand, -smax, smax, _GK_EPSABS,
+                                _GK_EPSREL)
 
 
 def bvv(v1, v2, ell: int):

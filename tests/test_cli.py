@@ -1049,26 +1049,29 @@ def test_whittaker_fuzz_exit_codes(weight, tol):
 @given(kind=st.sampled_from(cli.KINDS), bound=st.sampled_from([-1, 0, 1, 4]),
        weight=st.sampled_from([-2, 0, 3, 4]))
 def test_synth_fuzz_exit_codes(tmp_path_factory, kind, bound, weight):
-    """A bound below 1 (a usage error), a siegel or quaternionic weight
-    below 1 and an odd siegel weight (data errors) exit 2; every other edge
-    writes its table."""
+    """A bound below 1 (a usage error), a weight below 1 and an odd siegel
+    weight (data errors) exit 2; every other edge writes its table."""
     out = tmp_path_factory.mktemp("synth") / "t.json"
     code = _fuzz_main(["synth", f"--kind={kind}", f"--bound={bound}",
                        f"--weight={weight}", f"--out={out}"], usage_ok=True)
-    bad_weight = kind != "halfintegral" and (
-        weight < 1 or kind == "siegel" and weight % 2)
+    bad_weight = weight < 1 or kind == "siegel" and weight % 2
     assert code == (2 if bound < 1 or bad_weight else 0)
 
 
 def test_weight_below_one_is_a_data_error(tmp_path):
-    """lift --weight -2, and a siegel (-2) or quaternionic (0) table, exit
-    2 with a message that names the weight, never as an internal error."""
+    """lift --weight -2, synth --kind halfintegral --weight -5, and a
+    halfintegral (0), siegel (-2) or quaternionic (0) table, exit 2 with a
+    message that names the weight, never as an internal error."""
     c = tmp_path / "c.json"
     assert _fuzz_main(["synth", "--kind=halfintegral", "--bound=40",
                        f"--out={c}"]) == 0
     runs = [(["lift", f"--in={c}", "--weight=-2", "--bound=40",
-              f"--out={tmp_path / 'F.json'}"], None)]
+              f"--out={tmp_path / 'F.json'}"], None),
+            (["synth", "--kind=halfintegral", "--bound=20", "--weight=-5",
+              f"--out={tmp_path / 'h.json'}"], -5)]
     for kind, weight, argv in (
+            ("halfintegral", 0, ["lift", "--weight=4", "--bound=40",
+                                 f"--out={tmp_path / 'F.json'}"]),
             ("siegel", -2, ["theta-star", "--bound=4",
                             f"--out={tmp_path / 'phi.json'}"]),
             ("quaternionic", 0, ["dirichlet"])):
@@ -1091,6 +1094,24 @@ def test_weight_below_one_is_a_data_error(tmp_path):
         assert "internal error" not in text
         assert (f"weight must be at least 1, got {weight}" in text
                 if weight is not None else "expected a weight >= 1" in text)
+    assert not (tmp_path / "h.json").exists()
+    assert not (tmp_path / "F.json").exists()
+
+
+def test_fj_refuses_an_odd_weight_before_the_scan(tmp_path, capsys,
+                                                 monkeypatch):
+    """fj writes a siegel table, so an odd-weight quaternionic table is a
+    data error that names the command, the file and its weight, raised
+    before any key is read."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, ["synth", "--kind", "quaternionic", "--weight", "3",
+                         "--bound", "4", "--out", "q3.json"])[0] == 0
+    monkeypatch.setattr(cli, "fj_pair", lambda t: pytest.fail("scanned"))
+    code, rep = _run(capsys, ["fj", "--in", "q3.json", "--out", "fj.json"])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["details"] == ["TableError: fj writes a siegel table, whose "
+                              "weight must be even; q3.json has weight 3"]
+    assert not (tmp_path / "fj.json").exists()
 
 
 small = st.integers(-2, 3)

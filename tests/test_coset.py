@@ -10,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift import coset
-from octolift.coset import (GramTriple, MAT2_ZERO, breve, divisor_cosets,
+from octolift.coset import (GramTriple, breve, divisor_cosets,
                             divisor_grams, gram, hnf_left_cosets,
                             hnf_right_cosets, is_strongly_primitive, mat2,
                             mat2_det, mat2_scale, mat2_transpose, pair_act,
                             reduce_gram, row_hnf, smith_divisors)
 from octolift.lifts import fj_pair
 
-from oracles import mat2_add, mat2_mul, pair_act_by_blocks
+from oracles import (apply_rinv_by_adjugate, mat2_add, mat2_mul,
+                     pair_act_by_blocks)
 
 ints = st.integers(-9, 9)
 mats = st.builds(mat2, ints, ints, ints, ints)
+MAT2_ZERO = mat2(0, 0, 0, 0)
 
 
 def _sigma1(n):
@@ -222,10 +224,19 @@ def test_divisor_cosets_structure():
 
 
 def test_divisor_cosets_rejects_degenerate():
-    with pytest.raises(ValueError):
-        divisor_cosets((MAT2_ZERO, MAT2_ZERO))
-    with pytest.raises(ValueError):
-        divisor_cosets((mat2(1, 0, 0, 0), mat2(2, 0, 0, 0)))
+    zero = (MAT2_ZERO, MAT2_ZERO)
+    rank_one = (mat2(1, 0, 0, 0), mat2(2, 0, 0, 0))
+    for enumerate_cosets in (divisor_cosets, divisor_grams):
+        with pytest.raises(ValueError, match="^divisor cosets are undefined "
+                           "for the zero pair$"):
+            enumerate_cosets(zero)
+        with pytest.raises(ValueError, match="^divisor cosets are infinite "
+                           "for rank-deficient pairs$"):
+            enumerate_cosets(rank_one)
+    with pytest.raises(ValueError, match="^strong primitivity is undefined "
+                       "for the zero pair$"):
+        is_strongly_primitive(zero)
+    assert not is_strongly_primitive(rank_one)
 
 
 # --- reference oracles: the minors-gcd Smith divisors and the trial loop ------
@@ -340,6 +351,44 @@ def test_row_hnf_is_canonical():
         k = rng.randint(-5, 5)
         rows[0] = (rows[0][0] + k * rows[1][0], rows[0][1] + k * rows[1][1])
         assert row_hnf(_pair_from_stack(rows)) == (p, q, t)
+
+
+def test_row_hnf_is_zero_in_p_and_q_exactly_for_the_zero_pair():
+    """Over every pair with entries in -1..1, (p, q) = (0, 0) exactly when
+    both matrices are zero, and t = 0 exactly when the stack has rank
+    below 2 (every 2x2 minor of it vanishes)."""
+    zeros = 0
+    for entries in product((-1, 0, 1), repeat=8):
+        lam = (mat2(*entries[:4]), mat2(*entries[4:]))
+        p, q, t = row_hnf(lam)
+        zero = lam == (MAT2_ZERO, MAT2_ZERO)
+        assert ((p, q) == (0, 0)) == zero
+        zeros += zero
+        rows = _vec_stack(lam)
+        assert (t == 0) == all(x * w == y * v for x, y in rows
+                               for v, w in rows)
+    assert zeros == 1
+
+
+def test_divisor_cosets_closed_form_is_the_adjugate_formula():
+    """divisor_cosets builds lam . r^{-1} as (d T1, a T2 - b T1) / det r;
+    on the pairs of the other coset tests that is the adjugate formula."""
+    rng = random.Random(37)
+    t = GramTriple(1, 0, 1)
+    pairs = [breve(t), tuple(mat2_scale(2, T) for T in breve(t)),
+             (mat2(1, -3, 1, 2), mat2(-2, 0, 2, 0))]
+    pairs += [_pair_with_row_lattice(rng, p, q, t)
+              for p in range(1, 13) for t in range(1, 13) for q in range(t)
+              if p * t <= 12 * gcd(p, q, t)]
+    for _ in range(300):
+        lam = _random_pair(rng, rng.choice((2, 4, 8)))
+        k = rng.choice((1, 1, 2, 3))
+        lam = (mat2_scale(k, lam[0]), mat2_scale(k, lam[1]))
+        if row_hnf(lam)[2]:
+            pairs.append(lam)
+    for lam in pairs:
+        got = divisor_cosets(lam)
+        assert got == [(r, apply_rinv_by_adjugate(lam, r)) for r, _mu in got]
 
 
 def test_divisor_cosets_match_trial_reference():

@@ -238,15 +238,16 @@ def test_spezialschar_keys_match_the_closure_over_divisor_cosets(detbound):
 
 
 def test_spezialschar_keys_with_the_dirichlet_orbit_as_extras():
-    """The extra pairs of `dirichlet --bound 12 --count 5` on a Siegel
-    table: the orbits lambda.g, |det g| <= 12, of its five strongly
-    primitive pairs."""
+    """The keys theta_star_table tabulates with the extra pairs of
+    `dirichlet --bound 12 --count 5` on a Siegel table: the orbits
+    lambda.g, |det g| <= 12, of its five strongly primitive pairs."""
     triples = sorted(reduced_triples(8), key=lambda t: (t.disc(), t))
     lams = list(dict.fromkeys(f(t) for t in triples
                               for f in (breve, fj_pair)))[:5]
     extra = [pair_act(lam, g) for lam in lams for n in range(1, 13)
              for g in hnf_right_cosets(n)]
-    keys = spezialschar_keys(1, extra)
+    F = _random_siegel_table(3, max(gram(mu).disc() for mu in extra))
+    keys = sorted(theta_star_table(F, 1, extra_pairs=extra).entries)
     assert keys == oracles.spezialschar_keys_by_cosets(1, extra)
     assert len(keys) > len(set(extra))
 

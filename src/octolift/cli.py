@@ -442,9 +442,7 @@ def cmd_lift(args):
         raise TableError("lift needs a halfintegral input table")
     F = classical_maass_lift(c, args.weight, args.bound)
     if not F.entries:
-        raise TableError(f"lift --bound {args.bound} yields no keys: the "
-                         f"smallest discriminant is {_MIN_DISC}, so use "
-                         f"--bound {_MIN_DISC} or more")
+        raise _no_keys("lift", args.bound)
     rep = classical_maass_check(F)
     write_table(F, args.out)
     details = [rep.detail, f"wrote {args.out} "
@@ -695,6 +693,8 @@ def cmd_poincare(args):
 
 
 def cmd_synth(args):
+    if args.kind == "siegel" and args.bound < _MIN_DISC:
+        raise _no_keys("synth --kind siegel", args.bound)
     table = synth_table(args.kind, args.seed, args.bound, args.weight)
     write_table(table, args.out)
     return "pass", [f"wrote {args.out} ({len(table.entries)} keys, kind "
@@ -704,10 +704,13 @@ def cmd_synth(args):
 # --- argument parsing and report emission ------------------------------------------
 
 def _tolerance(s: str) -> float:
-    tol = float(s)
-    if not tol > 0:
-        raise argparse.ArgumentTypeError("expected a number > 0")
-    return tol
+    try:
+        tol = float(s)
+        if tol > 0:
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a number > 0")
 
 
 def _int_range(what: str, lo: int, hi: Optional[int] = None):
@@ -741,15 +744,26 @@ _count = _int_range("a count", 0)
 _positive = _int_range("a bound", 1)
 
 # The smallest discriminant 4ac - b^2 of a positive definite triple:
-# 3, at (1, 1, 1).  A lift to a smaller bound has no keys.
+# 3, at (1, 1, 1).  A siegel table to a smaller bound has no keys.
 _MIN_DISC = 3
+
+
+def _no_keys(command: str, bound: int) -> TableError:
+    """The error of a command whose siegel table to a discriminant bound
+    below _MIN_DISC would have no keys."""
+    return TableError(f"{command} --bound {bound} yields no keys: the "
+                      f"smallest discriminant is {_MIN_DISC}, so use "
+                      f"--bound {_MIN_DISC} or more")
 
 
 def _triple(s: str) -> Tuple[int, int, int]:
     parts = s.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected a,b,c")
-    return tuple(int(p) for p in parts)
+    try:
+        if len(parts) == 3:
+            return tuple(int(p) for p in parts)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected three integers a,b,c")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,12 @@ pair to 1.
 An element of wedge^2 V is stored as its action matrix on V over Z[i]:
 int64 arrays re, im of shape (..., 8, 8) over one positive denominator.
 Leading axes index a batch, so each operation applies to many elements in
-one call.  Every int64 product is bounded first, and an operation whose
-result could leave the int64 range raises OverflowError rather than wrap.
+one call.  Every product is bounded first.  Elementwise int64 work must
+stay below 2^62 (fits); an array contraction runs on float64 BLAS
+(exact_matmul) and must keep the sum of |terms| of every output entry below
+2^53, where float64 holds every integer exactly.  An operation whose
+result could leave its range raises OverflowError rather than wrap or
+round.
 
 The vectors u1, u2, v1, v2 of the compact su(2) construction each carry a
 factor 1/sqrt(2); every element built from them here (e+, h+, f+) only
@@ -38,9 +42,11 @@ DIM = 8
 PAIRS = tuple(combinations(range(DIM), 2))
 
 
-# --- exact int64 arrays ------------------------------------------------------
+# --- exact integer arrays ----------------------------------------------------
 
 _LIMIT = 2 ** 62
+# Every integer of absolute value at most 2^53 is a float64.
+_FLOAT_LIMIT = 2 ** 53
 
 
 def amax(*arrays) -> int:
@@ -54,6 +60,31 @@ def fits(bound: int) -> None:
     safe in int64; called with a bound on a result before computing it."""
     if bound >= _LIMIT:
         raise OverflowError("exact int64 arithmetic would overflow")
+
+
+def fits_float(bound: int) -> None:
+    """Raise OverflowError unless integers up to bound in absolute value are
+    exact in float64; called with a bound on a result before computing it."""
+    if bound >= _FLOAT_LIMIT:
+        raise OverflowError("exact float64 arithmetic would round")
+
+
+def exact_matmul(a, b, bound: int) -> np.ndarray:
+    """a @ b for integer-valued arrays a, b (any integer or float dtype),
+    computed in float64 by BLAS and returned in float64, given bound >= the
+    sum over k of |a[..., i, k] b[..., k, j]| for every output entry (i, j);
+    raises OverflowError unless bound < 2^53 (fits_float).
+
+    The result is exact.  A nonzero term is a product of integers each of
+    absolute value at most the term's, so below 2^53: both factors convert
+    to float64 exactly, and so does their product, whether it is rounded
+    once alone or fused into the next addition.  The classical product
+    that BLAS computes adds those terms in some order, blocked or not; every
+    partial sum is a sum of some of them, an integer of absolute value at
+    most bound < 2^53, so no addition rounds either.  A zero term stays
+    zero even where an operand did not convert exactly."""
+    fits_float(bound)
+    return np.matmul(a, b, dtype=np.float64)
 
 
 def reduced(den: int, *nums):

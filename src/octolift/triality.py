@@ -17,7 +17,10 @@ An element of g_E is an int64 array of its 28 coordinates in the basis of
 ge_basis() over one positive denominator; leading axes index a batch.  The
 structure constants only divide by 2 and 3, Phi is one integer table and
 its inverse one integer matrix over one denominator, so every check here is
-exact integer array arithmetic.
+exact integer array arithmetic: elementwise in int64 below 2^62, and the
+contractions whose size grows with a batch or with the 28 x 28 basis pairs
+in float64 BLAS below 2^53 (quadspace.exact_matmul), where every partial
+sum is an integer that float64 holds exactly.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import numpy as np
 
 from .octonion import (B_BASIS, BASIS, Octonion, oct_mul, to_vector8,
                        trace as oct_trace)
-from .quadspace import (Bivector, amax, biv_coords, bracket, fits,
-                        int_parts, reduced, skew_bivector, skew_coords,
-                        wedge)
+from .quadspace import (Bivector, amax, biv_coords, bracket, exact_matmul,
+                        fits, fits_float, int_parts, reduced, skew_bivector,
+                        skew_coords, wedge)
 
 
 # --- the Lie algebra g_E ------------------------------------------------------
@@ -239,6 +242,7 @@ def _phi_inverse():
 _PHI = _phi_table()
 # Row k: the coefficients of Phi(basis_k) on the b_i ^ b_j (skew_coords).
 _PHI_COORDS = skew_coords(_PHI)
+_PHI_COORDS_F = _PHI_COORDS.astype(np.float64)
 _PHI_INV, _PHI_INV_DEN = _phi_inverse()
 
 
@@ -263,13 +267,15 @@ def _commutator_coords(P: Bivector) -> np.ndarray:
     """Numerators over P.den ** 2 of the coordinates (skew_coords) of
     [P_i, P_j] for every pair of a real batch P of n elements: an
     (n, n, 28) array.  Every product P_i P_j is block (i, j) of one
-    (8n x 8) @ (8 x 8n) integer product M, so that [P_i, P_j] =
-    M[i, j] - M[j, i]."""
+    (8n x 8) @ (8 x 8n) product M, so that [P_i, P_j] = M[i, j] - M[j, i],
+    in float64 (exact_matmul): its bound, twice a product entry's, covers
+    that difference as well."""
     if P.im.any():
         raise ValueError("unexpected imaginary part in phi image")
     n = len(P.re)
-    fits(16 * amax(P.re) ** 2)
-    M = (P.re.reshape(8 * n, 8) @ P.re.transpose(1, 0, 2).reshape(8, 8 * n))
+    M = exact_matmul(P.re.reshape(8 * n, 8),
+                     P.re.transpose(1, 0, 2).reshape(8, 8 * n),
+                     16 * amax(P.re) ** 2)
     MC = skew_coords(M.reshape(n, 8, n, 8).transpose(0, 2, 1, 3))
     return MC - MC.swapaxes(0, 1)
 
@@ -279,18 +285,22 @@ def bracket_defects(C: GEElement, P: Bivector) -> np.ndarray:
     b_i of g_E and the (n, n) batch C of their brackets [b_i, b_j]: True
     at (i, j) where Phi(C[i, j]) != [P_i, P_j], exactly.  Phi(C[i, j]) and
     the commutators of the skew P_i are skew, and a skew matrix is
-    determined by its 28 coordinates, so comparing those is exact."""
+    determined by its 28 coordinates, so comparing those is exact.  Both
+    sides are float64 over C.den * P.den ** 2; the bound of the
+    contraction with _PHI_COORDS covers its scaling by P.den ** 2."""
     so8 = _commutator_coords(P)
-    fits(amax(so8) * C.den)
-    fits(GE_DIM * amax(_PHI_COORDS) * amax(C.num) * P.den ** 2)
-    return ((C.num @ _PHI_COORDS) * P.den ** 2 != so8 * C.den).any(axis=-1)
+    fits_float(amax(so8) * C.den)
+    phi = exact_matmul(C.num, _PHI_COORDS_F,
+                       GE_DIM * amax(_PHI_COORDS) * amax(C.num) * P.den ** 2)
+    return (phi * P.den ** 2 != so8 * C.den).any(axis=-1)
 
 
 # --- octonions as int64 arrays ------------------------------------------------
 
 # An octonion batch is an int64 array of shape (..., 8) of to_vector8
 # coordinates (the b-basis), whose leading axes index the batch.  Every
-# function below bounds its result with fits before computing it.
+# function below bounds its result before computing it: with fits for
+# elementwise int64 work, with exact_matmul for a contraction with a table.
 
 # b_i b_j = sum_k _MUL[i, j, k] b_k, and the trilinear form
 # _TR[i, j, k] = tr(b_i (b_j b_k)), over the b-basis.
@@ -300,8 +310,12 @@ _TR = np.einsum("jkm,imn,n->ijk", _MUL, _MUL,
                 np.array([oct_trace(x) for x in B_BASIS], dtype=np.int64))
 # _TR_SLOTS[c][m] is _TR with m in slot c, over the other two slots in
 # order: _TR[m, y, z], _TR[x, m, z] and _TR[x, y, m], as (8, 64) arrays.
-_TR_SLOTS = tuple(np.ascontiguousarray(_TR.transpose(order).reshape(8, 64))
+_TR_SLOTS = tuple(np.ascontiguousarray(_TR.transpose(order).reshape(8, 64),
+                                       dtype=np.float64)
                   for order in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+# The tables as the float64 right operands of exact_matmul.
+_MUL_F = _MUL.reshape(64, 8).astype(np.float64)
+_TR_F = _TR.reshape(64, 8).astype(np.float64)
 
 # Octonionic conjugation is minus the permutation of the b-basis that swaps
 # b3 = eps2 and b-3 = -eps1.
@@ -309,16 +323,20 @@ _CONJ_PERM = (0, 1, 5, 3, 4, 2, 6, 7)
 
 
 def _outer(x, y):
-    """Rows 8 i + j of x_i y_j over the broadcast batch shape; the caller
-    bounds the contraction that follows."""
+    """Rows 8 i + j of x_i y_j over the broadcast batch shape, in float64.
+    The caller bounds the contraction that follows with exact_matmul, so
+    an entry it multiplies by a nonzero table entry is below 2^53 and
+    exact."""
+    x, y = x.astype(np.float64), y.astype(np.float64)
     xy = x[..., :, None] * y[..., None, :]
     return xy.reshape(xy.shape[:-2] + (64,))
 
 
 def mul8(x, y):
     """Zorn products x y: one contraction with _MUL."""
-    fits(64 * amax(_MUL) * amax(x) * amax(y))
-    return _outer(x, y) @ _MUL.reshape(64, 8)
+    xy = exact_matmul(_outer(x, y), _MUL_F,
+                      64 * amax(_MUL) * amax(x) * amax(y))
+    return xy.astype(np.int64)
 
 
 def conj8(x):
@@ -333,9 +351,12 @@ def norm8(x):
 
 
 def trilinear8(x, y, z):
-    """(x, y, z) = tr(x (y z)): one contraction with _TR."""
-    fits(512 * amax(_TR) * amax(x) * amax(y) * amax(z))
-    return ((_outer(x, y) @ _TR.reshape(64, 8)) * z).sum(axis=-1)
+    """(x, y, z) = tr(x (y z)): one contraction with _TR, then the sum
+    against z in int64."""
+    bound = 64 * amax(_TR) * amax(x) * amax(y)
+    xy = exact_matmul(_outer(x, y), _TR_F, bound).astype(np.int64)
+    fits(8 * bound * amax(z))
+    return (xy * z).sum(axis=-1)
 
 
 def octonion_identities(x, y, z):
@@ -356,16 +377,19 @@ def octonion_identities(x, y, z):
 def triality_defects(X1: Bivector, X2: Bivector, X3: Bivector) -> np.ndarray:
     """Boolean array over the broadcast batch: True where
     (X1 x, y, z) + (x, X2 y, z) + (x, y, X3 z) = 0 fails for some of the
-    8^3 octonion basis triples, exactly: each term one matmul of its
-    action matrices, over a common denominator, with the trilinear
-    tensor."""
+    8^3 octonion basis triples, exactly: each term one float64 matmul of
+    its action matrices, over a common denominator, with the trilinear
+    tensor (exact_matmul).  Their bound is that of the three terms
+    together, so it covers their sum as well."""
     den = lcm(X1.den, X2.den, X3.den)
-    fits(max(den // X.den * amax(X.re, X.im) for X in (X1, X2, X3))
-         * 3 * 8 * amax(_TR))
-    A = [np.stack([X.re, X.im]) * (den // X.den) for X in (X1, X2, X3)]
+    bound = (max(den // X.den * amax(X.re, X.im) for X in (X1, X2, X3))
+             * 3 * 8 * amax(_TR))
+    A = [np.stack([X.re, X.im]).astype(np.float64) * (den // X.den)
+         for X in (X1, X2, X3)]
     # term c is one matmul with _TR_SLOTS[c]; its axes come out as slot c
     # first, then the other two, and are moved back to (x, y, z)
-    t1, t2, t3 = ((a.swapaxes(-1, -2) @ T).reshape(a.shape[:-1] + (8, 8))
+    t1, t2, t3 = (exact_matmul(a.swapaxes(-1, -2), T, bound)
+                  .reshape(a.shape[:-1] + (8, 8))
                   for a, T in zip(A, _TR_SLOTS))
     total = t1 + t2.swapaxes(-3, -2) + np.moveaxis(t3, -3, -1)
     return total.any(axis=(0, -3, -2, -1))
@@ -396,7 +420,8 @@ def _mult_triple_table() -> np.ndarray:
     return out.reshape(64, 3 * 64)
 
 
-_TRIPLE = _mult_triple_table()
+# In float64, as the right operand of exact_matmul.
+_TRIPLE = _mult_triple_table().astype(np.float64)
 
 
 def mult_triples(u, v, den: int = 1):
@@ -405,9 +430,9 @@ def mult_triples(u, v, den: int = 1):
     arrays), three Bivectors over the broadcast batch shape: one contraction
     of the outer products with _TRIPLE.  Each component is checked skew
     (skew_bivector)."""
-    fits(64 * amax(_TRIPLE) * amax(u) * amax(v))
     uv = _outer(u, v)
-    A = (uv @ _TRIPLE).reshape(uv.shape[:-1] + (3, 8, 8))
+    A = (exact_matmul(uv, _TRIPLE, 64 * amax(_TRIPLE) * amax(u) * amax(v))
+         .astype(np.int64).reshape(uv.shape[:-1] + (3, 8, 8)))
     zero = np.zeros(A.shape[:-3] + (8, 8), dtype=np.int64)
     return tuple(skew_bivector(A[..., c, :, :], zero, den) for c in range(3))
 

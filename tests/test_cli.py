@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -596,6 +597,20 @@ def test_whittaker_rejects_bad_tol(tol):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["whittaker", "--tol", "x"], "argument --tol: expected a number > 0"),
+    (["poincare", "--key", "a,b,c"],
+     "argument --key: expected three integers a,b,c"),
+])
+def test_unparsable_values_name_the_expected_form(capsys, argv, message):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert not re.search(r"\b_\w", err)    # no private function name
+
+
 def test_whittaker_infinite_tol_passes(capsys):
     code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
     assert code == 0 and rep["status"] == "pass"
@@ -861,6 +876,21 @@ def test_empty_tables_do_not_pass(tmp_path, capsys):
     assert code == 0 and rep["status"] == "pass"
 
 
+@pytest.mark.parametrize("bound", ["1", "2"])
+def test_synth_siegel_below_the_smallest_discriminant_is_an_error(
+        tmp_path, capsys, bound):
+    # no positive definite triple has discriminant below 3
+    F = tmp_path / "F.json"
+    code, rep = _run(capsys, ["synth", "--kind", "siegel", "--bound", bound,
+                              "--out", str(F)])
+    assert code == 2 and rep["status"] == "error"
+    assert "use --bound 3 or more" in rep["details"][0]
+    assert not F.exists()
+    code, rep = _run(capsys, ["synth", "--kind", "siegel", "--bound", "3",
+                              "--out", str(F)])
+    assert code == 0 and "(1 keys," in rep["details"][0]
+
+
 def test_lift_reports_weight_mismatch(tmp_path, capsys):
     c = tmp_path / "c.json"
     F = tmp_path / "F.json"
@@ -1049,13 +1079,16 @@ def test_whittaker_fuzz_exit_codes(weight, tol):
 @given(kind=st.sampled_from(cli.KINDS), bound=st.sampled_from([-1, 0, 1, 4]),
        weight=st.sampled_from([-2, 0, 3, 4]))
 def test_synth_fuzz_exit_codes(tmp_path_factory, kind, bound, weight):
-    """A bound below 1 (a usage error), a weight below 1 and an odd siegel
-    weight (data errors) exit 2; every other edge writes its table."""
+    """A bound below 1 (a usage error), a weight below 1, an odd siegel
+    weight and a siegel bound below the smallest discriminant (data errors)
+    exit 2; every other edge writes its table."""
     out = tmp_path_factory.mktemp("synth") / "t.json"
     code = _fuzz_main(["synth", f"--kind={kind}", f"--bound={bound}",
                        f"--weight={weight}", f"--out={out}"], usage_ok=True)
     bad_weight = weight < 1 or kind == "siegel" and weight % 2
-    assert code == (2 if bound < 1 or bad_weight else 0)
+    no_keys = kind == "siegel" and bound < cli._MIN_DISC
+    assert code == (2 if bound < 1 or bad_weight or no_keys else 0)
+    assert out.exists() == (code == 0)
 
 
 def test_weight_below_one_is_a_data_error(tmp_path):

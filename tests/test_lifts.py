@@ -166,6 +166,43 @@ def test_classical_check_detects_corruption():
     assert not classical_maass_check(SiegelTable(10, entries))
 
 
+def _principal(D):
+    """The principal reduced form of discriminant D = 0, 3 mod 4."""
+    return (GramTriple(1, 0, D // 4) if D % 4 == 0
+            else GramTriple(1, 1, (D + 1) // 4))
+
+
+@pytest.mark.parametrize("weight", [4, 10])
+def test_a_table_passing_the_classical_check_is_a_classical_lift(weight):
+    # The converse on the classical side.  The check's right-hand side
+    # reads a_F(ac/d^2, b/d, 1) alone, and (m, b, 1) is equivalent to the
+    # principal form of discriminant 4m - b^2, so a table that passes is
+    # the lift of c(D) := a_F(principal form of disc D).  The table is
+    # built from random principal values by that relation, not by the lift.
+    rng = random.Random(weight)
+    principal = {D: GaussRational(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 3)),
+                                  Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 3)))
+                 for D in range(3, 145) if D % 4 in (0, 3)}
+    entries = {}
+    for t in reduced_triples(144):
+        g, total = gcd(gcd(t.a, t.b), t.c), GZERO
+        for d in range(1, g + 1):
+            if g % d == 0:
+                total += d ** (weight - 1) * principal[t.disc() // (d * d)]
+        entries[t] = total
+    F = SiegelTable(weight, entries)
+    assert len(F.entries) == 223 and classical_maass_check(F)
+    c = HalfIntegralTable(weight, {D: F.a(_principal(D)) for D in principal})
+    assert classical_maass_lift(c, weight, 144).entries == F.entries
+    # one non-principal key off by 1, and the check names it
+    t = min(t for t in F.entries if t.a > 1)
+    report = classical_maass_check(SiegelTable(weight,
+                                               {**entries, t: entries[t] + 1}))
+    assert not report and str(t) in report.detail
+
+
 def test_jacobi_coeffs_symmetry():
     c = _random_half_table(3, 60)
     jc = jacobi_coeffs(c, 10)

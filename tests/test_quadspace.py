@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS,
                                 Bivector, GaussRational, _coerce, bracket,
-                                cartan_theta, skew_bivector, trace_form, wedge)
+                                cartan_theta, exact_matmul, skew_bivector,
+                                trace_form, wedge)
 
 import oracles
 from oracles import (Sym2Element, basis_vector, biv_act, pairing, pr_K,
@@ -205,3 +206,40 @@ def test_int64_overflow_raises():
         bracket(X, X.scale(2 ** 10))
     with pytest.raises(OverflowError):
         X.scale(2 ** 30)
+
+
+def _term_bound(a, b):
+    """The largest sum of |terms| over the entries of a @ b, in Python
+    ints."""
+    return int((abs(a.astype(object)) @ abs(b.astype(object))).max())
+
+
+def test_exact_matmul_just_below_2_53_is_the_integer_product():
+    rng = np.random.default_rng(53)
+    for shape_a, shape_b, top in (((5, 7), (7, 4), 1000),
+                                  ((3, 6, 8), (8, 2), 9),
+                                  ((1, 2), (2, 1), 1)):
+        a = rng.integers(-top, top + 1, size=shape_a)
+        b = rng.integers(-top, top + 1, size=shape_b)
+        a[..., 0, 0], b[0, 0] = top, top    # so the bound is not 0
+        # scale a so that the largest sum of |terms| is just below 2^53
+        a *= (2 ** 53 - 1) // _term_bound(a, b)
+        bound = _term_bound(a, b)
+        assert 2 ** 53 - 2 ** 42 < bound < 2 ** 53
+        got = exact_matmul(a, b, bound)
+        want = a.astype(object) @ b.astype(object)
+        assert got.dtype == np.float64
+        assert [int(x) for x in got.ravel()] == list(want.ravel())
+
+
+def test_exact_matmul_raises_from_2_53_on():
+    a = np.array([[2 ** 53, 1]], dtype=np.int64)
+    b = np.ones((2, 1), dtype=np.int64)
+    # the one addition 2^53 + 1 rounds back to 2^53 in float64
+    assert _term_bound(a, b) == 2 ** 53 + 1
+    assert int(np.matmul(a, b, dtype=np.float64)[0, 0]) == 2 ** 53
+    for bound in (2 ** 53, 2 ** 53 + 1, 2 ** 62):
+        with pytest.raises(OverflowError):
+            exact_matmul(a, b, bound)
+    a[0, 0] = 2 ** 53 - 2       # a bound of 2^53 - 1, and exact
+    assert exact_matmul(a, b, 2 ** 53 - 1)[0, 0] == 2 ** 53 - 1

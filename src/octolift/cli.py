@@ -637,9 +637,9 @@ def cmd_whittaker(args):
 # 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 0.8-1.0 s and
 # 98.5 MB peak RSS at --bound 2 (fresh processes, 5 runs; the first, with
 # cold file caches, 2.0 s), and q_poincare
-# alone 16 s but 1,140 MB at radius 3 (358,014 groups, whose symmetric
-# powers also grow with the weight), so a radius above 2 is refused before
-# any work.
+# alone 16 s but 1,140 MB at radius 3: it holds each block's key and count
+# tables until the final sort (10,699,886 rows over 57 blocks, against
+# 358,014 groups), so a radius above 2 is refused before any work.
 _MAX_POINCARE_RADIUS = 2
 
 
@@ -648,8 +648,9 @@ def cmd_poincare(args):
     if args.bound > _MAX_POINCARE_RADIUS:
         raise ValueError(f"radius {args.bound} is above "
                          f"{_MAX_POINCARE_RADIUS}, the largest radius "
-                         f"allowed (the memory grows as groups x weight, "
-                         f"over 1 GB at radius 3)")
+                         f"allowed (each block's key and count tables are "
+                         f"held until the final sort, over 1 GB at radius "
+                         f"3)")
     if args.weight > _MAX_WEIGHT:
         raise ValueError(f"weight {args.weight} is above {_MAX_WEIGHT}, the "
                          f"largest weight allowed (the cost grows as "
@@ -845,9 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "vector-valued series by lattice-point summation")
     sp.add_argument("--key", type=_triple, default=(1, 0, 1),
                     help="Gram triple a,b,c")
-    sp.add_argument("--weight", type=int, default=16)
+    sp.add_argument("--weight", type=int, default=16,
+                    help=f"even weight ell, 16 <= ell <= {_MAX_WEIGHT}")
     sp.add_argument("--bound", type=int, default=1,
-                    help="summation radius")
+                    help=f"summation radius, 1 <= radius <= "
+                    f"{_MAX_POINCARE_RADIUS}")
     sp.add_argument("--out", default=None, help="CSV output path")
 
     sp = sub.add_parser("synth", help="deterministic synthetic "

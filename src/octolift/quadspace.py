@@ -1,28 +1,20 @@
-"""The split 8-dimensional quadratic space V in the b-basis, the Lie algebra
-wedge^2 V = so(8) acting on it, its bracket, trace form and Cartan
-involution, and the su(2) triple (e+, h+, f+) of the compact construction.
+"""The split 8-dimensional quadratic space V in the b-basis, and the Lie
+algebra wedge^2 V = so(8) acting on it: its bracket, trace form and Cartan
+involution.
 
-Scalars are Gaussian rationals (scalar.GaussRational): integers
-(p + i q) / d in lowest terms, the form a Bivector holds for a whole
-matrix over one denominator, and _parts reads them as they are held.
 Coordinates are stored in the order (b1, b2, b3, b4, b-4, b-3, b-2, b-1);
 the Gram matrix is the anti-diagonal identity, i.e. (index i, index 7-i)
-pair to 1.
+pair to 1.  Vectors have rational coordinates.
 
-An element of wedge^2 V is stored as its action matrix on V over Z[i]:
-int64 arrays re, im of shape (..., 8, 8) over one positive denominator.
-Leading axes index a batch, so each operation applies to many elements in
-one call.  Every product is bounded first.  Elementwise int64 work must
-stay below 2^62 (fits); an array contraction runs on float64 BLAS
-(exact_matmul) and must keep the sum of |terms| of every output entry below
-2^53, where float64 holds every integer exactly.  An operation whose
-result could leave its range raises OverflowError rather than wrap or
-round.
-
-The vectors u1, u2, v1, v2 of the compact su(2) construction each carry a
-factor 1/sqrt(2); every element built from them here (e+, h+, f+) only
-uses products of pairs of such vectors, so all sqrt(2)'s are multiplied out
-and scalars stay Gaussian rational.
+An element of wedge^2 V is stored as its action matrix on V: an int64
+array of shape (..., 8, 8) over one positive denominator, as
+triality.GEElement stores an element of g_E.  Leading axes index a batch,
+so each operation applies to many elements in one call.  Every product is
+bounded first.  Elementwise int64 work must stay below 2^62 (fits); an
+array contraction runs on float64 BLAS (exact_matmul) and must keep the
+sum of |terms| of every output entry below 2^53, where float64 holds every
+integer exactly.  An operation whose result could leave its range raises
+OverflowError rather than wrap or round.
 """
 from __future__ import annotations
 
@@ -34,8 +26,9 @@ from typing import Tuple
 
 import numpy as np
 
+from .scalar import _coerce
 # The scalar type lives in scalar; it stays importable from here.
-from .scalar import GZERO, GaussRational, _coerce  # noqa: F401
+from .scalar import GaussRational  # noqa: F401
 
 DIM = 8
 # wedge basis index pairs i<j, fixed total order.
@@ -49,10 +42,9 @@ _LIMIT = 2 ** 62
 _FLOAT_LIMIT = 2 ** 53
 
 
-def amax(*arrays) -> int:
-    """Largest absolute entry over the given integer arrays."""
-    return max((max(int(a.max()), -int(a.min())) for a in arrays if a.size),
-               default=0)
+def amax(a) -> int:
+    """Largest absolute entry of an integer array, 0 if it is empty."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def fits(bound: int) -> None:
@@ -87,31 +79,31 @@ def exact_matmul(a, b, bound: int) -> np.ndarray:
     return np.matmul(a, b, dtype=np.float64)
 
 
-def reduced(den: int, *nums):
-    """(den, *nums) divided by the gcd of den and every entry of nums."""
-    g = den
-    for a in nums:
-        g = int(np.gcd.reduce(a, axis=None, initial=g))
+def reduced(den: int, num):
+    """(den, num) divided by the gcd of den and every entry of num."""
+    g = int(np.gcd.reduce(num, axis=None, initial=den))
     if g == 1:
-        return (den,) + nums
-    return (den // g,) + tuple(a // g for a in nums)
+        return den, num
+    return den // g, num // g
 
 
-def _parts(x) -> Tuple[int, int, int]:
-    """(re, im, den) integers with x = (re + i im) / den."""
+def _parts(x) -> Tuple[int, int]:
+    """(num, den) integers with x = num / den, for a rational x: an int, a
+    Fraction or a GaussRational with no imaginary part."""
     if isinstance(x, (int, np.integer)):
-        return int(x), 0, 1
+        return int(x), 1
     x = _coerce(x)
-    return x.p, x.q, x.d
+    if x.q:
+        raise ValueError(f"{x!r} is not rational")
+    return x.p, x.d
 
 
 def int_parts(xs):
-    """int64 arrays re, im and an int den with xs[k] = (re[k] + i im[k]) /
-    den, for a flat sequence of scalars."""
+    """An int64 array num and an int den with xs[k] = num[k] / den, for a
+    flat sequence of rationals."""
     parts = [_parts(x) for x in xs]
-    den = lcm(*(d for _, _, d in parts))
-    return (np.array([r * (den // d) for r, _, d in parts], dtype=np.int64),
-            np.array([i * (den // d) for _, i, d in parts], dtype=np.int64),
+    den = lcm(*(d for _, d in parts))
+    return (np.array([n * (den // d) for n, d in parts], dtype=np.int64),
             den)
 
 
@@ -119,30 +111,28 @@ def int_parts(xs):
 
 @dataclass(frozen=True, eq=False)
 class Bivector:
-    """Element of wedge^2 V, stored as its action matrix (re + i im) / den on
-    V: re, im int64 arrays of shape (..., 8, 8), den a positive int shared
-    by the batch."""
-    re: np.ndarray
-    im: np.ndarray
+    """Element of wedge^2 V, stored as its action matrix num / den on V: num
+    an int64 array of shape (..., 8, 8) whose leading axes index a batch,
+    den a positive int shared by the batch."""
+    num: np.ndarray
     den: int = 1
 
     @staticmethod
-    def of(re, im, den: int = 1) -> "Bivector":
-        """(re + i im) / den with the common factor divided out."""
-        den, re, im = reduced(den, re, im)
-        return Bivector(re, im, den)
+    def of(num, den: int = 1) -> "Bivector":
+        """num / den with the common factor divided out."""
+        den, num = reduced(den, num)
+        return Bivector(num, den)
 
     def __getitem__(self, index) -> "Bivector":
         """Batch element(s) at index."""
-        return Bivector.of(self.re[index], self.im[index], self.den)
+        return Bivector.of(self.num[index], self.den)
 
     def _combine(self, other: "Bivector", sign: int) -> "Bivector":
         """self + sign * other over the least common denominator."""
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
-        fits(a * amax(self.re, self.im) + abs(b) * amax(other.re, other.im))
-        return Bivector.of(a * self.re + b * other.re,
-                           a * self.im + b * other.im, den)
+        fits(a * amax(self.num) + abs(b) * amax(other.num))
+        return Bivector.of(a * self.num + b * other.num, den)
 
     def __add__(self, other: "Bivector") -> "Bivector":
         return self._combine(other, 1)
@@ -151,39 +141,38 @@ class Bivector:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Bivector":
-        return Bivector(-self.re, -self.im, self.den)
+        return Bivector(-self.num, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Bivector) and (self - other).is_zero()
+        if not isinstance(other, Bivector):
+            return NotImplemented
+        return (self.num.shape == other.num.shape
+                and (self - other).is_zero())
 
     __hash__ = None
 
     def scale(self, c) -> "Bivector":
-        cr, ci, d = _parts(c)
-        fits((abs(cr) + abs(ci)) * amax(self.re, self.im))
-        return Bivector.of(cr * self.re - ci * self.im,
-                           cr * self.im + ci * self.re, self.den * d)
+        """c times self, for a rational c."""
+        n, d = _parts(c)
+        fits(abs(n) * amax(self.num))
+        return Bivector.of(n * self.num, self.den * d)
 
     def zero_mask(self) -> np.ndarray:
         """Boolean array over the batch: which elements are zero."""
-        return ~(self.re.any(axis=(-2, -1)) | self.im.any(axis=(-2, -1)))
+        return ~self.num.any(axis=(-2, -1))
 
     def is_zero(self) -> bool:
         return bool(self.zero_mask().all())
 
 
 def wedge(u, w) -> Bivector:
-    """u ^ w for Vector8's u, w: x -> (u, x) w - (w, x) u, where
-    (u, x) = sum_c u[7-c] x[c]."""
-    ur, ui, du = int_parts(u)
-    wr, wi, dw = int_parts(w)
-    fits(4 * amax(ur, ui) * amax(wr, wi))
-    ur2, ui2, wr2, wi2 = ur[::-1], ui[::-1], wr[::-1], wi[::-1]
-    re = (np.outer(wr, ur2) - np.outer(wi, ui2)
-          - np.outer(ur, wr2) + np.outer(ui, wi2))
-    im = (np.outer(wr, ui2) + np.outer(wi, ur2)
-          - np.outer(ur, wi2) - np.outer(ui, wr2))
-    return Bivector.of(re, im, du * dw)
+    """u ^ w for Vector8's u, w of rationals: x -> (u, x) w - (w, x) u,
+    where (u, x) = sum_c u[7-c] x[c]."""
+    un, du = int_parts(u)
+    wn, dw = int_parts(w)
+    fits(2 * amax(un) * amax(wn))
+    return Bivector.of(np.outer(wn, un[::-1]) - np.outer(un, wn[::-1]),
+                       du * dw)
 
 
 # b_i ^ b_j acts by +1 at (j, 7-i) and -1 at (i, 7-j), so the coefficient
@@ -200,77 +189,34 @@ def skew_coords(A: np.ndarray) -> np.ndarray:
     return A[..., _COEFF_ROWS, _COEFF_COLS]
 
 
-def biv_coords(X: Bivector) -> Tuple[np.ndarray, np.ndarray]:
-    """Numerators (re, im) over X.den of the coefficients of X on the
-    b_i ^ b_j, i < j, in PAIRS order; arrays of shape (..., 28)."""
-    return skew_coords(X.re), skew_coords(X.im)
-
-
-def skew_bivector(re, im, den: int = 1) -> Bivector:
-    """The elements acting by the matrices (re + i im) / den, int64 arrays
-    of shape (..., 8, 8).  Raises unless every one is skew w.r.t. the form
+def skew_bivector(num, den: int = 1) -> Bivector:
+    """The elements acting by the matrices num / den, num an int64 array of
+    shape (..., 8, 8).  Raises unless every one is skew w.r.t. the form
     (i.e. in the image of wedge^2 V): (Ax, y) + (x, Ay) = 0 reads
     J A + (J A)^t = 0, and J A is A with its rows reversed."""
-    for part in (re, im):
-        ja = part[..., ::-1, :]
-        if (ja + ja.swapaxes(-1, -2)).any():
-            raise ValueError("matrix is not skew with respect to the form")
-    return Bivector.of(re, im, den)
-
-
-def _commutator(a, b):
-    c = a @ b
-    c -= b @ a
-    return c
+    ja = num[..., ::-1, :]
+    if (ja + ja.swapaxes(-1, -2)).any():
+        raise ValueError("matrix is not skew with respect to the form")
+    return Bivector.of(num, den)
 
 
 def bracket(X: Bivector, Y: Bivector) -> Bivector:
     """Lie bracket: the commutator act(X) act(Y) - act(Y) act(X)."""
-    fits(32 * amax(X.re, X.im) * amax(Y.re, Y.im))
-    re = _commutator(X.re, Y.re)
-    re -= _commutator(X.im, Y.im)
-    im = _commutator(X.re, Y.im)
-    im += _commutator(X.im, Y.re)
-    return Bivector.of(re, im, X.den * Y.den)
+    fits(16 * amax(X.num) * amax(Y.num))
+    c = X.num @ Y.num
+    c -= Y.num @ X.num
+    return Bivector.of(c, X.den * Y.den)
 
 
 def cartan_theta(X: Bivector) -> Bivector:
     """Cartan involution induced by iota: b_j <-> b_{-j} on all eight
     indices (storage index k <-> 7-k), i.e. conjugation by that
     permutation."""
-    return Bivector(X.re[..., ::-1, ::-1], X.im[..., ::-1, ::-1], X.den)
+    return Bivector(X.num[..., ::-1, ::-1], X.den)
 
 
-def trace_form(X: Bivector, Y: Bivector) -> GaussRational:
+def trace_form(X: Bivector, Y: Bivector) -> Fraction:
     """B(X, Y) = tr(act(X) act(Y)) in the 8-dim representation, for single
     elements."""
-    fits(128 * amax(X.re, X.im) * amax(Y.re, Y.im))
-    re = int(np.sum(X.re * Y.re.T - X.im * Y.im.T))
-    im = int(np.sum(X.re * Y.im.T + X.im * Y.re.T))
-    return GaussRational.over(re, im, X.den * Y.den)
-
-
-# --- the distinguished su(2) -------------------------------------------------
-# u1 = (b1 + b-1)/sqrt2, u2 = (b2 + b-2)/sqrt2,
-# v1 = (b3 + b-3)/sqrt2, v2 = (b4 + b-4)/sqrt2.
-# sqrt2's are cleared pairwise: each generator below is a sum of wedges of two
-# such vectors, contributing a global 1/2.
-
-def _su2_triple():
-    """e+ = 1/2 (u1 - i u2) ^ (v1 - i v2), f+ = -1/2 (u1 + i u2) ^ (v1 + i v2)
-    and h+ = i (u1 ^ u2 + v1 ^ v2), from the coordinates of sqrt2 u1, ...,
-    sqrt2 v2."""
-    u1, u2 = (1, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 1, 0)
-    v1, v2 = (0, 0, 1, 0, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0)
-    i = GaussRational.make(0, 1)
-
-    def plus_i(x, y, sign):                # x + sign i y
-        return tuple(a + sign * b * i for a, b in zip(x, y))
-
-    e = wedge(plus_i(u1, u2, -1), plus_i(v1, v2, -1)).scale(Fraction(1, 4))
-    f = wedge(plus_i(u1, u2, 1), plus_i(v1, v2, 1)).scale(Fraction(-1, 4))
-    h = (wedge(u1, u2) + wedge(v1, v2)).scale(i * Fraction(1, 2))
-    return e, h, f
-
-
-E_PLUS, H_PLUS, F_PLUS = _su2_triple()
+    fits(64 * amax(X.num) * amax(Y.num))
+    return Fraction(int(np.sum(X.num * Y.num.T)), X.den * Y.den)

@@ -33,8 +33,8 @@ import numpy as np
 
 from .octonion import (B_BASIS, BASIS, Octonion, oct_mul, to_vector8,
                        trace as oct_trace)
-from .quadspace import (Bivector, amax, biv_coords, bracket, exact_matmul,
-                        fits, fits_float, int_parts, reduced, skew_bivector,
+from .quadspace import (Bivector, amax, bracket, exact_matmul, fits,
+                        fits_float, int_parts, reduced, skew_bivector,
                         skew_coords, wedge)
 
 
@@ -204,9 +204,9 @@ def _phi_table() -> np.ndarray:
         jp, jm = _cyc(j)
         imgs += [-_w("eps2", f"e{j}*"), _w(f"e{jp}", f"e{jm}"),
                  _w("eps1", f"e{j}*")]
-    if any(X.den != 1 or X.im.any() for X in imgs):
+    if any(X.den != 1 for X in imgs):
         raise ArithmeticError("Phi of a basis element is not integral")
-    return np.stack([X.re for X in imgs])
+    return np.stack([X.num for X in imgs])
 
 
 def int_inverse(m) -> Tuple[List[List[int]], int]:
@@ -249,33 +249,28 @@ _PHI_INV, _PHI_INV_DEN = _phi_inverse()
 def phi_iso(X: GEElement) -> Bivector:
     """Phi(X) = sum_k X_k Phi(basis_k), one contraction with the table."""
     fits(GE_DIM * amax(_PHI) * amax(X.num))
-    re = np.tensordot(X.num, _PHI, axes=(-1, 0))
-    return Bivector.of(re, np.zeros(re.shape, dtype=np.int64), X.den)
+    return Bivector.of(np.tensordot(X.num, _PHI, axes=(-1, 0)), X.den)
 
 
 def phi_inv(Y: Bivector) -> GEElement:
-    """Exact inverse of phi_iso (only defined for real bivectors): the
-    inverse matrix applied to Y's bivector coefficients."""
-    if Y.im.any():
-        raise ValueError("unexpected imaginary part in phi image")
-    y, _ = biv_coords(Y)
+    """Exact inverse of phi_iso: the inverse matrix applied to Y's bivector
+    coefficients."""
+    y = skew_coords(Y.num)
     fits(GE_DIM * amax(_PHI_INV) * amax(y))
     return GEElement.of(y @ _PHI_INV.T, _PHI_INV_DEN * Y.den)
 
 
 def _commutator_coords(P: Bivector) -> np.ndarray:
     """Numerators over P.den ** 2 of the coordinates (skew_coords) of
-    [P_i, P_j] for every pair of a real batch P of n elements: an
+    [P_i, P_j] for every pair of a batch P of n elements: an
     (n, n, 28) array.  Every product P_i P_j is block (i, j) of one
     (8n x 8) @ (8 x 8n) product M, so that [P_i, P_j] = M[i, j] - M[j, i],
     in float64 (exact_matmul): its bound, twice a product entry's, covers
     that difference as well."""
-    if P.im.any():
-        raise ValueError("unexpected imaginary part in phi image")
-    n = len(P.re)
-    M = exact_matmul(P.re.reshape(8 * n, 8),
-                     P.re.transpose(1, 0, 2).reshape(8, 8 * n),
-                     16 * amax(P.re) ** 2)
+    n = len(P.num)
+    M = exact_matmul(P.num.reshape(8 * n, 8),
+                     P.num.transpose(1, 0, 2).reshape(8, 8 * n),
+                     16 * amax(P.num) ** 2)
     MC = skew_coords(M.reshape(n, 8, n, 8).transpose(0, 2, 1, 3))
     return MC - MC.swapaxes(0, 1)
 
@@ -382,17 +377,16 @@ def triality_defects(X1: Bivector, X2: Bivector, X3: Bivector) -> np.ndarray:
     tensor (exact_matmul).  Their bound is that of the three terms
     together, so it covers their sum as well."""
     den = lcm(X1.den, X2.den, X3.den)
-    bound = (max(den // X.den * amax(X.re, X.im) for X in (X1, X2, X3))
+    bound = (max(den // X.den * amax(X.num) for X in (X1, X2, X3))
              * 3 * 8 * amax(_TR))
-    A = [np.stack([X.re, X.im]).astype(np.float64) * (den // X.den)
-         for X in (X1, X2, X3)]
+    A = [X.num.astype(np.float64) * (den // X.den) for X in (X1, X2, X3)]
     # term c is one matmul with _TR_SLOTS[c]; its axes come out as slot c
     # first, then the other two, and are moved back to (x, y, z)
     t1, t2, t3 = (exact_matmul(a.swapaxes(-1, -2), T, bound)
                   .reshape(a.shape[:-1] + (8, 8))
                   for a, T in zip(A, _TR_SLOTS))
     total = t1 + t2.swapaxes(-3, -2) + np.moveaxis(t3, -3, -1)
-    return total.any(axis=(0, -3, -2, -1))
+    return total.any(axis=(-3, -2, -1))
 
 
 def verify_triality_triple(X1: Bivector, X2: Bivector, X3: Bivector) -> bool:
@@ -433,24 +427,16 @@ def mult_triples(u, v, den: int = 1):
     uv = _outer(u, v)
     A = (exact_matmul(uv, _TRIPLE, 64 * amax(_TRIPLE) * amax(u) * amax(v))
          .astype(np.int64).reshape(uv.shape[:-1] + (3, 8, 8)))
-    zero = np.zeros(A.shape[:-3] + (8, 8), dtype=np.int64)
-    return tuple(skew_bivector(A[..., c, :, :], zero, den) for c in range(3))
-
-
-def _b_numerators(x: Octonion):
-    """(int64 b-coordinates, den) of a rational octonion x."""
-    re, im, den = int_parts(to_vector8(x))
-    if im.any():
-        raise ValueError("octonion coordinates must be rational")
-    return re, den
+    return tuple(skew_bivector(A[..., c, :, :], den) for c in range(3))
 
 
 def prop_mult_triple(u: Octonion, v: Octonion):
     """The triality triple (2 u^v, l_{u*}l_v - l_{v*}l_u,
     r_{u*}r_v - r_{v*}r_u) (scaled by 2 from the 1/2-normalized one), for
-    rational u, v: mult_triples over the product of their denominators."""
-    (ur, du), (vr, dv) = _b_numerators(u), _b_numerators(v)
-    return mult_triples(ur, vr, du * dv)
+    rational u, v: mult_triples over the product of their denominators;
+    raises ValueError on a coordinate that is not rational."""
+    (un, du), (vn, dv) = int_parts(to_vector8(u)), int_parts(to_vector8(v))
+    return mult_triples(un, vn, du * dv)
 
 
 # The six standard triples are Phi images of basis elements, so rows of
@@ -464,9 +450,7 @@ _STANDARD_ROWS = np.array([[10, 11, 12], [21, 19, 20], [13, 14, 15],
 def standard_triple_batch():
     """The six standard triples as three Bivector batches, one each for
     X1, X2 and X3."""
-    return tuple(Bivector(_PHI[_STANDARD_ROWS[:, c]],
-                          np.zeros((6, 8, 8), dtype=np.int64))
-                 for c in range(3))
+    return tuple(Bivector(_PHI[_STANDARD_ROWS[:, c]]) for c in range(3))
 
 
 def standard_triples():

@@ -444,33 +444,46 @@ def archimedean_integral_check(T, t: float, u, ell: int
 
 # --- Poincare summand --------------------------------------------------------
 
+def _su2_basis():
+    """P, Q, R: the real integral basis of the compact su(2).  With
+    U1 = b1 + b-1, U2 = b2 + b-2, V1 = b3 + b-3 and V2 = b4 + b-4,
+
+        P = U1 ^ V1 - U2 ^ V2,  Q = U1 ^ V2 + U2 ^ V1,  R = U1 ^ U2 + V1 ^ V2,
+
+    and its standard triple is e+ = (P - iQ)/4, h+ = iR/2 and
+    f+ = -(P + iQ)/4."""
+    u1, u2 = (1, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 1, 0)
+    v1, v2 = (0, 0, 1, 0, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0)
+    w = quadspace.wedge
+    return (w(u1, v1) - w(u2, v2), w(u1, v2) + w(u2, v1),
+            w(u1, u2) + w(v1, v2))
+
+
 def _prk_int_matrices() -> np.ndarray:
     """Re(2 C_e), Im(2 C_e) and Im(2 C_h) as int64 8x8 matrices M, giving
     the key integers x, y, z = w1^t M w2, where for b_k = e+, h+, f+
 
         2 tr(act(w1 ^ w2) b_k) = w1^t (2 C_k) w2,  C_k = J b_k - (J b_k)^t
 
-    (J, the pairing, reverses the rows).  Built exactly from quadspace's
-    integer action matrices, checking what the closed form of _prk_coeffs
-    rests on: the trace form's Gram matrix, every 2 C_k Gaussian-integral,
-    and Re(2 C_h) = 0, Re(2 C_f) = -Re(2 C_e), Im(2 C_f) = Im(2 C_e); and
-    what q_poincare's fold split rests on: row i of each M equals row
-    7 - i, and column j equals column 7 - j."""
-    su2 = (quadspace.E_PLUS, quadspace.H_PLUS, quadspace.F_PLUS)
+    (J, the pairing, reverses the rows).  With C_X likewise for P, Q, R of
+    _su2_basis, they are C_P / 2, -C_Q / 2 and C_R; as h+ = iR/2 and
+    f+ = -(P + iQ)/4, 2 C_h is imaginary and 2 C_f = -conj(2 C_e), which
+    the closed form of _prk_coeffs uses.  Built exactly, checking what that
+    closed form rests on: the trace form's Gram matrix on P, Q, R is
+    -16 I, and C_P and C_Q are even; and what q_poincare's fold split
+    rests on: row i of each M equals row 7 - i, and column j equals
+    column 7 - j."""
+    su2 = _su2_basis()
     if [[quadspace.trace_form(a, b) for b in su2] for a in su2] != [
-            [0, 0, 2], [0, 4, 0], [2, 0, 0]]:
-        raise ArithmeticError("the trace form on span{e+, h+, f+} changed")
+            [-16, 0, 0], [0, -16, 0], [0, 0, -16]]:
+        raise ArithmeticError("the trace form on span{P, Q, R} changed")
     parts = []
-    for b in su2:
-        for part in (b.re, b.im):
-            c2 = 2 * (part[::-1] - part[::-1].T)
-            if (c2 % b.den).any():
-                raise ArithmeticError("2 C_k is not Gaussian-integral")
-            parts.append(c2 // b.den)
-    re_e, im_e, re_h, im_h, re_f, im_f = parts
-    if re_h.any() or (re_f != -re_e).any() or (im_f != im_e).any():
-        raise ArithmeticError("2 C_h and 2 C_f are not fixed by x, y, z")
-    mats = np.stack([re_e, im_e, im_h])
+    for b, d in zip(su2, (2, -2, 1)):
+        c = b.num[::-1] - b.num[::-1].T
+        if (c % (d * b.den)).any():
+            raise ArithmeticError("a key matrix is not integral")
+        parts.append(c // (d * b.den))
+    mats = np.stack(parts)
     if (mats != mats[:, ::-1]).any() or (mats != mats[:, :, ::-1]).any():
         raise ArithmeticError("the key matrices do not factor through the "
                               "fold v_i + v_(7-i)")

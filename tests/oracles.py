@@ -6,12 +6,14 @@ products with an integer table (the reference of the package's shifted
 products), the sparse bracket on 28 bivector coefficients, Phi and
 the six standard triality triples built from wedges of the octonion
 basis, the Gauss-Jordan inverse over Fraction, and the exact su(2)
-projection pr_K with its symmetric powers.  They share no
-code with the integer-array implementations they check beyond the scalar
-type and the b-basis coordinates of the octonions.  Beside them, helpers
-that only tests use: the unit vectors, pairing and quadratic form of V
-over the Gaussian rationals, a bivector's action on a vector, the su(2) triple
-commuting with (e+, h+, f+), the S3 action on g_E, on so(8) through Phi
+projection pr_K with its symmetric powers, onto the complex su(2) triple
+(e+, h+, f+) built from its definition as sparse Gaussian-rational
+coefficients.  They share no code with the integer-array implementations
+they check beyond the scalar type and the b-basis coordinates of the
+octonions.  Beside them, helpers that only tests use: the unit vectors,
+pairing and quadratic form of V over the Gaussian rationals, a bivector's
+action on a vector, the su(2) triple commuting with (e+, h+, f+), the S3
+action on g_E, on so(8) through Phi
 (with the conjugation twist for odd permutations) and on triality triples,
 and the pairing of integer cubes that the cube action preserves.
 
@@ -81,9 +83,9 @@ from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import (LatticeIsometry, levi_isometry,
                              opposite_unipotent, siegel_unipotent,
                              swap_isometry)
-from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS, PAIRS,
-                                Bivector, GaussRational, _coerce, amax,
-                                biv_coords, fits, int_parts, trace_form)
+from octolift.quadspace import (DIM, PAIRS, Bivector, amax, fits,
+                                int_parts, skew_coords)
+from octolift.scalar import GZERO, GaussRational, _coerce
 from octolift.triality import (_CONJ_PERM, GEElement, _coords, _fields,
                                _perm_tuple)
 from octolift import triality
@@ -121,7 +123,7 @@ def qval(u) -> GaussRational:
 
 def biv_act(X: Bivector, w):
     """(u ^ v) . x = (u, x) v - (v, x) u, extended bilinearly, for a single
-    Bivector X and an 8-tuple w of ints or GaussRationals.
+    Bivector X and an 8-tuple w of rationals, as Fractions.
 
     For a basis bivector b_i ^ b_j this sends x to (b_i,x) b_j - (b_j,x) b_i,
     i.e. picks up the coordinates x_{7-i} and x_{7-j}.  (This is the sign
@@ -129,23 +131,9 @@ def biv_act(X: Bivector, w):
     Lie algebra homomorphism; the opposite sign would make it an
     anti-homomorphism throughout.)
     """
-    wr, wi, dw = int_parts(w)
-    fits(16 * amax(X.re, X.im) * amax(wr, wi))
-    re, im = X.re @ wr - X.im @ wi, X.re @ wi + X.im @ wr
-    den = X.den * dw
-    return tuple(GaussRational(Fraction(int(a), den), Fraction(int(b), den))
-                 for a, b in zip(re, im))
-
-
-def su2_prime_triple():
-    """The su(2) triple (e', h', f') that commutes with E_PLUS, H_PLUS,
-    F_PLUS: their conjugates by the isometry v2 -> -v2 (b4 -> -b4,
-    b-4 -> -b-4), since wedge commutes with isometries and fixes u1, u2,
-    v1."""
-    d = np.array([1, 1, 1, -1, -1, 1, 1, 1])
-    flip = d[:, None] * d
-    return tuple(Bivector(X.re * flip, X.im * flip, X.den)
-                 for X in (E_PLUS, H_PLUS, F_PLUS))
+    wn, dw = int_parts(w)
+    fits(8 * amax(X.num) * amax(wn))
+    return tuple(Fraction(int(a), X.den * dw) for a in X.num @ wn)
 
 
 # --- bivectors as 28 Gaussian-rational coefficients on b_i ^ b_j, i < j ------
@@ -153,14 +141,10 @@ def su2_prime_triple():
 def coeffs_of(X):
     """The 28 coefficients of a single quadspace.Bivector, after checking
     that its whole action matrix is the one those coefficients give."""
-    re, im = biv_coords(X)
-    coeffs = tuple(GaussRational(Fraction(int(a), X.den),
-                                 Fraction(int(b), X.den))
-                   for a, b in zip(re, im))
-    matrix = {(r, c): GaussRational(Fraction(int(X.re[r, c]), X.den),
-                                    Fraction(int(X.im[r, c]), X.den))
-              for r in range(DIM) for c in range(DIM)
-              if X.re[r, c] or X.im[r, c]}
+    coeffs = tuple(GaussRational(Fraction(int(a), X.den))
+                   for a in skew_coords(X.num))
+    matrix = {(r, c): GaussRational(Fraction(int(X.num[r, c]), X.den))
+              for r in range(DIM) for c in range(DIM) if X.num[r, c]}
     assert biv_sparse(coeffs) == matrix, "action matrix is not skew"
     return coeffs
 
@@ -513,7 +497,7 @@ def conj_twist(X: Bivector) -> Bivector:
     """Ad(c) X where c is octonionic conjugation (an isometry of the form):
     as matrices, c act(X) c, and c is minus the permutation _CONJ_PERM."""
     p = list(_CONJ_PERM)
-    return Bivector(X.re[..., p, :][..., p], X.im[..., p, :][..., p], X.den)
+    return Bivector(X.num[..., p, :][..., p], X.den)
 
 
 def s3_act_triple(p, triple):
@@ -664,14 +648,62 @@ def _solve3(G, rhs):
     return out
 
 
-_SU2_BASIS = (E_PLUS, H_PLUS, F_PLUS)
+def su2_triple():
+    """(e+, h+, f+) of the compact construction, as 28 coefficients each:
+    with u1 = (b1 + b-1)/sqrt2, u2 = (b2 + b-2)/sqrt2, v1 = (b3 + b-3)/sqrt2
+    and v2 = (b4 + b-4)/sqrt2,
+
+        e+ = 1/2 (u1 - i u2) ^ (v1 - i v2),  h+ = i (u1 ^ u2 + v1 ^ v2),
+        f+ = -1/2 (u1 + i u2) ^ (v1 + i v2),
+
+    from the coordinates of sqrt2 u1, ..., sqrt2 v2, each wedge of two of
+    them contributing a factor 1/2."""
+    def vec(i):                    # sqrt2 times u1, u2, v1, v2
+        return tuple(GONE if j in (i, 7 - i) else GZERO for j in range(DIM))
+
+    u1, u2, v1, v2 = map(vec, range(4))
+    i = GaussRational.make(0, 1)
+
+    def plus_i(x, y, sign):        # x + sign i y
+        return tuple(a + sign * b * i for a, b in zip(x, y))
+
+    e = coeffs_scale(coeffs_wedge(plus_i(u1, u2, -1), plus_i(v1, v2, -1)),
+                     Fraction(1, 4))
+    f = coeffs_scale(coeffs_wedge(plus_i(u1, u2, 1), plus_i(v1, v2, 1)),
+                     Fraction(-1, 4))
+    h = coeffs_scale(coeffs_add(coeffs_wedge(u1, u2), coeffs_wedge(v1, v2)),
+                     i * Fraction(1, 2))
+    return e, h, f
+
+
+def su2_prime_triple():
+    """The su(2) triple (e', h', f') that commutes with su2_triple(): its
+    conjugates by the isometry v2 -> -v2 (b4 -> -b4, b-4 -> -b-4), since
+    wedge commutes with isometries and fixes u1, u2, v1; the coefficient on
+    b_i ^ b_j changes sign when exactly one of i, j is 3 or 4."""
+    d = (1, 1, 1, -1, -1, 1, 1, 1)
+    return tuple(tuple(c * (d[i] * d[j]) for c, (i, j) in zip(X, PAIRS))
+                 for X in su2_triple())
+
+
+def trace_form(X, Y) -> GaussRational:
+    """tr(act(X) act(Y)) for 28 coefficients each, on sparse action
+    matrices."""
+    AX, AY = biv_sparse(X), biv_sparse(Y)
+    return sum((a * AY[(k, r)] for (r, k), a in AX.items() if (k, r) in AY),
+               GZERO)
+
+
+_SU2_BASIS = su2_triple()
 _SU2_GRAM = [[trace_form(a, b) for b in _SU2_BASIS] for a in _SU2_BASIS]
 
 
 def pr_K(X) -> Sym2Element:
     """Orthogonal projection (w.r.t. the trace form) onto span{e+,h+,f+},
     written in the x^2, xy, y^2 coordinates via e+ = -x^2, h+ = 2xy,
-    f+ = y^2."""
+    f+ = y^2, of a Bivector or of 28 coefficients X."""
+    if isinstance(X, Bivector):
+        X = coeffs_of(X)
     ce, ch, cf = _solve3(_SU2_GRAM, [trace_form(X, b) for b in _SU2_BASIS])
     return Sym2Element(-ce, ch + ch, cf)
 

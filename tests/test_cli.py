@@ -516,14 +516,14 @@ def test_triality_verify_names_a_failing_triple(capsys, monkeypatch):
     bound, case = cli._BLOCK + 10, cli._BLOCK + 7     # in the second block
     u, v = _suite_cases(3, bound, (2, 8))
     assert int(np.argmax((u == u[case]).all(axis=1))) == case
-    extra = wedge(to_vector8(B_BASIS[0]), to_vector8(B_BASIS[1])).re
+    extra = wedge(to_vector8(B_BASIS[0]), to_vector8(B_BASIS[1])).num
     good = triality.mult_triples
 
     def bad(a, b):          # X2 is off by b1 ^ b2 where u is u[case]
         X1, X2, X3 = good(a, b)
-        re = X2.re.copy()
-        re[(a == u[case]).all(axis=-1)] += X2.den * extra
-        return X1, Bivector(re, X2.im, X2.den), X3
+        num = X2.num.copy()
+        num[(a == u[case]).all(axis=-1)] += X2.den * extra
+        return X1, Bivector(num, X2.den), X3
 
     monkeypatch.setattr(triality, "mult_triples", bad)
     code, rep = _run(capsys, ["triality-verify", "--bound", str(bound),

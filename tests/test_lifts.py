@@ -18,7 +18,7 @@ from octolift.lifts import (HalfIntegralTable, InsufficientTableError,
                             dirichlet_factor_check, fj_extract, fj_pair,
                             maass_membership, reduced_triples,
                             spezialschar_keys, theta_star_table)
-from octolift.quadspace import GZERO, GaussRational
+from octolift.scalar import GZERO, GaussRational
 
 import oracles
 from oracles import (DirichletPoly, dirichlet_factor_check_by_series,

@@ -1,5 +1,6 @@
 """Split quadratic space, bivector Lie algebra, and the su(2) projection."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octolift.quadspace import (DIM, E_PLUS, F_PLUS, GZERO, H_PLUS,
-                                Bivector, GaussRational, _coerce, bracket,
-                                cartan_theta, exact_matmul, skew_bivector,
-                                trace_form, wedge)
+from octolift.quadspace import (DIM, Bivector, bracket, cartan_theta,
+                                exact_matmul, skew_bivector, trace_form,
+                                wedge)
+from octolift.scalar import GZERO, GaussRational, _coerce
+from octolift.whittaker import _PRK2, _su2_basis
 
 import oracles
 from oracles import (Sym2Element, basis_vector, biv_act, pairing, pr_K,
                      qval, sym2_power)
 
+E_PLUS, H_PLUS, F_PLUS = oracles.su2_triple()
 E_PRIME, H_PRIME, F_PRIME = oracles.su2_prime_triple()
+P, Q, R = _su2_basis()
 
 
 def gvec(coords):
@@ -95,12 +99,21 @@ def test_jacobi_identity(X, Y, Z):
 
 
 def test_skew_bivector_rejects_non_skew():
-    re = np.zeros((DIM, DIM), dtype=np.int64)
-    re[0, 0] = 1                     # not skew w.r.t. the split form
+    num = np.zeros((DIM, DIM), dtype=np.int64)
+    num[0, 0] = 1                    # not skew w.r.t. the split form
     with pytest.raises(ValueError):
-        skew_bivector(re, np.zeros_like(re))
+        skew_bivector(num)
+
+
+def test_bivectors_are_rational():
+    i = GaussRational.make(0, 1)
+    X = wedge(basis_vector(0), basis_vector(1))
     with pytest.raises(ValueError):
-        skew_bivector(np.zeros_like(re), re)
+        wedge((i,) + (0,) * (DIM - 1), basis_vector(1))
+    with pytest.raises(ValueError):
+        X.scale(i)
+    assert X.scale(GaussRational.make(Fraction(1, 2))) == X.scale(
+        Fraction(1, 2))
 
 
 @given(bivectors, bivectors)
@@ -112,14 +125,48 @@ def test_cartan_theta_involutive_automorphism(X, Y):
 
 
 def test_su2_triples():
+    # on the oracle's Gaussian-rational coefficients
+    bracket_, scale = oracles.sparse_bracket, oracles.coeffs_scale
     for e, h, f in ((E_PLUS, H_PLUS, F_PLUS), (E_PRIME, H_PRIME, F_PRIME)):
-        assert _zero(bracket(f, e) - h)
-        assert _zero(bracket(h, f) - f.scale(2))
-        assert _zero(bracket(h, e) + e.scale(2))
+        assert bracket_(f, e) == h
+        assert bracket_(h, f) == scale(f, 2)
+        assert bracket_(h, e) == scale(e, -2)
     # the two su(2)'s commute
+    zero = scale(E_PLUS, 0)
     for a in (E_PLUS, H_PLUS, F_PLUS):
         for b in (E_PRIME, H_PRIME, F_PRIME):
-            assert _zero(bracket(a, b))
+            assert bracket_(a, b) == zero
+
+
+def test_su2_real_basis():
+    # P, Q, R are integral, trace-orthogonal of norm -16, and close under
+    # the bracket with [P, Q] = 4 R cyclically
+    basis = (P, Q, R)
+    assert all(X.den == 1 for X in basis)
+    assert [[trace_form(a, b) for b in basis] for a in basis] == [
+        [-16, 0, 0], [0, -16, 0], [0, 0, -16]]
+    for a, b, c in ((P, Q, R), (Q, R, P), (R, P, Q)):
+        assert bracket(a, b) == c.scale(4)
+
+
+def test_su2_real_basis_gives_the_complex_triple():
+    # e+ = (P - iQ)/4, h+ = iR/2 and f+ = -(P + iQ)/4 against the oracle's
+    # triple built from its definition
+    i = GaussRational.make(0, 1)
+    p, q, r = map(oracles.coeffs_of, (P, Q, R))
+    add, scale = oracles.coeffs_add, oracles.coeffs_scale
+    assert E_PLUS == scale(add(p, scale(q, -i)), Fraction(1, 4))
+    assert H_PLUS == scale(r, i / 2)
+    assert F_PLUS == scale(add(p, scale(q, i)), Fraction(-1, 4))
+
+
+def test_prk_matrices_are_pinned():
+    # the key matrices, from P, Q, R as the closed form reads them
+    assert _PRK2.dtype == np.int64 and _PRK2.shape == (3, 8, 8)
+    assert hashlib.sha256(_PRK2.tobytes()).hexdigest() == (
+        "a1c3321de7822974a4ebfe6febb92631ba5f825e6f0411a5f056d8c97ead818e")
+    c = [X.num[::-1] - X.num[::-1].T for X in (P, Q, R)]
+    assert (_PRK2 * 2 == np.stack([c[0], -c[1], 2 * c[2]])).all()
 
 
 @given(bivectors, bivectors)
@@ -165,21 +212,21 @@ def test_sym2_power_against_direct_expansion():
 # --- the integer action matrices against the sparse Fraction oracle ----------
 
 ints8 = st.lists(st.integers(-5, 5), min_size=DIM, max_size=DIM)
-gauss_coords = st.builds(
-    lambda re, im, den: tuple(GaussRational(Fraction(a, den), Fraction(b, den))
-                              for a, b in zip(re, im)),
-    ints8, ints8, st.integers(1, 3))
-gauss_bivectors = st.builds(lambda u, w, v, x: wedge(u, w) + wedge(v, x),
-                            gauss_coords, gauss_coords, coords, gauss_coords)
+rational_coords = st.builds(
+    lambda nums, den: tuple(Fraction(a, den) for a in nums),
+    ints8, st.integers(1, 3))
+rational_bivectors = st.builds(
+    lambda u, w, v, x: wedge(u, w) + wedge(v, x),
+    rational_coords, rational_coords, coords, rational_coords)
 
 
-@given(gauss_coords, gauss_coords)
+@given(rational_coords, rational_coords)
 @settings(max_examples=50)
 def test_wedge_matches_oracle(u, w):
     assert oracles.coeffs_of(wedge(u, w)) == oracles.coeffs_wedge(u, w)
 
 
-@given(gauss_bivectors, gauss_bivectors)
+@given(rational_bivectors, rational_bivectors)
 @settings(max_examples=50)
 def test_bracket_matches_sparse_oracle(X, Y):
     got = oracles.coeffs_of(bracket(X, Y))
@@ -191,9 +238,8 @@ def test_batched_bracket_matches_single_brackets():
     rng = random.Random(8)
     Xs = [wedge(gvec([rng.randint(-3, 3) for _ in range(DIM)]),
                 gvec([rng.randint(-3, 3) for _ in range(DIM)])).scale(
-                    GaussRational.make(Fraction(1, 2), 1)) for _ in range(6)]
-    batch = Bivector.of(np.stack([X.re for X in Xs]),
-                        np.stack([X.im for X in Xs]), 2)
+                    Fraction(3, 2)) for _ in range(6)]
+    batch = Bivector.of(np.stack([X.num * (2 // X.den) for X in Xs]), 2)
     C = bracket(batch, cartan_theta(batch))
     assert list(C.zero_mask()) == [False] * 6
     for k, X in enumerate(Xs):

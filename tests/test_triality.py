@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from octolift.octonion import (B_BASIS, Octonion, conj, from_vector8, norm,
                                oct_mul, to_vector8, trilinear)
-from octolift.quadspace import (E_PLUS, Bivector, biv_coords, bracket,
-                                cartan_theta, wedge)
+from octolift.quadspace import (Bivector, bracket, cartan_theta,
+                                skew_coords, wedge)
+from octolift.scalar import GaussRational
 from octolift.triality import (GE_BASIS, BhargavaCube, GEElement, _TR,
                                _commutator_coords, _wedge3, bracket_defects,
                                conj8, ge_basis, ge_bracket, ge_cartan, mul8,
@@ -218,7 +219,7 @@ def test_batched_calls_match_single_calls():
         assert (P[k] - phi_iso(A[k])).is_zero()
         assert Q[k] == A[k]
     assert verify_triality_triple(*(
-        Bivector.of(np.stack([X.re] * 3), np.stack([X.im] * 3), X.den)
+        Bivector.of(np.stack([X.num] * 3), X.den)
         for X in standard_triples()[2]))
 
 
@@ -242,8 +243,8 @@ def test_commutator_table_matches_per_pair_brackets():
         for j in range(28):
             for want in (bracket(imgs[i], imgs[j]),
                          phi_iso(ge_bracket(basis[i], basis[j]))):
-                re, im = biv_coords(want)
-                assert not im.any() and (table[i, j] * want.den == re).all()
+                assert (table[i, j] * want.den
+                        == skew_coords(want.num)).all()
     C = ge_bracket(GE_BASIS[:, None], GE_BASIS[None])
     assert not bracket_defects(C, imgs).any()
 
@@ -263,20 +264,32 @@ def test_bracket_defects_over_denominators_name_the_failing_pair():
 def test_bracket_defects_raise_instead_of_wrapping():
     imgs = phi_iso(GE_BASIS)
     C = ge_bracket(GE_BASIS[:, None], GE_BASIS[None])
-    big = Bivector(imgs.re * 2 ** 30, imgs.im, imgs.den)
+    big = Bivector(imgs.num * 2 ** 30, imgs.den)
     for call in (lambda: _commutator_coords(big),
                  lambda: bracket_defects(C, big),
                  lambda: bracket_defects(
                      GEElement(np.full(C.num.shape, 2 ** 58), C.den), imgs)):
         with pytest.raises(OverflowError):
             call()
-    with pytest.raises(ValueError):
-        bracket_defects(C, Bivector(imgs.re, imgs.re, imgs.den))
 
 
-def test_phi_inv_rejects_complex_bivectors():
+def test_prop_mult_triple_rejects_non_real_coordinates():
+    i = GaussRational.make(0, 1)
+    u = Octonion.make(1, (0, i, 0))
     with pytest.raises(ValueError):
-        phi_inv(E_PLUS)
+        prop_mult_triple(u, B_BASIS[0])
+    with pytest.raises(ValueError):
+        prop_mult_triple(B_BASIS[0], u)
+
+
+def test_bivector_equality_needs_equal_batch_shapes():
+    X = phi_iso(GE_BASIS[3])
+    three = Bivector(np.stack([X.num] * 3), X.den)
+    assert three == phi_iso(GE_BASIS[[3, 3, 3]])
+    assert not three == X and not X == three
+    assert three != X and X != three
+    assert phi_iso(GE_BASIS[:2]) != phi_iso(GE_BASIS[:3])
+    assert not phi_iso(GE_BASIS[:3]) == phi_iso(GE_BASIS[:2])
 
 
 def test_overflow_raises_instead_of_wrapping():
@@ -357,10 +370,10 @@ def test_batched_triples_match_prop_mult_triple(u, v):
 def test_triality_defects_name_the_failing_element():
     X1, X2, X3 = mult_triples(np.eye(8, dtype=np.int64)[:5],
                               np.eye(8, dtype=np.int64)[::-1][:5])
-    re = X2.re.copy()
-    re[3] += X2.den * wedge(to_vector8(B_BASIS[0]),
-                            to_vector8(B_BASIS[1])).re
-    bad = triality_defects(X1, Bivector(re, X2.im, X2.den), X3)
+    num = X2.num.copy()
+    num[3] += X2.den * wedge(to_vector8(B_BASIS[0]),
+                             to_vector8(B_BASIS[1])).num
+    bad = triality_defects(X1, Bivector(num, X2.den), X3)
     assert bad.tolist() == [False, False, False, True, False]
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, exp, pi, sqrt
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +20,9 @@ from mpmath import mp
 from scipy.optimize import minimize
 
 from octolift.coset import GramTriple, gram, mat2
-from octolift import quadspace, whittaker
-from octolift.quadspace import E_PLUS, F_PLUS, H_PLUS, GaussRational, wedge
+from octolift import whittaker
+from octolift.quadspace import Bivector, wedge
+from octolift.scalar import GaussRational
 from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 archimedean_integral_check,
                                 archimedean_integral_checks, bessel_k_row,
@@ -487,10 +487,11 @@ def test_q_poincare_matches_reference_csv(key):
 
 def _prk_pairs_float(W1, W2):
     """(c_xx, c_xy, c_yy) rows for a batch of pairs, from the complex
-    action matrices of e+, h+, f+ (C_k = J8 b_k - (J8 b_k)^t) and the
-    trace form's Gram matrix, all in floats."""
-    mats = [b.re / b.den + 1j * (b.im / b.den)
-            for b in (E_PLUS, H_PLUS, F_PLUS)]
+    action matrices of e+ = (P - iQ)/4, h+ = iR/2, f+ = -(P + iQ)/4
+    (C_k = J8 b_k - (J8 b_k)^t) and the trace form's Gram matrix, all in
+    floats."""
+    P, Q, R = (X.num / X.den for X in whittaker._su2_basis())
+    mats = [(P - 1j * Q) / 4, 1j * R / 2, -(P + 1j * Q) / 4]
     j8 = np.eye(8)[::-1]
     cs = [j8 @ b - (j8 @ b).T for b in mats]
     ginv = np.linalg.inv(np.array([[np.trace(a @ b) for b in mats]
@@ -540,16 +541,15 @@ def test_q_poincare_grouped_matches_per_pair_sum():
 
 
 def test_prk_matrices_check_the_fold_symmetry(monkeypatch):
-    """Conjugating e+, h+, f+ by an integral isometry that does not commute
+    """Conjugating P, Q, R by an integral isometry that does not commute
     with v_i <-> v_(7-i) keeps every su(2) relation the import check tests
     but breaks row i = row 7 - i, which must then raise."""
     n = np.zeros((8, 8), dtype=np.int64)
     n[0, 1], n[6, 7] = 1, -1      # 1 + n preserves the antidiagonal form
     g, g_inv = np.eye(8, dtype=np.int64) + n, np.eye(8, dtype=np.int64) - n
-    for name in ("E_PLUS", "H_PLUS", "F_PLUS"):
-        b = getattr(quadspace, name)
-        monkeypatch.setattr(quadspace, name, SimpleNamespace(
-            re=g @ b.re @ g_inv, im=g @ b.im @ g_inv, den=b.den))
+    basis = whittaker._su2_basis()
+    monkeypatch.setattr(whittaker, "_su2_basis", lambda: tuple(
+        Bivector(g @ b.num @ g_inv, b.den) for b in basis))
     with pytest.raises(ArithmeticError, match="fold"):
         whittaker._prk_int_matrices()
 

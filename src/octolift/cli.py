@@ -634,12 +634,12 @@ def cmd_whittaker(args):
 
 
 # q_poincare counts the pairs of each fold pair on the fold split.  On a
-# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 0.8-1.0 s and
-# 98.5 MB peak RSS at --bound 2 (fresh processes, 5 runs; the first, with
-# cold file caches, 2.0 s), and q_poincare
-# alone 16 s but 1,140 MB at radius 3: it holds each block's key and count
-# tables until the final sort (10,699,886 rows over 57 blocks, against
-# 358,014 groups), so a radius above 2 is refused before any work.
+# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 0.6-0.9 s and
+# 89-99 MB peak RSS at --bound 2 (fresh processes, six runs in each of
+# several checkouts: the peak moves with the heap layout), and q_poincare
+# alone 15.6 s and 631 MB at radius 3, most of it the symmetric powers of
+# its 358,014 groups (three arrays of 189 MB), so a radius above 2 is
+# refused before any work.
 _MAX_POINCARE_RADIUS = 2
 
 
@@ -648,9 +648,8 @@ def cmd_poincare(args):
     if args.bound > _MAX_POINCARE_RADIUS:
         raise ValueError(f"radius {args.bound} is above "
                          f"{_MAX_POINCARE_RADIUS}, the largest radius "
-                         f"allowed (each block's key and count tables are "
-                         f"held until the final sort, over 1 GB at radius "
-                         f"3)")
+                         f"allowed (at radius 3 the symmetric powers of all "
+                         f"groups are built at once, 631 MB on 1,0,1)")
     if args.weight > _MAX_WEIGHT:
         raise ValueError(f"weight {args.weight} is above {_MAX_WEIGHT}, the "
                          f"largest weight allowed (the cost grows as "

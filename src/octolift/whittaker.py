@@ -576,9 +576,12 @@ class PoincareSum:
 # Every sign vector in {+1, -1}^4, one per row.
 _SIGNS = 1 - 2 * (np.arange(16)[:, None] >> np.arange(4) & 1)
 
-# Fold pairs per block of q_poincare (its t pairs per block are about as
-# many); each block holds a few int64 arrays of this length.
-_FOLD_BLOCK = 1 << 20
+# Fold pairs per block of q_poincare; each block holds a few int64 and
+# float64 arrays of this length.
+_FOLD_BLOCK = 1 << 19
+
+# Entries of one dense t-pair histogram of _pair_counts (float64, 2 MB).
+_DENSE_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -603,7 +606,8 @@ def _fold_set(radius: int, q: int) -> _FoldSet:
     sup-norm <= radius is one (|s_i|, t_i) with t_i = |s_i| mod 2 and
     |s_i| + |t_i| <= 2 radius; q(v) = (|s|^2 - |t|^2)/4 and the sup-norm
     is max_i (|s_i| + |t_i|)/2.  The rows are joined from two halves of
-    two coordinates each on |s|^2 - |t|^2 = 4 q."""
+    two coordinates each on |s|^2 - |t|^2 = 4 q, and their patterns |s|
+    found by one sort of their packed codes, which order as the rows."""
     n = 2 * radius
     pair = np.array([(p, t) for p in range(n + 1)
                      for t in range(p - n, n - p + 1, 2)], dtype=np.int64)
@@ -620,9 +624,11 @@ def _fold_set(radius: int, q: int) -> _FoldSet:
                    + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
     rows = np.concatenate([np.repeat(half, cnt, axis=0), half[second]],
                           axis=1)
-    patterns, t_pattern = np.unique(rows[:, 0::2], axis=0,
-                                    return_inverse=True)
-    t_pattern = t_pattern.ravel()
+    # |s| in mixed radix n + 1: the codes order as the rows
+    packed, t_pattern = np.unique(
+        ((rows[:, 0] * (n + 1) + rows[:, 2]) * (n + 1) + rows[:, 4])
+        * (n + 1) + rows[:, 6], return_inverse=True)
+    patterns = np.stack(np.unravel_index(packed, (n + 1,) * 4), axis=1)
     order = np.argsort(t_pattern, kind="stable")
     rows, t_pattern = rows[order], t_pattern[order]
     # a sign change on a zero coordinate gives the same fold again
@@ -648,34 +654,57 @@ def _pair_counts(A: _FoldSet, C: _FoldSet, lo: int, hi: int,
                  s1: np.ndarray, s1_pattern: np.ndarray, b: int,
                  radius: int) -> Tuple[np.ndarray, np.ndarray]:
     """The pairs (v1, v2) with pairing b over the fold pairs (s1, s2): s1
-    a row of s1, of pattern s1_pattern in lo..hi-1 of A, and s2 a fold of
-    C.  Returns the mask of the fold pairs with at least one pair, and
-    their pairs per shell, one row each in the mask's row-major order.
+    a row of s1, of pattern s1_pattern in lo..hi-1 of A (ascending), and
+    s2 a fold of C.  Returns the mask of the fold pairs with at least one
+    pair, and their pairs per shell, one row each in the mask's row-major
+    order.
 
     Since the pairing is (s1.s2 - t1.t2)/2, the counts are
-    H[|s1|, |s2|][s1.s2 - 2b, shell], where H counts the pairs of t rows
-    of patterns lo..hi-1 of A and of C by t1.t2 and shell.  H is built
-    sparse, over the dot values that occur; a t-set is closed under sign
-    changes, so t1 runs over t1 >= 0 with multiplicity 2^(nonzeros)."""
-    # |t1.t2| and |s1.s2 - 2b| are at most d_off
+    H[|s1|, |s2|, s1.s2 - 2b, shell], where H counts the pairs of t rows
+    of A and of C by pattern, pattern, t1.t2 and shell; a t-set is closed
+    under sign changes, so t1 runs over t1 >= 0 with multiplicity
+    2^(nonzeros).  H is a dense table, built for a chunk of A's patterns
+    c_lo.. at a time by one np.bincount over the t pairs' codes
+    ((|t1| - c_lo) n_c + |t2|) n_d + t1.t2 + d_off, times radius, plus the
+    shell (|t| the pattern index); each fold pair reads the row at its
+    code ((|s1| - c_lo) n_c + |s2|) n_d + s1.s2 - 2b + d_off.  A chunk
+    holds at most _DENSE_CAP entries, or one pattern's if that is more.
+    The entries are sums of float64 weights 2^(nonzeros), integers below
+    16 times the chunk's t pairs, so exact."""
+    # |t1.t2| and |s1.s2 - 2b| are at most d_off: |s_i|, |t_i| <= 2 radius
     d_off = 16 * radius ** 2 + 2 * abs(b)
     n_d, n_c = 2 * d_off + 1, len(C.patterns)
-    r = slice(*np.searchsorted(A.t_pattern, [lo, hi]))
-    nonneg = (A.t[r] >= 0).all(axis=1)
-    t1, t1_sup = A.t[r][nonneg], A.sup[r][nonneg]
-    code = (((A.t_pattern[r][nonneg, None] - lo) * n_c + C.t_pattern) * n_d
-            + t1 @ C.t.T + d_off) * radius
-    code += np.maximum(t1_sup[:, None], C.sup) - 1
-    code, n = _group(code.ravel(), np.repeat(
-        1 << np.count_nonzero(t1, axis=1), len(C.t)))
-    h_code, h_row = np.unique(code // radius, return_inverse=True)
-    H = np.zeros((len(h_code), radius), dtype=np.int64)
-    H[h_row, code % radius] = n
-    code = (((s1_pattern[:, None] - lo) * n_c + C.fold_pattern) * n_d
-            + s1 @ C.folds.T - 2 * b + d_off)
-    at = np.searchsorted(h_code, code).clip(max=len(h_code) - 1)
-    hit = h_code[at] == code
-    return hit, H[at[hit]]
+    step = max(1, _DENSE_CAP // (n_c * n_d * radius))
+    cuts = np.append(np.arange(lo, hi, step), hi)
+    t_cuts = np.searchsorted(A.t_pattern, cuts)
+    s_cuts = np.searchsorted(s1_pattern, cuts)
+    # the codes' terms of C's side, added in place
+    t2_code, t2_shell = C.t_pattern * n_d, C.sup - 1
+    s2_code = C.fold_pattern * n_d
+    hits, counts = [], []
+    for k, c_lo in enumerate(cuts[:-1]):
+        r = slice(t_cuts[k], t_cuts[k + 1])
+        nonneg = (A.t[r] >= 0).all(axis=1)
+        t1 = A.t[r][nonneg]
+        code = quadspace.exact_matmul(t1, C.t.T, 16 * radius ** 2).astype(
+            np.int64)
+        code += ((A.t_pattern[r][nonneg] - c_lo) * n_c * n_d + d_off)[:, None]
+        code += t2_code
+        code *= radius
+        code += np.maximum(A.sup[r][nonneg, None] - 1, t2_shell)
+        H = np.bincount(code.ravel(), np.repeat(
+            2.0 ** np.count_nonzero(t1, axis=1), len(C.t)),
+            minlength=(cuts[k + 1] - c_lo) * n_c * n_d * radius)
+        f = slice(s_cuts[k], s_cuts[k + 1])
+        code = quadspace.exact_matmul(s1[f], C.folds.T,
+                                      16 * radius ** 2).astype(np.int64)
+        code += ((s1_pattern[f] - c_lo) * n_c * n_d + d_off - 2 * b)[:, None]
+        code += s2_code
+        rows = H.reshape(-1, radius)[code]
+        hit = rows.any(axis=2)
+        hits.append(hit)
+        counts.append(rows[hit].astype(np.int64))
+    return np.concatenate(hits), np.concatenate(counts)
 
 
 def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
@@ -696,9 +725,10 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
     x, y, z are s1^t M' s2 with M' its top-left 4x4 block, and the pairs
     over a fold pair (s1, s2), by shell, are counted from the patterns
     |s1|, |s2| and s1.s2 alone (_pair_counts).  The folds of v1 run in
-    blocks of whole patterns, each block reducing its fold pairs to one
-    row of pair counts per key, and one sort over all blocks groups the
-    keys, so memory grows with folds and groups, not with pairs.
+    blocks of whole patterns, and each block's keys and pair counts are
+    grouped into one running table of the keys so far, so memory grows
+    with folds and groups, not with pairs or blocks.  The key contraction
+    runs in float64 (quadspace.exact_matmul) under a bound on its terms.
     (s1, s2) and (-s1, -s2) have the same key and counts, so s1 runs over
     the folds whose first nonzero entry is positive and the counts are
     doubled; fold_pairs is the number of fold pairs visited.
@@ -727,28 +757,34 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
                        dtype=np.int64)
     # key - offsets . strides = s1^t key_matrix s2
     key_matrix = np.einsum("j,jik->ik", strides, _PRK2[:, :4, :4])
-    A, C = _fold_set(radius, T.a), _fold_set(radius, T.c)
+    # |s_i| <= 2 radius, so no key term sum exceeds this; from radius 81
+    # it reaches 2^53, which is refused here, before any work
+    key_bound = 4 * radius ** 2 * sum(abs(int(k)) for k in key_matrix.flat)
+    quadspace.fits_float(key_bound)
+    A = _fold_set(radius, T.a)
+    C = A if T.c == T.a else _fold_set(radius, T.c)
     lead = A.folds[np.arange(len(A.folds)), np.argmax(A.folds != 0, axis=1)]
     s1, s1_pattern = A.folds[lead > 0], A.fold_pattern[lead > 0]
     s1_end = np.searchsorted(s1_pattern, np.arange(len(A.patterns) + 1))
     # blocks of whole patterns, each of about _FOLD_BLOCK fold pairs
     step = max(1, _FOLD_BLOCK // max(1, len(C.folds)))
-    starts = np.searchsorted(s1_end, np.arange(0, len(s1), step))
-    # starts is sorted, so its distinct entries are where it steps
-    # (np.unique's first call would import numpy.ma, which nothing here
+    starts = np.append(np.searchsorted(s1_end, np.arange(0, len(s1), step)),
+                       len(A.patterns))
+    # starts is sorted, so its distinct entries, the block bounds, are
+    # where it steps (np.unique would import numpy.ma, which nothing here
     # uses)
     cuts = starts[np.diff(starts, prepend=-1) != 0]
-    keys = [np.zeros(0, dtype=np.int64)]
-    counts = [np.zeros((0, radius), dtype=np.int64)]
-    for lo, hi in zip(cuts, np.append(cuts[1:], len(A.patterns))):
+    keys = np.zeros(0, dtype=np.int64)
+    counts = np.zeros((0, radius), dtype=np.int64)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         f = slice(s1_end[lo], s1_end[hi])
         hit, n = _pair_counts(A, C, lo, hi, s1[f], s1_pattern[f], T.b,
                               radius)
-        block_keys, block_counts = _group(
-            (s1[f] @ key_matrix @ C.folds.T)[hit], n)
-        keys.append(block_keys)
-        counts.append(block_counts)
-    keys, counts = _group(np.concatenate(keys), np.concatenate(counts))
+        block_keys = quadspace.exact_matmul(s1[f] @ key_matrix, C.folds.T,
+                                            key_bound)[hit].astype(np.int64)
+        # one running table: memory grows with groups, not with blocks
+        keys, counts = _group(np.concatenate([keys, block_keys]),
+                              np.concatenate([counts, n]))
     keys += offsets @ strides
     counts *= 2
     digits = keys[:, None] // strides % np.array(bases) - offsets

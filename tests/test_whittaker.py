@@ -468,6 +468,20 @@ def test_q_poincare_input_validation():
         q_poincare(GramTriple(1, 0, 1), 16, 229)
 
 
+def test_q_poincare_refuses_a_key_contraction_past_2_53(monkeypatch):
+    """The float64 key contraction is exact to radius 80; from radius 81
+    its bound reaches 2^53, and that is refused before any fold set is
+    built."""
+    def reached(radius, q):
+        raise LookupError(radius)
+
+    monkeypatch.setattr(whittaker, "_fold_set", reached)
+    with pytest.raises(LookupError):
+        q_poincare(GramTriple(1, 0, 1), 16, 80)
+    with pytest.raises(OverflowError):
+        q_poincare(GramTriple(1, 0, 1), 16, 81)
+
+
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
@@ -613,6 +627,62 @@ def test_q_poincare_at_radius_2_is_pinned():
     got = q_poincare(GramTriple(1, 0, 1), 16, 2)
     assert (got.pairs, got.groups) == (83056560, 32098)
     assert got.shell_sup == (43.122698801169776, 2.2243226055035117)
+
+
+def _count_bincounts(monkeypatch):
+    """The lengths of the histograms np.bincount returns from now on."""
+    sizes = []
+    bincount = np.bincount
+
+    def record(*args, **kwargs):
+        table = bincount(*args, **kwargs)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(whittaker.np, "bincount", record)
+    return sizes
+
+
+@pytest.mark.parametrize("key", [(2, 0, 2), (2, 0, 1), (1, 0, 2), (1, 0, 1),
+                                 (1, 1, 1)])
+def test_q_poincare_in_blocks_and_chunks_is_bit_identical(monkeypatch, key):
+    """Radius 1 runs as one block of one histogram; with blocks of 2^13
+    fold pairs and histograms of 2^10 entries it runs as several blocks,
+    some of several chunks, and gives the same PoincareSum, bytes of the
+    components and shell sup-norms included."""
+    T = GramTriple(*key)
+    blocks = []
+    pair_counts = whittaker._pair_counts
+    monkeypatch.setattr(whittaker, "_pair_counts",
+                        lambda *args: blocks.append(1) or pair_counts(*args))
+    chunks = _count_bincounts(monkeypatch)
+    whole = q_poincare(T, 16, 1)
+    assert len(blocks) == len(chunks) == 1
+    blocks.clear()
+    chunks.clear()
+    monkeypatch.setattr(whittaker, "_FOLD_BLOCK", 1 << 13)
+    monkeypatch.setattr(whittaker, "_DENSE_CAP", 1 << 10)
+    split = q_poincare(T, 16, 1)
+    assert len(blocks) >= 2 and len(chunks) > len(blocks)
+    assert split == whole and split.fold_pairs == whole.fold_pairs
+    for a, b in ((split.components, whole.components),
+                 (split.shell_sup, whole.shell_sup)):
+        assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def test_pair_counts_histograms_stay_within_the_cap(monkeypatch):
+    """The all-pattern call of test_fold_pair_shell_counts_match_a_direct_
+    count, 369 patterns at radius 2 (35 M entries in one table): every
+    histogram is at most _DENSE_CAP entries, and together they cover
+    every pattern once."""
+    f = whittaker._fold_set(2, 2)
+    pick = np.sort(np.random.default_rng(5).choice(len(f.folds), 40,
+                                                   replace=False))
+    sizes = _count_bincounts(monkeypatch)
+    whittaker._pair_counts(f, f, 0, len(f.patterns), f.folds[pick],
+                           f.fold_pattern[pick], 0, 2)
+    assert len(sizes) > 1 and max(sizes) <= whittaker._DENSE_CAP
+    assert sum(sizes) == len(f.patterns) ** 2 * (2 * 64 + 1) * 2
 
 
 # --- the symmetric-power kernel ----------------------------------------------------

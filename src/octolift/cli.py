@@ -40,8 +40,10 @@ import reprlib
 import sys
 import time
 import traceback
+from itertools import chain, count, repeat
 from math import exp, gcd, isqrt, pi
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import List, Optional, Tuple
 
 from .coset import (GramTriple, breve, gram, is_strongly_primitive,
                     reduce_gram)
@@ -50,7 +52,7 @@ from .lifts import (HalfIntegralTable, InsufficientTableError, QuatTable,
                     dirichlet_factor_check, fj_pair,
                     maass_membership, reduced_triples, require_disc,
                     spezialschar_keys, theta_star_table)
-from .scalar import GaussRational
+from .scalar import GaussRational, _set_d, _set_p, _set_q
 
 
 def _lazy(name: str):
@@ -89,19 +91,21 @@ class TableError(Exception):
 
 def _parse_int(x, where: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise TableError(f"{where}: expected an integer, got {x!r}")
+        raise TableError(f"{where}: expected an integer, "
+                         f"got {reprlib.repr(x)}")
     return x
 
 
 def _not_an_int(i: int, parts) -> TableError:
     bad = next(e for e in parts if type(e) is not int)
-    return TableError(f"entries[{i}]: expected an integer, got {bad!r}")
+    return TableError(f"entries[{i}]: expected an integer, "
+                      f"got {reprlib.repr(bad)}")
 
 
 # The key parsers take entries[i]'s JSON key and return the table key.
 # json.load gives exact int and list types, so a bool, a float or a tuple is
 # no integer or list here; the diagnostic is built only when the key is
-# rejected.
+# rejected, and it shows the JSON shortened by reprlib, as a value is.
 
 def _int_key(key, i: int) -> int:
     if type(key) is int:
@@ -129,13 +133,38 @@ def _parse_mat2(x, i: int):
                 return (a, b), (c, d)
             raise _not_an_int(i, (a, b, c, d))
     raise TableError(f"entries[{i}]: expected a 2x2 integer matrix, "
-                     f"got {x!r}")
+                     f"got {reprlib.repr(x)}")
 
 
 def _pair_key(key, i: int):
     if type(key) is not list or len(key) != 2:
         raise TableError(f"entries[{i}]: expected a pair of 2x2 matrices")
     return _parse_mat2(key[0], i), _parse_mat2(key[1], i)
+
+
+# The key column parsers take the list of every entry's JSON key and return
+# the table keys in order, or None when some key would be rejected.  A
+# whole column of keys is checked by the sets of its types, lengths and
+# leaf types.
+
+def _int_keys(keys):
+    return keys if set(map(type, keys)) <= {int} else None
+
+
+def _triple_keys(keys):
+    if (set(map(type, keys)) <= {list} and set(map(len, keys)) <= {3}
+            and set(map(type, chain.from_iterable(keys))) <= {int}):
+        # GramTriple(a, b, c) for each key, skipping the named tuple's
+        # Python __new__
+        return map(tuple.__new__, repeat(GramTriple), keys)
+    return None
+
+
+def _pair_keys(keys):
+    try:
+        return list(map(_pair_key, keys, count()))
+    except TableError:
+        return None
 
 
 # The key writers give a table key's JSON text as json.dumps writes it.
@@ -158,6 +187,8 @@ TABLES = {cls.kind: cls
 KINDS = tuple(TABLES)
 _KEY_PARSERS = {"halfintegral": _int_key, "siegel": _triple_key,
                 "quaternionic": _pair_key}
+_KEY_COLUMNS = {"halfintegral": _int_keys, "siegel": _triple_keys,
+                "quaternionic": _pair_keys}
 _KEY_WRITERS = {"halfintegral": str, "siegel": _triple_text,
                 "quaternionic": _pair_text}
 
@@ -168,9 +199,9 @@ _WRITTEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_ratio(s, where: str) -> Tuple[int, int]:
-    """(n, d) with d > 0 for a value string of the written shape, not
-    always in lowest terms; any other value is a TableError naming where
-    and the value, shortened by reprlib."""
+    """(n, d) in lowest terms with d > 0 for a value string of the written
+    shape; any other value is a TableError naming where and the value,
+    shortened by reprlib."""
     if type(s) is not str:
         raise TableError(f"{where}: rational values must be strings, "
                          f"got {type(s).__name__}")
@@ -187,32 +218,61 @@ def _parse_ratio(s, where: str) -> Tuple[int, int]:
                          f"Python's limit for string-to-integer conversion")
     if not d:
         raise TableError(f"{where}: zero denominator in {reprlib.repr(s)}")
-    return n, d
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-def parse_table(data):
-    """JSON object -> HalfIntegralTable / SiegelTable / QuatTable, in one
-    pass over the entries.  Each distinct value string is parsed once, to
-    a numerator and a denominator."""
-    if not isinstance(data, dict):
-        raise TableError("table file must be a JSON object")
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
-    cls = TABLES[kind]
+_object_new = object.__new__
+
+
+def _value(re_: Tuple[int, int], im: Tuple[int, int]) -> GaussRational:
+    """a/b + i c/d from (a, b) and (c, d) in lowest terms with b, d > 0.
+    Over the common denominator l = lcm(b, d) the value is already in
+    lowest terms: a prime power exactly dividing l exactly divides b or d,
+    so it does not divide that part's numerator."""
+    (a, b), (c, d) = re_, im
+    if b != d:
+        g = gcd(b, d)
+        a, c, b = a * (d // g), c * (b // g), b // g * d
+    # scalar._new(a, c, b), without its call
+    v = _object_new(GaussRational)
+    _set_p(v, a)
+    _set_q(v, c)
+    _set_d(v, b)
+    return v
+
+
+def _entries_by_column(kind: str, raw: list):
+    """The entries dict of raw, built a column at a time, or None when
+    some entry would be rejected: the key, re and im columns are taken
+    whole, the keys are checked by the types they hold, each distinct
+    value string is parsed once, and a duplicate key shows as a dict
+    shorter than raw."""
+    if not set(map(type, raw)) <= {dict}:
+        return None
+    try:
+        keys = list(map(itemgetter("key"), raw))
+    except KeyError:
+        return None
+    keys = _KEY_COLUMNS[kind](keys)
+    if keys is None:
+        return None
+    res = list(map(dict.get, raw, repeat("re"), repeat("0")))
+    ims = list(map(dict.get, raw, repeat("im"), repeat("0")))
+    try:
+        # a value that is no string is unhashable or fails _parse_ratio
+        ratios = {s: _parse_ratio(s, "") for s in {*res, *ims}}
+    except (TableError, TypeError):
+        return None
+    ratio = ratios.__getitem__
+    entries = dict(zip(keys, map(_value, map(ratio, res), map(ratio, ims))))
+    return entries if len(entries) == len(raw) else None
+
+
+def _entries_by_entry(kind: str, raw: list) -> dict:
+    """The entries dict of raw, one entry at a time in file order; the
+    first entry rejected raises its TableError."""
     parse_key = _KEY_PARSERS[kind]
-    weight = _parse_int(data.get("weight"), "weight")
-    raw = data.get("entries")
-    if not isinstance(raw, list):
-        raise TableError("entries must be a list")
-    ratios: Dict[str, Tuple[int, int]] = {}
-
-    def ratio(s, i: int) -> Tuple[int, int]:
-        r = ratios.get(s) if type(s) is str else None
-        if r is None:   # _parse_ratio rejects a value that is no string
-            r = ratios[s] = _parse_ratio(s, f"entries[{i}]")
-        return r
-
     entries = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "key" not in entry:
@@ -220,12 +280,33 @@ def parse_table(data):
         key = parse_key(entry["key"], i)
         if key in entries:
             raise TableError(f"entries[{i}]: duplicate key {entry['key']!r}")
-        a, b = ratio(entry.get("re", "0"), i)
-        c, d = ratio(entry.get("im", "0"), i)
-        # (a/b + i c/d) in lowest terms
-        entries[key] = GaussRational.over(a * d, c * b, b * d)
+        where = f"entries[{i}]"
+        entries[key] = _value(_parse_ratio(entry.get("re", "0"), where),
+                              _parse_ratio(entry.get("im", "0"), where))
+    return entries
+
+
+def parse_table(data):
+    """JSON object -> HalfIntegralTable / SiegelTable / QuatTable.  The
+    entries are checked and built a column at a time: every key at once,
+    each distinct value string parsed once, each value built in one call.
+    Only when some entry is rejected are the entries walked one at a time
+    in file order, so the diagnostic names the first bad entry of the
+    file."""
+    if not isinstance(data, dict):
+        raise TableError("table file must be a JSON object")
+    kind = data.get("kind")
+    if kind not in KINDS:
+        raise TableError(f"kind must be one of {KINDS}, got {kind!r}")
+    weight = _parse_int(data.get("weight"), "weight")
+    raw = data.get("entries")
+    if not isinstance(raw, list):
+        raise TableError("entries must be a list")
+    entries = _entries_by_column(kind, raw)
+    if entries is None:
+        entries = _entries_by_entry(kind, raw)
     try:
-        return cls(weight, entries)
+        return TABLES[kind](weight, entries)
     except ValueError as e:
         raise TableError(f"invalid table: {e}")
 

@@ -104,12 +104,16 @@ class SiegelTable:
                    default=0)
 
     def a(self, t: GramTriple) -> GaussRational:
+        """One dict probe: every stored key is positive definite
+        (__post_init__), so only a miss asks whether the reduced triple is
+        singular."""
         key = reduce_gram(t)
+        v = self.entries.get(key)
+        if v is not None:
+            return v
         if not key.is_positive_definite():
             return GZERO
-        if key not in self.entries:
-            raise InsufficientTableError(f"a_F({key}) not in table")
-        return self.entries[key]
+        raise InsufficientTableError(f"a_F({key}) not in table")
 
 
 @dataclass(frozen=True)

@@ -890,7 +890,8 @@ def dirichlet_factor_check_by_series(phi, lam, bound: int) -> Report:
 def _parse_mat2(x, where: str):
     if (not isinstance(x, list) or len(x) != 2
             or any(not isinstance(r, list) or len(r) != 2 for r in x)):
-        raise TableError(f"{where}: expected a 2x2 integer matrix, got {x!r}")
+        raise TableError(f"{where}: expected a 2x2 integer matrix, "
+                         f"got {reprlib.repr(x)}")
     return mat2(*(_parse_int(e, where) for row in x for e in row))
 
 

@@ -102,6 +102,14 @@ def test_parse_rejects_malformed():
     ("semidefinite.json", b'{"kind": "siegel", "weight": 4, "entries": '
                           b'[{"key": [0, 0, 2], "re": "1"}]}',
      "cuspidal table keys must be pos. definite"),
+    # a matrix row of 10^5 ints, shown shortened as a long value is
+    pytest.param(
+        "long-key.json", json.dumps(
+            {"kind": "quaternionic", "weight": 4,
+             "entries": [{"key": [[[0] * 10 ** 5, [1, 0]],
+                                  [[1, 0], [0, 1]]], "re": "1"}]}).encode(),
+        "entries[0]: expected a 2x2 integer matrix, got [[0, 0, 0, 0, 0, 0, "
+        "...], [1, 0]]", id="long-key.json"),
 ])
 def test_undecodable_or_invalid_file_exits_2(tmp_path, capsys, name,
                                              content, message):
@@ -111,6 +119,7 @@ def test_undecodable_or_invalid_file_exits_2(tmp_path, capsys, name,
                               "1", "--out", str(tmp_path / "phi.json")])
     assert code == 2 and rep["status"] == "error"
     assert message in rep["details"][0]
+    assert len(json.dumps(rep)) < 1000
     assert "internal error" not in rep["details"][0]
     if name in ("latin1.json", "deep.json"):
         assert str(path) in rep["details"][0]
@@ -1293,24 +1302,30 @@ def _replaced(key, path, new):
 @st.composite
 def _parser_docs(draw):
     """A synth table, intact or with one damage of _table_docs or of the
-    kinds above."""
+    kinds above, and maybe a second damage of another kind at another
+    entry, before or after the first: the parser must name the first bad
+    entry in file order, whichever column it is bad in."""
     if draw(st.booleans()):
         return draw(_table_docs())[0]
     doc = json.loads(json.dumps(_TABLES[draw(st.sampled_from(cli.KINDS))]))
     entries = doc["entries"]
-    i = draw(st.integers(0, len(entries) - 1))
-    damage = draw(st.sampled_from(["value", "key", "duplicate"]))
-    if damage == "value":
-        entries[i][draw(st.sampled_from(["re", "im"]))] = draw(
-            st.sampled_from(_VALUES))
-    elif damage == "key":
-        key = entries[i]["key"]
-        path = draw(st.sampled_from(list(_key_paths(key))))
-        entries[i]["key"] = _replaced(key, path,
-                                      draw(st.sampled_from(_KEY_LEAVES)))
-    else:
-        j = draw(st.integers(0, len(entries) - 1))
-        entries[j]["key"] = json.loads(json.dumps(entries[i]["key"]))
+    at = st.integers(0, len(entries) - 1)
+    damages = draw(st.lists(st.sampled_from(["value", "key", "duplicate"]),
+                            min_size=1, max_size=2, unique=True))
+    indices = draw(st.lists(at, min_size=len(damages),
+                            max_size=len(damages), unique=True))
+    for damage, i in zip(damages, indices):
+        if damage == "value":
+            entries[i][draw(st.sampled_from(["re", "im"]))] = draw(
+                st.sampled_from(_VALUES))
+        elif damage == "key":
+            key = entries[i]["key"]
+            path = draw(st.sampled_from(list(_key_paths(key))))
+            entries[i]["key"] = _replaced(key, path,
+                                          draw(st.sampled_from(_KEY_LEAVES)))
+        else:
+            j = draw(at)
+            entries[j]["key"] = json.loads(json.dumps(entries[i]["key"]))
     return doc
 
 

@@ -125,6 +125,9 @@ def test_siegel_table_canonicalizes_lookups():
     F = SiegelTable(4, {GramTriple(1, 0, 1): GaussRational.make(5)})
     assert F.a(GramTriple(1, 0, 1)) == F.a(GramTriple(1, 2, 2))
     assert F.a(GramTriple(0, 0, 3)) == GZERO   # singular: cuspidal zero
+    with pytest.raises(InsufficientTableError,
+                       match=r"a=1, b=1, c=2\)\) not in table"):
+        F.a(GramTriple(2, 3, 2))                # definite, reduces to (1, 1, 2)
     with pytest.raises(ValueError):
         SiegelTable(4, {GramTriple(1, 2, 2): GZERO})   # unreduced key
     with pytest.raises(ValueError):

@@ -5,13 +5,17 @@ made in one pass over the orbit lambda.g.
 
 All coefficient tables are ingested data (synthetic or user-supplied); the
 identities verified here are exact combinatorial statements about the lift
-formulas, so synthetic Gaussian-rational tables give full coverage.
+formulas, so synthetic Gaussian-rational tables exercise every term of
+them.  A check shows that a table satisfies those relations on the keys
+it holds, not that the table is a lift: maass_membership compares a
+strongly primitive key with breve of its exact gram, not with the other
+keys of its GL2(Z) class, so a table whose primitive coefficients differ
+within one class can pass it without being a theta* lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from typing import ClassVar, Dict, Iterable, List
 
@@ -76,6 +80,7 @@ class SiegelTable:
     kind: ClassVar[str] = "siegel"
     weight: int
     entries: Dict[GramTriple, GaussRational] = field(default_factory=dict)
+    max_disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Accept each key with the one test 0 <= b <= a <= c and a > 0.
@@ -83,11 +88,16 @@ class SiegelTable:
         0 <= b <= a <= c, and such a triple has 4ac - b^2 >= 4a^2 - a^2
         = 3a^2, so a > 0 makes it positive definite; conversely a positive
         definite triple has a > 0.  The diagnostic is built only for a
-        rejected key."""
+        rejected key.  The same walk records max_disc, the largest
+        discriminant of a key (0 without keys), as a table's entries are
+        not changed after it is built."""
         _check_weight(self.weight)
+        top = 0
         for t in self.entries:
             a, b, c = t
             if 0 <= b <= a <= c and a > 0:
+                if 4 * a * c - b * b > top:
+                    top = 4 * a * c - b * b
                 continue
             if not 0 <= b <= a <= c:
                 psd = a >= 0 and c >= 0 and 4 * a * c - b * b >= 0
@@ -95,13 +105,7 @@ class SiegelTable:
                                  + ("reduced" if psd
                                     else "positive semidefinite"))
             raise ValueError("cuspidal table keys must be pos. definite")
-
-    @cached_property
-    def max_disc(self) -> int:
-        """The largest discriminant of a key, 0 without keys; computed
-        once, as a table's entries are not changed after it is built."""
-        return max((4 * a * c - b * b for a, b, c in self.entries),
-                   default=0)
+        object.__setattr__(self, "max_disc", top)
 
     def a(self, t: GramTriple) -> GaussRational:
         """One dict probe: every stored key is positive definite
@@ -182,14 +186,15 @@ def classical_maass_lift(c: HalfIntegralTable, ell: int,
 
 def classical_maass_check(F: SiegelTable) -> Report:
     """Verify a_F(a,b,c) = sum_{d | gcd(a,b,c)} d^(ell-1) a_F(ac/d^2, b/d, 1)
-    for every key of the table."""
+    for every key of the table, in table order, naming the first key where
+    it fails."""
     ell = F.weight
-    for t in sorted(F.entries, key=lambda t: (t.disc(), t)):
+    for t, x in F.entries.items():
         ac = t.a * t.c
         rhs = weighted_sum(
             (d ** (ell - 1), F.a(GramTriple(ac // (d * d), t.b // d, 1)))
             for d in divisors(gcd(t.a, t.b, t.c)))
-        if rhs != F.entries[t]:
+        if rhs != x:
             return Report(False, f"relation fails at {t}")
     return Report(True, f"{len(F.entries)} keys verified")
 
@@ -270,10 +275,11 @@ def theta_star_coefficient(F: SiegelTable, grams) -> GaussRational:
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
     """Tabulate theta* over _family(_base_pairs(detbound, extra_pairs)), each
-    key's coefficient by theta_star_coefficient from its divisor grams.
-    A key reads a_F at discriminants up to disc S(lambda) (each S(mu) has
-    disc S(lambda) / |det r|^2, and a closure key's disc is one of those).
-    The largest base pair is breve(1, 0, detbound), of disc 4*detbound, so
+    key's coefficient by theta_star_coefficient from its divisor grams,
+    the keys in family order (write_table sorts them on disk).  A key
+    reads a_F at discriminants up to disc S(lambda) (each S(mu) has disc
+    S(lambda) / |det r|^2, and a closure key's disc is one of those).  The
+    largest base pair is breve(1, 0, detbound), of disc 4*detbound, so
     a table that stops below that or below an extra pair's disc fails
     here, before any base pair is built.  A pair whose stack has rank
     below 2 raises ValueError (its divisor cosets are infinite), and so
@@ -281,9 +287,9 @@ def theta_star_table(F: SiegelTable, detbound: int,
     extra = list(extra_pairs)
     require_disc(F, max([4 * detbound]
                         + [gram(lam).disc() for lam in extra]))
-    return QuatTable(F.weight, dict(sorted(
-        (lam, theta_star_coefficient(F, grams))
-        for lam, grams in _family(_base_pairs(detbound, extra)))))
+    return QuatTable(F.weight, {
+        lam: theta_star_coefficient(F, grams)
+        for lam, grams in _family(_base_pairs(detbound, extra))})
 
 
 # --- Maass Spezialschar membership --------------------------------------------
@@ -295,29 +301,24 @@ def a_prim(phi: QuatTable, lam: IndexPair) -> GaussRational:
 
 
 def maass_membership(phi: QuatTable) -> Report:
-    """Check the two Spezialschar coefficient conditions on every table key:
-    (i) strongly primitive keys with equal gram carry equal coefficients;
-    (ii) a_phi(lambda) = sum over divisor cosets (r, mu) of
-         |det r|^(ell-1) a_phi^prim(mu), read as a_phi(breve(S(mu))) with
-         S(mu) from divisor_grams; for a strongly primitive key, whose one
-         divisor gram is its gram t, the sum is the one term
-         a_phi(breve(t))."""
+    """Check the Spezialschar coefficient condition on every table key, in
+    table order, naming the first key that fails: a_phi(lambda) = sum over
+    divisor cosets (r, mu) of |det r|^(ell-1) a_phi^prim(mu), read as
+    a_phi(breve(S(mu))) with S(mu) from divisor_grams.  This is condition
+    (ii); condition (i), that strongly primitive keys with equal gram carry
+    equal coefficients, is its case r = 1: a strongly primitive key of gram
+    t has the one divisor coset r = 1, so its condition is the one term
+    a_phi(lambda) = a_phi(breve(t)), and its failure is reported as one of
+    condition (i) at t."""
     ell = phi.weight
-    grams = [divisor_grams(lam) for lam in phi.entries]
-    by_gram: Dict[GramTriple, List[GaussRational]] = {}
-    for dg, x in zip(grams, phi.entries.values()):
-        if len(dg) == 1:   # strongly primitive: r = 1 is its only coset
-            by_gram.setdefault(dg[0][1], []).append(x)
-    for t, vals in by_gram.items():
-        if any(x != vals[0] for x in vals):
-            return Report(False, f"condition (i) fails at gram {t}")
-    for dg, (lam, x) in zip(grams, phi.entries.items()):
+    for lam, x in phi.entries.items():
+        dg = divisor_grams(lam)
         if len(dg) == 1:
-            rhs = phi.a(breve(dg[0][1]))
-        else:
-            rhs = weighted_sum((n ** (ell - 1), phi.a(breve(t)))
-                               for n, t in dg)
-        if rhs != x:
+            t = dg[0][1]
+            if phi.a(breve(t)) != x:
+                return Report(False, f"condition (i) fails at gram {t}")
+        elif weighted_sum((n ** (ell - 1), phi.a(breve(t)))
+                          for n, t in dg) != x:
             return Report(False, f"condition (ii) fails at {lam}")
     return Report(True, f"{len(phi.entries)} keys verified")
 

@@ -551,13 +551,6 @@ def _key_bases(radius: int) -> List[int]:
     return [2 * radius ** 2 * int(np.abs(m).sum()) + 1 for m in _PRK2]
 
 
-def _max_key_radius() -> int:
-    r = 1
-    while prod(_key_bases(r + 1)) <= 2 ** 63:
-        r += 1
-    return r
-
-
 @dataclass(frozen=True)
 class PoincareSum:
     """A partial Poincare sum: its 2 ell + 1 components (v ascending);
@@ -748,19 +741,18 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
                          f"{max(T.a, T.c)} (q(v) <= 4 radius^2); the "
                          f"smallest radius that can is {reach}")
     bases = _key_bases(radius)
-    if prod(bases) > 2 ** 63:
-        raise ValueError(f"radius {radius} overflows the int64 projection "
-                         f"keys; the largest radius allowed is "
-                         f"{_max_key_radius()}")
-    offsets = np.array([(b - 1) // 2 for b in bases], dtype=np.int64)
-    strides = np.array([prod(bases[:j]) for j in range(len(bases))],
-                       dtype=np.int64)
-    # key - offsets . strides = s1^t key_matrix s2
-    key_matrix = np.einsum("j,jik->ik", strides, _PRK2[:, :4, :4])
-    # |s_i| <= 2 radius, so no key term sum exceeds this; from radius 81
-    # it reaches 2^53, which is refused here, before any work
-    key_bound = 4 * radius ** 2 * sum(abs(int(k)) for k in key_matrix.flat)
+    strides = [prod(bases[:j]) for j in range(len(bases))]
+    # key - offsets . strides = s1^t key_matrix s2, in Python integers.
+    # |s_i| <= 2 radius, so no key term sum exceeds key_bound; from radius
+    # 81 it reaches 2^53, which is refused here, before any int64 array or
+    # other work.  Below that, every packed key is below prod(bases) < 2^63.
+    key_matrix = sum(k * m[:4, :4].astype(object)
+                     for k, m in zip(strides, _PRK2))
+    key_bound = 4 * radius ** 2 * int(np.abs(key_matrix).sum())
     quadspace.fits_float(key_bound)
+    key_matrix = key_matrix.astype(np.int64)
+    offsets = np.array([(b - 1) // 2 for b in bases], dtype=np.int64)
+    strides = np.array(strides, dtype=np.int64)
     A = _fold_set(radius, T.a)
     C = A if T.c == T.a else _fold_set(radius, T.c)
     lead = A.folds[np.arange(len(A.folds)), np.argmax(A.folds != 0, axis=1)]

@@ -769,23 +769,41 @@ def theta_star_by_cosets(F, lam) -> GaussRational:
 
 
 def maass_membership_by_cosets(phi) -> Report:
-    """lifts.maass_membership, with condition (ii) summed over the pairs mu
-    of divisor_cosets and a_phi^prim(mu) = a_phi(breve(gram(mu)))."""
+    """lifts.maass_membership: one pass over the keys in table order, with
+    condition (ii) summed over the pairs mu of divisor_cosets and
+    a_phi^prim(mu) = a_phi(breve(gram(mu))); on a strongly primitive key,
+    whose one coset is r = 1, a failure is one of condition (i)."""
+    ell = phi.weight
+    for lam, x in phi.entries.items():
+        cosets = divisor_cosets(lam)
+        rhs = GZERO
+        for r, mu in cosets:
+            rhs = rhs + abs(mat2_det(r)) ** (ell - 1) * phi.a(breve(gram(mu)))
+        if rhs != x and len(cosets) == 1:
+            return Report(False, f"condition (i) fails at gram {gram(lam)}")
+        if rhs != x:
+            return Report(False, f"condition (ii) fails at {lam}")
+    return Report(True, f"{len(phi.entries)} keys verified")
+
+
+def maass_membership_two_conditions(phi) -> bool:
+    """The two Spezialschar conditions as the paper states them: (i) the
+    strongly primitive keys of one gram carry one coefficient, and (ii) the
+    divisor-coset sum of maass_membership_by_cosets holds on every key."""
     ell = phi.weight
     by_gram = {}
     for lam in phi.entries:
         if len(divisor_cosets(lam)) == 1:     # strongly primitive
-            by_gram.setdefault(gram(lam), []).append(lam)
-    for t, lams in by_gram.items():
-        if len({phi.entries[lam] for lam in lams}) > 1:
-            return Report(False, f"condition (i) fails at gram {t}")
-    for lam in phi.entries:
+            by_gram.setdefault(gram(lam), set()).add(phi.entries[lam])
+    if any(len(values) > 1 for values in by_gram.values()):
+        return False
+    for lam, x in phi.entries.items():
         rhs = GZERO
         for r, mu in divisor_cosets(lam):
             rhs = rhs + abs(mat2_det(r)) ** (ell - 1) * phi.a(breve(gram(mu)))
-        if rhs != phi.entries[lam]:
-            return Report(False, f"condition (ii) fails at {lam}")
-    return Report(True, f"{len(phi.entries)} keys verified")
+        if rhs != x:
+            return False
+    return True
 
 
 def spezialschar_keys_by_cosets(detbound: int, extra_pairs=()) -> list:

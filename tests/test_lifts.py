@@ -335,20 +335,37 @@ def test_divisor_gram_sums_match_the_coset_oracles(weight):
     tables.append(QuatTable(weight, {
         lam: GaussRational.make(rng.randint(-3, 3), rng.randint(-3, 3))
         for lam in phi.entries}))
+    # condition (i) broken on two strongly primitive keys of one gram t:
+    # breve(t) and fj_pair(t) (distinct, as t.a > 1), then fj_pair(t) and
+    # the key -fj_pair(t) of gram t, added with another coefficient
+    t = rng.choice([t for t in reduced_triples(4 * 12) if t.a > 1])
+    entries = dict(phi.entries)
+    entries[breve(t)] += GaussRational.make(0, 1)
+    tables.append(QuatTable(weight, entries))
+    neg = tuple(tuple(tuple(-e for e in row) for row in T)
+                for T in fj_pair(t))
+    assert gram(neg) == t and is_strongly_primitive(neg)
+    assert neg not in phi.entries
+    entries = {**phi.entries, neg: phi.entries[fj_pair(t)] + 1}
+    tables.append(QuatTable(weight, entries))
     for table in tables:
         assert maass_membership(table) == \
             oracles.maass_membership_by_cosets(table)
+        assert maass_membership(table).ok == \
+            oracles.maass_membership_two_conditions(table)
     assert maass_membership(phi).ok
     assert not any(maass_membership(t).ok for t in tables[1:])
 
 
 def test_membership_names_the_first_broken_gram_and_key():
-    """Broken at two grams for condition (i), the report names the gram
-    whose strongly primitive keys come first in key order, even when the
-    other gram's broken key comes first; broken at two keys for condition
-    (ii), it names the first broken key."""
+    """Broken at two grams for condition (i), the report names the gram of
+    the first broken key in table order, even when the other gram's
+    strongly primitive keys start earlier; broken at two keys for
+    condition (ii), it names the first broken key.  The table is in the
+    sorted order of a table file."""
     F = _random_siegel_table(9, 4 * 36, weight=4)
     phi = theta_star_table(F, 36)
+    phi = QuatTable(phi.weight, dict(sorted(phi.entries.items())))
     keys = list(phi.entries)
     spans = {}     # gram -> (first, last) index of its strongly primitive keys
     for i, lam in enumerate(keys):
@@ -362,10 +379,13 @@ def test_membership_names_the_first_broken_gram_and_key():
     for s, t in crossed[:20]:
         entries = dict(phi.entries)
         for u in (t, s):    # the last key of t comes before the last of s
+            # the last key is fj_pair(u), which no other key's condition
+            # reads
+            assert keys[spans[u][1]] == fj_pair(u) != breve(u)
             entries[keys[spans[u][1]]] += one
         table = QuatTable(phi.weight, entries)
         rep = maass_membership(table)
-        assert rep.detail == f"condition (i) fails at gram {s}"
+        assert rep.detail == f"condition (i) fails at gram {t}"
         assert rep == oracles.maass_membership_by_cosets(table)
     imprimitive = [lam for lam in keys if not is_strongly_primitive(lam)]
     rng = random.Random(9)

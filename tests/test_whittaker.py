@@ -463,9 +463,13 @@ def test_q_poincare_input_validation():
     for radius in (0, -1):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             q_poincare(GramTriple(1, 0, 1), 16, radius)
-    # (32 r^2 + 1)^2 (64 r^2 + 1) first exceeds 2^63 at r = 229
-    with pytest.raises(ValueError, match="largest radius allowed is 228"):
-        q_poincare(GramTriple(1, 0, 1), 16, 229)
+    # the float64 key bound refuses every radius from 81, before the
+    # packed keys (below (32 r^2 + 1)^2 (64 r^2 + 1), past 2^63 from
+    # r = 229) or the key matrix (past 2^63 at radii in the thousands)
+    # could wrap in int64
+    for radius in (229, 10 ** 4):
+        with pytest.raises(OverflowError, match="float64"):
+            q_poincare(GramTriple(1, 0, 1), 16, radius)
 
 
 def test_q_poincare_refuses_a_key_contraction_past_2_53(monkeypatch):

@@ -714,13 +714,13 @@ def cmd_whittaker(args):
     return "pass", details
 
 
-# q_poincare counts the pairs of each fold pair on the fold split.  On a
-# 2 vCPU host, poincare --key 1,0,1 --weight 16 takes 0.6-0.9 s and
-# 89-99 MB peak RSS at --bound 2 (fresh processes, six runs in each of
-# several checkouts: the peak moves with the heap layout), and q_poincare
-# alone 15.6 s and 631 MB at radius 3, most of it the symmetric powers of
-# its 358,014 groups (three arrays of 189 MB), so a radius above 2 is
-# refused before any work.
+# q_poincare counts the pairs of each fold pair on the fold split and
+# builds one symmetric power per orbit of its groups.  On a 2 vCPU host,
+# poincare --key 1,0,1 --weight 16 takes 0.5-0.7 s and 71 MB peak RSS at
+# --bound 2 (fresh processes, three runs in each of two checkouts; the
+# peak can move with the heap layout), and q_poincare alone 13-15 s and
+# 347 MB at radius 3, where its 358,014 groups and their 90,949 powers
+# are held at once, so a radius above 2 is refused before any work.
 _MAX_POINCARE_RADIUS = 2
 
 
@@ -729,8 +729,8 @@ def cmd_poincare(args):
     if args.bound > _MAX_POINCARE_RADIUS:
         raise ValueError(f"radius {args.bound} is above "
                          f"{_MAX_POINCARE_RADIUS}, the largest radius "
-                         f"allowed (at radius 3 the symmetric powers of all "
-                         f"groups are built at once, 631 MB on 1,0,1)")
+                         f"allowed (at radius 3 the terms of all groups are "
+                         f"built at once, 347 MB on 1,0,1)")
     if args.weight > _MAX_WEIGHT:
         raise ValueError(f"weight {args.weight} is above {_MAX_WEIGHT}, the "
                          f"largest weight allowed (the cost grows as "
@@ -758,7 +758,7 @@ def cmd_poincare(args):
                f" radius {args.bound}; outermost shell sup-norm "
                f"{_g17(res.shell_sup[-1])}",
                {"pairs": res.pairs, "groups": res.groups,
-                "fold_pairs": res.fold_pairs,
+                "powers": res.powers, "fold_pairs": res.fold_pairs,
                 "shell_sup": list(res.shell_sup)}]
     if args.bound >= 2:
         # the convergence figure; undefined after an empty shell
@@ -811,9 +811,10 @@ def _int_range(what: str, lo: int, hi: Optional[int] = None):
 # The K-Bessel row overflows at every point of whittaker's grid from
 # weight 198 on, so a larger weight can only fail, after evaluating arrays
 # of 2 * weight + 1 components per quadrature node.  The bound does not
-# make poincare cheap: its symmetric powers cost groups x weight^2, and
-# poincare --key 2,0,2 --weight 200 --bound 2 (63,992 groups) took 52 s at
-# a 1,248 MB peak RSS (a fresh process on a 2-vCPU host).
+# make poincare cheap: its symmetric powers cost powers x weight^2 and
+# its terms groups x weight, and poincare --key 2,0,2 --weight 200
+# --bound 2 (63,992 groups, 16,410 powers) took 11-12 s at a 542 MB peak
+# RSS (a fresh process on a 2-vCPU host).
 _MAX_WEIGHT = 200
 _weight = _int_range("a weight", 0, _MAX_WEIGHT)
 

@@ -502,11 +502,13 @@ def _prk_coeffs(xyz: np.ndarray) -> np.ndarray:
     return np.stack([x - 1j * y, 1j * z, x + 1j * y], axis=1) / 4.0
 
 
-def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
-    """Rows (c_xx x^2 + c_xy xy + c_yy y^2)^ell / ||.||^(2 ell + 1) for
-    rows (c_xx, c_xy, c_yy) of coeffs, as coefficients of x^{l+v} y^{l-v},
-    v ascending, in a C-contiguous (rows, 2 ell + 1) array; a degenerate
-    (zero) projection raises.
+def _sym_powers(coeffs: np.ndarray, ell: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows (c_xx x^2 + c_xy xy + c_yy y^2)^ell for rows (c_xx, c_xy,
+    c_yy) of coeffs, as coefficients of x^{l+v} y^{l-v}, v ascending, in a
+    C-contiguous (rows, 2 ell + 1) array, and each row's ||.||^(2 ell + 1),
+    the divisor that makes a row the Poincare summand; a degenerate (zero)
+    projection raises.
 
     The powers are built coefficient-major, one row of the working arrays
     per coefficient and one column per input row, so every shifted slice
@@ -519,8 +521,8 @@ def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
     result.  Coefficient k of a pass is ((0 + c_yy p_k) + c_xy p_(k-1)) +
     c_xx p_(k-2): the operations, in their order, of a convolution into a
     zeroed array (the 0 + turns a product's -0 into +0, as there), so the
-    result equals tests/oracles.py's sym_power_by_convolution bit for
-    bit."""
+    powers, divided, equal tests/oracles.py's sym_power_by_convolution bit
+    for bit, and from ell = 2 on no power has a -0."""
     c_xx, c_xy, c_yy = (np.ascontiguousarray(coeffs[:, k]) for k in range(3))
     nrm = np.sqrt(np.abs(c_xx) ** 2 + np.abs(c_xy) ** 2 / 2.0
                   + np.abs(c_yy) ** 2)
@@ -540,8 +542,55 @@ def _sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
         spare[2:n + 2] += scratch[:n]
         poly, spare = spare, poly
     del spare, scratch
-    poly /= nrm ** (2 * ell + 1)
-    return poly.T.copy()
+    return poly.T.copy(), nrm ** (2 * ell + 1)
+
+
+# The images of key digits (x, y, z) under negation and the flip
+# (x, -y, -z), the flipped two last.
+_ORBIT_SIGNS = np.array([[1, 1, 1], [-1, -1, -1], [1, -1, -1], [-1, 1, 1]],
+                        dtype=np.int64)
+
+
+def _orbit_terms(digits: np.ndarray, strides: np.ndarray, ell: int
+                 ) -> Tuple[np.ndarray, int]:
+    """The Poincare summands of rows of key digits (x, y, z) at an even
+    ell, that is the _sym_powers of _prk_coeffs(digits) divided by their
+    norm powers, bit for bit, with one power built per orbit of the rows
+    under negation and the flip (x, -y, -z); also the number of powers
+    built.
+
+    The coefficients are ((x - iy)/4, iz/4, (x + iy)/4), so negation
+    negates them and the flip conjugates them, and each row's norm power
+    is its orbit's.  The kernel's complex products and sums round the
+    same whatever the signs of their operands, an overflow's inf - inf or
+    inf * 0 gives the same NaN, and no power has a -0.  So the power of
+    -c is that of c (ell even), and the power of conj c is that of c with
+    each imaginary part m replaced by 0 - m: negated, but a +0 or a NaN
+    kept.  The division comes after the conjugation: it can round a
+    nonzero part to a signed zero (by an overflowed norm power, as on
+    2,0,2 at weight 400), whose sign a conjugation after it would get
+    wrong.
+
+    Each row is mapped to the image whose code (its digits dotted with
+    strides) is smallest, the unflipped one on a tie; the distinct codes
+    are found by one sort, and their powers built, gathered back,
+    conjugated on the flipped rows and divided."""
+    images = digits[:, None, :] * _ORBIT_SIGNS
+    codes = images @ strides
+    pick = np.argmin(codes, axis=1)
+    code = codes[np.arange(len(codes)), pick]
+    order = np.argsort(code)
+    # the distinct codes, where the sorted codes step (np.unique would
+    # import numpy.ma)
+    first = order[np.diff(code[order], prepend=code[:1] - 1) != 0]
+    rep = code[first]
+    powers, scale = _sym_powers(_prk_coeffs(images[first, pick[first]]),
+                                ell)
+    at = np.searchsorted(rep, code)
+    terms = powers[at]
+    np.subtract(0.0, terms.imag, out=terms.imag, where=(pick >= 2)[:, None])
+    terms /= scale[at, None]
+    return terms, len(rep)
 
 
 def _key_bases(radius: int) -> List[int]:
@@ -557,13 +606,15 @@ class PoincareSum:
     shell_sup[s - 1], the sup-norm of the contribution of shell s (the
     pairs whose larger sup-norm is s), the last one being the convergence
     indicator; the number of lattice pairs summed and of the distinct
-    su(2) projections (groups) they fall into; and the work, fold_pairs,
-    which equality ignores (0 when the sum was not made on folds)."""
+    su(2) projections (groups) they fall into; and the work, which
+    equality ignores: fold_pairs (0 when the sum was not made on folds)
+    and powers, the symmetric powers built (0 when not counted)."""
     components: Tuple[complex, ...]
     shell_sup: Tuple[float, ...]
     pairs: int
     groups: int
     fold_pairs: int = field(default=0, compare=False)
+    powers: int = field(default=0, compare=False)
 
 
 # Every sign vector in {+1, -1}^4, one per row.
@@ -709,8 +760,16 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
     fixed, in closed form (_prk_coeffs), by three integers x, y, z
     bilinear in the pair (_prk_int_matrices).  So the pairs are grouped by
     these three integers, computed exactly in int64 and packed in mixed
-    radix into one int64 key (_key_bases), and the symmetric power is
-    built once per group and weighted by the group's pair counts.
+    radix into one int64 key (_key_bases), and each group's summand is
+    weighted by its pair counts.  Negating the three integers negates
+    the coefficients, and the flip (x, -y, -z) conjugates them; each
+    integer ranges over -m..m for its base 2 m + 1, so every such image of
+    a key packs in range.  ell is even, so -c has the power of c, and
+    conj c the conjugate power, both bit for bit in the kernel's rounding:
+    the symmetric power is built once per orbit of the groups under the
+    two, gathered back and conjugated where the flip is used
+    (_orbit_terms).  powers is the number built, about a quarter of the
+    groups.
 
     The pairs are counted on the fold split: with s = (v0 + v7, ...,
     v3 + v4) and t = (v0 - v7, ..., v3 - v4) (_FoldSet), each key matrix
@@ -780,12 +839,12 @@ def q_poincare(T: GramTriple, ell: int, radius: int) -> PoincareSum:
     keys += offsets @ strides
     counts *= 2
     digits = keys[:, None] // strides % np.array(bases) - offsets
-    terms = _sym_power_batch(_prk_coeffs(digits), ell)
+    terms, powers = _orbit_terms(digits, strides, ell)
     return PoincareSum(tuple(counts.sum(axis=1) @ terms),
                        tuple(float(np.max(np.abs(s)))
                              for s in counts.T @ terms),
                        int(counts.sum()), len(keys),
-                       len(s1) * len(C.folds))
+                       len(s1) * len(C.folds), powers)
 
 
 # --- positivity oracle -------------------------------------------------------

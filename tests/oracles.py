@@ -93,7 +93,7 @@ from octolift import whittaker
 from octolift.whittaker import (GK_NODES, LeviPoint, PoincareSum, Y0, Y1,
                                 _G7_W, _GK_EPSABS, _GK_EPSREL, _GK_W, _GK_X,
                                 _PRK2, _key_bases, _prk_coeffs, _s_v_horner,
-                                _sym_power_batch, _whittaker_components,
+                                _sym_powers, _whittaker_components,
                                 pairing22, whittaker_eval)
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -1094,11 +1094,21 @@ def bvv(v1, v2, ell: int):
     + 1 coefficients of x^{l+v} y^{l-v}, v ascending."""
     xyz = np.einsum("i,kij,j->k", np.asarray(v1, float), _PRK2,
                     np.asarray(v2, float))
-    return tuple(_sym_power_batch(_prk_coeffs(xyz[None, :]), ell)[0])
+    return tuple(sym_power_batch(_prk_coeffs(xyz[None, :]), ell)[0])
+
+
+def sym_power_batch(coeffs: np.ndarray, ell: int) -> np.ndarray:
+    """Rows (c_xx x^2 + c_xy xy + c_yy y^2)^ell / ||.||^(2 ell + 1) for
+    rows (c_xx, c_xy, c_yy) of coeffs, one power per row: whittaker's
+    _sym_powers, each row divided by its norm power.  The summand of each
+    group as q_poincare would build it without its orbit step."""
+    poly, scale = _sym_powers(coeffs, ell)
+    poly /= scale[:, None]
+    return poly
 
 
 def sym_power_by_convolution(coeffs: np.ndarray, ell: int) -> np.ndarray:
-    """whittaker._sym_power_batch as an out-of-place convolution on the
+    """sym_power_batch as an out-of-place convolution on the
     row-major layout: each pass adds the three shifted products into a
     fresh zeroed (rows, 2 ell + 1) array."""
     c_xx, c_xy, c_yy = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
@@ -1144,8 +1154,8 @@ def q_poincare_by_pairs(A, B, T: GramTriple, ell: int,
     (lists of v1 with q(v1) = T.a and v2 with q(v2) = T.c, sup-norms <=
     radius) is tested for the pairing T.b.  The pairs are grouped by the
     same int64 keys, each block merged into a sorted (key, pairs per
-    shell) table, and summed by the same symmetric-power step, so the
-    result can be compared with ==."""
+    shell) table, and summed with one symmetric power per group
+    (sym_power_batch), so the result can be compared with ==."""
     bases = _key_bases(radius)
     offsets = np.array([(b - 1) // 2 for b in bases], dtype=np.int64)
     strides = np.array([prod(bases[:j]) for j in range(len(bases))],
@@ -1174,7 +1184,7 @@ def q_poincare_by_pairs(A, B, T: GramTriple, ell: int,
                            minlength=new.size).reshape(new.shape)
         keys, counts = merged, new
     digits = keys[:, None] // strides % np.array(bases) - offsets
-    terms = _sym_power_batch(_prk_coeffs(digits), ell)
+    terms = sym_power_batch(_prk_coeffs(digits), ell)
     return PoincareSum(tuple(counts.sum(axis=1) @ terms),
                        tuple(float(np.max(np.abs(s)))
                              for s in counts.T @ terms),

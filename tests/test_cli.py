@@ -925,7 +925,8 @@ def test_poincare_report(tmp_path, capsys):
                               "--bound", "1", "--out", str(out)])
     assert code == 0 and rep["status"] == "pass"
     work = rep["details"][1]
-    assert (work["pairs"], work["groups"]) == (76560, 684)
+    assert (work["pairs"], work["groups"], work["powers"]) == (76560, 684,
+                                                               186)
     assert work["fold_pairs"] == 124 * 248    # s1 up to sign, every s2
     assert len(work["shell_sup"]) == 1 and "shell_ratio" not in work
     assert (f"outermost shell sup-norm {cli._g17(work['shell_sup'][0])}"

@@ -28,12 +28,13 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 archimedean_integral_checks, bessel_k_row,
                                 beta_fn, boost_u, pairing22,
                                 positivity_oracle, q_poincare, s_v_sum,
-                                whittaker_eval, _sym_power_batch)
+                                whittaker_eval)
 
 from oracles import (alternating_binomial_sum, archimedean_integral_single,
                      archimedean_integral_quad_vec, bvv, mat2_to_vec22,
                      plane_rotation, pr_K, q_poincare_by_pairs, s_v_exact,
-                     sym2_power, sym_power_by_convolution, vectors_by_norm)
+                     sym2_power, sym_power_batch,
+                     sym_power_by_convolution, vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -527,7 +528,7 @@ def _q_poincare_per_pair(A, B, T, ell, radius):
     A, B = np.asarray(A, float), np.asarray(B, float)
     i1, i2 = np.nonzero(A @ B[:, ::-1].T == T.b)
     coeffs, rhs = _prk_pairs_float(A[i1], B[i2])
-    terms = _sym_power_batch(coeffs, ell)
+    terms = sym_power_batch(coeffs, ell)
     shell = np.maximum(np.max(np.abs(A[i1]), axis=1),
                        np.max(np.abs(B[i2]), axis=1))
     shell_sup = [np.max(np.abs(terms[shell == s].sum(axis=0)))
@@ -691,17 +692,18 @@ def test_pair_counts_histograms_stay_within_the_cap(monkeypatch):
 
 # --- the symmetric-power kernel ----------------------------------------------------
 
-def _kernel_rows(monkeypatch, key, radius):
-    """The coefficient rows q_poincare hands _sym_power_batch (the same
-    at every weight)."""
+def _group_digits(monkeypatch, key, radius):
+    """The key digits (x, y, z) of every group of q_poincare, one row per
+    group, and the strides packing them, as q_poincare hands them to
+    _orbit_terms (the same at every weight)."""
     seen = []
-    kernel = whittaker._sym_power_batch
+    orbit_terms = whittaker._orbit_terms
 
-    def record(coeffs, ell):
-        seen.append(coeffs)
-        return kernel(coeffs, ell)
+    def record(digits, strides, ell):
+        seen.append((digits, strides))
+        return orbit_terms(digits, strides, ell)
 
-    monkeypatch.setattr(whittaker, "_sym_power_batch", record)
+    monkeypatch.setattr(whittaker, "_orbit_terms", record)
     q_poincare(GramTriple(*key), 16, radius)
     monkeypatch.undo()
     return seen[0]
@@ -716,18 +718,20 @@ def _random_kernel_rows(rng, n):
 
 def test_sym_power_batch_equals_the_convolution_bit_for_bit(monkeypatch):
     """The in-place coefficient-major kernel against the out-of-place
-    convolution: 2,0,1's rows at radius 1, random rows at weights 16, 40
-    and 200, and 2,0,2 at weight 400, whose powers overflow from v = -54.
-    Equal as arrays, NaNs included, and byte for byte, signs of zero
-    included."""
+    convolution: the rows of 2,0,1's 1,328 groups at radius 1, random rows
+    at weights 16, 40 and 200, and 2,0,2's 684 groups at weight 400, whose
+    powers overflow from v = -54.  Equal as arrays, NaNs included, and
+    byte for byte, signs of zero included."""
     rng = np.random.default_rng(21)
-    cases = [(_kernel_rows(monkeypatch, (2, 0, 1), 1), 16)]
-    assert len(cases[0][0]) == 1328
+    rows = {key: whittaker._prk_coeffs(_group_digits(monkeypatch, key, 1)[0])
+            for key in ((2, 0, 1), (2, 0, 2))}
+    assert (len(rows[2, 0, 1]), len(rows[2, 0, 2])) == (1328, 684)
+    cases = [(rows[2, 0, 1], 16)]
     cases += [(_random_kernel_rows(rng, 300), ell) for ell in (16, 40, 200)]
-    cases.append((_kernel_rows(monkeypatch, (2, 0, 2), 1), 400))
+    cases.append((rows[2, 0, 2], 400))
     for coeffs, ell in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _sym_power_batch(coeffs, ell)
+            got = sym_power_batch(coeffs, ell)
             want = sym_power_by_convolution(coeffs, ell)
         assert got.shape == (len(coeffs), 2 * ell + 1)
         assert got.flags.c_contiguous
@@ -739,7 +743,7 @@ def test_sym_power_batch_equals_the_convolution_bit_for_bit(monkeypatch):
 def test_sym_power_batch_zero_row_raises():
     coeffs = _random_kernel_rows(np.random.default_rng(4), 20)
     coeffs[7] = 0
-    for kernel in (_sym_power_batch, sym_power_by_convolution):
+    for kernel in (sym_power_batch, sym_power_by_convolution):
         with pytest.raises(ValueError, match="degenerate projection"):
             kernel(coeffs, 16)
 
@@ -751,11 +755,50 @@ def test_sym_power_batch_peak_memory():
     assert len(coeffs) >= 8192
     tracemalloc.start()
     try:
-        terms = _sym_power_batch(coeffs, 16)
+        terms = sym_power_batch(coeffs, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * terms.nbytes
+
+
+@pytest.mark.parametrize("key, ells, groups, powers", [
+    ((2, 0, 1), (16, 40, 200), 1328, 348),
+    ((3, 1, 2), (16, 40, 200), 480, 164),
+    ((2, 1, 2), (16, 40, 200), 818, 217),
+    ((2, 0, 2), (400,), 684, 186),
+    ((3, 0, 4), (16,), 0, 0)])
+def test_orbit_terms_equal_the_kernel_on_every_group_bit_for_bit(
+        monkeypatch, key, ells, groups, powers):
+    """The terms q_poincare gathers from one power per orbit against
+    sym_power_batch on every group's own row, byte for byte: signs of
+    zero, infs and NaNs included.  At weight 400 on 2,0,2 the powers
+    overflow and the kernel's output has NaNs and -0s; 3,0,4 has no pair
+    at radius 1, so no group; 3,1,2 has b != 0, and not every key's
+    negation is a key."""
+    digits, strides = _group_digits(monkeypatch, key, 1)
+    assert len(digits) == groups
+    for ell in ells:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, built = whittaker._orbit_terms(digits, strides, ell)
+            want = sym_power_batch(whittaker._prk_coeffs(digits), ell)
+        assert built == powers
+        assert got.shape == want.shape == (groups, 2 * ell + 1)
+        assert got.tobytes() == want.tobytes()
+        if ell == 400:
+            assert np.isnan(want).any()
+            assert (want.view(np.uint64) == np.uint64(1 << 63)).any()
+
+
+def test_q_poincare_builds_one_power_per_orbit():
+    """1,328 groups, 348 powers on 2,0,1 at radius 1; 684, 186 on 2,0,2.
+    The count is work, which equality ignores."""
+    for key, groups, powers in (((2, 0, 1), 1328, 348),
+                                ((2, 0, 2), 684, 186)):
+        res = q_poincare(GramTriple(*key), 16, 1)
+        assert (res.groups, res.powers) == (groups, powers)
+        assert res == whittaker.PoincareSum(res.components, res.shell_sup,
+                                            res.pairs, res.groups)
 
 
 # --- positivity oracle -------------------------------------------------------------

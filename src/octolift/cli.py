@@ -41,7 +41,7 @@ import sys
 import time
 import traceback
 from itertools import chain, count, repeat
-from math import exp, gcd, isqrt, pi
+from math import exp, gcd, isfinite, isqrt, pi
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -683,16 +683,22 @@ def cmd_whittaker(args):
     T = (0.2, -0.9, -1.1, -0.2)
     worst = 0.0
     worst_est = 0.0
-    intervals = 0
+    points = []
     grid = [(t, theta) for t in (0.7, 1.3) for theta in (0.0, 0.6)]
-    # At high weight the K-Bessel row overflows; the resulting inf or nan
-    # fails the check below, so numpy need not also warn about it.
+    us = [whittaker.boost_u(theta) for _, theta in grid]
+    # At high weight the K-Bessel row or the error estimate overflows; the
+    # resulting inf or nan fails the check below, so numpy need not also
+    # warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         checks = whittaker.archimedean_integral_checks(
-            T, [(t, whittaker.boost_u(theta)) for t, theta in grid], ell)
-    for (t, theta), (num, closed) in zip(grid, checks):
+            T, [(t, u) for (t, _), u in zip(grid, us)], ell)
+    for (t, theta), u, (num, closed) in zip(grid, us, checks):
         worst_est = _worse(worst_est, num.err)
-        intervals += num.intervals
+        # an inf or nan estimate as a string, which JSON can carry
+        points.append({"t": t, "theta": theta,
+                       "2-w": whittaker.line_shift(T, t, u),
+                       "intervals": num.intervals,
+                       "err": num.err if isfinite(num.err) else str(num.err)})
         for v in range(-ell, ell + 1):
             cn, cc = num.component(v), closed.component(v)
             worst = _worse(worst, abs(cn - cc) / max(abs(cc), 1e-300))
@@ -709,8 +715,10 @@ def cmd_whittaker(args):
                   ["v", "t", "theta", "num_re", "num_im", "closed_re",
                    "closed_im"], rows)
         details.append(f"wrote {args.out}")
+    intervals = sum(p["intervals"] for p in points)
     details.append({"quadrature": {"nodes": whittaker.GK_NODES * intervals,
-                                   "intervals": intervals}})
+                                   "intervals": intervals,
+                                   "points": points}})
     return "pass", details
 
 
@@ -808,8 +816,9 @@ def _int_range(what: str, lo: int, hi: Optional[int] = None):
     return parse
 
 
-# The K-Bessel row overflows at every point of whittaker's grid from
-# weight 198 on, so a larger weight can only fail, after evaluating arrays
+# The K-Bessel row overflows at s = 0 at every point of whittaker's grid
+# from weight 198 on (the error estimate in the first round from weight
+# 180 on), so a larger weight can only fail, after evaluating arrays
 # of 2 * weight + 1 components per quadrature node.  The bound does not
 # make poincare cheap: its symmetric powers cost powers x weight^2 and
 # its terms groups x weight, and poincare --key 2,0,2 --weight 200

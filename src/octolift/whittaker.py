@@ -10,6 +10,11 @@ the su(2)-projection of a bivector.  It also holds an exact positivity
 test: an integer sign that picks which ordering of a pair the Whittaker
 expansion sees.
 
+Along the line of the archimedean integral, beta(-s) = -conj beta(s), so
+the Whittaker value there satisfies f_v(-s) = (-1)^v conj f_v(s): the
+integral over [-smax, smax] is i^(v mod 2) times the integral of one real
+row over [0, smax], which is what the quadrature evaluates.
+
 Coordinates in the (2,2) block follow the storage order (b3, b4, b-4, b-3),
 so the pairing is the antidiagonal form (u, w) = sum_k u[k] w[3-k], matching
 the middle slice of the eight-dimensional coordinates used in quadspace.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import asinh, comb, exp, factorial, isqrt, pi, prod, sqrt
+from math import asinh, comb, exp, factorial, inf, isqrt, pi, prod, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -125,15 +130,23 @@ class LeviPoint:
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "h", h)
-        if m.shape != (2, 2) or m[0, 0] * m[1, 1] <= m[0, 1] * m[1, 0]:
+        # written so that a NaN fails the test
+        if m.shape != (2, 2) or not m[0, 0] * m[1, 1] > m[0, 1] * m[1, 0]:
             raise ValueError("m must be 2x2 with positive determinant")
-        # J4 h is h with its rows reversed
-        if h.shape != (4, 4) or np.max(np.abs(h.T @ h[::-1] - J4)) > 1e-12:
+        if not _preserves_form(h):
             raise ValueError("h must preserve the (2,2) form")
 
     @staticmethod
     def identity() -> "LeviPoint":
         return LeviPoint(np.eye(2), np.eye(4))
+
+
+def _preserves_form(h: np.ndarray) -> bool:
+    """Whether the float array h is 4x4, finite and preserves the (2,2)
+    form to 1e-12."""
+    # J4 h is h with its rows reversed
+    return h.shape == (4, 4) and bool(
+        np.isfinite(h).all() and np.max(np.abs(h.T @ h[::-1] - J4)) <= 1e-12)
 
 
 def _h_inverse(h: np.ndarray) -> np.ndarray:
@@ -142,20 +155,24 @@ def _h_inverse(h: np.ndarray) -> np.ndarray:
     return h.T[::-1, ::-1]
 
 
+def _beta_rows(T1, T2, m: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """beta_fn at the Levi points (m[k], h), one for each 2x2 matrix of the
+    (..., 2, 2) stack m, which this does not validate."""
+    hinv = _h_inverse(h)
+    # the pairing is linear, so zeta_j = (h^{-1} T_j, v1 + i v2) serves
+    # every m: r^{-1} acts on the dual pair (b_{-1}, b_{-2}) by m^t, so
+    # the component along b_{-i} pairs to sum_j m[j][i] zeta_j.
+    zeta = np.array([pairing22(hinv @ np.asarray(T, dtype=float), _V12)
+                     for T in (T1, T2)])
+    z = np.einsum("...ji,j->...i", m, zeta)
+    return sqrt(2.0) * 1j * (z[..., 0] + 1j * z[..., 1])
+
+
 def beta_fn(T1, T2, r: LeviPoint) -> complex:
     """beta_{[T1,T2]}(r): sqrt(2) i times the pairing of
     r^{-1}(b_{-1} x T1 + b_{-2} x T2) against
     b_1 x (v1 + i v2) + b_2 x i(v1 + i v2)."""
-    hinv = _h_inverse(r.h)
-    s1 = hinv @ np.asarray(T1, dtype=float)
-    s2 = hinv @ np.asarray(T2, dtype=float)
-    # r^{-1} acts on the dual pair (b_{-1}, b_{-2}) by m^t, so the component
-    # along b_{-i} becomes sum_j m[j][i] h^{-1} T_j.
-    m = r.m
-    tp1 = m[0][0] * s1 + m[1][0] * s2
-    tp2 = m[0][1] * s1 + m[1][1] * s2
-    val = pairing22(tp1, _V12) + 1j * pairing22(tp2, _V12)
-    return sqrt(2.0) * 1j * val
+    return complex(_beta_rows(T1, T2, r.m, r.h))
 
 
 @dataclass(frozen=True)
@@ -257,8 +274,9 @@ def s_v_sum(v: int, X: float) -> complex:
     (_s_v_horner), and only the common factor pi e^{-X} is a float.  Each
     part is one int / int, which rounds correctly, so it equals the float
     of the reduced fraction."""
-    if X <= 0:
-        raise ValueError("s_v_sum requires X > 0")
+    # written so that a NaN fails the test
+    if not 0.0 < X < inf:
+        raise ValueError(f"s_v_sum requires a finite X > 0, got X={X}")
     num_re, num_im, den = _s_v_horner(v, *X.as_integer_ratio())
     return pi * exp(-X) * complex(num_re / den, num_im / den)
 
@@ -378,6 +396,45 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray
     return list(zip(total, err, evaluated))
 
 
+def line_shift(T, t: float, u) -> float:
+    """2 - w = 2 - t (T, u . y1): the imaginary part of beta along the line
+    r(s) of archimedean_integral_checks, and the exponent of its closed
+    form."""
+    return 2.0 - t * pairing22(T, np.asarray(u, dtype=float) @ Y1).real
+
+
+def _folded_rows(x: np.ndarray, c, pref, ell: int) -> np.ndarray:
+    """Rows g_v, v = -ell..ell, one per entry of the real array x: with
+    beta = x + i c, theta = arg beta and f_v = pref (beta/|beta|)^v
+    K_|v|(|beta|) (the Whittaker value of _whittaker_components),
+
+        g_v = 2 pref K_|v|(|beta|) cos(v theta)   (v even)
+        g_v = 2 pref K_|v|(|beta|) sin(v theta)   (v odd),
+
+    that is (f_v + (-1)^v conj f_v) / i^(v mod 2).  On a line where
+    beta(-s) = -conj beta(s), f_v(-s) = (-1)^v conj f_v(s), so g_v is
+    (f_v(s) + f_v(-s)) / i^(v mod 2), real.  c and pref are positive
+    scalars, or arrays of one value per entry of x."""
+    v = np.arange(-ell, ell + 1)
+    trig = np.arctan2(c, x)[:, None] * v
+    even = ell % 2                      # the first column whose v is even
+    np.cos(trig[:, even::2], out=trig[:, even::2])
+    np.sin(trig[:, 1 - even::2], out=trig[:, 1 - even::2])
+    return (2.0 * np.asarray(pref)[..., None] * trig
+            * bessel_k_row(ell, np.hypot(x, c))[abs(v)].T)
+
+
+def _unfold(folded: np.ndarray, ell: int) -> np.ndarray:
+    """The complex components i^(v mod 2) g_v, v = -ell..ell, of a real row
+    of _folded_rows integrals: g_v + 0i for v even and 0 + g_v i for v odd,
+    each zero part an exact +0."""
+    out = np.zeros(2 * ell + 1, dtype=complex)
+    even = ell % 2
+    out.real[even::2] = folded[even::2]
+    out.imag[1 - even::2] = folded[1 - even::2]
+    return out
+
+
 def archimedean_integral_checks(T, points, ell: int
                                 ) -> List[Tuple[WhittakerValue,
                                                 WhittakerValue]]:
@@ -385,55 +442,74 @@ def archimedean_integral_checks(T, points, ell: int
     Whittaker value along r(s) = (m(s), u) with m(s) = [[1, s t], [0, t]],
     for the ordered pair [y0, T] with T in the orthogonal complement of
     y0; versus the closed form (pi t^ell e^{-(2-w)} / 2) i^v with
-    w = t (T, u . y1).  The integrals run in lockstep through
-    _gauss_kronrod, each with its own error control, and each numeric
-    value carries its error estimate and interval count."""
+    w = t (T, u . y1) (line_shift gives 2 - w).
+
+    beta along the line has the closed form beta(s) = -2 s t + i (2 - w),
+    so the integrand never degenerates, det m(s) = t, and beta(-s) =
+    -conj beta(s).  So the integral of component v over [-smax, smax] is
+    i^(v mod 2) times that of the real row g_v of _folded_rows over
+    [0, smax]: each point integrates one real (2 ell + 1)-row over
+    [0, smax], half the line, and its components are built by _unfold.
+    The integrals run in lockstep through _gauss_kronrod, each with its
+    own error control, and each numeric value carries its error estimate
+    and interval count.  The closed form of beta is checked against one
+    pairing computation per point, at s = 0 and at four of the first
+    round's nodes; a mismatch raises ArithmeticError.
+
+    T must be finite, orthogonal to y0 and span a positive line; t must
+    be positive and finite, u finite and preserving the (2,2) form, and
+    2 - w positive.  Each is tested so that a NaN fails it, and a failure
+    raises ValueError."""
     T = np.asarray(T, dtype=float)
-    if abs(pairing22(T, Y0)) > 1e-12:
-        raise ValueError("T must be orthogonal to y0")
-    if pairing22(T, T).real <= 0:
+    if not (np.isfinite(T).all() and abs(pairing22(T, Y0)) <= 1e-12):
+        raise ValueError("T must be finite and orthogonal to y0")
+    if not pairing22(T, T).real > 0:
         raise ValueError("T must span a positive line")
-    ts, ws, smaxes, closed = [], [], [], []
+    ts, shifts, smaxes, closed = [], [], [], []
     for t, u in points:
         u = np.asarray(u, dtype=float)
-        if t <= 0:
-            raise ValueError("t must be positive")
-        w = t * pairing22(T, u @ Y1).real
-        if 2.0 - w <= 0:
-            raise ValueError("precondition violated: 2 - t (T, u . y1) <= 0")
+        if not 0.0 < t < inf:
+            raise ValueError(f"t must be positive and finite, got t={t}")
+        if not _preserves_form(u):
+            raise ValueError(f"u at t={t} must preserve the (2,2) form")
+        c = line_shift(T, t, u)
+        if not c > 0:
+            raise ValueError(f"precondition violated at t={t}: "
+                             f"2 - t (T, u . y1) = {c} <= 0")
         # truncation: |beta| >= 2t|s|, so K_v decays like e^{-2t|s|}
         smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
-        # beta along the line has the closed form beta(s) = -2 s t +
-        # i (2 - w), so the integrand never degenerates, and det m(s) = t.
-        # The closed form is checked against the pairing computation at
-        # s = 0 and at four of the first round's nodes.
-        for s in (0.0, *(smax * _GK_X[::4])):
-            b = complex(-2.0 * s * t, 2.0 - w)
-            m = np.array([[1.0, s * t], [0.0, t]])
-            if not abs(beta_fn(Y0, T, LeviPoint(m, u)) - b) \
-                    < 1e-9 * (1 + abs(b)):
-                raise ArithmeticError(f"beta along the line at t={t}, "
-                                      f"s={s} is not -2 s t + i (2 - w)")
+        s = np.append(0.0, smax / 2.0 * (1.0 + _GK_X[::4]))
+        m = np.zeros((len(s), 2, 2))
+        m[:, 0, 0], m[:, 0, 1], m[:, 1, 1] = 1.0, s * t, t
+        beta = -2.0 * t * s + 1j * c
+        ok = (np.abs(_beta_rows(Y0, T, m, u) - beta)
+              < 1e-9 * (1.0 + np.abs(beta)))
+        if not ok.all():
+            raise ArithmeticError(f"beta along the line at t={t}, "
+                                  f"s={float(s[np.argmin(ok)])} is not "
+                                  f"-2 s t + i (2 - w)")
         ts.append(t)
-        ws.append(w)
+        shifts.append(c)
         smaxes.append(smax)
-        scale = pi * t ** ell * exp(-(2.0 - w)) / 2.0
+        scale = pi * t ** ell * exp(-c) / 2.0
         closed.append(WhittakerValue(
             ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1))))
     # each integral's coefficients as Python floats, as it computes them
     # alone (numpy's ts ** ell can differ in the last bit)
     slope = np.array([-2.0 * t for t in ts])
-    shift = np.array([1j * (2.0 - w) for w in ws])
+    shift = np.array(shifts)
     pref = np.array([t ** ell * t for t in ts])
 
     def integrand(s, which):
-        return _whittaker_components(slope[which] * s + shift[which],
-                                     pref[which][:, None], ell)
+        return _folded_rows(slope[which] * s, shift[which], pref[which],
+                            ell)
 
     smaxes = np.array(smaxes)
-    return [(WhittakerValue(ell, tuple(res.tolist()), err, intervals), c)
-            for (res, err, intervals), c in zip(
-                _gauss_kronrod(integrand, -smaxes, smaxes), closed)]
+    return [(WhittakerValue(ell, tuple(_unfold(res, ell).tolist()), err,
+                            intervals), want)
+            for (res, err, intervals), want in zip(
+                _gauss_kronrod(integrand, np.zeros(len(smaxes)), smaxes),
+                closed)]
 
 
 def archimedean_integral_check(T, t: float, u, ell: int

@@ -50,8 +50,9 @@ For the numeric layer: 2x2 matrices as vectors of the (2,2) block (det
 becomes the quadratic form); rotations and boosts in the plane of a
 J-orthonormal pair, the reference of boost_u's closed form; the Whittaker
 integral by scipy's quad_vec with one whittaker_eval (beta by matrix
-products) per node, and by the adaptive Gauss-Kronrod rule run on one
-integral alone, the reference of the package's lockstep run; the Poincare
+products) per node over the whole line [-smax, smax], unfolded, and by the
+adaptive Gauss-Kronrod rule run on one folded integral alone, the
+reference of the package's lockstep run; the Poincare
 summand of one pair; the symmetric powers as an out-of-place convolution,
 the reference of the in-place kernel; and the Poincare sum by testing
 every pair of vectors from the (2r+1)^8 box, sharing only the key packing
@@ -93,7 +94,7 @@ from octolift import whittaker
 from octolift.whittaker import (GK_NODES, LeviPoint, PoincareSum, Y0, Y1,
                                 _G7_W, _GK_EPSABS, _GK_EPSREL, _GK_W, _GK_X,
                                 _PRK2, _key_bases, _prk_coeffs, _s_v_horner,
-                                _sym_powers, _whittaker_components,
+                                _folded_rows, _sym_powers, _unfold,
                                 pairing22, whittaker_eval)
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -1075,18 +1076,20 @@ def gauss_kronrod_single(f, a: float, b: float, epsabs: float,
 
 def archimedean_integral_single(T, t: float, u, ell: int):
     """The integral of whittaker.archimedean_integral_checks at one point
-    (t, u), by gauss_kronrod_single with the integrand of that point alone:
-    (integral, error estimate, intervals evaluated)."""
+    (t, u), by gauss_kronrod_single over [0, smax] with the folded real
+    integrand of that point alone (whittaker._folded_rows), its result
+    unfolded by whittaker._unfold: (components, error estimate, intervals
+    evaluated)."""
     w = t * pairing22(np.asarray(T, dtype=float),
                       np.asarray(u, dtype=float) @ Y1).real
     smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
 
     def integrand(s):
-        return _whittaker_components(-2.0 * t * s + 1j * (2.0 - w),
-                                     t ** ell * t, ell)
+        return _folded_rows(-2.0 * t * s, 2.0 - w, t ** ell * t, ell)
 
-    return gauss_kronrod_single(integrand, -smax, smax, _GK_EPSABS,
-                                _GK_EPSREL)
+    res, err, intervals = gauss_kronrod_single(integrand, 0.0, smax,
+                                               _GK_EPSABS, _GK_EPSREL)
+    return _unfold(res, ell), err, intervals
 
 
 def bvv(v1, v2, ell: int):

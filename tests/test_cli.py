@@ -634,6 +634,39 @@ def test_whittaker_reports_quadrature_work(capsys):
     assert work["nodes"] == 15 * work["intervals"]
 
 
+def test_whittaker_reports_each_grid_point(capsys):
+    """The quadrature entry lists each grid point with its 2 - w, which
+    for the command's T is 2 + t (1.1 e^theta + 0.9 e^-theta), its
+    interval count and its error estimate."""
+    code, rep = _run(capsys, ["whittaker", "--weight", "4"])
+    assert code == 0
+    work = rep["details"][-1]["quadrature"]
+    points = work["points"]
+    assert [(p["t"], p["theta"]) for p in points] == [
+        (0.7, 0.0), (0.7, 0.6), (1.3, 0.0), (1.3, 0.6)]
+    assert sum(p["intervals"] for p in points) == work["intervals"]
+    for p in points:
+        want = 2.0 + p["t"] * (1.1 * np.exp(p["theta"])
+                               + 0.9 * np.exp(-p["theta"]))
+        assert abs(p["2-w"] - want) < 1e-12
+        assert p["intervals"] > 0 and 0.0 < p["err"] < 1e-8
+
+
+def test_whittaker_report_stays_strict_json_with_an_infinite_estimate(
+        capsys):
+    """At weight 150 the error estimates overflow in the first round; with
+    --tol inf the check still passes, and the report names each infinite
+    estimate as a string, not as JSON's non-standard Infinity."""
+    assert cli.main(["whittaker", "--weight", "150", "--tol", "inf"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    errs = [p["err"] for p in rep["details"][-1]["quadrature"]["points"]]
+    assert "inf" in errs
+
+
 @pytest.mark.parametrize("weight", ["-1", "201", "1000000"])
 def test_whittaker_rejects_weight_out_of_range(weight):
     """A weight outside 0..200 is a usage error, raised before any numeric

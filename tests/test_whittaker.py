@@ -348,7 +348,7 @@ def test_lockstep_capped_integral_keeps_its_neighbours(monkeypatch):
     monkeypatch.setattr(whittaker, "_GK_LIMIT", 7)
     got = _lockstep_bits(T, points, 4)
     assert got == _single_bits(T, points, 4)
-    assert [g[2] for g in got] == [1, 7, 7]
+    assert [g[2] for g in got] == [1, 7, 3]
     assert got[0] == uncapped[0] and got[2] == uncapped[2]
     assert uncapped[1][2] > 7
 
@@ -372,16 +372,17 @@ def test_lockstep_non_finite_integral_keeps_its_neighbours():
 def test_beta_self_check_raises_under_python_o(monkeypatch):
     """The closed form of beta along the line is checked with a raise, not
     an assert, so a beta off by 1e-6 fails the call in process and in a
-    fresh interpreter run with -O."""
+    fresh interpreter run with -O.  The check makes one pairing
+    computation per point (_beta_rows, which beta_fn also runs)."""
     T = (0.2, -0.9, -1.1, -0.2)
-    beta = whittaker.beta_fn
-    monkeypatch.setattr(whittaker, "beta_fn",
+    beta = whittaker._beta_rows
+    monkeypatch.setattr(whittaker, "_beta_rows",
                         lambda *args: beta(*args) + 1e-6)
     with pytest.raises(ArithmeticError, match="t=0.7"):
         archimedean_integral_check(T, 0.7, boost_u(0.0), 4)
     code = ("from octolift import whittaker as w\n"
-            "beta = w.beta_fn\n"
-            "w.beta_fn = lambda *args: beta(*args) + 1e-6\n"
+            "beta = w._beta_rows\n"
+            "w._beta_rows = lambda *args: beta(*args) + 1e-6\n"
             "w.archimedean_integral_check((0.2, -0.9, -1.1, -0.2), 0.7, "
             "w.boost_u(0.0), 4)\n")
     proc = subprocess.run(
@@ -402,6 +403,91 @@ def test_archimedean_integral_preconditions():
         archimedean_integral_check((1.0, 0.1, 0.1, -1.0), 1.0, np.eye(4), 4)
     with pytest.raises(ValueError):   # 2 - w <= 0
         archimedean_integral_check((0.2, 0.9, 1.1, -0.2), 3.0, np.eye(4), 4)
+
+
+def test_archimedean_integral_refuses_a_nan_t():
+    """A NaN t fails the positivity test, which is written so that a
+    comparison with NaN cannot pass it."""
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        archimedean_integral_check((0.2, -0.9, -1.1, -0.2), float("nan"),
+                                   boost_u(0.3), 4)
+
+
+def test_archimedean_integral_refuses_an_infinite_t():
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        archimedean_integral_check((0.2, -0.9, -1.1, -0.2), float("inf"),
+                                   boost_u(0.3), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_archimedean_integral_refuses_a_non_finite_u(bad):
+    """A u with a NaN or infinite entry is refused before any pairing is
+    formed, by name, with no numpy warning."""
+    u = boost_u(0.3)
+    u[1, 1] = bad
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="u at t=0.7 must preserve"):
+            archimedean_integral_check((0.2, -0.9, -1.1, -0.2), 0.7, u, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_archimedean_integral_refuses_a_non_finite_T(bad):
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="T must be finite"):
+            archimedean_integral_check((bad, -0.9, -1.1, -bad), 0.7,
+                                       boost_u(0.3), 4)
+
+
+@pytest.mark.parametrize("m, h", [
+    (np.nan * np.eye(2), np.eye(4)), (np.eye(2), np.nan * np.eye(4)),
+    (np.eye(2), np.diag([1.0, np.inf, 0.0, 1.0]))])
+def test_levi_point_refuses_non_finite_entries(m, h):
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="must"):
+            LeviPoint(m, h)
+
+
+@pytest.mark.parametrize("X", [float("inf"), float("nan")])
+def test_s_v_sum_refuses_a_non_finite_x(X):
+    with pytest.raises(ValueError, match="finite X > 0"):
+        s_v_sum(3, X)
+
+
+@pytest.mark.parametrize("ell", range(17))
+def test_folded_row_is_the_integrand_at_s_and_minus_s(ell):
+    """The folded real row at s, times i^(v mod 2), is f(s) + f(-s) with
+    f the Whittaker value of whittaker_eval (beta by the pairing, no
+    fold), to 1e-13 relative, at s = 0 and at random s in (0, smax]; odd
+    and even v both occur, which pins the factor 2 and the unit."""
+    T = (0.2, -0.9, -1.1, -0.2)
+    rng = np.random.default_rng(ell)
+    for t, theta in ((0.7, 0.0), (1.3, 0.6), (0.5, -1.0), (2.0, 1.0)):
+        u = boost_u(theta)
+        smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+        s = np.append(0.0, smax * (1.0 - rng.random(6)))
+        rows = whittaker._folded_rows(-2.0 * t * s,
+                                      whittaker.line_shift(T, t, u),
+                                      t ** ell * t, ell)
+        assert rows.dtype == float and rows.shape == (7, 2 * ell + 1)
+        for x, row in zip(s, rows):
+            want = sum(np.array(whittaker_eval(
+                Y0, T, LeviPoint(np.array([[1.0, y * t], [0.0, t]]), u),
+                ell).components) for y in (x, -x))
+            got = whittaker._unfold(row, ell)
+            assert np.linalg.norm(got - want) \
+                <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, 5])
+def test_folded_components_have_exact_zero_parts(ell):
+    """Components with v even are real, with v odd imaginary, and the
+    other part is an exact +0."""
+    num, closed = archimedean_integral_check((0.2, -0.9, -1.1, -0.2), 0.7,
+                                             boost_u(0.3), ell)
+    for v in range(-ell, ell + 1):
+        zero = num.component(v).imag if v % 2 == 0 \
+            else num.component(v).real
+        assert zero == 0.0 and not np.signbit(zero)
 
 
 # --- the summand and the lattice sum ----------------------------------------------

@@ -41,7 +41,7 @@ import sys
 import time
 import traceback
 from itertools import chain, count, repeat
-from math import exp, gcd, isfinite, isqrt, pi
+from math import gcd, isfinite, isqrt
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -664,21 +664,43 @@ def _worse(worst: float, err: float) -> float:
     return err if err != err or err > worst else worst
 
 
+# S_v identity range: |v| <= 22 covers every v of each weight at which the
+# integral check can pass (weight <= 16).
+_S_V_BOUND = 22
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))     # i^v, by v mod 4
+
+
+def _s_v_identity_failure(bound: int) -> Optional[str]:
+    """Check S_v(X) = pi e^{-X} i^v / 2 for |v| <= bound exactly, as
+    polynomials in 1/X: whittaker._s_v_poly(v) holds S_v / (pi e^{-X}) as
+    Gaussian-integer coefficients of X^{-m} over 2^top, so the identity
+    holds for every X > 0 exactly when the X^0 coefficient is
+    i^v 2^(top-1) and every other one is 0.  Returns the first failure,
+    naming v and the order, or None."""
+    for v in range(-bound, bound + 1):
+        re, im = whittaker._s_v_poly(v)
+        top = len(re)
+        ur, ui = _UNITS[v % 4]
+        want = (ur << (top - 1), ui << (top - 1))
+        for m, got in enumerate(zip(re, im)):
+            if got != (want if m == 0 else (0, 0)):
+                return (f"Bessel-sum identity fails at v={v}: the X^{-m} "
+                        f"coefficient of S_v(X) / (pi e^-X) is "
+                        f"({got[0]}{got[1]:+d}i) / 2^{top}, not "
+                        f"{'i^v / 2' if m == 0 else '0'}")
+    return None
+
+
 def cmd_whittaker(args):
     import numpy as np
-    details = []
+    failure = _s_v_identity_failure(_S_V_BOUND)
+    if failure:
+        return "fail", [failure]
+    details = [f"Bessel-sum identity holds exactly as polynomials in 1/X "
+               f"for |v| <= {_S_V_BOUND}: S_v(X) / (pi e^-X) = i^v / 2 in "
+               f"each of {_S_V_BOUND * (_S_V_BOUND + 1) + 1} Gaussian-integer "
+               f"coefficients, orders X^0 to X^-{_S_V_BOUND - 1}"]
     rows = []
-    worst_sv = 0.0
-    for v in range(-22, 23):
-        for X in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            closed = pi * exp(-X) * (1j ** v) / 2
-            got = whittaker.s_v_sum(v, X)
-            worst_sv = _worse(worst_sv, abs(got - closed) / abs(closed))
-    if not worst_sv < args.tol:
-        return "fail", [f"Bessel-sum identity: worst relative error "
-                        f"{worst_sv:.3e} >= tol {args.tol:.3e}"]
-    details.append(f"Bessel-sum identity verified for |v| <= 22, "
-                   f"worst relative error {worst_sv:.3e}")
     ell = args.weight
     T = (0.2, -0.9, -1.1, -0.2)
     worst = 0.0
@@ -924,12 +946,13 @@ def build_parser() -> argparse.ArgumentParser:
                     default=6, help="entry bound for the random Gram "
                     f"triples, 1 <= bound <= {_MAX_REDUCE_BOUND}")
 
-    sp = sub.add_parser("whittaker", help="Bessel-sum identity and "
-                        "archimedean integral vs closed form")
+    sp = sub.add_parser("whittaker", help="Bessel-sum identity, checked "
+                        "exactly, and archimedean integral vs closed form")
     sp.add_argument("--weight", type=_weight, default=4,
                     help=f"weight ell, 0 <= ell <= {_MAX_WEIGHT}")
     sp.add_argument("--tol", type=_tolerance, default=1e-6,
-                    help="relative error bound, > 0 (inf allowed)")
+                    help="bound on the relative error of the integral "
+                    "check, > 0 (inf allowed)")
     sp.add_argument("--out", default=None, help="CSV output path")
 
     sp = sub.add_parser("poincare", help="Fourier coefficient of the "

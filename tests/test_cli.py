@@ -694,12 +694,57 @@ def test_whittaker_high_weight_fails_fast(weight):
     assert time.monotonic() - start < 10
 
 
-def test_whittaker_nan_error_fails(capsys, monkeypatch):
-    monkeypatch.setattr(whittaker, "s_v_sum",
-                        lambda v, X: complex("nan"))
-    code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", "inf"])
+def _lower_term(re, im):
+    return re[:2] + (re[2] + 1,) + re[3:], im
+
+
+def _conjugate_unit(re, im):
+    return re, (-im[0],) + im[1:]
+
+
+def _double_lead(re, im):
+    return (2 * re[0],) + re[1:], (2 * im[0],) + im[1:]
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "inf"])
+@pytest.mark.parametrize("damage", [_lower_term, _conjugate_unit,
+                                    _double_lead],
+                         ids=["lower-term", "conjugate-unit", "double-lead"])
+def test_whittaker_broken_identity_fails(capsys, monkeypatch, damage, tol):
+    """The S_v identity is checked exactly on the coefficients of
+    _s_v_poly, whatever --tol says: a nonzero X^-2 coefficient, the
+    conjugate unit on the X^0 coefficient (i^5 = i, so -i is wrong) or
+    twice the power of 2 at one v fails the command and names that v."""
+    poly = whittaker._s_v_poly
+    monkeypatch.setattr(whittaker, "_s_v_poly",
+                        lambda v: damage(*poly(v)) if v == 5 else poly(v))
+    code, rep = _run(capsys, ["whittaker", "--weight", "2", "--tol", tol])
     assert code == 1 and rep["status"] == "fail"
-    assert "nan" in rep["details"][0]
+    assert "v=5:" in rep["details"][0]
+
+
+def test_whittaker_checks_the_identity_without_float_sums(capsys,
+                                                           monkeypatch):
+    """One whittaker run reads the exact S_v polynomial once for each
+    |v| <= 22 and evaluates no float S_v sum."""
+    poly, s_v_sum = whittaker._s_v_poly, whittaker.s_v_sum
+    seen, sums = [], []
+
+    def read(v):
+        seen.append(v)
+        return poly(v)
+
+    def count_sum(v, X):
+        sums.append((v, X))
+        return s_v_sum(v, X)
+
+    monkeypatch.setattr(whittaker, "_s_v_poly", read)
+    monkeypatch.setattr(whittaker, "s_v_sum", count_sum)
+    code, rep = _run(capsys, ["whittaker", "--weight", "4"])
+    assert code == 0
+    assert "holds exactly as polynomials in 1/X" in rep["details"][0]
+    assert sorted(seen) == list(range(-22, 23))
+    assert sums == []
 
 
 def _nan_integrals(monkeypatch, at):

@@ -738,8 +738,12 @@ def cmd_whittaker(args):
                    "closed_im"], rows)
         details.append(f"wrote {args.out}")
     intervals = sum(p["intervals"] for p in points)
+    # the integrals run in lockstep, so the batched calls are as many as
+    # the rounds of the longest
     details.append({"quadrature": {"nodes": whittaker.GK_NODES * intervals,
                                    "intervals": intervals,
+                                   "rounds": max(num.rounds
+                                                 for num, _ in checks),
                                    "points": points}})
     return "pass", details
 
@@ -840,7 +844,7 @@ def _int_range(what: str, lo: int, hi: Optional[int] = None):
 
 # The K-Bessel row overflows at s = 0 at every point of whittaker's grid
 # from weight 198 on (the error estimate in the first round from weight
-# 180 on), so a larger weight can only fail, after evaluating arrays
+# 126 on), so a larger weight can only fail, after evaluating arrays
 # of 2 * weight + 1 components per quadrature node.  The bound does not
 # make poincare cheap: its symmetric powers cost powers x weight^2 and
 # its terms groups x weight, and poincare --key 2,0,2 --weight 200

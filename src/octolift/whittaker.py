@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import asinh, comb, exp, factorial, inf, isqrt, pi, prod, sqrt
+from math import (asinh, comb, exp, factorial, frexp, inf, isqrt, pi, prod,
+                  sqrt)
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -179,12 +180,14 @@ def beta_fn(T1, T2, r: LeviPoint) -> complex:
 class WhittakerValue:
     """Coefficients of x^{l+v} y^{l-v} / ((l+v)! (l-v)!), v = -l..l.  When
     they come from a quadrature, err is its absolute error estimate (2-norm
-    over the components) and intervals counts the intervals it evaluated,
-    GK_NODES integrand values each; otherwise None and 0."""
+    over the components), intervals counts the intervals it evaluated,
+    GK_NODES integrand values each, and rounds the batched integrand calls
+    it took part in; otherwise None, 0 and 0."""
     ell: int
     components: Tuple[complex, ...]
     err: Optional[float] = None
     intervals: int = 0
+    rounds: int = 0
 
     def __post_init__(self):
         if len(self.components) != 2 * self.ell + 1:
@@ -326,34 +329,44 @@ _GK_EPSABS = 1e-14        # absolute tolerance of archimedean_integral_checks
 _GK_EPSREL = 1e-9         # relative tolerance of archimedean_integral_checks
 
 
-def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray
-                   ) -> List[Tuple[np.ndarray, float, int]]:
+def _gauss_kronrod(f, breaks) -> List[Tuple[np.ndarray, float, int, int]]:
     """Adaptive Gauss-Kronrod 7/15 quadrature of m vector-valued integrals
-    in lockstep, integral j over [a[j], b[j]]: one (integral, error
-    estimate, intervals evaluated) per integral.
+    in lockstep, integral j over [a_j, b_j], the first and last of its
+    increasing starting breakpoints breaks[j], which make at most
+    _GK_LIMIT intervals: one (integral, error estimate, intervals
+    evaluated, rounds taken) per integral.
 
     f(points, which) maps a 1-d array of points, and the index of the
     integral each point belongs to, to one row of values per point; a row
     must depend on its point and index alone.  Each round evaluates the 15
-    nodes of every open interval of every integral in one call of f.  An
-    integral's open intervals stay contiguous, in the order it would keep
-    alone (left halves, then right halves), and every decision below is
-    made on its own intervals, so its result is bit for bit the one it
-    would get integrated alone.
+    nodes of every open interval of every integral in one call of f; the
+    first round evaluates every interval between consecutive starting
+    breakpoints, which count toward the cap.  An integral's open intervals
+    stay contiguous, in the order it would keep alone (its starting
+    intervals left to right, then left halves, then right halves), and
+    every decision below is made on its own intervals, so its result is
+    bit for bit the one it would get integrated alone.
 
     An interval's error estimate is ||K15 - G7||_2, raised to the rounding
     floor 50 eps ||K15 of |f| ||_2.  An integral's intervals are all
     accepted once their estimates sum to at most tol = max(_GK_EPSABS,
     _GK_EPSREL ||integral||); before that an interval is accepted when its
-    estimate is within its share of tol by length or is the rounding floor,
-    and the others are bisected.  The estimate returned is the sum over
-    the accepted intervals.  Once another round would take an integral past
-    _GK_LIMIT intervals, or one of its estimates is not finite, its open
-    intervals are accepted unconverged, estimates included."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    m = len(a)
-    lo, hi, which = a, b, np.arange(m)
-    total, err, evaluated = [0.0] * m, [0.0] * m, [0] * m
+    estimate is within its share of tol by length in [a_j, b_j] or is the
+    rounding floor, and the others are bisected.  The estimate returned is
+    the sum over the accepted intervals.  Once another round would take an
+    integral past _GK_LIMIT intervals, or one of its estimates is not
+    finite, its open intervals are accepted unconverged, estimates
+    included."""
+    breaks = [np.asarray(br, dtype=float) for br in breaks]
+    m = len(breaks)
+    if not m:
+        return []
+    a = np.array([br[0] for br in breaks])
+    b = np.array([br[-1] for br in breaks])
+    lo = np.concatenate([br[:-1] for br in breaks])
+    hi = np.concatenate([br[1:] for br in breaks])
+    which = np.repeat(np.arange(m), [len(br) - 1 for br in breaks])
+    total, err, evaluated, rounds = [0.0] * m, [0.0] * m, [0] * m, [0] * m
     while len(lo):
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         fx = f((mid[:, None] + half[:, None] * _GK_X).ravel(),
@@ -372,6 +385,7 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray
             if rows.start == rows.stop:
                 continue
             evaluated[j] += rows.stop - rows.start
+            rounds[j] += 1
             tol = max(_GK_EPSABS, _GK_EPSREL * np.linalg.norm(
                 total[j] + k15[rows].sum(axis=0)))
             ok = done[rows]           # a view: setting ok sets done
@@ -393,7 +407,21 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray
         which = which[order]
         lo = np.concatenate([lo, mid])[order]
         hi = np.concatenate([mid, hi])[order]
-    return list(zip(total, err, evaluated))
+    return list(zip(total, err, evaluated, rounds))
+
+
+def _dyadic_mesh(t: float, smax: float) -> np.ndarray:
+    """The starting breakpoints of the archimedean integral at t over
+    [0, smax]: 0, smax/2^K, smax/2^(K-1), ..., smax/2, smax with
+    K = floor(log2(2 t smax)), clamped so that its K + 1 intervals are at
+    most _GK_LIMIT.  Bisection from [0, smax] builds exactly these
+    intervals on its way down to s = 0, each right half accepted at once
+    where the integrand has decayed, so starting from them saves its first
+    K rounds.  The narrowest, [0, smax/2^K], is one to two decay lengths
+    1/(2t) wide, since |beta(s)| >= 2t|s| and K_v decays like
+    e^(-|beta|)."""
+    k = min(frexp(2.0 * t * smax)[1] - 1, _GK_LIMIT - 1)
+    return np.append(0.0, np.ldexp(smax, np.arange(-k, 1)))
 
 
 def line_shift(T, t: float, u) -> float:
@@ -450,11 +478,12 @@ def archimedean_integral_checks(T, points, ell: int
     i^(v mod 2) times that of the real row g_v of _folded_rows over
     [0, smax]: each point integrates one real (2 ell + 1)-row over
     [0, smax], half the line, and its components are built by _unfold.
-    The integrals run in lockstep through _gauss_kronrod, each with its
-    own error control, and each numeric value carries its error estimate
-    and interval count.  The closed form of beta is checked against one
-    pairing computation per point, at s = 0 and at four of the first
-    round's nodes; a mismatch raises ArithmeticError.
+    The integrals run in lockstep through _gauss_kronrod, each from its
+    own dyadic mesh (_dyadic_mesh) and with its own error control, and
+    each numeric value carries its error estimate, interval count and
+    round count.  The closed form of beta is checked against one pairing
+    computation per point, at s = 0 and at four Gauss-Kronrod nodes of
+    [0, smax]; a mismatch raises ArithmeticError.
 
     T must be finite, orthogonal to y0 and span a positive line; t must
     be positive and finite, u finite and preserving the (2,2) form, and
@@ -465,7 +494,7 @@ def archimedean_integral_checks(T, points, ell: int
         raise ValueError("T must be finite and orthogonal to y0")
     if not pairing22(T, T).real > 0:
         raise ValueError("T must span a positive line")
-    ts, shifts, smaxes, closed = [], [], [], []
+    ts, shifts, meshes, closed = [], [], [], []
     for t, u in points:
         u = np.asarray(u, dtype=float)
         if not 0.0 < t < inf:
@@ -490,7 +519,7 @@ def archimedean_integral_checks(T, points, ell: int
                                   f"-2 s t + i (2 - w)")
         ts.append(t)
         shifts.append(c)
-        smaxes.append(smax)
+        meshes.append(_dyadic_mesh(t, smax))
         scale = pi * t ** ell * exp(-c) / 2.0
         closed.append(WhittakerValue(
             ell, tuple(scale * 1j ** v for v in range(-ell, ell + 1))))
@@ -504,12 +533,10 @@ def archimedean_integral_checks(T, points, ell: int
         return _folded_rows(slope[which] * s, shift[which], pref[which],
                             ell)
 
-    smaxes = np.array(smaxes)
     return [(WhittakerValue(ell, tuple(_unfold(res, ell).tolist()), err,
-                            intervals), want)
-            for (res, err, intervals), want in zip(
-                _gauss_kronrod(integrand, np.zeros(len(smaxes)), smaxes),
-                closed)]
+                            intervals, rounds), want)
+            for (res, err, intervals, rounds), want in zip(
+                _gauss_kronrod(integrand, meshes), closed)]
 
 
 def archimedean_integral_check(T, t: float, u, ell: int

@@ -51,8 +51,9 @@ becomes the quadratic form); rotations and boosts in the plane of a
 J-orthonormal pair, the reference of boost_u's closed form; the Whittaker
 integral by scipy's quad_vec with one whittaker_eval (beta by matrix
 products) per node over the whole line [-smax, smax], unfolded, and by the
-adaptive Gauss-Kronrod rule run on one folded integral alone, the
-reference of the package's lockstep run; the Poincare
+adaptive Gauss-Kronrod rule run on one folded integral alone from its
+dyadic mesh (built by halving smax), the reference of the package's
+lockstep run; the Poincare
 summand of one pair; the symmetric powers as an out-of-place convolution,
 the reference of the in-place kernel; and the Poincare sum by testing
 every pair of vectors from the (2r+1)^8 box, sharing only the key packing
@@ -68,7 +69,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, floor, log2, prod
 
 import numpy as np
 from scipy import integrate
@@ -1038,15 +1039,18 @@ def archimedean_integral_quad_vec(T, t: float, u, ell: int):
     return res, float(err)
 
 
-def gauss_kronrod_single(f, a: float, b: float, epsabs: float,
-                         epsrel: float):
+def gauss_kronrod_single(f, breaks, epsabs: float, epsrel: float):
     """One integral alone by whittaker._gauss_kronrod's rule and decisions,
     the reference of its lockstep run: f maps a 1-d array of points to one
-    row of values per point; returns (integral, error estimate, intervals
-    evaluated).  The interval cap is read from whittaker._GK_LIMIT at each
-    round, so a test can lower it."""
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    total, err, evaluated = 0.0, 0.0, 0
+    row of values per point, and the integral starts from the intervals
+    between consecutive entries of the increasing breakpoints breaks;
+    returns (integral, error estimate, intervals evaluated, rounds taken).
+    The interval cap is read from whittaker._GK_LIMIT at each round, so a
+    test can lower it."""
+    breaks = np.asarray(breaks, dtype=float)
+    a, b = breaks[0], breaks[-1]
+    lo, hi = breaks[:-1], breaks[1:]
+    total, err, evaluated, rounds = 0.0, 0.0, 0, 0
     while True:
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         fx = f((mid[:, None] + half[:, None] * _GK_X).ravel())
@@ -1058,6 +1062,7 @@ def gauss_kronrod_single(f, a: float, b: float, epsabs: float,
         diff = np.linalg.norm(k15 - g7, axis=1)
         est = np.maximum(diff, rounding)
         evaluated += len(lo)
+        rounds += 1
         tol = max(epsabs, epsrel * np.linalg.norm(total + k15.sum(axis=0)))
         if err + est.sum() <= tol:
             done = np.ones(len(lo), dtype=bool)
@@ -1069,17 +1074,29 @@ def gauss_kronrod_single(f, a: float, b: float, epsabs: float,
         total = total + k15[done].sum(axis=0)
         err += float(est[done].sum())
         if done.all():
-            return total, err, evaluated
+            return total, err, evaluated, rounds
         lo, mid, hi = lo[~done], mid[~done], hi[~done]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
+def dyadic_mesh(t: float, smax: float):
+    """0, smax/2^K, ..., smax/2, smax with K = floor(log2(2 t smax)), at
+    most whittaker._GK_LIMIT - 1: the points bisection of [0, smax]
+    reaches on its way down to 0, one to two decay lengths 1/(2t) from it,
+    built by halving smax K times."""
+    k = min(floor(log2(2.0 * t * smax)), whittaker._GK_LIMIT - 1)
+    points = [smax]
+    for _ in range(k):
+        points.append(points[-1] / 2.0)
+    return [0.0] + points[::-1]
+
+
 def archimedean_integral_single(T, t: float, u, ell: int):
     """The integral of whittaker.archimedean_integral_checks at one point
-    (t, u), by gauss_kronrod_single over [0, smax] with the folded real
-    integrand of that point alone (whittaker._folded_rows), its result
-    unfolded by whittaker._unfold: (components, error estimate, intervals
-    evaluated)."""
+    (t, u), by gauss_kronrod_single over [0, smax] from dyadic_mesh, with
+    the folded real integrand of that point alone (whittaker._folded_rows),
+    its result unfolded by whittaker._unfold: (components, error estimate,
+    intervals evaluated, rounds taken)."""
     w = t * pairing22(np.asarray(T, dtype=float),
                       np.asarray(u, dtype=float) @ Y1).real
     smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
@@ -1087,9 +1104,9 @@ def archimedean_integral_single(T, t: float, u, ell: int):
     def integrand(s):
         return _folded_rows(-2.0 * t * s, 2.0 - w, t ** ell * t, ell)
 
-    res, err, intervals = gauss_kronrod_single(integrand, 0.0, smax,
-                                               _GK_EPSABS, _GK_EPSREL)
-    return _unfold(res, ell), err, intervals
+    res, err, intervals, rounds = gauss_kronrod_single(
+        integrand, dyadic_mesh(t, smax), _GK_EPSABS, _GK_EPSREL)
+    return _unfold(res, ell), err, intervals, rounds
 
 
 def bvv(v1, v2, ell: int):

@@ -627,11 +627,15 @@ def test_whittaker_infinite_tol_passes(capsys):
 
 
 def test_whittaker_reports_quadrature_work(capsys):
+    """The quadrature entry counts the intervals, their nodes and the
+    batched integrand calls (rounds), each of which evaluates at least one
+    interval."""
     code, rep = _run(capsys, ["whittaker", "--weight", "2"])
     assert code == 0
     work = rep["details"][-1]["quadrature"]
     assert work["intervals"] > 0
     assert work["nodes"] == 15 * work["intervals"]
+    assert 1 <= work["rounds"] <= work["intervals"]
 
 
 def test_whittaker_reports_each_grid_point(capsys):

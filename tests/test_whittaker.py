@@ -31,10 +31,11 @@ from octolift.whittaker import (J4, LeviPoint, Y0, Y1,
                                 whittaker_eval)
 
 from oracles import (alternating_binomial_sum, archimedean_integral_single,
-                     archimedean_integral_quad_vec, bvv, mat2_to_vec22,
-                     plane_rotation, pr_K, q_poincare_by_pairs, s_v_exact,
-                     sym2_power, sym_power_batch,
-                     sym_power_by_convolution, vectors_by_norm)
+                     archimedean_integral_quad_vec, bvv, dyadic_mesh,
+                     mat2_to_vec22, plane_rotation, pr_K,
+                     q_poincare_by_pairs, s_v_exact, sym2_power,
+                     sym_power_batch, sym_power_by_convolution,
+                     vectors_by_norm)
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -303,19 +304,21 @@ def test_archimedean_integral_error_estimate_at_high_weight(ell):
 
 def test_archimedean_integral_interval_cap(monkeypatch):
     """A capped integral stops at the cap and still reports an estimate
-    that bounds its actual error."""
+    that bounds its actual error.  Its uncapped dyadic mesh has 7
+    intervals, accurate to 7e-17 on their own, so the cap of 5 clamps the
+    mesh itself, to an actual error of about 1e-10."""
     T = (0.2, -0.9, -1.1, -0.2)
     full, closed = archimedean_integral_check(T, 0.7, boost_u(0.3), 6)
-    monkeypatch.setattr(whittaker, "_GK_LIMIT", 7)
+    monkeypatch.setattr(whittaker, "_GK_LIMIT", 5)
     num, _ = archimedean_integral_check(T, 0.7, boost_u(0.3), 6)
-    assert num.intervals <= 7 < full.intervals
+    assert num.intervals <= 5 < full.intervals
     diff = np.array(num.components) - np.array(closed.components)
     assert full.err < np.linalg.norm(diff) <= num.err
 
 
-def _bits(components, err, intervals):
+def _bits(components, err, intervals, rounds):
     return (np.asarray(components, dtype=complex).tobytes(),
-            np.float64(err).tobytes(), intervals)
+            np.float64(err).tobytes(), intervals, rounds)
 
 
 def _single_bits(T, points, ell):
@@ -324,14 +327,14 @@ def _single_bits(T, points, ell):
 
 
 def _lockstep_bits(T, points, ell):
-    return [_bits(num.components, num.err, num.intervals)
+    return [_bits(num.components, num.err, num.intervals, num.rounds)
             for num, _ in archimedean_integral_checks(T, points, ell)]
 
 
 @pytest.mark.parametrize("ell", range(17))
 def test_lockstep_integrals_match_single_integrals(ell):
     """Every integral of a lockstep run is bit for bit the one integrated
-    alone: components, error estimate and interval count."""
+    alone: components, error estimate, interval count and round count."""
     T = (0.2, -0.9, -1.1, -0.2)
     points = [(t, boost_u(theta)) for t in (0.5, 0.7, 1.3, 2.0)
               for theta in (-1.0, 0.0, 0.6, 1.0)]
@@ -339,24 +342,27 @@ def test_lockstep_integrals_match_single_integrals(ell):
 
 
 def test_lockstep_capped_integral_keeps_its_neighbours(monkeypatch):
-    """With a cap of 7 intervals, the middle integral is capped and its
-    neighbours converge below the cap: each gets what it gets alone, and
-    the neighbours what they get uncapped."""
+    """At weight 10, with a cap of 20 intervals, the middle integral is
+    capped after one bisection of its 7-interval mesh and its neighbours
+    converge on their meshes, below the cap: each gets what it gets alone,
+    and the neighbours what they get uncapped."""
     T = (0.2, -0.9, -1.1, -0.2)
     points = [(3.0, boost_u(3.0)), (0.7, boost_u(0.3)), (1.3, boost_u(3.0))]
-    uncapped = _single_bits(T, points, 4)
-    monkeypatch.setattr(whittaker, "_GK_LIMIT", 7)
-    got = _lockstep_bits(T, points, 4)
-    assert got == _single_bits(T, points, 4)
-    assert [g[2] for g in got] == [1, 7, 3]
+    uncapped = _single_bits(T, points, 10)
+    monkeypatch.setattr(whittaker, "_GK_LIMIT", 20)
+    got = _lockstep_bits(T, points, 10)
+    assert got == _single_bits(T, points, 10)
+    assert [g[2:] for g in got] == [(8, 1), (17, 2), (7, 1)]
     assert got[0] == uncapped[0] and got[2] == uncapped[2]
-    assert uncapped[1][2] > 7
+    assert uncapped[1][2] > 20
 
 
 def test_lockstep_non_finite_integral_keeps_its_neighbours():
     """At weight 200 the K-Bessel row overflows near s = 0 at theta = 0, and
-    that integral stops after its first round with a NaN estimate; at
-    theta = 5 the integrals stay finite, whatever runs beside them."""
+    that integral stops after its first round, which evaluates its whole
+    dyadic mesh (12 intervals: smax = 2186.3 at t = 0.5, so K = 11), with
+    a NaN estimate; at theta = 5 the integrals stay finite, whatever runs
+    beside them."""
     T = (0.2, -0.9, -1.1, -0.2)
     points = [(0.5, boost_u(5.0)), (0.5, boost_u(0.0)), (1.0, boost_u(5.0))]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,9 +370,59 @@ def test_lockstep_non_finite_integral_keeps_its_neighbours():
         assert got == _single_bits(T, points, 200)
         assert got[0] == _lockstep_bits(T, points[:1], 200)[0]
         nums = [num for num, _ in archimedean_integral_checks(T, points, 200)]
-    assert not np.isfinite(nums[1].err) and nums[1].intervals == 1
+    assert not np.isfinite(nums[1].err)
+    assert (nums[1].intervals, nums[1].rounds) == (12, 1)
     for num in (nums[0], nums[2]):
         assert np.isfinite(num.components).all() and np.isfinite(num.err)
+
+
+def _integrand_calls(monkeypatch, points, ell):
+    """The x argument of each _folded_rows call that
+    archimedean_integral_checks makes at points."""
+    calls = []
+    folded = whittaker._folded_rows
+
+    def counting(x, *args):
+        calls.append(x.copy())
+        return folded(x, *args)
+
+    monkeypatch.setattr(whittaker, "_folded_rows", counting)
+    archimedean_integral_checks((0.2, -0.9, -1.1, -0.2), points, ell)
+    return calls
+
+
+def _mesh_nodes(points, ell):
+    """x = -2 t s at the 15 nodes of each interval of each point's dyadic
+    mesh, point by point, as the first batch evaluates them."""
+    out = []
+    for t, _ in points:
+        smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+        br = np.array(dyadic_mesh(t, smax))
+        mid, half = (br[:-1] + br[1:]) / 2.0, (br[1:] - br[:-1]) / 2.0
+        s = (mid[:, None] + half[:, None] * whittaker._GK_X).ravel()
+        out.append(-2.0 * t * s)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_cli_grid_takes_at_most_two_rounds(monkeypatch, ell):
+    """On the whittaker command's grid, the integrals start from their
+    dyadic meshes and take at most two batched integrand calls (seven at
+    weight 4 and eight at weight 6 from the single interval [0, smax]);
+    the first call evaluates exactly the meshes, and a cap of 3 intervals
+    clamps each mesh to 3 intervals."""
+    points = [(t, boost_u(theta)) for t in (0.7, 1.3) for theta in (0.0, 0.6)]
+    calls = _integrand_calls(monkeypatch, points, ell)
+    assert 1 <= len(calls) <= 2
+    assert np.array_equal(calls[0], _mesh_nodes(points, ell))
+    monkeypatch.setattr(whittaker, "_GK_LIMIT", 3)
+    calls = _integrand_calls(monkeypatch, points, ell)
+    assert len(calls) == 1 and len(calls[0]) == len(points) * 3 * 15
+    assert np.array_equal(calls[0], _mesh_nodes(points, ell))
+    for t, _ in points:
+        smax = (60.0 + 2.0 * ell * np.log(1.0 + ell)) / (2.0 * t) + 5.0
+        assert whittaker._dyadic_mesh(t, smax).tolist() == [
+            0.0, smax / 4.0, smax / 2.0, smax]
 
 
 def test_beta_self_check_raises_under_python_o(monkeypatch):

@@ -246,8 +246,9 @@ def _entries_by_column(kind: str, raw: list):
     """The entries dict of raw, built a column at a time, or None when
     some entry would be rejected: the key, re and im columns are taken
     whole, the keys are checked by the types they hold, each distinct
-    value string is parsed once, and a duplicate key shows as a dict
-    shorter than raw."""
+    value string is parsed once, each distinct (re, im) pair of strings
+    is built into one GaussRational that all its keys share (values are
+    immutable), and a duplicate key shows as a dict shorter than raw."""
     if not set(map(type, raw)) <= {dict}:
         return None
     try:
@@ -264,8 +265,9 @@ def _entries_by_column(kind: str, raw: list):
         ratios = {s: _parse_ratio(s, "") for s in {*res, *ims}}
     except (TableError, TypeError):
         return None
-    ratio = ratios.__getitem__
-    entries = dict(zip(keys, map(_value, map(ratio, res), map(ratio, ims))))
+    values = {pair: _value(ratios[pair[0]], ratios[pair[1]])
+              for pair in dict.fromkeys(zip(res, ims))}
+    entries = dict(zip(keys, map(values.__getitem__, zip(res, ims))))
     return entries if len(entries) == len(raw) else None
 
 
@@ -563,11 +565,12 @@ def cmd_fj(args):
         raise TableError(f"fj writes a siegel table, whose weight must be "
                          f"even; {args.infile} has weight {phi.weight}")
     entries, first = {}, {}
-    for lam in phi.entries:
+    for lam, x in phi.entries.items():
         # a key (((a, 0), (b, 1)), ((0, -1), (c, 0))) is fj_pair((a, b, c))
-        t = GramTriple(lam[0][0][0], lam[0][1][0], lam[1][1][0])
-        if lam == fj_pair(t):
-            key, v = reduce_gram(t), phi.a(lam).conj()
+        ((a, zero1), (b, one)), ((zero2, minus_one), (c, zero3)) = lam
+        if (zero1 == zero2 == zero3 == 0 and one == 1
+                and minus_one == -1):
+            key, v = reduce_gram(GramTriple(a, b, c)), x.conj()
             # a theta* lift reads one a_F for the whole class
             if entries.setdefault(key, v) != v:
                 return "fail", [f"keys {_pair_text(first[key])} and "

@@ -44,11 +44,16 @@ class GramTriple(NamedTuple):
         return self.a > 0 and self.disc() > 0
 
 
-def reduce_gram(t: GramTriple) -> GramTriple:
-    """GL2(Z)-reduction of a positive semidefinite triple to the canonical
-    representative with 0 <= b <= a <= c.  Raises for indefinite or negative
-    input."""
-    a, b, c = t.a, t.b, t.c
+def reduce_gram(t: Tuple[int, int, int]) -> GramTriple:
+    """GL2(Z)-reduction of a positive semidefinite triple (a GramTriple or
+    a plain (a, b, c) tuple) to the canonical GramTriple with
+    0 <= b <= a <= c.  A GramTriple that is already reduced with a > 0 is
+    returned as it is, without a reduction step: it is its own class's
+    representative, and positive definite, as 4ac - b^2 >= 3a^2.  Raises
+    for indefinite or negative input."""
+    a, b, c = t
+    if 0 <= b <= a <= c and a > 0 and type(t) is GramTriple:
+        return t
     if 4 * a * c - b * b < 0 or a < 0 or c < 0:
         raise ValueError("reduce_gram needs a positive semidefinite triple")
     while True:
@@ -131,15 +136,27 @@ def smith_divisors(lam: IndexPair) -> Tuple[int, int]:
     return (d1, p * t // d1) if d1 else (0, 0)
 
 
+def minors_gcd(lam: IndexPair) -> int:
+    """The gcd of the six 2x2 minors of the 4x2 matrix with columns
+    vec(T1), vec(T2), read straight from the eight entries of lam: its
+    second determinantal divisor, d1*d2 for the Smith divisors (d1, d2),
+    and 0 exactly when the stack has rank below 2."""
+    ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = lam
+    return gcd(a1 * b2 - b1 * a2, a1 * c2 - c1 * a2, a1 * d2 - d1 * a2,
+               b1 * c2 - c1 * b2, b1 * d2 - d1 * b2, c1 * d2 - d1 * c2)
+
+
 def is_strongly_primitive(lam: IndexPair) -> bool:
     """True iff the only r in GL2(Q) cap M2(Z) with lam r^{-1} still integral
     are units: equivalently both Smith divisors of the 4x2 matrix with
-    columns vec(T1), vec(T2) are 1, i.e. its row lattice is Z^2.  The zero
-    pair, the one whose row HNF has (p, q) = (0, 0), is refused."""
-    p, q, t = row_hnf(lam)
-    if p == q == 0:
+    columns vec(T1), vec(T2) are 1, i.e. its row lattice is Z^2.  As
+    d1 | d2, that is d1*d2 = minors_gcd(lam) = 1.  The zero pair is
+    refused."""
+    if minors_gcd(lam) == 1:
+        return True
+    if not any(e for T in lam for row in T for e in row):
         raise ValueError("strong primitivity is undefined for the zero pair")
-    return (p, t) == (1, 1)
+    return False
 
 
 def breve(t: GramTriple) -> IndexPair:
@@ -221,17 +238,17 @@ def divisor_grams(lam: IndexPair) -> List[Tuple[int, GramTriple]]:
     (A/a^2, (aB - 2bA)/(a^2 d), (b^2 A - abB + a^2 C)/(a^2 d^2)).  It is
     integral because lam.r^{-1} is, so the divisions are exact.
 
-    When row_hnf(lam) has p = t = 1 the row lattice is Z^2, so r = 1 is
-    the one admissible coset and the list is [(1, gram(lam))] at once;
-    every other HNF, the zero pair's and rank-deficient ones included,
-    goes to _divisor_rows and its checks."""
-    p, q, t = row_hnf(lam)
-    if p == 1 and t == 1:
+    When minors_gcd(lam) = d1*d2 is 1 the pair is strongly primitive, its
+    row lattice is Z^2, so r = 1 is the one admissible coset and the list
+    is [(1, gram(lam))] at once, with no row HNF; every other pair, the
+    zero pair and rank-deficient ones included, goes to row_hnf,
+    _divisor_rows and its checks."""
+    if minors_gcd(lam) == 1:
         return [(1, gram(lam))]
     S = gram(lam)
     A, B, C = S.a, S.b, S.c
     out = []
-    for a, b, d in _divisor_rows(p, q, t):
+    for a, b, d in _divisor_rows(*row_hnf(lam)):
         aa = a * a
         out.append((a * d, GramTriple(A // aa, (a * B - 2 * b * A) // (aa * d),
                                       (b * b * A - a * b * B + aa * C)

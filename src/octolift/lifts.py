@@ -201,54 +201,57 @@ def classical_maass_check(F: SiegelTable) -> Report:
 
 # --- the quaternionic theta* lift ---------------------------------------------
 
-def _base_pairs(detbound: int, extra_pairs: Iterable[IndexPair]):
-    """For every reduced positive definite t with det [[a,b/2],[b/2,c]] <=
-    detbound (i.e. disc <= 4*detbound): the canonical strongly primitive
-    pairs breve(t) and fj_pair(t), and the imprimitive multiples d*breve(t)
-    that stay within the bound; then the extra pairs.  Each comes as
-    (lambda, grams): breve(t) and fj_pair(t) have gram exactly t and are
-    strongly primitive by construction, so their divisor grams ((1, t),)
-    are given in closed form; the rest carry None, to be enumerated."""
-    discbound = 4 * detbound
-    base = []
-    for t in reduced_triples(discbound):
-        lam = breve(t)
-        grams = ((1, t),)
-        base += [(lam, grams), (fj_pair(t), grams)]
-        d = 2
-        while d ** 4 * t.disc() <= discbound:   # gram(d*lam) = d^2 gram(lam)
-            base.append(((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])),
-                         None))
-            d += 1
-    base.extend((lam, None) for lam in extra_pairs)
-    return base
+def _family(detbound: int, extra_pairs: Iterable[IndexPair], primitive,
+            general) -> Dict[IndexPair, object]:
+    """The theta* key family as a dict in family order: a key that enters
+    as strongly primitive of gram t maps to primitive(t), and a multiple or
+    extra pair lambda to general(divisor_grams(lambda)).
 
+    For every reduced positive definite t with det [[a,b/2],[b/2,c]] <=
+    detbound (i.e. disc <= 4*detbound) come breve(t) and fj_pair(t), both
+    strongly primitive with gram exactly t, so neither needs divisor grams
+    (the two coincide when a = 1); then the imprimitive multiples
+    d*breve(t) that stay within the bound.  The extra pairs follow.  Each
+    multiple or extra pair not yet in the family enters with its divisor
+    grams, and for each divisor gram t' the breve-closure key breve(t')
+    (what membership checks will look up), strongly primitive of gram t'.
+    A key met again keeps its first place: breve(t) and fj_pair(t) map to
+    primitive(t) wherever they enter, so writing one again changes no
+    value, and a multiple or extra pair already in the family is
+    skipped."""
+    out = {}
 
-def _family(base):
-    """Yield each key of the family once, with its divisor grams: the base
-    pairs of _base_pairs, with their closed-form grams or else
-    divisor_grams(lambda), and for each divisor gram t of one the
-    breve-closure key breve(t) (what membership checks will look up),
-    strongly primitive, so ((1, t),) are its divisor grams."""
-    seen = set()
-    for lam, grams in base:
-        if lam in seen:
-            continue
-        seen.add(lam)
-        if grams is None:
-            grams = divisor_grams(lam)
-        yield lam, grams
+    def enter(lam):
+        if lam in out:
+            return
+        grams = divisor_grams(lam)
+        out[lam] = general(grams)
         for _n, t in grams:
             key = breve(t)
-            if key not in seen:
-                seen.add(key)
-                yield key, ((1, t),)
+            if key not in out:
+                out[key] = primitive(t)
+
+    discbound = 4 * detbound
+    for t in reduced_triples(discbound):
+        lam = breve(t)
+        out[lam] = out[fj_pair(t)] = primitive(t)
+        d = 2
+        while d ** 4 * t.disc() <= discbound:   # gram(d*lam) = d^2 t
+            enter((mat2_scale(d, lam[0]), mat2_scale(d, lam[1])))
+            d += 1
+    for lam in extra_pairs:
+        enter(lam)
+    return out
+
+
+def _no_value(_source) -> None:
+    return None
 
 
 def spezialschar_keys(detbound: int) -> List[IndexPair]:
     """The standard key family for a theta* coefficient table, sorted: the
-    base pairs of _base_pairs(detbound, ()) and their breve-closure."""
-    return sorted(lam for lam, _grams in _family(_base_pairs(detbound, ())))
+    keys of _family(detbound, ()), which theta_star_table tabulates."""
+    return sorted(_family(detbound, (), _no_value, _no_value))
 
 
 def require_disc(F: SiegelTable, need: int) -> None:
@@ -274,22 +277,32 @@ def theta_star_coefficient(F: SiegelTable, grams) -> GaussRational:
 
 def theta_star_table(F: SiegelTable, detbound: int,
                      extra_pairs: Iterable[IndexPair] = ()) -> QuatTable:
-    """Tabulate theta* over _family(_base_pairs(detbound, extra_pairs)), each
-    key's coefficient by theta_star_coefficient from its divisor grams,
-    the keys in family order (write_table sorts them on disk).  A key
-    reads a_F at discriminants up to disc S(lambda) (each S(mu) has disc
-    S(lambda) / |det r|^2, and a closure key's disc is one of those).  The
-    largest base pair is breve(1, 0, detbound), of disc 4*detbound, so
-    a table that stops below that or below an extra pair's disc fails
-    here, before any base pair is built.  A pair whose stack has rank
-    below 2 raises ValueError (its divisor cosets are infinite), and so
-    does one whose gram is not positive definite."""
+    """Tabulate theta* over _family(detbound, extra_pairs), the keys in
+    family order (write_table sorts them on disk).  A strongly primitive
+    key of gram t reads conj a_F(t): for a reduced t, the gram of breve(t)
+    and fj_pair(t), that is conj F.entries[t] at once, as F's keys are the
+    reduced triples, and any other t goes through F.a and its reduction.
+    A multiple or extra pair reads theta_star_coefficient of its divisor
+    grams.  A key reads a_F at discriminants up to disc S(lambda) (each
+    S(mu) has disc S(lambda) / |det r|^2, and a closure key's disc is one
+    of those).  The largest base pair is breve(1, 0, detbound), of disc
+    4*detbound, so a table that stops below that or below an extra pair's
+    disc fails here, before any base pair is built; a table with a hole
+    below its largest disc names the hole's triple.  A pair whose stack
+    has rank below 2 raises ValueError (its divisor cosets are infinite),
+    and so does one whose gram is not positive definite."""
     extra = list(extra_pairs)
     require_disc(F, max([4 * detbound]
                         + [gram(lam).disc() for lam in extra]))
-    return QuatTable(F.weight, {
-        lam: theta_star_coefficient(F, grams)
-        for lam, grams in _family(_base_pairs(detbound, extra))})
+    get = F.entries.get
+
+    def primitive(t):
+        v = get(t)
+        return (F.a(t) if v is None else v).conj()
+
+    return QuatTable(F.weight, _family(
+        detbound, extra, primitive,
+        lambda grams: theta_star_coefficient(F, grams)))
 
 
 # --- Maass Spezialschar membership --------------------------------------------

@@ -21,7 +21,9 @@ For the cosets: the product and the sum of 2x2 integer matrices, to
 compare coset representatives, the pair action lam . g built from
 scaled and added matrices, the reference of its entry formula, and
 lam . r^{-1} as the pair action of the adjugate of r divided by det r,
-the reference of divisor_cosets' closed form.
+the reference of divisor_cosets' closed form, and the reduced triple of a
+semidefinite form read from its successive minima over a box of vectors,
+the reference of reduce_gram's reduction steps.
 
 For the orbit layer: the factor isometries of the split lattice built by
 pushing the unit vectors through an (x, y) action (split_xy and join_xy
@@ -38,7 +40,9 @@ divisor_grams; the theta* key family closed over divisor_cosets, where
 the package gives a closure key its one coset without enumerating; and
 the Dirichlet factorization check as three passes over
 the orbit lambda.g (the series D_phi, the primitive series convolved with
-sigma_1, and the divisibility test), where the package makes one.
+sigma_1, and the divisibility test), where the package makes one; and the
+Fourier-Jacobi extraction by comparing each key with the fj_pair of three
+of its entries, where the command tests the other five.
 
 For the table files: the per-entry parser, each key through isinstance
 checks and each value string parsed again wherever it occurs, as the
@@ -69,7 +73,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, floor, log2, prod
+from math import comb, floor, isqrt, log2, prod
 
 import numpy as np
 from scipy import integrate
@@ -78,9 +82,9 @@ from octolift.cli import KINDS, TableError, _parse_int
 from octolift.coset import (GramTriple, breve, divisor_cosets, divisor_grams,
                             divisors, gram, hnf_right_cosets,
                             is_strongly_primitive, mat2, mat2_det,
-                            mat2_scale, pair_act)
+                            mat2_scale, pair_act, reduce_gram)
 from octolift.lifts import (HalfIntegralTable, QuatTable, Report,
-                            SiegelTable, a_prim, reduced_triples)
+                            SiegelTable, a_prim, fj_pair, reduced_triples)
 from octolift.octonion import BASIS, to_vector8
 from octolift.orbits import (LatticeIsometry, levi_isometry,
                              opposite_unipotent, siegel_unipotent,
@@ -758,6 +762,35 @@ def apply_rinv_by_adjugate(lam, r):
                  for T in pair_act(lam, adj))
 
 
+def reduce_gram_by_minima(t, radius: int = 24) -> GramTriple:
+    """The reduced triple (a, b, c), 0 <= b <= a <= c, of the positive
+    semidefinite form Q = A x^2 + B xy + C y^2 of t = (A, B, C), from its
+    successive minima: a is the least value of Q at a nonzero vector, c its
+    least value at a vector independent of one where a is attained, and
+    b = sqrt(4ac - disc) >= 0.  The minima are sought over the box
+    [-radius, radius]^2.  Both are at most max(A, C), the values at (1, 0)
+    and (0, 1); on a definite form, 4A Q = (2A x + B y)^2 + disc y^2 and
+    the like in x bound such a vector by |x|, |y| <= sqrt(4 max(A, C)^2),
+    and on a semidefinite one, A = g p^2, C = g q^2 and Q = g (px + qy)^2,
+    the minimal vector (q, -p) and a vector with px + qy = 1 have entries
+    at most max(|p|, |q|).  So radius 24 covers every triple with
+    entries of size at most 12."""
+    A, B, C = t
+    box = [(x, y) for x in range(-radius, radius + 1)
+           for y in range(-radius, radius + 1) if (x, y) != (0, 0)]
+
+    def q(v):
+        return A * v[0] * v[0] + B * v[0] * v[1] + C * v[1] * v[1]
+
+    v1 = min(box, key=q)
+    a = q(v1)
+    c = min(q(v) for v in box if v[0] * v1[1] != v[1] * v1[0])
+    b2 = 4 * a * c - (4 * A * C - B * B)
+    b = isqrt(b2)
+    assert b * b == b2
+    return GramTriple(a, b, c)
+
+
 # --- the lifts, summed over the divisor cosets' pairs ------------------------
 
 def theta_star_by_cosets(F, lam) -> GaussRational:
@@ -826,6 +859,20 @@ def spezialschar_keys_by_cosets(detbound: int, extra_pairs=()) -> list:
     for lam in base:
         keys |= {breve(gram(mu)) for _r, mu in divisor_cosets(lam)}
     return sorted(keys)
+
+
+def fj_entries_by_pair_rule(phi) -> dict:
+    """The Fourier-Jacobi coefficients that fj extracts from phi: each key
+    lambda that equals fj_pair(t) for t read from three of its entries,
+    (T1[0][0], T1[1][0], T2[1][0]), gives conj a_phi(lambda) at the
+    reduced class of t.  The reference of the command's test on the
+    eight entries."""
+    out = {}
+    for lam, x in phi.entries.items():
+        t = GramTriple(lam[0][0][0], lam[0][1][0], lam[1][1][0])
+        if lam == fj_pair(t):
+            out.setdefault(reduce_gram(t), x.conj())
+    return out
 
 
 # --- the Dirichlet factorization as three series -----------------------------

@@ -13,7 +13,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octolift import cli, triality, whittaker
-from octolift.coset import is_strongly_primitive
+from octolift.coset import (GramTriple, breve, gram, is_strongly_primitive,
+                            mat2, pair_act)
 from octolift.lifts import (HalfIntegralTable, QuatTable, SiegelTable,
-                            classical_maass_lift, theta_star_table)
+                            classical_maass_lift, fj_pair, reduced_triples,
+                            theta_star_table)
 from octolift.octonion import B_BASIS, from_vector8, to_vector8
 from octolift.quadspace import Bivector, GaussRational, wedge
 
@@ -410,6 +412,57 @@ def test_fj_fails_on_a_class_with_two_values(tmp_path, capsys):
         "[[0, -1], [4, 0]]] both reduce to the class (1, 0, 3) but carry "
         "different coefficients"]
     assert not out.exists()
+
+
+def _near_misses(t):
+    """Keys one entry away from the Fourier-Jacobi shape fj_pair(a, b, c)
+    = (((a, 0), (b, 1)), ((0, -1), (c, 0))): T1's second row (b, 2), T2's
+    first row (0, 1) (with -c in place of c, so that the gram (a, -b, c)
+    stays positive definite), T2's second row (c, 1) and T1's first row
+    (a, 1)."""
+    a, b, c = t
+    return [(((a, 0), (b, 2)), ((0, -1), (c, 0))),
+            (((a, 0), (b, 1)), ((0, 1), (-c, 0))),
+            (((a, 0), (b, 1)), ((0, -1), (c, 1))),
+            (((a, 1), (b, 1)), ((0, -1), (c, 0)))]
+
+
+def _misses(lam):
+    """The places, among the eight entries row by row, where lam differs
+    from fj_pair of the triple (T1[0][0], T1[1][0], T2[1][0]) it holds."""
+    t = GramTriple(lam[0][0][0], lam[0][1][0], lam[1][1][0])
+    return tuple(i for i, (x, y) in enumerate(
+        zip(*([e for T in mu for row in T for e in row]
+              for mu in (lam, fj_pair(t))))) if x != y)
+
+
+def test_fj_extracts_no_near_miss(tmp_path, capsys):
+    """fj recognises a key (((a, 0), (b, 1)), ((0, -1), (c, 0))) from its
+    eight entries: keys one entry away from that shape, and a strongly
+    primitive key from outside the theta* family, are not extracted, and
+    the written table is the one of the lam == fj_pair(t) rule."""
+    F = cli.synth_table("siegel", 3, 4 * 8, 4)
+    phi = theta_star_table(F, 8)
+    entries = dict(phi.entries)
+    added = []
+    for t in reduced_triples(4 * 8):
+        for lam in _near_misses(t):
+            if lam not in entries and gram(lam).is_positive_definite():
+                added.append(lam)
+    outsider = pair_act(breve(GramTriple(2, 1, 3)), mat2(2, 1, 1, 1))
+    assert is_strongly_primitive(outsider) and outsider not in entries
+    added.append(outsider)
+    assert {_misses(lam) for lam in added[:-1]} == {(1,), (3,), (5,), (7,)}
+    for n, lam in enumerate(added):
+        entries[lam] = GaussRational(Fraction(n + 1, 7), Fraction(-n))
+    path, out = tmp_path / "phi.json", tmp_path / "fj.json"
+    cli.write_table(QuatTable(4, entries), str(path))
+    code, rep = _run(capsys, ["fj", "--in", str(path), "--out", str(out)])
+    assert code == 0, rep
+    want = oracles.fj_entries_by_pair_rule(phi)
+    assert oracles.fj_entries_by_pair_rule(QuatTable(4, entries)) == want
+    assert cli.load_table(str(out)).entries == want
+    assert want == F.entries
 
 
 def test_reduce_and_triality_commands(capsys):
@@ -1463,6 +1516,35 @@ def test_every_key_leaf_damage_matches_the_oracle(kind):
             entry = {**doc["entries"][0], "key": _replaced(key, path, leaf)}
             _assert_parsed_as_the_oracle_does(
                 {**doc, "entries": [entry, *doc["entries"][1:]]})
+
+
+def test_repeated_values_are_shared_and_equal_to_the_per_entry_reader(
+        tmp_path):
+    """A file whose (re, im) pairs repeat, "2/4" beside "1/2": the loaded
+    table equals the per-entry reader's, each distinct pair of strings is
+    one shared value, and a damaged entry after the repeats is still the
+    one named."""
+    pairs = [("2/4", "0"), ("1/2", "0"), ("1/2", "-3"), ("7", "1/3"),
+             ("2/4", "0"), ("-0", "6/4")]
+    for kind, doc in _TABLES.items():
+        raw = [{**e, "re": re_, "im": im}
+               for e, (re_, im) in zip(doc["entries"], cycle(pairs))]
+        assert len(raw) > 2 * len(pairs)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({**doc, "entries": raw}))
+        got = cli.load_table(str(path))
+        want = cli.TABLES[kind](4, cli._entries_by_entry(kind, raw))
+        assert got == want and list(got.entries) == list(want.entries)
+        assert len({id(v) for v in got.entries.values()}) == len(
+            set(pairs))
+        values = list(got.entries.values())
+        assert values[0] == values[1] and values[0] is not values[1]
+        assert values[0] is values[4]
+        i = len(pairs) + 2
+        raw[i] = {**raw[i], "im": "1/0"}
+        with pytest.raises(cli.TableError, match=re.escape(
+                f"entries[{i}]: zero denominator in '1/0'")):
+            cli.parse_table({**doc, "entries": raw})
 
 
 # --- the README -------------------------------------------------------------------

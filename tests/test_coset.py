@@ -13,12 +13,12 @@ from octolift import coset
 from octolift.coset import (GramTriple, breve, divisor_cosets,
                             divisor_grams, gram, hnf_left_cosets,
                             hnf_right_cosets, is_strongly_primitive, mat2,
-                            mat2_det, mat2_scale, mat2_transpose, pair_act,
-                            reduce_gram, row_hnf, smith_divisors)
-from octolift.lifts import fj_pair
+                            mat2_det, mat2_scale, mat2_transpose, minors_gcd,
+                            pair_act, reduce_gram, row_hnf, smith_divisors)
+from octolift.lifts import fj_pair, reduced_triples
 
 from oracles import (apply_rinv_by_adjugate, mat2_add, mat2_mul,
-                     pair_act_by_blocks)
+                     pair_act_by_blocks, reduce_gram_by_minima)
 
 ints = st.integers(-9, 9)
 mats = st.builds(mat2, ints, ints, ints, ints)
@@ -97,6 +97,36 @@ def test_reduce_gram_is_a_class_invariant(t, u):
 def test_reduce_gram_rejects_indefinite():
     with pytest.raises(ValueError):
         reduce_gram(GramTriple(1, 5, 1))
+
+
+def test_reduce_gram_returns_a_reduced_triple_as_it_is():
+    """A reduced positive definite GramTriple comes back as the same
+    object, and a plain tuple of the same entries as an equal GramTriple."""
+    triples = reduced_triples(400)
+    assert len(triples) == 936
+    for t in triples:
+        assert reduce_gram(t) is t
+        got = reduce_gram(tuple(t))
+        assert type(got) is GramTriple and got == t
+
+
+@given(_pos_semidef_triples(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_reduce_gram_is_the_reduction_by_successive_minima(t, plain):
+    """Every semidefinite triple of the box, as a GramTriple or a plain
+    tuple, reduces to the triple read off its successive minima."""
+    got = reduce_gram(tuple(t) if plain else t)
+    assert type(got) is GramTriple
+    assert got == reduce_gram_by_minima(t)
+
+
+@pytest.mark.parametrize("t", [(2, 3, 1), (0, 1, 0), (-1, 0, -1),
+                               (-1, 0, 0), (0, 0, -3), (-2, 1, -1)])
+@pytest.mark.parametrize("plain", [False, True])
+def test_reduce_gram_rejects_indefinite_or_negative_input(t, plain):
+    with pytest.raises(ValueError, match="^reduce_gram needs a positive "
+                       "semidefinite triple$"):
+        reduce_gram(t if plain else GramTriple(*t))
 
 
 @given(mats, mats)
@@ -434,16 +464,37 @@ def _divisor_pairs(draw):
     return _pair_with_row_lattice(rng, p, q, t)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_divisor_pairs())
+small = st.integers(-3, 3)
+small_mats = st.builds(mat2, small, small, small, small)
+ZERO_PAIR = (MAT2_ZERO, MAT2_ZERO)
+# random pairs, rank-1 pairs (T2 a multiple of T1 or the reverse, or one
+# of them zero), scaled pairs, and the zero pair
+small_pairs = st.one_of(
+    st.tuples(small_mats, small_mats),
+    st.builds(lambda T, k: (T, mat2_scale(k, T)), small_mats, small),
+    st.builds(lambda T, k: (mat2_scale(k, T), T), small_mats, small),
+    st.builds(lambda T1, T2, k: (mat2_scale(k, T1), mat2_scale(k, T2)),
+              small_mats, small_mats, st.integers(2, 3)),
+    st.just(ZERO_PAIR))
+
+
+def _outcome(f, lam):
+    """f(lam), or ("raises", message) for the ValueError it raises."""
+    try:
+        return f(lam)
+    except ValueError as e:
+        return ("raises", str(e))
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(_divisor_pairs(), small_pairs))
 def test_divisor_grams_match_divisor_cosets(lam):
-    if row_hnf(lam)[2] == 0:    # zero or rank-deficient: both refuse
-        for enumerate_cosets in (divisor_cosets, divisor_grams):
-            with pytest.raises(ValueError):
-                enumerate_cosets(lam)
-        return
-    assert divisor_grams(lam) == [(abs(mat2_det(r)), gram(mu))
-                                  for r, mu in divisor_cosets(lam)]
+    """divisor_grams, with its six-minor early return, gives the
+    (|det r|, gram(mu)) of divisor_cosets' pairs, or raises its error (the
+    zero pair and rank-deficient ones)."""
+    want = _outcome(lambda lam: [(abs(mat2_det(r)), gram(mu))
+                                 for r, mu in divisor_cosets(lam)], lam)
+    assert _outcome(divisor_grams, lam) == want
 
 
 def test_divisor_grams_of_strongly_primitive_pairs_return_early(monkeypatch):
@@ -495,3 +546,21 @@ def test_orbit_row_hnf_index_is_det_g():
             for g in hnf_right_cosets(n):
                 p, _q, t = row_hnf(pair_act(lam, g))
                 assert p * t == n, (lam, g)
+
+
+# --- strong primitivity from the 2x2 minors ----------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(small_pairs)
+def test_the_six_minors_test_is_the_row_hnf_test(lam):
+    """minors_gcd is d1*d2 = p*t for the row HNF (p, q, t), 0 exactly at
+    rank below 2, so it is 1 exactly when row_hnf gives p = t = 1; and
+    is_strongly_primitive, which reads it, refuses the zero pair alone."""
+    p, _q, t = row_hnf(lam)
+    assert minors_gcd(lam) == p * t
+    assert (minors_gcd(lam) == 1) == (p == t == 1)
+    if lam == ZERO_PAIR:
+        assert _outcome(is_strongly_primitive, lam) == (
+            "raises", "strong primitivity is undefined for the zero pair")
+    else:
+        assert is_strongly_primitive(lam) == (p == t == 1)

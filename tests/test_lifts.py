@@ -2,6 +2,7 @@
 Dirichlet factorization."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -231,8 +232,8 @@ def test_theta_star_table_is_in_the_spezialschar():
 
 
 def test_theta_star_table_builds_each_keys_divisor_grams_once(monkeypatch):
-    """divisor_grams runs once on each base pair whose grams are not given
-    in closed form, the multiples d*breve(t) and the extra pairs, in base
+    """divisor_grams runs once on each pair whose grams are not given in
+    closed form, the multiples d*breve(t) and the extra pairs, in family
     order, and never on breve(t), fj_pair(t) or a key that only the
     breve-closure adds: those are strongly primitive with gram t, so
     ((1, t),) are their divisor grams."""
@@ -258,14 +259,21 @@ def test_theta_star_table_builds_each_keys_divisor_grams_once(monkeypatch):
 
 @pytest.mark.parametrize("detbound", range(1, 13))
 def test_closed_form_base_grams_are_the_enumerated_ones(detbound):
-    """breve(t) and fj_pair(t) enter the family with divisor grams
-    ((1, t),), and those are what divisor_grams and the coset enumeration
-    give."""
-    given = [(lam, grams) for lam, grams in lifts._base_pairs(detbound, ())
-             if grams is not None]
-    assert len(given) == 2 * len(reduced_triples(4 * detbound))
-    for lam, ((n, t),) in given:
-        assert (n, gram(lam)) == (1, t)
+    """breve(t) and fj_pair(t) enter the family as strongly primitive keys
+    of gram t, with no divisor grams built, and (1, t) is what
+    divisor_grams and the coset enumeration give them; so it is for every
+    other key the family takes as strongly primitive (the breve-closure
+    keys), while the rest carry their divisor grams."""
+    family = lifts._family(detbound, (), lambda t: ("primitive", t),
+                           lambda grams: ("grams", grams))
+    for t in reduced_triples(4 * detbound):
+        assert family[breve(t)] == family[fj_pair(t)] == ("primitive", t)
+    for lam, (how, source) in family.items():
+        if how == "grams":
+            assert source == divisor_grams(lam) and len(source) > 1
+            continue
+        t = source
+        assert gram(lam) == t
         assert divisor_grams(lam) == [(1, t)]
         assert [(abs(mat2_det(r)), gram(mu))
                 for r, mu in oracles.divisor_cosets(lam)] == [(1, t)]
@@ -277,19 +285,46 @@ def test_spezialschar_keys_match_the_closure_over_divisor_cosets(detbound):
         oracles.spezialschar_keys_by_cosets(detbound)
 
 
-def test_spezialschar_keys_with_the_dirichlet_orbit_as_extras():
-    """The keys theta_star_table tabulates with the extra pairs of
-    `dirichlet --bound 12 --count 5` on a Siegel table: the orbits
-    lambda.g, |det g| <= 12, of its five strongly primitive pairs."""
+def _dirichlet_orbit(bound):
+    """The extra pairs of `dirichlet --bound <bound> --count 5` on a Siegel
+    table: the orbits lambda.g, |det g| <= bound, of its five strongly
+    primitive pairs."""
     triples = sorted(reduced_triples(8), key=lambda t: (t.disc(), t))
     lams = list(dict.fromkeys(f(t) for t in triples
                               for f in (breve, fj_pair)))[:5]
-    extra = [pair_act(lam, g) for lam in lams for n in range(1, 13)
-             for g in hnf_right_cosets(n)]
-    F = _random_siegel_table(3, max(gram(mu).disc() for mu in extra))
-    keys = sorted(theta_star_table(F, 1, extra_pairs=extra).entries)
-    assert keys == oracles.spezialschar_keys_by_cosets(1, extra)
-    assert len(keys) > len(set(extra))
+    return [pair_act(lam, g) for lam in lams for n in range(1, bound + 1)
+            for g in hnf_right_cosets(n)]
+
+
+_ORBIT = _dirichlet_orbit(12)   # as `dirichlet --bound 12 --count 5`
+_ORBIT_F = _random_siegel_table(12, max(gram(mu).disc() for mu in _ORBIT))
+
+
+def test_spezialschar_keys_with_the_dirichlet_orbit_as_extras():
+    """The keys theta_star_table tabulates with the dirichlet orbit as
+    extra pairs."""
+    keys = sorted(theta_star_table(_ORBIT_F, 1, extra_pairs=_ORBIT).entries)
+    assert keys == oracles.spezialschar_keys_by_cosets(1, _ORBIT)
+    assert len(keys) > len(set(_ORBIT))
+
+
+@pytest.mark.parametrize("extras", [False, True])
+@pytest.mark.parametrize("detbound", range(1, 13))
+def test_theta_star_table_is_its_definition_key_by_key(detbound, extras):
+    """theta_star_table, which reads breve(t) and fj_pair(t) straight from
+    F's entry at t, equals the table built key by key from the definition:
+    the keys of the family closed over divisor_cosets, each coefficient
+    sum |det r|^(ell-1) conj a_F(S(mu)) over its divisor cosets (r, mu).
+    With the dirichlet orbit as extra pairs, and without."""
+    extra = _ORBIT if extras else []
+    F = _ORBIT_F if extras else _random_siegel_table(5, 4 * detbound)
+    got = theta_star_table(F, detbound, extra)
+    keys = oracles.spezialschar_keys_by_cosets(detbound, extra)
+    assert sorted(got.entries) == keys
+    assert got == QuatTable(F.weight, {
+        lam: oracles.theta_star_by_cosets(F, lam) for lam in keys})
+    if not extras:
+        assert spezialschar_keys(detbound) == keys
 
 
 def test_siegel_table_max_disc():
@@ -418,6 +453,21 @@ def test_theta_star_table_on_a_primitive_pair_is_a_conjugate():
     F = _random_siegel_table(7, 4 * 6, weight=4)
     t = GramTriple(1, 1, 2)
     assert theta_star_table(F, 6).a(breve(t)) == F.a(t).conj()
+
+
+def test_theta_star_table_names_a_hole_in_the_table():
+    """With one reduced triple t below the largest discriminant missing
+    from F, theta_star_table raises InsufficientTableError naming t, read
+    at breve(t)."""
+    F = _random_siegel_table(9, 4 * 6, weight=4)
+    holes = [t for t in F.entries if t.disc() < F.max_disc]
+    assert len(holes) > 10
+    for t in holes:
+        G = SiegelTable(4, {k: v for k, v in F.entries.items() if k != t})
+        assert G.max_disc == F.max_disc
+        with pytest.raises(InsufficientTableError,
+                           match=re.escape(f"a_F({t!r}) not in table")):
+            theta_star_table(G, 6)
 
 
 def test_theta_star_table_rejects_a_degenerate_extra_pair():
